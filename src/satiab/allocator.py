@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from .ratemodel import (
     Allocation,
     RateReport,
+    ScenarioBatch,
     ScenarioParams,
     duplex_factors,
     evaluate,
@@ -40,6 +42,7 @@ __all__ = [
     "grid_oracle",
     "run_pso",
     "pso_solve",
+    "pso_solve_many",
 ]
 
 _MAX_EXPONENT = 1020.0  # 2**x overflows float64 just above this
@@ -71,12 +74,14 @@ class PsoConfig:
     """Swarm hyperparameters.
 
     The defaults reproduce the reference configuration: 50 particles,
-    200 iterations, inertia weight 0.01, both learning factors 2. The
-    generator is counter-based (numpy Philox) keyed by rng_seed; draws
-    happen in a fixed sequential order (initialization fills the N x 4
-    population row-major, each velocity update consumes an N x 4 x 2
-    block row-major with r1 before r2 per element), so runs are
-    reproducible regardless of how fitness evaluation is scheduled.
+    200 iterations, inertia weight 0.01, both learning factors 2, and a
+    ring neighborhood that includes the particle itself. The generator is
+    counter-based (numpy Philox) keyed by rng_seed; draws happen in a fixed
+    sequential order (initialization fills the N x 4 population row-major,
+    any degenerate pair is redrawn as 2 draws when projected, each velocity
+    update consumes an N x 4 x 2 block row-major with r1 before r2 per
+    element), so runs are reproducible regardless of how fitness evaluation
+    is scheduled or how many swarms run in one batch.
     """
 
     population_size: int = 50
@@ -85,7 +90,6 @@ class PsoConfig:
     learning_factor_2: float = 2.0
     inertia_weight: float = 0.01
     rng_seed: int = 0
-    neighborhood_includes_self: bool = True
 
     def __post_init__(self) -> None:
         if self.population_size < 3:
@@ -100,20 +104,20 @@ class PsoConfig:
 
 @dataclass
 class PsoState:
-    """Final swarm state plus bookkeeping counters.
+    """Final swarm state.
 
     population/velocity are N x 4 arrays with columns (p_ue, p_bs, w_a, w_b);
     the population is returned in normalized (feasible) form. best_history
-    holds the running best fitness after each iteration.
+    holds the running best fitness after each iteration. The state of a
+    batch of S swarms has a leading row axis on every array, and
+    best_fitness is then an array of S values.
     """
 
     population: np.ndarray
     velocity: np.ndarray
     best_particle: np.ndarray
-    best_fitness: float
+    best_fitness: float | np.ndarray
     iteration: int
-    fitness_evaluations: int
-    state_updates: int
     best_history: np.ndarray
 
 
@@ -140,8 +144,7 @@ def min_power_for_rate(
         raise Infeasible(
             f"rate {rate_target:.3e} bits/s over {bandwidth:.3e} Hz needs 2**{exponent:.1f}"
         )
-    dens = scn.noise_density + scn.interference_density
-    return (2.0 ** exponent - 1.0) * dens * bandwidth / beta
+    return (2.0 ** exponent - 1.0) * scn.density * bandwidth / beta
 
 
 def _inversion_power(rate: float, bandwidth: float, beta: float, alpha_o: float, dens: float) -> float:
@@ -193,7 +196,7 @@ def solve_orthogonal(scn: ScenarioParams) -> SolveResult:
     if scn.overlap_bandwidth != 0.0:
         raise ValueError("solve_orthogonal requires overlap_bandwidth == 0")
     alpha_o, alpha_1 = duplex_factors(scn.duplex)
-    dens = scn.noise_density + scn.interference_density
+    dens = scn.density
     w_total = alpha_1 * scn.total_bandwidth
     p_total = scn.total_power
     eps = scn.access_weight
@@ -283,39 +286,43 @@ def grid_oracle(scn: ScenarioParams, resolution: int = 200) -> SolveResult:
 
 def _normalize_population(
     population: np.ndarray,
-    p_total: float,
-    band_total: float,
-    w_lo: float,
-    w_hi: float,
-    rng: np.random.Generator,
+    p_total: np.ndarray,
+    band_total: np.ndarray,
+    w_lo: np.ndarray,
+    w_hi: np.ndarray,
+    rngs: Sequence[np.random.Generator],
 ) -> None:
-    """Project the swarm onto the feasible set, in place.
+    """Project a batch of swarms onto their feasible sets, in place.
 
-    Power pairs are folded positive and rescaled to sum to the power
-    budget; bandwidth pairs likewise to the bandwidth budget, then clamped
-    into [w_lo, w_hi] (the clamps restore the budget exactly because the
-    two columns overshoot symmetrically). A pair summing to zero has no
-    defined projection and is redrawn uniformly on its initialization
-    range first.
+    population is S x N x 4; the budgets and bandwidth bounds are S x 1 x 1
+    columns and rngs holds each row's generator. Power pairs are folded
+    positive and rescaled to sum to the power budget; bandwidth pairs
+    likewise to the bandwidth budget, then clamped into [w_lo, w_hi] (the
+    clamps restore the budget exactly because the two columns overshoot
+    symmetrically). A pair summing to zero has no defined projection and is
+    redrawn uniformly on its initialization range first, from its own
+    row's generator.
     """
-    for cols, scale, redraw_hi in ((slice(0, 2), p_total, p_total), (slice(2, 4), band_total, band_total)):
-        block = np.abs(population[:, cols])
-        sums = block.sum(axis=1)
-        while True:
-            degenerate = sums == 0.0
-            if not degenerate.any():
-                break
-            population[degenerate, cols] = rng.random((int(degenerate.sum()), 2)) * redraw_hi
-            block = np.abs(population[:, cols])
-            sums = block.sum(axis=1)
-        population[:, cols] = block * (scale / sums)[:, None]
-    np.clip(population[:, 2:4], w_lo, w_hi, out=population[:, 2:4])
+    for cols, scale in ((slice(0, 2), p_total), (slice(2, 4), band_total)):
+        block = np.abs(population[..., cols])
+        sums = block[..., 0] + block[..., 1]
+        for s in np.flatnonzero((sums == 0.0).any(axis=1)):
+            degenerate = sums[s] == 0.0
+            while degenerate.any():
+                redraw = rngs[s].random((int(degenerate.sum()), 2))
+                population[s, degenerate, cols] = redraw * scale[s, 0, 0]
+                block[s] = np.abs(population[s, :, cols])
+                sums[s] = block[s, :, 0] + block[s, :, 1]
+                degenerate = sums[s] == 0.0
+        population[..., cols] = block * (scale[..., 0] / sums)[..., None]
+    np.clip(population[..., 2:4], w_lo, w_hi, out=population[..., 2:4])
 
 
 def run_pso(
-    scn: ScenarioParams,
+    scn: ScenarioParams | Sequence[ScenarioParams],
     cfg: PsoConfig,
     initial_population: np.ndarray | None = None,
+    seeds: Sequence[int] | None = None,
 ) -> PsoState:
     """Run the particle swarm and return its final state.
 
@@ -327,89 +334,117 @@ def run_pso(
     and step positions by F += mu X. The reported solution is the best
     particle seen across all iterations. Bit-identical output for a fixed
     rng_seed.
-    """
-    alpha_o, alpha_1 = duplex_factors(scn.duplex)
-    del alpha_o
-    n = cfg.population_size
-    band_total = alpha_1 * (scn.total_bandwidth + scn.overlap_bandwidth)
-    w_lo = alpha_1 * scn.overlap_bandwidth
-    w_hi = alpha_1 * scn.total_bandwidth
-    p_total = scn.total_power
-    eps = scn.access_weight
 
-    rng = np.random.Generator(np.random.Philox(cfg.rng_seed))
+    scn may also be a sequence of S scenarios, whose swarms then run in
+    lockstep as one S x N x 4 tensor: initial_population, if given, is
+    S x N x 4, and the returned state has a leading row axis. Row s draws
+    from its own Philox generator, keyed by seeds[s] (cfg.rng_seed for
+    every row when seeds is None), in the order of a swarm run alone, so
+    its result does not depend on the other rows.
+    """
+    single = isinstance(scn, ScenarioParams)
+    scns = [scn] if single else list(scn)
+    n = cfg.population_size
+    seeds = [cfg.rng_seed] * len(scns) if seeds is None else list(seeds)
+    if len(seeds) != len(scns):
+        raise ValueError(f"{len(seeds)} seeds for {len(scns)} scenarios")
+
+    batch = ScenarioBatch.stack(scns)
+    eps = batch.access_weight
+    p_total = batch.total_power[..., None]
+    band_total = (batch.alpha_1 * (batch.total_bandwidth + batch.overlap_bandwidth))[..., None]
+    w_lo = (batch.alpha_1 * batch.overlap_bandwidth)[..., None]
+    w_hi = (batch.alpha_1 * batch.total_bandwidth)[..., None]
+
+    rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
     if initial_population is None:
-        population = rng.random((n, 4))
-        population[:, 0:2] *= p_total
-        population[:, 2:4] *= band_total
+        population = np.empty((len(scns), n, 4))
+        for rng, rows in zip(rngs, population):
+            rng.random(out=rows)
+        population[..., 0:2] *= p_total
+        population[..., 2:4] *= band_total
     else:
         population = np.array(initial_population, dtype=float, copy=True)
-        if population.shape != (n, 4):
-            raise ValueError(f"initial_population must have shape ({n}, 4)")
-    velocity = np.zeros((n, 4))
+        shape = (n, 4) if single else (len(scns), n, 4)
+        if population.shape != shape:
+            raise ValueError(f"initial_population must have shape {shape}")
+        population = population.reshape(len(scns), n, 4)
+    velocity = np.zeros_like(population)
+    draws = np.empty(population.shape + (2,))
 
+    row = np.arange(len(scns))
     idx = np.arange(n)
     ring_prev = (idx - 1) % n
     ring_next = (idx + 1) % n
 
-    best_fitness = -math.inf
-    best_particle = population[0].copy()
-    best_history = np.empty(cfg.max_iterations)
-    fitness_evaluations = 0
-    state_updates = 0
+    best_fitness = np.full(len(scns), -math.inf)
+    best_particle = population[:, 0].copy()
+    best_history = np.empty((len(scns), cfg.max_iterations))
 
     for t in range(cfg.max_iterations):
-        _normalize_population(population, p_total, band_total, w_lo, w_hi, rng)
+        _normalize_population(population, p_total, band_total, w_lo, w_hi, rngs)
         rate_a, rate_b = link_rates(
-            scn, population[:, 0], population[:, 1], population[:, 2], population[:, 3]
+            batch, population[..., 0], population[..., 1], population[..., 2], population[..., 3]
         )
         fitness = np.minimum(rate_a, eps * rate_b)
-        fitness_evaluations += n
 
-        leader = int(np.argmax(fitness))
-        if fitness[leader] > best_fitness:
-            best_fitness = float(fitness[leader])
-            best_particle = population[leader].copy()
-        best_history[t] = best_fitness
+        leader = np.argmax(fitness, axis=1)
+        global_best = population[row, leader]
+        lead_fitness = fitness[row, leader]
+        improved = lead_fitness > best_fitness
+        best_fitness = np.where(improved, lead_fitness, best_fitness)
+        best_particle = np.where(improved[:, None], global_best, best_particle)
+        best_history[:, t] = best_fitness
 
-        if cfg.neighborhood_includes_self:
-            candidates = np.stack((fitness, fitness[ring_prev], fitness[ring_next]))
-            pick = np.argmax(candidates, axis=0)
-            local_idx = np.choose(pick, (idx, ring_prev, ring_next))
-        else:
-            pick = fitness[ring_prev] >= fitness[ring_next]
-            local_idx = np.where(pick, ring_prev, ring_next)
-        local_best = population[local_idx]
-        global_best = population[leader]
+        candidates = np.stack((fitness, fitness[:, ring_prev], fitness[:, ring_next]))
+        pick = np.argmax(candidates, axis=0)
+        local_best = population[row[:, None], np.choose(pick, (idx, ring_prev, ring_next))]
 
-        draws = rng.random((n, 4, 2))
+        for rng, block in zip(rngs, draws):
+            rng.random(out=block)
         velocity += cfg.learning_factor_1 * draws[..., 0] * (local_best - population)
-        velocity += cfg.learning_factor_2 * draws[..., 1] * (global_best - population)
+        velocity += cfg.learning_factor_2 * draws[..., 1] * (global_best[:, None] - population)
         population = population + cfg.inertia_weight * velocity
-        state_updates += 4 * n
 
-    _normalize_population(population, p_total, band_total, w_lo, w_hi, rng)
+    _normalize_population(population, p_total, band_total, w_lo, w_hi, rngs)
+    if single:
+        population, velocity, best_particle, best_history = (
+            a[0] for a in (population, velocity, best_particle, best_history)
+        )
+        best_fitness = float(best_fitness[0])
     return PsoState(
         population=population,
         velocity=velocity,
         best_particle=best_particle,
         best_fitness=best_fitness,
         iteration=cfg.max_iterations,
-        fitness_evaluations=fitness_evaluations,
-        state_updates=state_updates,
         best_history=best_history,
     )
 
 
+def pso_solve_many(
+    scns: Sequence[ScenarioParams], cfg: PsoConfig, seeds: Sequence[int]
+) -> list[SolveResult]:
+    """Particle-swarm solutions of many scenarios, one batch in lockstep.
+
+    Row s is keyed by seeds[s] in place of cfg.rng_seed and gets exactly
+    the result of :func:`pso_solve` with that seed, whatever the other rows.
+    """
+    state = run_pso(scns, cfg, seeds=seeds)
+    results = []
+    for scn, particle in zip(scns, state.best_particle):
+        p_ue, p_bs, w_a, w_b = (float(v) for v in particle)
+        alloc = Allocation(p_ue=p_ue, p_bs=p_bs, w_a=w_a, w_b=w_b)
+        results.append(SolveResult(
+            allocation=alloc,
+            report=evaluate(scn, alloc),
+            solver=SolverKind.PSO,
+            iterations_used=state.iteration,
+            converged=True,
+        ))
+    return results
+
+
 def pso_solve(scn: ScenarioParams, cfg: PsoConfig) -> SolveResult:
     """Particle-swarm solution of the max-min allocation problem."""
-    state = run_pso(scn, cfg)
-    p_ue, p_bs, w_a, w_b = (float(v) for v in state.best_particle)
-    alloc = Allocation(p_ue=p_ue, p_bs=p_bs, w_a=w_a, w_b=w_b)
-    return SolveResult(
-        allocation=alloc,
-        report=evaluate(scn, alloc),
-        solver=SolverKind.PSO,
-        iterations_used=state.iteration,
-        converged=True,
-    )
+    return pso_solve_many([scn], cfg, [cfg.rng_seed])[0]

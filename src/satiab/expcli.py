@@ -27,6 +27,7 @@ from .allocator import (
     SolveResult,
     grid_oracle,
     pso_solve,
+    pso_solve_many,
     solve_orthogonal,
 )
 from .linkbudget import (
@@ -113,10 +114,32 @@ class ExperimentConfig:
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 _INT_FIELDS = {"pso_population", "pso_iterations", "seed", "overlap_sweep_points", "oracle_resolution"}
 _KNOWN_SOLVERS = ("exact", "oracle", "pso")
+# Transmit powers accepted, in dBm (0.1 pW to 10 MW): wide enough for any
+# satellite, and far inside the range where dbm_to_watts stays finite and
+# positive.
+POWER_DBM_LIMITS = (-100.0, 100.0)
+
+
+@dataclass(frozen=True)
+class _NonFiniteLiteral:
+    """A NaN or Infinity token in a config file, kept so that the error
+    can name the key it was given for."""
+
+    text: str
 
 
 def _config_problems(cfg: ExperimentConfig) -> list[str]:
+    non_finite = [
+        name for name in _CONFIG_FIELDS
+        if isinstance(getattr(cfg, name), float) and not math.isfinite(getattr(cfg, name))
+    ]
+    if non_finite:
+        return [f"{name} must be finite, got {getattr(cfg, name)!r}" for name in non_finite]
     problems = []
+    lo_dbm, hi_dbm = POWER_DBM_LIMITS
+    for name in ("total_power_dbm", "power_sweep_min_dbm", "power_sweep_max_dbm"):
+        if not lo_dbm <= getattr(cfg, name) <= hi_dbm:
+            problems.append(f"{name}={getattr(cfg, name):g} must lie in [{lo_dbm:g}, {hi_dbm:g}] dBm")
     if cfg.total_bandwidth_mhz <= 0.0:
         problems.append("total_bandwidth_mhz must be positive")
     if not 0.0 <= cfg.overlap_mhz <= cfg.total_bandwidth_mhz:
@@ -175,7 +198,7 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_NonFiniteLiteral)
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
     if not isinstance(raw, dict):
@@ -203,6 +226,8 @@ def load_config(path: str) -> ExperimentConfig:
                 problems.append(f"{key} must be an integer")
                 continue
             values[key] = value
+        elif isinstance(value, _NonFiniteLiteral):
+            problems.append(f"{key} must be finite, got {value.text}")
         else:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 problems.append(f"{key} must be a number")
@@ -391,6 +416,36 @@ def _power_grid(cfg: ExperimentConfig) -> list[float]:
     return [cfg.power_sweep_min_dbm + k * cfg.power_sweep_step_db for k in range(count)]
 
 
+def _run_sweep(cfg: ExperimentConfig, points) -> list[SweepRow]:
+    """Solve every sweep point with its solvers and return the sorted rows.
+
+    points yields (fields, scenario, solvers) per point, fields being the
+    SweepRow values before the solver name. Exact and oracle rows are
+    solved point by point; all swarm rows then run as one pso_solve_many
+    batch, each keyed by its point's _row_seed, so a row's result does not
+    depend on the others. Solver failures are recorded as NaN rows.
+    """
+    rows = []
+    swarm_fields, swarm_scns, swarm_seeds = [], [], []
+    for row_index, (fields, scn, solvers) in enumerate(points):
+        for solver in solvers:
+            if solver == "pso":
+                swarm_fields.append(fields)
+                swarm_scns.append(scn)
+                swarm_seeds.append(_row_seed(cfg.seed, row_index))
+                continue
+            try:
+                result = _solve_one(scn, solver, cfg, cfg.seed)
+            except Infeasible:
+                result = None
+            rows.append(_row(*fields, solver, result))
+    if swarm_scns:
+        results = pso_solve_many(swarm_scns, _pso_config(cfg, cfg.seed), swarm_seeds)
+        rows.extend(_row(*fields, "pso", result) for fields, result in zip(swarm_fields, results))
+    rows.sort(key=_row_sort_key)
+    return rows
+
+
 def run_power_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Throughput versus transmit power, for both duplex modes and both
     reference altitudes, with no bandwidth overlap.
@@ -399,28 +454,21 @@ def run_power_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """
     if cfg.overlap_mhz != 0.0:
         raise ValidationError("the power sweep requires overlap_mhz = 0")
-    rows = []
-    row_index = 0
-    for power_dbm in _power_grid(cfg):
-        for duplex in ("FDD", "TDD"):
-            for altitude_km in POWER_SWEEP_ALTITUDES_KM:
-                scn = build_scenario(
-                    cfg, power_dbm=power_dbm, duplex=duplex, altitude_km=altitude_km,
-                    overlap_mhz=0.0,
-                )
-                seed = _row_seed(cfg.seed, row_index)
-                row_index += 1
-                for solver in sorted(cfg.solvers):
-                    try:
-                        result = _solve_one(scn, solver, cfg, seed)
-                    except Infeasible:
-                        result = None
-                    rows.append(
-                        _row("power", power_dbm, power_dbm, 0.0, duplex, altitude_km,
-                             cfg.access_weight, solver, result)
+    solvers = sorted(cfg.solvers)
+
+    def points():
+        for power_dbm in _power_grid(cfg):
+            for duplex in ("FDD", "TDD"):
+                for altitude_km in POWER_SWEEP_ALTITUDES_KM:
+                    scn = build_scenario(
+                        cfg, power_dbm=power_dbm, duplex=duplex, altitude_km=altitude_km,
+                        overlap_mhz=0.0,
                     )
-    rows.sort(key=_row_sort_key)
-    return rows
+                    fields = ("power", power_dbm, power_dbm, 0.0, duplex, altitude_km,
+                              cfg.access_weight)
+                    yield fields, scn, solvers
+
+    return _run_sweep(cfg, points())
 
 
 def run_overlap_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
@@ -430,32 +478,24 @@ def run_overlap_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """
     if "pso" not in cfg.solvers:
         raise ValidationError("the overlap sweep requires the pso solver")
-    points = cfg.overlap_sweep_points
-    fractions = [i / (points - 1) for i in range(points)]
+    count = cfg.overlap_sweep_points
+    fractions = [i / (count - 1) for i in range(count)]
     sweep_solvers = tuple(s for s in sorted(cfg.solvers) if s != "exact")
-    rows = []
-    row_index = 0
-    for fraction in fractions:
-        overlap_mhz = fraction * cfg.total_bandwidth_mhz
-        for access_weight in OVERLAP_SWEEP_WEIGHTS:
-            for duplex in ("FDD", "TDD"):
-                scn = build_scenario(
-                    cfg, duplex=duplex, overlap_mhz=overlap_mhz, access_weight=access_weight,
-                )
-                seed = _row_seed(cfg.seed, row_index)
-                row_index += 1
-                solvers = sweep_solvers if fraction > 0.0 else tuple(sorted(set(sweep_solvers) | {"exact"}))
-                for solver in solvers:
-                    try:
-                        result = _solve_one(scn, solver, cfg, seed)
-                    except Infeasible:
-                        result = None
-                    rows.append(
-                        _row("overlap", fraction, cfg.total_power_dbm, overlap_mhz,
-                             duplex, cfg.altitude_km, access_weight, solver, result)
+
+    def points():
+        for fraction in fractions:
+            overlap_mhz = fraction * cfg.total_bandwidth_mhz
+            for access_weight in OVERLAP_SWEEP_WEIGHTS:
+                for duplex in ("FDD", "TDD"):
+                    scn = build_scenario(
+                        cfg, duplex=duplex, overlap_mhz=overlap_mhz, access_weight=access_weight,
                     )
-    rows.sort(key=_row_sort_key)
-    return rows
+                    fields = ("overlap", fraction, cfg.total_power_dbm, overlap_mhz, duplex,
+                              cfg.altitude_km, access_weight)
+                    solvers = sweep_solvers if fraction > 0.0 else tuple(sorted(set(sweep_solvers) | {"exact"}))
+                    yield fields, scn, solvers
+
+    return _run_sweep(cfg, points())
 
 
 def _format_cell(value) -> str:
@@ -796,7 +836,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, ValidationError, Infeasible, ValueError) as err:
+    except (ParseError, ValidationError, Infeasible, ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except OSError as err:

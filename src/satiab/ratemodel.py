@@ -10,7 +10,8 @@ are linear SI units (W, Hz, bits/s).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,6 +19,7 @@ __all__ = [
     "DuplexMode",
     "InvalidAllocation",
     "ScenarioParams",
+    "ScenarioBatch",
     "Allocation",
     "RateReport",
     "duplex_factors",
@@ -65,8 +67,6 @@ class ScenarioParams:
         duplex: FDD or TDD.
         beta_ue: Channel power gain of the access user, linear.
         beta_bs: Channel power gain of the backhaul station, linear.
-        overlap_flag: 1 when the links overlap (w_o > 0), else 0. Derived
-            from overlap_bandwidth; passing an inconsistent value raises.
     """
 
     total_power: float
@@ -78,7 +78,6 @@ class ScenarioParams:
     duplex: DuplexMode
     beta_ue: float
     beta_bs: float
-    overlap_flag: int | None = None
 
     def __post_init__(self) -> None:
         if self.total_power <= 0.0:
@@ -93,13 +92,48 @@ class ScenarioParams:
             raise ValueError("access_weight must lie in (0, 1]")
         if self.beta_ue <= 0.0 or self.beta_bs <= 0.0:
             raise ValueError("channel gains must be positive")
-        derived = 1 if self.overlap_bandwidth > 0.0 else 0
-        if self.overlap_flag is not None and self.overlap_flag != derived:
-            raise ValueError(
-                f"overlap_flag={self.overlap_flag} contradicts "
-                f"overlap_bandwidth={self.overlap_bandwidth}"
-            )
-        object.__setattr__(self, "overlap_flag", derived)
+
+    @property
+    def density(self) -> float:
+        """Noise-plus-interference PSD seen by both links, W/Hz."""
+        return self.noise_density + self.interference_density
+
+    @property
+    def alpha_o(self) -> float:
+        """Time-share factor of the duplex mode; see :func:`duplex_factors`."""
+        return duplex_factors(self.duplex)[0]
+
+    @property
+    def alpha_1(self) -> float:
+        """Bandwidth-share factor of the duplex mode; see :func:`duplex_factors`."""
+        return duplex_factors(self.duplex)[1]
+
+
+@dataclass(frozen=True)
+class ScenarioBatch:
+    """S scenarios as a struct of arrays, for :func:`link_rates` and the swarm.
+
+    Each attribute is an (S, 1) float column holding the ScenarioParams
+    attribute of the same name, row s for scenario s, so the columns
+    broadcast against (S, N) arrays of allocations.
+    """
+
+    total_power: np.ndarray
+    total_bandwidth: np.ndarray
+    overlap_bandwidth: np.ndarray
+    density: np.ndarray
+    access_weight: np.ndarray
+    beta_ue: np.ndarray
+    beta_bs: np.ndarray
+    alpha_o: np.ndarray
+    alpha_1: np.ndarray
+
+    @classmethod
+    def stack(cls, scns: Sequence[ScenarioParams]) -> "ScenarioBatch":
+        return cls(**{
+            f.name: np.array([getattr(scn, f.name) for scn in scns], dtype=float).reshape(-1, 1)
+            for f in fields(cls)
+        })
 
 
 @dataclass(frozen=True)
@@ -132,19 +166,23 @@ class RateReport:
     fitness: float
 
 
-def link_rates(scn: ScenarioParams, p_ue, p_bs, w_a, w_b):
+def link_rates(scn: ScenarioParams | ScenarioBatch, p_ue, p_bs, w_a, w_b):
     """Vectorized access and backhaul rates for arrays of allocations.
 
     Accepts scalars or broadcastable numpy arrays and returns the pair
-    (access, backhaul) in bits/s. Zero-bandwidth entries yield zero rate
-    (the x*log(1+c/x) -> 0 limit); entries whose interference term would
-    divide by a zero bandwidth also yield zero. Scalar callers that need
-    an error instead of the zero fallback should use :func:`access_rate`
-    or :func:`backhaul_rate`.
+    (access, backhaul) in bits/s. scn is one scenario, or a ScenarioBatch
+    whose (S, 1) columns broadcast against allocation arrays with one row
+    per scenario. Zero-bandwidth entries yield zero rate (the
+    x*log(1+c/x) -> 0 limit); entries whose interference term would divide
+    by a zero bandwidth also yield zero. Scalar callers that need an error
+    instead of the zero fallback should use :func:`access_rate` or
+    :func:`backhaul_rate`.
     """
-    alpha_o, alpha_1 = duplex_factors(scn.duplex)
-    dens = scn.noise_density + scn.interference_density
-    w_o = scn.overlap_bandwidth
+    alpha_o, alpha_1, dens, w_o = scn.alpha_o, scn.alpha_1, scn.density, scn.overlap_bandwidth
+    batched = isinstance(scn, ScenarioBatch)
+    # Without overlap anywhere in the batch the interference term is zero;
+    # skipping it keeps the large orthogonal grid batches cheap.
+    overlapped = (w_o > 0.0).any() if batched else w_o > 0.0
     p_ue, p_bs, w_a, w_b = np.broadcast_arrays(
         np.asarray(p_ue, dtype=float),
         np.asarray(p_bs, dtype=float),
@@ -154,9 +192,12 @@ def link_rates(scn: ScenarioParams, p_ue, p_bs, w_a, w_b):
 
     def one_way(p_own, beta, w_own, p_other, w_other):
         noise = dens * w_own
-        if w_o > 0.0:
-            other_ok = w_other > 0.0
-            interf = alpha_1 * p_other * beta * w_o / np.where(other_ok, w_other, 1.0)
+        if overlapped:
+            positive = w_other > 0.0
+            # A batch row with w_o = 0 adds exactly zero interference, so the
+            # other link's bandwidth may be zero there.
+            other_ok = positive | (w_o == 0.0) if batched else positive
+            interf = alpha_1 * p_other * beta * w_o / np.where(positive, w_other, 1.0)
             den = noise + interf
         else:
             other_ok = True
@@ -177,7 +218,7 @@ def access_rate(scn: ScenarioParams, alloc: Allocation) -> float:
     Raises InvalidAllocation when the links overlap but w_b = 0, which would
     put a zero bandwidth under the interference term.
     """
-    if scn.overlap_flag and alloc.w_b == 0.0:
+    if scn.overlap_bandwidth > 0.0 and alloc.w_b == 0.0:
         raise InvalidAllocation("overlapping spectrum with w_b = 0 is not evaluable")
     rate_a, _ = link_rates(scn, alloc.p_ue, alloc.p_bs, alloc.w_a, alloc.w_b)
     return float(rate_a)
@@ -185,7 +226,7 @@ def access_rate(scn: ScenarioParams, alloc: Allocation) -> float:
 
 def backhaul_rate(scn: ScenarioParams, alloc: Allocation) -> float:
     """Backhaul-link rate in bits/s; mirror of :func:`access_rate`."""
-    if scn.overlap_flag and alloc.w_a == 0.0:
+    if scn.overlap_bandwidth > 0.0 and alloc.w_a == 0.0:
         raise InvalidAllocation("overlapping spectrum with w_a = 0 is not evaluable")
     _, rate_b = link_rates(scn, alloc.p_ue, alloc.p_bs, alloc.w_a, alloc.w_b)
     return float(rate_b)

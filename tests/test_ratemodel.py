@@ -10,11 +10,13 @@ from satiab import (
     Allocation,
     DuplexMode,
     InvalidAllocation,
+    ScenarioBatch,
     ScenarioParams,
     access_rate,
     backhaul_rate,
     duplex_factors,
     evaluate,
+    link_rates,
     validate,
 )
 
@@ -177,16 +179,22 @@ def test_rates_depend_on_duplex_only_through_factors():
         assert backhaul_rate(scn, alloc) == pytest.approx(expected_b, rel=1e-12, abs=1e-9)
 
 
-def test_scenario_overlap_flag_coupling():
-    scn = make_scenario(overlap_bandwidth=5e6)
-    assert scn.overlap_flag == 1
-    assert make_scenario().overlap_flag == 0
-    with pytest.raises(ValueError):
-        make_scenario(overlap_bandwidth=5e6, overlap_flag=0)
-    with pytest.raises(ValueError):
-        make_scenario(overlap_bandwidth=0.0, overlap_flag=1)
-    # explicitly passing the consistent flag is fine
-    assert make_scenario(overlap_bandwidth=5e6, overlap_flag=1).overlap_flag == 1
+def test_link_rates_batch_rows_equal_single_scenarios():
+    rng = np.random.default_rng(41)
+    scns = [random_scenario(rng) for _ in range(12)]
+    scns += [make_scenario(), make_scenario(overlap_bandwidth=40e6, duplex=DuplexMode.TDD)]
+    assert {s.overlap_bandwidth > 0.0 for s in scns} == {True, False}
+    alloc = np.array([random_feasible_allocation(rng, s) for s in scns for _ in range(6)])
+    alloc = alloc.reshape(len(scns), 6, 4)
+    alloc[:, 0, 3] = 0.0  # w_b = 0: zero access rate only where the links overlap
+    alloc[:, 1, 2] = 0.0
+    batch = ScenarioBatch.stack(scns)
+    rate_a, rate_b = link_rates(batch, *np.moveaxis(alloc, -1, 0))
+    for s, scn in enumerate(scns):
+        alone_a, alone_b = link_rates(scn, *alloc[s].T)
+        assert np.array_equal(rate_a[s], alone_a)
+        assert np.array_equal(rate_b[s], alone_b)
+        assert (rate_a[s, 0] > 0.0) == (scn.overlap_bandwidth == 0.0)
 
 
 def test_scenario_validation():
