@@ -7,9 +7,11 @@ brute-force grid evaluator used as an independent cross-check.
 The orthogonal solver bisects on the max-min level zeta. A level is
 feasible iff the cheapest power budget that delivers rate eps*zeta on the
 access link and zeta on the backhaul link, minimized over the bandwidth
-split, fits inside the power budget; that inner objective is a sum of two
-convex single-link power inversions, so golden-section search finds its
-minimum.
+split, fits inside the power budget. That inner objective is a sum of two
+convex single-link power inversions, so its minimum is where the two
+links' marginal power costs of bandwidth are equal, found by bisection on
+the sign of their difference. The solver runs a batch of scenarios at
+once, as arrays with one row per scenario.
 """
 
 from __future__ import annotations
@@ -39,13 +41,17 @@ __all__ = [
     "SolveResult",
     "min_power_for_rate",
     "solve_orthogonal",
+    "solve_orthogonal_many",
     "grid_oracle",
     "run_pso",
     "pso_solve",
     "pso_solve_many",
 ]
 
-_MAX_EXPONENT = 1020.0  # 2**x overflows float64 just above this
+_LN2 = math.log(2.0)
+_MAX_MARGINAL_Y = 700.0  # expm1(y) * y stays below the float64 maximum
+_SPLIT_STEPS = 40
+_MAX_BISECTIONS = 200
 
 
 class Infeasible(Exception):
@@ -121,6 +127,13 @@ class PsoState:
     best_history: np.ndarray
 
 
+def _inversion_power(rate, bandwidth, beta, alpha_o, dens):
+    """Power (2**(rate / (alpha_o w)) - 1) * dens * w / beta that carries rate
+    over bandwidth w > 0 on one orthogonal link, elementwise; +inf on overflow."""
+    with np.errstate(over="ignore"):
+        return np.expm1(rate / (alpha_o * bandwidth) * _LN2) * dens * bandwidth / beta
+
+
 def min_power_for_rate(
     rate_target: float, bandwidth: float, beta: float, scn: ScenarioParams
 ) -> float:
@@ -128,7 +141,7 @@ def min_power_for_rate(
 
     Inverts the rate equation at overlap zero:
     p = (2**(rate / (alpha_o * w)) - 1) * (noise + interference) * w / beta.
-    Raises Infeasible when the exponent would overflow a float.
+    Raises Infeasible when the power would overflow a float.
     """
     if scn.overlap_bandwidth != 0.0:
         raise ValueError("power inversion is defined for the orthogonal case only")
@@ -136,114 +149,93 @@ def min_power_for_rate(
         raise ValueError("bandwidth must be positive")
     if rate_target < 0.0:
         raise ValueError("rate_target must be nonnegative")
-    if rate_target == 0.0:
-        return 0.0
-    alpha_o, _ = duplex_factors(scn.duplex)
-    exponent = rate_target / (alpha_o * bandwidth)
-    if exponent > _MAX_EXPONENT:
-        raise Infeasible(
-            f"rate {rate_target:.3e} bits/s over {bandwidth:.3e} Hz needs 2**{exponent:.1f}"
-        )
-    return (2.0 ** exponent - 1.0) * scn.density * bandwidth / beta
+    power = float(_inversion_power(rate_target, bandwidth, beta, scn.alpha_o, scn.density))
+    if power == math.inf:
+        raise Infeasible(f"rate {rate_target:.3e} bits/s over {bandwidth:.3e} Hz overflows a float")
+    return power
 
 
-def _inversion_power(rate: float, bandwidth: float, beta: float, alpha_o: float, dens: float) -> float:
-    # Same inversion as min_power_for_rate, with overflow mapped to +inf so
-    # the golden-section objective stays totally ordered.
-    if rate <= 0.0:
-        return 0.0
-    if bandwidth <= 0.0:
-        return math.inf
-    exponent = rate / (alpha_o * bandwidth)
-    if exponent > _MAX_EXPONENT:
-        return math.inf
-    return (2.0 ** exponent - 1.0) * dens * bandwidth / beta
+def _cheapest_split(y_whole, weight):
+    """Bandwidth shares of the access and backhaul links, as the two columns
+    of an (S, 2) array, that minimize the total power delivering their rates.
+
+    y_whole holds each link's y = rate ln2 / (alpha_o w) at w = the whole
+    bandwidth budget. A link's power inversion has derivative
+    -dens h(y) / beta in its bandwidth, with h(y) = expm1(y)(y - 1) + y, so
+    the total power is convex in the access share and least where the two
+    marginal costs, weighted by the other link's beta over the larger beta,
+    are equal. Bisection on the sign of their difference brackets the
+    shares to 2**-_SPLIT_STEPS; every step is a power of two, so the shares
+    sum to 1 exactly. y is capped where h still fits a float, far beyond
+    the y of any power a budget can pay.
+    """
+    share = np.full(y_whole.shape, 0.5)
+    step = np.array([0.25, -0.25])
+    for _ in range(_SPLIT_STEPS):
+        y = np.minimum(y_whole / share, _MAX_MARGINAL_Y)
+        cost = (np.expm1(y) * (y - 1.0) + y) * weight
+        share -= np.sign(cost[:, 1:] - cost[:, :1]) * step
+        step *= 0.5
+    return share
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+def solve_orthogonal_many(scns: Sequence[ScenarioParams]) -> list[SolveResult]:
+    """Exact max-min solutions of many orthogonal scenarios (overlap zero).
 
+    Each row bisects on its level zeta until its own bracket is narrower
+    than 1e-13 max(zeta_ub, 1); a level is feasible iff the cheapest split
+    of the bandwidth budget (fully used: both rates strictly increase in
+    their own bandwidth) delivers it within the power budget. At the
+    returned allocation both rate targets are tight and the full power
+    budget is spent, up to the bisection tolerance. Rows share only
+    elementwise arithmetic, so row s is exactly solve_orthogonal(scns[s]).
+    """
+    if any(scn.overlap_bandwidth != 0.0 for scn in scns):
+        raise ValueError("solve_orthogonal requires overlap_bandwidth == 0")
+    batch = ScenarioBatch.stack(scns)
+    alpha_o, eps, dens = batch.alpha_o, batch.access_weight, batch.density
+    w_total = batch.alpha_1 * batch.total_bandwidth
+    # (S, 2) arrays with one column per link: access, then backhaul
+    beta = np.hstack((batch.beta_ue, batch.beta_bs))
+    weight = beta[:, ::-1] / beta.max(axis=1, keepdims=True)
+    rate_per_zeta = np.hstack((eps, np.ones_like(eps)))
+    y_per_zeta = rate_per_zeta * _LN2 / (alpha_o * w_total)
 
-def _golden_section(f, lo: float, hi: float, rel_tol: float = 1e-9, max_iter: int = 200):
-    """Minimize a unimodal f over [lo, hi]; returns (argmin, min)."""
-    span = hi - lo
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * span:
+    def split_and_power(zeta):
+        w = _cheapest_split(zeta * y_per_zeta, weight) * w_total
+        return w, _inversion_power(zeta * rate_per_zeta, w, beta, alpha_o, dens)
+
+    zeta_ub = alpha_o * w_total * np.log2(1.0 + batch.total_power * batch.beta_bs / (dens * w_total))
+    tol = 1e-13 * np.maximum(zeta_ub, 1.0)
+    lo, hi = np.zeros_like(zeta_ub), zeta_ub
+    iterations = np.zeros(zeta_ub.shape, dtype=int)
+    for _ in range(_MAX_BISECTIONS):
+        active = hi - lo > tol
+        if not active.any():
             break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
+        iterations += active
+        mid = 0.5 * (lo + hi)
+        _, p = split_and_power(mid)
+        feasible = p[:, :1] + p[:, 1:] <= batch.total_power
+        lo = np.where(active & feasible, mid, lo)
+        hi = np.where(active & ~feasible, mid, hi)
+
+    w, p = split_and_power(lo)
+    rate_a, rate_b = link_rates(batch, p[:, :1], p[:, 1:], w[:, :1], w[:, 1:])
+    # one row per scenario: p_ue, p_bs, w_a, w_b, then the rates and eps
+    table = np.hstack((p, w, rate_a, rate_b, eps)).tolist()
+    converged = (hi - lo <= tol).ravel().tolist()
+    return [
+        SolveResult(Allocation(*row[:4]), RateReport.from_rates(*row[4:]),
+                    SolverKind.EXACT_ORTHOGONAL, n, done)
+        for row, n, done in zip(table, iterations.ravel().tolist(), converged)
+    ]
 
 
 def solve_orthogonal(scn: ScenarioParams) -> SolveResult:
-    """Exact max-min solver for the orthogonal case (overlap zero).
-
-    Outer bisection on the level zeta, inner golden-section over the
-    bandwidth split with the bandwidth budget fully used (both rates are
-    strictly increasing in their own bandwidth, so no optimum leaves any
-    spectrum idle). At the returned allocation both rate targets are tight
-    and the full power budget is spent, up to the bisection tolerance.
-    """
-    if scn.overlap_bandwidth != 0.0:
-        raise ValueError("solve_orthogonal requires overlap_bandwidth == 0")
-    alpha_o, alpha_1 = duplex_factors(scn.duplex)
-    dens = scn.density
-    w_total = alpha_1 * scn.total_bandwidth
-    p_total = scn.total_power
-    eps = scn.access_weight
-
-    zeta_ub = alpha_o * w_total * math.log2(1.0 + p_total * scn.beta_bs / (dens * w_total))
-
-    w_lo = w_total * 1e-12
-    w_hi = w_total * (1.0 - 1e-12)
-
-    def cheapest_split(zeta: float):
-        if zeta <= 0.0:
-            return 0.0, 0.5 * w_total, 0.0, 0.0
-
-        def total_power(w_a: float) -> float:
-            p_a = _inversion_power(eps * zeta, w_a, scn.beta_ue, alpha_o, dens)
-            p_b = _inversion_power(zeta, w_total - w_a, scn.beta_bs, alpha_o, dens)
-            return p_a + p_b
-
-        w_a, _ = _golden_section(total_power, w_lo, w_hi)
-        p_a = _inversion_power(eps * zeta, w_a, scn.beta_ue, alpha_o, dens)
-        p_b = _inversion_power(zeta, w_total - w_a, scn.beta_bs, alpha_o, dens)
-        return p_a + p_b, w_a, p_a, p_b
-
-    lo, hi = 0.0, zeta_ub
-    converged = False
-    iterations = 0
-    for _ in range(200):
-        if hi - lo <= 1e-13 * max(zeta_ub, 1.0):
-            converged = True
-            break
-        iterations += 1
-        mid = 0.5 * (lo + hi)
-        needed, _, _, _ = cheapest_split(mid)
-        if needed <= p_total:
-            lo = mid
-        else:
-            hi = mid
-
-    _, w_a, p_a, p_b = cheapest_split(lo)
-    alloc = Allocation(p_ue=p_a, p_bs=p_b, w_a=w_a, w_b=w_total - w_a)
-    return SolveResult(
-        allocation=alloc,
-        report=evaluate(scn, alloc),
-        solver=SolverKind.EXACT_ORTHOGONAL,
-        iterations_used=iterations,
-        converged=converged,
-    )
+    """Exact max-min solver for the orthogonal case (overlap zero); see
+    :func:`solve_orthogonal_many`."""
+    return solve_orthogonal_many([scn])[0]
 
 
 def grid_oracle(scn: ScenarioParams, resolution: int = 200) -> SolveResult:

@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .allocator import (
     pso_solve,
     pso_solve_many,
     solve_orthogonal,
+    solve_orthogonal_many,
 )
 from .linkbudget import (
     GroundNodeParams,
@@ -118,6 +120,23 @@ _KNOWN_SOLVERS = ("exact", "oracle", "pso")
 # satellite, and far inside the range where dbm_to_watts stays finite and
 # positive.
 POWER_DBM_LIMITS = (-100.0, 100.0)
+# Closed ranges of the numeric entries, in the units of their keys. Each is
+# wide enough for any satellite link and tight enough that dbm_to_watts,
+# db_to_linear and channel_gain stay finite and positive: the channel gain
+# stays within about 1e-85 .. 1e15.
+_RANGES = {
+    "total_power_dbm": POWER_DBM_LIMITS,
+    "power_sweep_min_dbm": POWER_DBM_LIMITS,
+    "power_sweep_max_dbm": POWER_DBM_LIMITS,
+    "noise_density_dbm_hz": (-250.0, -50.0),
+    "interference_density_dbm_hz": (-250.0, -50.0),
+    "satellite_antenna_gain_dbi": (-50.0, 100.0),
+    "bs_antenna_gain_dbi": (-50.0, 100.0),
+    "ue_antenna_gain_dbi": (-50.0, 100.0),
+    "carrier_frequency_ghz": (0.01, 1000.0),
+    "aperture_radius_m": (0.01, 100.0),
+    "altitude_km": (1.0, 1e5),
+}
 
 
 @dataclass(frozen=True)
@@ -135,11 +154,11 @@ def _config_problems(cfg: ExperimentConfig) -> list[str]:
     ]
     if non_finite:
         return [f"{name} must be finite, got {getattr(cfg, name)!r}" for name in non_finite]
-    problems = []
-    lo_dbm, hi_dbm = POWER_DBM_LIMITS
-    for name in ("total_power_dbm", "power_sweep_min_dbm", "power_sweep_max_dbm"):
-        if not lo_dbm <= getattr(cfg, name) <= hi_dbm:
-            problems.append(f"{name}={getattr(cfg, name):g} must lie in [{lo_dbm:g}, {hi_dbm:g}] dBm")
+    problems = [
+        f"{name}={getattr(cfg, name):g} must lie in [{lo:g}, {hi:g}]"
+        for name, (lo, hi) in _RANGES.items()
+        if not lo <= getattr(cfg, name) <= hi
+    ]
     if cfg.total_bandwidth_mhz <= 0.0:
         problems.append("total_bandwidth_mhz must be positive")
     if not 0.0 <= cfg.overlap_mhz <= cfg.total_bandwidth_mhz:
@@ -151,12 +170,6 @@ def _config_problems(cfg: ExperimentConfig) -> list[str]:
         problems.append("access_weight must lie in (0, 1]")
     if cfg.duplex not in ("FDD", "TDD"):
         problems.append(f"duplex must be FDD or TDD, got {cfg.duplex!r}")
-    if cfg.carrier_frequency_ghz <= 0.0:
-        problems.append("carrier_frequency_ghz must be positive")
-    if cfg.aperture_radius_m <= 0.0:
-        problems.append("aperture_radius_m must be positive")
-    if cfg.altitude_km <= 0.0:
-        problems.append("altitude_km must be positive")
     for name in ("boresight_ue_deg", "boresight_bs_deg"):
         if not abs(getattr(cfg, name)) < 90.0:
             problems.append(f"{name} must satisfy |angle| < 90")
@@ -326,6 +339,7 @@ class SweepRow:
 
 
 CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
+_float_cells = operator.attrgetter(*(f.name for f in dataclasses.fields(SweepRow) if f.type == "float"))
 
 def _row_sort_key(row: "SweepRow"):
     return (row.sweep_value, row.duplex, row.altitude_km, row.access_weight, row.solver)
@@ -366,14 +380,8 @@ def _row(
     altitude_km: float,
     access_weight: float,
     solver: str,
-    result: SolveResult | None,
+    result: SolveResult,
 ) -> SweepRow:
-    if result is None:
-        nan = math.nan
-        return SweepRow(
-            sweep, sweep_value, power_dbm, overlap_mhz, duplex, altitude_km,
-            access_weight, solver, nan, nan, nan, nan, nan, nan, nan, nan, False,
-        )
     rep = result.report
     alloc = result.allocation
     return SweepRow(
@@ -420,25 +428,28 @@ def _run_sweep(cfg: ExperimentConfig, points) -> list[SweepRow]:
     """Solve every sweep point with its solvers and return the sorted rows.
 
     points yields (fields, scenario, solvers) per point, fields being the
-    SweepRow values before the solver name. Exact and oracle rows are
-    solved point by point; all swarm rows then run as one pso_solve_many
-    batch, each keyed by its point's _row_seed, so a row's result does not
-    depend on the others. Solver failures are recorded as NaN rows.
+    SweepRow values before the solver name. Oracle rows are solved point by
+    point; all exact rows then run as one solve_orthogonal_many batch, and
+    all swarm rows as one pso_solve_many batch, each keyed by its point's
+    _row_seed. A row's result does not depend on the other rows.
     """
     rows = []
+    exact_fields, exact_scns = [], []
     swarm_fields, swarm_scns, swarm_seeds = [], [], []
     for row_index, (fields, scn, solvers) in enumerate(points):
         for solver in solvers:
-            if solver == "pso":
+            if solver == "exact":
+                exact_fields.append(fields)
+                exact_scns.append(scn)
+            elif solver == "pso":
                 swarm_fields.append(fields)
                 swarm_scns.append(scn)
                 swarm_seeds.append(_row_seed(cfg.seed, row_index))
-                continue
-            try:
-                result = _solve_one(scn, solver, cfg, cfg.seed)
-            except Infeasible:
-                result = None
-            rows.append(_row(*fields, solver, result))
+            else:
+                rows.append(_row(*fields, solver, _solve_one(scn, solver, cfg, cfg.seed)))
+    if exact_scns:
+        results = solve_orthogonal_many(exact_scns)
+        rows.extend(_row(*fields, "exact", result) for fields, result in zip(exact_fields, results))
     if swarm_scns:
         results = pso_solve_many(swarm_scns, _pso_config(cfg, cfg.seed), swarm_seeds)
         rows.extend(_row(*fields, "pso", result) for fields, result in zip(swarm_fields, results))
@@ -449,8 +460,6 @@ def _run_sweep(cfg: ExperimentConfig, points) -> list[SweepRow]:
 def run_power_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """Throughput versus transmit power, for both duplex modes and both
     reference altitudes, with no bandwidth overlap.
-
-    Solver failures are recorded as NaN rows instead of aborting the sweep.
     """
     if cfg.overlap_mhz != 0.0:
         raise ValidationError("the power sweep requires overlap_mhz = 0")
@@ -672,12 +681,17 @@ def emit_plot(rows: list[SweepRow], path: str) -> None:
 def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow], tol: float = 1e-6) -> list[str]:
     """Re-validate and re-evaluate every row's allocation.
 
-    Returns one message per discrepancy: infeasible allocations and rates
-    that disagree with the recorded values beyond the relative tolerance.
+    Returns one message per discrepancy: rows marked converged that hold a
+    non-finite value, infeasible allocations, and rates that disagree with
+    the recorded values beyond the relative tolerance. Rows with a
+    non-finite value that are not marked converged record a solver failure
+    and are skipped.
     """
     problems = []
     for index, row in enumerate(rows):
-        if math.isnan(row.throughput_mbps):
+        if not all(map(math.isfinite, _float_cells(row))):
+            if row.converged:
+                problems.append(f"row {index}: marked converged but holds a non-finite value")
             continue
         scn = build_scenario(
             cfg,
@@ -735,8 +749,6 @@ def _effective_config(args) -> ExperimentConfig:
         updates["output_dir"] = args.out
     if getattr(args, "solvers", None) is not None:
         updates["solvers"] = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
-    if getattr(args, "resolution", None) is not None:
-        updates["oracle_resolution"] = args.resolution
     cfg = dataclasses.replace(cfg, **updates)
     problems = _config_problems(cfg)
     if problems:
@@ -749,16 +761,6 @@ def _cmd_solve(args) -> int:
     rows = run_single(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     write_csv(rows, os.path.join(cfg.output_dir, "solve.csv"))
-    _print_rows(rows, sys.stdout)
-    return 0
-
-
-def _cmd_oracle(args) -> int:
-    cfg = _effective_config(args)
-    cfg = dataclasses.replace(cfg, solvers=("oracle",))
-    rows = run_single(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    write_csv(rows, os.path.join(cfg.output_dir, "oracle.csv"))
     _print_rows(rows, sys.stdout)
     return 0
 
@@ -822,11 +824,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("sweep-overlap", help="throughput vs bandwidth overlap")
     _add_common_arguments(p)
     p.set_defaults(handler=_cmd_sweep_overlap)
-
-    p = sub.add_parser("oracle", help="brute-force grid solve of one scenario")
-    _add_common_arguments(p, with_solvers=False)
-    p.add_argument("--resolution", type=int, help="grid points per axis")
-    p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("audit", help="re-validate a previously written sweep CSV")
     _add_common_arguments(p, with_solvers=False)

@@ -165,6 +165,17 @@ class RateReport:
     maxmin_level: float
     fitness: float
 
+    @classmethod
+    def from_rates(cls, rate_a: float, rate_b: float, eps: float) -> "RateReport":
+        """Report of an allocation with access rate rate_a and backhaul rate rate_b."""
+        return cls(
+            rate_access=rate_a,
+            rate_backhaul=rate_b,
+            throughput=rate_a + rate_b,
+            maxmin_level=min(rate_a / eps, rate_b),
+            fitness=min(rate_a, eps * rate_b),
+        )
+
 
 def link_rates(scn: ScenarioParams | ScenarioBatch, p_ue, p_bs, w_a, w_b):
     """Vectorized access and backhaul rates for arrays of allocations.
@@ -234,16 +245,7 @@ def backhaul_rate(scn: ScenarioParams, alloc: Allocation) -> float:
 
 def evaluate(scn: ScenarioParams, alloc: Allocation) -> RateReport:
     """Full rate report for one allocation."""
-    rate_a = access_rate(scn, alloc)
-    rate_b = backhaul_rate(scn, alloc)
-    eps = scn.access_weight
-    return RateReport(
-        rate_access=rate_a,
-        rate_backhaul=rate_b,
-        throughput=rate_a + rate_b,
-        maxmin_level=min(rate_a / eps, rate_b),
-        fitness=min(rate_a, eps * rate_b),
-    )
+    return RateReport.from_rates(access_rate(scn, alloc), backhaul_rate(scn, alloc), scn.access_weight)
 
 
 def validate(scn: ScenarioParams, alloc: Allocation, tol: float = 1e-6) -> list[str]:

@@ -2,13 +2,24 @@
 
 The Bessel oracle is a plain alternating power series evaluated in
 extended precision; it shares no code with the library implementation.
+The golden-section solver is the exact orthogonal solver as first written,
+one scenario at a time in pure Python, kept as the reference for the
+batched marginal-cost solver.
 """
 
 import math
 
 import mpmath as mp
 
-from satiab import DuplexMode, ScenarioParams, duplex_factors
+from satiab import (
+    Allocation,
+    DuplexMode,
+    ScenarioParams,
+    SolverKind,
+    SolveResult,
+    duplex_factors,
+    evaluate,
+)
 from satiab.expcli import ExperimentConfig, build_scenario
 
 
@@ -86,3 +97,94 @@ def reference_rate(alpha_o, alpha_1, p_own, beta, w_own, p_other, w_other, dens,
         return 0.0
     interference = alpha_1 * p_other * beta * w_o / w_other if w_o > 0.0 else 0.0
     return alpha_o * w_own * math.log2(1.0 + p_own * beta / (dens * w_own + interference))
+
+
+_MAX_EXPONENT = 1020.0  # 2**x overflows float64 just above this
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _inversion_power(rate, bandwidth, beta, alpha_o, dens):
+    # Power for one orthogonal link, with overflow mapped to +inf so the
+    # golden-section objective stays totally ordered.
+    if rate <= 0.0:
+        return 0.0
+    if bandwidth <= 0.0:
+        return math.inf
+    exponent = rate / (alpha_o * bandwidth)
+    if exponent > _MAX_EXPONENT:
+        return math.inf
+    return (2.0 ** exponent - 1.0) * dens * bandwidth / beta
+
+
+def _golden_section(f, lo, hi, rel_tol=1e-9, max_iter=200):
+    """Minimize a unimodal f over [lo, hi]; returns (argmin, min)."""
+    span = hi - lo
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if hi - lo <= rel_tol * span:
+            break
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = f(d)
+    x = 0.5 * (lo + hi)
+    return x, f(x)
+
+
+def golden_section_solve(scn: ScenarioParams) -> SolveResult:
+    """Exact max-min solution of one orthogonal scenario: bisection on the
+    level zeta, golden section over the bandwidth split for the cheapest
+    power that delivers eps*zeta and zeta."""
+    alpha_o, alpha_1 = duplex_factors(scn.duplex)
+    dens = scn.density
+    w_total = alpha_1 * scn.total_bandwidth
+    p_total = scn.total_power
+    eps = scn.access_weight
+    zeta_ub = alpha_o * w_total * math.log2(1.0 + p_total * scn.beta_bs / (dens * w_total))
+    w_lo = w_total * 1e-12
+    w_hi = w_total * (1.0 - 1e-12)
+
+    def cheapest_split(zeta):
+        if zeta <= 0.0:
+            return 0.0, 0.5 * w_total, 0.0, 0.0
+
+        def total_power(w_a):
+            p_a = _inversion_power(eps * zeta, w_a, scn.beta_ue, alpha_o, dens)
+            p_b = _inversion_power(zeta, w_total - w_a, scn.beta_bs, alpha_o, dens)
+            return p_a + p_b
+
+        w_a, _ = _golden_section(total_power, w_lo, w_hi)
+        p_a = _inversion_power(eps * zeta, w_a, scn.beta_ue, alpha_o, dens)
+        p_b = _inversion_power(zeta, w_total - w_a, scn.beta_bs, alpha_o, dens)
+        return p_a + p_b, w_a, p_a, p_b
+
+    lo, hi = 0.0, zeta_ub
+    converged = False
+    iterations = 0
+    for _ in range(200):
+        if hi - lo <= 1e-13 * max(zeta_ub, 1.0):
+            converged = True
+            break
+        iterations += 1
+        mid = 0.5 * (lo + hi)
+        needed, _, _, _ = cheapest_split(mid)
+        if needed <= p_total:
+            lo = mid
+        else:
+            hi = mid
+
+    _, w_a, p_a, p_b = cheapest_split(lo)
+    alloc = Allocation(p_ue=p_a, p_bs=p_b, w_a=w_a, w_b=w_total - w_a)
+    return SolveResult(
+        allocation=alloc,
+        report=evaluate(scn, alloc),
+        solver=SolverKind.EXACT_ORTHOGONAL,
+        iterations_used=iterations,
+        converged=converged,
+    )

@@ -23,10 +23,11 @@ from satiab import (
     pso_solve_many,
     run_pso,
     solve_orthogonal,
+    solve_orthogonal_many,
     validate,
 )
 
-from oracles import random_scenario, reference_scenarios
+from oracles import golden_section_solve, random_scenario, reference_scenarios
 
 
 def make_scenario(**overrides) -> ScenarioParams:
@@ -168,6 +169,46 @@ def test_solve_orthogonal_report_is_consistent():
     again = evaluate(scn, result.allocation)
     assert again.maxmin_level == pytest.approx(result.report.maxmin_level, rel=1e-6)
     assert result.solver is SolverKind.EXACT_ORTHOGONAL
+
+
+def orthogonal_batch():
+    rng = np.random.default_rng(2024)
+    scns = [scn for _, scn in reference_scenarios()]
+    return scns + [random_scenario(rng, orthogonal=True) for _ in range(1000)]
+
+
+def test_solve_orthogonal_many_matches_golden_section():
+    scns = orthogonal_batch()
+    for scn, result in zip(scns, solve_orthogonal_many(scns)):
+        reference = golden_section_solve(scn)
+        assert result.converged and reference.converged
+        assert result.report.maxmin_level == pytest.approx(reference.report.maxmin_level, rel=1e-9)
+        assert validate(scn, result.allocation) == []
+
+
+def test_solve_orthogonal_batch_rows_equal_rows_solved_alone():
+    scns = orthogonal_batch()[:40]
+    batch = solve_orthogonal_many(scns)
+    assert batch == [solve_orthogonal(scn) for scn in scns]
+    assert solve_orthogonal_many(scns[::-1]) == batch[::-1]
+    assert solve_orthogonal_many(scns[5:17:3]) == batch[5:17:3]
+    assert solve_orthogonal_many([]) == []
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"access_weight": 1e-9}, {"total_power": 1e7}, {"total_bandwidth": 1e6}],
+    ids=["eps=1e-9", "P=100dBm", "W=1MHz"],
+)
+def test_solve_orthogonal_extreme_rows_are_finite_and_feasible(overrides):
+    scn = make_scenario(**overrides)
+    result = solve_orthogonal(scn)
+    assert result.converged
+    values = [*dataclasses.astuple(result.allocation), *dataclasses.astuple(result.report)]
+    assert all(math.isfinite(v) for v in values)
+    assert validate(scn, result.allocation) == []
+    reference = golden_section_solve(scn).report.maxmin_level
+    assert result.report.maxmin_level == pytest.approx(reference, rel=1e-9)
 
 
 # ------------------------------------------------------------- grid oracle

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from satiab import expcli, solve_orthogonal
 from satiab.expcli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -195,6 +196,18 @@ def test_power_sweep_structure_and_trends():
         assert by_key[(power, "FDD", 600.0)] >= by_key[(power, "FDD", 1200.0)]
 
 
+def test_power_sweep_exact_rows_equal_rows_solved_alone():
+    cfg = small_config(solvers=("exact", "oracle"))
+    exact_rows = [r for r in run_power_sweep(cfg) if r.solver == "exact"]
+    assert len(exact_rows) == 12
+    for row in exact_rows:
+        scn = build_scenario(cfg, power_dbm=row.power_dbm, duplex=row.duplex, altitude_km=row.altitude_km)
+        result = solve_orthogonal(scn)
+        assert (row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz) == dataclasses.astuple(result.allocation)
+        assert row.zeta_mbps == result.report.maxmin_level / 1e6
+        assert row.converged
+
+
 def test_power_sweep_rejects_overlap():
     cfg = small_config(overlap_mhz=4.0, solvers=("pso",))
     with pytest.raises(ValidationError):
@@ -313,12 +326,14 @@ def test_cli_solve(tmp_path, capsys):
     assert "exact" in capsys.readouterr().out
 
 
-def test_cli_oracle(tmp_path):
-    cfg = cli_config(tmp_path)
+def test_cli_solve_oracle_solver(tmp_path):
+    cfg = cli_config(tmp_path, oracle_resolution=25)
     out = tmp_path / "out"
-    assert main(["oracle", "--config", cfg, "--out", str(out), "--resolution", "25"]) == 0
-    rows = read_csv(str(out / "oracle.csv"))
+    assert main(["solve", "--config", cfg, "--out", str(out), "--solvers", "oracle"]) == 0
+    rows = read_csv(str(out / "solve.csv"))
     assert [r.solver for r in rows] == ["oracle"]
+    result = expcli.grid_oracle(expcli.build_scenario(load_config(cfg)), 25)
+    assert rows[0].p_ue_w == pytest.approx(result.allocation.p_ue, rel=1e-8)
 
 
 def test_cli_sweep_power_writes_outputs(tmp_path):
@@ -358,6 +373,19 @@ def test_cli_audit_round_trip(tmp_path):
     write_csv(broken, str(csv_path))
     assert main(["audit", "--config", cfg, "--csv", str(csv_path)]) == 1
     csv_path.write_text(text)
+
+
+@pytest.mark.parametrize("converged, exit_code", [(True, 1), (False, 0)])
+def test_cli_audit_flags_non_finite_rows_marked_converged(tmp_path, capsys, converged, exit_code):
+    cfg = cli_config(tmp_path, solvers=["exact"])
+    rows = run_power_sweep(load_config(cfg))
+    results = ("zeta_mbps", "rate_access_mbps", "rate_backhaul_mbps", "throughput_mbps", "p_ue_w")
+    failed = dataclasses.replace(rows[0], **dict.fromkeys(results, math.nan), converged=converged)
+    csv_path = tmp_path / "sweep.csv"
+    write_csv([failed] + rows[1:], str(csv_path))
+    assert main(["audit", "--config", cfg, "--csv", str(csv_path)]) == exit_code
+    if converged:
+        assert "row 0: marked converged but holds a non-finite value" in capsys.readouterr().err
 
 
 def test_cli_seed_precedence(tmp_path, monkeypatch):
@@ -407,6 +435,11 @@ def test_cli_solvers_flag(tmp_path):
         ('{"noise_density_dbm_hz": 1e400}', "noise_density_dbm_hz"),
         ('{"power_sweep_min_dbm": -1e6}', "power_sweep_min_dbm"),
         ('{"power_sweep_max_dbm": 101}', "power_sweep_max_dbm"),
+        ('{"noise_density_dbm_hz": 1e5}', "noise_density_dbm_hz"),
+        ('{"carrier_frequency_ghz": 1e300}', "carrier_frequency_ghz"),
+        ('{"aperture_radius_m": 1e300}', "aperture_radius_m"),
+        ('{"ue_antenna_gain_dbi": 1e5}', "ue_antenna_gain_dbi"),
+        ('{"altitude_km": 1e-300}', "altitude_km"),
     ],
 )
 def test_cli_rejects_non_finite_and_out_of_range_numbers(tmp_path, capsys, text, field):
@@ -427,10 +460,26 @@ def test_load_config_power_limits_are_inclusive(tmp_path):
     assert build_scenario(cfg, power_dbm=cfg.power_sweep_min_dbm).total_power > 0.0
 
 
-def test_cli_arithmetic_error_exits_1(tmp_path, capsys):
-    # no range check covers the densities yet, so this one overflows in
-    # dbm_to_watts; the CLI still reports it as one line with exit code 1
-    path = write_json(tmp_path / "cfg.json", {"noise_density_dbm_hz": 1e5})
+def test_load_config_link_budget_limits_are_inclusive(tmp_path):
+    for bound in (0, 1):
+        payload = {name: limits[bound] for name, limits in expcli._RANGES.items()}
+        cfg = load_config(write_json(tmp_path / "cfg.json", payload))
+        for duplex in ("FDD", "TDD"):
+            scn = build_scenario(cfg, duplex=duplex)
+            gains = (scn.beta_ue, scn.beta_bs, scn.noise_density, scn.interference_density)
+            assert all(0.0 < g < math.inf for g in gains)
+            result = solve_orthogonal(scn)
+            assert result.converged and math.isfinite(result.report.throughput)
+
+
+def test_cli_arithmetic_error_exits_1(tmp_path, capsys, monkeypatch):
+    # every range check passes, but the solver overflows; the CLI still
+    # reports it as one line with exit code 1
+    def overflow(*args):
+        raise OverflowError(34, "Numerical result out of range")
+
+    monkeypatch.setattr(expcli, "solve_orthogonal", overflow)
+    path = write_json(tmp_path / "cfg.json", {"solvers": ["exact"]})
     assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
