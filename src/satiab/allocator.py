@@ -10,8 +10,11 @@ access link and zeta on the backhaul link, minimized over the bandwidth
 split, fits inside the power budget. That inner objective is a sum of two
 convex single-link power inversions, so its minimum is where the two
 links' marginal power costs of bandwidth are equal, found by bisection on
-the sign of their difference. The solver runs a batch of scenarios at
-once, as arrays with one row per scenario.
+the sign of their difference.
+
+The exact solver and the swarm each solve a batch of scenarios at once, as
+arrays with one row per scenario, and report all rows' rates from one
+batched link_rates call; the grid oracle solves one scenario per call.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .ratemodel import (
     RateReport,
     ScenarioBatch,
     ScenarioParams,
-    duplex_factors,
+    bandwidth_limits,
     evaluate,
     link_rates,
 )
@@ -179,6 +182,18 @@ def _cheapest_split(y_whole, weight):
     return share
 
 
+def _results(batch, alloc, solver, iterations, converged) -> list[SolveResult]:
+    """One SolveResult per row of the (S, 4) allocations alloc (p_ue, p_bs,
+    w_a, w_b) of the scenarios in batch, all reported by one link_rates call."""
+    rate_a, rate_b = link_rates(batch, *(alloc[:, k:k + 1] for k in range(4)))
+    # one row per scenario: p_ue, p_bs, w_a, w_b, then the rates and eps
+    table = np.hstack((alloc, rate_a, rate_b, batch.access_weight)).tolist()
+    return [
+        SolveResult(Allocation(*row[:4]), RateReport.from_rates(*row[4:]), solver, n, done)
+        for row, n, done in zip(table, iterations, converged)
+    ]
+
+
 def solve_orthogonal_many(scns: Sequence[ScenarioParams]) -> list[SolveResult]:
     """Exact max-min solutions of many orthogonal scenarios (overlap zero).
 
@@ -194,7 +209,7 @@ def solve_orthogonal_many(scns: Sequence[ScenarioParams]) -> list[SolveResult]:
         raise ValueError("solve_orthogonal requires overlap_bandwidth == 0")
     batch = ScenarioBatch.stack(scns)
     alpha_o, eps, dens = batch.alpha_o, batch.access_weight, batch.density
-    w_total = batch.alpha_1 * batch.total_bandwidth
+    w_total = bandwidth_limits(batch)[0]  # the budget of both links, w_o being 0
     # (S, 2) arrays with one column per link: access, then backhaul
     beta = np.hstack((batch.beta_ue, batch.beta_bs))
     weight = beta[:, ::-1] / beta.max(axis=1, keepdims=True)
@@ -221,15 +236,8 @@ def solve_orthogonal_many(scns: Sequence[ScenarioParams]) -> list[SolveResult]:
         hi = np.where(active & ~feasible, mid, hi)
 
     w, p = split_and_power(lo)
-    rate_a, rate_b = link_rates(batch, p[:, :1], p[:, 1:], w[:, :1], w[:, 1:])
-    # one row per scenario: p_ue, p_bs, w_a, w_b, then the rates and eps
-    table = np.hstack((p, w, rate_a, rate_b, eps)).tolist()
-    converged = (hi - lo <= tol).ravel().tolist()
-    return [
-        SolveResult(Allocation(*row[:4]), RateReport.from_rates(*row[4:]),
-                    SolverKind.EXACT_ORTHOGONAL, n, done)
-        for row, n, done in zip(table, iterations.ravel().tolist(), converged)
-    ]
+    return _results(batch, np.hstack((p, w)), SolverKind.EXACT_ORTHOGONAL,
+                    iterations.ravel().tolist(), (hi - lo <= tol).ravel().tolist())
 
 
 def solve_orthogonal(scn: ScenarioParams) -> SolveResult:
@@ -247,11 +255,7 @@ def grid_oracle(scn: ScenarioParams, resolution: int = 200) -> SolveResult:
     """
     if resolution < 10:
         raise ValueError("resolution must be >= 10")
-    _, alpha_1 = duplex_factors(scn.duplex)
-    band_total = alpha_1 * (scn.total_bandwidth + scn.overlap_bandwidth)
-    w_lo = alpha_1 * scn.overlap_bandwidth
-    w_hi = alpha_1 * scn.total_bandwidth
-
+    band_total, w_lo, w_hi = bandwidth_limits(scn)
     p_grid = np.linspace(0.0, scn.total_power, resolution)
     wa_grid = np.linspace(w_lo, w_hi, resolution)
     p_ue = p_grid[:, None]
@@ -344,9 +348,7 @@ def run_pso(
     batch = ScenarioBatch.stack(scns)
     eps = batch.access_weight
     p_total = batch.total_power[..., None]
-    band_total = (batch.alpha_1 * (batch.total_bandwidth + batch.overlap_bandwidth))[..., None]
-    w_lo = (batch.alpha_1 * batch.overlap_bandwidth)[..., None]
-    w_hi = (batch.alpha_1 * batch.total_bandwidth)[..., None]
+    band_total, w_lo, w_hi = (limit[..., None] for limit in bandwidth_limits(batch))
 
     rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
     if initial_population is None:
@@ -423,18 +425,9 @@ def pso_solve_many(
     the result of :func:`pso_solve` with that seed, whatever the other rows.
     """
     state = run_pso(scns, cfg, seeds=seeds)
-    results = []
-    for scn, particle in zip(scns, state.best_particle):
-        p_ue, p_bs, w_a, w_b = (float(v) for v in particle)
-        alloc = Allocation(p_ue=p_ue, p_bs=p_bs, w_a=w_a, w_b=w_b)
-        results.append(SolveResult(
-            allocation=alloc,
-            report=evaluate(scn, alloc),
-            solver=SolverKind.PSO,
-            iterations_used=state.iteration,
-            converged=True,
-        ))
-    return results
+    rows = len(state.best_particle)
+    return _results(ScenarioBatch.stack(scns), state.best_particle, SolverKind.PSO,
+                    [state.iteration] * rows, [True] * rows)
 
 
 def pso_solve(scn: ScenarioParams, cfg: PsoConfig) -> SolveResult:

@@ -6,6 +6,10 @@ outputs are deterministic: a fixed config and seed reproduce the output
 files byte for byte, because each sweep row derives its own swarm seed
 from the base seed and the row's position in the sweep grid.
 
+Every command solves through one path: the sweep points select their
+solvers, and each solver makes one batch call, from the _SOLVERS table, on
+all the points that select it. `satiab solve` is a sweep of one point.
+
 Exit codes of the command-line entry point: 0 success, 1 config/validation
 error (including audit mismatches), 2 I/O error.
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import operator
@@ -26,10 +31,11 @@ from .allocator import (
     Infeasible,
     PsoConfig,
     SolveResult,
+    SolverKind,
     grid_oracle,
-    pso_solve,
+    pso_solve,  # unused here; kept for the span tracer of bench/spans.py
     pso_solve_many,
-    solve_orthogonal,
+    solve_orthogonal,  # unused here; kept for the span tracer of bench/spans.py
     solve_orthogonal_many,
 )
 from .linkbudget import (
@@ -115,16 +121,27 @@ class ExperimentConfig:
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 _INT_FIELDS = {"pso_population", "pso_iterations", "seed", "overlap_sweep_points", "oracle_resolution"}
-_KNOWN_SOLVERS = ("exact", "oracle", "pso")
+_KNOWN_SOLVERS = tuple(kind.value for kind in SolverKind)
 # Transmit powers accepted, in dBm (0.1 pW to 10 MW): wide enough for any
 # satellite, and far inside the range where dbm_to_watts stays finite and
 # positive.
 POWER_DBM_LIMITS = (-100.0, 100.0)
+# Most points a power sweep may have (0.1 dB steps over 200 dB).
+_MAX_POWER_SWEEP_POINTS = 2001
 # Closed ranges of the numeric entries, in the units of their keys. Each is
 # wide enough for any satellite link and tight enough that dbm_to_watts,
 # db_to_linear and channel_gain stay finite and positive: the channel gain
-# stays within about 1e-85 .. 1e15.
+# stays within about 1e-85 .. 1e15. Far beyond the ranges of the bandwidth
+# and the access weight, a link's SINR is so small that log2(1 + SINR)
+# rounds to 0. The sizes are capped so that no solve asks for gigabytes: an
+# oracle of resolution r holds r x r allocations, a swarm S x population x 4.
 _RANGES = {
+    "total_bandwidth_mhz": (0.001, 1e5),
+    "access_weight": (1e-6, 1.0),
+    "pso_population": (3, 1000),
+    "pso_iterations": (1, 10_000),
+    "overlap_sweep_points": (2, 1001),
+    "oracle_resolution": (10, 2000),
     "total_power_dbm": POWER_DBM_LIMITS,
     "power_sweep_min_dbm": POWER_DBM_LIMITS,
     "power_sweep_max_dbm": POWER_DBM_LIMITS,
@@ -159,24 +176,16 @@ def _config_problems(cfg: ExperimentConfig) -> list[str]:
         for name, (lo, hi) in _RANGES.items()
         if not lo <= getattr(cfg, name) <= hi
     ]
-    if cfg.total_bandwidth_mhz <= 0.0:
-        problems.append("total_bandwidth_mhz must be positive")
     if not 0.0 <= cfg.overlap_mhz <= cfg.total_bandwidth_mhz:
         problems.append(
             f"overlap_mhz={cfg.overlap_mhz:g} must lie in [0, total_bandwidth_mhz="
             f"{cfg.total_bandwidth_mhz:g}]"
         )
-    if not 0.0 < cfg.access_weight <= 1.0:
-        problems.append("access_weight must lie in (0, 1]")
     if cfg.duplex not in ("FDD", "TDD"):
         problems.append(f"duplex must be FDD or TDD, got {cfg.duplex!r}")
     for name in ("boresight_ue_deg", "boresight_bs_deg"):
         if not abs(getattr(cfg, name)) < 90.0:
             problems.append(f"{name} must satisfy |angle| < 90")
-    if cfg.pso_population < 3:
-        problems.append("pso_population must be >= 3")
-    if cfg.pso_iterations < 1:
-        problems.append("pso_iterations must be >= 1")
     if cfg.pso_inertia_weight < 0.0:
         problems.append("pso_inertia_weight must be nonnegative")
     if cfg.pso_learning_factor_1 <= 0.0 or cfg.pso_learning_factor_2 <= 0.0:
@@ -192,12 +201,11 @@ def _config_problems(cfg: ExperimentConfig) -> list[str]:
         problems.append("the exact solver is only selectable when overlap_mhz = 0")
     if cfg.power_sweep_step_db <= 0.0:
         problems.append("power_sweep_step_db must be positive")
+    elif _power_steps(cfg) >= _MAX_POWER_SWEEP_POINTS:
+        problems.append(f"power_sweep_step_db={cfg.power_sweep_step_db:g} gives a power sweep of "
+                        f"more than {_MAX_POWER_SWEEP_POINTS} points")
     if cfg.power_sweep_max_dbm < cfg.power_sweep_min_dbm:
         problems.append("power sweep range is empty (max < min)")
-    if cfg.overlap_sweep_points < 2:
-        problems.append("overlap_sweep_points must be >= 2")
-    if cfg.oracle_resolution < 10:
-        problems.append("oracle_resolution must be >= 10")
     return problems
 
 
@@ -361,38 +369,24 @@ def _row_seed(base_seed: int, row_index: int) -> int:
     return (base_seed * 1_000_003 + row_index) % 2**63
 
 
-def _solve_one(scn: ScenarioParams, solver: str, cfg: ExperimentConfig, rng_seed: int) -> SolveResult:
-    if solver == "exact":
-        return solve_orthogonal(scn)
-    if solver == "pso":
-        return pso_solve(scn, _pso_config(cfg, rng_seed))
-    if solver == "oracle":
-        return grid_oracle(scn, cfg.oracle_resolution)
-    raise ValidationError(f"unknown solver {solver!r}")
+# The batch call of each solver: (config, scenarios, swarm seeds) -> one
+# SolveResult per scenario. The calls look their solvers up in this module
+# when they run, so a function patched in here sees every solve.
+_SOLVERS = {
+    SolverKind.EXACT_ORTHOGONAL: lambda cfg, scns, seeds: solve_orthogonal_many(scns),
+    SolverKind.PSO: lambda cfg, scns, seeds: pso_solve_many(scns, _pso_config(cfg, cfg.seed), seeds),
+    SolverKind.GRID_ORACLE: lambda cfg, scns, seeds: [
+        grid_oracle(scn, cfg.oracle_resolution) for scn in scns
+    ],
+}
 
 
-def _row(
-    sweep: str,
-    sweep_value: float,
-    power_dbm: float,
-    overlap_mhz: float,
-    duplex: str,
-    altitude_km: float,
-    access_weight: float,
-    solver: str,
-    result: SolveResult,
-) -> SweepRow:
-    rep = result.report
-    alloc = result.allocation
+def _row(fields: tuple, result: SolveResult) -> SweepRow:
+    # fields are the SweepRow values before the solver name
+    rep, alloc = result.report, result.allocation
     return SweepRow(
-        sweep=sweep,
-        sweep_value=sweep_value,
-        power_dbm=power_dbm,
-        overlap_mhz=overlap_mhz,
-        duplex=duplex,
-        altitude_km=altitude_km,
-        access_weight=access_weight,
-        solver=solver,
+        *fields,
+        solver=result.solver.value,
         zeta_mbps=rep.maxmin_level / 1e6,
         rate_access_mbps=rep.rate_access / 1e6,
         rate_backhaul_mbps=rep.rate_backhaul / 1e6,
@@ -405,56 +399,43 @@ def _row(
     )
 
 
-def run_single(cfg: ExperimentConfig) -> list[SweepRow]:
-    """Run every selected solver once on the configured scenario."""
-    scn = build_scenario(cfg)
-    rows = []
-    for solver in sorted(cfg.solvers):
-        result = _solve_one(scn, solver, cfg, cfg.seed)
-        rows.append(
-            _row("single", cfg.total_power_dbm, cfg.total_power_dbm, cfg.overlap_mhz,
-                 cfg.duplex, cfg.altitude_km, cfg.access_weight, solver, result)
-        )
-    return rows
-
-
-def _power_grid(cfg: ExperimentConfig) -> list[float]:
-    count = int(math.floor((cfg.power_sweep_max_dbm - cfg.power_sweep_min_dbm)
-                           / cfg.power_sweep_step_db + 1e-9)) + 1
-    return [cfg.power_sweep_min_dbm + k * cfg.power_sweep_step_db for k in range(count)]
-
-
 def _run_sweep(cfg: ExperimentConfig, points) -> list[SweepRow]:
     """Solve every sweep point with its solvers and return the sorted rows.
 
-    points yields (fields, scenario, solvers) per point, fields being the
-    SweepRow values before the solver name. Oracle rows are solved point by
-    point; all exact rows then run as one solve_orthogonal_many batch, and
-    all swarm rows as one pso_solve_many batch, each keyed by its point's
-    _row_seed. A row's result does not depend on the other rows.
+    points yields (fields, scenario, solvers, seed) per point, fields being
+    the SweepRow values before the solver name and seed the point's swarm
+    seed. Each solver then makes one batch call, from _SOLVERS, on all the
+    points that select it. A row's result does not depend on the other rows.
     """
-    rows = []
-    exact_fields, exact_scns = [], []
-    swarm_fields, swarm_scns, swarm_seeds = [], [], []
-    for row_index, (fields, scn, solvers) in enumerate(points):
+    jobs: dict[SolverKind, list] = {}
+    for fields, scn, solvers, seed in points:
         for solver in solvers:
-            if solver == "exact":
-                exact_fields.append(fields)
-                exact_scns.append(scn)
-            elif solver == "pso":
-                swarm_fields.append(fields)
-                swarm_scns.append(scn)
-                swarm_seeds.append(_row_seed(cfg.seed, row_index))
-            else:
-                rows.append(_row(*fields, solver, _solve_one(scn, solver, cfg, cfg.seed)))
-    if exact_scns:
-        results = solve_orthogonal_many(exact_scns)
-        rows.extend(_row(*fields, "exact", result) for fields, result in zip(exact_fields, results))
-    if swarm_scns:
-        results = pso_solve_many(swarm_scns, _pso_config(cfg, cfg.seed), swarm_seeds)
-        rows.extend(_row(*fields, "pso", result) for fields, result in zip(swarm_fields, results))
+            jobs.setdefault(SolverKind(solver), []).append((fields, scn, seed))
+    rows = []
+    for kind, job in jobs.items():
+        fields, scns, seeds = zip(*job)
+        rows.extend(map(_row, fields, _SOLVERS[kind](cfg, scns, seeds)))
     rows.sort(key=_row_sort_key)
     return rows
+
+
+def run_single(cfg: ExperimentConfig) -> list[SweepRow]:
+    """Run every selected solver once on the configured scenario: a sweep
+    of one point, whose swarm seed is cfg.seed."""
+    fields = ("single", cfg.total_power_dbm, cfg.total_power_dbm, cfg.overlap_mhz,
+              cfg.duplex, cfg.altitude_km, cfg.access_weight)
+    return _run_sweep(cfg, [(fields, build_scenario(cfg), cfg.solvers, cfg.seed)])
+
+
+def _power_steps(cfg: ExperimentConfig) -> float:
+    # Steps of the power sweep after its first point; the 1e-9 absorbs
+    # rounding, and the grid takes the floor.
+    return (cfg.power_sweep_max_dbm - cfg.power_sweep_min_dbm) / cfg.power_sweep_step_db + 1e-9
+
+
+def _power_grid(cfg: ExperimentConfig) -> list[float]:
+    count = int(math.floor(_power_steps(cfg))) + 1
+    return [cfg.power_sweep_min_dbm + k * cfg.power_sweep_step_db for k in range(count)]
 
 
 def run_power_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
@@ -463,19 +444,15 @@ def run_power_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     """
     if cfg.overlap_mhz != 0.0:
         raise ValidationError("the power sweep requires overlap_mhz = 0")
-    solvers = sorted(cfg.solvers)
 
     def points():
-        for power_dbm in _power_grid(cfg):
-            for duplex in ("FDD", "TDD"):
-                for altitude_km in POWER_SWEEP_ALTITUDES_KM:
-                    scn = build_scenario(
-                        cfg, power_dbm=power_dbm, duplex=duplex, altitude_km=altitude_km,
-                        overlap_mhz=0.0,
-                    )
-                    fields = ("power", power_dbm, power_dbm, 0.0, duplex, altitude_km,
-                              cfg.access_weight)
-                    yield fields, scn, solvers
+        grid = itertools.product(_power_grid(cfg), ("FDD", "TDD"), POWER_SWEEP_ALTITUDES_KM)
+        for row_index, (power_dbm, duplex, altitude_km) in enumerate(grid):
+            scn = build_scenario(
+                cfg, power_dbm=power_dbm, duplex=duplex, altitude_km=altitude_km, overlap_mhz=0.0,
+            )
+            fields = ("power", power_dbm, power_dbm, 0.0, duplex, altitude_km, cfg.access_weight)
+            yield fields, scn, cfg.solvers, _row_seed(cfg.seed, row_index)
 
     return _run_sweep(cfg, points())
 
@@ -489,20 +466,19 @@ def run_overlap_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         raise ValidationError("the overlap sweep requires the pso solver")
     count = cfg.overlap_sweep_points
     fractions = [i / (count - 1) for i in range(count)]
-    sweep_solvers = tuple(s for s in sorted(cfg.solvers) if s != "exact")
+    sweep_solvers = tuple(s for s in cfg.solvers if s != "exact")
 
     def points():
-        for fraction in fractions:
+        grid = itertools.product(fractions, OVERLAP_SWEEP_WEIGHTS, ("FDD", "TDD"))
+        for row_index, (fraction, access_weight, duplex) in enumerate(grid):
             overlap_mhz = fraction * cfg.total_bandwidth_mhz
-            for access_weight in OVERLAP_SWEEP_WEIGHTS:
-                for duplex in ("FDD", "TDD"):
-                    scn = build_scenario(
-                        cfg, duplex=duplex, overlap_mhz=overlap_mhz, access_weight=access_weight,
-                    )
-                    fields = ("overlap", fraction, cfg.total_power_dbm, overlap_mhz, duplex,
-                              cfg.altitude_km, access_weight)
-                    solvers = sweep_solvers if fraction > 0.0 else tuple(sorted(set(sweep_solvers) | {"exact"}))
-                    yield fields, scn, solvers
+            scn = build_scenario(
+                cfg, duplex=duplex, overlap_mhz=overlap_mhz, access_weight=access_weight,
+            )
+            fields = ("overlap", fraction, cfg.total_power_dbm, overlap_mhz, duplex,
+                      cfg.altitude_km, access_weight)
+            solvers = sweep_solvers if fraction > 0.0 else sweep_solvers + ("exact",)
+            yield fields, scn, solvers, _row_seed(cfg.seed, row_index)
 
     return _run_sweep(cfg, points())
 
@@ -765,23 +741,13 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_sweep_power(args) -> int:
+def _cmd_sweep(args) -> int:
     cfg = _effective_config(args)
-    rows = run_power_sweep(cfg)
+    rows = args.run(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    write_csv(rows, os.path.join(cfg.output_dir, "power_sweep.csv"))
-    emit_plot(rows, os.path.join(cfg.output_dir, "power_sweep.svg"))
-    print(f"wrote {len(rows)} rows to {cfg.output_dir}/power_sweep.csv")
-    return 0
-
-
-def _cmd_sweep_overlap(args) -> int:
-    cfg = _effective_config(args)
-    rows = run_overlap_sweep(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    write_csv(rows, os.path.join(cfg.output_dir, "overlap_sweep.csv"))
-    emit_plot(rows, os.path.join(cfg.output_dir, "overlap_sweep.svg"))
-    print(f"wrote {len(rows)} rows to {cfg.output_dir}/overlap_sweep.csv")
+    write_csv(rows, os.path.join(cfg.output_dir, f"{args.stem}.csv"))
+    emit_plot(rows, os.path.join(cfg.output_dir, f"{args.stem}.svg"))
+    print(f"wrote {len(rows)} rows to {cfg.output_dir}/{args.stem}.csv")
     return 0
 
 
@@ -817,13 +783,13 @@ def main(argv: list[str] | None = None) -> int:
     _add_common_arguments(p)
     p.set_defaults(handler=_cmd_solve)
 
-    p = sub.add_parser("sweep-power", help="throughput vs transmit power")
-    _add_common_arguments(p)
-    p.set_defaults(handler=_cmd_sweep_power)
-
-    p = sub.add_parser("sweep-overlap", help="throughput vs bandwidth overlap")
-    _add_common_arguments(p)
-    p.set_defaults(handler=_cmd_sweep_overlap)
+    for name, run, stem, text in (
+        ("sweep-power", run_power_sweep, "power_sweep", "throughput vs transmit power"),
+        ("sweep-overlap", run_overlap_sweep, "overlap_sweep", "throughput vs bandwidth overlap"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_common_arguments(p)
+        p.set_defaults(handler=_cmd_sweep, run=run, stem=stem)
 
     p = sub.add_parser("audit", help="re-validate a previously written sweep CSV")
     _add_common_arguments(p, with_solvers=False)

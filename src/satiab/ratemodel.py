@@ -23,6 +23,7 @@ __all__ = [
     "Allocation",
     "RateReport",
     "duplex_factors",
+    "bandwidth_limits",
     "link_rates",
     "access_rate",
     "backhaul_rate",
@@ -177,6 +178,14 @@ class RateReport:
         )
 
 
+def bandwidth_limits(scn: ScenarioParams | ScenarioBatch):
+    """Bandwidth bounds of the feasible set: the budget alpha_1 (W + w_o)
+    of the two links together, and the floor alpha_1 w_o and cap alpha_1 W
+    of each link. Floats for one scenario, (S, 1) columns for a batch."""
+    alpha_1, w, w_o = scn.alpha_1, scn.total_bandwidth, scn.overlap_bandwidth
+    return alpha_1 * (w + w_o), alpha_1 * w_o, alpha_1 * w
+
+
 def link_rates(scn: ScenarioParams | ScenarioBatch, p_ue, p_bs, w_a, w_b):
     """Vectorized access and backhaul rates for arrays of allocations.
 
@@ -186,14 +195,12 @@ def link_rates(scn: ScenarioParams | ScenarioBatch, p_ue, p_bs, w_a, w_b):
     per scenario. Zero-bandwidth entries yield zero rate (the
     x*log(1+c/x) -> 0 limit); entries whose interference term would divide
     by a zero bandwidth also yield zero. Scalar callers that need an error
-    instead of the zero fallback should use :func:`access_rate` or
-    :func:`backhaul_rate`.
+    instead of the zero fallback should use :func:`evaluate`.
     """
     alpha_o, alpha_1, dens, w_o = scn.alpha_o, scn.alpha_1, scn.density, scn.overlap_bandwidth
-    batched = isinstance(scn, ScenarioBatch)
-    # Without overlap anywhere in the batch the interference term is zero;
+    # Without overlap in any scenario the interference term is zero;
     # skipping it keeps the large orthogonal grid batches cheap.
-    overlapped = (w_o > 0.0).any() if batched else w_o > 0.0
+    overlapped = np.any(w_o > 0.0)
     p_ue, p_bs, w_a, w_b = np.broadcast_arrays(
         np.asarray(p_ue, dtype=float),
         np.asarray(p_bs, dtype=float),
@@ -205,9 +212,9 @@ def link_rates(scn: ScenarioParams | ScenarioBatch, p_ue, p_bs, w_a, w_b):
         noise = dens * w_own
         if overlapped:
             positive = w_other > 0.0
-            # A batch row with w_o = 0 adds exactly zero interference, so the
+            # A scenario with w_o = 0 adds exactly zero interference, so the
             # other link's bandwidth may be zero there.
-            other_ok = positive | (w_o == 0.0) if batched else positive
+            other_ok = positive | (w_o == 0.0)
             interf = alpha_1 * p_other * beta * w_o / np.where(positive, w_other, 1.0)
             den = noise + interf
         else:
@@ -244,8 +251,15 @@ def backhaul_rate(scn: ScenarioParams, alloc: Allocation) -> float:
 
 
 def evaluate(scn: ScenarioParams, alloc: Allocation) -> RateReport:
-    """Full rate report for one allocation."""
-    return RateReport.from_rates(access_rate(scn, alloc), backhaul_rate(scn, alloc), scn.access_weight)
+    """Full rate report for one allocation.
+
+    Raises InvalidAllocation under the conditions of :func:`access_rate`
+    and :func:`backhaul_rate`: the links overlap but one bandwidth is zero.
+    """
+    if scn.overlap_bandwidth > 0.0 and 0.0 in (alloc.w_a, alloc.w_b):
+        raise InvalidAllocation("overlapping spectrum with a zero bandwidth is not evaluable")
+    rate_a, rate_b = link_rates(scn, alloc.p_ue, alloc.p_bs, alloc.w_a, alloc.w_b)
+    return RateReport.from_rates(float(rate_a), float(rate_b), scn.access_weight)
 
 
 def validate(scn: ScenarioParams, alloc: Allocation, tol: float = 1e-6) -> list[str]:
@@ -258,11 +272,8 @@ def validate(scn: ScenarioParams, alloc: Allocation, tol: float = 1e-6) -> list[
         1c: w_a, w_b <= alpha_1 W
         1d: w_a, w_b >= alpha_1 w_o
     """
-    _, alpha_1 = duplex_factors(scn.duplex)
     p_cap = scn.total_power
-    band_cap = alpha_1 * (scn.total_bandwidth + scn.overlap_bandwidth)
-    w_hi = alpha_1 * scn.total_bandwidth
-    w_lo = alpha_1 * scn.overlap_bandwidth
+    band_cap, w_lo, w_hi = bandwidth_limits(scn)
     violated = []
     if alloc.p_ue + alloc.p_bs > p_cap + tol * p_cap:
         violated.append("1a")

@@ -407,6 +407,16 @@ def test_pso_redraw_in_one_row_leaves_other_rows_unchanged():
     assert_rows_match_alone(scns, cfg, seeds, redrawn, initial=degenerate)
 
 
+def test_batch_reports_equal_evaluate():
+    # both batch solvers report every row from one batched link_rates call
+    scns = mixed_batch()
+    results = pso_solve_many(scns, PsoConfig(population_size=8, max_iterations=10), range(len(scns)))
+    orthogonal = [scn for scn in scns if scn.overlap_bandwidth == 0.0]
+    results += solve_orthogonal_many(orthogonal)
+    for scn, result in zip(scns + orthogonal, results):
+        assert result.report == evaluate(scn, result.allocation)
+
+
 def test_pso_batch_rejects_mismatched_inputs():
     scns = mixed_batch()[:3]
     cfg = PsoConfig(population_size=5, max_iterations=2)

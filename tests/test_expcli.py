@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from satiab import expcli, solve_orthogonal
+from satiab import PsoConfig, expcli, grid_oracle, pso_solve, solve_orthogonal
 from satiab.expcli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -269,6 +269,16 @@ def test_run_single_produces_one_row_per_solver():
     rows = run_single(cfg)
     assert [r.solver for r in rows] == ["exact", "oracle", "pso"]
     assert all(r.sweep == "single" for r in rows)
+    # each row is the solver called alone; the swarm is keyed by cfg.seed
+    scn = build_scenario(cfg)
+    swarm = PsoConfig(population_size=cfg.pso_population, max_iterations=cfg.pso_iterations,
+                      rng_seed=cfg.seed)
+    direct = [solve_orthogonal(scn), grid_oracle(scn, cfg.oracle_resolution), pso_solve(scn, swarm)]
+    for row, result in zip(rows, direct):
+        assert (row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz) == dataclasses.astuple(result.allocation)
+        assert row.zeta_mbps == result.report.maxmin_level / 1e6
+        assert row.throughput_mbps == result.report.throughput / 1e6
+        assert row.converged == result.converged
 
 
 # -------------------------------------------------------------------- plot
@@ -440,6 +450,8 @@ def test_cli_solvers_flag(tmp_path):
         ('{"aperture_radius_m": 1e300}', "aperture_radius_m"),
         ('{"ue_antenna_gain_dbi": 1e5}', "ue_antenna_gain_dbi"),
         ('{"altitude_km": 1e-300}', "altitude_km"),
+        ('{"total_bandwidth_mhz": 1e300, "solvers": ["exact"]}', "total_bandwidth_mhz"),
+        ('{"access_weight": 1e-300, "solvers": ["exact"]}', "access_weight"),
     ],
 )
 def test_cli_rejects_non_finite_and_out_of_range_numbers(tmp_path, capsys, text, field):
@@ -453,11 +465,35 @@ def test_cli_rejects_non_finite_and_out_of_range_numbers(tmp_path, capsys, text,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"oracle_resolution": 1_000_000, "solvers": ["oracle"]}, "oracle_resolution"),
+        ({"pso_population": 1_000_001}, "pso_population"),
+        ({"pso_iterations": 1_000_000_000}, "pso_iterations"),
+        ({"overlap_sweep_points": 1_000_000}, "overlap_sweep_points"),
+        ({"power_sweep_step_db": 1e-9}, "power_sweep_step_db"),
+        ({"power_sweep_step_db": 5e-324}, "power_sweep_step_db"),
+    ],
+)
+def test_load_config_rejects_oversized_solves(tmp_path, payload, field):
+    # only load_config runs, so a missing limit fails here without solving
+    with pytest.raises(ValidationError, match=field):
+        load_config(write_json(tmp_path / "cfg.json", payload))
+
+
 def test_load_config_power_limits_are_inclusive(tmp_path):
     payload = {"total_power_dbm": 100, "power_sweep_min_dbm": -100, "power_sweep_max_dbm": 100}
     cfg = load_config(write_json(tmp_path / "cfg.json", payload))
     assert math.isfinite(build_scenario(cfg, power_dbm=cfg.power_sweep_max_dbm).total_power)
     assert build_scenario(cfg, power_dbm=cfg.power_sweep_min_dbm).total_power > 0.0
+    # the longest power sweep accepted, and one step finer
+    payload["power_sweep_step_db"] = 0.1
+    cfg = load_config(write_json(tmp_path / "cfg.json", payload))
+    assert len(expcli._power_grid(cfg)) == expcli._MAX_POWER_SWEEP_POINTS
+    payload["power_sweep_step_db"] = 0.0999
+    with pytest.raises(ValidationError, match="power_sweep_step_db"):
+        load_config(write_json(tmp_path / "cfg.json", payload))
 
 
 def test_load_config_link_budget_limits_are_inclusive(tmp_path):
@@ -478,7 +514,7 @@ def test_cli_arithmetic_error_exits_1(tmp_path, capsys, monkeypatch):
     def overflow(*args):
         raise OverflowError(34, "Numerical result out of range")
 
-    monkeypatch.setattr(expcli, "solve_orthogonal", overflow)
+    monkeypatch.setattr(expcli, "solve_orthogonal_many", overflow)
     path = write_json(tmp_path / "cfg.json", {"solvers": ["exact"]})
     assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err

@@ -100,6 +100,9 @@ def test_invalid_allocation_under_overlap():
         access_rate(scn, Allocation(5.0, 5.0, 15e6, 0.0))
     with pytest.raises(InvalidAllocation):
         backhaul_rate(scn, Allocation(5.0, 5.0, 0.0, 15e6))
+    for alloc in (Allocation(5.0, 5.0, 15e6, 0.0), Allocation(5.0, 5.0, 0.0, 15e6)):
+        with pytest.raises(InvalidAllocation):
+            evaluate(scn, alloc)
 
 
 def test_evaluate_zero_power():
@@ -123,6 +126,16 @@ def test_evaluate_fitness_identity():
         )
         scale = max(abs(report.fitness), 1e-9)
         assert abs(report.fitness - scn.access_weight * report.maxmin_level) <= 1e-9 * scale
+
+
+def test_evaluate_equals_the_single_link_rates():
+    rng = np.random.default_rng(13)
+    for _ in range(2_000):
+        scn = random_scenario(rng)
+        alloc = Allocation(*random_feasible_allocation(rng, scn))
+        report = evaluate(scn, alloc)
+        assert report.rate_access == access_rate(scn, alloc)
+        assert report.rate_backhaul == backhaul_rate(scn, alloc)
 
 
 def test_rates_nonnegative_on_feasible_points():
