@@ -14,7 +14,8 @@ the sign of their difference.
 
 The exact solver and the swarm each solve a batch of scenarios at once, as
 arrays with one row per scenario, and report all rows' rates from one
-batched link_rates call; the grid oracle solves one scenario per call.
+batched link_rates call; the grid oracle solves one scenario per call,
+a block of grid rows at a time.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ _LN2 = math.log(2.0)
 _MAX_MARGINAL_Y = 700.0  # expm1(y) * y stays below the float64 maximum
 _SPLIT_STEPS = 40
 _MAX_BISECTIONS = 200
+# Grid points per grid_oracle block: a float temporary of at most 128 KiB stays
+# in L2 and under malloc's mmap threshold, so the heap reuses it unfaulted.
+_GRID_BLOCK = 16_384
+_SWARM_PARTICLES = 65_536  # particles per run_pso batch of pso_solve_many
 
 
 class Infeasible(Exception):
@@ -252,19 +257,28 @@ def grid_oracle(scn: ScenarioParams, resolution: int = 200) -> SolveResult:
     The grid spans the power split p_ue in [0, P] (with p_bs = P - p_ue)
     and the bandwidth split w_a in [alpha_1 w_o, alpha_1 W] with the
     bandwidth budget used exactly, which keeps every grid point feasible.
+    It is evaluated in blocks of whole power rows of at most _GRID_BLOCK
+    points; a block's best replaces the running best only if strictly
+    greater, so the first maximum in row-major order wins, as in np.argmax.
     """
     if resolution < 10:
         raise ValueError("resolution must be >= 10")
     band_total, w_lo, w_hi = bandwidth_limits(scn)
     p_grid = np.linspace(0.0, scn.total_power, resolution)
     wa_grid = np.linspace(w_lo, w_hi, resolution)
-    p_ue = p_grid[:, None]
     w_a = wa_grid[None, :]
-    rate_a, rate_b = link_rates(scn, p_ue, scn.total_power - p_ue, w_a, band_total - w_a)
-    maxmin = np.minimum(rate_a / scn.access_weight, rate_b)
+    w_b = band_total - w_a
+    rows = max(1, _GRID_BLOCK // resolution)
+    best, i, j = -math.inf, 0, 0
+    for start in range(0, resolution, rows):
+        p_ue = p_grid[start:start + rows, None]
+        rate_a, rate_b = link_rates(scn, p_ue, scn.total_power - p_ue, w_a, w_b)
+        maxmin = np.minimum(rate_a / scn.access_weight, rate_b)
+        flat = int(np.argmax(maxmin))
+        if maxmin.flat[flat] > best:
+            best = maxmin.flat[flat]
+            i, j = divmod(start * resolution + flat, resolution)
 
-    flat = int(np.argmax(maxmin))
-    i, j = divmod(flat, resolution)
     alloc = Allocation(
         p_ue=float(p_grid[i]),
         p_bs=float(scn.total_power - p_grid[i]),
@@ -419,15 +433,22 @@ def run_pso(
 def pso_solve_many(
     scns: Sequence[ScenarioParams], cfg: PsoConfig, seeds: Sequence[int]
 ) -> list[SolveResult]:
-    """Particle-swarm solutions of many scenarios, one batch in lockstep.
+    """Particle-swarm solutions of many scenarios, in lockstep batches of
+    at most _SWARM_PARTICLES particles (and at least one row) each.
 
     Row s is keyed by seeds[s] in place of cfg.rng_seed and gets exactly
     the result of :func:`pso_solve` with that seed, whatever the other rows.
     """
-    state = run_pso(scns, cfg, seeds=seeds)
-    rows = len(state.best_particle)
-    return _results(ScenarioBatch.stack(scns), state.best_particle, SolverKind.PSO,
-                    [state.iteration] * rows, [True] * rows)
+    scns, seeds = list(scns), list(seeds)
+    if len(seeds) != len(scns):
+        raise ValueError(f"{len(seeds)} seeds for {len(scns)} scenarios")
+    rows = max(1, _SWARM_PARTICLES // cfg.population_size)
+    best = [
+        run_pso(scns[k:k + rows], cfg, seeds=seeds[k:k + rows]).best_particle
+        for k in range(0, len(scns), rows)
+    ]
+    return _results(ScenarioBatch.stack(scns), np.concatenate(best or [np.empty((0, 4))]),
+                    SolverKind.PSO, [cfg.max_iterations] * len(scns), [True] * len(scns))
 
 
 def pso_solve(scn: ScenarioParams, cfg: PsoConfig) -> SolveResult:

@@ -196,17 +196,19 @@ def link_rates(scn: ScenarioParams | ScenarioBatch, p_ue, p_bs, w_a, w_b):
     x*log(1+c/x) -> 0 limit); entries whose interference term would divide
     by a zero bandwidth also yield zero. Scalar callers that need an error
     instead of the zero fallback should use :func:`evaluate`.
+
+    The inputs are not broadcast against each other up front, so a term
+    of one axis only, such as the noise of a row of bandwidths, is computed
+    at that size. Each rate has the broadcast shape of what it depends on:
+    the scenario's columns, its own link's power and bandwidth and, when
+    any scenario overlaps, the other link's power and bandwidth. Its values
+    equal those computed from inputs broadcast to one shape first.
     """
     alpha_o, alpha_1, dens, w_o = scn.alpha_o, scn.alpha_1, scn.density, scn.overlap_bandwidth
     # Without overlap in any scenario the interference term is zero;
     # skipping it keeps the large orthogonal grid batches cheap.
     overlapped = np.any(w_o > 0.0)
-    p_ue, p_bs, w_a, w_b = np.broadcast_arrays(
-        np.asarray(p_ue, dtype=float),
-        np.asarray(p_bs, dtype=float),
-        np.asarray(w_a, dtype=float),
-        np.asarray(w_b, dtype=float),
-    )
+    p_ue, p_bs, w_a, w_b = (np.asarray(x, dtype=float) for x in (p_ue, p_bs, w_a, w_b))
 
     def one_way(p_own, beta, w_own, p_other, w_other):
         noise = dens * w_own

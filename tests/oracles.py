@@ -4,12 +4,15 @@ The Bessel oracle is a plain alternating power series evaluated in
 extended precision; it shares no code with the library implementation.
 The golden-section solver is the exact orthogonal solver as first written,
 one scenario at a time in pure Python, kept as the reference for the
-batched marginal-cost solver.
+batched marginal-cost solver. The full-grid oracle is the grid oracle as
+first written, the whole grid in one link_rates call, kept as the reference
+for the oracle that walks the grid in blocks of rows.
 """
 
 import math
 
 import mpmath as mp
+import numpy as np
 
 from satiab import (
     Allocation,
@@ -17,8 +20,10 @@ from satiab import (
     ScenarioParams,
     SolverKind,
     SolveResult,
+    bandwidth_limits,
     duplex_factors,
     evaluate,
+    link_rates,
 )
 from satiab.expcli import ExperimentConfig, build_scenario
 
@@ -187,4 +192,31 @@ def golden_section_solve(scn: ScenarioParams) -> SolveResult:
         solver=SolverKind.EXACT_ORTHOGONAL,
         iterations_used=iterations,
         converged=converged,
+    )
+
+
+def full_grid_oracle(scn: ScenarioParams, resolution: int) -> SolveResult:
+    """The grid oracle's search in one piece: every point of the
+    resolution x resolution grid in one link_rates call, then np.argmax."""
+    band_total, w_lo, w_hi = bandwidth_limits(scn)
+    p_grid = np.linspace(0.0, scn.total_power, resolution)
+    wa_grid = np.linspace(w_lo, w_hi, resolution)
+    p_ue = p_grid[:, None]
+    w_a = wa_grid[None, :]
+    rate_a, rate_b = link_rates(scn, p_ue, scn.total_power - p_ue, w_a, band_total - w_a)
+    maxmin = np.minimum(rate_a / scn.access_weight, rate_b)
+
+    i, j = divmod(int(np.argmax(maxmin)), resolution)
+    alloc = Allocation(
+        p_ue=float(p_grid[i]),
+        p_bs=float(scn.total_power - p_grid[i]),
+        w_a=float(wa_grid[j]),
+        w_b=float(band_total - wa_grid[j]),
+    )
+    return SolveResult(
+        allocation=alloc,
+        report=evaluate(scn, alloc),
+        solver=SolverKind.GRID_ORACLE,
+        iterations_used=resolution * resolution,
+        converged=True,
     )

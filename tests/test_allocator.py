@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from satiab import (
     solve_orthogonal_many,
     validate,
 )
+from satiab import allocator
 
-from oracles import golden_section_solve, random_scenario, reference_scenarios
+from oracles import full_grid_oracle, golden_section_solve, random_scenario, reference_scenarios
 
 
 def make_scenario(**overrides) -> ScenarioParams:
@@ -254,6 +256,54 @@ def test_grid_oracle_never_beats_exact():
         assert grid <= exact + 1e-9 * max(exact, 1.0)
 
 
+def test_grid_oracle_equals_the_full_grid():
+    # 333 and 1000 rows are not multiples of a block's row count
+    rng = np.random.default_rng(53)
+    for resolution, draws in ((10, 4), (37, 4), (333, 3), (1000, 1), (2000, 1)):
+        for orthogonal in (True, False):
+            for _ in range(draws):
+                scn = random_scenario(rng, orthogonal=orthogonal)
+                while not orthogonal and scn.overlap_bandwidth == 0.0:
+                    scn = random_scenario(rng)
+                # allocation and report, with every float exactly equal
+                assert grid_oracle(scn, resolution) == full_grid_oracle(scn, resolution)
+
+
+def test_grid_oracle_blocks_of_any_size_equal_the_full_grid(monkeypatch):
+    rng = np.random.default_rng(59)
+    scns = [random_scenario(rng, orthogonal=True), random_scenario(rng), make_scenario()]
+    for block in (1, 37, 40, 111, 37 * 37, 10**6):
+        monkeypatch.setattr(allocator, "_GRID_BLOCK", block)
+        for scn in scns:
+            assert grid_oracle(scn, 37) == full_grid_oracle(scn, 37)
+
+
+def test_grid_oracle_ties_go_to_the_first_point(monkeypatch):
+    # a flat grid: every point ties, so np.argmax over the whole grid picks
+    # the first, and so must a walk in blocks
+    def flat_rates(scn, p_ue, p_bs, w_a, w_b):
+        ones = np.ones(np.broadcast_shapes(np.shape(p_ue), np.shape(w_a)))
+        return ones, ones
+
+    monkeypatch.setattr(allocator, "link_rates", flat_rates)
+    monkeypatch.setattr(allocator, "_GRID_BLOCK", 40)
+    scn = make_scenario()
+    result = grid_oracle(scn, 20)
+    assert (result.allocation.p_ue, result.allocation.w_a) == (0.0, 0.0)
+
+
+def test_grid_oracle_memory_is_bounded():
+    # the whole 2000 x 2000 grid at once peaks near 187 MiB
+    scn = make_scenario(overlap_bandwidth=10e6)
+    tracemalloc.start()
+    try:
+        grid_oracle(scn, 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 # -------------------------------------------------------------------- PSO
 
 
@@ -424,7 +474,20 @@ def test_pso_batch_rejects_mismatched_inputs():
         run_pso(scns, cfg, seeds=[1, 2])
     with pytest.raises(ValueError, match="shape"):
         run_pso(scns, cfg, initial_population=np.ones((5, 4)))
+    with pytest.raises(ValueError, match="seeds"):
+        pso_solve_many(scns, cfg, [1, 2, 3, 4])
     assert pso_solve_many([], cfg, []) == []
+
+
+def test_pso_solve_many_chunks_equal_one_batch(monkeypatch):
+    scns = mixed_batch()
+    cfg = PsoConfig(population_size=6, max_iterations=15)
+    seeds = [11 * s + 1 for s in range(len(scns))]
+    whole = pso_solve_many(scns, cfg, seeds)
+    # 1, 1, 2, 3, 5 and 8 rows a chunk: one row each, uneven tails, one chunk
+    for cap in (1, 6, 12, 18, 30, 48):
+        monkeypatch.setattr(allocator, "_SWARM_PARTICLES", cap)
+        assert pso_solve_many(scns, cfg, seeds) == whole
 
 
 # --------------------------------------------------- cross-solver invariants

@@ -210,6 +210,29 @@ def test_link_rates_batch_rows_equal_single_scenarios():
         assert (rate_a[s, 0] > 0.0) == (scn.overlap_bandwidth == 0.0)
 
 
+def test_link_rates_on_broadcast_axes_equal_materialised_inputs():
+    # (R, 1) powers against (1, N) bandwidths, as the grid oracle passes them
+    rng = np.random.default_rng(61)
+    p_ue = rng.uniform(0.0, 10.0, (7, 1))
+    p_ue[0] = 0.0
+    p_bs = 10.0 - p_ue
+    w_a = rng.uniform(0.0, 40e6, (1, 9))
+    w_a[0, :2] = 0.0
+    w_b = w_a[:, ::-1].copy()  # zero bandwidths at both ends of the row
+    scns = [make_scenario(), make_scenario(overlap_bandwidth=8e6, duplex=DuplexMode.TDD)]
+    scns += [random_scenario(rng) for _ in range(5)]
+    # the batch of seven scenarios takes one row of powers each
+    for scn in (*scns[:2], ScenarioBatch.stack(scns)):
+        lazy = link_rates(scn, p_ue, p_bs, w_a, w_b)
+        eager = link_rates(scn, *np.broadcast_arrays(p_ue, p_bs, w_a, w_b))
+        for rate, reference in zip(lazy, eager):
+            assert rate.shape == (7, 9)
+            assert np.array_equal(rate, reference)
+    # without overlap each rate spans only the axes of its own link's inputs
+    rate_a, rate_b = link_rates(scns[0], p_ue, 1.0, w_a, 2e6)
+    assert rate_a.shape == (7, 9) and rate_b.shape == ()
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         make_scenario(total_power=0.0)
