@@ -2,7 +2,7 @@
 
 Three routes to the same problem: an exact parametric solver for the
 orthogonal (no-overlap) case, a particle swarm for the general case, and a
-brute-force grid evaluator used as an independent cross-check.
+grid search used as an independent cross-check.
 
 The orthogonal solver bisects on the max-min level zeta. A level is
 feasible iff the cheapest power budget that delivers rate eps*zeta on the
@@ -12,10 +12,10 @@ convex single-link power inversions, so its minimum is where the two
 links' marginal power costs of bandwidth are equal, found by bisection on
 the sign of their difference.
 
-The exact solver and the swarm each solve a batch of scenarios at once, as
-arrays with one row per scenario, and report all rows' rates from one
-batched link_rates call; the grid oracle solves one scenario per call,
-a block of grid rows at a time.
+Every solver solves a batch of scenarios at once, as arrays with one row
+per scenario, and reports all rows' rates from one batched link_rates
+call. The grid oracle finds the grid maximum by bisecting each bandwidth
+column for its single peak, in chunks of whole scenarios.
 """
 
 from __future__ import annotations
@@ -33,20 +33,19 @@ from .ratemodel import (
     ScenarioBatch,
     ScenarioParams,
     bandwidth_limits,
-    evaluate,
+    evaluate,  # unused here; kept for the span tracer of bench/spans.py
     link_rates,
 )
 
 __all__ = [
-    "Infeasible",
     "PsoConfig",
     "PsoState",
     "SolverKind",
     "SolveResult",
-    "min_power_for_rate",
     "solve_orthogonal",
     "solve_orthogonal_many",
     "grid_oracle",
+    "grid_oracle_many",
     "run_pso",
     "pso_solve",
     "pso_solve_many",
@@ -56,14 +55,8 @@ _LN2 = math.log(2.0)
 _MAX_MARGINAL_Y = 700.0  # expm1(y) * y stays below the float64 maximum
 _SPLIT_STEPS = 40
 _MAX_BISECTIONS = 200
-# Grid points per grid_oracle block: a float temporary of at most 128 KiB stays
-# in L2 and under malloc's mmap threshold, so the heap reuses it unfaulted.
-_GRID_BLOCK = 16_384
+_GRID_BLOCK = 4_096  # grid columns per grid_oracle_many kernel call: 32 KiB temporaries
 _SWARM_PARTICLES = 65_536  # particles per run_pso batch of pso_solve_many
-
-
-class Infeasible(Exception):
-    """No feasible allocation (or power inversion overflowed)."""
 
 
 class SolverKind(enum.Enum):
@@ -140,27 +133,6 @@ def _inversion_power(rate, bandwidth, beta, alpha_o, dens):
     over bandwidth w > 0 on one orthogonal link, elementwise; +inf on overflow."""
     with np.errstate(over="ignore"):
         return np.expm1(rate / (alpha_o * bandwidth) * _LN2) * dens * bandwidth / beta
-
-
-def min_power_for_rate(
-    rate_target: float, bandwidth: float, beta: float, scn: ScenarioParams
-) -> float:
-    """Transmit power that achieves rate_target on a single orthogonal link.
-
-    Inverts the rate equation at overlap zero:
-    p = (2**(rate / (alpha_o * w)) - 1) * (noise + interference) * w / beta.
-    Raises Infeasible when the power would overflow a float.
-    """
-    if scn.overlap_bandwidth != 0.0:
-        raise ValueError("power inversion is defined for the orthogonal case only")
-    if bandwidth <= 0.0:
-        raise ValueError("bandwidth must be positive")
-    if rate_target < 0.0:
-        raise ValueError("rate_target must be nonnegative")
-    power = float(_inversion_power(rate_target, bandwidth, beta, scn.alpha_o, scn.density))
-    if power == math.inf:
-        raise Infeasible(f"rate {rate_target:.3e} bits/s over {bandwidth:.3e} Hz overflows a float")
-    return power
 
 
 def _cheapest_split(y_whole, weight):
@@ -251,47 +223,89 @@ def solve_orthogonal(scn: ScenarioParams) -> SolveResult:
     return solve_orthogonal_many([scn])[0]
 
 
-def grid_oracle(scn: ScenarioParams, resolution: int = 200) -> SolveResult:
-    """Brute-force maximizer of the max-min level over a uniform grid.
+def _grid_maxima(scns: Sequence[ScenarioParams], resolution: int) -> np.ndarray:
+    """(S, 4) allocations at the scenarios' first grid maxima; see grid_oracle_many."""
+    batch = ScenarioBatch.stack(scns)
+    eps, p_total = batch.access_weight, batch.total_power
+    # one grid row per scenario, each from np.linspace as in a scenario alone
+    p_grid = np.array([np.linspace(0.0, scn.total_power, resolution) for scn in scns])
+    w_a = np.array([np.linspace(*bandwidth_limits(scn)[1:], resolution) for scn in scns])
+    w_b = bandwidth_limits(batch)[0] - w_a
 
-    The grid spans the power split p_ue in [0, P] (with p_bs = P - p_ue)
+    def at(rows):
+        # rate_a / eps and rate_b of every column at its grid row rows[s, j]
+        p_ue = np.take_along_axis(p_grid, rows, axis=1)
+        rate_a, rate_b = link_rates(batch, p_ue, p_total - p_ue, w_a, w_b)
+        return rate_a / eps, rate_b
+
+    # the first row with a >= b; the last row qualifies unevaluated (p_bs = 0,
+    # so b = 0), and a_lo, b_hi keep a at row lo - 1 and b at row hi
+    lo, hi = np.zeros(w_a.shape, dtype=np.intp), np.full(w_a.shape, resolution - 1)
+    a_lo, b_hi = np.full(w_a.shape, -math.inf), np.zeros(w_a.shape)
+    for _ in range((resolution - 1).bit_length()):
+        mid = (lo + hi) // 2
+        a, b = at(mid)
+        crossed = a >= b
+        hi, b_hi = np.where(crossed, mid, hi), np.where(crossed, b, b_hi)
+        lo, a_lo = np.where(crossed, lo, mid + 1), np.where(crossed, a_lo, a)
+    best = np.maximum(a_lo, b_hi)
+    # where a wins (ties too), its first row reaching best is row 0 if best is
+    # 0 (a is 0 at p_ue = 0), else in [0, hi - 1] and most often hi - 1 itself
+    a_wins = a_lo >= b_hi
+    hi = np.where(a_wins, np.where(best > 0.0, hi - 1, 0), hi)
+    lo = np.where(a_wins, 0, hi)
+    mid = np.maximum(hi - 1, lo)
+    while (lo < hi).any():
+        reached = at(mid)[0] >= best
+        hi, lo = np.where(reached, mid, hi), np.where(reached, lo, mid + 1)
+        mid = (lo + hi) // 2
+    # the first maximum in row-major order: smallest row, then smallest column
+    order = np.where(best < best.max(axis=1, keepdims=True), resolution**2,
+                     hi * resolution + np.arange(resolution))
+    i, j = np.divmod(order.min(axis=1), resolution)
+    s = np.arange(len(scns))
+    return np.column_stack((p_grid[s, i], p_total[:, 0] - p_grid[s, i], w_a[s, j], w_b[s, j]))
+
+
+def grid_oracle_many(scns: Sequence[ScenarioParams], resolution: int) -> list[SolveResult]:
+    """Maximizers of the max-min level over uniform grids, one row per scenario.
+
+    Each grid spans the power split p_ue in [0, P] (with p_bs = P - p_ue)
     and the bandwidth split w_a in [alpha_1 w_o, alpha_1 W] with the
     bandwidth budget used exactly, which keeps every grid point feasible.
-    It is evaluated in blocks of whole power rows of at most _GRID_BLOCK
-    points; a block's best replaces the running best only if strictly
-    greater, so the first maximum in row-major order wins, as in np.argmax.
+    Row s is the point np.argmax picks from min(rate_a / eps, rate_b) over
+    the grid of scns[s], found without evaluating the whole grid.
+
+    Down a column (a fixed bandwidth split), p_ue rises and p_bs = P - p_ue
+    falls, so the access SINR rises (its own power up, its interferer's
+    down) and the backhaul SINR falls, with or without overlap: a =
+    rate_a / eps never decreases, b = rate_b never increases, and min(a, b)
+    peaks where they cross. A bisection finds the first row k with a >= b
+    (the last row, where b = 0, qualifies). The column's maximum is
+    max(a[k - 1], b[k]), first reached at row k if b[k] is greater, else
+    where a first reaches a[k - 1]: row 0 if that is 0, most often row
+    k - 1 (a probe of row k - 2 tells), and else the start of a plateau,
+    found by a second bisection; rounding makes such plateaus near the
+    corners of the parameter ranges. Columns combine by smallest row, then
+    smallest column, as np.argmax's first maximum in row-major order.
+
+    Scenarios are searched in chunks of at most _GRID_BLOCK columns (at
+    least one scenario), one kernel call per search step, and all rows are
+    reported from one link_rates call, each counting resolution**2 grid
+    points as iterations.
     """
     if resolution < 10:
         raise ValueError("resolution must be >= 10")
-    band_total, w_lo, w_hi = bandwidth_limits(scn)
-    p_grid = np.linspace(0.0, scn.total_power, resolution)
-    wa_grid = np.linspace(w_lo, w_hi, resolution)
-    w_a = wa_grid[None, :]
-    w_b = band_total - w_a
+    scns = list(scns)
     rows = max(1, _GRID_BLOCK // resolution)
-    best, i, j = -math.inf, 0, 0
-    for start in range(0, resolution, rows):
-        p_ue = p_grid[start:start + rows, None]
-        rate_a, rate_b = link_rates(scn, p_ue, scn.total_power - p_ue, w_a, w_b)
-        maxmin = np.minimum(rate_a / scn.access_weight, rate_b)
-        flat = int(np.argmax(maxmin))
-        if maxmin.flat[flat] > best:
-            best = maxmin.flat[flat]
-            i, j = divmod(start * resolution + flat, resolution)
+    alloc = [_grid_maxima(scns[k:k + rows], resolution) for k in range(0, len(scns), rows)]
+    return _results(ScenarioBatch.stack(scns), np.concatenate(alloc or [np.empty((0, 4))]),
+                    SolverKind.GRID_ORACLE, [resolution**2] * len(scns), [True] * len(scns))
 
-    alloc = Allocation(
-        p_ue=float(p_grid[i]),
-        p_bs=float(scn.total_power - p_grid[i]),
-        w_a=float(wa_grid[j]),
-        w_b=float(band_total - wa_grid[j]),
-    )
-    return SolveResult(
-        allocation=alloc,
-        report=evaluate(scn, alloc),
-        solver=SolverKind.GRID_ORACLE,
-        iterations_used=resolution * resolution,
-        converged=True,
-    )
+
+def grid_oracle(scn: ScenarioParams, resolution: int = 200) -> SolveResult:
+    """Maximizer of the max-min level over a uniform grid; see :func:`grid_oracle_many`."""
+    return grid_oracle_many([scn], resolution)[0]
 
 
 def _normalize_population(

@@ -28,11 +28,11 @@ import sys
 from dataclasses import dataclass
 
 from .allocator import (
-    Infeasible,
     PsoConfig,
     SolveResult,
     SolverKind,
-    grid_oracle,
+    grid_oracle,  # unused here; kept for the span tracer of bench/spans.py
+    grid_oracle_many,
     pso_solve,  # unused here; kept for the span tracer of bench/spans.py
     pso_solve_many,
     solve_orthogonal,  # unused here; kept for the span tracer of bench/spans.py
@@ -375,9 +375,7 @@ def _row_seed(base_seed: int, row_index: int) -> int:
 _SOLVERS = {
     SolverKind.EXACT_ORTHOGONAL: lambda cfg, scns, seeds: solve_orthogonal_many(scns),
     SolverKind.PSO: lambda cfg, scns, seeds: pso_solve_many(scns, _pso_config(cfg, cfg.seed), seeds),
-    SolverKind.GRID_ORACLE: lambda cfg, scns, seeds: [
-        grid_oracle(scn, cfg.oracle_resolution) for scn in scns
-    ],
+    SolverKind.GRID_ORACLE: lambda cfg, scns, seeds: grid_oracle_many(scns, cfg.oracle_resolution),
 }
 
 
@@ -799,7 +797,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, ValidationError, Infeasible, ValueError, ArithmeticError) as err:
+    except (ParseError, ValidationError, ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except OSError as err:

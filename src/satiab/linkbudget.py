@@ -20,7 +20,6 @@ __all__ = [
     "db_to_linear",
     "linear_to_db",
     "dbm_to_watts",
-    "watts_to_dbm",
     "bessel_j1",
     "antenna_pattern",
     "free_space_path_loss",
@@ -44,13 +43,6 @@ def linear_to_db(ratio: float) -> float:
 def dbm_to_watts(p_dbm: float) -> float:
     """Convert a power level in dBm to watts (30 dBm = 1 W)."""
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(p_w: float) -> float:
-    """Convert a power in watts to dBm; requires a positive power."""
-    if p_w <= 0.0:
-        raise ValueError(f"dBm conversion needs a positive power, got {p_w}")
-    return 30.0 + 10.0 * math.log10(p_w)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ extended precision; it shares no code with the library implementation.
 The golden-section solver is the exact orthogonal solver as first written,
 one scenario at a time in pure Python, kept as the reference for the
 batched marginal-cost solver. The full-grid oracle is the grid oracle as
-first written, the whole grid in one link_rates call, kept as the reference
-for the oracle that walks the grid in blocks of rows.
+first written, the whole grid in one link_rates call and np.argmax, kept as
+the reference for the oracle that bisects each column for its peak.
 """
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -25,7 +26,7 @@ from satiab import (
     evaluate,
     link_rates,
 )
-from satiab.expcli import ExperimentConfig, build_scenario
+from satiab.expcli import _RANGES, ExperimentConfig, build_scenario
 
 
 def j1_power_series(x: float, terms: int = 80, dps: int = 50) -> float:
@@ -79,6 +80,34 @@ def random_scenario(rng, orthogonal: bool = False) -> ScenarioParams:
         beta_ue=10.0 ** rng.uniform(-13.0, -11.0),
         beta_bs=10.0 ** rng.uniform(-11.0, -8.5),
     )
+
+
+_CORNER_KEYS = (
+    "total_bandwidth_mhz",
+    "access_weight",
+    "total_power_dbm",
+    "noise_density_dbm_hz",
+    "interference_density_dbm_hz",
+    "satellite_antenna_gain_dbi",
+    "bs_antenna_gain_dbi",
+    "ue_antenna_gain_dbi",
+    "carrier_frequency_ghz",
+    "aperture_radius_m",
+    "altitude_km",
+)
+
+
+def corner_scenario(rng) -> ScenarioParams:
+    """A scenario from a config whose scenario keys each sit at one end of
+    the range the config accepts, or uniformly between, with no, half or
+    full overlap. Near these corners rates round to 0 or move in flat steps."""
+    values = {}
+    for name in _CORNER_KEYS:
+        lo, hi = _RANGES[name]
+        values[name] = float(rng.choice([lo, hi, rng.uniform(lo, hi)]))
+    values["overlap_mhz"] = values["total_bandwidth_mhz"] * float(rng.choice([0.0, 0.5, 1.0]))
+    values["duplex"] = str(rng.choice(["FDD", "TDD"]))
+    return build_scenario(dataclasses.replace(ExperimentConfig(), **values))
 
 
 def random_feasible_allocation(rng, scn: ScenarioParams):
@@ -195,16 +224,24 @@ def golden_section_solve(scn: ScenarioParams) -> SolveResult:
     )
 
 
-def full_grid_oracle(scn: ScenarioParams, resolution: int) -> SolveResult:
-    """The grid oracle's search in one piece: every point of the
-    resolution x resolution grid in one link_rates call, then np.argmax."""
+def full_grid(scn: ScenarioParams, resolution: int):
+    """The oracle's power and bandwidth axes, and min(rate_a / eps, rate_b)
+    at every point of its resolution x resolution grid, power rows by
+    bandwidth columns, from one link_rates call."""
     band_total, w_lo, w_hi = bandwidth_limits(scn)
     p_grid = np.linspace(0.0, scn.total_power, resolution)
     wa_grid = np.linspace(w_lo, w_hi, resolution)
     p_ue = p_grid[:, None]
     w_a = wa_grid[None, :]
     rate_a, rate_b = link_rates(scn, p_ue, scn.total_power - p_ue, w_a, band_total - w_a)
-    maxmin = np.minimum(rate_a / scn.access_weight, rate_b)
+    return p_grid, wa_grid, np.minimum(rate_a / scn.access_weight, rate_b)
+
+
+def full_grid_oracle(scn: ScenarioParams, resolution: int) -> SolveResult:
+    """The grid oracle's search in one piece: every point of the
+    resolution x resolution grid in one link_rates call, then np.argmax."""
+    band_total = bandwidth_limits(scn)[0]
+    p_grid, wa_grid, maxmin = full_grid(scn, resolution)
 
     i, j = divmod(int(np.argmax(maxmin)), resolution)
     alloc = Allocation(

@@ -10,16 +10,14 @@ import pytest
 from satiab import (
     Allocation,
     DuplexMode,
-    Infeasible,
     PsoConfig,
     ScenarioParams,
     SolverKind,
-    access_rate,
     duplex_factors,
     evaluate,
     grid_oracle,
+    grid_oracle_many,
     link_rates,
-    min_power_for_rate,
     pso_solve,
     pso_solve_many,
     run_pso,
@@ -29,7 +27,14 @@ from satiab import (
 )
 from satiab import allocator
 
-from oracles import full_grid_oracle, golden_section_solve, random_scenario, reference_scenarios
+from oracles import (
+    corner_scenario,
+    full_grid,
+    full_grid_oracle,
+    golden_section_solve,
+    random_scenario,
+    reference_scenarios,
+)
 
 
 def make_scenario(**overrides) -> ScenarioParams:
@@ -68,7 +73,7 @@ def brute_force_maxmin(scn: ScenarioParams, res: int = 100) -> float:
 
 
 def test_min_power_zero_rate():
-    assert min_power_for_rate(0.0, 10e6, 1e-12, make_scenario()) == 0.0
+    assert allocator._inversion_power(0.0, 10e6, 1e-12, 1.0, 8e-21) == 0.0
 
 
 def test_min_power_unit_spectral_efficiency():
@@ -76,7 +81,7 @@ def test_min_power_unit_spectral_efficiency():
     bandwidth = 10e6
     dens = scn.noise_density + scn.interference_density
     # one effective bit/s/Hz: 2^1 - 1 = 1, so the power is exactly dens*w/beta
-    power = min_power_for_rate(1.0 * bandwidth, bandwidth, scn.beta_ue, scn)
+    power = allocator._inversion_power(1.0 * bandwidth, bandwidth, scn.beta_ue, scn.alpha_o, dens)
     assert power == dens * bandwidth / scn.beta_ue
 
 
@@ -84,20 +89,16 @@ def test_min_power_round_trip():
     scn = make_scenario()
     target = 5e6
     bandwidth = 8e6
-    power = min_power_for_rate(target, bandwidth, scn.beta_ue, scn)
-    rate = access_rate(scn, Allocation(power, 0.0, bandwidth, 1e6))
+    power = allocator._inversion_power(target, bandwidth, scn.beta_ue, scn.alpha_o, scn.density)
+    rate = evaluate(scn, Allocation(power, 0.0, bandwidth, 1e6)).rate_access
     assert rate == pytest.approx(target, rel=1e-9)
 
 
 def test_min_power_overflow_is_infeasible():
+    # an overflowing power is +inf, which no power budget can pay
     scn = make_scenario()
-    with pytest.raises(Infeasible):
-        min_power_for_rate(1e12, 1e3, scn.beta_ue, scn)
-
-
-def test_min_power_requires_orthogonal_scenario():
-    with pytest.raises(ValueError):
-        min_power_for_rate(1e6, 1e6, 1e-12, make_scenario(overlap_bandwidth=5e6))
+    power = allocator._inversion_power(1e12, 1e3, scn.beta_ue, scn.alpha_o, scn.density)
+    assert power == math.inf
 
 
 # ------------------------------------------------------------ exact solver
@@ -106,6 +107,9 @@ def test_min_power_requires_orthogonal_scenario():
 def test_solve_orthogonal_rejects_overlap():
     with pytest.raises(ValueError):
         solve_orthogonal(make_scenario(overlap_bandwidth=5e6))
+    # one overlapped row fails the whole batch
+    with pytest.raises(ValueError):
+        solve_orthogonal_many([make_scenario(), make_scenario(overlap_bandwidth=5e6)])
 
 
 def test_solve_orthogonal_symmetric_links():
@@ -219,6 +223,9 @@ def test_solve_orthogonal_extreme_rows_are_finite_and_feasible(overrides):
 def test_grid_oracle_rejects_tiny_resolution():
     with pytest.raises(ValueError):
         grid_oracle(make_scenario(), 9)
+    for scns in ([], [make_scenario()] * 3):
+        with pytest.raises(ValueError):
+            grid_oracle_many(scns, 9)
 
 
 def test_grid_oracle_refinement_is_monotone():
@@ -257,39 +264,113 @@ def test_grid_oracle_never_beats_exact():
 
 
 def test_grid_oracle_equals_the_full_grid():
-    # 333 and 1000 rows are not multiples of a block's row count
+    # 333 and 1000 rows are not multiples of a chunk's scenario count
     rng = np.random.default_rng(53)
     for resolution, draws in ((10, 4), (37, 4), (333, 3), (1000, 1), (2000, 1)):
+        scns = []
         for orthogonal in (True, False):
             for _ in range(draws):
                 scn = random_scenario(rng, orthogonal=orthogonal)
                 while not orthogonal and scn.overlap_bandwidth == 0.0:
                     scn = random_scenario(rng)
-                # allocation and report, with every float exactly equal
-                assert grid_oracle(scn, resolution) == full_grid_oracle(scn, resolution)
+                scns.append(scn)
+        reference = [full_grid_oracle(scn, resolution) for scn in scns]
+        # allocation and report, with every float exactly equal
+        assert grid_oracle(scns[0], resolution) == reference[0]
+        assert grid_oracle_many(scns, resolution) == reference
+
+
+def test_grid_oracle_equals_the_full_grid_at_config_corners():
+    rng = np.random.default_rng(67)
+    scns = [corner_scenario(rng) for _ in range(120)]
+    for resolution in (10, 37):
+        reference = [full_grid_oracle(scn, resolution) for scn in scns]
+        assert grid_oracle_many(scns, resolution) == reference
+    # the corners include grids that are 0 throughout and grids that are not
+    levels = [result.report.maxmin_level for result in reference]
+    assert 0.0 in levels and max(levels) > 0.0
+
+
+def test_grid_oracle_zero_columns_of_orthogonal_grids():
+    # w_a = 0 in the first column and w_b = 0 in the last: both are 0 throughout
+    rng = np.random.default_rng(71)
+    for scn in [make_scenario()] + [random_scenario(rng, orthogonal=True) for _ in range(4)]:
+        for resolution in (10, 37):
+            *_, grid = full_grid(scn, resolution)
+            assert not grid[:, 0].any() and not grid[:, -1].any() and grid.max() > 0.0
+            assert grid_oracle(scn, resolution) == full_grid_oracle(scn, resolution)
+
+
+def test_grid_oracle_grid_maximum_zero():
+    # every rate rounds to 0, so the first grid point is the first maximum
+    for overlap in (0.0, 20e6, 40e6):
+        scn = make_scenario(total_power=1e-30, overlap_bandwidth=overlap)
+        *_, grid = full_grid(scn, 20)
+        assert not grid.any()
+        result = grid_oracle(scn, 20)
+        assert result == full_grid_oracle(scn, 20)
+        assert (result.allocation.p_ue, result.report.maxmin_level) == (0.0, 0.0)
+
+
+def test_grid_oracle_plateau_below_the_crossing():
+    # an access SINR of a few ulps: log2(1 + sinr) moves in flat steps, so
+    # down the best column the access rate reaches its last value before
+    # the crossing some rows early, and the first of those rows is the maximum
+    scn = make_scenario(beta_ue=10.0**-30.8, access_weight=1.0)
+    *_, grid = full_grid(scn, 20)
+    i, j = divmod(int(np.argmax(grid)), 20)
+    assert grid[i, j] > 0.0 and grid[i + 1, j] == grid[i, j] and grid[i + 2, j] == grid[i, j]
+    assert grid_oracle(scn, 20) == full_grid_oracle(scn, 20)
+
+
+def test_grid_oracle_tie_at_the_crossing():
+    # full overlap makes every column the same; with equal gains, eps = 1
+    # and p_ue = 0, 1, ..., 9 W, the access rate in row 4 (4 W against 5 W)
+    # equals the backhaul rate in row 5 (4 W against 5 W) exactly, and the
+    # first of the two rows wins
+    beta = 1e-10
+    scn = make_scenario(total_power=9.0, overlap_bandwidth=40e6, beta_ue=beta, beta_bs=beta,
+                        access_weight=1.0)
+    *_, grid = full_grid(scn, 10)
+    assert grid[4, 0] == grid[5, 0] == grid.max()
+    result = grid_oracle(scn, 10)
+    assert result == full_grid_oracle(scn, 10)
+    assert (result.allocation.p_ue, result.allocation.w_a) == (4.0, 20e6)
+
+
+def test_grid_oracle_batch_rows_equal_rows_solved_alone():
+    rng = np.random.default_rng(73)
+    scns = [random_scenario(rng) for _ in range(8)] + [corner_scenario(rng) for _ in range(8)]
+    batch = grid_oracle_many(scns, 37)
+    assert batch == [grid_oracle(scn, 37) for scn in scns]
+    assert grid_oracle_many(scns[::-1], 37) == batch[::-1]
+    assert grid_oracle_many(scns[3:14:2], 37) == batch[3:14:2]
+    assert grid_oracle_many([], 37) == []
 
 
 def test_grid_oracle_blocks_of_any_size_equal_the_full_grid(monkeypatch):
     rng = np.random.default_rng(59)
-    scns = [random_scenario(rng, orthogonal=True), random_scenario(rng), make_scenario()]
-    for block in (1, 37, 40, 111, 37 * 37, 10**6):
+    scns = [random_scenario(rng, orthogonal=True), random_scenario(rng), make_scenario(),
+            corner_scenario(rng), random_scenario(rng)]
+    whole = grid_oracle_many(scns, 37)
+    assert whole == [full_grid_oracle(scn, 37) for scn in scns]
+    # 1, 1, 2, 3, 37 and 27,027 scenarios a chunk: one each, uneven tails, one chunk
+    for block in (1, 37, 74, 111, 37 * 37, 10**6):
         monkeypatch.setattr(allocator, "_GRID_BLOCK", block)
-        for scn in scns:
-            assert grid_oracle(scn, 37) == full_grid_oracle(scn, 37)
+        assert grid_oracle_many(scns, 37) == whole
 
 
 def test_grid_oracle_ties_go_to_the_first_point(monkeypatch):
     # a flat grid: every point ties, so np.argmax over the whole grid picks
-    # the first, and so must a walk in blocks
+    # the first, and so must the search, in every chunk
     def flat_rates(scn, p_ue, p_bs, w_a, w_b):
         ones = np.ones(np.broadcast_shapes(np.shape(p_ue), np.shape(w_a)))
         return ones, ones
 
     monkeypatch.setattr(allocator, "link_rates", flat_rates)
     monkeypatch.setattr(allocator, "_GRID_BLOCK", 40)
-    scn = make_scenario()
-    result = grid_oracle(scn, 20)
-    assert (result.allocation.p_ue, result.allocation.w_a) == (0.0, 0.0)
+    for result in grid_oracle_many([make_scenario()] * 3, 20):
+        assert (result.allocation.p_ue, result.allocation.w_a) == (0.0, 0.0)
 
 
 def test_grid_oracle_memory_is_bounded():
@@ -302,6 +383,20 @@ def test_grid_oracle_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_grid_oracle_batch_memory_is_bounded():
+    # a power sweep's 44 scenarios at 1000 x 1000: one kernel call on all of
+    # them at once peaks near 7.3 MiB, and chunks of 4,096 columns near 0.7 MiB
+    rng = np.random.default_rng(61)
+    scns = [random_scenario(rng) for _ in range(44)]
+    tracemalloc.start()
+    try:
+        grid_oracle_many(scns, 1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # -------------------------------------------------------------------- PSO
