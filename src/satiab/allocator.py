@@ -34,6 +34,7 @@ from .ratemodel import (
     ScenarioParams,
     bandwidth_limits,
     evaluate,  # unused here; kept for the span tracer of bench/spans.py
+    evaluate_many,
     link_rates,
 )
 
@@ -113,18 +114,16 @@ class PsoConfig:
 class PsoState:
     """Final swarm state.
 
-    population/velocity are N x 4 arrays with columns (p_ue, p_bs, w_a, w_b);
-    the population is returned in normalized (feasible) form. best_history
-    holds the running best fitness after each iteration. The state of a
-    batch of S swarms has a leading row axis on every array, and
-    best_fitness is then an array of S values.
+    Each array has one row per swarm of the batch. population/velocity are
+    S x N x 4 arrays with columns (p_ue, p_bs, w_a, w_b); the population is
+    returned in normalized (feasible) form. best_history holds the running
+    best fitness after each iteration, so its last column is the fitness of
+    best_particle.
     """
 
     population: np.ndarray
     velocity: np.ndarray
     best_particle: np.ndarray
-    best_fitness: float | np.ndarray
-    iteration: int
     best_history: np.ndarray
 
 
@@ -161,13 +160,11 @@ def _cheapest_split(y_whole, weight):
 
 def _results(batch, alloc, solver, iterations, converged) -> list[SolveResult]:
     """One SolveResult per row of the (S, 4) allocations alloc (p_ue, p_bs,
-    w_a, w_b) of the scenarios in batch, all reported by one link_rates call."""
-    rate_a, rate_b = link_rates(batch, *(alloc[:, k:k + 1] for k in range(4)))
-    # one row per scenario: p_ue, p_bs, w_a, w_b, then the rates and eps
-    table = np.hstack((alloc, rate_a, rate_b, batch.access_weight)).tolist()
+    w_a, w_b) of the scenarios in batch, all reported by one evaluate_many call."""
+    reports = evaluate_many(batch, alloc)
     return [
-        SolveResult(Allocation(*row[:4]), RateReport.from_rates(*row[4:]), solver, n, done)
-        for row, n, done in zip(table, iterations, converged)
+        SolveResult(Allocation(*row), report, solver, n, done)
+        for row, report, n, done in zip(alloc.tolist(), reports, iterations, converged)
     ]
 
 
@@ -197,7 +194,7 @@ def solve_orthogonal_many(scns: Sequence[ScenarioParams]) -> list[SolveResult]:
         w = _cheapest_split(zeta * y_per_zeta, weight) * w_total
         return w, _inversion_power(zeta * rate_per_zeta, w, beta, alpha_o, dens)
 
-    zeta_ub = alpha_o * w_total * np.log2(1.0 + batch.total_power * batch.beta_bs / (dens * w_total))
+    zeta_ub = link_rates(batch, 0.0, batch.total_power, 0.0, w_total)[1]  # all on the backhaul
     tol = 1e-13 * np.maximum(zeta_ub, 1.0)
     lo, hi = np.zeros_like(zeta_ub), zeta_ub
     iterations = np.zeros(zeta_ub.shape, dtype=int)
@@ -343,12 +340,12 @@ def _normalize_population(
 
 
 def run_pso(
-    scn: ScenarioParams | Sequence[ScenarioParams],
+    scns: Sequence[ScenarioParams],
     cfg: PsoConfig,
     initial_population: np.ndarray | None = None,
     seeds: Sequence[int] | None = None,
 ) -> PsoState:
-    """Run the particle swarm and return its final state.
+    """Run one particle swarm per scenario and return their final state.
 
     Per iteration: normalize the population onto the feasible set, score
     every particle with min(rate_access, eps * rate_backhaul), pick the
@@ -359,15 +356,14 @@ def run_pso(
     particle seen across all iterations. Bit-identical output for a fixed
     rng_seed.
 
-    scn may also be a sequence of S scenarios, whose swarms then run in
-    lockstep as one S x N x 4 tensor: initial_population, if given, is
-    S x N x 4, and the returned state has a leading row axis. Row s draws
-    from its own Philox generator, keyed by seeds[s] (cfg.rng_seed for
-    every row when seeds is None), in the order of a swarm run alone, so
-    its result does not depend on the other rows.
+    The S swarms of scns run in lockstep as one S x N x 4 tensor:
+    initial_population, if given, is S x N x 4, and every array of the
+    returned state has a leading row axis. Row s draws from its own Philox
+    generator, keyed by seeds[s] (cfg.rng_seed for every row when seeds is
+    None), in the order of a swarm run alone, so its result does not depend
+    on the other rows.
     """
-    single = isinstance(scn, ScenarioParams)
-    scns = [scn] if single else list(scn)
+    scns = list(scns)
     n = cfg.population_size
     seeds = [cfg.rng_seed] * len(scns) if seeds is None else list(seeds)
     if len(seeds) != len(scns):
@@ -387,10 +383,8 @@ def run_pso(
         population[..., 2:4] *= band_total
     else:
         population = np.array(initial_population, dtype=float, copy=True)
-        shape = (n, 4) if single else (len(scns), n, 4)
-        if population.shape != shape:
-            raise ValueError(f"initial_population must have shape {shape}")
-        population = population.reshape(len(scns), n, 4)
+        if population.shape != (len(scns), n, 4):
+            raise ValueError(f"initial_population must have shape {(len(scns), n, 4)}")
     velocity = np.zeros_like(population)
     draws = np.empty(population.shape + (2,))
 
@@ -429,17 +423,10 @@ def run_pso(
         population = population + cfg.inertia_weight * velocity
 
     _normalize_population(population, p_total, band_total, w_lo, w_hi, rngs)
-    if single:
-        population, velocity, best_particle, best_history = (
-            a[0] for a in (population, velocity, best_particle, best_history)
-        )
-        best_fitness = float(best_fitness[0])
     return PsoState(
         population=population,
         velocity=velocity,
         best_particle=best_particle,
-        best_fitness=best_fitness,
-        iteration=cfg.max_iterations,
         best_history=best_history,
     )
 

@@ -27,6 +27,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .allocator import (
     PsoConfig,
     SolveResult,
@@ -46,7 +48,8 @@ from .linkbudget import (
     dbm_to_watts,
     slant_distance,
 )
-from .ratemodel import Allocation, DuplexMode, ScenarioParams, evaluate, validate
+from .ratemodel import Allocation, DuplexMode, ScenarioBatch, ScenarioParams, evaluate_many, validate
+from .ratemodel import evaluate  # unused here; kept for the span tracer of bench/spans.py
 
 __all__ = [
     "ParseError",
@@ -317,7 +320,7 @@ def build_scenario(
         noise_density=dbm_to_watts(cfg.noise_density_dbm_hz),
         interference_density=dbm_to_watts(cfg.interference_density_dbm_hz),
         access_weight=access_weight,
-        duplex=DuplexMode[duplex],
+        duplex=DuplexMode(duplex),
         beta_ue=channel_gain(sat, ue),
         beta_bs=channel_gain(sat, bs),
     )
@@ -507,6 +510,8 @@ def read_csv(path: str) -> list[SweepRow]:
         if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
             raise ValidationError(f"{path}: unexpected CSV header")
         for record in reader:
+            if None in record or None in record.values():  # DictReader's mark of a long or short row
+                raise ValidationError(f"{path}:{reader.line_num}: expected {len(CSV_COLUMNS)} cells")
             kwargs = {}
             for name in CSV_COLUMNS:
                 text = record[name]
@@ -655,17 +660,18 @@ def emit_plot(rows: list[SweepRow], path: str) -> None:
 def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow], tol: float = 1e-6) -> list[str]:
     """Re-validate and re-evaluate every row's allocation.
 
-    Returns one message per discrepancy: rows marked converged that hold a
-    non-finite value, infeasible allocations, and rates that disagree with
-    the recorded values beyond the relative tolerance. Rows with a
-    non-finite value that are not marked converged record a solver failure
-    and are skipped.
+    Returns one message per discrepancy, in row order: rows marked
+    converged that hold a non-finite value, infeasible allocations, and
+    rates that disagree with the recorded values beyond the relative
+    tolerance. Rows with a non-finite value that are not marked converged
+    record a solver failure and are skipped. The feasible rows are
+    re-evaluated together, by one evaluate_many call.
     """
-    problems = []
+    problems, feasible = [[] for _ in rows], []
     for index, row in enumerate(rows):
         if not all(map(math.isfinite, _float_cells(row))):
             if row.converged:
-                problems.append(f"row {index}: marked converged but holds a non-finite value")
+                problems[index].append(f"row {index}: marked converged but holds a non-finite value")
             continue
         scn = build_scenario(
             cfg,
@@ -678,9 +684,12 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow], tol: float = 1e-6) -
         alloc = Allocation(p_ue=row.p_ue_w, p_bs=row.p_bs_w, w_a=row.w_a_hz, w_b=row.w_b_hz)
         violated = validate(scn, alloc, tol)
         if violated:
-            problems.append(f"row {index}: allocation violates {', '.join(violated)}")
-            continue
-        report = evaluate(scn, alloc)
+            problems[index].append(f"row {index}: allocation violates {', '.join(violated)}")
+        else:
+            feasible.append((index, row, scn))
+    allocs = np.array([(row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz) for _, row, _ in feasible])
+    reports = evaluate_many(ScenarioBatch.stack([scn for _, _, scn in feasible]), allocs.reshape(-1, 4))
+    for (index, row, _), report in zip(feasible, reports):
         recorded = {
             "zeta_mbps": (row.zeta_mbps, report.maxmin_level / 1e6),
             "rate_access_mbps": (row.rate_access_mbps, report.rate_access / 1e6),
@@ -690,10 +699,10 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow], tol: float = 1e-6) -
         for name, (got, want) in recorded.items():
             scale = max(abs(want), 1e-12)
             if abs(got - want) > tol * scale:
-                problems.append(
+                problems[index].append(
                     f"row {index}: {name} recorded {got:.9g} but re-evaluates to {want:.9g}"
                 )
-    return problems
+    return [message for messages in problems for message in messages]
 
 
 def _print_rows(rows: list[SweepRow], stream) -> None:

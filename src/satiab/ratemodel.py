@@ -25,9 +25,8 @@ __all__ = [
     "duplex_factors",
     "bandwidth_limits",
     "link_rates",
-    "access_rate",
-    "backhaul_rate",
     "evaluate",
+    "evaluate_many",
     "validate",
 ]
 
@@ -232,36 +231,26 @@ def link_rates(scn: ScenarioParams | ScenarioBatch, p_ue, p_bs, w_a, w_b):
     return rate_a, rate_b
 
 
-def access_rate(scn: ScenarioParams, alloc: Allocation) -> float:
-    """Access-link rate in bits/s.
-
-    Raises InvalidAllocation when the links overlap but w_b = 0, which would
-    put a zero bandwidth under the interference term.
-    """
-    if scn.overlap_bandwidth > 0.0 and alloc.w_b == 0.0:
-        raise InvalidAllocation("overlapping spectrum with w_b = 0 is not evaluable")
-    rate_a, _ = link_rates(scn, alloc.p_ue, alloc.p_bs, alloc.w_a, alloc.w_b)
-    return float(rate_a)
-
-
-def backhaul_rate(scn: ScenarioParams, alloc: Allocation) -> float:
-    """Backhaul-link rate in bits/s; mirror of :func:`access_rate`."""
-    if scn.overlap_bandwidth > 0.0 and alloc.w_a == 0.0:
-        raise InvalidAllocation("overlapping spectrum with w_a = 0 is not evaluable")
-    _, rate_b = link_rates(scn, alloc.p_ue, alloc.p_bs, alloc.w_a, alloc.w_b)
-    return float(rate_b)
-
-
 def evaluate(scn: ScenarioParams, alloc: Allocation) -> RateReport:
     """Full rate report for one allocation.
 
-    Raises InvalidAllocation under the conditions of :func:`access_rate`
-    and :func:`backhaul_rate`: the links overlap but one bandwidth is zero.
+    Raises InvalidAllocation when the links overlap but one bandwidth is
+    zero, which would put a zero bandwidth under the interference term.
     """
     if scn.overlap_bandwidth > 0.0 and 0.0 in (alloc.w_a, alloc.w_b):
         raise InvalidAllocation("overlapping spectrum with a zero bandwidth is not evaluable")
     rate_a, rate_b = link_rates(scn, alloc.p_ue, alloc.p_bs, alloc.w_a, alloc.w_b)
     return RateReport.from_rates(float(rate_a), float(rate_b), scn.access_weight)
+
+
+def evaluate_many(batch: ScenarioBatch, alloc: np.ndarray) -> list[RateReport]:
+    """Rate reports of the (S, 4) allocations alloc (p_ue, p_bs, w_a, w_b),
+    row s under scenario s of batch, all from one link_rates call. Row s
+    equals :func:`evaluate` where that does not raise; there the zero
+    fallback of :func:`link_rates` applies."""
+    rate_a, rate_b = link_rates(batch, *(alloc[:, k:k + 1] for k in range(4)))
+    table = np.hstack((rate_a, rate_b, batch.access_weight)).tolist()
+    return [RateReport.from_rates(*row) for row in table]
 
 
 def validate(scn: ScenarioParams, alloc: Allocation, tol: float = 1e-6) -> list[str]:

@@ -6,7 +6,9 @@ The golden-section solver is the exact orthogonal solver as first written,
 one scenario at a time in pure Python, kept as the reference for the
 batched marginal-cost solver. The full-grid oracle is the grid oracle as
 first written, the whole grid in one link_rates call and np.argmax, kept as
-the reference for the oracle that bisects each column for its peak.
+the reference for the oracle that bisects each column for its peak. The
+per-row audit is the audit as first written, one scalar evaluate per row,
+kept as the reference for the audit that evaluates all rows in one batch.
 """
 
 import dataclasses
@@ -25,8 +27,9 @@ from satiab import (
     duplex_factors,
     evaluate,
     link_rates,
+    validate,
 )
-from satiab.expcli import _RANGES, ExperimentConfig, build_scenario
+from satiab.expcli import _RANGES, ExperimentConfig, _float_cells, build_scenario
 
 
 def j1_power_series(x: float, terms: int = 80, dps: int = 50) -> float:
@@ -257,3 +260,41 @@ def full_grid_oracle(scn: ScenarioParams, resolution: int) -> SolveResult:
         iterations_used=resolution * resolution,
         converged=True,
     )
+
+
+def per_row_audit(cfg: ExperimentConfig, rows, tol: float = 1e-6) -> list[str]:
+    """audit_rows one row at a time: build the row's scenario, validate its
+    allocation, and re-evaluate a feasible one with the scalar evaluate."""
+    problems = []
+    for index, row in enumerate(rows):
+        if not all(map(math.isfinite, _float_cells(row))):
+            if row.converged:
+                problems.append(f"row {index}: marked converged but holds a non-finite value")
+            continue
+        scn = build_scenario(
+            cfg,
+            power_dbm=row.power_dbm,
+            duplex=row.duplex,
+            altitude_km=row.altitude_km,
+            overlap_mhz=row.overlap_mhz,
+            access_weight=row.access_weight,
+        )
+        alloc = Allocation(p_ue=row.p_ue_w, p_bs=row.p_bs_w, w_a=row.w_a_hz, w_b=row.w_b_hz)
+        violated = validate(scn, alloc, tol)
+        if violated:
+            problems.append(f"row {index}: allocation violates {', '.join(violated)}")
+            continue
+        report = evaluate(scn, alloc)
+        recorded = {
+            "zeta_mbps": (row.zeta_mbps, report.maxmin_level / 1e6),
+            "rate_access_mbps": (row.rate_access_mbps, report.rate_access / 1e6),
+            "rate_backhaul_mbps": (row.rate_backhaul_mbps, report.rate_backhaul / 1e6),
+            "throughput_mbps": (row.throughput_mbps, report.throughput / 1e6),
+        }
+        for name, (got, want) in recorded.items():
+            scale = max(abs(want), 1e-12)
+            if abs(got - want) > tol * scale:
+                problems.append(
+                    f"row {index}: {name} recorded {got:.9g} but re-evaluates to {want:.9g}"
+                )
+    return problems

@@ -11,7 +11,6 @@ import pytest
 from satiab import (
     Allocation,
     PsoConfig,
-    access_rate,
     evaluate,
     free_space_path_loss,
     antenna_pattern,
@@ -206,13 +205,13 @@ def test_criterion_8_randomized_invariant_suites():
     for _ in range(1000):
         p = rng.uniform(0.1, 0.9) * scn.total_power
         w = rng.uniform(0.01, 0.95) * 0.5 * scn.total_bandwidth
-        base = access_rate(scn, Allocation(p, 0.0, w, 0.0))
-        assert access_rate(scn, Allocation(p * 1.1, 0.0, w, 0.0)) > base
-        assert access_rate(scn, Allocation(p, 0.0, w * 1.02, 0.0)) > base
+        base = evaluate(scn, Allocation(p, 0.0, w, 0.0)).rate_access
+        assert evaluate(scn, Allocation(p * 1.1, 0.0, w, 0.0)).rate_access > base
+        assert evaluate(scn, Allocation(p, 0.0, w * 1.02, 0.0)).rate_access > base
         p2 = rng.uniform(0.1, 0.9) * scn.total_power
         w2 = rng.uniform(0.01, 0.95) * 0.5 * scn.total_bandwidth
-        other = access_rate(scn, Allocation(p2, 0.0, w2, 0.0))
-        mid = access_rate(scn, Allocation((p + p2) / 2, 0.0, (w + w2) / 2, 0.0))
+        other = evaluate(scn, Allocation(p2, 0.0, w2, 0.0)).rate_access
+        mid = evaluate(scn, Allocation((p + p2) / 2, 0.0, (w + w2) / 2, 0.0)).rate_access
         assert mid >= (base + other) / 2 - 1e-9 * max(base, other, 1.0)
 
     # nested grid refinement never loses ground

@@ -10,11 +10,14 @@ import pytest
 from satiab import (
     Allocation,
     DuplexMode,
+    InvalidAllocation,
     PsoConfig,
+    ScenarioBatch,
     ScenarioParams,
     SolverKind,
     duplex_factors,
     evaluate,
+    evaluate_many,
     grid_oracle,
     grid_oracle_many,
     link_rates,
@@ -32,6 +35,7 @@ from oracles import (
     full_grid,
     full_grid_oracle,
     golden_section_solve,
+    random_feasible_allocation,
     random_scenario,
     reference_scenarios,
 )
@@ -432,10 +436,10 @@ def test_pso_single_point_population_is_stationary():
     point = np.array([4.0, 6.0, 8e6, 12e6])
     population = np.tile(point, (n, 1))
     cfg = PsoConfig(population_size=n, max_iterations=30, inertia_weight=0.0, rng_seed=0)
-    state = run_pso(scn, cfg, initial_population=population)
+    state = run_pso([scn], cfg, initial_population=population[None])
     expected = evaluate(scn, Allocation(*point)).fitness
-    assert state.best_fitness == pytest.approx(expected, rel=1e-12)
-    assert np.allclose(state.population, np.tile(point, (n, 1)))
+    assert state.best_history[0, -1] == pytest.approx(expected, rel=1e-12)
+    assert np.allclose(state.population[0], np.tile(point, (n, 1)))
 
 
 def test_pso_is_deterministic_per_seed():
@@ -458,21 +462,24 @@ def test_pso_seed_spread_is_small():
 
 def test_pso_best_history_is_nondecreasing():
     scn = make_scenario(overlap_bandwidth=8e6)
-    state = run_pso(scn, PsoConfig(population_size=20, max_iterations=60, rng_seed=5))
-    assert np.all(np.diff(state.best_history) >= 0.0)
+    state = run_pso([scn], PsoConfig(population_size=20, max_iterations=60, rng_seed=5))
+    assert np.all(np.diff(state.best_history[0]) >= 0.0)
 
 
 def test_pso_work_counters():
     scn = make_scenario()
     cfg = PsoConfig(population_size=14, max_iterations=37, rng_seed=2)
-    state = run_pso(scn, cfg)
-    assert state.iteration == cfg.max_iterations
+    state = run_pso([scn], cfg)
+    assert state.best_history.shape == (1, cfg.max_iterations)
+    # the last running best is the fitness of the best particle
+    best = evaluate(scn, Allocation(*state.best_particle[0].tolist())).fitness
+    assert state.best_history[0, -1] == pytest.approx(best, rel=1e-12)
 
 
 def test_pso_final_population_is_feasible():
     scn = make_scenario(overlap_bandwidth=12e6)
-    state = run_pso(scn, PsoConfig(population_size=16, max_iterations=40, rng_seed=8))
-    for row in state.population:
+    state = run_pso([scn], PsoConfig(population_size=16, max_iterations=40, rng_seed=8))
+    for row in state.population[0]:
         assert validate(scn, Allocation(*(float(v) for v in row)), tol=1e-6) == []
 
 
@@ -508,15 +515,14 @@ def mixed_batch() -> list[ScenarioParams]:
 def assert_rows_match_alone(scns, cfg, seeds, batch, initial=None):
     for s, (scn, seed) in enumerate(zip(scns, seeds)):
         alone = run_pso(
-            scn,
+            [scn],
             dataclasses.replace(cfg, rng_seed=seed),
-            initial_population=None if initial is None else initial[s],
+            initial_population=None if initial is None else initial[s:s + 1],
         )
-        assert np.array_equal(batch.best_particle[s], alone.best_particle)
-        assert batch.best_fitness[s] == alone.best_fitness
-        assert np.array_equal(batch.best_history[s], alone.best_history)
-        assert np.array_equal(batch.population[s], alone.population)
-        assert np.array_equal(batch.velocity[s], alone.velocity)
+        assert np.array_equal(batch.best_particle[s], alone.best_particle[0])
+        assert np.array_equal(batch.best_history[s], alone.best_history[0])
+        assert np.array_equal(batch.population[s], alone.population[0])
+        assert np.array_equal(batch.velocity[s], alone.velocity[0])
 
 
 def test_pso_batch_rows_equal_swarms_run_alone():
@@ -553,13 +559,28 @@ def test_pso_redraw_in_one_row_leaves_other_rows_unchanged():
 
 
 def test_batch_reports_equal_evaluate():
-    # both batch solvers report every row from one batched link_rates call
+    # every batch solver reports its rows through one evaluate_many call
     scns = mixed_batch()
     results = pso_solve_many(scns, PsoConfig(population_size=8, max_iterations=10), range(len(scns)))
     orthogonal = [scn for scn in scns if scn.overlap_bandwidth == 0.0]
     results += solve_orthogonal_many(orthogonal)
-    for scn, result in zip(scns + orthogonal, results):
+    results += grid_oracle_many(scns, 12)
+    for scn, result in zip(scns + orthogonal + scns, results):
         assert result.report == evaluate(scn, result.allocation)
+    # every row of evaluate_many equals evaluate, except that a zero bandwidth
+    # under overlap gets the zero rates of link_rates where evaluate raises
+    rng = np.random.default_rng(71)
+    scns = [random_scenario(rng) for _ in range(300)] + mixed_batch()
+    alloc = np.array([random_feasible_allocation(rng, scn) for scn in scns])
+    alloc[-1, 2] = 0.0  # the last scenario of mixed_batch overlaps
+    reports = evaluate_many(ScenarioBatch.stack(scns), alloc)
+    assert len(reports) == len(scns)
+    for scn, row, report in zip(scns[:-1], alloc.tolist(), reports):
+        assert report == evaluate(scn, Allocation(*row))
+    with pytest.raises(InvalidAllocation):
+        evaluate(scns[-1], Allocation(*alloc[-1].tolist()))
+    assert (reports[-1].rate_access, reports[-1].rate_backhaul) == (0.0, 0.0)
+    assert evaluate_many(ScenarioBatch.stack([]), np.empty((0, 4))) == []
 
 
 def test_pso_batch_rejects_mismatched_inputs():

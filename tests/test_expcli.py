@@ -1,13 +1,26 @@
 """Config loading, sweep runners, CSV/SVG output, auditing, and the CLI."""
 
+import csv
 import dataclasses
+import importlib.util
 import json
 import math
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from satiab import PsoConfig, expcli, grid_oracle, pso_solve, solve_orthogonal
+from satiab import (
+    PsoConfig,
+    allocator,
+    bandwidth_limits,
+    expcli,
+    grid_oracle,
+    pso_solve,
+    ratemodel,
+    solve_orthogonal,
+)
 from satiab.expcli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -26,6 +39,8 @@ from satiab.expcli import (
     write_config,
     write_csv,
 )
+
+from oracles import per_row_audit
 
 
 def write_json(path, payload) -> str:
@@ -264,6 +279,58 @@ def test_audit_catches_tampering():
     assert "throughput_mbps" in problems[0]
 
 
+def tampered(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[SweepRow]:
+    """A copy of rows with every kind of problem the audit reports: non-finite
+    rows marked converged and not, each of constraints 1a to 1d violated, and
+    rate mismatches, interleaved so that the kinds alternate in row order."""
+    rows = list(rows)
+
+    def limits(row):
+        scn = build_scenario(cfg, power_dbm=row.power_dbm, duplex=row.duplex,
+                             altitude_km=row.altitude_km, overlap_mhz=row.overlap_mhz,
+                             access_weight=row.access_weight)
+        return scn.total_power, *bandwidth_limits(scn)
+
+    def edit(index, **changes):
+        rows[index] = dataclasses.replace(rows[index], **changes)
+
+    edit(0, rate_access_mbps=rows[0].rate_access_mbps * 1.001)
+    edit(1, zeta_mbps=math.nan, converged=True)
+    edit(2, p_ue_w=1.01 * limits(rows[2])[0])  # 1a
+    edit(3, rate_backhaul_mbps=math.inf, converged=False)
+    band_cap = limits(rows[4])[1]
+    edit(4, w_a_hz=0.51 * band_cap, w_b_hz=0.51 * band_cap)  # 1b
+    edit(5, zeta_mbps=rows[5].zeta_mbps * 1.01, throughput_mbps=rows[5].throughput_mbps * 0.99)
+    _, _, w_lo, w_hi = limits(rows[6])
+    edit(6, w_a_hz=1.01 * w_hi, w_b_hz=w_lo)  # 1c
+    edit(7, overlap_mhz=cfg.total_bandwidth_mhz / 2, w_a_hz=0.0)  # 1d
+    edit(8, **dict.fromkeys(("zeta_mbps", "p_ue_w", "w_b_hz"), math.nan), converged=True)
+    edit(9, rate_backhaul_mbps=rows[9].rate_backhaul_mbps * 1.5)
+    return rows
+
+
+@pytest.mark.parametrize("run, solvers", [
+    (run_power_sweep, ("exact",)),
+    (run_overlap_sweep, ("pso",)),
+    (run_power_sweep, ("oracle",)),
+])
+def test_audit_equals_the_per_row_audit(run, solvers):
+    cfg = small_config(solvers=solvers)
+    rows = run(cfg)
+    assert len(rows) >= 12
+    assert audit_rows(cfg, rows) == per_row_audit(cfg, rows) == []
+    broken = tampered(cfg, rows)
+    problems = audit_rows(cfg, broken)
+    assert problems == per_row_audit(cfg, broken)
+    text = "\n".join(problems)
+    for constraint in ("1a", "1b", "1c", "1d"):
+        assert constraint in text
+    for index in (0, 1, 2, 4, 5, 6, 7, 8, 9):
+        assert f"row {index}:" in text
+    assert "row 3:" not in text and "row 10:" not in text
+    assert audit_rows(cfg, []) == per_row_audit(cfg, []) == []
+
+
 def test_run_single_produces_one_row_per_solver():
     cfg = small_config(solvers=("exact", "oracle", "pso"))
     rows = run_single(cfg)
@@ -398,6 +465,54 @@ def test_cli_audit_flags_non_finite_rows_marked_converged(tmp_path, capsys, conv
         assert "row 0: marked converged but holds a non-finite value" in capsys.readouterr().err
 
 
+def audited_csv(tmp_path, edit):
+    """Config path and the path of an exact power-sweep CSV whose table of
+    cells (header first) edit has changed in place."""
+    cfg = cli_config(tmp_path, solvers=["exact"])
+    csv_path = tmp_path / "sweep.csv"
+    write_csv(run_power_sweep(load_config(cfg)), str(csv_path))
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        table = list(csv.reader(fh))
+    edit(table)
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(table)
+    return cfg, str(csv_path)
+
+
+def assert_audit_fails_cleanly(capsys, cfg, csv_path) -> str:
+    assert main(["audit", "--config", cfg, "--csv", csv_path]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+def test_cli_audit_rejects_an_unknown_duplex(tmp_path, capsys):
+    def edit(table):
+        table[1][CSV_COLUMNS.index("duplex")] = "XDD"
+
+    assert "XDD" in assert_audit_fails_cleanly(capsys, *audited_csv(tmp_path, edit))
+
+
+@pytest.mark.parametrize("cells", [-1, +1])
+def test_cli_audit_rejects_a_short_or_long_row(tmp_path, capsys, cells):
+    def edit(table):
+        table[2] = table[2][:cells] if cells < 0 else table[2] + ["1"]
+
+    err = assert_audit_fails_cleanly(capsys, *audited_csv(tmp_path, edit))
+    assert err.startswith("error: ") and ":3: expected 17 cells" in err
+
+
+def test_cli_audit_tiny_overlap_with_a_zero_bandwidth(tmp_path, capsys):
+    # the overlap is below the tolerance of validate, so the row is audited
+    # with w_a = 0 under overlap: both rates re-evaluate to zero
+    def edit(table):
+        table[1][CSV_COLUMNS.index("overlap_mhz")] = "1e-05"
+        table[1][CSV_COLUMNS.index("w_a_hz")] = "0"
+
+    err = assert_audit_fails_cleanly(capsys, *audited_csv(tmp_path, edit))
+    assert "row 0: zeta_mbps recorded" in err and "re-evaluates to 0\n" in err
+
+
 def test_cli_seed_precedence(tmp_path, monkeypatch):
     cfg = cli_config(tmp_path, solvers=["pso"], seed=5)
     out_config = tmp_path / "o1"
@@ -519,3 +634,24 @@ def test_cli_arithmetic_error_exits_1(tmp_path, capsys, monkeypatch):
     assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ----------------------------------------------------------------- tooling
+
+
+def test_benchmark_tracer_wraps_names_that_exist(monkeypatch):
+    # bench/spans.py wraps names at their import sites, some of them kept
+    # only for it; entering its tracer fails if one of them is gone
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = {"expcli": expcli, "allocator": allocator, "ratemodel": ratemodel}
+    originals = {name: vars(module).copy() for name, module in modules.items()}
+    with spans.Tracer(modules) as tracer:
+        assert expcli.evaluate is not originals["expcli"]["evaluate"]
+        cfg = small_config(solvers=("exact",))
+        assert audit_rows(cfg, run_power_sweep(cfg)) == []
+    assert tracer.counts["ratemodel.link_rates.small.calls"] > 0
+    assert {name: vars(module) for name, module in modules.items()} == originals

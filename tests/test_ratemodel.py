@@ -12,8 +12,6 @@ from satiab import (
     InvalidAllocation,
     ScenarioBatch,
     ScenarioParams,
-    access_rate,
-    backhaul_rate,
     duplex_factors,
     evaluate,
     link_rates,
@@ -50,7 +48,7 @@ def test_duplex_factors_values():
 def test_access_rate_zero_power():
     scn = make_scenario()
     alloc = Allocation(p_ue=0.0, p_bs=5.0, w_a=10e6, w_b=10e6)
-    assert access_rate(scn, alloc) == 0.0
+    assert evaluate(scn, alloc).rate_access == 0.0
 
 
 def test_access_rate_reference_value():
@@ -62,21 +60,21 @@ def test_access_rate_reference_value():
         interference_density=3.981e-18,
     )
     alloc = Allocation(p_ue=10.0, p_bs=0.0, w_a=20e6, w_b=0.0)
-    rate = access_rate(scn, alloc)
+    rate = evaluate(scn, alloc).rate_access
     assert rate == pytest.approx(2721394.0688714305, rel=1e-9)
     assert rate == pytest.approx(2.73e6, rel=0.02)
 
 
 def test_access_rate_monotone_in_power():
     scn = make_scenario()
-    lo = access_rate(scn, Allocation(2.0, 0.0, 15e6, 5e6))
-    hi = access_rate(scn, Allocation(4.0, 0.0, 15e6, 5e6))
+    lo = evaluate(scn, Allocation(2.0, 0.0, 15e6, 5e6)).rate_access
+    hi = evaluate(scn, Allocation(4.0, 0.0, 15e6, 5e6)).rate_access
     assert hi > lo
 
 
 def test_backhaul_rate_zero_power():
     scn = make_scenario()
-    assert backhaul_rate(scn, Allocation(5.0, 0.0, 10e6, 10e6)) == 0.0
+    assert evaluate(scn, Allocation(5.0, 0.0, 10e6, 10e6)).rate_backhaul == 0.0
 
 
 def test_backhaul_mirrors_access():
@@ -84,22 +82,19 @@ def test_backhaul_mirrors_access():
     scn = make_scenario(beta_ue=beta, beta_bs=beta, overlap_bandwidth=10e6)
     alloc = Allocation(p_ue=2.0, p_bs=7.0, w_a=12e6, w_b=8e6)
     mirrored = Allocation(p_ue=7.0, p_bs=2.0, w_a=8e6, w_b=12e6)
-    assert backhaul_rate(scn, alloc) == pytest.approx(access_rate(scn, mirrored), rel=1e-12)
+    mirror = evaluate(scn, mirrored).rate_access
+    assert evaluate(scn, alloc).rate_backhaul == pytest.approx(mirror, rel=1e-12)
 
 
 def test_full_overlap_interference_hurts_backhaul():
     scn = make_scenario(overlap_bandwidth=40e6)
-    quiet = backhaul_rate(scn, Allocation(1.0, 5.0, 20e6, 20e6))
-    loud = backhaul_rate(scn, Allocation(4.0, 5.0, 20e6, 20e6))
+    quiet = evaluate(scn, Allocation(1.0, 5.0, 20e6, 20e6)).rate_backhaul
+    loud = evaluate(scn, Allocation(4.0, 5.0, 20e6, 20e6)).rate_backhaul
     assert loud < quiet
 
 
 def test_invalid_allocation_under_overlap():
     scn = make_scenario(overlap_bandwidth=10e6)
-    with pytest.raises(InvalidAllocation):
-        access_rate(scn, Allocation(5.0, 5.0, 15e6, 0.0))
-    with pytest.raises(InvalidAllocation):
-        backhaul_rate(scn, Allocation(5.0, 5.0, 0.0, 15e6))
     for alloc in (Allocation(5.0, 5.0, 15e6, 0.0), Allocation(5.0, 5.0, 0.0, 15e6)):
         with pytest.raises(InvalidAllocation):
             evaluate(scn, alloc)
@@ -128,16 +123,6 @@ def test_evaluate_fitness_identity():
         assert abs(report.fitness - scn.access_weight * report.maxmin_level) <= 1e-9 * scale
 
 
-def test_evaluate_equals_the_single_link_rates():
-    rng = np.random.default_rng(13)
-    for _ in range(2_000):
-        scn = random_scenario(rng)
-        alloc = Allocation(*random_feasible_allocation(rng, scn))
-        report = evaluate(scn, alloc)
-        assert report.rate_access == access_rate(scn, alloc)
-        assert report.rate_backhaul == backhaul_rate(scn, alloc)
-
-
 def test_rates_nonnegative_on_feasible_points():
     rng = np.random.default_rng(5)
     for _ in range(10_000):
@@ -155,9 +140,9 @@ def test_access_rate_strictly_increasing_without_overlap():
     for _ in range(1000):
         p = rng.uniform(0.1, 9.0)
         w = rng.uniform(1e5, 19e6)
-        base = access_rate(scn, Allocation(p, 0.0, w, 1e6))
-        assert access_rate(scn, Allocation(p * rng.uniform(1.01, 2.0), 0.0, w, 1e6)) > base
-        assert access_rate(scn, Allocation(p, 0.0, w * rng.uniform(1.01, 1.05), 1e6)) > base
+        base = evaluate(scn, Allocation(p, 0.0, w, 1e6)).rate_access
+        assert evaluate(scn, Allocation(p * rng.uniform(1.01, 2.0), 0.0, w, 1e6)).rate_access > base
+        assert evaluate(scn, Allocation(p, 0.0, w * rng.uniform(1.01, 1.05), 1e6)).rate_access > base
 
 
 def test_access_rate_midpoint_concavity():
@@ -166,9 +151,9 @@ def test_access_rate_midpoint_concavity():
     for _ in range(1000):
         p1, p2 = rng.uniform(0.0, 10.0, 2)
         w1, w2 = rng.uniform(1e4, 20e6, 2)
-        f1 = access_rate(scn, Allocation(p1, 0.0, w1, 0.0))
-        f2 = access_rate(scn, Allocation(p2, 0.0, w2, 0.0))
-        mid = access_rate(scn, Allocation((p1 + p2) / 2, 0.0, (w1 + w2) / 2, 0.0))
+        f1 = evaluate(scn, Allocation(p1, 0.0, w1, 0.0)).rate_access
+        f2 = evaluate(scn, Allocation(p2, 0.0, w2, 0.0)).rate_access
+        mid = evaluate(scn, Allocation((p1 + p2) / 2, 0.0, (w1 + w2) / 2, 0.0)).rate_access
         scale = max(abs(f1), abs(f2), 1.0)
         assert mid >= (f1 + f2) / 2 - 1e-9 * scale
 
@@ -188,8 +173,9 @@ def test_rates_depend_on_duplex_only_through_factors():
             alpha_o, alpha_1, alloc.p_bs, scn.beta_bs, alloc.w_b,
             alloc.p_ue, alloc.w_a, dens, scn.overlap_bandwidth,
         )
-        assert access_rate(scn, alloc) == pytest.approx(expected_a, rel=1e-12, abs=1e-9)
-        assert backhaul_rate(scn, alloc) == pytest.approx(expected_b, rel=1e-12, abs=1e-9)
+        report = evaluate(scn, alloc)
+        assert report.rate_access == pytest.approx(expected_a, rel=1e-12, abs=1e-9)
+        assert report.rate_backhaul == pytest.approx(expected_b, rel=1e-12, abs=1e-9)
 
 
 def test_link_rates_batch_rows_equal_single_scenarios():
