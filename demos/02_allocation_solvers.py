@@ -37,7 +37,7 @@ print("backhaul / level:      ", exact.report.rate_backhaul / level)
 
 # With overlapping spectrum the problem stops being convex; the swarm and
 # the grid still agree.
-overlapped = build_scenario(ExperimentConfig(), overlap_mhz=20.0)
+overlapped = build_scenario(ExperimentConfig(overlap_mhz=20.0))
 swarm_o = pso_solve(overlapped, PsoConfig(rng_seed=1))
 grid_o = grid_oracle(overlapped, 200)
 print(f"\nhalf overlap: swarm {swarm_o.report.maxmin_level / 1e6:.3f} Mbps, "

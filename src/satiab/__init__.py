@@ -2,80 +2,11 @@
 for a LEO satellite jointly serving an access user and a backhaul station.
 """
 
-from .linkbudget import (
-    GroundNodeParams,
-    SatelliteParams,
-    antenna_pattern,
-    bessel_j1,
-    channel_gain,
-    db_to_linear,
-    dbm_to_watts,
-    free_space_path_loss,
-    linear_to_db,
-    slant_distance,
-)
-from .ratemodel import (
-    Allocation,
-    DuplexMode,
-    InvalidAllocation,
-    RateReport,
-    ScenarioBatch,
-    ScenarioParams,
-    bandwidth_limits,
-    duplex_factors,
-    evaluate,
-    evaluate_many,
-    link_rates,
-    validate,
-)
-from .allocator import (
-    PsoConfig,
-    PsoState,
-    SolveResult,
-    SolverKind,
-    grid_oracle,
-    grid_oracle_many,
-    pso_solve,
-    pso_solve_many,
-    run_pso,
-    solve_orthogonal,
-    solve_orthogonal_many,
-)
+from . import allocator, linkbudget, ratemodel
+from .linkbudget import *
+from .ratemodel import *
+from .allocator import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GroundNodeParams",
-    "SatelliteParams",
-    "antenna_pattern",
-    "bessel_j1",
-    "channel_gain",
-    "db_to_linear",
-    "dbm_to_watts",
-    "free_space_path_loss",
-    "linear_to_db",
-    "slant_distance",
-    "Allocation",
-    "DuplexMode",
-    "InvalidAllocation",
-    "RateReport",
-    "ScenarioBatch",
-    "ScenarioParams",
-    "bandwidth_limits",
-    "duplex_factors",
-    "evaluate",
-    "evaluate_many",
-    "link_rates",
-    "validate",
-    "PsoConfig",
-    "PsoState",
-    "SolveResult",
-    "SolverKind",
-    "grid_oracle",
-    "grid_oracle_many",
-    "pso_solve",
-    "pso_solve_many",
-    "run_pso",
-    "solve_orthogonal",
-    "solve_orthogonal_many",
-]
+__all__ = linkbudget.__all__ + ratemodel.__all__ + allocator.__all__

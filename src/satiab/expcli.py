@@ -60,6 +60,7 @@ __all__ = [
     "load_config",
     "write_config",
     "build_scenario",
+    "build_scenarios",
     "run_single",
     "run_power_sweep",
     "run_overlap_sweep",
@@ -276,54 +277,50 @@ def write_config(cfg: ExperimentConfig, path: str) -> None:
         fh.write("\n")
 
 
-def build_scenario(
-    cfg: ExperimentConfig,
-    *,
-    power_dbm: float | None = None,
-    duplex: str | None = None,
-    altitude_km: float | None = None,
-    overlap_mhz: float | None = None,
-    access_weight: float | None = None,
-) -> ScenarioParams:
-    """Turn config table values into a linear-unit scenario.
+def build_scenarios(cfg: ExperimentConfig, points) -> list[ScenarioParams]:
+    """Turn a run's points into linear-unit scenarios, one per point.
 
-    Keyword overrides exist for the sweep runners, which vary one or two
-    table entries at a time while keeping the rest of the config.
+    A point is (power_dbm, overlap_mhz, duplex, altitude_km, access_weight),
+    the SweepRow columns CSV_COLUMNS[2:7]; every other value comes from cfg.
+    The channel gains depend on a point only through its altitude, so each
+    distinct altitude's gains are computed once, when a point first needs
+    them, and the first bad point raises first.
     """
-    power_dbm = cfg.total_power_dbm if power_dbm is None else power_dbm
-    duplex = cfg.duplex if duplex is None else duplex
-    altitude_km = cfg.altitude_km if altitude_km is None else altitude_km
-    overlap_mhz = cfg.overlap_mhz if overlap_mhz is None else overlap_mhz
-    access_weight = cfg.access_weight if access_weight is None else access_weight
+    sat_gain = db_to_linear(cfg.satellite_antenna_gain_dbi)
+    nodes = [(db_to_linear(gain_dbi), math.radians(angle_deg)) for gain_dbi, angle_deg in (
+        (cfg.ue_antenna_gain_dbi, cfg.boresight_ue_deg), (cfg.bs_antenna_gain_dbi, cfg.boresight_bs_deg))]
+    noise = dbm_to_watts(cfg.noise_density_dbm_hz)
+    interference = dbm_to_watts(cfg.interference_density_dbm_hz)
+    gains: dict[float, list[float]] = {}
+    scenarios = []
+    for power_dbm, overlap_mhz, duplex, altitude_km, access_weight in points:
+        if altitude_km not in gains:
+            altitude_m = altitude_km * 1e3
+            sat = SatelliteParams(sat_gain, cfg.aperture_radius_m, cfg.carrier_frequency_ghz * 1e9,
+                                  altitude_m)
+            gains[altitude_km] = [
+                channel_gain(sat, GroundNodeParams(gain, angle, slant_distance(altitude_m, angle)))
+                for gain, angle in nodes
+            ]
+        beta_ue, beta_bs = gains[altitude_km]
+        scenarios.append(ScenarioParams(
+            total_power=dbm_to_watts(power_dbm),
+            total_bandwidth=cfg.total_bandwidth_mhz * 1e6,
+            overlap_bandwidth=overlap_mhz * 1e6,
+            noise_density=noise,
+            interference_density=interference,
+            access_weight=access_weight,
+            duplex=DuplexMode(duplex),
+            beta_ue=beta_ue,
+            beta_bs=beta_bs,
+        ))
+    return scenarios
 
-    altitude_m = altitude_km * 1e3
-    sat = SatelliteParams(
-        antenna_gain=db_to_linear(cfg.satellite_antenna_gain_dbi),
-        aperture_radius=cfg.aperture_radius_m,
-        carrier_frequency=cfg.carrier_frequency_ghz * 1e9,
-        altitude=altitude_m,
-    )
-    ue = GroundNodeParams(
-        antenna_gain=db_to_linear(cfg.ue_antenna_gain_dbi),
-        boresight_angle=math.radians(cfg.boresight_ue_deg),
-        slant_distance=slant_distance(altitude_m, math.radians(cfg.boresight_ue_deg)),
-    )
-    bs = GroundNodeParams(
-        antenna_gain=db_to_linear(cfg.bs_antenna_gain_dbi),
-        boresight_angle=math.radians(cfg.boresight_bs_deg),
-        slant_distance=slant_distance(altitude_m, math.radians(cfg.boresight_bs_deg)),
-    )
-    return ScenarioParams(
-        total_power=dbm_to_watts(power_dbm),
-        total_bandwidth=cfg.total_bandwidth_mhz * 1e6,
-        overlap_bandwidth=overlap_mhz * 1e6,
-        noise_density=dbm_to_watts(cfg.noise_density_dbm_hz),
-        interference_density=dbm_to_watts(cfg.interference_density_dbm_hz),
-        access_weight=access_weight,
-        duplex=DuplexMode(duplex),
-        beta_ue=channel_gain(sat, ue),
-        beta_bs=channel_gain(sat, bs),
-    )
+
+def build_scenario(cfg: ExperimentConfig) -> ScenarioParams:
+    """The linear-unit scenario of the config's own point; to vary a table
+    entry, pass dataclasses.replace(cfg, ...)."""
+    return build_scenarios(cfg, [_config_point(cfg)])[0]
 
 
 @dataclass(frozen=True)
@@ -350,7 +347,16 @@ class SweepRow:
 
 
 CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
-_float_cells = operator.attrgetter(*(f.name for f in dataclasses.fields(SweepRow) if f.type == "float"))
+_FLOAT_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow) if f.type == "float")
+_float_cells = operator.attrgetter(*_FLOAT_COLUMNS)
+# The point of a row and of a config, in the order build_scenarios takes;
+# the config names the power total_power_dbm and the other four as the row.
+_row_point = operator.attrgetter(*CSV_COLUMNS[2:7])
+_config_point = operator.attrgetter("total_power_dbm", *CSV_COLUMNS[3:7])
+# The cells read_csv accepts in each text column it checks itself; an
+# unknown duplex is left to build_scenarios.
+_CELL_CHOICES = {"sweep": ("power", "overlap", "single"), "solver": _KNOWN_SOLVERS,
+                 "converged": ("true", "false")}
 
 def _row_sort_key(row: "SweepRow"):
     return (row.sweep_value, row.duplex, row.altitude_km, row.access_weight, row.solver)
@@ -403,13 +409,17 @@ def _row(fields: tuple, result: SolveResult) -> SweepRow:
 def _run_sweep(cfg: ExperimentConfig, points) -> list[SweepRow]:
     """Solve every sweep point with its solvers and return the sorted rows.
 
-    points yields (fields, scenario, solvers, seed) per point, fields being
-    the SweepRow values before the solver name and seed the point's swarm
-    seed. Each solver then makes one batch call, from _SOLVERS, on all the
-    points that select it. A row's result does not depend on the other rows.
+    points yields (fields, solvers, seed) per point, fields being the
+    SweepRow values before the solver name, so fields[2:] is the point that
+    build_scenarios takes, and seed the point's swarm seed. One
+    build_scenarios call makes all the scenarios; each solver then makes one
+    batch call, from _SOLVERS, on all the points that select it. A row's
+    result does not depend on the other rows.
     """
+    points = list(points)
+    scenarios = build_scenarios(cfg, [fields[2:] for fields, _, _ in points])
     jobs: dict[SolverKind, list] = {}
-    for fields, scn, solvers, seed in points:
+    for (fields, solvers, seed), scn in zip(points, scenarios):
         for solver in solvers:
             jobs.setdefault(SolverKind(solver), []).append((fields, scn, seed))
     rows = []
@@ -423,9 +433,8 @@ def _run_sweep(cfg: ExperimentConfig, points) -> list[SweepRow]:
 def run_single(cfg: ExperimentConfig) -> list[SweepRow]:
     """Run every selected solver once on the configured scenario: a sweep
     of one point, whose swarm seed is cfg.seed."""
-    fields = ("single", cfg.total_power_dbm, cfg.total_power_dbm, cfg.overlap_mhz,
-              cfg.duplex, cfg.altitude_km, cfg.access_weight)
-    return _run_sweep(cfg, [(fields, build_scenario(cfg), cfg.solvers, cfg.seed)])
+    fields = ("single", cfg.total_power_dbm, *_config_point(cfg))
+    return _run_sweep(cfg, [(fields, cfg.solvers, cfg.seed)])
 
 
 def _power_steps(cfg: ExperimentConfig) -> float:
@@ -449,11 +458,8 @@ def run_power_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     def points():
         grid = itertools.product(_power_grid(cfg), ("FDD", "TDD"), POWER_SWEEP_ALTITUDES_KM)
         for row_index, (power_dbm, duplex, altitude_km) in enumerate(grid):
-            scn = build_scenario(
-                cfg, power_dbm=power_dbm, duplex=duplex, altitude_km=altitude_km, overlap_mhz=0.0,
-            )
             fields = ("power", power_dbm, power_dbm, 0.0, duplex, altitude_km, cfg.access_weight)
-            yield fields, scn, cfg.solvers, _row_seed(cfg.seed, row_index)
+            yield fields, cfg.solvers, _row_seed(cfg.seed, row_index)
 
     return _run_sweep(cfg, points())
 
@@ -472,14 +478,10 @@ def run_overlap_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     def points():
         grid = itertools.product(fractions, OVERLAP_SWEEP_WEIGHTS, ("FDD", "TDD"))
         for row_index, (fraction, access_weight, duplex) in enumerate(grid):
-            overlap_mhz = fraction * cfg.total_bandwidth_mhz
-            scn = build_scenario(
-                cfg, duplex=duplex, overlap_mhz=overlap_mhz, access_weight=access_weight,
-            )
-            fields = ("overlap", fraction, cfg.total_power_dbm, overlap_mhz, duplex,
-                      cfg.altitude_km, access_weight)
+            fields = ("overlap", fraction, cfg.total_power_dbm, fraction * cfg.total_bandwidth_mhz,
+                      duplex, cfg.altitude_km, access_weight)
             solvers = sweep_solvers if fraction > 0.0 else sweep_solvers + ("exact",)
-            yield fields, scn, solvers, _row_seed(cfg.seed, row_index)
+            yield fields, solvers, _row_seed(cfg.seed, row_index)
 
     return _run_sweep(cfg, points())
 
@@ -512,16 +514,12 @@ def read_csv(path: str) -> list[SweepRow]:
         for record in reader:
             if None in record or None in record.values():  # DictReader's mark of a long or short row
                 raise ValidationError(f"{path}:{reader.line_num}: expected {len(CSV_COLUMNS)} cells")
-            kwargs = {}
-            for name in CSV_COLUMNS:
-                text = record[name]
-                if name in ("sweep", "duplex", "solver"):
-                    kwargs[name] = text
-                elif name == "converged":
-                    kwargs[name] = text == "true"
-                else:
-                    kwargs[name] = float(text)
-            rows.append(SweepRow(**kwargs))
+            for name, choices in _CELL_CHOICES.items():
+                if record[name] not in choices:
+                    raise ValidationError(f"{path}:{reader.line_num}: {name} must be one of "
+                                          f"{', '.join(choices)}, got {record[name]!r}")
+            floats = {name: float(record[name]) for name in _FLOAT_COLUMNS}
+            rows.append(SweepRow(**{**record, **floats, "converged": record["converged"] == "true"}))
     return rows
 
 
@@ -664,23 +662,17 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow], tol: float = 1e-6) -
     converged that hold a non-finite value, infeasible allocations, and
     rates that disagree with the recorded values beyond the relative
     tolerance. Rows with a non-finite value that are not marked converged
-    record a solver failure and are skipped. The feasible rows are
-    re-evaluated together, by one evaluate_many call.
+    record a solver failure and are skipped. The other rows' scenarios come
+    from one build_scenarios call, and the feasible rows are re-evaluated
+    together, by one evaluate_many call.
     """
-    problems, feasible = [[] for _ in rows], []
+    problems, finite, feasible = [[] for _ in rows], [], []
     for index, row in enumerate(rows):
-        if not all(map(math.isfinite, _float_cells(row))):
-            if row.converged:
-                problems[index].append(f"row {index}: marked converged but holds a non-finite value")
-            continue
-        scn = build_scenario(
-            cfg,
-            power_dbm=row.power_dbm,
-            duplex=row.duplex,
-            altitude_km=row.altitude_km,
-            overlap_mhz=row.overlap_mhz,
-            access_weight=row.access_weight,
-        )
+        if all(map(math.isfinite, _float_cells(row))):
+            finite.append((index, row))
+        elif row.converged:
+            problems[index].append(f"row {index}: marked converged but holds a non-finite value")
+    for (index, row), scn in zip(finite, build_scenarios(cfg, [_row_point(row) for _, row in finite])):
         alloc = Allocation(p_ue=row.p_ue_w, p_bs=row.p_bs_w, w_a=row.w_a_hz, w_b=row.w_b_hz)
         violated = validate(scn, alloc, tol)
         if violated:

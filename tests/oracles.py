@@ -53,14 +53,14 @@ def reference_scenarios():
     for power_dbm in (40.0, 45.0, 50.0):
         for duplex in ("FDD", "TDD"):
             for altitude_km in (600.0, 1200.0):
-                scn = build_scenario(
+                scn = build_scenario(dataclasses.replace(
                     cfg,
-                    power_dbm=power_dbm,
+                    total_power_dbm=power_dbm,
                     duplex=duplex,
                     altitude_km=altitude_km,
                     overlap_mhz=0.0,
                     access_weight=0.1,
-                )
+                ))
                 out.append((f"P{power_dbm:g}dBm-{duplex}-{altitude_km:g}km", scn))
     return out
 
@@ -262,6 +262,19 @@ def full_grid_oracle(scn: ScenarioParams, resolution: int) -> SolveResult:
     )
 
 
+def row_scenario(cfg: ExperimentConfig, row) -> ScenarioParams:
+    """The scenario of one sweep row, built alone from the config with the
+    row's point in place of the config's own."""
+    return build_scenario(dataclasses.replace(
+        cfg,
+        total_power_dbm=row.power_dbm,
+        duplex=row.duplex,
+        altitude_km=row.altitude_km,
+        overlap_mhz=row.overlap_mhz,
+        access_weight=row.access_weight,
+    ))
+
+
 def per_row_audit(cfg: ExperimentConfig, rows, tol: float = 1e-6) -> list[str]:
     """audit_rows one row at a time: build the row's scenario, validate its
     allocation, and re-evaluate a feasible one with the scalar evaluate."""
@@ -271,14 +284,7 @@ def per_row_audit(cfg: ExperimentConfig, rows, tol: float = 1e-6) -> list[str]:
             if row.converged:
                 problems.append(f"row {index}: marked converged but holds a non-finite value")
             continue
-        scn = build_scenario(
-            cfg,
-            power_dbm=row.power_dbm,
-            duplex=row.duplex,
-            altitude_km=row.altitude_km,
-            overlap_mhz=row.overlap_mhz,
-            access_weight=row.access_weight,
-        )
+        scn = row_scenario(cfg, row)
         alloc = Allocation(p_ue=row.p_ue_w, p_bs=row.p_bs_w, w_a=row.w_a_hz, w_b=row.w_b_hz)
         violated = validate(scn, alloc, tol)
         if violated:

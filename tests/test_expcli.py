@@ -29,6 +29,7 @@ from satiab.expcli import (
     ValidationError,
     audit_rows,
     build_scenario,
+    build_scenarios,
     emit_plot,
     load_config,
     main,
@@ -40,7 +41,7 @@ from satiab.expcli import (
     write_csv,
 )
 
-from oracles import per_row_audit
+from oracles import per_row_audit, row_scenario
 
 
 def write_json(path, payload) -> str:
@@ -177,7 +178,7 @@ def test_csv_round_trip(tmp_path):
     write_csv(rows, str(path))
     loaded = read_csv(str(path))
     assert len(loaded) == 2
-    assert loaded[0].solver == "exact"
+    assert loaded[0].solver == "exact" and loaded[0].converged is True
     assert loaded[0].zeta_mbps == pytest.approx(rows[0].zeta_mbps, rel=1e-8)
     assert loaded[1].converged is False
     assert math.isnan(loaded[1].zeta_mbps)
@@ -216,7 +217,7 @@ def test_power_sweep_exact_rows_equal_rows_solved_alone():
     exact_rows = [r for r in run_power_sweep(cfg) if r.solver == "exact"]
     assert len(exact_rows) == 12
     for row in exact_rows:
-        scn = build_scenario(cfg, power_dbm=row.power_dbm, duplex=row.duplex, altitude_km=row.altitude_km)
+        scn = row_scenario(cfg, row)
         result = solve_orthogonal(scn)
         assert (row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz) == dataclasses.astuple(result.allocation)
         assert row.zeta_mbps == result.report.maxmin_level / 1e6
@@ -286,9 +287,7 @@ def tampered(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[SweepRow]:
     rows = list(rows)
 
     def limits(row):
-        scn = build_scenario(cfg, power_dbm=row.power_dbm, duplex=row.duplex,
-                             altitude_km=row.altitude_km, overlap_mhz=row.overlap_mhz,
-                             access_weight=row.access_weight)
+        scn = row_scenario(cfg, row)
         return scn.total_power, *bandwidth_limits(scn)
 
     def edit(index, **changes):
@@ -309,10 +308,20 @@ def tampered(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[SweepRow]:
     return rows
 
 
+def power_sweep_altitudes_mixed(cfg: ExperimentConfig) -> list[SweepRow]:
+    """A power sweep's rows with the 1200 km rows first and every other
+    600 km row among them, so neither altitude comes in one run."""
+    rows = run_power_sweep(cfg)
+    low = [row for row in rows if row.altitude_km == 600.0]
+    high = [row for row in rows if row.altitude_km == 1200.0]
+    return [row for pair in zip(high, low[::2] + low[1::2]) for row in pair]
+
+
 @pytest.mark.parametrize("run, solvers", [
     (run_power_sweep, ("exact",)),
     (run_overlap_sweep, ("pso",)),
     (run_power_sweep, ("oracle",)),
+    (power_sweep_altitudes_mixed, ("exact", "oracle")),
 ])
 def test_audit_equals_the_per_row_audit(run, solvers):
     cfg = small_config(solvers=solvers)
@@ -329,6 +338,46 @@ def test_audit_equals_the_per_row_audit(run, solvers):
         assert f"row {index}:" in text
     assert "row 3:" not in text and "row 10:" not in text
     assert audit_rows(cfg, []) == per_row_audit(cfg, []) == []
+
+
+def test_build_scenarios_equals_scenarios_built_alone():
+    cfg = ExperimentConfig()
+    points = [
+        (40.0, 0.0, "FDD", 600.0, 0.1),
+        (45.5, 10.0, "TDD", 1200.0, 0.2),
+        (50.0, 40.0, "TDD", 600.0, 1.0),
+        (31.0, 0.0, "FDD", 900.0, 0.05),
+        (40.0, 20.0, "FDD", 1200.0, 0.1),
+        (40.0, 0.0, "FDD", 600.0, 0.1),
+    ]
+    alone = [
+        build_scenario(dataclasses.replace(cfg, total_power_dbm=power_dbm, overlap_mhz=overlap_mhz,
+                                           duplex=duplex, altitude_km=altitude_km,
+                                           access_weight=access_weight))
+        for power_dbm, overlap_mhz, duplex, altitude_km, access_weight in points
+    ]
+    scenarios = build_scenarios(cfg, points)
+    assert scenarios == alone  # dataclass equality: every field, with ==
+    assert scenarios[0] == scenarios[-1] == build_scenario(cfg)
+    assert build_scenarios(cfg, []) == []
+
+
+def test_channel_gain_runs_twice_per_altitude(tmp_path, monkeypatch):
+    calls, channel_gain = [], expcli.channel_gain
+
+    def counted(sat, node):
+        calls.append(sat.altitude)
+        return channel_gain(sat, node)
+
+    monkeypatch.setattr(expcli, "channel_gain", counted)
+    cfg = small_config(solvers=("exact",))
+    rows = run_power_sweep(cfg)
+    assert len(rows) == 12 and calls == [600e3, 600e3, 1200e3, 1200e3]
+    path = tmp_path / "sweep.csv"
+    write_csv(rows, str(path))
+    calls.clear()
+    assert audit_rows(cfg, read_csv(str(path))) == []
+    assert calls == [600e3, 600e3, 1200e3, 1200e3]
 
 
 def test_run_single_produces_one_row_per_solver():
@@ -502,6 +551,28 @@ def test_cli_audit_rejects_a_short_or_long_row(tmp_path, capsys, cells):
     assert err.startswith("error: ") and ":3: expected 17 cells" in err
 
 
+@pytest.mark.parametrize("column, text", [
+    ("converged", "TRUE"),
+    ("converged", "True"),
+    ("converged", "1"),
+    ("converged", ""),
+    ("solver", "bogus"),
+    ("solver", "EXACT"),
+    ("sweep", "bogus"),
+])
+def test_cli_audit_rejects_an_unknown_text_cell(tmp_path, capsys, column, text):
+    def edit(table):
+        if column == "converged":
+            # a solver failure: read as not converged, the row would be skipped
+            for name in ("zeta_mbps", "rate_access_mbps", "rate_backhaul_mbps", "throughput_mbps"):
+                table[2][CSV_COLUMNS.index(name)] = "nan"
+        table[2][CSV_COLUMNS.index(column)] = text
+
+    err = assert_audit_fails_cleanly(capsys, *audited_csv(tmp_path, edit))
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f":3: {column} must be one of " in err and repr(text) in err
+
+
 def test_cli_audit_tiny_overlap_with_a_zero_bandwidth(tmp_path, capsys):
     # the overlap is below the tolerance of validate, so the row is audited
     # with w_a = 0 under overlap: both rates re-evaluate to zero
@@ -600,8 +671,10 @@ def test_load_config_rejects_oversized_solves(tmp_path, payload, field):
 def test_load_config_power_limits_are_inclusive(tmp_path):
     payload = {"total_power_dbm": 100, "power_sweep_min_dbm": -100, "power_sweep_max_dbm": 100}
     cfg = load_config(write_json(tmp_path / "cfg.json", payload))
-    assert math.isfinite(build_scenario(cfg, power_dbm=cfg.power_sweep_max_dbm).total_power)
-    assert build_scenario(cfg, power_dbm=cfg.power_sweep_min_dbm).total_power > 0.0
+    highest = dataclasses.replace(cfg, total_power_dbm=cfg.power_sweep_max_dbm)
+    lowest = dataclasses.replace(cfg, total_power_dbm=cfg.power_sweep_min_dbm)
+    assert math.isfinite(build_scenario(highest).total_power)
+    assert build_scenario(lowest).total_power > 0.0
     # the longest power sweep accepted, and one step finer
     payload["power_sweep_step_db"] = 0.1
     cfg = load_config(write_json(tmp_path / "cfg.json", payload))
@@ -616,7 +689,7 @@ def test_load_config_link_budget_limits_are_inclusive(tmp_path):
         payload = {name: limits[bound] for name, limits in expcli._RANGES.items()}
         cfg = load_config(write_json(tmp_path / "cfg.json", payload))
         for duplex in ("FDD", "TDD"):
-            scn = build_scenario(cfg, duplex=duplex)
+            scn = build_scenario(dataclasses.replace(cfg, duplex=duplex))
             gains = (scn.beta_ue, scn.beta_bs, scn.noise_density, scn.interference_density)
             assert all(0.0 < g < math.inf for g in gains)
             result = solve_orthogonal(scn)
