@@ -4,13 +4,14 @@ Three routes to the same problem: an exact parametric solver for the
 orthogonal (no-overlap) case, a particle swarm for the general case, and a
 grid search used as an independent cross-check.
 
-The orthogonal solver bisects on the max-min level zeta. A level is
-feasible iff the cheapest power budget that delivers rate eps*zeta on the
-access link and zeta on the backhaul link, minimized over the bandwidth
-split, fits inside the power budget. That inner objective is a sum of two
-convex single-link power inversions, so its minimum is where the two
-links' marginal power costs of bandwidth are equal, found by bisection on
-the sign of their difference.
+The orthogonal solver finds the max-min level zeta where the cheapest
+power that delivers rate eps*zeta on the access link and zeta on the
+backhaul link, minimized over the bandwidth split, meets the power budget.
+That inner objective is a sum of two convex single-link power inversions,
+so its minimum is where the links' marginal power costs of bandwidth are
+equal. Both roots, of the log cost ratio and of the log of the cheapest
+power over the budget, are found by Newton steps that bisect a bracket of
+the root when they would leave it.
 
 Every solver solves a batch of scenarios at once, as arrays with one row
 per scenario, and reports all rows' rates from one batched link_rates
@@ -53,9 +54,10 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_MAX_MARGINAL_Y = 700.0  # expm1(y) * y stays below the float64 maximum
-_SPLIT_STEPS = 40
-_MAX_BISECTIONS = 200
+_SERIES_Y = 1e-2  # below this y, _log_marginal_cost sums g(y) / y as a series,
+_G_SERIES = [-1 / 5040, 1 / 720, -1 / 120, 1 / 24, -1 / 6, 1 / 2]  # y polyval(_G_SERIES, y)
+_BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest access share, so the backhaul's stays positive
+_MAX_STEPS = 200
 _GRID_BLOCK = 4_096  # grid columns per grid_oracle_many kernel call: 32 KiB temporaries
 _SWARM_PARTICLES = 65_536  # particles per run_pso batch of pso_solve_many
 
@@ -68,7 +70,8 @@ class SolverKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of one solver run."""
+    """Outcome of one solver run. iterations_used counts the exact solver's
+    level steps, the swarm's iterations and the grid oracle's grid points."""
 
     allocation: Allocation
     report: RateReport
@@ -134,27 +137,49 @@ def _inversion_power(rate, bandwidth, beta, alpha_o, dens):
         return np.expm1(rate / (alpha_o * bandwidth) * _LN2) * dens * bandwidth / beta
 
 
-def _cheapest_split(y_whole, weight):
-    """Bandwidth shares of the access and backhaul links, as the two columns
-    of an (S, 2) array, that minimize the total power delivering their rates.
-
-    y_whole holds each link's y = rate ln2 / (alpha_o w) at w = the whole
-    bandwidth budget. A link's power inversion has derivative
-    -dens h(y) / beta in its bandwidth, with h(y) = expm1(y)(y - 1) + y, so
-    the total power is convex in the access share and least where the two
-    marginal costs, weighted by the other link's beta over the larger beta,
-    are equal. Bisection on the sign of their difference brackets the
-    shares to 2**-_SPLIT_STEPS; every step is a power of two, so the shares
-    sum to 1 exactly. y is capped where h still fits a float, far beyond
-    the y of any power a budget can pay.
+def _log_marginal_cost(y):
+    """log h(y) and its derivative y / g(y), elementwise for y > 0, where
+    h(y) = expm1(y)(y - 1) + y and g(y) = e**-y h(y) = y + expm1(-y). g / y
+    is 1 + expm1(-y) / y (1 at y = inf) or, below _SERIES_Y, where that
+    loses digits, its Taylor series to 1e-16; neither h nor e**y is formed.
     """
-    share = np.full(y_whole.shape, 0.5)
-    step = np.array([0.25, -0.25])
-    for _ in range(_SPLIT_STEPS):
-        y = np.minimum(y_whole / share, _MAX_MARGINAL_Y)
-        cost = (np.expm1(y) * (y - 1.0) + y) * weight
-        share -= np.sign(cost[:, 1:] - cost[:, :1]) * step
-        step *= 0.5
+    g_over_y = 1.0 + np.expm1(-y) / y
+    if y.min() < _SERIES_Y:
+        small = np.minimum(y, _SERIES_Y)  # so the series cannot overflow where it is not used
+        g_over_y = np.where(y < _SERIES_Y, small * np.polyval(_G_SERIES, small), g_over_y)
+    return y + np.log(y) + np.log(g_over_y), 1.0 / g_over_y
+
+
+def _split_share(y_whole, log_gain_ratio, share):
+    """Access shares s of the bandwidth budget, an (S, 1) column, that
+    minimize the power delivering both links' rates, given their y = rate
+    ln2 / (alpha_o w) at the whole budget (columns of y_whole), log(beta_bs
+    / beta_ue) and a starting share per row.
+
+    A link's power inversion has derivative -dens h(y) / beta in its
+    bandwidth, so the total power is convex in s and least where F(s) =
+    log h(y_a) - log h(y_b) + log(beta_bs / beta_ue) is zero; F falls from
+    +inf to -inf across (0, 1). Each row takes Newton steps on F in a
+    bracket that starts as (0, 1), bisects the bracket where a step would
+    leave it, and stops after a Newton step of at most 1e-8 min(s, 1 - s)
+    (which leaves s good to rounding) or where s stalls.
+    """
+    lo, hi = np.zeros_like(share), np.ones_like(share)
+    done = np.zeros(share.shape, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        pair = np.concatenate((share, 1.0 - share), axis=1)
+        y = y_whole / pair
+        log_h, slope = _log_marginal_cost(y)
+        f = log_h[:, :1] - log_h[:, 1:] + log_gain_ratio
+        lo, hi = np.where(f > 0.0, share, lo), np.where(f > 0.0, hi, share)
+        new = share + f / (slope * y / pair).sum(axis=1, keepdims=True)
+        # a step below rounding leaves share, which may be the bracket's new end
+        newton = (new > lo) & (new < hi) | (new == share)
+        new = np.minimum(np.where(newton, new, 0.5 * (lo + hi)), _BELOW_ONE)
+        small = np.abs(new - share) <= 1e-8 * np.minimum.reduce(pair, axis=1, keepdims=True)
+        share, done = np.where(done, share, new), done | newton & small | (new == share)
+        if done.all():
+            break
     return share
 
 
@@ -171,46 +196,71 @@ def _results(batch, alloc, solver, iterations, converged) -> list[SolveResult]:
 def solve_orthogonal_many(scns: Sequence[ScenarioParams]) -> list[SolveResult]:
     """Exact max-min solutions of many orthogonal scenarios (overlap zero).
 
-    Each row bisects on its level zeta until its own bracket is narrower
-    than 1e-13 max(zeta_ub, 1); a level is feasible iff the cheapest split
-    of the bandwidth budget (fully used: both rates strictly increase in
-    their own bandwidth) delivers it within the power budget. At the
-    returned allocation both rate targets are tight and the full power
-    budget is spent, up to the bisection tolerance. Rows share only
-    elementwise arithmetic, so row s is exactly solve_orthogonal(scns[s]).
+    The power needed at level zeta, with the cheapest split of the whole
+    bandwidth budget (from _split_share, warm-started at the row's last
+    share), is convex and increasing in zeta. Each row keeps a bracket of a
+    feasible lo and an infeasible hi, from [0, zeta_ub], and takes Newton
+    steps on log(power needed / P) in log zeta from the least of three upper
+    bounds. The envelope theorem gives the slope without differentiating
+    the split: d power / d log zeta sums dens w / beta e**y y over the links.
+    A step that would leave the bracket bisects it, and one of at most half
+    the tolerance goes an eighth further (at least 1e-14 zeta), so that the
+    bracket closes around the root.
+
+    A row stops once hi - lo <= 1e-13 max(zeta_ub, 1); iterations_used
+    counts its levels, and converged says it stopped so. It returns the
+    allocation computed at its final lo, whose powers sum to at most P
+    exactly. Rows share only elementwise arithmetic, so row s is exactly
+    solve_orthogonal(scns[s]).
     """
     if any(scn.overlap_bandwidth != 0.0 for scn in scns):
         raise ValueError("solve_orthogonal requires overlap_bandwidth == 0")
     batch = ScenarioBatch.stack(scns)
     alpha_o, eps, dens = batch.alpha_o, batch.access_weight, batch.density
+    p_total = batch.total_power
     w_total = bandwidth_limits(batch)[0]  # the budget of both links, w_o being 0
     # (S, 2) arrays with one column per link: access, then backhaul
     beta = np.hstack((batch.beta_ue, batch.beta_bs))
-    weight = beta[:, ::-1] / beta.max(axis=1, keepdims=True)
+    log_gain_ratio = np.log(batch.beta_bs / batch.beta_ue)
     rate_per_zeta = np.hstack((eps, np.ones_like(eps)))
     y_per_zeta = rate_per_zeta * _LN2 / (alpha_o * w_total)
 
-    def split_and_power(zeta):
-        w = _cheapest_split(zeta * y_per_zeta, weight) * w_total
-        return w, _inversion_power(zeta * rate_per_zeta, w, beta, alpha_o, dens)
-
-    zeta_ub = link_rates(batch, 0.0, batch.total_power, 0.0, w_total)[1]  # all on the backhaul
+    # upper bounds on zeta: each link alone, and both below log2(1 + x) <= x / ln2
+    rate_a, zeta_ub = link_rates(batch, p_total, p_total, w_total, w_total)
+    low_snr = alpha_o * p_total / (_LN2 * dens * (rate_per_zeta / beta).sum(axis=1, keepdims=True))
+    zeta = np.minimum(np.minimum(zeta_ub, np.where(rate_a > 0.0, rate_a / eps, np.inf)), low_snr)
+    zeta = np.where(zeta > 0.0, zeta, zeta_ub)
     tol = 1e-13 * np.maximum(zeta_ub, 1.0)
-    lo, hi = np.zeros_like(zeta_ub), zeta_ub
+    lo, hi = np.zeros_like(zeta_ub), zeta_ub.copy()
+    share = y_per_zeta[:, :1] / y_per_zeta.sum(axis=1, keepdims=True)  # equal y on both links
+    alloc = np.hstack((np.zeros_like(beta), 0.5 * w_total, 0.5 * w_total))  # at lo = 0
     iterations = np.zeros(zeta_ub.shape, dtype=int)
-    for _ in range(_MAX_BISECTIONS):
+    for _ in range(_MAX_STEPS):
         active = hi - lo > tol
         if not active.any():
             break
         iterations += active
-        mid = 0.5 * (lo + hi)
-        _, p = split_and_power(mid)
-        feasible = p[:, :1] + p[:, 1:] <= batch.total_power
-        lo = np.where(active & feasible, mid, lo)
-        hi = np.where(active & ~feasible, mid, hi)
+        rows = slice(None) if active.all() else np.flatnonzero(active)  # views while all rows are
+        z, y_z = zeta[rows], zeta[rows] * y_per_zeta[rows]
+        share[rows] = s = _split_share(y_z, log_gain_ratio[rows], share[rows])
+        pair = np.concatenate((s, 1.0 - s), axis=1)
+        w = pair * w_total[rows]
+        p = _inversion_power(z * rate_per_zeta[rows], w, beta[rows], alpha_o[rows], dens[rows])
+        spent = p.sum(axis=1, keepdims=True)
+        feasible = spent <= p_total[rows]
+        lo_s, hi_s = np.where(feasible, z, lo[rows]), np.where(feasible, hi[rows], z)
+        lo[rows], hi[rows] = lo_s, hi_s
+        alloc[rows] = np.where(feasible, np.concatenate((p, w), axis=1), alloc[rows])
+        growth = ((p + dens[rows] * w / beta[rows]) * (y_z / pair)).sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):  # spent 0 or inf: a NaN step bisects
+            step = np.abs(z * np.expm1(np.log(p_total[rows] / spent) * spent / growth))
+        half_tol = 0.5 * tol[rows]
+        past = np.maximum(0.125 * step, np.minimum(1e-14 * z, 0.5 * half_tol))
+        step = np.where(step <= half_tol, step + past, step)
+        new = z + np.where(feasible, step, -step)
+        zeta[rows] = np.where((new > lo_s) & (new < hi_s), new, 0.5 * (lo_s + hi_s))
 
-    w, p = split_and_power(lo)
-    return _results(batch, np.hstack((p, w)), SolverKind.EXACT_ORTHOGONAL,
+    return _results(batch, alloc, SolverKind.EXACT_ORTHOGONAL,
                     iterations.ravel().tolist(), (hi - lo <= tol).ravel().tolist())
 
 

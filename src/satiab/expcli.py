@@ -518,7 +518,13 @@ def read_csv(path: str) -> list[SweepRow]:
                 if record[name] not in choices:
                     raise ValidationError(f"{path}:{reader.line_num}: {name} must be one of "
                                           f"{', '.join(choices)}, got {record[name]!r}")
-            floats = {name: float(record[name]) for name in _FLOAT_COLUMNS}
+            floats = {}
+            for name in _FLOAT_COLUMNS:
+                try:
+                    floats[name] = float(record[name])
+                except ValueError:
+                    raise ValidationError(f"{path}:{reader.line_num}: {name} must be a number, "
+                                          f"got {record[name]!r}") from None
             rows.append(SweepRow(**{**record, **floats, "converged": record["converged"] == "true"}))
     return rows
 

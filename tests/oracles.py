@@ -9,6 +9,8 @@ first written, the whole grid in one link_rates call and np.argmax, kept as
 the reference for the oracle that bisects each column for its peak. The
 per-row audit is the audit as first written, one scalar evaluate per row,
 kept as the reference for the audit that evaluates all rows in one batch.
+The mpmath level solves the exact solver's optimality conditions at 40
+digits, as the reference for its accuracy.
 """
 
 import dataclasses
@@ -225,6 +227,57 @@ def golden_section_solve(scn: ScenarioParams) -> SolveResult:
         iterations_used=iterations,
         converged=converged,
     )
+
+
+def mp_log_marginal_cost(y, dps: int = 40):
+    """log h(y) and its derivative y e**y / h(y) at dps digits, with
+    h(y) = expm1(y)(y - 1) + y written out as the solver defines it."""
+    with mp.workdps(dps):
+        y = mp.mpf(y)
+        h = mp.expm1(y) * (y - 1) + y
+        return mp.log(h), y * mp.exp(y) / h
+
+
+def mp_orthogonal_level(scn: ScenarioParams, dps: int = 40):
+    """Optimal max-min level of an orthogonal scenario at dps digits, and
+    the smaller of the two links' y = rate ln2 / (alpha_o w) there.
+
+    At the optimum the bandwidth split makes the links' marginal power
+    costs h(y) / beta equal (the condition the exact solver uses) and the
+    power that split needs equals the budget. Both conditions are solved
+    together by Newton's method at dps digits, in the log of the level and
+    the logit of the access share, from the golden-section solution;
+    mpmath raises if the residual does not vanish.
+    """
+    alpha_o, alpha_1 = duplex_factors(scn.duplex)
+    start = golden_section_solve(scn)
+    with mp.workdps(dps):
+        w_total = mp.mpf(alpha_1) * scn.total_bandwidth
+        dens = mp.mpf(scn.noise_density) + scn.interference_density
+        betas = mp.mpf(scn.beta_ue), mp.mpf(scn.beta_bs)
+        rates_per_zeta = mp.mpf(scn.access_weight), mp.mpf(1)
+
+        def links(logit, log_zeta):
+            share = 1 / (1 + mp.exp(-logit))
+            widths = share * w_total, (1 - share) * w_total
+            zeta = mp.exp(log_zeta)
+            ys = [r * zeta * mp.log(2) / (alpha_o * w) for r, w in zip(rates_per_zeta, widths)]
+            return widths, ys
+
+        def equal_costs(logit, log_zeta):
+            ys = links(logit, log_zeta)[1]
+            return (mp_log_marginal_cost(ys[0], dps)[0] - mp.log(betas[0])
+                    - mp_log_marginal_cost(ys[1], dps)[0] + mp.log(betas[1]))
+
+        def budget_spent(logit, log_zeta):
+            widths, ys = links(logit, log_zeta)
+            power = sum(dens * w / b * mp.expm1(y) for w, y, b in zip(widths, ys, betas))
+            return mp.log(power / scn.total_power)
+
+        a = start.allocation
+        x0 = mp.log(mp.mpf(a.w_a) / a.w_b), mp.log(start.report.maxmin_level)
+        logit, log_zeta = mp.findroot([equal_costs, budget_spent], x0, solver="mdnewton")
+        return mp.exp(log_zeta), min(links(logit, log_zeta)[1])
 
 
 def full_grid(scn: ScenarioParams, resolution: int):

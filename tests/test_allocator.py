@@ -28,13 +28,15 @@ from satiab import (
     solve_orthogonal_many,
     validate,
 )
-from satiab import allocator
+from satiab import allocator, expcli
 
 from oracles import (
     corner_scenario,
     full_grid,
     full_grid_oracle,
     golden_section_solve,
+    mp_log_marginal_cost,
+    mp_orthogonal_level,
     random_feasible_allocation,
     random_scenario,
     reference_scenarios,
@@ -219,6 +221,99 @@ def test_solve_orthogonal_extreme_rows_are_finite_and_feasible(overrides):
     assert validate(scn, result.allocation) == []
     reference = golden_section_solve(scn).report.maxmin_level
     assert result.report.maxmin_level == pytest.approx(reference, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"total_power": 1e250, "beta_ue": 1.0, "beta_bs": 1.0}, {"beta_ue": 1e-40, "beta_bs": 1e30}],
+    ids=["P=1e250W", "beta_bs/beta_ue=1e70"],
+)
+def test_solve_orthogonal_far_outside_the_config_ranges(overrides):
+    # the first: the cheapest power at the first levels overflows to inf;
+    # the second: the best access share rounds to 1, leaving the backhaul none
+    scn = make_scenario(**overrides)
+    result = solve_orthogonal(scn)
+    assert result.converged and result.iterations_used <= 12
+    values = [*dataclasses.astuple(result.allocation), *dataclasses.astuple(result.report)]
+    assert all(math.isfinite(v) for v in values)
+    assert validate(scn, result.allocation) == []
+    assert result.allocation.p_ue + result.allocation.p_bs <= scn.total_power
+
+
+@pytest.mark.parametrize("y", [
+    1e-12, 1e-8, 1e-4,
+    np.nextafter(allocator._SERIES_Y, 0.0), allocator._SERIES_Y, 1.01 * allocator._SERIES_Y,
+    1.0, 30.0, 700.0,
+])
+def test_log_marginal_cost_matches_mpmath(y):
+    log_h, slope = allocator._log_marginal_cost(np.array([y]))
+    want_log_h, want_slope = map(float, mp_log_marginal_cost(y))
+    # log h within 1e-13 of its value puts h within 1e-13 of it, relative
+    # (log h(1) is 0, so its own relative error means nothing there)
+    assert abs(log_h[0] - want_log_h) <= 1e-13 * max(1.0, abs(want_log_h))
+    assert slope[0] == pytest.approx(want_slope, rel=1e-13, abs=0.0)
+
+
+def test_log_marginal_cost_of_huge_and_tiny_y_does_not_overflow():
+    # mixed in one array, so that the series runs beside inf; the suite
+    # turns any floating-point warning into an error
+    log_h, slope = allocator._log_marginal_cost(np.array([np.inf, 1e300, 1e-12, 1e-300]))
+    assert log_h[0] == np.inf and log_h[1] == 1e300 and np.isfinite(log_h[2:]).all()
+    assert slope.tolist()[:2] == [1.0, 1.0] and (slope[2:] > 1e12).all()
+
+
+def test_solve_orthogonal_matches_mpmath_on_reference_scenarios():
+    scns = [scn for _, scn in reference_scenarios()]
+    for scn, result in zip(scns, solve_orthogonal_many(scns)):
+        zeta, _ = mp_orthogonal_level(scn)
+        assert result.report.maxmin_level == pytest.approx(float(zeta), rel=1e-11)
+
+
+# (seed, index) of orthogonal corner draws: the index-th scenario without
+# overlap among 200 corner_scenario draws from default_rng(seed). The first
+# four are the worst the bisection solver met, off by 1.7e-7 to 6.6e-7.
+CORNER_DRAWS = [(12, 12), (28, 0), (42, 33), (41, 58), (44, 38), (4, 10), (0, 0), (0, 36)]
+
+
+def orthogonal_corner(seed: int, index: int) -> ScenarioParams:
+    rng = np.random.default_rng(seed)
+    scns = (corner_scenario(rng) for _ in range(200))
+    return [scn for scn in scns if scn.overlap_bandwidth == 0.0][index]
+
+
+def test_solve_orthogonal_matches_mpmath_at_config_corners():
+    scns = [orthogonal_corner(*draw) for draw in CORNER_DRAWS]
+    for scn, result in zip(scns, solve_orthogonal_many(scns)):
+        zeta, y_min = mp_orthogonal_level(scn)
+        # below y = 1e-6, log2(1 + sinr) in link_rates loses the digits first
+        assert y_min >= 1e-6
+        assert result.report.maxmin_level == pytest.approx(float(zeta), rel=1e-7)
+
+
+def test_solve_orthogonal_takes_few_steps(monkeypatch):
+    # the 1,204 scenarios of a power sweep over 30-60 dBm by 0.1 dB, as the
+    # sweep solves them, then the 12 reference and 1,000 random scenarios;
+    # bisection took 44 steps, so a silent fallback to it shows here
+    results = []
+
+    def solve(scns):
+        results.extend(solve_orthogonal_many(scns))
+        return results[-len(scns):]
+
+    monkeypatch.setattr(expcli, "solve_orthogonal_many", solve)
+    cfg = dataclasses.replace(expcli.ExperimentConfig(), solvers=["exact"], power_sweep_min_dbm=30.0,
+                              power_sweep_max_dbm=60.0, power_sweep_step_db=0.1)
+    expcli.run_power_sweep(cfg)
+    assert len(results) == 1204
+    results += solve_orthogonal_many(orthogonal_batch())
+    assert all(result.converged for result in results)
+    assert max(result.iterations_used for result in results) <= 12
+
+
+def test_solve_orthogonal_spends_at_most_the_power_budget():
+    scns = orthogonal_batch() + [orthogonal_corner(*draw) for draw in CORNER_DRAWS]
+    for scn, result in zip(scns, solve_orthogonal_many(scns)):
+        assert result.allocation.p_ue + result.allocation.p_bs <= scn.total_power
 
 
 # ------------------------------------------------------------- grid oracle

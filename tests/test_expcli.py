@@ -573,6 +573,16 @@ def test_cli_audit_rejects_an_unknown_text_cell(tmp_path, capsys, column, text):
     assert f":3: {column} must be one of " in err and repr(text) in err
 
 
+@pytest.mark.parametrize("column, text", [("p_bs_w", "abc"), ("zeta_mbps", ""), ("power_dbm", "1,5")])
+def test_cli_audit_rejects_a_numeric_cell_that_is_not_a_number(tmp_path, capsys, column, text):
+    def edit(table):
+        table[2][CSV_COLUMNS.index(column)] = text
+
+    err = assert_audit_fails_cleanly(capsys, *audited_csv(tmp_path, edit))
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f":3: {column} must be a number, got {text!r}" in err
+
+
 def test_cli_audit_tiny_overlap_with_a_zero_bandwidth(tmp_path, capsys):
     # the overlap is below the tolerance of validate, so the row is audited
     # with w_a = 0 under overlap: both rates re-evaluate to zero
