@@ -14,7 +14,7 @@ from satiab.expcli import ExperimentConfig, build_scenario
 scn = build_scenario(ExperimentConfig())
 
 exact = solve_orthogonal(scn)
-swarm = pso_solve(scn, PsoConfig(rng_seed=1))
+swarm = pso_solve(scn, PsoConfig(), 1)  # the seed keys the swarm's generator
 grid = grid_oracle(scn, 200)
 
 print(f"{'solver':>10} {'level Mbps':>12} {'access Mbps':>12} {'backhaul Mbps':>14} "
@@ -38,7 +38,7 @@ print("backhaul / level:      ", exact.report.rate_backhaul / level)
 # With overlapping spectrum the problem stops being convex; the swarm and
 # the grid still agree.
 overlapped = build_scenario(ExperimentConfig(overlap_mhz=20.0))
-swarm_o = pso_solve(overlapped, PsoConfig(rng_seed=1))
+swarm_o = pso_solve(overlapped, PsoConfig(), 1)
 grid_o = grid_oracle(overlapped, 200)
 print(f"\nhalf overlap: swarm {swarm_o.report.maxmin_level / 1e6:.3f} Mbps, "
       f"grid {grid_o.report.maxmin_level / 1e6:.3f} Mbps")

@@ -41,7 +41,6 @@ from .ratemodel import (
 
 __all__ = [
     "PsoConfig",
-    "PsoState",
     "SolverKind",
     "SolveResult",
     "solve_orthogonal",
@@ -86,13 +85,9 @@ class PsoConfig:
 
     The defaults reproduce the reference configuration: 50 particles,
     200 iterations, inertia weight 0.01, both learning factors 2, and a
-    ring neighborhood that includes the particle itself. The generator is
-    counter-based (numpy Philox) keyed by rng_seed; draws happen in a fixed
-    sequential order (initialization fills the N x 4 population row-major,
-    any degenerate pair is redrawn as 2 draws when projected, each velocity
-    update consumes an N x 4 x 2 block row-major with r1 before r2 per
-    element), so runs are reproducible regardless of how fitness evaluation
-    is scheduled or how many swarms run in one batch.
+    ring neighborhood that includes the particle itself. The seed is not
+    a hyperparameter: each swarm is keyed by the seed its solve call is
+    given, so one config serves every row of a batch.
     """
 
     population_size: int = 50
@@ -100,7 +95,6 @@ class PsoConfig:
     learning_factor_1: float = 2.0
     learning_factor_2: float = 2.0
     inertia_weight: float = 0.01
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.population_size < 3:
@@ -111,23 +105,6 @@ class PsoConfig:
             raise ValueError("learning factors must be positive")
         if self.inertia_weight < 0.0:
             raise ValueError("inertia_weight must be nonnegative")
-
-
-@dataclass
-class PsoState:
-    """Final swarm state.
-
-    Each array has one row per swarm of the batch. population/velocity are
-    S x N x 4 arrays with columns (p_ue, p_bs, w_a, w_b); the population is
-    returned in normalized (feasible) form. best_history holds the running
-    best fitness after each iteration, so its last column is the fitness of
-    best_particle.
-    """
-
-    population: np.ndarray
-    velocity: np.ndarray
-    best_particle: np.ndarray
-    best_history: np.ndarray
 
 
 def _inversion_power(rate, bandwidth, beta, alpha_o, dens):
@@ -350,7 +327,7 @@ def grid_oracle_many(scns: Sequence[ScenarioParams], resolution: int) -> list[So
                     SolverKind.GRID_ORACLE, [resolution**2] * len(scns), [True] * len(scns))
 
 
-def grid_oracle(scn: ScenarioParams, resolution: int = 200) -> SolveResult:
+def grid_oracle(scn: ScenarioParams, resolution: int) -> SolveResult:
     """Maximizer of the max-min level over a uniform grid; see :func:`grid_oracle_many`."""
     return grid_oracle_many([scn], resolution)[0]
 
@@ -392,30 +369,31 @@ def _normalize_population(
 def run_pso(
     scns: Sequence[ScenarioParams],
     cfg: PsoConfig,
+    seeds: Sequence[int],
     initial_population: np.ndarray | None = None,
-    seeds: Sequence[int] | None = None,
-) -> PsoState:
-    """Run one particle swarm per scenario and return their final state.
+) -> np.ndarray:
+    """Run one particle swarm per scenario and return the (S, 4) best
+    particles (p_ue, p_bs, w_a, w_b), one row per scenario.
 
     Per iteration: normalize the population onto the feasible set, score
     every particle with min(rate_access, eps * rate_backhaul), pick the
     iteration-global best and each particle's ring-neighborhood best, then
     accumulate velocities
         X += u1 r1 (local_best - F) + u2 r2 (global_best - F)
-    and step positions by F += mu X. The reported solution is the best
-    particle seen across all iterations. Bit-identical output for a fixed
-    rng_seed.
+    and step positions by F += mu X. A row's result is the best particle
+    seen across all its iterations.
 
-    The S swarms of scns run in lockstep as one S x N x 4 tensor:
-    initial_population, if given, is S x N x 4, and every array of the
-    returned state has a leading row axis. Row s draws from its own Philox
-    generator, keyed by seeds[s] (cfg.rng_seed for every row when seeds is
-    None), in the order of a swarm run alone, so its result does not depend
-    on the other rows.
+    The S swarms of scns run in lockstep as one S x N x 4 tensor;
+    initial_population, if given, is S x N x 4. Row s draws from its own
+    Philox generator, keyed by seeds[s], in a fixed sequential order:
+    initialization fills its N x 4 population row-major, any degenerate
+    pair is redrawn as 2 draws when projected, and each velocity update
+    consumes an N x 4 x 2 block row-major with r1 before r2 per element. So
+    a row's result is bit-identical for a fixed seed, and does not depend
+    on the other rows or on how fitness evaluation is scheduled.
     """
-    scns = list(scns)
+    scns, seeds = list(scns), list(seeds)
     n = cfg.population_size
-    seeds = [cfg.rng_seed] * len(scns) if seeds is None else list(seeds)
     if len(seeds) != len(scns):
         raise ValueError(f"{len(seeds)} seeds for {len(scns)} scenarios")
 
@@ -445,9 +423,8 @@ def run_pso(
 
     best_fitness = np.full(len(scns), -math.inf)
     best_particle = population[:, 0].copy()
-    best_history = np.empty((len(scns), cfg.max_iterations))
 
-    for t in range(cfg.max_iterations):
+    for _ in range(cfg.max_iterations):
         _normalize_population(population, p_total, band_total, w_lo, w_hi, rngs)
         rate_a, rate_b = link_rates(
             batch, population[..., 0], population[..., 1], population[..., 2], population[..., 3]
@@ -460,7 +437,6 @@ def run_pso(
         improved = lead_fitness > best_fitness
         best_fitness = np.where(improved, lead_fitness, best_fitness)
         best_particle = np.where(improved[:, None], global_best, best_particle)
-        best_history[:, t] = best_fitness
 
         candidates = np.stack((fitness, fitness[:, ring_prev], fitness[:, ring_next]))
         pick = np.argmax(candidates, axis=0)
@@ -472,13 +448,7 @@ def run_pso(
         velocity += cfg.learning_factor_2 * draws[..., 1] * (global_best[:, None] - population)
         population = population + cfg.inertia_weight * velocity
 
-    _normalize_population(population, p_total, band_total, w_lo, w_hi, rngs)
-    return PsoState(
-        population=population,
-        velocity=velocity,
-        best_particle=best_particle,
-        best_history=best_history,
-    )
+    return best_particle
 
 
 def pso_solve_many(
@@ -487,21 +457,20 @@ def pso_solve_many(
     """Particle-swarm solutions of many scenarios, in lockstep batches of
     at most _SWARM_PARTICLES particles (and at least one row) each.
 
-    Row s is keyed by seeds[s] in place of cfg.rng_seed and gets exactly
-    the result of :func:`pso_solve` with that seed, whatever the other rows.
+    Row s is the swarm keyed by seeds[s] (see :func:`run_pso`), so it
+    gets exactly the result of pso_solve(scns[s], cfg, seeds[s]), whatever
+    the other rows.
     """
     scns, seeds = list(scns), list(seeds)
     if len(seeds) != len(scns):
         raise ValueError(f"{len(seeds)} seeds for {len(scns)} scenarios")
     rows = max(1, _SWARM_PARTICLES // cfg.population_size)
-    best = [
-        run_pso(scns[k:k + rows], cfg, seeds=seeds[k:k + rows]).best_particle
-        for k in range(0, len(scns), rows)
-    ]
+    best = [run_pso(scns[k:k + rows], cfg, seeds[k:k + rows]) for k in range(0, len(scns), rows)]
     return _results(ScenarioBatch.stack(scns), np.concatenate(best or [np.empty((0, 4))]),
                     SolverKind.PSO, [cfg.max_iterations] * len(scns), [True] * len(scns))
 
 
-def pso_solve(scn: ScenarioParams, cfg: PsoConfig) -> SolveResult:
-    """Particle-swarm solution of the max-min allocation problem."""
-    return pso_solve_many([scn], cfg, [cfg.rng_seed])[0]
+def pso_solve(scn: ScenarioParams, cfg: PsoConfig, seed: int) -> SolveResult:
+    """Particle-swarm solution of the max-min allocation problem, keyed by
+    seed; see :func:`pso_solve_many`."""
+    return pso_solve_many([scn], cfg, [seed])[0]

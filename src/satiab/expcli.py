@@ -124,7 +124,16 @@ class ExperimentConfig:
 
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-_INT_FIELDS = {"pso_population", "pso_iterations", "seed", "overlap_sweep_points", "oracle_resolution"}
+# The JSON values load_config takes for each field type of ExperimentConfig
+# (bool is not a number here): a test, the conversion, and what the error
+# says a value must be.
+_JSON_TYPES = {
+    "float": (lambda v: type(v) in (int, float), float, "a number"),
+    "int": (lambda v: type(v) is int, int, "an integer"),
+    "str": (lambda v: type(v) is str, str, "a string"),
+    "tuple[str, ...]": (lambda v: type(v) is list and all(type(s) is str for s in v), tuple,
+                        "a list of strings"),
+}
 _KNOWN_SOLVERS = tuple(kind.value for kind in SolverKind)
 # Transmit powers accepted, in dBm (0.1 pW to 10 MW): wide enough for any
 # satellite, and far inside the range where dbm_to_watts stays finite and
@@ -216,9 +225,10 @@ def _config_problems(cfg: ExperimentConfig) -> list[str]:
 def load_config(path: str) -> ExperimentConfig:
     """Load an experiment config from a JSON file.
 
-    Missing keys take the defaults; unknown keys and invariant violations
-    raise ValidationError, malformed JSON raises ParseError with the
-    location of the problem.
+    Missing keys take the defaults, and each key's value must have the JSON
+    type of its ExperimentConfig annotation. Unknown keys, values of the
+    wrong type and invariant violations raise ValidationError; malformed
+    JSON raises ParseError with the location of the problem.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -236,28 +246,13 @@ def load_config(path: str) -> ExperimentConfig:
         if known is None:
             problems.append(f"unknown key {key!r}")
             continue
-        if key == "solvers":
-            if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-                problems.append("solvers must be a list of strings")
-                continue
-            values[key] = tuple(value)
-        elif key == "duplex" or key == "output_dir":
-            if not isinstance(value, str):
-                problems.append(f"{key} must be a string")
-                continue
-            values[key] = value
-        elif key in _INT_FIELDS:
-            if isinstance(value, bool) or not isinstance(value, int):
-                problems.append(f"{key} must be an integer")
-                continue
-            values[key] = value
-        elif isinstance(value, _NonFiniteLiteral):
+        accepts, convert, kind = _JSON_TYPES[known.type]
+        if known.type == "float" and isinstance(value, _NonFiniteLiteral):
             problems.append(f"{key} must be finite, got {value.text}")
+        elif not accepts(value):
+            problems.append(f"{key} must be {kind}")
         else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                problems.append(f"{key} must be a number")
-                continue
-            values[key] = float(value)
+            values[key] = convert(value)
     if problems:
         raise ValidationError(f"{path}: " + "; ".join(problems))
 
@@ -362,14 +357,13 @@ def _row_sort_key(row: "SweepRow"):
     return (row.sweep_value, row.duplex, row.altitude_km, row.access_weight, row.solver)
 
 
-def _pso_config(cfg: ExperimentConfig, rng_seed: int) -> PsoConfig:
+def _pso_config(cfg: ExperimentConfig) -> PsoConfig:
     return PsoConfig(
         population_size=cfg.pso_population,
         max_iterations=cfg.pso_iterations,
         learning_factor_1=cfg.pso_learning_factor_1,
         learning_factor_2=cfg.pso_learning_factor_2,
         inertia_weight=cfg.pso_inertia_weight,
-        rng_seed=rng_seed,
     )
 
 
@@ -383,7 +377,7 @@ def _row_seed(base_seed: int, row_index: int) -> int:
 # when they run, so a function patched in here sees every solve.
 _SOLVERS = {
     SolverKind.EXACT_ORTHOGONAL: lambda cfg, scns, seeds: solve_orthogonal_many(scns),
-    SolverKind.PSO: lambda cfg, scns, seeds: pso_solve_many(scns, _pso_config(cfg, cfg.seed), seeds),
+    SolverKind.PSO: lambda cfg, scns, seeds: pso_solve_many(scns, _pso_config(cfg), seeds),
     SolverKind.GRID_ORACLE: lambda cfg, scns, seeds: grid_oracle_many(scns, cfg.oracle_resolution),
 }
 
@@ -546,10 +540,11 @@ def _series_label(key, varying) -> str:
     return " ".join(parts)
 
 
-def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    # six evenly spaced axis ticks from lo to hi
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    return [lo + (hi - lo) * i / 5 for i in range(6)]
 
 
 def emit_plot(rows: list[SweepRow], path: str) -> None:
@@ -661,14 +656,17 @@ def emit_plot(rows: list[SweepRow], path: str) -> None:
         fh.write("\n")
 
 
-def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow], tol: float = 1e-6) -> list[str]:
+_AUDIT_TOL = 1e-6  # relative tolerance between a recorded rate and its re-evaluation
+
+
+def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
     """Re-validate and re-evaluate every row's allocation.
 
     Returns one message per discrepancy, in row order: rows marked
     converged that hold a non-finite value, infeasible allocations, and
     rates that disagree with the recorded values beyond the relative
-    tolerance. Rows with a non-finite value that are not marked converged
-    record a solver failure and are skipped. The other rows' scenarios come
+    tolerance _AUDIT_TOL. Rows with a non-finite value that are not marked
+    converged record a solver failure and are skipped. The other rows' scenarios come
     from one build_scenarios call, and the feasible rows are re-evaluated
     together, by one evaluate_many call.
     """
@@ -680,7 +678,7 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow], tol: float = 1e-6) -
             problems[index].append(f"row {index}: marked converged but holds a non-finite value")
     for (index, row), scn in zip(finite, build_scenarios(cfg, [_row_point(row) for _, row in finite])):
         alloc = Allocation(p_ue=row.p_ue_w, p_bs=row.p_bs_w, w_a=row.w_a_hz, w_b=row.w_b_hz)
-        violated = validate(scn, alloc, tol)
+        violated = validate(scn, alloc)
         if violated:
             problems[index].append(f"row {index}: allocation violates {', '.join(violated)}")
         else:
@@ -696,7 +694,7 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow], tol: float = 1e-6) -
         }
         for name, (got, want) in recorded.items():
             scale = max(abs(want), 1e-12)
-            if abs(got - want) > tol * scale:
+            if abs(got - want) > _AUDIT_TOL * scale:
                 problems[index].append(
                     f"row {index}: {name} recorded {got:.9g} but re-evaluates to {want:.9g}"
                 )

@@ -30,6 +30,8 @@ __all__ = [
     "validate",
 ]
 
+_SLACK = 1e-6  # relative slack of each constraint that validate checks
+
 
 class DuplexMode(enum.Enum):
     FDD = "FDD"
@@ -253,10 +255,10 @@ def evaluate_many(batch: ScenarioBatch, alloc: np.ndarray) -> list[RateReport]:
     return [RateReport.from_rates(*row) for row in table]
 
 
-def validate(scn: ScenarioParams, alloc: Allocation, tol: float = 1e-6) -> list[str]:
+def validate(scn: ScenarioParams, alloc: Allocation) -> list[str]:
     """Feasibility check; returns the identifiers of violated constraints.
 
-    Constraints, with relative slack tol (power bounds scaled by the power
+    Constraints, with relative slack _SLACK (power bounds scaled by the power
     budget, bandwidth bounds by the per-link bandwidth cap):
         1a: p_ue + p_bs <= P
         1b: w_a + w_b <= alpha_1 (W + w_o)
@@ -266,12 +268,12 @@ def validate(scn: ScenarioParams, alloc: Allocation, tol: float = 1e-6) -> list[
     p_cap = scn.total_power
     band_cap, w_lo, w_hi = bandwidth_limits(scn)
     violated = []
-    if alloc.p_ue + alloc.p_bs > p_cap + tol * p_cap:
+    if alloc.p_ue + alloc.p_bs > p_cap + _SLACK * p_cap:
         violated.append("1a")
-    if alloc.w_a + alloc.w_b > band_cap + tol * band_cap:
+    if alloc.w_a + alloc.w_b > band_cap + _SLACK * band_cap:
         violated.append("1b")
-    if alloc.w_a > w_hi + tol * w_hi or alloc.w_b > w_hi + tol * w_hi:
+    if alloc.w_a > w_hi + _SLACK * w_hi or alloc.w_b > w_hi + _SLACK * w_hi:
         violated.append("1c")
-    if alloc.w_a < w_lo - tol * w_hi or alloc.w_b < w_lo - tol * w_hi:
+    if alloc.w_a < w_lo - _SLACK * w_hi or alloc.w_b < w_lo - _SLACK * w_hi:
         violated.append("1d")
     return violated

@@ -328,7 +328,7 @@ def row_scenario(cfg: ExperimentConfig, row) -> ScenarioParams:
     ))
 
 
-def per_row_audit(cfg: ExperimentConfig, rows, tol: float = 1e-6) -> list[str]:
+def per_row_audit(cfg: ExperimentConfig, rows) -> list[str]:
     """audit_rows one row at a time: build the row's scenario, validate its
     allocation, and re-evaluate a feasible one with the scalar evaluate."""
     problems = []
@@ -339,7 +339,7 @@ def per_row_audit(cfg: ExperimentConfig, rows, tol: float = 1e-6) -> list[str]:
             continue
         scn = row_scenario(cfg, row)
         alloc = Allocation(p_ue=row.p_ue_w, p_bs=row.p_bs_w, w_a=row.w_a_hz, w_b=row.w_b_hz)
-        violated = validate(scn, alloc, tol)
+        violated = validate(scn, alloc)
         if violated:
             problems.append(f"row {index}: allocation violates {', '.join(violated)}")
             continue
@@ -352,7 +352,7 @@ def per_row_audit(cfg: ExperimentConfig, rows, tol: float = 1e-6) -> list[str]:
         }
         for name, (got, want) in recorded.items():
             scale = max(abs(want), 1e-12)
-            if abs(got - want) > tol * scale:
+            if abs(got - want) > 1e-6 * scale:
                 problems.append(
                     f"row {index}: {name} recorded {got:.9g} but re-evaluates to {want:.9g}"
                 )

@@ -99,6 +99,16 @@ def test_load_config_rejects_bad_types(tmp_path):
         load_config(write_json(tmp_path / "cfg.json", {"seed": 1.5}))
 
 
+@pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
+def test_load_config_rejects_a_value_of_the_wrong_type(tmp_path, field):
+    # each key takes the JSON type of its ExperimentConfig annotation
+    wrong = {"float": ("1", True, None), "int": (1.5, True, "1"), "str": (5, ["FDD"]),
+             "tuple[str, ...]": ("exact", [1], {})}[field.type]
+    for value in wrong:
+        with pytest.raises(ValidationError, match=f"{field.name} must be "):
+            load_config(write_json(tmp_path / "cfg.json", {field.name: value}))
+
+
 def test_load_config_parse_error_reports_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"total_power_dbm": 40,}')
@@ -387,9 +397,9 @@ def test_run_single_produces_one_row_per_solver():
     assert all(r.sweep == "single" for r in rows)
     # each row is the solver called alone; the swarm is keyed by cfg.seed
     scn = build_scenario(cfg)
-    swarm = PsoConfig(population_size=cfg.pso_population, max_iterations=cfg.pso_iterations,
-                      rng_seed=cfg.seed)
-    direct = [solve_orthogonal(scn), grid_oracle(scn, cfg.oracle_resolution), pso_solve(scn, swarm)]
+    swarm = PsoConfig(population_size=cfg.pso_population, max_iterations=cfg.pso_iterations)
+    direct = [solve_orthogonal(scn), grid_oracle(scn, cfg.oracle_resolution),
+              pso_solve(scn, swarm, cfg.seed)]
     for row, result in zip(rows, direct):
         assert (row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz) == dataclasses.astuple(result.allocation)
         assert row.zeta_mbps == result.report.maxmin_level / 1e6

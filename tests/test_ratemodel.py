@@ -240,7 +240,7 @@ def test_allocation_rejects_negative_fields():
 def test_validate_power_budget_violation():
     scn = make_scenario()
     alloc = Allocation(5.005, 5.005, 10e6, 10e6)  # 1.001 * budget
-    assert validate(scn, alloc, tol=1e-6) == ["1a"]
+    assert validate(scn, alloc) == ["1a"]
 
 
 def test_validate_feasible_boundaries():
