@@ -13,10 +13,11 @@ equal. Both roots, of the log cost ratio and of the log of the cheapest
 power over the budget, are found by Newton steps that bisect a bracket of
 the root when they would leave it.
 
-Every solver solves a batch of scenarios at once, as arrays with one row
-per scenario, and reports all rows' rates from one batched link_rates
-call. The grid oracle finds the grid maximum by bisecting each bandwidth
-column for its single peak, in chunks of whole scenarios.
+Every solver takes a ScenarioBatch and returns arrays with one row per
+scenario: the (S, 4) allocations (p_ue, p_bs, w_a, w_b), the iterations
+used and the converged flags. Its one-scenario function is a view of that
+at one row, a SolveResult reported by evaluate. The grid oracle bisects
+each bandwidth column for its single peak, in chunks of whole scenarios.
 """
 
 from __future__ import annotations
@@ -28,16 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ratemodel import (
-    Allocation,
-    RateReport,
-    ScenarioBatch,
-    ScenarioParams,
-    bandwidth_limits,
-    evaluate,  # unused here; kept for the span tracer of bench/spans.py
-    evaluate_many,
-    link_rates,
-)
+from .ratemodel import Allocation, RateReport, ScenarioBatch, ScenarioParams
+from .ratemodel import bandwidth_limits, evaluate, link_rates
 
 __all__ = [
     "PsoConfig",
@@ -57,6 +50,7 @@ _SERIES_Y = 1e-2  # below this y, _log_marginal_cost sums g(y) / y as a series,
 _G_SERIES = [-1 / 5040, 1 / 720, -1 / 120, 1 / 24, -1 / 6, 1 / 2]  # y polyval(_G_SERIES, y)
 _BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest access share, so the backhaul's stays positive
 _MAX_STEPS = 200
+_Solved = tuple[np.ndarray, np.ndarray, np.ndarray]  # allocations, iterations, converged
 _GRID_BLOCK = 4_096  # grid columns per grid_oracle_many kernel call: 32 KiB temporaries
 _SWARM_PARTICLES = 65_536  # particles per run_pso batch of pso_solve_many
 
@@ -160,17 +154,14 @@ def _split_share(y_whole, log_gain_ratio, share):
     return share
 
 
-def _results(batch, alloc, solver, iterations, converged) -> list[SolveResult]:
-    """One SolveResult per row of the (S, 4) allocations alloc (p_ue, p_bs,
-    w_a, w_b) of the scenarios in batch, all reported by one evaluate_many call."""
-    reports = evaluate_many(batch, alloc)
-    return [
-        SolveResult(Allocation(*row), report, solver, n, done)
-        for row, report, n, done in zip(alloc.tolist(), reports, iterations, converged)
-    ]
+def _solved_alone(solve_many, solver: SolverKind, scn: ScenarioParams, *args) -> SolveResult:
+    """The SolveResult of solve_many(the batch of scn alone, *args)."""
+    alloc, iterations, converged = solve_many(ScenarioBatch.stack([scn]), *args)
+    found = Allocation(*alloc[0].tolist())
+    return SolveResult(found, evaluate(scn, found), solver, int(iterations[0]), bool(converged[0]))
 
 
-def solve_orthogonal_many(scns: Sequence[ScenarioParams]) -> list[SolveResult]:
+def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
     """Exact max-min solutions of many orthogonal scenarios (overlap zero).
 
     The power needed at level zeta, with the cheapest split of the whole
@@ -188,11 +179,10 @@ def solve_orthogonal_many(scns: Sequence[ScenarioParams]) -> list[SolveResult]:
     counts its levels, and converged says it stopped so. It returns the
     allocation computed at its final lo, whose powers sum to at most P
     exactly. Rows share only elementwise arithmetic, so row s is exactly
-    solve_orthogonal(scns[s]).
+    the solve of scenario s alone.
     """
-    if any(scn.overlap_bandwidth != 0.0 for scn in scns):
+    if (batch.overlap_bandwidth != 0.0).any():
         raise ValueError("solve_orthogonal requires overlap_bandwidth == 0")
-    batch = ScenarioBatch.stack(scns)
     alpha_o, eps, dens = batch.alpha_o, batch.access_weight, batch.density
     p_total = batch.total_power
     w_total = bandwidth_limits(batch)[0]  # the budget of both links, w_o being 0
@@ -237,24 +227,24 @@ def solve_orthogonal_many(scns: Sequence[ScenarioParams]) -> list[SolveResult]:
         new = z + np.where(feasible, step, -step)
         zeta[rows] = np.where((new > lo_s) & (new < hi_s), new, 0.5 * (lo_s + hi_s))
 
-    return _results(batch, alloc, SolverKind.EXACT_ORTHOGONAL,
-                    iterations.ravel().tolist(), (hi - lo <= tol).ravel().tolist())
+    return alloc, iterations.ravel(), (hi - lo <= tol).ravel()
 
 
 def solve_orthogonal(scn: ScenarioParams) -> SolveResult:
     """Exact max-min solver for the orthogonal case (overlap zero); see
     :func:`solve_orthogonal_many`."""
-    return solve_orthogonal_many([scn])[0]
+    return _solved_alone(solve_orthogonal_many, SolverKind.EXACT_ORTHOGONAL, scn)
 
 
-def _grid_maxima(scns: Sequence[ScenarioParams], resolution: int) -> np.ndarray:
+def _grid_maxima(batch: ScenarioBatch, resolution: int) -> np.ndarray:
     """(S, 4) allocations at the scenarios' first grid maxima; see grid_oracle_many."""
-    batch = ScenarioBatch.stack(scns)
     eps, p_total = batch.access_weight, batch.total_power
-    # one grid row per scenario, each from np.linspace as in a scenario alone
-    p_grid = np.array([np.linspace(0.0, scn.total_power, resolution) for scn in scns])
-    w_a = np.array([np.linspace(*bandwidth_limits(scn)[1:], resolution) for scn in scns])
-    w_b = bandwidth_limits(batch)[0] - w_a
+    band_total, w_lo, w_hi = bandwidth_limits(batch)
+    # one np.linspace per grid row, as for a scenario alone: on whole columns it rounds
+    # every row another way once one row's step is zero, as at a full overlap's bandwidth
+    p_grid, w_a = (np.array([np.linspace(a, b, resolution) for a, b in zip(lo.ravel(), hi.ravel())])
+                   for lo, hi in ((np.zeros_like(p_total), p_total), (w_lo, w_hi)))
+    w_b = band_total - w_a
 
     def at(rows):
         # rate_a / eps and rate_b of every column at its grid row rows[s, j]
@@ -287,18 +277,18 @@ def _grid_maxima(scns: Sequence[ScenarioParams], resolution: int) -> np.ndarray:
     order = np.where(best < best.max(axis=1, keepdims=True), resolution**2,
                      hi * resolution + np.arange(resolution))
     i, j = np.divmod(order.min(axis=1), resolution)
-    s = np.arange(len(scns))
+    s = np.arange(len(batch))
     return np.column_stack((p_grid[s, i], p_total[:, 0] - p_grid[s, i], w_a[s, j], w_b[s, j]))
 
 
-def grid_oracle_many(scns: Sequence[ScenarioParams], resolution: int) -> list[SolveResult]:
+def grid_oracle_many(batch: ScenarioBatch, resolution: int) -> _Solved:
     """Maximizers of the max-min level over uniform grids, one row per scenario.
 
     Each grid spans the power split p_ue in [0, P] (with p_bs = P - p_ue)
     and the bandwidth split w_a in [alpha_1 w_o, alpha_1 W] with the
     bandwidth budget used exactly, which keeps every grid point feasible.
     Row s is the point np.argmax picks from min(rate_a / eps, rate_b) over
-    the grid of scns[s], found without evaluating the whole grid.
+    the grid of scenario s, found without evaluating the whole grid.
 
     Down a column (a fixed bandwidth split), p_ue rises and p_bs = P - p_ue
     falls, so the access SINR rises (its own power up, its interferer's
@@ -314,22 +304,19 @@ def grid_oracle_many(scns: Sequence[ScenarioParams], resolution: int) -> list[So
     smallest column, as np.argmax's first maximum in row-major order.
 
     Scenarios are searched in chunks of at most _GRID_BLOCK columns (at
-    least one scenario), one kernel call per search step, and all rows are
-    reported from one link_rates call, each counting resolution**2 grid
-    points as iterations.
+    least one scenario), one kernel call per search step. Each row counts
+    resolution**2 grid points as iterations.
     """
     if resolution < 10:
         raise ValueError("resolution must be >= 10")
-    scns = list(scns)
-    rows = max(1, _GRID_BLOCK // resolution)
-    alloc = [_grid_maxima(scns[k:k + rows], resolution) for k in range(0, len(scns), rows)]
-    return _results(ScenarioBatch.stack(scns), np.concatenate(alloc or [np.empty((0, 4))]),
-                    SolverKind.GRID_ORACLE, [resolution**2] * len(scns), [True] * len(scns))
+    n, rows = len(batch), max(1, _GRID_BLOCK // resolution)
+    alloc = [_grid_maxima(batch.take(slice(k, k + rows)), resolution) for k in range(0, n, rows)]
+    return np.concatenate(alloc or [np.empty((0, 4))]), np.full(n, resolution**2), np.ones(n, bool)
 
 
 def grid_oracle(scn: ScenarioParams, resolution: int) -> SolveResult:
     """Maximizer of the max-min level over a uniform grid; see :func:`grid_oracle_many`."""
-    return grid_oracle_many([scn], resolution)[0]
+    return _solved_alone(grid_oracle_many, SolverKind.GRID_ORACLE, scn, resolution)
 
 
 def _normalize_population(
@@ -366,12 +353,8 @@ def _normalize_population(
     np.clip(population[..., 2:4], w_lo, w_hi, out=population[..., 2:4])
 
 
-def run_pso(
-    scns: Sequence[ScenarioParams],
-    cfg: PsoConfig,
-    seeds: Sequence[int],
-    initial_population: np.ndarray | None = None,
-) -> np.ndarray:
+def run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int],
+            initial_population: np.ndarray | None = None) -> np.ndarray:
     """Run one particle swarm per scenario and return the (S, 4) best
     particles (p_ue, p_bs, w_a, w_b), one row per scenario.
 
@@ -383,7 +366,7 @@ def run_pso(
     and step positions by F += mu X. A row's result is the best particle
     seen across all its iterations.
 
-    The S swarms of scns run in lockstep as one S x N x 4 tensor;
+    The S swarms of batch run in lockstep as one S x N x 4 tensor;
     initial_population, if given, is S x N x 4. Row s draws from its own
     Philox generator, keyed by seeds[s], in a fixed sequential order:
     initialization fills its N x 4 population row-major, any degenerate
@@ -392,36 +375,34 @@ def run_pso(
     a row's result is bit-identical for a fixed seed, and does not depend
     on the other rows or on how fitness evaluation is scheduled.
     """
-    scns, seeds = list(scns), list(seeds)
-    n = cfg.population_size
-    if len(seeds) != len(scns):
-        raise ValueError(f"{len(seeds)} seeds for {len(scns)} scenarios")
+    seeds, size, n = list(seeds), len(batch), cfg.population_size
+    if len(seeds) != size:
+        raise ValueError(f"{len(seeds)} seeds for {size} scenarios")
 
-    batch = ScenarioBatch.stack(scns)
     eps = batch.access_weight
     p_total = batch.total_power[..., None]
     band_total, w_lo, w_hi = (limit[..., None] for limit in bandwidth_limits(batch))
 
     rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
     if initial_population is None:
-        population = np.empty((len(scns), n, 4))
+        population = np.empty((size, n, 4))
         for rng, rows in zip(rngs, population):
             rng.random(out=rows)
         population[..., 0:2] *= p_total
         population[..., 2:4] *= band_total
     else:
         population = np.array(initial_population, dtype=float, copy=True)
-        if population.shape != (len(scns), n, 4):
-            raise ValueError(f"initial_population must have shape {(len(scns), n, 4)}")
+        if population.shape != (size, n, 4):
+            raise ValueError(f"initial_population must have shape {(size, n, 4)}")
     velocity = np.zeros_like(population)
     draws = np.empty(population.shape + (2,))
 
-    row = np.arange(len(scns))
+    row = np.arange(size)
     idx = np.arange(n)
     ring_prev = (idx - 1) % n
     ring_next = (idx + 1) % n
 
-    best_fitness = np.full(len(scns), -math.inf)
+    best_fitness = np.full(size, -math.inf)
     best_particle = population[:, 0].copy()
 
     for _ in range(cfg.max_iterations):
@@ -451,26 +432,24 @@ def run_pso(
     return best_particle
 
 
-def pso_solve_many(
-    scns: Sequence[ScenarioParams], cfg: PsoConfig, seeds: Sequence[int]
-) -> list[SolveResult]:
+def pso_solve_many(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int]) -> _Solved:
     """Particle-swarm solutions of many scenarios, in lockstep batches of
     at most _SWARM_PARTICLES particles (and at least one row) each.
 
     Row s is the swarm keyed by seeds[s] (see :func:`run_pso`), so it
-    gets exactly the result of pso_solve(scns[s], cfg, seeds[s]), whatever
-    the other rows.
+    gets exactly the result of pso_solve(scenario s, cfg, seeds[s]),
+    whatever the other rows. Each row counts cfg.max_iterations.
     """
-    scns, seeds = list(scns), list(seeds)
-    if len(seeds) != len(scns):
-        raise ValueError(f"{len(seeds)} seeds for {len(scns)} scenarios")
+    seeds, n = list(seeds), len(batch)
+    if len(seeds) != n:
+        raise ValueError(f"{len(seeds)} seeds for {n} scenarios")
     rows = max(1, _SWARM_PARTICLES // cfg.population_size)
-    best = [run_pso(scns[k:k + rows], cfg, seeds[k:k + rows]) for k in range(0, len(scns), rows)]
-    return _results(ScenarioBatch.stack(scns), np.concatenate(best or [np.empty((0, 4))]),
-                    SolverKind.PSO, [cfg.max_iterations] * len(scns), [True] * len(scns))
+    best = [run_pso(batch.take(slice(k, k + rows)), cfg, seeds[k:k + rows]) for k in range(0, n, rows)]
+    best = np.concatenate(best or [np.empty((0, 4))])
+    return best, np.full(n, cfg.max_iterations), np.ones(n, bool)
 
 
 def pso_solve(scn: ScenarioParams, cfg: PsoConfig, seed: int) -> SolveResult:
     """Particle-swarm solution of the max-min allocation problem, keyed by
     seed; see :func:`pso_solve_many`."""
-    return pso_solve_many([scn], cfg, [seed])[0]
+    return _solved_alone(pso_solve_many, SolverKind.PSO, scn, cfg, [seed])

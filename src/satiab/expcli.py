@@ -6,9 +6,10 @@ outputs are deterministic: a fixed config and seed reproduce the output
 files byte for byte, because each sweep row derives its own swarm seed
 from the base seed and the row's position in the sweep grid.
 
-Every command solves through one path: the sweep points select their
-solvers, and each solver makes one batch call, from the _SOLVERS table, on
-all the points that select it. `satiab solve` is a sweep of one point.
+Every command runs on arrays: the run's points make one ScenarioBatch, each
+solver makes one batch call, from the _SOLVERS table, on all the points that
+select it, and each SweepRow is built once, from the solver's arrays and
+their evaluate_many columns. `satiab solve` is a sweep of one point.
 
 Exit codes of the command-line entry point: 0 success, 1 config/validation
 error (including audit mismatches), 2 I/O error.
@@ -29,17 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import (
-    PsoConfig,
-    SolveResult,
-    SolverKind,
-    grid_oracle,  # unused here; kept for the span tracer of bench/spans.py
-    grid_oracle_many,
-    pso_solve,  # unused here; kept for the span tracer of bench/spans.py
-    pso_solve_many,
-    solve_orthogonal,  # unused here; kept for the span tracer of bench/spans.py
-    solve_orthogonal_many,
-)
+from .allocator import PsoConfig, SolverKind, grid_oracle_many, pso_solve_many, solve_orthogonal_many
 from .linkbudget import (
     GroundNodeParams,
     SatelliteParams,
@@ -48,8 +39,12 @@ from .linkbudget import (
     dbm_to_watts,
     slant_distance,
 )
-from .ratemodel import Allocation, DuplexMode, ScenarioBatch, ScenarioParams, evaluate_many, validate
-from .ratemodel import evaluate  # unused here; kept for the span tracer of bench/spans.py
+from .ratemodel import CONSTRAINTS, Allocation, DuplexMode, ScenarioBatch, ScenarioParams
+from .ratemodel import duplex_factors, evaluate_many, validate_many
+
+# Unused here: the span tracer of bench/spans.py wraps these names in this module.
+from .allocator import grid_oracle, pso_solve, solve_orthogonal  # noqa: F401
+from .ratemodel import evaluate, validate  # noqa: F401
 
 __all__ = [
     "ParseError",
@@ -210,6 +205,9 @@ def _config_problems(cfg: ExperimentConfig) -> list[str]:
     unknown = sorted(set(cfg.solvers) - set(_KNOWN_SOLVERS))
     if unknown:
         problems.append(f"unknown solvers: {', '.join(unknown)}")
+    repeated = sorted({name for name in cfg.solvers if cfg.solvers.count(name) > 1})
+    if repeated:
+        problems.append(f"repeated solvers: {', '.join(repeated)}")
     if "exact" in cfg.solvers and cfg.overlap_mhz > 0.0:
         problems.append("the exact solver is only selectable when overlap_mhz = 0")
     if cfg.power_sweep_step_db <= 0.0:
@@ -272,14 +270,17 @@ def write_config(cfg: ExperimentConfig, path: str) -> None:
         fh.write("\n")
 
 
-def build_scenarios(cfg: ExperimentConfig, points) -> list[ScenarioParams]:
-    """Turn a run's points into linear-unit scenarios, one per point.
+def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
+    """Turn a run's points into a batch of linear-unit scenarios, one row per point.
 
     A point is (power_dbm, overlap_mhz, duplex, altitude_km, access_weight),
     the SweepRow columns CSV_COLUMNS[2:7]; every other value comes from cfg.
     The channel gains depend on a point only through its altitude, so each
     distinct altitude's gains are computed once, when a point first needs
-    them, and the first bad point raises first.
+    them; an unknown duplex or a bad altitude raises at the first point
+    that has one. The batch then raises the first of its conditions that
+    any row fails: of two bad points, the one whose condition ScenarioParams
+    tests first raises, which need not be the first bad point.
     """
     sat_gain = db_to_linear(cfg.satellite_antenna_gain_dbi)
     nodes = [(db_to_linear(gain_dbi), math.radians(angle_deg)) for gain_dbi, angle_deg in (
@@ -287,7 +288,7 @@ def build_scenarios(cfg: ExperimentConfig, points) -> list[ScenarioParams]:
     noise = dbm_to_watts(cfg.noise_density_dbm_hz)
     interference = dbm_to_watts(cfg.interference_density_dbm_hz)
     gains: dict[float, list[float]] = {}
-    scenarios = []
+    rows = []
     for power_dbm, overlap_mhz, duplex, altitude_km, access_weight in points:
         if altitude_km not in gains:
             altitude_m = altitude_km * 1e3
@@ -297,25 +298,20 @@ def build_scenarios(cfg: ExperimentConfig, points) -> list[ScenarioParams]:
                 channel_gain(sat, GroundNodeParams(gain, angle, slant_distance(altitude_m, angle)))
                 for gain, angle in nodes
             ]
-        beta_ue, beta_bs = gains[altitude_km]
-        scenarios.append(ScenarioParams(
-            total_power=dbm_to_watts(power_dbm),
-            total_bandwidth=cfg.total_bandwidth_mhz * 1e6,
-            overlap_bandwidth=overlap_mhz * 1e6,
-            noise_density=noise,
-            interference_density=interference,
-            access_weight=access_weight,
-            duplex=DuplexMode(duplex),
-            beta_ue=beta_ue,
-            beta_bs=beta_bs,
-        ))
-    return scenarios
+        # the ScenarioBatch columns, in order
+        rows.append((dbm_to_watts(power_dbm), cfg.total_bandwidth_mhz * 1e6, overlap_mhz * 1e6,
+                     noise, interference, access_weight, *duplex_factors(DuplexMode(duplex)),
+                     *gains[altitude_km]))
+    columns = np.array(rows, dtype=float).reshape(-1, len(dataclasses.fields(ScenarioBatch))).T
+    return ScenarioBatch(*(column.reshape(-1, 1) for column in columns.copy()))
 
 
 def build_scenario(cfg: ExperimentConfig) -> ScenarioParams:
-    """The linear-unit scenario of the config's own point; to vary a table
-    entry, pass dataclasses.replace(cfg, ...)."""
-    return build_scenarios(cfg, [_config_point(cfg)])[0]
+    """The linear-unit scenario of the config's own point, build_scenarios
+    at one row; to vary a table entry, pass dataclasses.replace(cfg, ...)."""
+    batch = build_scenarios(cfg, [_config_point(cfg)])
+    return ScenarioParams(duplex=DuplexMode(cfg.duplex), **{f.name: getattr(batch, f.name).item()
+                          for f in dataclasses.fields(ScenarioParams) if f.name != "duplex"})
 
 
 @dataclass(frozen=True)
@@ -343,7 +339,12 @@ class SweepRow:
 
 CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 _FLOAT_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow) if f.type == "float")
+# The float cells of a row end with the rate columns of evaluate_many, in
+# Mbps, and then the allocation (p_ue, p_bs, w_a, w_b).
 _float_cells = operator.attrgetter(*_FLOAT_COLUMNS)
+# One CSV line of a row: every cell but the last, converged, then its text.
+_CSV_LINE = ",".join("%.9g" if f.type == "float" else "%s" for f in dataclasses.fields(SweepRow)) + "\r\n"
+_leading_cells = operator.attrgetter(*CSV_COLUMNS[:-1])
 # The point of a row and of a config, in the order build_scenarios takes;
 # the config names the power total_power_dbm and the other four as the row.
 _row_point = operator.attrgetter(*CSV_COLUMNS[2:7])
@@ -372,32 +373,14 @@ def _row_seed(base_seed: int, row_index: int) -> int:
     return (base_seed * 1_000_003 + row_index) % 2**63
 
 
-# The batch call of each solver: (config, scenarios, swarm seeds) -> one
-# SolveResult per scenario. The calls look their solvers up in this module
-# when they run, so a function patched in here sees every solve.
+# The batch call of each solver: (config, batch, swarm seeds) -> arrays of
+# allocations, iterations and converged flags. The calls look their solvers
+# up in this module when they run, so a function patched in here sees them.
 _SOLVERS = {
-    SolverKind.EXACT_ORTHOGONAL: lambda cfg, scns, seeds: solve_orthogonal_many(scns),
-    SolverKind.PSO: lambda cfg, scns, seeds: pso_solve_many(scns, _pso_config(cfg), seeds),
-    SolverKind.GRID_ORACLE: lambda cfg, scns, seeds: grid_oracle_many(scns, cfg.oracle_resolution),
+    SolverKind.EXACT_ORTHOGONAL: lambda cfg, batch, seeds: solve_orthogonal_many(batch),
+    SolverKind.PSO: lambda cfg, batch, seeds: pso_solve_many(batch, _pso_config(cfg), seeds),
+    SolverKind.GRID_ORACLE: lambda cfg, batch, seeds: grid_oracle_many(batch, cfg.oracle_resolution),
 }
-
-
-def _row(fields: tuple, result: SolveResult) -> SweepRow:
-    # fields are the SweepRow values before the solver name
-    rep, alloc = result.report, result.allocation
-    return SweepRow(
-        *fields,
-        solver=result.solver.value,
-        zeta_mbps=rep.maxmin_level / 1e6,
-        rate_access_mbps=rep.rate_access / 1e6,
-        rate_backhaul_mbps=rep.rate_backhaul / 1e6,
-        throughput_mbps=rep.throughput / 1e6,
-        p_ue_w=alloc.p_ue,
-        p_bs_w=alloc.p_bs,
-        w_a_hz=alloc.w_a,
-        w_b_hz=alloc.w_b,
-        converged=result.converged,
-    )
 
 
 def _run_sweep(cfg: ExperimentConfig, points) -> list[SweepRow]:
@@ -405,21 +388,23 @@ def _run_sweep(cfg: ExperimentConfig, points) -> list[SweepRow]:
 
     points yields (fields, solvers, seed) per point, fields being the
     SweepRow values before the solver name, so fields[2:] is the point that
-    build_scenarios takes, and seed the point's swarm seed. One
-    build_scenarios call makes all the scenarios; each solver then makes one
-    batch call, from _SOLVERS, on all the points that select it. A row's
-    result does not depend on the other rows.
+    build_scenarios takes, and seed the point's swarm seed. Each solver
+    makes one batch call, from _SOLVERS, and one evaluate_many call on the
+    rows of the batch that select it. A row does not depend on the others.
     """
     points = list(points)
-    scenarios = build_scenarios(cfg, [fields[2:] for fields, _, _ in points])
-    jobs: dict[SolverKind, list] = {}
-    for (fields, solvers, seed), scn in zip(points, scenarios):
+    batch = build_scenarios(cfg, [fields[2:] for fields, _, _ in points])
+    jobs: dict[SolverKind, list[int]] = {}
+    for index, (_, solvers, _) in enumerate(points):
         for solver in solvers:
-            jobs.setdefault(SolverKind(solver), []).append((fields, scn, seed))
+            jobs.setdefault(SolverKind(solver), []).append(index)
     rows = []
-    for kind, job in jobs.items():
-        fields, scns, seeds = zip(*job)
-        rows.extend(map(_row, fields, _SOLVERS[kind](cfg, scns, seeds)))
+    for kind, indices in jobs.items():
+        scns = batch.take(indices)
+        alloc, _, converged = _SOLVERS[kind](cfg, scns, [points[i][2] for i in indices])
+        cells = np.hstack((evaluate_many(scns, alloc) / 1e6, alloc)).tolist()
+        rows += [SweepRow(*points[i][0], kind.value, *row, done)
+                 for i, row, done in zip(indices, cells, converged.tolist())]
     rows.sort(key=_row_sort_key)
     return rows
 
@@ -480,22 +465,15 @@ def run_overlap_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     return _run_sweep(cfg, points())
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
-
-
 def write_csv(rows: list[SweepRow], path: str) -> None:
     """Write sweep rows as RFC-4180 CSV (CRLF lines, fixed column order,
-    floats at 9 significant digits). Deterministic byte output."""
+    floats at 9 significant digits, converged as true or false), one %
+    format per line. Deterministic byte output. Text cells are written as
+    they are: the sweep, duplex and solver names need no quoting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_format_cell(getattr(row, name)) for name in CSV_COLUMNS])
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        fh.writelines([_CSV_LINE % (*_leading_cells(row), "true" if row.converged else "false")
+                       for row in rows])
 
 
 def read_csv(path: str) -> list[SweepRow]:
@@ -666,39 +644,36 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
     converged that hold a non-finite value, infeasible allocations, and
     rates that disagree with the recorded values beyond the relative
     tolerance _AUDIT_TOL. Rows with a non-finite value that are not marked
-    converged record a solver failure and are skipped. The other rows' scenarios come
-    from one build_scenarios call, and the feasible rows are re-evaluated
-    together, by one evaluate_many call.
+    converged record a solver failure and are skipped. The other rows are
+    checked as arrays, by one build_scenarios, validate_many and (on the
+    feasible rows) evaluate_many call; only failing rows get messages.
     """
-    problems, finite, feasible = [[] for _ in rows], [], []
-    for index, row in enumerate(rows):
-        if all(map(math.isfinite, _float_cells(row))):
-            finite.append((index, row))
-        elif row.converged:
-            problems[index].append(f"row {index}: marked converged but holds a non-finite value")
-    for (index, row), scn in zip(finite, build_scenarios(cfg, [_row_point(row) for _, row in finite])):
-        alloc = Allocation(p_ue=row.p_ue_w, p_bs=row.p_bs_w, w_a=row.w_a_hz, w_b=row.w_b_hz)
-        violated = validate(scn, alloc)
-        if violated:
-            problems[index].append(f"row {index}: allocation violates {', '.join(violated)}")
+    cells = np.array([_float_cells(row) for row in rows], dtype=float).reshape(-1, len(_FLOAT_COLUMNS))
+    finite = np.isfinite(cells).all(axis=1)
+    index = np.flatnonzero(finite).tolist()
+    batch = build_scenarios(cfg, [_row_point(rows[i]) for i in index])
+    recorded, alloc = cells[finite, -8:-4], cells[finite, -4:]
+    negative = np.argwhere(alloc < 0.0)
+    if negative.size:  # as an Allocation of the first such row raises
+        raise ValueError(f"{dataclasses.fields(Allocation)[negative[0, 1]].name} must be nonnegative")
+    violated = validate_many(batch, alloc)
+    feasible = ~violated.any(axis=1)
+    want = np.zeros_like(recorded)
+    want[feasible] = evaluate_many(batch.take(feasible), alloc[feasible]) / 1e6
+    off = feasible[:, None] & (np.abs(recorded - want) > _AUDIT_TOL * np.maximum(np.abs(want), 1e-12))
+
+    problems = {i: [f"row {i}: marked converged but holds a non-finite value"]
+                for i in np.flatnonzero(~finite).tolist() if rows[i].converged}
+    for k in np.flatnonzero(~feasible | off.any(axis=1)).tolist():
+        i = index[k]
+        if not feasible[k]:
+            names = [name for name, bad in zip(CONSTRAINTS, violated[k]) if bad]
+            problems[i] = [f"row {i}: allocation violates {', '.join(names)}"]
         else:
-            feasible.append((index, row, scn))
-    allocs = np.array([(row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz) for _, row, _ in feasible])
-    reports = evaluate_many(ScenarioBatch.stack([scn for _, _, scn in feasible]), allocs.reshape(-1, 4))
-    for (index, row, _), report in zip(feasible, reports):
-        recorded = {
-            "zeta_mbps": (row.zeta_mbps, report.maxmin_level / 1e6),
-            "rate_access_mbps": (row.rate_access_mbps, report.rate_access / 1e6),
-            "rate_backhaul_mbps": (row.rate_backhaul_mbps, report.rate_backhaul / 1e6),
-            "throughput_mbps": (row.throughput_mbps, report.throughput / 1e6),
-        }
-        for name, (got, want) in recorded.items():
-            scale = max(abs(want), 1e-12)
-            if abs(got - want) > _AUDIT_TOL * scale:
-                problems[index].append(
-                    f"row {index}: {name} recorded {got:.9g} but re-evaluates to {want:.9g}"
-                )
-    return [message for messages in problems for message in messages]
+            problems[i] = [f"row {i}: {name} recorded {got:.9g} but re-evaluates to {value:.9g}"
+                           for name, got, value, bad in zip(CSV_COLUMNS[8:12], recorded[k].tolist(),
+                                                            want[k].tolist(), off[k]) if bad]
+    return [message for i in sorted(problems) for message in problems[i]]
 
 
 def _print_rows(rows: list[SweepRow], stream) -> None:

@@ -5,6 +5,11 @@ The two links may share part of the band; overlapped spectrum turns the
 other link's transmission into interference. Duplexing enters only through
 the pair of factors returned by :func:`duplex_factors`, and all quantities
 are linear SI units (W, Hz, bits/s).
+
+A ScenarioBatch holds many scenarios as columns, checked by the conditions
+of one ScenarioParams. evaluate_many and validate_many take a batch and
+(S, 4) allocations and return arrays; evaluate and validate are their views
+at one scenario and one Allocation.
 """
 
 from __future__ import annotations
@@ -28,9 +33,12 @@ __all__ = [
     "evaluate",
     "evaluate_many",
     "validate",
+    "validate_many",
+    "CONSTRAINTS",
 ]
 
 _SLACK = 1e-6  # relative slack of each constraint that validate checks
+CONSTRAINTS = ("1a", "1b", "1c", "1d")  # the columns of validate_many, in order
 
 
 class DuplexMode(enum.Enum):
@@ -53,6 +61,20 @@ def duplex_factors(mode: DuplexMode) -> tuple[float, float]:
     if mode is DuplexMode.TDD:
         return 0.5, 1.0
     raise ValueError(f"unknown duplex mode: {mode!r}")
+
+
+# The conditions of a valid scenario and their messages, on attributes of
+# ScenarioParams and ScenarioBatch alike: on floats, or on whole columns.
+_SCENARIO_CHECKS = (
+    (lambda s: s.total_power > 0.0, "total_power must be positive"),
+    (lambda s: s.total_bandwidth > 0.0, "total_bandwidth must be positive"),
+    (lambda s: (0.0 <= s.overlap_bandwidth) & (s.overlap_bandwidth <= s.total_bandwidth),
+     "overlap_bandwidth must lie in [0, total_bandwidth]"),
+    (lambda s: (s.noise_density > 0.0) & (s.interference_density > 0.0),
+     "noise and interference densities must be positive"),
+    (lambda s: (0.0 < s.access_weight) & (s.access_weight <= 1.0), "access_weight must lie in (0, 1]"),
+    (lambda s: (s.beta_ue > 0.0) & (s.beta_bs > 0.0), "channel gains must be positive"),
+)
 
 
 @dataclass(frozen=True)
@@ -82,18 +104,9 @@ class ScenarioParams:
     beta_bs: float
 
     def __post_init__(self) -> None:
-        if self.total_power <= 0.0:
-            raise ValueError("total_power must be positive")
-        if self.total_bandwidth <= 0.0:
-            raise ValueError("total_bandwidth must be positive")
-        if not 0.0 <= self.overlap_bandwidth <= self.total_bandwidth:
-            raise ValueError("overlap_bandwidth must lie in [0, total_bandwidth]")
-        if self.noise_density <= 0.0 or self.interference_density <= 0.0:
-            raise ValueError("noise and interference densities must be positive")
-        if not 0.0 < self.access_weight <= 1.0:
-            raise ValueError("access_weight must lie in (0, 1]")
-        if self.beta_ue <= 0.0 or self.beta_bs <= 0.0:
-            raise ValueError("channel gains must be positive")
+        for holds, message in _SCENARIO_CHECKS:
+            if not holds(self):
+                raise ValueError(message)
 
     @property
     def density(self) -> float:
@@ -113,22 +126,37 @@ class ScenarioParams:
 
 @dataclass(frozen=True)
 class ScenarioBatch:
-    """S scenarios as a struct of arrays, for :func:`link_rates` and the swarm.
+    """S scenarios as a struct of arrays, for the batch functions.
 
     Each attribute is an (S, 1) float column holding the ScenarioParams
     attribute of the same name, row s for scenario s, so the columns
-    broadcast against (S, N) arrays of allocations.
+    broadcast against (S, N) arrays of allocations; the duplex mode is
+    held as its two factors. The columns are checked as a whole.
     """
 
     total_power: np.ndarray
     total_bandwidth: np.ndarray
     overlap_bandwidth: np.ndarray
-    density: np.ndarray
+    noise_density: np.ndarray
+    interference_density: np.ndarray
     access_weight: np.ndarray
-    beta_ue: np.ndarray
-    beta_bs: np.ndarray
     alpha_o: np.ndarray
     alpha_1: np.ndarray
+    beta_ue: np.ndarray
+    beta_bs: np.ndarray
+
+    def __post_init__(self) -> None:
+        for holds, message in _SCENARIO_CHECKS:
+            if not holds(self).all():
+                raise ValueError(message)
+
+    def __len__(self) -> int:
+        return len(self.total_power)
+
+    @property
+    def density(self) -> np.ndarray:
+        """Noise-plus-interference PSD of each scenario, W/Hz."""
+        return self.noise_density + self.interference_density
 
     @classmethod
     def stack(cls, scns: Sequence[ScenarioParams]) -> "ScenarioBatch":
@@ -136,6 +164,10 @@ class ScenarioBatch:
             f.name: np.array([getattr(scn, f.name) for scn in scns], dtype=float).reshape(-1, 1)
             for f in fields(cls)
         })
+
+    def take(self, rows) -> "ScenarioBatch":
+        """The scenarios at rows, an index or slice of the batch's rows."""
+        return ScenarioBatch(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -166,17 +198,6 @@ class RateReport:
     throughput: float
     maxmin_level: float
     fitness: float
-
-    @classmethod
-    def from_rates(cls, rate_a: float, rate_b: float, eps: float) -> "RateReport":
-        """Report of an allocation with access rate rate_a and backhaul rate rate_b."""
-        return cls(
-            rate_access=rate_a,
-            rate_backhaul=rate_b,
-            throughput=rate_a + rate_b,
-            maxmin_level=min(rate_a / eps, rate_b),
-            fitness=min(rate_a, eps * rate_b),
-        )
 
 
 def bandwidth_limits(scn: ScenarioParams | ScenarioBatch):
@@ -233,26 +254,44 @@ def link_rates(scn: ScenarioParams | ScenarioBatch, p_ue, p_bs, w_a, w_b):
     return rate_a, rate_b
 
 
+def evaluate_many(batch: ScenarioBatch | ScenarioParams, alloc: np.ndarray) -> np.ndarray:
+    """The (S, 4) columns zeta = min(rate_a / eps, rate_b), rate_a, rate_b
+    and throughput, in bits/s, of the (S, 4) allocations alloc (p_ue, p_bs,
+    w_a, w_b), row s under scenario s of batch, from one link_rates call;
+    a zero bandwidth under overlap gets its zero fallback."""
+    rate_a, rate_b = link_rates(batch, *(alloc[:, k:k + 1] for k in range(4)))
+    return np.hstack((np.minimum(rate_a / batch.access_weight, rate_b), rate_a, rate_b,
+                      rate_a + rate_b))
+
+
 def evaluate(scn: ScenarioParams, alloc: Allocation) -> RateReport:
-    """Full rate report for one allocation.
+    """Full rate report for one allocation: :func:`evaluate_many` at one row.
 
     Raises InvalidAllocation when the links overlap but one bandwidth is
     zero, which would put a zero bandwidth under the interference term.
     """
     if scn.overlap_bandwidth > 0.0 and 0.0 in (alloc.w_a, alloc.w_b):
         raise InvalidAllocation("overlapping spectrum with a zero bandwidth is not evaluable")
-    rate_a, rate_b = link_rates(scn, alloc.p_ue, alloc.p_bs, alloc.w_a, alloc.w_b)
-    return RateReport.from_rates(float(rate_a), float(rate_b), scn.access_weight)
+    row = [[alloc.p_ue, alloc.p_bs, alloc.w_a, alloc.w_b]]
+    zeta, rate_a, rate_b, throughput = evaluate_many(scn, np.array(row))[0].tolist()
+    return RateReport(rate_a, rate_b, throughput, zeta, min(rate_a, scn.access_weight * rate_b))
 
 
-def evaluate_many(batch: ScenarioBatch, alloc: np.ndarray) -> list[RateReport]:
-    """Rate reports of the (S, 4) allocations alloc (p_ue, p_bs, w_a, w_b),
-    row s under scenario s of batch, all from one link_rates call. Row s
-    equals :func:`evaluate` where that does not raise; there the zero
-    fallback of :func:`link_rates` applies."""
-    rate_a, rate_b = link_rates(batch, *(alloc[:, k:k + 1] for k in range(4)))
-    table = np.hstack((rate_a, rate_b, batch.access_weight)).tolist()
-    return [RateReport.from_rates(*row) for row in table]
+def _violated(scn: ScenarioParams | ScenarioBatch, p_ue, p_bs, w_a, w_b) -> tuple:
+    """Flags of constraints 1a-1d, on one scenario's floats or a batch's columns."""
+    p_cap = scn.total_power
+    band_cap, w_lo, w_hi = bandwidth_limits(scn)
+    return (
+        p_ue + p_bs > p_cap + _SLACK * p_cap,
+        w_a + w_b > band_cap + _SLACK * band_cap,
+        (w_a > w_hi + _SLACK * w_hi) | (w_b > w_hi + _SLACK * w_hi),
+        (w_a < w_lo - _SLACK * w_hi) | (w_b < w_lo - _SLACK * w_hi),
+    )
+
+
+def validate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:
+    """The (S, 4) flags of constraints 1a-1d of the (S, 4) allocations alloc."""
+    return np.hstack(_violated(batch, *(alloc[:, k:k + 1] for k in range(4))))
 
 
 def validate(scn: ScenarioParams, alloc: Allocation) -> list[str]:
@@ -265,15 +304,5 @@ def validate(scn: ScenarioParams, alloc: Allocation) -> list[str]:
         1c: w_a, w_b <= alpha_1 W
         1d: w_a, w_b >= alpha_1 w_o
     """
-    p_cap = scn.total_power
-    band_cap, w_lo, w_hi = bandwidth_limits(scn)
-    violated = []
-    if alloc.p_ue + alloc.p_bs > p_cap + _SLACK * p_cap:
-        violated.append("1a")
-    if alloc.w_a + alloc.w_b > band_cap + _SLACK * band_cap:
-        violated.append("1b")
-    if alloc.w_a > w_hi + _SLACK * w_hi or alloc.w_b > w_hi + _SLACK * w_hi:
-        violated.append("1c")
-    if alloc.w_a < w_lo - _SLACK * w_hi or alloc.w_b < w_lo - _SLACK * w_hi:
-        violated.append("1d")
-    return violated
+    flags = _violated(scn, alloc.p_ue, alloc.p_bs, alloc.w_a, alloc.w_b)
+    return [name for name, violated in zip(CONSTRAINTS, flags) if violated]

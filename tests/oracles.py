@@ -7,10 +7,14 @@ one scenario at a time in pure Python, kept as the reference for the
 batched marginal-cost solver. The full-grid oracle is the grid oracle as
 first written, the whole grid in one link_rates call and np.argmax, kept as
 the reference for the oracle that bisects each column for its peak. The
-per-row audit is the audit as first written, one scalar evaluate per row,
-kept as the reference for the audit that evaluates all rows in one batch.
+per-row audit is the audit as first written, one scenario, one feasibility
+check and one scalar rate report per row, kept as the reference for the
+audit that checks all rows as arrays; its feasibility check and rate report
+are the scalar bodies validate and RateReport.from_rates once had, so that
+it shares no code with the batch checks but the rate kernel link_rates.
 The mpmath level solves the exact solver's optimality conditions at 40
-digits, as the reference for its accuracy.
+digits, as the reference for its accuracy. solved_rows turns the arrays of
+a batch solver into one SolveResult per row, for tests that compare rows.
 """
 
 import dataclasses
@@ -22,14 +26,17 @@ import numpy as np
 from satiab import (
     Allocation,
     DuplexMode,
+    RateReport,
+    ScenarioBatch,
     ScenarioParams,
     SolverKind,
     SolveResult,
     bandwidth_limits,
     duplex_factors,
-    evaluate,
+    grid_oracle_many,
     link_rates,
-    validate,
+    pso_solve_many,
+    solve_orthogonal_many,
 )
 from satiab.expcli import _RANGES, ExperimentConfig, _float_cells, build_scenario
 
@@ -130,6 +137,57 @@ def random_feasible_allocation(rng, scn: ScenarioParams):
     return p1 * p_scale, p2 * p_scale, w_a, w_b
 
 
+def reference_evaluate(scn: ScenarioParams, alloc: Allocation) -> RateReport:
+    """The rate report of one allocation from the rate kernel's floats and
+    scalar arithmetic, as RateReport.from_rates once computed it."""
+    rate_a, rate_b = map(float, link_rates(scn, alloc.p_ue, alloc.p_bs, alloc.w_a, alloc.w_b))
+    eps = scn.access_weight
+    return RateReport(
+        rate_access=rate_a,
+        rate_backhaul=rate_b,
+        throughput=rate_a + rate_b,
+        maxmin_level=min(rate_a / eps, rate_b),
+        fitness=min(rate_a, eps * rate_b),
+    )
+
+
+def reference_validate(scn: ScenarioParams, alloc: Allocation) -> list[str]:
+    """validate as first written, one constraint at a time on floats."""
+    slack = 1e-6
+    p_cap = scn.total_power
+    band_cap, w_lo, w_hi = bandwidth_limits(scn)
+    violated = []
+    if alloc.p_ue + alloc.p_bs > p_cap + slack * p_cap:
+        violated.append("1a")
+    if alloc.w_a + alloc.w_b > band_cap + slack * band_cap:
+        violated.append("1b")
+    if alloc.w_a > w_hi + slack * w_hi or alloc.w_b > w_hi + slack * w_hi:
+        violated.append("1c")
+    if alloc.w_a < w_lo - slack * w_hi or alloc.w_b < w_lo - slack * w_hi:
+        violated.append("1d")
+    return violated
+
+
+_SOLVER_KINDS = {
+    solve_orthogonal_many: SolverKind.EXACT_ORTHOGONAL,
+    pso_solve_many: SolverKind.PSO,
+    grid_oracle_many: SolverKind.GRID_ORACLE,
+}
+
+
+def solved_rows(solve_many, scns, *args) -> list[SolveResult]:
+    """solve_many(batch of scns, *args) as one SolveResult per row: the
+    row's allocation, its reference_evaluate report, its iterations and
+    its converged flag."""
+    alloc, iterations, converged = solve_many(ScenarioBatch.stack(scns), *args)
+    assert alloc.shape == (len(scns), 4) and iterations.shape == converged.shape == (len(scns),)
+    allocations = [Allocation(*row) for row in alloc.tolist()]
+    return [
+        SolveResult(a, reference_evaluate(scn, a), _SOLVER_KINDS[solve_many], n, done)
+        for scn, a, n, done in zip(scns, allocations, iterations.tolist(), converged.tolist())
+    ]
+
+
 def reference_rate(alpha_o, alpha_1, p_own, beta, w_own, p_other, w_other, dens, w_o):
     """Single-link rate written out directly, for cross-checking."""
     if w_own <= 0.0:
@@ -222,7 +280,7 @@ def golden_section_solve(scn: ScenarioParams) -> SolveResult:
     alloc = Allocation(p_ue=p_a, p_bs=p_b, w_a=w_a, w_b=w_total - w_a)
     return SolveResult(
         allocation=alloc,
-        report=evaluate(scn, alloc),
+        report=reference_evaluate(scn, alloc),
         solver=SolverKind.EXACT_ORTHOGONAL,
         iterations_used=iterations,
         converged=converged,
@@ -308,7 +366,7 @@ def full_grid_oracle(scn: ScenarioParams, resolution: int) -> SolveResult:
     )
     return SolveResult(
         allocation=alloc,
-        report=evaluate(scn, alloc),
+        report=reference_evaluate(scn, alloc),
         solver=SolverKind.GRID_ORACLE,
         iterations_used=resolution * resolution,
         converged=True,
@@ -329,8 +387,9 @@ def row_scenario(cfg: ExperimentConfig, row) -> ScenarioParams:
 
 
 def per_row_audit(cfg: ExperimentConfig, rows) -> list[str]:
-    """audit_rows one row at a time: build the row's scenario, validate its
-    allocation, and re-evaluate a feasible one with the scalar evaluate."""
+    """audit_rows one row at a time: build the row's scenario, check its
+    allocation with reference_validate, and re-evaluate a feasible one with
+    reference_evaluate."""
     problems = []
     for index, row in enumerate(rows):
         if not all(map(math.isfinite, _float_cells(row))):
@@ -339,11 +398,11 @@ def per_row_audit(cfg: ExperimentConfig, rows) -> list[str]:
             continue
         scn = row_scenario(cfg, row)
         alloc = Allocation(p_ue=row.p_ue_w, p_bs=row.p_bs_w, w_a=row.w_a_hz, w_b=row.w_b_hz)
-        violated = validate(scn, alloc)
+        violated = reference_validate(scn, alloc)
         if violated:
             problems.append(f"row {index}: allocation violates {', '.join(violated)}")
             continue
-        report = evaluate(scn, alloc)
+        report = reference_evaluate(scn, alloc)
         recorded = {
             "zeta_mbps": (row.zeta_mbps, report.maxmin_level / 1e6),
             "rate_access_mbps": (row.rate_access_mbps, report.rate_access / 1e6),

@@ -11,7 +11,9 @@ import pytest
 from satiab import (
     Allocation,
     PsoConfig,
+    ScenarioBatch,
     evaluate,
+    evaluate_many,
     free_space_path_loss,
     antenna_pattern,
     bessel_j1,
@@ -75,8 +77,9 @@ def test_criterion_3_pso_reaches_exact_optimum():
         exact = solve_orthogonal(scn).report.maxmin_level
         good = 0
         # one batch of 20 swarms; each row equals pso_solve with its seed
-        for result in pso_solve_many([scn] * len(seeds), PsoConfig(), seeds):
-            swarm = result.report.maxmin_level
+        batch = ScenarioBatch.stack([scn] * len(seeds))
+        alloc, _, _ = pso_solve_many(batch, PsoConfig(), seeds)
+        for swarm in evaluate_many(batch, alloc)[:, 0].tolist():
             gap = abs(exact - swarm) / exact
             worst_gap = max(worst_gap, gap)
             if gap <= 0.02:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from satiab import (
+    CONSTRAINTS,
     Allocation,
     DuplexMode,
     InvalidAllocation,
@@ -28,6 +29,7 @@ from satiab import (
     solve_orthogonal,
     solve_orthogonal_many,
     validate,
+    validate_many,
 )
 from satiab import allocator, expcli
 
@@ -41,6 +43,8 @@ from oracles import (
     random_feasible_allocation,
     random_scenario,
     reference_scenarios,
+    reference_validate,
+    solved_rows,
 )
 
 
@@ -116,7 +120,7 @@ def test_solve_orthogonal_rejects_overlap():
         solve_orthogonal(make_scenario(overlap_bandwidth=5e6))
     # one overlapped row fails the whole batch
     with pytest.raises(ValueError):
-        solve_orthogonal_many([make_scenario(), make_scenario(overlap_bandwidth=5e6)])
+        solve_orthogonal_many(ScenarioBatch.stack([make_scenario(), make_scenario(overlap_bandwidth=5e6)]))
 
 
 def test_solve_orthogonal_symmetric_links():
@@ -192,7 +196,7 @@ def orthogonal_batch():
 
 def test_solve_orthogonal_many_matches_golden_section():
     scns = orthogonal_batch()
-    for scn, result in zip(scns, solve_orthogonal_many(scns)):
+    for scn, result in zip(scns, solved_rows(solve_orthogonal_many, scns)):
         reference = golden_section_solve(scn)
         assert result.converged and reference.converged
         assert result.report.maxmin_level == pytest.approx(reference.report.maxmin_level, rel=1e-9)
@@ -201,11 +205,11 @@ def test_solve_orthogonal_many_matches_golden_section():
 
 def test_solve_orthogonal_batch_rows_equal_rows_solved_alone():
     scns = orthogonal_batch()[:40]
-    batch = solve_orthogonal_many(scns)
+    batch = solved_rows(solve_orthogonal_many, scns)
     assert batch == [solve_orthogonal(scn) for scn in scns]
-    assert solve_orthogonal_many(scns[::-1]) == batch[::-1]
-    assert solve_orthogonal_many(scns[5:17:3]) == batch[5:17:3]
-    assert solve_orthogonal_many([]) == []
+    assert solved_rows(solve_orthogonal_many, scns[::-1]) == batch[::-1]
+    assert solved_rows(solve_orthogonal_many, scns[5:17:3]) == batch[5:17:3]
+    assert solved_rows(solve_orthogonal_many, []) == []
 
 
 @pytest.mark.parametrize(
@@ -265,7 +269,7 @@ def test_log_marginal_cost_of_huge_and_tiny_y_does_not_overflow():
 
 def test_solve_orthogonal_matches_mpmath_on_reference_scenarios():
     scns = [scn for _, scn in reference_scenarios()]
-    for scn, result in zip(scns, solve_orthogonal_many(scns)):
+    for scn, result in zip(scns, solved_rows(solve_orthogonal_many, scns)):
         zeta, _ = mp_orthogonal_level(scn)
         assert result.report.maxmin_level == pytest.approx(float(zeta), rel=1e-11)
 
@@ -284,7 +288,7 @@ def orthogonal_corner(seed: int, index: int) -> ScenarioParams:
 
 def test_solve_orthogonal_matches_mpmath_at_config_corners():
     scns = [orthogonal_corner(*draw) for draw in CORNER_DRAWS]
-    for scn, result in zip(scns, solve_orthogonal_many(scns)):
+    for scn, result in zip(scns, solved_rows(solve_orthogonal_many, scns)):
         zeta, y_min = mp_orthogonal_level(scn)
         # below y = 1e-6, log2(1 + sinr) in link_rates loses the digits first
         assert y_min >= 1e-6
@@ -295,25 +299,27 @@ def test_solve_orthogonal_takes_few_steps(monkeypatch):
     # the 1,204 scenarios of a power sweep over 30-60 dBm by 0.1 dB, as the
     # sweep solves them, then the 12 reference and 1,000 random scenarios;
     # bisection took 44 steps, so a silent fallback to it shows here
-    results = []
+    iterations, converged = [], []
 
-    def solve(scns):
-        results.extend(solve_orthogonal_many(scns))
-        return results[-len(scns):]
+    def solve(batch):
+        solved = solve_orthogonal_many(batch)
+        iterations.extend(solved[1].tolist())
+        converged.extend(solved[2].tolist())
+        return solved
 
     monkeypatch.setattr(expcli, "solve_orthogonal_many", solve)
     cfg = dataclasses.replace(expcli.ExperimentConfig(), solvers=["exact"], power_sweep_min_dbm=30.0,
                               power_sweep_max_dbm=60.0, power_sweep_step_db=0.1)
     expcli.run_power_sweep(cfg)
-    assert len(results) == 1204
-    results += solve_orthogonal_many(orthogonal_batch())
-    assert all(result.converged for result in results)
-    assert max(result.iterations_used for result in results) <= 12
+    assert len(iterations) == 1204
+    solve(ScenarioBatch.stack(orthogonal_batch()))
+    assert all(converged)
+    assert max(iterations) <= 12
 
 
 def test_solve_orthogonal_spends_at_most_the_power_budget():
     scns = orthogonal_batch() + [orthogonal_corner(*draw) for draw in CORNER_DRAWS]
-    for scn, result in zip(scns, solve_orthogonal_many(scns)):
+    for scn, result in zip(scns, solved_rows(solve_orthogonal_many, scns)):
         assert result.allocation.p_ue + result.allocation.p_bs <= scn.total_power
 
 
@@ -325,7 +331,7 @@ def test_grid_oracle_rejects_tiny_resolution():
         grid_oracle(make_scenario(), 9)
     for scns in ([], [make_scenario()] * 3):
         with pytest.raises(ValueError):
-            grid_oracle_many(scns, 9)
+            grid_oracle_many(ScenarioBatch.stack(scns), 9)
 
 
 def test_grid_oracle_refinement_is_monotone():
@@ -377,7 +383,7 @@ def test_grid_oracle_equals_the_full_grid():
         reference = [full_grid_oracle(scn, resolution) for scn in scns]
         # allocation and report, with every float exactly equal
         assert grid_oracle(scns[0], resolution) == reference[0]
-        assert grid_oracle_many(scns, resolution) == reference
+        assert solved_rows(grid_oracle_many, scns, resolution) == reference
 
 
 def test_grid_oracle_equals_the_full_grid_at_config_corners():
@@ -385,7 +391,7 @@ def test_grid_oracle_equals_the_full_grid_at_config_corners():
     scns = [corner_scenario(rng) for _ in range(120)]
     for resolution in (10, 37):
         reference = [full_grid_oracle(scn, resolution) for scn in scns]
-        assert grid_oracle_many(scns, resolution) == reference
+        assert solved_rows(grid_oracle_many, scns, resolution) == reference
     # the corners include grids that are 0 throughout and grids that are not
     levels = [result.report.maxmin_level for result in reference]
     assert 0.0 in levels and max(levels) > 0.0
@@ -441,23 +447,23 @@ def test_grid_oracle_tie_at_the_crossing():
 def test_grid_oracle_batch_rows_equal_rows_solved_alone():
     rng = np.random.default_rng(73)
     scns = [random_scenario(rng) for _ in range(8)] + [corner_scenario(rng) for _ in range(8)]
-    batch = grid_oracle_many(scns, 37)
+    batch = solved_rows(grid_oracle_many, scns, 37)
     assert batch == [grid_oracle(scn, 37) for scn in scns]
-    assert grid_oracle_many(scns[::-1], 37) == batch[::-1]
-    assert grid_oracle_many(scns[3:14:2], 37) == batch[3:14:2]
-    assert grid_oracle_many([], 37) == []
+    assert solved_rows(grid_oracle_many, scns[::-1], 37) == batch[::-1]
+    assert solved_rows(grid_oracle_many, scns[3:14:2], 37) == batch[3:14:2]
+    assert solved_rows(grid_oracle_many, [], 37) == []
 
 
 def test_grid_oracle_blocks_of_any_size_equal_the_full_grid(monkeypatch):
     rng = np.random.default_rng(59)
     scns = [random_scenario(rng, orthogonal=True), random_scenario(rng), make_scenario(),
             corner_scenario(rng), random_scenario(rng)]
-    whole = grid_oracle_many(scns, 37)
+    whole = solved_rows(grid_oracle_many, scns, 37)
     assert whole == [full_grid_oracle(scn, 37) for scn in scns]
     # 1, 1, 2, 3, 37 and 27,027 scenarios a chunk: one each, uneven tails, one chunk
     for block in (1, 37, 74, 111, 37 * 37, 10**6):
         monkeypatch.setattr(allocator, "_GRID_BLOCK", block)
-        assert grid_oracle_many(scns, 37) == whole
+        assert solved_rows(grid_oracle_many, scns, 37) == whole
 
 
 def test_grid_oracle_ties_go_to_the_first_point(monkeypatch):
@@ -469,7 +475,7 @@ def test_grid_oracle_ties_go_to_the_first_point(monkeypatch):
 
     monkeypatch.setattr(allocator, "link_rates", flat_rates)
     monkeypatch.setattr(allocator, "_GRID_BLOCK", 40)
-    for result in grid_oracle_many([make_scenario()] * 3, 20):
+    for result in solved_rows(grid_oracle_many, [make_scenario()] * 3, 20):
         assert (result.allocation.p_ue, result.allocation.w_a) == (0.0, 0.0)
 
 
@@ -492,7 +498,7 @@ def test_grid_oracle_batch_memory_is_bounded():
     scns = [random_scenario(rng) for _ in range(44)]
     tracemalloc.start()
     try:
-        grid_oracle_many(scns, 1000)
+        grid_oracle_many(ScenarioBatch.stack(scns), 1000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -532,7 +538,7 @@ def test_pso_single_point_population_is_stationary():
     point = np.array([4.0, 6.0, 8e6, 12e6])
     population = np.tile(point, (n, 1))
     cfg = PsoConfig(population_size=n, max_iterations=30, inertia_weight=0.0)
-    best = run_pso([scn], cfg, [0], initial_population=population[None])
+    best = run_pso(ScenarioBatch.stack([scn]), cfg, [0], initial_population=population[None])
     assert np.array_equal(best, point[None])  # the point is feasible, so projecting keeps it
     expected = evaluate(scn, Allocation(*point)).fitness
     assert evaluate(scn, Allocation(*best[0].tolist())).fitness == pytest.approx(expected, rel=1e-12)
@@ -617,7 +623,7 @@ def mixed_batch() -> list[ScenarioParams]:
 def assert_rows_match_alone(scns, cfg, seeds, batch, initial=None):
     for s, (scn, seed) in enumerate(zip(scns, seeds)):
         alone = run_pso(
-            [scn], cfg, [seed], initial_population=None if initial is None else initial[s:s + 1]
+            ScenarioBatch.stack([scn]), cfg, [seed], initial_population=None if initial is None else initial[s:s + 1]
         )
         assert np.array_equal(batch[s], alone[0])
 
@@ -626,13 +632,13 @@ def test_pso_batch_rows_equal_swarms_run_alone():
     scns = mixed_batch()
     cfg = PsoConfig(population_size=12, max_iterations=40)
     seeds = [7 * s + 3 for s in range(len(scns))]
-    batch = run_pso(scns, cfg, seeds)
+    batch = run_pso(ScenarioBatch.stack(scns), cfg, seeds)
     assert batch.shape == (len(scns), 4)
     assert_rows_match_alone(scns, cfg, seeds, batch)
     # the row results do not depend on the batch's size or order
-    tail = run_pso(scns[:2:-1], cfg, seeds[:2:-1])
+    tail = run_pso(ScenarioBatch.stack(scns[:2:-1]), cfg, seeds[:2:-1])
     assert np.array_equal(tail, batch[:2:-1])
-    solved = pso_solve_many(scns, cfg, seeds)
+    solved = solved_rows(pso_solve_many, scns, cfg, seeds)
     for scn, seed, result in zip(scns, seeds, solved):
         assert result == pso_solve(scn, cfg, seed)
 
@@ -645,8 +651,8 @@ def test_pso_redraw_in_one_row_leaves_other_rows_unchanged():
     initial = draw * np.array([10.0, 10.0, 20e6, 20e6])
     degenerate = initial.copy()
     degenerate[3, 4, 0:2] = 0.0  # an all-zero power pair must be redrawn
-    plain = run_pso(scns, cfg, seeds, initial_population=initial)
-    redrawn = run_pso(scns, cfg, seeds, initial_population=degenerate)
+    plain = run_pso(ScenarioBatch.stack(scns), cfg, seeds, initial_population=initial)
+    redrawn = run_pso(ScenarioBatch.stack(scns), cfg, seeds, initial_population=degenerate)
     others = [s for s in range(len(scns)) if s != 3]
     assert np.array_equal(plain[others], redrawn[others])
     # the redraw consumed row 3's stream, so its swarm took another path
@@ -655,12 +661,13 @@ def test_pso_redraw_in_one_row_leaves_other_rows_unchanged():
 
 
 def test_batch_reports_equal_evaluate():
-    # every batch solver reports its rows through one evaluate_many call
+    # every batch solver's rows, reported alone by evaluate, equal the reference report
     scns = mixed_batch()
-    results = pso_solve_many(scns, PsoConfig(population_size=8, max_iterations=10), range(len(scns)))
+    results = solved_rows(pso_solve_many, scns, PsoConfig(population_size=8, max_iterations=10),
+                          range(len(scns)))
     orthogonal = [scn for scn in scns if scn.overlap_bandwidth == 0.0]
-    results += solve_orthogonal_many(orthogonal)
-    results += grid_oracle_many(scns, 12)
+    results += solved_rows(solve_orthogonal_many, orthogonal)
+    results += solved_rows(grid_oracle_many, scns, 12)
     for scn, result in zip(scns + orthogonal + scns, results):
         assert result.report == evaluate(scn, result.allocation)
     # every row of evaluate_many equals evaluate, except that a zero bandwidth
@@ -669,37 +676,56 @@ def test_batch_reports_equal_evaluate():
     scns = [random_scenario(rng) for _ in range(300)] + mixed_batch()
     alloc = np.array([random_feasible_allocation(rng, scn) for scn in scns])
     alloc[-1, 2] = 0.0  # the last scenario of mixed_batch overlaps
-    reports = evaluate_many(ScenarioBatch.stack(scns), alloc)
-    assert len(reports) == len(scns)
-    for scn, row, report in zip(scns[:-1], alloc.tolist(), reports):
-        assert report == evaluate(scn, Allocation(*row))
+    columns = evaluate_many(ScenarioBatch.stack(scns), alloc)
+    assert columns.shape == (len(scns), 4)
+    for scn, row, cells in zip(scns[:-1], alloc.tolist(), columns.tolist()):
+        report = evaluate(scn, Allocation(*row))
+        assert cells == [report.maxmin_level, report.rate_access, report.rate_backhaul,
+                         report.throughput]
     with pytest.raises(InvalidAllocation):
         evaluate(scns[-1], Allocation(*alloc[-1].tolist()))
-    assert (reports[-1].rate_access, reports[-1].rate_backhaul) == (0.0, 0.0)
-    assert evaluate_many(ScenarioBatch.stack([]), np.empty((0, 4))) == []
+    assert columns[-1].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert evaluate_many(ScenarioBatch.stack([]), np.empty((0, 4))).shape == (0, 4)
+
+
+def test_validate_many_rows_equal_validate():
+    # feasible draws, and draws pushed past each constraint in turn
+    rng = np.random.default_rng(83)
+    scns = [random_scenario(rng) for _ in range(200)] + mixed_batch()
+    alloc = np.array([random_feasible_allocation(rng, scn) for scn in scns])
+    alloc[1::5, 0] *= 3.0
+    alloc[2::5, 2:4] *= 1.7
+    alloc[3::5, 3] = 0.0
+    flags = validate_many(ScenarioBatch.stack(scns), alloc)
+    assert flags.shape == (len(scns), 4) and flags.dtype == bool
+    assert flags.any(axis=0).all() and not flags[::5].any()
+    for scn, row, violated in zip(scns, alloc.tolist(), flags.tolist()):
+        names = [name for name, bad in zip(CONSTRAINTS, violated) if bad]
+        assert validate(scn, Allocation(*row)) == names == reference_validate(scn, Allocation(*row))
+    assert validate_many(ScenarioBatch.stack([]), np.empty((0, 4))).shape == (0, 4)
 
 
 def test_pso_batch_rejects_mismatched_inputs():
     scns = mixed_batch()[:3]
     cfg = PsoConfig(population_size=5, max_iterations=2)
     with pytest.raises(ValueError, match="seeds"):
-        run_pso(scns, cfg, [1, 2])
+        run_pso(ScenarioBatch.stack(scns), cfg, [1, 2])
     with pytest.raises(ValueError, match="shape"):
-        run_pso(scns, cfg, [1, 2, 3], initial_population=np.ones((5, 4)))
+        run_pso(ScenarioBatch.stack(scns), cfg, [1, 2, 3], initial_population=np.ones((5, 4)))
     with pytest.raises(ValueError, match="seeds"):
-        pso_solve_many(scns, cfg, [1, 2, 3, 4])
-    assert pso_solve_many([], cfg, []) == []
+        pso_solve_many(ScenarioBatch.stack(scns), cfg, [1, 2, 3, 4])
+    assert solved_rows(pso_solve_many, [], cfg, []) == []
 
 
 def test_pso_solve_many_chunks_equal_one_batch(monkeypatch):
     scns = mixed_batch()
     cfg = PsoConfig(population_size=6, max_iterations=15)
     seeds = [11 * s + 1 for s in range(len(scns))]
-    whole = pso_solve_many(scns, cfg, seeds)
+    whole = solved_rows(pso_solve_many, scns, cfg, seeds)
     # 1, 1, 2, 3, 5 and 8 rows a chunk: one row each, uneven tails, one chunk
     for cap in (1, 6, 12, 18, 30, 48):
         monkeypatch.setattr(allocator, "_SWARM_PARTICLES", cap)
-        assert pso_solve_many(scns, cfg, seeds) == whole
+        assert solved_rows(pso_solve_many, scns, cfg, seeds) == whole
 
 
 def test_pso_memory_does_not_grow_with_iterations():
@@ -712,7 +738,7 @@ def test_pso_memory_does_not_grow_with_iterations():
         cfg = PsoConfig(population_size=3, max_iterations=iterations)
         tracemalloc.start()
         try:
-            pso_solve_many(scns, cfg, range(len(scns)))
+            pso_solve_many(ScenarioBatch.stack(scns), cfg, range(len(scns)))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -726,7 +752,7 @@ def test_pso_long_swarm_stays_finite_and_feasible():
     # accumulated bandwidth velocities reach 1e7 to 1e8 Hz, beyond the budget
     scns = [make_scenario(), make_scenario(overlap_bandwidth=20e6)]
     cfg = PsoConfig(population_size=3, max_iterations=10_000)
-    for scn, result in zip(scns, pso_solve_many(scns, cfg, [1, 2])):
+    for scn, result in zip(scns, solved_rows(pso_solve_many, scns, cfg, [1, 2])):
         values = [*dataclasses.astuple(result.allocation), *dataclasses.astuple(result.report)]
         assert all(map(math.isfinite, values))
         assert validate(scn, result.allocation) == []

@@ -9,10 +9,12 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from satiab import (
     PsoConfig,
+    ScenarioBatch,
     allocator,
     bandwidth_limits,
     expcli,
@@ -366,10 +368,13 @@ def test_build_scenarios_equals_scenarios_built_alone():
                                            access_weight=access_weight))
         for power_dbm, overlap_mhz, duplex, altitude_km, access_weight in points
     ]
-    scenarios = build_scenarios(cfg, points)
-    assert scenarios == alone  # dataclass equality: every field, with ==
-    assert scenarios[0] == scenarios[-1] == build_scenario(cfg)
-    assert build_scenarios(cfg, []) == []
+    batch, stacked = build_scenarios(cfg, points), ScenarioBatch.stack(alone)
+    for field in dataclasses.fields(ScenarioBatch):
+        column = getattr(batch, field.name)
+        assert column.shape == (len(points), 1)
+        assert np.array_equal(column, getattr(stacked, field.name))
+    assert alone[0] == alone[-1] == build_scenario(cfg)
+    assert len(build_scenarios(cfg, [])) == 0
 
 
 def test_channel_gain_runs_twice_per_altitude(tmp_path, monkeypatch):
@@ -602,6 +607,99 @@ def test_cli_audit_tiny_overlap_with_a_zero_bandwidth(tmp_path, capsys):
 
     err = assert_audit_fails_cleanly(capsys, *audited_csv(tmp_path, edit))
     assert "row 0: zeta_mbps recorded" in err and "re-evaluates to 0\n" in err
+
+
+def twelve_row_csv(tmp_path, bad_cells):
+    """Config path and the path of a 12-row exact power-sweep CSV whose
+    rows take the cells of bad_cells, {row index: {column: text}}."""
+    cfg = cli_config(tmp_path, solvers=["exact"], power_sweep_max_dbm=42.0)
+    csv_path = tmp_path / "sweep.csv"
+    write_csv(run_power_sweep(load_config(cfg)), str(csv_path))
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        table = list(csv.reader(fh))
+    assert len(table) == 13
+    for index, cells in bad_cells.items():
+        for column, text in cells.items():
+            table[1 + index][CSV_COLUMNS.index(column)] = text
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(table)
+    return cfg, str(csv_path)
+
+
+def alone_error(cfg: str, row: SweepRow) -> str:
+    """The message that building the row's scenario alone raises."""
+    with pytest.raises(ValueError) as err:
+        row_scenario(load_config(cfg), row)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("column, text", [
+    ("overlap_mhz", "40.5"),
+    ("overlap_mhz", "-1"),
+    ("access_weight", "0"),
+    ("access_weight", "1.5"),
+    ("power_dbm", "-4000"),  # P underflows to 0 W
+    ("altitude_km", "-1"),
+])
+def test_cli_audit_of_a_bad_point_raises_the_message_of_the_point_alone(tmp_path, capsys, column,
+                                                                          text):
+    cfg, csv_path = twelve_row_csv(tmp_path, {6: {column: text}})
+    message = alone_error(cfg, read_csv(csv_path)[6])
+    assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == f"error: {message}\n"
+
+
+def test_cli_audit_of_two_bad_points_raises_the_first_failing_condition(tmp_path, capsys):
+    # row 2's access weight is bad and row 9's overlap; the batch tests the
+    # overlap first, so its message wins although row 2 comes first
+    cfg, csv_path = twelve_row_csv(tmp_path, {2: {"access_weight": "0"}, 9: {"overlap_mhz": "50"}})
+    rows = read_csv(csv_path)
+    first_point, first_condition = alone_error(cfg, rows[2]), alone_error(cfg, rows[9])
+    assert "access_weight" in first_point and "overlap_bandwidth" in first_condition
+    assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == f"error: {first_condition}\n"
+
+
+@pytest.mark.parametrize("cells, name", [
+    ({4: {"w_b_hz": "-1"}, 7: {"p_ue_w": "-1"}}, "w_b"),
+    ({4: {"w_a_hz": "-1", "p_bs_w": "-1"}}, "p_bs"),
+])
+def test_cli_audit_of_a_negative_allocation_cell(tmp_path, capsys, cells, name):
+    # the error an Allocation of the row raises: its first negative field
+    # in the first row that has one
+    cfg, csv_path = twelve_row_csv(tmp_path, cells)
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
+        per_row_audit(load_config(cfg), read_csv(csv_path))
+    assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == f"error: {name} must be nonnegative\n"
+
+
+def test_sweeps_and_audit_construct_no_per_row_objects(monkeypatch):
+    cfg = small_config(solvers=("exact", "pso", "oracle"))
+    broken = tampered(cfg, run_power_sweep(cfg))
+    want = per_row_audit(cfg, broken)
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} was constructed")
+
+    for cls in (ratemodel.ScenarioParams, ratemodel.Allocation, ratemodel.RateReport,
+                allocator.SolveResult):
+        monkeypatch.setattr(cls, "__init__", forbidden)
+    power, overlap = run_power_sweep(cfg), run_overlap_sweep(cfg)
+    assert len(power) == 36 and len(overlap) == 42
+    assert audit_rows(cfg, power) == audit_rows(cfg, overlap) == []
+    assert audit_rows(cfg, broken) == want
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_cli_rejects_a_repeated_solver(tmp_path, capsys, source):
+    out = tmp_path / "out"
+    if source == "config":
+        argv = ["sweep-overlap", "--config", cli_config(tmp_path, solvers=["pso", "pso"])]
+    else:
+        argv = ["solve", "--config", cli_config(tmp_path), "--solvers", "exact,exact,pso"]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert err.rstrip().endswith("repeated solvers: " + ("pso" if source == "config" else "exact"))
+    assert not out.exists()
 
 
 def test_cli_seed_precedence(tmp_path, monkeypatch):
