@@ -530,9 +530,9 @@ def test_cli_audit_flags_non_finite_rows_marked_converged(tmp_path, capsys, conv
 
 
 def audited_csv(tmp_path, edit):
-    """Config path and the path of an exact power-sweep CSV whose table of
-    cells (header first) edit has changed in place."""
-    cfg = cli_config(tmp_path, solvers=["exact"])
+    """Config path and the path of a 12-row exact power-sweep CSV whose
+    table of cells (header first) edit has changed in place."""
+    cfg = cli_config(tmp_path, solvers=["exact"], power_sweep_max_dbm=42.0)
     csv_path = tmp_path / "sweep.csv"
     write_csv(run_power_sweep(load_config(cfg)), str(csv_path))
     with open(csv_path, newline="", encoding="utf-8") as fh:
@@ -610,20 +610,14 @@ def test_cli_audit_tiny_overlap_with_a_zero_bandwidth(tmp_path, capsys):
 
 
 def twelve_row_csv(tmp_path, bad_cells):
-    """Config path and the path of a 12-row exact power-sweep CSV whose
-    rows take the cells of bad_cells, {row index: {column: text}}."""
-    cfg = cli_config(tmp_path, solvers=["exact"], power_sweep_max_dbm=42.0)
-    csv_path = tmp_path / "sweep.csv"
-    write_csv(run_power_sweep(load_config(cfg)), str(csv_path))
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        table = list(csv.reader(fh))
-    assert len(table) == 13
-    for index, cells in bad_cells.items():
-        for column, text in cells.items():
-            table[1 + index][CSV_COLUMNS.index(column)] = text
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(table)
-    return cfg, str(csv_path)
+    """audited_csv with the cells of bad_cells, {row index: {column: text}}."""
+    def edit(table):
+        assert len(table) == 13
+        for index, cells in bad_cells.items():
+            for column, text in cells.items():
+                table[1 + index][CSV_COLUMNS.index(column)] = text
+
+    return audited_csv(tmp_path, edit)
 
 
 def alone_error(cfg: str, row: SweepRow) -> str:
