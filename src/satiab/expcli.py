@@ -39,7 +39,7 @@ from .linkbudget import (
     dbm_to_watts,
     slant_distance,
 )
-from .ratemodel import CONSTRAINTS, Allocation, DuplexMode, ScenarioBatch, ScenarioParams
+from .ratemodel import CONSTRAINTS, DuplexMode, ScenarioBatch, ScenarioParams
 from .ratemodel import duplex_factors, evaluate_many, validate_many
 
 # Unused here: the span tracer of bench/spans.py wraps these names in this module.
@@ -143,11 +143,15 @@ _MAX_POWER_SWEEP_POINTS = 2001
 # and the access weight, a link's SINR is so small that log2(1 + SINR)
 # rounds to 0. The sizes are capped so that no solve asks for gigabytes: an
 # oracle of resolution r holds r x r allocations, a swarm S x population x 4.
+# The swarm's weights are capped so that its steps stay finite.
 _RANGES = {
     "total_bandwidth_mhz": (0.001, 1e5),
     "access_weight": (1e-6, 1.0),
     "pso_population": (3, 1000),
     "pso_iterations": (1, 10_000),
+    "pso_inertia_weight": (0.0, 1e3),
+    "pso_learning_factor_1": (1e-6, 1e3),
+    "pso_learning_factor_2": (1e-6, 1e3),
     "overlap_sweep_points": (2, 1001),
     "oracle_resolution": (10, 2000),
     "total_power_dbm": POWER_DBM_LIMITS,
@@ -162,14 +166,6 @@ _RANGES = {
     "aperture_radius_m": (0.01, 100.0),
     "altitude_km": (1.0, 1e5),
 }
-
-
-@dataclass(frozen=True)
-class _NonFiniteLiteral:
-    """A NaN or Infinity token in a config file, kept so that the error
-    can name the key it was given for."""
-
-    text: str
 
 
 def _config_problems(cfg: ExperimentConfig) -> list[str]:
@@ -194,18 +190,14 @@ def _config_problems(cfg: ExperimentConfig) -> list[str]:
     for name in ("boresight_ue_deg", "boresight_bs_deg"):
         if not abs(getattr(cfg, name)) < 90.0:
             problems.append(f"{name} must satisfy |angle| < 90")
-    if cfg.pso_inertia_weight < 0.0:
-        problems.append("pso_inertia_weight must be nonnegative")
-    if cfg.pso_learning_factor_1 <= 0.0 or cfg.pso_learning_factor_2 <= 0.0:
-        problems.append("pso learning factors must be positive")
     if cfg.seed < 0:
         problems.append("seed must be nonnegative")
     if not cfg.solvers:
         problems.append("at least one solver must be selected")
     unknown = sorted(set(cfg.solvers) - set(_KNOWN_SOLVERS))
-    if unknown:
-        problems.append(f"unknown solvers: {', '.join(unknown)}")
-    repeated = sorted({name for name in cfg.solvers if cfg.solvers.count(name) > 1})
+    if unknown:  # as reprs, so that a name holding a newline keeps the message on one line
+        problems.append(f"unknown solvers: {', '.join(map(repr, unknown))}")
+    repeated = sorted({name for name in cfg.solvers if cfg.solvers.count(name) > 1} - set(unknown))
     if repeated:
         problems.append(f"repeated solvers: {', '.join(repeated)}")
     if "exact" in cfg.solvers and cfg.overlap_mhz > 0.0:
@@ -224,14 +216,21 @@ def load_config(path: str) -> ExperimentConfig:
     """Load an experiment config from a JSON file.
 
     Missing keys take the defaults, and each key's value must have the JSON
-    type of its ExperimentConfig annotation. Unknown keys, values of the
-    wrong type and invariant violations raise ValidationError; malformed
-    JSON raises ParseError with the location of the problem.
+    type of its ExperimentConfig annotation. Unknown keys, keys given twice,
+    values of the wrong type and invariant violations raise ValidationError;
+    malformed JSON raises ParseError with the location of the problem.
     """
+    def unique_keys(pairs):
+        keys = [key for key, _ in pairs]
+        twice = sorted({key for key in keys if keys.count(key) > 1})
+        if twice:
+            raise ValidationError(f"{path}: key given twice: {', '.join(map(repr, twice))}")
+        return dict(pairs)
+
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        raw = json.loads(text, parse_constant=_NonFiniteLiteral)
+        raw = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
     if not isinstance(raw, dict):
@@ -245,9 +244,7 @@ def load_config(path: str) -> ExperimentConfig:
             problems.append(f"unknown key {key!r}")
             continue
         accepts, convert, kind = _JSON_TYPES[known.type]
-        if known.type == "float" and isinstance(value, _NonFiniteLiteral):
-            problems.append(f"{key} must be finite, got {value.text}")
-        elif not accepts(value):
+        if not accepts(value):
             problems.append(f"{key} must be {kind}")
         else:
             values[key] = convert(value)
@@ -263,10 +260,8 @@ def load_config(path: str) -> ExperimentConfig:
 
 def write_config(cfg: ExperimentConfig, path: str) -> None:
     """Write a config back to JSON; load_config inverts this exactly."""
-    payload = dataclasses.asdict(cfg)
-    payload["solvers"] = list(cfg.solvers)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -349,10 +344,9 @@ _leading_cells = operator.attrgetter(*CSV_COLUMNS[:-1])
 # the config names the power total_power_dbm and the other four as the row.
 _row_point = operator.attrgetter(*CSV_COLUMNS[2:7])
 _config_point = operator.attrgetter("total_power_dbm", *CSV_COLUMNS[3:7])
-# The cells read_csv accepts in each text column it checks itself; an
-# unknown duplex is left to build_scenarios.
-_CELL_CHOICES = {"sweep": ("power", "overlap", "single"), "solver": _KNOWN_SOLVERS,
-                 "converged": ("true", "false")}
+# The cells read_csv accepts in each text column.
+_CELL_CHOICES = {"sweep": ("power", "overlap", "single"), "duplex": tuple(m.value for m in DuplexMode),
+                 "solver": _KNOWN_SOLVERS, "converged": ("true", "false")}
 
 def _row_sort_key(row: "SweepRow"):
     return (row.sweep_value, row.duplex, row.altitude_km, row.access_weight, row.solver)
@@ -519,9 +513,7 @@ def _series_label(key, varying) -> str:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    # six evenly spaced axis ticks from lo to hi
-    if hi <= lo:
-        hi = lo + 1.0
+    # six evenly spaced axis ticks from lo to hi (emit_plot keeps hi > lo)
     return [lo + (hi - lo) * i / 5 for i in range(6)]
 
 
@@ -640,30 +632,38 @@ _AUDIT_TOL = 1e-6  # relative tolerance between a recorded rate and its re-evalu
 def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
     """Re-validate and re-evaluate every row's allocation.
 
-    Returns one message per discrepancy, in row order: rows marked
-    converged that hold a non-finite value, infeasible allocations, and
-    rates that disagree with the recorded values beyond the relative
-    tolerance _AUDIT_TOL. Rows with a non-finite value that are not marked
-    converged record a solver failure and are skipped. The other rows are
-    checked as arrays, by one build_scenarios, validate_many and (on the
-    feasible rows) evaluate_many call; only failing rows get messages.
+    Returns one message per discrepancy, in row order. A row whose point
+    lies outside the config's ranges (power_dbm, altitude_km and
+    access_weight those of their _RANGES keys, overlap_mhz [0, the config's
+    total_bandwidth_mhz]; NaN and inf lie outside) gets one message per such
+    cell and nothing else. Of the other rows, one that holds a non-finite
+    value is a problem if marked converged, and a skipped solver failure if
+    not. The rest are checked as arrays, by one build_scenarios,
+    validate_many (constraints 1a-1d) and, on the feasible rows,
+    evaluate_many call, whose rates must match the recorded ones within the
+    relative tolerance _AUDIT_TOL.
     """
     cells = np.array([_float_cells(row) for row in rows], dtype=float).reshape(-1, len(_FLOAT_COLUMNS))
-    finite = np.isfinite(cells).all(axis=1)
-    index = np.flatnonzero(finite).tolist()
+    point = cells[:, 1:5]  # power_dbm, overlap_mhz, altitude_km, access_weight
+    limits = np.array([_RANGES["total_power_dbm"], (0.0, cfg.total_bandwidth_mhz), _RANGES["altitude_km"],
+                       _RANGES["access_weight"]])
+    outside = ~((limits[:, 0] <= point) & (point <= limits[:, 1]))
+    checked = ~outside.any(axis=1) & np.isfinite(cells).all(axis=1)
+    index = np.flatnonzero(checked).tolist()
     batch = build_scenarios(cfg, [_row_point(rows[i]) for i in index])
-    recorded, alloc = cells[finite, -8:-4], cells[finite, -4:]
-    negative = np.argwhere(alloc < 0.0)
-    if negative.size:  # as an Allocation of the first such row raises
-        raise ValueError(f"{dataclasses.fields(Allocation)[negative[0, 1]].name} must be nonnegative")
+    recorded, alloc = cells[checked, -8:-4], cells[checked, -4:]
     violated = validate_many(batch, alloc)
     feasible = ~violated.any(axis=1)
     want = np.zeros_like(recorded)
     want[feasible] = evaluate_many(batch.take(feasible), alloc[feasible]) / 1e6
     off = feasible[:, None] & (np.abs(recorded - want) > _AUDIT_TOL * np.maximum(np.abs(want), 1e-12))
 
-    problems = {i: [f"row {i}: marked converged but holds a non-finite value"]
-                for i in np.flatnonzero(~finite).tolist() if rows[i].converged}
+    problems = {}
+    for i, j in np.argwhere(outside).tolist():
+        (lo, hi), name = limits[j].tolist(), _FLOAT_COLUMNS[1 + j]
+        problems.setdefault(i, []).append(f"row {i}: {name}={point[i, j]:g} must lie in [{lo:g}, {hi:g}]")
+    problems |= {i: [f"row {i}: marked converged but holds a non-finite value"]
+                 for i in np.flatnonzero(~checked).tolist() if rows[i].converged and i not in problems}
     for k in np.flatnonzero(~feasible | off.any(axis=1)).tolist():
         i = index[k]
         if not feasible[k]:

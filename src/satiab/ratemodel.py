@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "DuplexMode",
-    "InvalidAllocation",
     "ScenarioParams",
     "ScenarioBatch",
     "Allocation",
@@ -44,10 +43,6 @@ CONSTRAINTS = ("1a", "1b", "1c", "1d")  # the columns of validate_many, in order
 class DuplexMode(enum.Enum):
     FDD = "FDD"
     TDD = "TDD"
-
-
-class InvalidAllocation(Exception):
-    """The allocation cannot be evaluated under the given scenario."""
 
 
 def duplex_factors(mode: DuplexMode) -> tuple[float, float]:
@@ -216,8 +211,8 @@ def link_rates(scn: ScenarioParams | ScenarioBatch, p_ue, p_bs, w_a, w_b):
     whose (S, 1) columns broadcast against allocation arrays with one row
     per scenario. Zero-bandwidth entries yield zero rate (the
     x*log(1+c/x) -> 0 limit); entries whose interference term would divide
-    by a zero bandwidth also yield zero. Scalar callers that need an error
-    instead of the zero fallback should use :func:`evaluate`.
+    by a zero bandwidth also yield zero. This fallback is the one rule for
+    what can be evaluated: every allocation gets rates.
 
     The inputs are not broadcast against each other up front, so a term
     of one axis only, such as the noise of a row of bandwidths, is computed
@@ -265,24 +260,19 @@ def evaluate_many(batch: ScenarioBatch | ScenarioParams, alloc: np.ndarray) -> n
 
 
 def evaluate(scn: ScenarioParams, alloc: Allocation) -> RateReport:
-    """Full rate report for one allocation: :func:`evaluate_many` at one row.
-
-    Raises InvalidAllocation when the links overlap but one bandwidth is
-    zero, which would put a zero bandwidth under the interference term.
-    """
-    if scn.overlap_bandwidth > 0.0 and 0.0 in (alloc.w_a, alloc.w_b):
-        raise InvalidAllocation("overlapping spectrum with a zero bandwidth is not evaluable")
+    """Full rate report for one allocation: :func:`evaluate_many` at one row,
+    so a zero bandwidth under overlap gets the zero rates of link_rates."""
     row = [[alloc.p_ue, alloc.p_bs, alloc.w_a, alloc.w_b]]
     zeta, rate_a, rate_b, throughput = evaluate_many(scn, np.array(row))[0].tolist()
     return RateReport(rate_a, rate_b, throughput, zeta, min(rate_a, scn.access_weight * rate_b))
 
 
 def _violated(scn: ScenarioParams | ScenarioBatch, p_ue, p_bs, w_a, w_b) -> tuple:
-    """Flags of constraints 1a-1d, on one scenario's floats or a batch's columns."""
+    """Flags of constraints 1a-1d (see validate), on one scenario's floats or a batch's columns."""
     p_cap = scn.total_power
     band_cap, w_lo, w_hi = bandwidth_limits(scn)
     return (
-        p_ue + p_bs > p_cap + _SLACK * p_cap,
+        (p_ue + p_bs > p_cap + _SLACK * p_cap) | (p_ue < -_SLACK * p_cap) | (p_bs < -_SLACK * p_cap),
         w_a + w_b > band_cap + _SLACK * band_cap,
         (w_a > w_hi + _SLACK * w_hi) | (w_b > w_hi + _SLACK * w_hi),
         (w_a < w_lo - _SLACK * w_hi) | (w_b < w_lo - _SLACK * w_hi),
@@ -297,9 +287,9 @@ def validate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:
 def validate(scn: ScenarioParams, alloc: Allocation) -> list[str]:
     """Feasibility check; returns the identifiers of violated constraints.
 
-    Constraints, with relative slack _SLACK (power bounds scaled by the power
-    budget, bandwidth bounds by the per-link bandwidth cap):
-        1a: p_ue + p_bs <= P
+    Constraints, with relative slack _SLACK (scaled by the power budget in
+    1a, by the bound itself in 1b, by the per-link bandwidth cap in 1c, 1d):
+        1a: p_ue + p_bs <= P and p_ue, p_bs >= 0
         1b: w_a + w_b <= alpha_1 (W + w_o)
         1c: w_a, w_b <= alpha_1 W
         1d: w_a, w_b >= alpha_1 w_o

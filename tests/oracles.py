@@ -4,14 +4,16 @@ The Bessel oracle is a plain alternating power series evaluated in
 extended precision; it shares no code with the library implementation.
 The golden-section solver is the exact orthogonal solver as first written,
 one scenario at a time in pure Python, kept as the reference for the
-batched marginal-cost solver. The full-grid oracle is the grid oracle as
+batched marginal-cost solver; it compares powers by their logs, so it holds
+where a power overflows. The full-grid oracle is the grid oracle as
 first written, the whole grid in one link_rates call and np.argmax, kept as
 the reference for the oracle that bisects each column for its peak. The
-per-row audit is the audit as first written, one scenario, one feasibility
-check and one scalar rate report per row, kept as the reference for the
-audit that checks all rows as arrays; its feasibility check and rate report
-are the scalar bodies validate and RateReport.from_rates once had, so that
-it shares no code with the batch checks but the rate kernel link_rates.
+per-row audit is the audit as first written, one point check, one scenario,
+one feasibility check and one scalar rate report per row, kept as the
+reference for the audit that checks all rows as arrays; its feasibility
+check and rate report are the scalar bodies validate and
+RateReport.from_rates once had, on the allocation's floats, so that it
+shares no code with the batch checks but the rate kernel link_rates.
 The mpmath level solves the exact solver's optimality conditions at 40
 digits, as the reference for its accuracy. solved_rows turns the arrays of
 a batch solver into one SolveResult per row, for tests that compare rows.
@@ -137,10 +139,11 @@ def random_feasible_allocation(rng, scn: ScenarioParams):
     return p1 * p_scale, p2 * p_scale, w_a, w_b
 
 
-def reference_evaluate(scn: ScenarioParams, alloc: Allocation) -> RateReport:
-    """The rate report of one allocation from the rate kernel's floats and
-    scalar arithmetic, as RateReport.from_rates once computed it."""
-    rate_a, rate_b = map(float, link_rates(scn, alloc.p_ue, alloc.p_bs, alloc.w_a, alloc.w_b))
+def reference_evaluate(scn: ScenarioParams, p_ue, p_bs, w_a, w_b) -> RateReport:
+    """The rate report of one allocation, given as floats, from the rate
+    kernel's floats and scalar arithmetic, as RateReport.from_rates once
+    computed it."""
+    rate_a, rate_b = map(float, link_rates(scn, p_ue, p_bs, w_a, w_b))
     eps = scn.access_weight
     return RateReport(
         rate_access=rate_a,
@@ -151,19 +154,20 @@ def reference_evaluate(scn: ScenarioParams, alloc: Allocation) -> RateReport:
     )
 
 
-def reference_validate(scn: ScenarioParams, alloc: Allocation) -> list[str]:
-    """validate as first written, one constraint at a time on floats."""
+def reference_validate(scn: ScenarioParams, p_ue, p_bs, w_a, w_b) -> list[str]:
+    """validate as first written, one constraint at a time on the floats of
+    an allocation, with the nonnegative powers of 1a."""
     slack = 1e-6
     p_cap = scn.total_power
     band_cap, w_lo, w_hi = bandwidth_limits(scn)
     violated = []
-    if alloc.p_ue + alloc.p_bs > p_cap + slack * p_cap:
+    if p_ue + p_bs > p_cap + slack * p_cap or min(p_ue, p_bs) < -slack * p_cap:
         violated.append("1a")
-    if alloc.w_a + alloc.w_b > band_cap + slack * band_cap:
+    if w_a + w_b > band_cap + slack * band_cap:
         violated.append("1b")
-    if alloc.w_a > w_hi + slack * w_hi or alloc.w_b > w_hi + slack * w_hi:
+    if w_a > w_hi + slack * w_hi or w_b > w_hi + slack * w_hi:
         violated.append("1c")
-    if alloc.w_a < w_lo - slack * w_hi or alloc.w_b < w_lo - slack * w_hi:
+    if w_a < w_lo - slack * w_hi or w_b < w_lo - slack * w_hi:
         violated.append("1d")
     return violated
 
@@ -181,10 +185,9 @@ def solved_rows(solve_many, scns, *args) -> list[SolveResult]:
     its converged flag."""
     alloc, iterations, converged = solve_many(ScenarioBatch.stack(scns), *args)
     assert alloc.shape == (len(scns), 4) and iterations.shape == converged.shape == (len(scns),)
-    allocations = [Allocation(*row) for row in alloc.tolist()]
     return [
-        SolveResult(a, reference_evaluate(scn, a), _SOLVER_KINDS[solve_many], n, done)
-        for scn, a, n, done in zip(scns, allocations, iterations.tolist(), converged.tolist())
+        SolveResult(Allocation(*row), reference_evaluate(scn, *row), _SOLVER_KINDS[solve_many], n, done)
+        for scn, row, n, done in zip(scns, alloc.tolist(), iterations.tolist(), converged.tolist())
     ]
 
 
@@ -196,21 +199,7 @@ def reference_rate(alpha_o, alpha_1, p_own, beta, w_own, p_other, w_other, dens,
     return alpha_o * w_own * math.log2(1.0 + p_own * beta / (dens * w_own + interference))
 
 
-_MAX_EXPONENT = 1020.0  # 2**x overflows float64 just above this
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _inversion_power(rate, bandwidth, beta, alpha_o, dens):
-    # Power for one orthogonal link, with overflow mapped to +inf so the
-    # golden-section objective stays totally ordered.
-    if rate <= 0.0:
-        return 0.0
-    if bandwidth <= 0.0:
-        return math.inf
-    exponent = rate / (alpha_o * bandwidth)
-    if exponent > _MAX_EXPONENT:
-        return math.inf
-    return (2.0 ** exponent - 1.0) * dens * bandwidth / beta
 
 
 def _golden_section(f, lo, hi, rel_tol=1e-9, max_iter=200):
@@ -246,20 +235,31 @@ def golden_section_solve(scn: ScenarioParams) -> SolveResult:
     zeta_ub = alpha_o * w_total * math.log2(1.0 + p_total * scn.beta_bs / (dens * w_total))
     w_lo = w_total * 1e-12
     w_hi = w_total * (1.0 - 1e-12)
+    log_scale_a, log_scale_b = math.log(dens / scn.beta_ue), math.log(dens / scn.beta_bs)
 
     def cheapest_split(zeta):
+        # A link's power for rate k alpha_o / ln2 over bandwidth w is
+        # (2**x - 1) dens w / beta = e**(y + log(dens / beta)) (-expm1(-y)) w,
+        # with y = x ln2 = k / w. The split minimizes the log of the links'
+        # sum with the larger exponential factored out, which stays finite
+        # and ordered where 2**x overflows. Returns that log, the access
+        # bandwidth of the split and the two powers.
         if zeta <= 0.0:
-            return 0.0, 0.5 * w_total, 0.0, 0.0
+            return -math.inf, 0.5 * w_total, 0.0, 0.0
+        k_a, k_b = eps * zeta * math.log(2.0) / alpha_o, zeta * math.log(2.0) / alpha_o
 
-        def total_power(w_a):
-            p_a = _inversion_power(eps * zeta, w_a, scn.beta_ue, alpha_o, dens)
-            p_b = _inversion_power(zeta, w_total - w_a, scn.beta_bs, alpha_o, dens)
-            return p_a + p_b
+        def log_total(w_a):
+            w_b = w_total - w_a
+            y_a, y_b = k_a / w_a, k_b / w_b
+            e_a, e_b = y_a + log_scale_a, y_b + log_scale_b
+            top = e_a if e_a > e_b else e_b
+            return top + math.log(-math.expm1(-y_a) * w_a * math.exp(e_a - top)
+                                  - math.expm1(-y_b) * w_b * math.exp(e_b - top))
 
-        w_a, _ = _golden_section(total_power, w_lo, w_hi)
-        p_a = _inversion_power(eps * zeta, w_a, scn.beta_ue, alpha_o, dens)
-        p_b = _inversion_power(zeta, w_total - w_a, scn.beta_bs, alpha_o, dens)
-        return p_a + p_b, w_a, p_a, p_b
+        w_a, log_needed = _golden_section(log_total, w_lo, w_hi)
+        p_a, p_b = (math.exp(k / w + log_scale + math.log(-math.expm1(-k / w) * w))
+                    for k, w, log_scale in ((k_a, w_a, log_scale_a), (k_b, w_total - w_a, log_scale_b)))
+        return log_needed, w_a, p_a, p_b
 
     lo, hi = 0.0, zeta_ub
     converged = False
@@ -270,8 +270,8 @@ def golden_section_solve(scn: ScenarioParams) -> SolveResult:
             break
         iterations += 1
         mid = 0.5 * (lo + hi)
-        needed, _, _, _ = cheapest_split(mid)
-        if needed <= p_total:
+        log_needed, _, _, _ = cheapest_split(mid)
+        if log_needed <= math.log(p_total):
             lo = mid
         else:
             hi = mid
@@ -280,7 +280,7 @@ def golden_section_solve(scn: ScenarioParams) -> SolveResult:
     alloc = Allocation(p_ue=p_a, p_bs=p_b, w_a=w_a, w_b=w_total - w_a)
     return SolveResult(
         allocation=alloc,
-        report=reference_evaluate(scn, alloc),
+        report=reference_evaluate(scn, *dataclasses.astuple(alloc)),
         solver=SolverKind.EXACT_ORTHOGONAL,
         iterations_used=iterations,
         converged=converged,
@@ -366,7 +366,7 @@ def full_grid_oracle(scn: ScenarioParams, resolution: int) -> SolveResult:
     )
     return SolveResult(
         allocation=alloc,
-        report=reference_evaluate(scn, alloc),
+        report=reference_evaluate(scn, *dataclasses.astuple(alloc)),
         solver=SolverKind.GRID_ORACLE,
         iterations_used=resolution * resolution,
         converged=True,
@@ -387,22 +387,34 @@ def row_scenario(cfg: ExperimentConfig, row) -> ScenarioParams:
 
 
 def per_row_audit(cfg: ExperimentConfig, rows) -> list[str]:
-    """audit_rows one row at a time: build the row's scenario, check its
-    allocation with reference_validate, and re-evaluate a feasible one with
+    """audit_rows one row at a time: check the row's point against the
+    config's ranges, build its scenario, check its allocation with
+    reference_validate, and re-evaluate a feasible one with
     reference_evaluate."""
+    ranges = {
+        "power_dbm": _RANGES["total_power_dbm"],
+        "overlap_mhz": (0.0, cfg.total_bandwidth_mhz),
+        "altitude_km": _RANGES["altitude_km"],
+        "access_weight": _RANGES["access_weight"],
+    }
     problems = []
     for index, row in enumerate(rows):
+        outside = [f"row {index}: {name}={getattr(row, name):g} must lie in [{lo:g}, {hi:g}]"
+                   for name, (lo, hi) in ranges.items() if not lo <= getattr(row, name) <= hi]
+        if outside:
+            problems += outside
+            continue
         if not all(map(math.isfinite, _float_cells(row))):
             if row.converged:
                 problems.append(f"row {index}: marked converged but holds a non-finite value")
             continue
         scn = row_scenario(cfg, row)
-        alloc = Allocation(p_ue=row.p_ue_w, p_bs=row.p_bs_w, w_a=row.w_a_hz, w_b=row.w_b_hz)
-        violated = reference_validate(scn, alloc)
+        alloc = (row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz)
+        violated = reference_validate(scn, *alloc)
         if violated:
             problems.append(f"row {index}: allocation violates {', '.join(violated)}")
             continue
-        report = reference_evaluate(scn, alloc)
+        report = reference_evaluate(scn, *alloc)
         recorded = {
             "zeta_mbps": (row.zeta_mbps, report.maxmin_level / 1e6),
             "rate_access_mbps": (row.rate_access_mbps, report.rate_access / 1e6),

@@ -1,0 +1,103 @@
+"""Random JSON configs through `satiab solve`: each run either exits 0 with
+finite rows that `satiab audit` passes, or exits 1 with a one-line error."""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings, strategies as st
+
+from satiab.expcli import _CONFIG_FIELDS, _RANGES, _float_cells, main, read_csv
+
+# A solve takes milliseconds: these keys are always given, and valid draws
+# of them stay at most these values.
+_CAPS = {"pso_population": 8, "pso_iterations": 10, "oracle_resolution": 40}
+# Ranges of valid draws where the config has none, or where most draws in
+# its range would give an empty or an oversized power sweep; 0.001 to 100
+# for the other numbers without a range.
+_DRAW_RANGES = {
+    "boresight_ue_deg": (-89.0, 89.0),
+    "boresight_bs_deg": (-89.0, 89.0),
+    "seed": (0, 2**70),
+    "power_sweep_min_dbm": (-100.0, 40.0),
+    "power_sweep_max_dbm": (50.0, 100.0),
+    "power_sweep_step_db": (0.1, 100.0),
+}
+# JSON text for numbers json.dumps cannot write or that lie outside every
+# range, and for values of the wrong type.
+_SPECIAL = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e300", "-1e300", "-1",
+                           "0"])
+_WRONG_TYPE = st.sampled_from(['"40"', "true", "null", "[]", "{}", '["exact", 1]', '{"a": 1}', "2.5"])
+# Short strings with a newline, a quote, a comma, a NUL and non-ASCII among
+# their characters (an explicit alphabet spares Hypothesis its Unicode tables).
+_TEXT = st.text("ax\n\",\x00\u00e9", max_size=3)
+
+
+def _valid(key: str):
+    """Values of the key's JSON type, mostly in its range."""
+    kind = _CONFIG_FIELDS[key].type
+    if kind == "tuple[str, ...]":  # empty, unknown and repeated names too
+        return st.lists(st.sampled_from(["exact", "pso", "oracle", "exact", "pso"]) | _TEXT, max_size=3)
+    if kind == "str":
+        return st.sampled_from(["FDD", "TDD", "XDD"]) if key == "duplex" else _TEXT
+    if key == "overlap_mhz":  # the default solvers take no overlap
+        return st.just(0.0) | st.floats(0.0, 50.0)
+    lo, hi = _DRAW_RANGES.get(key) or _RANGES.get(key, (0.001, 100.0))
+    if kind == "int":
+        return st.integers(int(lo), min(int(hi), _CAPS.get(key, int(hi))))
+    return st.floats(lo, hi) | st.integers(math.ceil(lo), int(hi))
+
+
+@st.composite
+def config_texts(draw) -> str:
+    """A config of valid values for up to 6 keys, or one with one fault: a
+    special number, a value of the wrong type, an unknown key or a key
+    given twice."""
+    keys = draw(st.lists(st.sampled_from(sorted(_CONFIG_FIELDS)), unique=True, max_size=6))
+    values = {key: json.dumps(value) for key, value in _CAPS.items()}
+    values.update({key: json.dumps(draw(_valid(key))) for key in keys})
+    pairs = [f"{json.dumps(key)}: {value}" for key, value in values.items()]
+    fault = draw(st.integers(0, 9))
+    if fault == 0:
+        pairs[-1] = f"{pairs[-1].split(':')[0]}: {draw(_SPECIAL)}"
+    elif fault == 1:
+        pairs[-1] = f"{pairs[-1].split(':')[0]}: {draw(_WRONG_TYPE)}"
+    elif fault == 2:
+        pairs.append(draw(st.sampled_from(pairs)))
+    elif fault == 3:
+        pairs.append('"power_dbm": 40')
+    return "{" + ", ".join(pairs) + "}"
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(config_texts())
+@example('{"seed": 1, "seed": 2}')
+# configs that once broke the property: the first overflowed the swarm, the
+# second printed a newline inside its error
+@example('{"pso_population": 8, "pso_iterations": 10, "pso_inertia_weight": 1e300}')
+@example('{"solvers": ["a\\nb", "a\\nb"]}')
+def test_cli_solve_of_a_random_config_passes_audit_or_fails_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp, "cfg.json"), Path(tmp, "out")
+        config.write_text(text)
+        code, _, err = run(["solve", "--config", str(config), "--out", str(out)])
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not out.exists()
+            return
+        assert code == 0 and err == ""
+        csv_path = str(out / "solve.csv")
+        rows = read_csv(csv_path)
+        assert rows and all(math.isfinite(v) for row in rows for v in _float_cells(row))
+        code, stdout, err = run(["audit", "--config", str(config), "--csv", csv_path])
+        assert (code, stdout, err) == (0, f"audit ok: {len(rows)} row(s)\n", "")

@@ -124,6 +124,31 @@ def test_load_config_rejects_exact_solver_with_overlap(tmp_path):
         load_config(write_json(tmp_path / "cfg.json", payload))
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"seed": 1, "seed": 2}', "'seed'"),
+    ('{"duplex": "FDD", "seed": 2, "duplex": "TDD", "seed": 2}', "'duplex', 'seed'"),
+])
+def test_load_config_rejects_a_key_given_twice(tmp_path, capsys, text, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"^{path}: key given twice: {key}$"):
+        load_config(str(path))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: key given twice: {key}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("literal, value", [
+    ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf"),
+])
+def test_load_config_names_a_non_finite_number(tmp_path, literal, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"altitude_km": {literal}}}')
+    with pytest.raises(ValidationError, match=f": altitude_km must be finite, got {value}$"):
+        load_config(str(path))
+
+
 def test_config_round_trip(tmp_path):
     cfg = small_config(duplex="TDD", access_weight=0.2, seed=99, solvers=("pso",), overlap_mhz=8.0)
     path = tmp_path / "cfg.json"
@@ -554,7 +579,9 @@ def test_cli_audit_rejects_an_unknown_duplex(tmp_path, capsys):
     def edit(table):
         table[1][CSV_COLUMNS.index("duplex")] = "XDD"
 
-    assert "XDD" in assert_audit_fails_cleanly(capsys, *audited_csv(tmp_path, edit))
+    cfg, csv_path = audited_csv(tmp_path, edit)
+    err = assert_audit_fails_cleanly(capsys, cfg, csv_path)
+    assert err == f"error: {csv_path}:2: duplex must be one of FDD, TDD, got 'XDD'\n"
 
 
 @pytest.mark.parametrize("cells", [-1, +1])
@@ -620,11 +647,10 @@ def twelve_row_csv(tmp_path, bad_cells):
     return audited_csv(tmp_path, edit)
 
 
-def alone_error(cfg: str, row: SweepRow) -> str:
-    """The message that building the row's scenario alone raises."""
-    with pytest.raises(ValueError) as err:
-        row_scenario(load_config(cfg), row)
-    return str(err.value)
+def failed_audit(problems: list[str], rows: int = 12) -> str:
+    """The stderr of an audit of rows rows that reports problems."""
+    return "".join(f"{message}\n" for message in problems) + \
+        f"audit failed: {len(problems)} problem(s) in {rows} row(s)\n"
 
 
 @pytest.mark.parametrize("column, text", [
@@ -637,19 +663,55 @@ def alone_error(cfg: str, row: SweepRow) -> str:
 ])
 def test_cli_audit_of_a_bad_point_raises_the_message_of_the_point_alone(tmp_path, capsys, column,
                                                                           text):
+    # the row is reported by the config's range for its column, and no other row
     cfg, csv_path = twelve_row_csv(tmp_path, {6: {column: text}})
-    message = alone_error(cfg, read_csv(csv_path)[6])
-    assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == f"error: {message}\n"
+    problems = per_row_audit(load_config(cfg), read_csv(csv_path))
+    assert len(problems) == 1 and problems[0].startswith(f"row 6: {column}={text} must lie in [")
+    assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == failed_audit(problems)
 
 
-def test_cli_audit_of_two_bad_points_raises_the_first_failing_condition(tmp_path, capsys):
-    # row 2's access weight is bad and row 9's overlap; the batch tests the
-    # overlap first, so its message wins although row 2 comes first
+@pytest.mark.parametrize("column, text, converged, message", [
+    ("power_dbm", "4000", "true", "power_dbm=4000 must lie in [-100, 100]"),
+    ("power_dbm", "150", "true", "power_dbm=150 must lie in [-100, 100]"),
+    ("access_weight", "1e-300", "true", "access_weight=1e-300 must lie in [1e-06, 1]"),
+    ("power_dbm", "nan", "false", "power_dbm=nan must lie in [-100, 100]"),
+    ("altitude_km", "inf", "false", "altitude_km=inf must lie in [1, 100000]"),
+    ("access_weight", "nan", "true", "access_weight=nan must lie in [1e-06, 1]"),
+    ("overlap_mhz", "50", "true", "overlap_mhz=50 must lie in [0, 40]"),
+    ("p_ue_w", "-1", "true", "allocation violates 1a"),
+])
+def test_cli_audit_reports_a_bad_point_or_power_on_its_row(tmp_path, capsys, column, text, converged,
+                                                          message):
+    # a point outside the config's ranges (NaN and inf too, converged or not)
+    # or a negative power is a problem of its row
+    cfg, csv_path = twelve_row_csv(tmp_path, {6: {column: text, "converged": converged}})
+    assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == failed_audit([f"row 6: {message}"])
+    assert per_row_audit(load_config(cfg), read_csv(csv_path)) == [f"row 6: {message}"]
+
+
+def test_cli_audit_skips_a_solver_failure(tmp_path, capsys):
+    # a non-finite allocation cell in a row not marked converged
+    cfg, csv_path = twelve_row_csv(tmp_path, {6: {"p_ue_w": "nan", "converged": "false"}})
+    assert main(["audit", "--config", cfg, "--csv", csv_path]) == 0
+    assert capsys.readouterr().out == "audit ok: 12 row(s)\n"
+
+
+def test_cli_audit_of_two_bad_points_reports_both_in_row_order(tmp_path, capsys):
     cfg, csv_path = twelve_row_csv(tmp_path, {2: {"access_weight": "0"}, 9: {"overlap_mhz": "50"}})
-    rows = read_csv(csv_path)
-    first_point, first_condition = alone_error(cfg, rows[2]), alone_error(cfg, rows[9])
-    assert "access_weight" in first_point and "overlap_bandwidth" in first_condition
-    assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == f"error: {first_condition}\n"
+    problems = ["row 2: access_weight=0 must lie in [1e-06, 1]",
+                "row 9: overlap_mhz=50 must lie in [0, 40]"]
+    assert per_row_audit(load_config(cfg), read_csv(csv_path)) == problems
+    assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == failed_audit(problems)
+
+
+def test_build_scenarios_of_two_bad_points_raises_the_first_failing_condition():
+    # the first point's access weight is bad and the second's overlap; the
+    # batch tests the overlap first, so its message wins
+    points = [(40.0, 0.0, "FDD", 600.0, 0.0), (40.0, 50.0, "TDD", 600.0, 0.1)]
+    with pytest.raises(ValueError, match=r"^overlap_bandwidth must lie in \[0, total_bandwidth\]$"):
+        build_scenarios(ExperimentConfig(), points)
+    with pytest.raises(ValueError, match=r"^access_weight must lie in \(0, 1\]$"):
+        build_scenarios(ExperimentConfig(), points[:1])
 
 
 @pytest.mark.parametrize("cells, name", [
@@ -657,12 +719,19 @@ def test_cli_audit_of_two_bad_points_raises_the_first_failing_condition(tmp_path
     ({4: {"w_a_hz": "-1", "p_bs_w": "-1"}}, "p_bs"),
 ])
 def test_cli_audit_of_a_negative_allocation_cell(tmp_path, capsys, cells, name):
-    # the error an Allocation of the row raises: its first negative field
-    # in the first row that has one
+    # a negative power violates 1a on its row; a -1 Hz bandwidth lies within
+    # the slack of 1d, so its row is evaluated, with a zero rate on that link
     cfg, csv_path = twelve_row_csv(tmp_path, cells)
-    with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
-        per_row_audit(load_config(cfg), read_csv(csv_path))
-    assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == f"error: {name} must be nonnegative\n"
+    problems = per_row_audit(load_config(cfg), read_csv(csv_path))
+    assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == failed_audit(problems)
+    row_4 = [message for message in problems if message.startswith("row 4: ")]
+    if name == "p_bs":
+        assert problems == row_4 == ["row 4: allocation violates 1a"]
+    else:
+        assert [message.split()[2] for message in row_4] == ["zeta_mbps", "rate_backhaul_mbps",
+                                                             "throughput_mbps"]
+        assert all(message.endswith("re-evaluates to 0") for message in row_4[:2])
+        assert problems == row_4 + ["row 7: allocation violates 1a"]
 
 
 def test_sweeps_and_audit_construct_no_per_row_objects(monkeypatch):

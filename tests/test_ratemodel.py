@@ -9,11 +9,12 @@ import pytest
 from satiab import (
     Allocation,
     DuplexMode,
-    InvalidAllocation,
+    RateReport,
     ScenarioBatch,
     ScenarioParams,
     duplex_factors,
     evaluate,
+    evaluate_many,
     link_rates,
     validate,
 )
@@ -94,10 +95,12 @@ def test_full_overlap_interference_hurts_backhaul():
 
 
 def test_invalid_allocation_under_overlap():
+    # a zero bandwidth under overlap gets the all-zero row of evaluate_many
     scn = make_scenario(overlap_bandwidth=10e6)
     for alloc in (Allocation(5.0, 5.0, 15e6, 0.0), Allocation(5.0, 5.0, 0.0, 15e6)):
-        with pytest.raises(InvalidAllocation):
-            evaluate(scn, alloc)
+        row = evaluate_many(ScenarioBatch.stack([scn]), np.array([dataclasses.astuple(alloc)]))
+        assert row.tolist() == [[0.0, 0.0, 0.0, 0.0]]
+        assert evaluate(scn, alloc) == RateReport(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_evaluate_zero_power():
