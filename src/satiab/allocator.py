@@ -53,6 +53,9 @@ _MAX_STEPS = 200
 _Solved = tuple[np.ndarray, np.ndarray, np.ndarray]  # allocations, iterations, converged
 _GRID_BLOCK = 4_096  # grid columns per grid_oracle_many kernel call: 32 KiB temporaries
 _SWARM_PARTICLES = 65_536  # particles per run_pso batch of pso_solve_many
+_ROW_DRAWS, _BLOCK_DRAWS = 1_024, 65_536  # a swarm's draw block: per row, and 512 KiB in all
+PSO_WEIGHT_LIMITS = {"inertia_weight": (0.0, 1e3),  # closed ranges that keep the swarm's steps finite
+                     "learning_factor_1": (1e-6, 1e3), "learning_factor_2": (1e-6, 1e3)}
 
 
 class SolverKind(enum.Enum):
@@ -95,10 +98,9 @@ class PsoConfig:
             raise ValueError("population_size must be >= 3 (ring topology)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.learning_factor_1 <= 0.0 or self.learning_factor_2 <= 0.0:
-            raise ValueError("learning factors must be positive")
-        if self.inertia_weight < 0.0:
-            raise ValueError("inertia_weight must be nonnegative")
+        for name, (lo, hi) in PSO_WEIGHT_LIMITS.items():
+            if not lo <= getattr(self, name) <= hi:
+                raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}]")
 
 
 def _inversion_power(rate, bandwidth, beta, alpha_o, dens):
@@ -319,38 +321,52 @@ def grid_oracle(scn: ScenarioParams, resolution: int) -> SolveResult:
     return _solved_alone(grid_oracle_many, SolverKind.GRID_ORACLE, scn, resolution)
 
 
-def _normalize_population(
-    population: np.ndarray,
-    p_total: np.ndarray,
-    band_total: np.ndarray,
-    w_lo: np.ndarray,
-    w_hi: np.ndarray,
-    rngs: Sequence[np.random.Generator],
-) -> None:
-    """Project a batch of swarms onto their feasible sets, in place.
+class _DrawBlock:
+    """Each row's Philox stream, read an (S, width) block at a time: block[s, cursor:] holds
+    row s's next draws and rngs[s] stands just past them. take gives every row its next count
+    draws (count divides width); row gives row s alone its next count, refilling its tail."""
 
-    population is S x N x 4; the budgets and bandwidth bounds are S x 1 x 1
-    columns and rngs holds each row's generator. Power pairs are folded
-    positive and rescaled to sum to the power budget; bandwidth pairs
-    likewise to the bandwidth budget, then clamped into [w_lo, w_hi] (the
-    clamps restore the budget exactly because the two columns overshoot
-    symmetrically). A pair summing to zero has no defined projection and is
-    redrawn uniformly on its initialization range first, from its own
-    row's generator.
-    """
-    for cols, scale in ((slice(0, 2), p_total), (slice(2, 4), band_total)):
-        block = np.abs(population[..., cols])
-        sums = block[..., 0] + block[..., 1]
-        for s in np.flatnonzero((sums == 0.0).any(axis=1)):
-            degenerate = sums[s] == 0.0
-            while degenerate.any():
-                redraw = rngs[s].random((int(degenerate.sum()), 2))
-                population[s, degenerate, cols] = redraw * scale[s, 0, 0]
-                block[s] = np.abs(population[s, :, cols])
-                sums[s] = block[s, :, 0] + block[s, :, 1]
+    def __init__(self, rngs: Sequence[np.random.Generator], width: int) -> None:
+        self.rngs, self.block, self.cursor = rngs, np.empty((len(rngs), width)), width
+
+    def take(self, count: int) -> np.ndarray:
+        if self.cursor == self.block.shape[1]:
+            for rng, row in zip(self.rngs, self.block):
+                rng.random(out=row)
+            self.cursor = 0
+        self.cursor += count
+        return self.block[:, self.cursor - count:self.cursor]
+
+    def row(self, s: int, count: int) -> np.ndarray:
+        stream = np.concatenate((self.block[s, self.cursor:], self.rngs[s].random(count)))
+        self.block[s, self.cursor:] = stream[count:]
+        return stream[:count]
+
+
+def _ring_best(fitness: np.ndarray, ring: np.ndarray) -> np.ndarray:
+    """Flat indices of each particle's ring-neighborhood best, ring holding those of (self,
+    previous, next) in the (S, N) fitness: np.argmax's first maximum over the three."""
+    here, before, after = ring
+    best = np.where(fitness.take(before) > fitness, before, here)
+    return np.where(fitness.take(after) > fitness.take(best), after, best)
+
+
+def _normalize_population(swarm: np.ndarray, p_total: np.ndarray, band_total: np.ndarray,
+                          w_lo: np.ndarray, w_hi: np.ndarray, draws: _DrawBlock) -> None:
+    """Project the swarm's (S, N) planes p_ue, p_bs, w_a, w_b onto their feasible sets, in
+    place: fold each pair positive, rescale it to sum to its (S, 1) budget, and clamp the
+    bandwidths into [w_lo, w_hi], which keeps their budget as the two overshoot symmetrically.
+    A pair summing to zero is first redrawn on its initialization range from its row's draws."""
+    for pair, scale in ((swarm[:2], p_total), (swarm[2:], band_total)):
+        sums = np.add(*np.abs(pair, out=pair))
+        for s in np.flatnonzero(~sums.all(axis=1)):
+            while not sums[s].all():
                 degenerate = sums[s] == 0.0
-        population[..., cols] = block * (scale[..., 0] / sums)[..., None]
-    np.clip(population[..., 2:4], w_lo, w_hi, out=population[..., 2:4])
+                redraw = draws.row(s, 2 * int(degenerate.sum())).reshape(-1, 2)
+                pair[:, s, degenerate] = (redraw * scale[s, 0]).T
+                sums[s] = pair[0, s] + pair[1, s]
+        pair *= np.divide(scale, sums, out=sums)
+    np.minimum(np.maximum(swarm[2:], w_lo, out=swarm[2:]), w_hi, out=swarm[2:])
 
 
 def run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int],
@@ -366,70 +382,62 @@ def run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int],
     and step positions by F += mu X. A row's result is the best particle
     seen across all its iterations.
 
-    The S swarms of batch run in lockstep as one S x N x 4 tensor;
-    initial_population, if given, is S x N x 4. Row s draws from its own
-    Philox generator, keyed by seeds[s], in a fixed sequential order:
-    initialization fills its N x 4 population row-major, any degenerate
-    pair is redrawn as 2 draws when projected, and each velocity update
-    consumes an N x 4 x 2 block row-major with r1 before r2 per element. So
-    a row's result is bit-identical for a fixed seed, and does not depend
-    on the other rows or on how fitness evaluation is scheduled.
+    The S swarms of batch run in lockstep as four contiguous (S, N) planes, one per
+    coordinate, stepped in place; initial_population, if given, is S x N x 4. Row s draws
+    from its own Philox generator, keyed by seeds[s], in a fixed sequential order:
+    initialization fills its N x 4 population row-major, any degenerate pair is redrawn as 2
+    draws when projected, and each velocity update consumes an N x 4 x 2 block row-major
+    with r1 before r2 per element; a _DrawBlock reads these several iterations at a time,
+    which leaves the order unchanged. So a row's result is bit-identical for a fixed seed,
+    and does not depend on the other rows or on how fitness evaluation is scheduled.
     """
     seeds, size, n = list(seeds), len(batch), cfg.population_size
     if len(seeds) != size:
         raise ValueError(f"{len(seeds)} seeds for {size} scenarios")
 
-    eps = batch.access_weight
-    p_total = batch.total_power[..., None]
-    band_total, w_lo, w_hi = (limit[..., None] for limit in bandwidth_limits(batch))
+    p_total, (band_total, w_lo, w_hi) = batch.total_power, bandwidth_limits(batch)
 
     rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
     if initial_population is None:
-        population = np.empty((size, n, 4))
-        for rng, rows in zip(rngs, population):
+        swarm = np.empty((size, n, 4))
+        for rng, rows in zip(rngs, swarm):
             rng.random(out=rows)
-        population[..., 0:2] *= p_total
-        population[..., 2:4] *= band_total
+        swarm *= np.hstack((p_total, p_total, band_total, band_total))[:, None]
     else:
-        population = np.array(initial_population, dtype=float, copy=True)
-        if population.shape != (size, n, 4):
+        swarm = np.asarray(initial_population, dtype=float)
+        if swarm.shape != (size, n, 4):
             raise ValueError(f"initial_population must have shape {(size, n, 4)}")
-    velocity = np.zeros_like(population)
-    draws = np.empty(population.shape + (2,))
-
-    row = np.arange(size)
-    idx = np.arange(n)
-    ring_prev = (idx - 1) % n
-    ring_next = (idx + 1) % n
+    swarm = swarm.transpose(2, 0, 1).copy()  # the planes
+    planes = swarm.reshape(4, -1)
+    velocity, term, local = np.zeros_like(swarm), np.empty_like(swarm), np.empty_like(swarm)
+    draws = _DrawBlock(rngs, 8 * n * max(1, min(_ROW_DRAWS, _BLOCK_DRAWS // max(size, 1)) // (8 * n)))
+    ring = np.stack([np.roll(np.arange(size * n).reshape(size, n), k, axis=1) for k in (0, 1, -1)])
 
     best_fitness = np.full(size, -math.inf)
-    best_particle = population[:, 0].copy()
+    best_particle = swarm[..., 0].copy()
 
     for _ in range(cfg.max_iterations):
-        _normalize_population(population, p_total, band_total, w_lo, w_hi, rngs)
-        rate_a, rate_b = link_rates(
-            batch, population[..., 0], population[..., 1], population[..., 2], population[..., 3]
-        )
-        fitness = np.minimum(rate_a, eps * rate_b)
+        _normalize_population(swarm, p_total, band_total, w_lo, w_hi, draws)
+        rate_a, rate_b = link_rates(batch, *swarm)
+        fitness = np.minimum(rate_a, np.multiply(batch.access_weight, rate_b, out=rate_b), out=rate_a)
 
-        leader = np.argmax(fitness, axis=1)
-        global_best = population[row, leader]
-        lead_fitness = fitness[row, leader]
+        leader = ring[0, :, 0] + np.argmax(fitness, axis=1)
+        global_best = planes[:, leader]
+        lead_fitness = fitness.take(leader)
         improved = lead_fitness > best_fitness
-        best_fitness = np.where(improved, lead_fitness, best_fitness)
-        best_particle = np.where(improved[:, None], global_best, best_particle)
+        np.copyto(best_fitness, lead_fitness, where=improved)
+        np.copyto(best_particle, global_best, where=improved)
 
-        candidates = np.stack((fitness, fitness[:, ring_prev], fitness[:, ring_next]))
-        pick = np.argmax(candidates, axis=0)
-        local_best = population[row[:, None], np.choose(pick, (idx, ring_prev, ring_next))]
+        step = draws.take(8 * n).reshape(size, n, 4, 2).transpose(3, 2, 0, 1)  # r1, r2 by plane
+        np.take(planes, _ring_best(fitness, ring), axis=1, out=local, mode="clip")
+        for factor, r, best in ((cfg.learning_factor_1, step[0], local),
+                                (cfg.learning_factor_2, step[1], global_best[..., None])):
+            np.multiply(factor, r, out=term)
+            term *= np.subtract(best, swarm, out=local)
+            velocity += term
+        swarm += np.multiply(cfg.inertia_weight, velocity, out=term)
 
-        for rng, block in zip(rngs, draws):
-            rng.random(out=block)
-        velocity += cfg.learning_factor_1 * draws[..., 0] * (local_best - population)
-        velocity += cfg.learning_factor_2 * draws[..., 1] * (global_best[:, None] - population)
-        population = population + cfg.inertia_weight * velocity
-
-    return best_particle
+    return best_particle.T.copy()
 
 
 def pso_solve_many(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int]) -> _Solved:

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import PsoConfig, SolverKind, grid_oracle_many, pso_solve_many, solve_orthogonal_many
+from .allocator import PSO_WEIGHT_LIMITS, PsoConfig, SolverKind
+from .allocator import grid_oracle_many, pso_solve_many, solve_orthogonal_many
 from .linkbudget import (
     GroundNodeParams,
     SatelliteParams,
@@ -143,15 +144,12 @@ _MAX_POWER_SWEEP_POINTS = 2001
 # and the access weight, a link's SINR is so small that log2(1 + SINR)
 # rounds to 0. The sizes are capped so that no solve asks for gigabytes: an
 # oracle of resolution r holds r x r allocations, a swarm S x population x 4.
-# The swarm's weights are capped so that its steps stay finite.
 _RANGES = {
     "total_bandwidth_mhz": (0.001, 1e5),
     "access_weight": (1e-6, 1.0),
     "pso_population": (3, 1000),
     "pso_iterations": (1, 10_000),
-    "pso_inertia_weight": (0.0, 1e3),
-    "pso_learning_factor_1": (1e-6, 1e3),
-    "pso_learning_factor_2": (1e-6, 1e3),
+    **{f"pso_{name}": limits for name, limits in PSO_WEIGHT_LIMITS.items()},
     "overlap_sweep_points": (2, 1001),
     "oracle_resolution": (10, 2000),
     "total_power_dbm": POWER_DBM_LIMITS,
@@ -641,7 +639,9 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
     not. The rest are checked as arrays, by one build_scenarios,
     validate_many (constraints 1a-1d) and, on the feasible rows,
     evaluate_many call, whose rates must match the recorded ones within the
-    relative tolerance _AUDIT_TOL.
+    relative tolerance _AUDIT_TOL. A row whose sweep_value is not its
+    power_dbm (in an overlap row, overlap_mhz / total_bandwidth_mhz to 1e-8)
+    gets that as its first message.
     """
     cells = np.array([_float_cells(row) for row in rows], dtype=float).reshape(-1, len(_FLOAT_COLUMNS))
     point = cells[:, 1:5]  # power_dbm, overlap_mhz, altitude_km, access_weight
@@ -673,6 +673,13 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
             problems[i] = [f"row {i}: {name} recorded {got:.9g} but re-evaluates to {value:.9g}"
                            for name, got, value, bad in zip(CSV_COLUMNS[8:12], recorded[k].tolist(),
                                                             want[k].tolist(), off[k]) if bad]
+    overlap = np.array([row.sweep == "overlap" for row in rows], dtype=bool)
+    swept = np.where(overlap, cells[:, 2] / cfg.total_bandwidth_mhz, cells[:, 1])
+    mislabelled = ~np.isclose(cells[:, 0], swept, rtol=1e-8 * overlap, atol=0.0) & ~outside.any(axis=1)
+    for i in np.flatnonzero(mislabelled).tolist():
+        name = "overlap_mhz/total_bandwidth_mhz" if overlap[i] else "power_dbm"
+        problems.setdefault(i, []).insert(0, f"row {i}: sweep_value={cells[i, 0]:g} != "
+                                             f"{name}={swept[i]:g}")
     return [message for i in sorted(problems) for message in problems[i]]
 
 

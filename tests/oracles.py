@@ -14,6 +14,10 @@ reference for the audit that checks all rows as arrays; its feasibility
 check and rate report are the scalar bodies validate and
 RateReport.from_rates once had, on the allocation's floats, so that it
 shares no code with the batch checks but the rate kernel link_rates.
+The reference swarm is the swarm as first written, an S x N x 4 tensor
+with a strided column per coordinate, a fresh temporary per elementwise
+step and one draw call per row and iteration, kept as the reference for
+the swarm of contiguous planes, in-place steps and block draws.
 The mpmath level solves the exact solver's optimality conditions at 40
 digits, as the reference for its accuracy. solved_rows turns the arrays of
 a batch solver into one SolveResult per row, for tests that compare rows.
@@ -21,12 +25,14 @@ a batch solver into one SolveResult per row, for tests that compare rows.
 
 import dataclasses
 import math
+from collections.abc import Sequence
 
 import mpmath as mp
 import numpy as np
 
 from satiab import (
     Allocation,
+    PsoConfig,
     DuplexMode,
     RateReport,
     ScenarioBatch,
@@ -388,7 +394,7 @@ def row_scenario(cfg: ExperimentConfig, row) -> ScenarioParams:
 
 def per_row_audit(cfg: ExperimentConfig, rows) -> list[str]:
     """audit_rows one row at a time: check the row's point against the
-    config's ranges, build its scenario, check its allocation with
+    config's ranges and its sweep_value against its point, build its scenario, check its allocation with
     reference_validate, and re-evaluate a feasible one with
     reference_evaluate."""
     ranges = {
@@ -404,6 +410,14 @@ def per_row_audit(cfg: ExperimentConfig, rows) -> list[str]:
         if outside:
             problems += outside
             continue
+        if row.sweep == "overlap":
+            name, swept = "overlap_mhz/total_bandwidth_mhz", row.overlap_mhz / cfg.total_bandwidth_mhz
+            mislabelled = not abs(row.sweep_value - swept) <= 1e-8 * abs(swept)
+        else:
+            name, swept = "power_dbm", row.power_dbm
+            mislabelled = row.sweep_value != swept
+        if mislabelled:
+            problems.append(f"row {index}: sweep_value={row.sweep_value:g} != {name}={swept:g}")
         if not all(map(math.isfinite, _float_cells(row))):
             if row.converged:
                 problems.append(f"row {index}: marked converged but holds a non-finite value")
@@ -428,3 +442,101 @@ def per_row_audit(cfg: ExperimentConfig, rows) -> list[str]:
                     f"row {index}: {name} recorded {got:.9g} but re-evaluates to {want:.9g}"
                 )
     return problems
+
+
+def _reference_normalize_population(
+    population: np.ndarray,
+    p_total: np.ndarray,
+    band_total: np.ndarray,
+    w_lo: np.ndarray,
+    w_hi: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+) -> None:
+    """Project a batch of swarms onto their feasible sets, in place.
+
+    population is S x N x 4; the budgets and bandwidth bounds are S x 1 x 1
+    columns and rngs holds each row's generator. Power pairs are folded
+    positive and rescaled to sum to the power budget; bandwidth pairs
+    likewise to the bandwidth budget, then clamped into [w_lo, w_hi] (the
+    clamps restore the budget exactly because the two columns overshoot
+    symmetrically). A pair summing to zero has no defined projection and is
+    redrawn uniformly on its initialization range first, from its own
+    row's generator.
+    """
+    for cols, scale in ((slice(0, 2), p_total), (slice(2, 4), band_total)):
+        block = np.abs(population[..., cols])
+        sums = block[..., 0] + block[..., 1]
+        for s in np.flatnonzero((sums == 0.0).any(axis=1)):
+            degenerate = sums[s] == 0.0
+            while degenerate.any():
+                redraw = rngs[s].random((int(degenerate.sum()), 2))
+                population[s, degenerate, cols] = redraw * scale[s, 0, 0]
+                block[s] = np.abs(population[s, :, cols])
+                sums[s] = block[s, :, 0] + block[s, :, 1]
+                degenerate = sums[s] == 0.0
+        population[..., cols] = block * (scale[..., 0] / sums)[..., None]
+    np.clip(population[..., 2:4], w_lo, w_hi, out=population[..., 2:4])
+
+
+def reference_run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int],
+                      initial_population: np.ndarray | None = None) -> np.ndarray:
+    """The (S, 4) best particles of run_pso, one swarm per scenario run in
+    lockstep as one S x N x 4 tensor; the draw order per row is run_pso's:
+    the N x 4 initial population row-major, 2 draws per degenerate pair
+    when projected, and an N x 4 x 2 block per velocity update, r1 before
+    r2 per element."""
+    seeds, size, n = list(seeds), len(batch), cfg.population_size
+    if len(seeds) != size:
+        raise ValueError(f"{len(seeds)} seeds for {size} scenarios")
+
+    eps = batch.access_weight
+    p_total = batch.total_power[..., None]
+    band_total, w_lo, w_hi = (limit[..., None] for limit in bandwidth_limits(batch))
+
+    rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
+    if initial_population is None:
+        population = np.empty((size, n, 4))
+        for rng, rows in zip(rngs, population):
+            rng.random(out=rows)
+        population[..., 0:2] *= p_total
+        population[..., 2:4] *= band_total
+    else:
+        population = np.array(initial_population, dtype=float, copy=True)
+        if population.shape != (size, n, 4):
+            raise ValueError(f"initial_population must have shape {(size, n, 4)}")
+    velocity = np.zeros_like(population)
+    draws = np.empty(population.shape + (2,))
+
+    row = np.arange(size)
+    idx = np.arange(n)
+    ring_prev = (idx - 1) % n
+    ring_next = (idx + 1) % n
+
+    best_fitness = np.full(size, -math.inf)
+    best_particle = population[:, 0].copy()
+
+    for _ in range(cfg.max_iterations):
+        _reference_normalize_population(population, p_total, band_total, w_lo, w_hi, rngs)
+        rate_a, rate_b = link_rates(
+            batch, population[..., 0], population[..., 1], population[..., 2], population[..., 3]
+        )
+        fitness = np.minimum(rate_a, eps * rate_b)
+
+        leader = np.argmax(fitness, axis=1)
+        global_best = population[row, leader]
+        lead_fitness = fitness[row, leader]
+        improved = lead_fitness > best_fitness
+        best_fitness = np.where(improved, lead_fitness, best_fitness)
+        best_particle = np.where(improved[:, None], global_best, best_particle)
+
+        candidates = np.stack((fitness, fitness[:, ring_prev], fitness[:, ring_next]))
+        pick = np.argmax(candidates, axis=0)
+        local_best = population[row[:, None], np.choose(pick, (idx, ring_prev, ring_next))]
+
+        for rng, block in zip(rngs, draws):
+            rng.random(out=block)
+        velocity += cfg.learning_factor_1 * draws[..., 0] * (local_best - population)
+        velocity += cfg.learning_factor_2 * draws[..., 1] * (global_best[:, None] - population)
+        population = population + cfg.inertia_weight * velocity
+
+    return best_particle

@@ -41,6 +41,7 @@ from oracles import (
     mp_orthogonal_level,
     random_feasible_allocation,
     random_scenario,
+    reference_run_pso,
     reference_scenarios,
     reference_validate,
     solved_rows,
@@ -588,7 +589,8 @@ def test_normalize_population_is_feasible():
     population[2, 5, 0:2] = 0.0
     population[6, 0, 2:4] = 0.0
     rngs = [np.random.Generator(np.random.Philox(s)) for s in range(len(scns))]
-    allocator._normalize_population(population, p_total, band_total, w_lo, w_hi, rngs)
+    allocator._normalize_population(population.transpose(2, 0, 1), p_total[..., 0], band_total[..., 0],
+                                    w_lo[..., 0], w_hi[..., 0], allocator._DrawBlock(rngs, 0))
     for scn, rows in zip(scns, population.tolist()):
         for row in rows:
             assert validate(scn, Allocation(*row)) == []
@@ -603,6 +605,21 @@ def test_pso_config_validation():
         PsoConfig(learning_factor_1=0.0)
     with pytest.raises(ValueError):
         PsoConfig(inertia_weight=-0.1)
+
+
+@pytest.mark.parametrize("weights", [
+    {"inertia_weight": 1e300}, {"inertia_weight": 1000.5}, {"inertia_weight": math.nan},
+    {"learning_factor_1": 1e300}, {"learning_factor_2": 1e-7},
+])
+def test_pso_config_takes_the_cli_weight_ranges(weights):
+    # a library call gets the ranges of the CLI, which names them by its keys:
+    # an inertia weight of 1e300 used to overflow the swarm
+    with pytest.raises(ValueError, match="must lie in"):
+        pso_solve_many(ScenarioBatch.stack(mixed_batch()[:2]), PsoConfig(**weights), [1, 2])
+    PsoConfig(inertia_weight=0.0, learning_factor_1=1e-6, learning_factor_2=1e3)
+    PsoConfig(inertia_weight=1e3)
+    cfg = dataclasses.replace(expcli.ExperimentConfig(), pso_inertia_weight=1e300)
+    assert expcli._config_problems(cfg) == ["pso_inertia_weight=1e+300 must lie in [0, 1000]"]
 
 
 def mixed_batch() -> list[ScenarioParams]:
@@ -644,6 +661,51 @@ def test_pso_batch_rows_equal_swarms_run_alone():
     solved = solved_rows(pso_solve_many, scns, cfg, seeds)
     for scn, seed, result in zip(scns, seeds, solved):
         assert result == pso_solve(scn, cfg, seed)
+
+
+@pytest.mark.parametrize("n", [3, 12, 50])
+def test_run_pso_equals_the_reference_swarm(n):
+    # 50 iterations refill every population's draw block at least once
+    scns = mixed_batch()
+    batch, cfg = ScenarioBatch.stack(scns), PsoConfig(population_size=n, max_iterations=50)
+    seeds = [5 * s + 2 for s in range(len(scns))]
+    initial = np.random.default_rng(n).random((len(scns), n, 4)) * np.array([10.0, 10.0, 20e6, 20e6])
+    degenerate = initial.copy()  # all-zero pairs of both kinds, one row's every bandwidth pair
+    degenerate[1, 0, 0:2] = degenerate[6, [0, n - 1], 0:2] = degenerate[3, 1, 2:4] = 0.0
+    degenerate[4, :, 2:4] = 0.0
+    for start in (None, initial, degenerate):
+        swarm = run_pso(batch, cfg, seeds, initial_population=start)
+        assert swarm.tobytes() == reference_run_pso(batch, cfg, seeds, initial_population=start).tobytes()
+
+
+def test_draw_block_reads_each_row_stream_in_order():
+    def generators():
+        return [np.random.Generator(np.random.Philox(seed)) for seed in (3, 4, 5)]
+
+    # a block of 3 reads of 4 draws; None reads every row, (s, count) redraws
+    # row s at the block's end, and of fewer draws than are left, as many and more
+    draws, got = allocator._DrawBlock(generators(), 12), [[], [], []]
+    for step in [(0, 2), None, (1, 3), None, (2, 4), None, (0, 5), None, (1, 20), (2, 9), None,
+                 None, None, (0, 1), None]:
+        if step is None:
+            for row, block in zip(got, draws.take(4).tolist()):
+                row += block
+        else:
+            got[step[0]] += draws.row(*step).tolist()
+    for rng, row in zip(generators(), got):
+        assert row == rng.random(len(row)).tolist()
+
+
+def test_ring_best_is_the_first_maximum_of_self_previous_and_next():
+    rng = np.random.default_rng(4)
+    for size, n in ((1, 3), (5, 4), (7, 50)):
+        fitness = rng.integers(0, 3, (size, n)).astype(float)  # many ties
+        fitness[0] = 1.0
+        flat = np.arange(size * n).reshape(size, n)
+        ring = np.stack([np.roll(flat, k, axis=1) for k in (0, 1, -1)])
+        pick = np.argmax(np.stack([np.roll(fitness, k, axis=1) for k in (0, 1, -1)]), axis=0)
+        assert np.array_equal(allocator._ring_best(fitness, ring),
+                              np.take_along_axis(ring, pick[None], axis=0)[0])
 
 
 def test_pso_redraw_in_one_row_leaves_other_rows_unchanged():
@@ -749,6 +811,20 @@ def test_pso_memory_does_not_grow_with_iterations():
 
     peak(10)  # the first call allocates caches that later calls reuse
     assert peak(500) - peak(10) <= 64 * 2**10
+
+
+def test_pso_memory_at_a_full_chunk():
+    # 1,310 rows of 50 particles make one full run_pso batch: four planes,
+    # three step buffers and a draw block of one iteration
+    rng = np.random.default_rng(5)
+    batch = ScenarioBatch.stack([random_scenario(rng) for _ in range(1310)])
+    tracemalloc.start()
+    try:
+        pso_solve_many(batch, PsoConfig(population_size=50, max_iterations=5), range(1310))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 23 * 2**20
 
 
 def test_pso_long_swarm_stays_finite_and_feasible():

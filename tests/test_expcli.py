@@ -689,6 +689,18 @@ def test_cli_audit_reports_a_bad_point_or_power_on_its_row(tmp_path, capsys, col
     assert per_row_audit(load_config(cfg), read_csv(csv_path)) == [f"row 6: {message}"]
 
 
+@pytest.mark.parametrize("cells, message", [
+    ({"sweep_value": "99"}, "sweep_value=99 != power_dbm=41"),
+    ({"sweep": "overlap"}, "sweep_value=41 != overlap_mhz/total_bandwidth_mhz=0"),
+])
+def test_cli_audit_checks_a_row_sweep_cells(tmp_path, capsys, cells, message):
+    # row 5 is at 41 dBm: its sweep_value must be its power, and relabelled
+    # an overlap row, the overlap fraction, which is 0
+    cfg, csv_path = twelve_row_csv(tmp_path, {5: cells})
+    assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == failed_audit([f"row 5: {message}"])
+    assert per_row_audit(load_config(cfg), read_csv(csv_path)) == [f"row 5: {message}"]
+
+
 def test_cli_audit_skips_a_solver_failure(tmp_path, capsys):
     # a non-finite allocation cell in a row not marked converged
     cfg, csv_path = twelve_row_csv(tmp_path, {6: {"p_ue_w": "nan", "converged": "false"}})
