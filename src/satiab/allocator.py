@@ -53,7 +53,7 @@ _MAX_STEPS = 200
 _Solved = tuple[np.ndarray, np.ndarray, np.ndarray]  # allocations, iterations, converged
 _GRID_BLOCK = 4_096  # grid columns per grid_oracle_many kernel call: 32 KiB temporaries
 _SWARM_PARTICLES = 65_536  # particles per run_pso batch of pso_solve_many
-_ROW_DRAWS, _BLOCK_DRAWS = 1_024, 65_536  # a swarm's draw block: per row, and 512 KiB in all
+_ROW_DRAWS, _BLOCK_DRAWS = 1_024, 65_536  # draws of a swarm's draw block: about per row, at most in all
 PSO_WEIGHT_LIMITS = {"inertia_weight": (0.0, 1e3),  # closed ranges that keep the swarm's steps finite
                      "learning_factor_1": (1e-6, 1e3), "learning_factor_2": (1e-6, 1e3)}
 
@@ -407,7 +407,7 @@ def run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int],
         swarm = np.asarray(initial_population, dtype=float)
         if swarm.shape != (size, n, 4):
             raise ValueError(f"initial_population must have shape {(size, n, 4)}")
-    swarm = swarm.transpose(2, 0, 1).copy()  # the planes
+    swarm = swarm.transpose(2, 0, 1).copy()  # (4, S, N): one contiguous plane per coordinate
     planes = swarm.reshape(4, -1)
     velocity, term, local = np.zeros_like(swarm), np.empty_like(swarm), np.empty_like(swarm)
     draws = _DrawBlock(rngs, 8 * n * max(1, min(_ROW_DRAWS, _BLOCK_DRAWS // max(size, 1)) // (8 * n)))
