@@ -16,7 +16,7 @@ the root when they would leave it.
 Every solver takes a ScenarioBatch and returns arrays with one row per
 scenario: the (S, 4) allocations (p_ue, p_bs, w_a, w_b), the iterations
 used and the converged flags. Its one-scenario function is a view of that
-at one row, a SolveResult reported by evaluate. The grid oracle bisects
+at a one-row batch, a SolveResult reported by evaluate. The grid oracle bisects
 each bandwidth column for its single peak, in chunks of whole scenarios.
 """
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ratemodel import Allocation, RateReport, ScenarioBatch, ScenarioParams
+from .ratemodel import Allocation, RateReport, ScenarioBatch
 from .ratemodel import bandwidth_limits, evaluate, link_rates
 
 __all__ = [
@@ -156,11 +156,11 @@ def _split_share(y_whole, log_gain_ratio, share):
     return share
 
 
-def _solved_alone(solve_many, solver: SolverKind, scn: ScenarioParams, *args) -> SolveResult:
-    """The SolveResult of solve_many(the batch of scn alone, *args)."""
-    alloc, iterations, converged = solve_many(ScenarioBatch.stack([scn]), *args)
-    found = Allocation(*alloc[0].tolist())
-    return SolveResult(found, evaluate(scn, found), solver, int(iterations[0]), bool(converged[0]))
+def _solved_alone(solve_many, solver: SolverKind, scn: ScenarioBatch, *args) -> SolveResult:
+    """The SolveResult of solve_many(scn, *args) on the one-row batch scn."""
+    (alloc,), (iterations,), (converged,) = solve_many(scn, *args)
+    found = Allocation(*alloc.tolist())
+    return SolveResult(found, evaluate(scn, found), solver, int(iterations), bool(converged))
 
 
 def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
@@ -232,9 +232,8 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
     return alloc, iterations.ravel(), (hi - lo <= tol).ravel()
 
 
-def solve_orthogonal(scn: ScenarioParams) -> SolveResult:
-    """Exact max-min solver for the orthogonal case (overlap zero); see
-    :func:`solve_orthogonal_many`."""
+def solve_orthogonal(scn: ScenarioBatch) -> SolveResult:
+    """Exact max-min solution of the orthogonal one-row batch scn; see :func:`solve_orthogonal_many`."""
     return _solved_alone(solve_orthogonal_many, SolverKind.EXACT_ORTHOGONAL, scn)
 
 
@@ -316,8 +315,8 @@ def grid_oracle_many(batch: ScenarioBatch, resolution: int) -> _Solved:
     return np.concatenate(alloc or [np.empty((0, 4))]), np.full(n, resolution**2), np.ones(n, bool)
 
 
-def grid_oracle(scn: ScenarioParams, resolution: int) -> SolveResult:
-    """Maximizer of the max-min level over a uniform grid; see :func:`grid_oracle_many`."""
+def grid_oracle(scn: ScenarioBatch, resolution: int) -> SolveResult:
+    """Grid maximizer of the max-min level of the one-row batch scn; see :func:`grid_oracle_many`."""
     return _solved_alone(grid_oracle_many, SolverKind.GRID_ORACLE, scn, resolution)
 
 
@@ -457,7 +456,6 @@ def pso_solve_many(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int]) -
     return best, np.full(n, cfg.max_iterations), np.ones(n, bool)
 
 
-def pso_solve(scn: ScenarioParams, cfg: PsoConfig, seed: int) -> SolveResult:
-    """Particle-swarm solution of the max-min allocation problem, keyed by
-    seed; see :func:`pso_solve_many`."""
+def pso_solve(scn: ScenarioBatch, cfg: PsoConfig, seed: int) -> SolveResult:
+    """Particle-swarm solution of the one-row batch scn, keyed by seed; see :func:`pso_solve_many`."""
     return _solved_alone(pso_solve_many, SolverKind.PSO, scn, cfg, [seed])

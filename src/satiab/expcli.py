@@ -40,7 +40,7 @@ from .linkbudget import (
     dbm_to_watts,
     slant_distance,
 )
-from .ratemodel import CONSTRAINTS, DuplexMode, ScenarioBatch, ScenarioParams
+from .ratemodel import CONSTRAINTS, DuplexMode, ScenarioBatch
 from .ratemodel import duplex_factors, evaluate_many, validate_many
 
 # Unused here: the span tracer of bench/spans.py wraps these names in this module.
@@ -272,8 +272,8 @@ def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
     distinct altitude's gains are computed once, when a point first needs
     them; an unknown duplex or a bad altitude raises at the first point
     that has one. The batch then raises the first of its conditions that
-    any row fails: of two bad points, the one whose condition ScenarioParams
-    tests first raises, which need not be the first bad point.
+    any row fails: of two bad points, the one whose condition the batch
+    checks first raises, which need not be the first bad point.
     """
     sat_gain = db_to_linear(cfg.satellite_antenna_gain_dbi)
     nodes = [(db_to_linear(gain_dbi), math.radians(angle_deg)) for gain_dbi, angle_deg in (
@@ -299,12 +299,10 @@ def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
     return ScenarioBatch(*(column.reshape(-1, 1) for column in columns.copy()))
 
 
-def build_scenario(cfg: ExperimentConfig) -> ScenarioParams:
-    """The linear-unit scenario of the config's own point, build_scenarios
-    at one row; to vary a table entry, pass dataclasses.replace(cfg, ...)."""
-    batch = build_scenarios(cfg, [_config_point(cfg)])
-    return ScenarioParams(duplex=DuplexMode(cfg.duplex), **{f.name: getattr(batch, f.name).item()
-                          for f in dataclasses.fields(ScenarioParams) if f.name != "duplex"})
+def build_scenario(cfg: ExperimentConfig) -> ScenarioBatch:
+    """The one-row batch of the config's own point, build_scenarios of that
+    point; to vary a table entry, pass dataclasses.replace(cfg, ...)."""
+    return build_scenarios(cfg, [_config_point(cfg)])
 
 
 @dataclass(frozen=True)
@@ -473,23 +471,26 @@ def read_csv(path: str) -> list[SweepRow]:
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
-            raise ValidationError(f"{path}: unexpected CSV header")
-        for record in reader:
-            if None in record or None in record.values():  # DictReader's mark of a long or short row
-                raise ValidationError(f"{path}:{reader.line_num}: expected {len(CSV_COLUMNS)} cells")
-            for name, choices in _CELL_CHOICES.items():
-                if record[name] not in choices:
-                    raise ValidationError(f"{path}:{reader.line_num}: {name} must be one of "
-                                          f"{', '.join(choices)}, got {record[name]!r}")
-            floats = {}
-            for name in _FLOAT_COLUMNS:
-                try:
-                    floats[name] = float(record[name])
-                except ValueError:
-                    raise ValidationError(f"{path}:{reader.line_num}: {name} must be a number, "
-                                          f"got {record[name]!r}") from None
-            rows.append(SweepRow(**{**record, **floats, "converged": record["converged"] == "true"}))
+        try:
+            if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
+                raise ValidationError(f"{path}: unexpected CSV header")
+            for record in reader:
+                if None in record or None in record.values():  # DictReader's mark of a long or short row
+                    raise ValidationError(f"{path}:{reader.line_num}: expected {len(CSV_COLUMNS)} cells")
+                for name, choices in _CELL_CHOICES.items():
+                    if record[name] not in choices:
+                        raise ValidationError(f"{path}:{reader.line_num}: {name} must be one of "
+                                              f"{', '.join(choices)}, got {record[name]!r}")
+                floats = {}
+                for name in _FLOAT_COLUMNS:
+                    try:
+                        floats[name] = float(record[name])
+                    except ValueError:
+                        raise ValidationError(f"{path}:{reader.line_num}: {name} must be a number, "
+                                              f"got {record[name]!r}") from None
+                rows.append(SweepRow(**{**record, **floats, "converged": record["converged"] == "true"}))
+        except csv.Error as err:  # such as a cell over csv.field_size_limit(), on the raw reader's line
+            raise ValidationError(f"{path}:{reader.reader.line_num}: {err}") from None
     return rows
 
 
@@ -739,6 +740,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_audit(args) -> int:
     cfg = _effective_config(args)
     rows = read_csv(args.csv)
+    if not rows:
+        raise ValidationError(f"{args.csv}: no rows to audit")
     problems = audit_rows(cfg, rows)
     if problems:
         for message in problems:

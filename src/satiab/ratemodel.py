@@ -6,10 +6,10 @@ other link's transmission into interference. Duplexing enters only through
 the pair of factors returned by :func:`duplex_factors`, and all quantities
 are linear SI units (W, Hz, bits/s).
 
-A ScenarioBatch holds many scenarios as columns, checked by the conditions
-of one ScenarioParams. evaluate_many and validate_many take a batch and
-(S, 4) allocations and return arrays; evaluate and validate are their views
-at one scenario and one Allocation.
+A ScenarioBatch holds S scenarios as (S, 1) columns, checked as a whole,
+and one scenario is a batch of one row. evaluate_many and validate_many
+take a batch and (S, 4) allocations and return arrays; evaluate and
+validate are their views at a one-row batch and one Allocation.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "DuplexMode",
-    "ScenarioParams",
     "ScenarioBatch",
     "Allocation",
     "RateReport",
@@ -58,8 +57,8 @@ def duplex_factors(mode: DuplexMode) -> tuple[float, float]:
     raise ValueError(f"unknown duplex mode: {mode!r}")
 
 
-# The conditions of a valid scenario and their messages, on attributes of
-# ScenarioParams and ScenarioBatch alike: on floats, or on whole columns.
+# The conditions of a valid scenario and their messages, each on a
+# ScenarioBatch's whole columns.
 _SCENARIO_CHECKS = (
     (lambda s: s.total_power > 0.0, "total_power must be positive"),
     (lambda s: s.total_bandwidth > 0.0, "total_bandwidth must be positive"),
@@ -73,8 +72,10 @@ _SCENARIO_CHECKS = (
 
 
 @dataclass(frozen=True)
-class ScenarioParams:
-    """Physical constants of one allocation problem.
+class ScenarioBatch:
+    """The physical constants of S allocation problems as (S, 1) float columns,
+    row s for scenario s, which broadcast against (S, N) arrays of allocations;
+    one scenario is a batch of one row. The columns are checked as a whole.
 
     Attributes:
         total_power: Satellite transmit power budget P, W.
@@ -83,50 +84,9 @@ class ScenarioParams:
         noise_density: Thermal noise PSD, W/Hz.
         interference_density: Out-of-band emission / sync-error PSD, W/Hz.
         access_weight: QoS weight of the access link (0 < eps <= 1).
-        duplex: FDD or TDD.
+        alpha_o, alpha_1: Time- and bandwidth-share factors of the duplex mode; see duplex_factors.
         beta_ue: Channel power gain of the access user, linear.
         beta_bs: Channel power gain of the backhaul station, linear.
-    """
-
-    total_power: float
-    total_bandwidth: float
-    overlap_bandwidth: float
-    noise_density: float
-    interference_density: float
-    access_weight: float
-    duplex: DuplexMode
-    beta_ue: float
-    beta_bs: float
-
-    def __post_init__(self) -> None:
-        for holds, message in _SCENARIO_CHECKS:
-            if not holds(self):
-                raise ValueError(message)
-
-    @property
-    def density(self) -> float:
-        """Noise-plus-interference PSD seen by both links, W/Hz."""
-        return self.noise_density + self.interference_density
-
-    @property
-    def alpha_o(self) -> float:
-        """Time-share factor of the duplex mode; see :func:`duplex_factors`."""
-        return duplex_factors(self.duplex)[0]
-
-    @property
-    def alpha_1(self) -> float:
-        """Bandwidth-share factor of the duplex mode; see :func:`duplex_factors`."""
-        return duplex_factors(self.duplex)[1]
-
-
-@dataclass(frozen=True)
-class ScenarioBatch:
-    """S scenarios as a struct of arrays, for the batch functions.
-
-    Each attribute is an (S, 1) float column holding the ScenarioParams
-    attribute of the same name, row s for scenario s, so the columns
-    broadcast against (S, N) arrays of allocations; the duplex mode is
-    held as its two factors. The columns are checked as a whole.
     """
 
     total_power: np.ndarray
@@ -141,6 +101,10 @@ class ScenarioBatch:
     beta_bs: np.ndarray
 
     def __post_init__(self) -> None:
+        shapes = {f.name: np.shape(getattr(self, f.name)) for f in fields(self)}
+        for name, shape in shapes.items():
+            if shape != shapes["total_power"][:1] + (1,):
+                raise ValueError(f"{name} must have shape (S, 1), with total_power's S, got {shape}")
         for holds, message in _SCENARIO_CHECKS:
             if not holds(self).all():
                 raise ValueError(message)
@@ -154,15 +118,14 @@ class ScenarioBatch:
         return self.noise_density + self.interference_density
 
     @classmethod
-    def stack(cls, scns: Sequence[ScenarioParams]) -> "ScenarioBatch":
-        return cls(**{
-            f.name: np.array([getattr(scn, f.name) for scn in scns], dtype=float).reshape(-1, 1)
-            for f in fields(cls)
-        })
+    def stack(cls, batches: Sequence["ScenarioBatch"]) -> "ScenarioBatch":
+        """The rows of batches, in order, as one batch; stack([]) is the empty batch."""
+        return cls(*(np.concatenate([getattr(b, f.name) for b in batches] or [np.empty((0, 1))])
+                     for f in fields(cls)))
 
     def take(self, rows) -> "ScenarioBatch":
-        """The scenarios at rows, an index or slice of the batch's rows."""
-        return ScenarioBatch(*(getattr(self, f.name)[rows] for f in fields(self)))
+        """The scenarios at rows, an index list, mask or slice, or an index for its one-row batch."""
+        return ScenarioBatch(*(getattr(self, f.name)[rows].reshape(-1, 1) for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -195,24 +158,23 @@ class RateReport:
     fitness: float
 
 
-def bandwidth_limits(scn: ScenarioParams | ScenarioBatch):
-    """Bandwidth bounds of the feasible set: the budget alpha_1 (W + w_o)
-    of the two links together, and the floor alpha_1 w_o and cap alpha_1 W
-    of each link. Floats for one scenario, (S, 1) columns for a batch."""
-    alpha_1, w, w_o = scn.alpha_1, scn.total_bandwidth, scn.overlap_bandwidth
+def bandwidth_limits(batch: ScenarioBatch):
+    """Bandwidth bounds of the feasible set, as (S, 1) columns: the budget
+    alpha_1 (W + w_o) of the two links together, and the floor alpha_1 w_o
+    and cap alpha_1 W of each link."""
+    alpha_1, w, w_o = batch.alpha_1, batch.total_bandwidth, batch.overlap_bandwidth
     return alpha_1 * (w + w_o), alpha_1 * w_o, alpha_1 * w
 
 
-def link_rates(scn: ScenarioParams | ScenarioBatch, p_ue, p_bs, w_a, w_b):
+def link_rates(batch: ScenarioBatch, p_ue, p_bs, w_a, w_b):
     """Vectorized access and backhaul rates for arrays of allocations.
 
     Accepts scalars or broadcastable numpy arrays and returns the pair
-    (access, backhaul) in bits/s. scn is one scenario, or a ScenarioBatch
-    whose (S, 1) columns broadcast against allocation arrays with one row
-    per scenario. Zero-bandwidth entries yield zero rate (the
-    x*log(1+c/x) -> 0 limit); entries whose interference term would divide
-    by a zero bandwidth also yield zero. This fallback is the one rule for
-    what can be evaluated: every allocation gets rates.
+    (access, backhaul) in bits/s. The batch's (S, 1) columns broadcast
+    against allocation arrays with one row per scenario. Zero-bandwidth
+    entries yield zero rate (the x*log(1+c/x) -> 0 limit); entries whose
+    interference term would divide by a zero bandwidth also yield zero. This
+    fallback is the one rule for what can be evaluated: every allocation gets rates.
 
     The inputs are not broadcast against each other up front, so a term
     of one axis only, such as the noise of a row of bandwidths, is computed
@@ -221,7 +183,7 @@ def link_rates(scn: ScenarioParams | ScenarioBatch, p_ue, p_bs, w_a, w_b):
     any scenario overlaps, the other link's power and bandwidth. Its values
     equal those computed from inputs broadcast to one shape first.
     """
-    alpha_o, alpha_1, dens, w_o = scn.alpha_o, scn.alpha_1, scn.density, scn.overlap_bandwidth
+    alpha_o, alpha_1, dens, w_o = batch.alpha_o, batch.alpha_1, batch.density, batch.overlap_bandwidth
     # Without overlap in any scenario the interference term is zero;
     # skipping it keeps the large orthogonal grid batches cheap.
     overlapped = np.any(w_o > 0.0)
@@ -244,12 +206,12 @@ def link_rates(scn: ScenarioParams | ScenarioBatch, p_ue, p_bs, w_a, w_b):
         rate = alpha_o * w_own * np.log2(1.0 + sinr)
         return np.where(active, rate, 0.0)
 
-    rate_a = one_way(p_ue, scn.beta_ue, w_a, p_bs, w_b)
-    rate_b = one_way(p_bs, scn.beta_bs, w_b, p_ue, w_a)
+    rate_a = one_way(p_ue, batch.beta_ue, w_a, p_bs, w_b)
+    rate_b = one_way(p_bs, batch.beta_bs, w_b, p_ue, w_a)
     return rate_a, rate_b
 
 
-def evaluate_many(batch: ScenarioBatch | ScenarioParams, alloc: np.ndarray) -> np.ndarray:
+def evaluate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:
     """The (S, 4) columns zeta = min(rate_a / eps, rate_b), rate_a, rate_b
     and throughput, in bits/s, of the (S, 4) allocations alloc (p_ue, p_bs,
     w_a, w_b), row s under scenario s of batch, from one link_rates call;
@@ -259,33 +221,17 @@ def evaluate_many(batch: ScenarioBatch | ScenarioParams, alloc: np.ndarray) -> n
                       rate_a + rate_b))
 
 
-def evaluate(scn: ScenarioParams, alloc: Allocation) -> RateReport:
-    """Full rate report for one allocation: :func:`evaluate_many` at one row,
-    so a zero bandwidth under overlap gets the zero rates of link_rates."""
+def evaluate(scn: ScenarioBatch, alloc: Allocation) -> RateReport:
+    """Rate report of one allocation under the one-row batch scn: :func:`evaluate_many`
+    at its row, so a zero bandwidth under overlap gets the zero rates of link_rates."""
     row = [[alloc.p_ue, alloc.p_bs, alloc.w_a, alloc.w_b]]
-    zeta, rate_a, rate_b, throughput = evaluate_many(scn, np.array(row))[0].tolist()
-    return RateReport(rate_a, rate_b, throughput, zeta, min(rate_a, scn.access_weight * rate_b))
-
-
-def _violated(scn: ScenarioParams | ScenarioBatch, p_ue, p_bs, w_a, w_b) -> tuple:
-    """Flags of constraints 1a-1d (see validate), on one scenario's floats or a batch's columns."""
-    p_cap = scn.total_power
-    band_cap, w_lo, w_hi = bandwidth_limits(scn)
-    return (
-        (p_ue + p_bs > p_cap + _SLACK * p_cap) | (p_ue < -_SLACK * p_cap) | (p_bs < -_SLACK * p_cap),
-        w_a + w_b > band_cap + _SLACK * band_cap,
-        (w_a > w_hi + _SLACK * w_hi) | (w_b > w_hi + _SLACK * w_hi),
-        (w_a < w_lo - _SLACK * w_hi) | (w_b < w_lo - _SLACK * w_hi),
-    )
+    (zeta, rate_a, rate_b, throughput), = evaluate_many(scn, np.array(row)).tolist()
+    return RateReport(rate_a, rate_b, throughput, zeta, min(rate_a, scn.access_weight.item() * rate_b))
 
 
 def validate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:
-    """The (S, 4) flags of constraints 1a-1d of the (S, 4) allocations alloc."""
-    return np.hstack(_violated(batch, *(alloc[:, k:k + 1] for k in range(4))))
-
-
-def validate(scn: ScenarioParams, alloc: Allocation) -> list[str]:
-    """Feasibility check; returns the identifiers of violated constraints.
+    """The (S, 4) flags of constraints 1a-1d of the (S, 4) allocations alloc,
+    row s under scenario s of batch.
 
     Constraints, with relative slack _SLACK (scaled by the power budget in
     1a, by the bound itself in 1b, by the per-link bandwidth cap in 1c, 1d):
@@ -294,5 +240,18 @@ def validate(scn: ScenarioParams, alloc: Allocation) -> list[str]:
         1c: w_a, w_b <= alpha_1 W
         1d: w_a, w_b >= alpha_1 w_o
     """
-    flags = _violated(scn, alloc.p_ue, alloc.p_bs, alloc.w_a, alloc.w_b)
+    p_ue, p_bs, w_a, w_b = (alloc[:, k:k + 1] for k in range(4))
+    p_cap = batch.total_power
+    band_cap, w_lo, w_hi = bandwidth_limits(batch)
+    return np.hstack((
+        (p_ue + p_bs > p_cap + _SLACK * p_cap) | (p_ue < -_SLACK * p_cap) | (p_bs < -_SLACK * p_cap),
+        w_a + w_b > band_cap + _SLACK * band_cap,
+        (w_a > w_hi + _SLACK * w_hi) | (w_b > w_hi + _SLACK * w_hi),
+        (w_a < w_lo - _SLACK * w_hi) | (w_b < w_lo - _SLACK * w_hi),
+    ))
+
+
+def validate(scn: ScenarioBatch, alloc: Allocation) -> list[str]:
+    """Constraints that one allocation violates under the one-row batch scn; see validate_many."""
+    flags, = validate_many(scn, np.array([[alloc.p_ue, alloc.p_bs, alloc.w_a, alloc.w_b]])).tolist()
     return [name for name, violated in zip(CONSTRAINTS, flags) if violated]

@@ -21,10 +21,14 @@ the swarm of contiguous planes, in-place steps and block draws.
 The mpmath level solves the exact solver's optimality conditions at 40
 digits, as the reference for its accuracy. solved_rows turns the arrays of
 a batch solver into one SolveResult per row, for tests that compare rows.
+A scenario is a one-row ScenarioBatch: make_scenario builds one from
+floats, and the scalar references read its floats through scalars, so that
+their arithmetic is that of Python floats.
 """
 
 import dataclasses
 import math
+import types
 from collections.abc import Sequence
 
 import mpmath as mp
@@ -36,7 +40,6 @@ from satiab import (
     DuplexMode,
     RateReport,
     ScenarioBatch,
-    ScenarioParams,
     SolverKind,
     SolveResult,
     bandwidth_limits,
@@ -82,14 +85,45 @@ def reference_scenarios():
     return out
 
 
-def random_scenario(rng, orthogonal: bool = False) -> ScenarioParams:
+def scenario(duplex: DuplexMode = DuplexMode.FDD, **values: float) -> ScenarioBatch:
+    """The one-row batch of a scenario given by the floats of its columns,
+    with its duplex mode in place of alpha_o and alpha_1."""
+    alpha_o, alpha_1 = duplex_factors(duplex)
+    values = {**values, "alpha_o": alpha_o, "alpha_1": alpha_1}
+    return ScenarioBatch(**{name: np.array([[value]], dtype=float) for name, value in values.items()})
+
+
+def make_scenario(**overrides) -> ScenarioBatch:
+    """The default config's scenario, with overrides of its floats or duplex."""
+    base = dict(
+        total_power=10.0,
+        total_bandwidth=40e6,
+        overlap_bandwidth=0.0,
+        noise_density=3.981071705534973e-21,
+        interference_density=3.981071705534973e-21,
+        access_weight=0.1,
+        duplex=DuplexMode.FDD,
+        beta_ue=1.5734726039155016e-12,
+        beta_bs=1.3589805953889354e-09,
+    )
+    return scenario(**{**base, **overrides})
+
+
+def scalars(scn: ScenarioBatch) -> types.SimpleNamespace:
+    """The floats of a one-row batch: each column's .item(), alpha_o and
+    alpha_1 among them, and the density, noise plus interference."""
+    values = {f.name: getattr(scn, f.name).item() for f in dataclasses.fields(scn)}
+    return types.SimpleNamespace(**values, density=values["noise_density"] + values["interference_density"])
+
+
+def random_scenario(rng, orthogonal: bool = False) -> ScenarioBatch:
     """A physically plausible random scenario for property tests."""
     total_bandwidth = 10.0 ** rng.uniform(6.5, 8.0)
     if orthogonal or rng.random() < 0.4:
         overlap = 0.0
     else:
         overlap = rng.uniform(0.0, 1.0) * total_bandwidth
-    return ScenarioParams(
+    return scenario(
         total_power=10.0 ** rng.uniform(0.0, 2.0),
         total_bandwidth=total_bandwidth,
         overlap_bandwidth=overlap,
@@ -117,7 +151,7 @@ _CORNER_KEYS = (
 )
 
 
-def corner_scenario(rng) -> ScenarioParams:
+def corner_scenario(rng) -> ScenarioBatch:
     """A scenario from a config whose scenario keys each sit at one end of
     the range the config accepts, or uniformly between, with no, half or
     full overlap. Near these corners rates round to 0 or move in flat steps."""
@@ -130,12 +164,12 @@ def corner_scenario(rng) -> ScenarioParams:
     return build_scenario(dataclasses.replace(ExperimentConfig(), **values))
 
 
-def random_feasible_allocation(rng, scn: ScenarioParams):
+def random_feasible_allocation(rng, scn: ScenarioBatch):
     """Uniformly drawn raw values projected onto the feasible set."""
-    _, alpha_1 = duplex_factors(scn.duplex)
-    band_total = alpha_1 * (scn.total_bandwidth + scn.overlap_bandwidth)
-    w_lo = alpha_1 * scn.overlap_bandwidth
-    w_hi = alpha_1 * scn.total_bandwidth
+    scn = scalars(scn)
+    band_total = scn.alpha_1 * (scn.total_bandwidth + scn.overlap_bandwidth)
+    w_lo = scn.alpha_1 * scn.overlap_bandwidth
+    w_hi = scn.alpha_1 * scn.total_bandwidth
     p1, p2 = rng.random(2)
     p_scale = scn.total_power * rng.random() / (p1 + p2 + 1e-300)
     w1, w2 = rng.random(2)
@@ -145,12 +179,12 @@ def random_feasible_allocation(rng, scn: ScenarioParams):
     return p1 * p_scale, p2 * p_scale, w_a, w_b
 
 
-def reference_evaluate(scn: ScenarioParams, p_ue, p_bs, w_a, w_b) -> RateReport:
+def reference_evaluate(scn: ScenarioBatch, p_ue, p_bs, w_a, w_b) -> RateReport:
     """The rate report of one allocation, given as floats, from the rate
     kernel's floats and scalar arithmetic, as RateReport.from_rates once
     computed it."""
-    rate_a, rate_b = map(float, link_rates(scn, p_ue, p_bs, w_a, w_b))
-    eps = scn.access_weight
+    rate_a, rate_b = (rate.item() for rate in link_rates(scn, p_ue, p_bs, w_a, w_b))
+    eps = scalars(scn).access_weight
     return RateReport(
         rate_access=rate_a,
         rate_backhaul=rate_b,
@@ -160,12 +194,12 @@ def reference_evaluate(scn: ScenarioParams, p_ue, p_bs, w_a, w_b) -> RateReport:
     )
 
 
-def reference_validate(scn: ScenarioParams, p_ue, p_bs, w_a, w_b) -> list[str]:
+def reference_validate(scn: ScenarioBatch, p_ue, p_bs, w_a, w_b) -> list[str]:
     """validate as first written, one constraint at a time on the floats of
     an allocation, with the nonnegative powers of 1a."""
     slack = 1e-6
-    p_cap = scn.total_power
-    band_cap, w_lo, w_hi = bandwidth_limits(scn)
+    p_cap = scalars(scn).total_power
+    band_cap, w_lo, w_hi = (limit.item() for limit in bandwidth_limits(scn))
     violated = []
     if p_ue + p_bs > p_cap + slack * p_cap or min(p_ue, p_bs) < -slack * p_cap:
         violated.append("1a")
@@ -229,11 +263,12 @@ def _golden_section(f, lo, hi, rel_tol=1e-9, max_iter=200):
     return x, f(x)
 
 
-def golden_section_solve(scn: ScenarioParams) -> SolveResult:
+def golden_section_solve(batch: ScenarioBatch) -> SolveResult:
     """Exact max-min solution of one orthogonal scenario: bisection on the
     level zeta, golden section over the bandwidth split for the cheapest
     power that delivers eps*zeta and zeta."""
-    alpha_o, alpha_1 = duplex_factors(scn.duplex)
+    scn = scalars(batch)
+    alpha_o, alpha_1 = scn.alpha_o, scn.alpha_1
     dens = scn.density
     w_total = alpha_1 * scn.total_bandwidth
     p_total = scn.total_power
@@ -286,7 +321,7 @@ def golden_section_solve(scn: ScenarioParams) -> SolveResult:
     alloc = Allocation(p_ue=p_a, p_bs=p_b, w_a=w_a, w_b=w_total - w_a)
     return SolveResult(
         allocation=alloc,
-        report=reference_evaluate(scn, *dataclasses.astuple(alloc)),
+        report=reference_evaluate(batch, *dataclasses.astuple(alloc)),
         solver=SolverKind.EXACT_ORTHOGONAL,
         iterations_used=iterations,
         converged=converged,
@@ -302,7 +337,7 @@ def mp_log_marginal_cost(y, dps: int = 40):
         return mp.log(h), y * mp.exp(y) / h
 
 
-def mp_orthogonal_level(scn: ScenarioParams, dps: int = 40):
+def mp_orthogonal_level(batch: ScenarioBatch, dps: int = 40):
     """Optimal max-min level of an orthogonal scenario at dps digits, and
     the smaller of the two links' y = rate ln2 / (alpha_o w) there.
 
@@ -313,8 +348,9 @@ def mp_orthogonal_level(scn: ScenarioParams, dps: int = 40):
     the logit of the access share, from the golden-section solution;
     mpmath raises if the residual does not vanish.
     """
-    alpha_o, alpha_1 = duplex_factors(scn.duplex)
-    start = golden_section_solve(scn)
+    scn = scalars(batch)
+    alpha_o, alpha_1 = scn.alpha_o, scn.alpha_1
+    start = golden_section_solve(batch)
     with mp.workdps(dps):
         w_total = mp.mpf(alpha_1) * scn.total_bandwidth
         dens = mp.mpf(scn.noise_density) + scn.interference_density
@@ -344,24 +380,26 @@ def mp_orthogonal_level(scn: ScenarioParams, dps: int = 40):
         return mp.exp(log_zeta), min(links(logit, log_zeta)[1])
 
 
-def full_grid(scn: ScenarioParams, resolution: int):
+def full_grid(batch: ScenarioBatch, resolution: int):
     """The oracle's power and bandwidth axes, and min(rate_a / eps, rate_b)
     at every point of its resolution x resolution grid, power rows by
     bandwidth columns, from one link_rates call."""
-    band_total, w_lo, w_hi = bandwidth_limits(scn)
+    scn = scalars(batch)
+    band_total, w_lo, w_hi = (limit.item() for limit in bandwidth_limits(batch))
     p_grid = np.linspace(0.0, scn.total_power, resolution)
     wa_grid = np.linspace(w_lo, w_hi, resolution)
     p_ue = p_grid[:, None]
     w_a = wa_grid[None, :]
-    rate_a, rate_b = link_rates(scn, p_ue, scn.total_power - p_ue, w_a, band_total - w_a)
+    rate_a, rate_b = link_rates(batch, p_ue, scn.total_power - p_ue, w_a, band_total - w_a)
     return p_grid, wa_grid, np.minimum(rate_a / scn.access_weight, rate_b)
 
 
-def full_grid_oracle(scn: ScenarioParams, resolution: int) -> SolveResult:
+def full_grid_oracle(batch: ScenarioBatch, resolution: int) -> SolveResult:
     """The grid oracle's search in one piece: every point of the
     resolution x resolution grid in one link_rates call, then np.argmax."""
-    band_total = bandwidth_limits(scn)[0]
-    p_grid, wa_grid, maxmin = full_grid(scn, resolution)
+    scn = scalars(batch)
+    band_total = bandwidth_limits(batch)[0].item()
+    p_grid, wa_grid, maxmin = full_grid(batch, resolution)
 
     i, j = divmod(int(np.argmax(maxmin)), resolution)
     alloc = Allocation(
@@ -372,14 +410,14 @@ def full_grid_oracle(scn: ScenarioParams, resolution: int) -> SolveResult:
     )
     return SolveResult(
         allocation=alloc,
-        report=reference_evaluate(scn, *dataclasses.astuple(alloc)),
+        report=reference_evaluate(batch, *dataclasses.astuple(alloc)),
         solver=SolverKind.GRID_ORACLE,
         iterations_used=resolution * resolution,
         converged=True,
     )
 
 
-def row_scenario(cfg: ExperimentConfig, row) -> ScenarioParams:
+def row_scenario(cfg: ExperimentConfig, row) -> ScenarioBatch:
     """The scenario of one sweep row, built alone from the config with the
     row's point in place of the config's own."""
     return build_scenario(dataclasses.replace(

@@ -158,7 +158,7 @@ def test_criterion_6_optimum_tightness():
         assert abs(access_ratio - 1.0) <= 1e-4, label
         assert abs(backhaul_ratio - 1.0) <= 1e-4, label
         spent = result.allocation.p_ue + result.allocation.p_bs
-        power_err = abs(spent - scn.total_power) / scn.total_power
+        power_err = abs(spent - scn.total_power.item()) / scn.total_power.item()
         assert power_err <= 1e-6, label
         worst_rate = max(worst_rate, abs(access_ratio - 1.0), abs(backhaul_ratio - 1.0))
         worst_power = max(worst_power, power_err)
@@ -206,13 +206,13 @@ def test_criterion_8_randomized_invariant_suites():
     # monotonicity and midpoint concavity of the access rate without overlap
     scn = random_scenario(rng, orthogonal=True)
     for _ in range(1000):
-        p = rng.uniform(0.1, 0.9) * scn.total_power
-        w = rng.uniform(0.01, 0.95) * 0.5 * scn.total_bandwidth
+        p = rng.uniform(0.1, 0.9) * scn.total_power.item()
+        w = rng.uniform(0.01, 0.95) * 0.5 * scn.total_bandwidth.item()
         base = evaluate(scn, Allocation(p, 0.0, w, 0.0)).rate_access
         assert evaluate(scn, Allocation(p * 1.1, 0.0, w, 0.0)).rate_access > base
         assert evaluate(scn, Allocation(p, 0.0, w * 1.02, 0.0)).rate_access > base
-        p2 = rng.uniform(0.1, 0.9) * scn.total_power
-        w2 = rng.uniform(0.01, 0.95) * 0.5 * scn.total_bandwidth
+        p2 = rng.uniform(0.1, 0.9) * scn.total_power.item()
+        w2 = rng.uniform(0.01, 0.95) * 0.5 * scn.total_bandwidth.item()
         other = evaluate(scn, Allocation(p2, 0.0, w2, 0.0)).rate_access
         mid = evaluate(scn, Allocation((p + p2) / 2, 0.0, (w + w2) / 2, 0.0)).rate_access
         assert mid >= (base + other) / 2 - 1e-9 * max(base, other, 1.0)

@@ -13,10 +13,8 @@ from satiab import (
     DuplexMode,
     PsoConfig,
     ScenarioBatch,
-    ScenarioParams,
     SolverKind,
     bandwidth_limits,
-    duplex_factors,
     evaluate,
     evaluate_many,
     grid_oracle,
@@ -37,6 +35,7 @@ from oracles import (
     full_grid,
     full_grid_oracle,
     golden_section_solve,
+    make_scenario,
     mp_log_marginal_cost,
     mp_orthogonal_level,
     random_feasible_allocation,
@@ -44,30 +43,16 @@ from oracles import (
     reference_run_pso,
     reference_scenarios,
     reference_validate,
+    scalars,
     solved_rows,
 )
 
 
-def make_scenario(**overrides) -> ScenarioParams:
-    base = dict(
-        total_power=10.0,
-        total_bandwidth=40e6,
-        overlap_bandwidth=0.0,
-        noise_density=3.981071705534973e-21,
-        interference_density=3.981071705534973e-21,
-        access_weight=0.1,
-        duplex=DuplexMode.FDD,
-        beta_ue=1.5734726039155016e-12,
-        beta_bs=1.3589805953889354e-09,
-    )
-    base.update(overrides)
-    return ScenarioParams(**base)
-
-
-def brute_force_maxmin(scn: ScenarioParams, res: int = 100) -> float:
+def brute_force_maxmin(batch: ScenarioBatch, res: int = 100) -> float:
     """Exhaustive three-axis search over the feasible box, used as an
     independent check against the swarm under overlapped spectrum."""
-    _, alpha_1 = duplex_factors(scn.duplex)
+    scn = scalars(batch)
+    alpha_1 = scn.alpha_1
     band_total = alpha_1 * (scn.total_bandwidth + scn.overlap_bandwidth)
     w_lo = alpha_1 * scn.overlap_bandwidth
     w_hi = alpha_1 * scn.total_bandwidth
@@ -75,7 +60,7 @@ def brute_force_maxmin(scn: ScenarioParams, res: int = 100) -> float:
     w_a = np.linspace(w_lo, w_hi, res)[None, :, None]
     w_b = np.linspace(w_lo, w_hi, res)[None, None, :]
     feasible = w_a + w_b <= band_total * (1.0 + 1e-12)
-    rate_a, rate_b = link_rates(scn, p_ue, scn.total_power - p_ue, w_a, w_b)
+    rate_a, rate_b = link_rates(batch, p_ue, scn.total_power - p_ue, w_a, w_b)
     maxmin = np.minimum(rate_a / scn.access_weight, rate_b)
     return float(np.where(feasible, maxmin, -np.inf).max())
 
@@ -88,7 +73,7 @@ def test_min_power_zero_rate():
 
 
 def test_min_power_unit_spectral_efficiency():
-    scn = make_scenario()
+    scn = scalars(make_scenario())
     bandwidth = 10e6
     dens = scn.noise_density + scn.interference_density
     # one effective bit/s/Hz: 2^1 - 1 = 1, so the power is exactly dens*w/beta
@@ -97,17 +82,18 @@ def test_min_power_unit_spectral_efficiency():
 
 
 def test_min_power_round_trip():
-    scn = make_scenario()
+    batch = make_scenario()
+    scn = scalars(batch)
     target = 5e6
     bandwidth = 8e6
     power = allocator._inversion_power(target, bandwidth, scn.beta_ue, scn.alpha_o, scn.density)
-    rate = evaluate(scn, Allocation(power, 0.0, bandwidth, 1e6)).rate_access
+    rate = evaluate(batch, Allocation(power, 0.0, bandwidth, 1e6)).rate_access
     assert rate == pytest.approx(target, rel=1e-9)
 
 
 def test_min_power_overflow_is_infeasible():
     # an overflowing power is +inf, which no power budget can pay
-    scn = make_scenario()
+    scn = scalars(make_scenario())
     power = allocator._inversion_power(1e12, 1e3, scn.beta_ue, scn.alpha_o, scn.density)
     assert power == math.inf
 
@@ -136,14 +122,15 @@ def test_solve_orthogonal_symmetric_links():
 
 
 def test_solve_orthogonal_vanishing_access_weight():
-    scn = make_scenario(access_weight=1e-9)
-    alpha_o, alpha_1 = duplex_factors(scn.duplex)
+    batch = make_scenario(access_weight=1e-9)
+    scn = scalars(batch)
+    alpha_o, alpha_1 = scn.alpha_o, scn.alpha_1
     w_total = alpha_1 * scn.total_bandwidth
     dens = scn.noise_density + scn.interference_density
     single_link_best = alpha_o * w_total * math.log2(
         1.0 + scn.total_power * scn.beta_bs / (dens * w_total)
     )
-    result = solve_orthogonal(scn)
+    result = solve_orthogonal(batch)
     assert result.report.maxmin_level == pytest.approx(single_link_best, rel=1e-3)
     assert result.allocation.p_bs > 0.99 * scn.total_power
 
@@ -157,8 +144,9 @@ def test_solve_orthogonal_matches_grid():
 
 
 def test_solve_orthogonal_targets_are_tight():
-    for _, scn in reference_scenarios():
-        result = solve_orthogonal(scn)
+    for _, batch in reference_scenarios():
+        result = solve_orthogonal(batch)
+        scn = scalars(batch)
         zeta = result.report.maxmin_level
         assert result.report.rate_access / (scn.access_weight * zeta) == pytest.approx(1.0, abs=1e-4)
         assert result.report.rate_backhaul / zeta == pytest.approx(1.0, abs=1e-4)
@@ -167,14 +155,13 @@ def test_solve_orthogonal_targets_are_tight():
 
 
 def test_solve_orthogonal_monotone_in_power_and_bandwidth():
-    scn = make_scenario()
     levels = [
-        solve_orthogonal(dataclasses.replace(scn, total_power=p)).report.maxmin_level
+        solve_orthogonal(make_scenario(total_power=p)).report.maxmin_level
         for p in np.linspace(5.0, 100.0, 8)
     ]
     assert all(a <= b + 1e-9 * abs(b) for a, b in zip(levels, levels[1:]))
     levels = [
-        solve_orthogonal(dataclasses.replace(scn, total_bandwidth=w)).report.maxmin_level
+        solve_orthogonal(make_scenario(total_bandwidth=w)).report.maxmin_level
         for w in np.linspace(10e6, 80e6, 8)
     ]
     assert all(a <= b + 1e-9 * abs(b) for a, b in zip(levels, levels[1:]))
@@ -284,7 +271,7 @@ def test_solve_orthogonal_matches_mpmath_on_reference_scenarios():
 CORNER_DRAWS = [(12, 12), (28, 0), (42, 33), (41, 58), (44, 38), (4, 10), (0, 0), (0, 36)]
 
 
-def orthogonal_corner(seed: int, index: int) -> ScenarioParams:
+def orthogonal_corner(seed: int, index: int) -> ScenarioBatch:
     rng = np.random.default_rng(seed)
     scns = (corner_scenario(rng) for _ in range(200))
     return [scn for scn in scns if scn.overlap_bandwidth == 0.0][index]
@@ -357,9 +344,9 @@ def test_grid_oracle_symmetric_midpoint():
     scn = make_scenario(beta_ue=beta, beta_bs=beta, access_weight=1.0)
     res = 101  # odd keeps the exact midpoint on the grid
     result = grid_oracle(scn, res)
+    scn = scalars(scn)
     p_cell = scn.total_power / (res - 1)
-    _, alpha_1 = duplex_factors(scn.duplex)
-    w_cell = alpha_1 * scn.total_bandwidth / (res - 1)
+    w_cell = scn.alpha_1 * scn.total_bandwidth / (res - 1)
     assert abs(result.allocation.p_ue - 5.0) <= p_cell
     assert abs(result.allocation.w_a - 10e6) <= w_cell
 
@@ -622,7 +609,7 @@ def test_pso_config_takes_the_cli_weight_ranges(weights):
     assert expcli._config_problems(cfg) == ["pso_inertia_weight=1e+300 must lie in [0, 1000]"]
 
 
-def mixed_batch() -> list[ScenarioParams]:
+def mixed_batch() -> list[ScenarioBatch]:
     """Eight rows mixing duplex modes, overlap zero and nonzero, and three
     access weights."""
     return [
@@ -759,7 +746,7 @@ def test_validate_many_rows_equal_validate():
     alloc[1::5, 0] *= 3.0
     alloc[2::5, 2:4] *= 1.7
     alloc[3::5, 3] = 0.0
-    alloc[4::10, 1] = [-1e-3 * scn.total_power for scn in scns[4::10]]  # no Allocation holds these
+    alloc[4::10, 1] = [-1e-3 * scn.total_power.item() for scn in scns[4::10]]  # no Allocation holds these
     flags = validate_many(ScenarioBatch.stack(scns), alloc)
     assert flags.shape == (len(scns), 4) and flags.dtype == bool
     assert flags.any(axis=0).all() and not flags[::5].any() and flags[4::10, 0].all()

@@ -1,7 +1,10 @@
 """Random JSON configs through `satiab solve`: each run either exits 0 with
-finite rows that `satiab audit` passes, or exits 1 with a one-line error."""
+finite rows that `satiab audit` passes, or exits 1 with a one-line error.
+Hand-edited `solve` CSVs through `satiab audit`: each run either exits 0 with
+`audit ok`, or exits 1 with lines that name a row or the error."""
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -10,7 +13,7 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from satiab.expcli import _CONFIG_FIELDS, _RANGES, _float_cells, main, read_csv
+from satiab.expcli import _CELL_CHOICES, _CONFIG_FIELDS, _RANGES, _float_cells, main, read_csv
 
 # A solve takes milliseconds: these keys are always given, and valid draws
 # of them stay at most these values.
@@ -101,3 +104,59 @@ def test_cli_solve_of_a_random_config_passes_audit_or_fails_cleanly(text):
         assert rows and all(math.isfinite(v) for row in rows for v in _float_cells(row))
         code, stdout, err = run(["audit", "--config", str(config), "--csv", csv_path])
         assert (code, stdout, err) == (0, f"audit ok: {len(rows)} row(s)\n", "")
+
+
+# A solve of all three solvers with the config _CAPS gives, at most this small.
+_SOLVE_CONFIG = json.dumps({**_CAPS, "solvers": ["exact", "pso", "oracle"]})
+# Cell texts an edit puts in: numbers write_csv never writes, blanks, text
+# that is no number, each text column's choices, and short garbage.
+_CELL_TEXTS = st.sampled_from(["NaN", "nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "-0", "",
+                               " ", "  ", "4_0", " 40 ", "0x10", "1,5", "abc"]
+                              + [choice for choices in _CELL_CHOICES.values() for choice in choices])
+_GARBAGE = st.text("a1.-e_ ,\"\x00\u00e9", max_size=4)
+
+
+@functools.cache
+def _solve_csv_lines() -> tuple[str, ...]:
+    """The CRLF lines of `satiab solve` on _SOLVE_CONFIG, header first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp, "cfg.json"), Path(tmp, "out")
+        config.write_text(_SOLVE_CONFIG)
+        assert run(["solve", "--config", str(config), "--out", str(out)])[0] == 0
+        return tuple(Path(out, "solve.csv").read_bytes().decode().split("\r\n")[:-1])
+
+
+@st.composite
+def edited_csvs(draw) -> str:
+    """A solve CSV with one edit: a data cell replaced by a drawn text, a cell
+    added to or dropped from any line, or every data row removed."""
+    lines = [line.split(",") for line in _solve_csv_lines()]
+    edit = draw(st.sampled_from(["replace"] * 4 + ["add", "drop", "clear"]))
+    if edit == "clear":
+        del lines[1:]
+    else:
+        cells = lines[draw(st.integers(1 if edit == "replace" else 0, len(lines) - 1))]
+        at = draw(st.integers(0, len(cells) - 1))
+        if edit == "drop":
+            del cells[at]
+        else:
+            text = draw(_CELL_TEXTS | _GARBAGE | st.sampled_from(cells))
+            cells[at:at + 1] = [text] if edit == "replace" else [text, cells[at]]
+    return "".join(",".join(cells) + "\r\n" for cells in lines)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(edited_csvs())
+def test_cli_audit_of_a_hand_edited_csv_passes_or_fails_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, csv_path = Path(tmp, "cfg.json"), Path(tmp, "solve.csv")
+        config.write_text(_SOLVE_CONFIG)
+        csv_path.write_text(text, newline="")
+        code, stdout, err = run(["audit", "--config", str(config), "--csv", str(csv_path)])
+        if code == 0:
+            rows = text.count("\n") - 1
+            assert rows > 0 and (stdout, err) == (f"audit ok: {rows} row(s)\n", "")
+        else:
+            assert code == 1 and stdout == "" and err.endswith("\n"), (code, stdout, err)
+            for line in err.splitlines():
+                assert line.startswith(("row ", "error: ", "audit failed:")), err

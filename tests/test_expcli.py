@@ -325,7 +325,7 @@ def tampered(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[SweepRow]:
 
     def limits(row):
         scn = row_scenario(cfg, row)
-        return scn.total_power, *bandwidth_limits(scn)
+        return tuple(limit.item() for limit in (scn.total_power, *bandwidth_limits(scn)))
 
     def edit(index, **changes):
         rows[index] = dataclasses.replace(rows[index], **changes)
@@ -625,6 +625,26 @@ def test_cli_audit_rejects_a_numeric_cell_that_is_not_a_number(tmp_path, capsys,
     assert f":3: {column} must be a number, got {text!r}" in err
 
 
+def test_cli_audit_rejects_a_cell_beyond_the_csv_field_limit(tmp_path, capsys):
+    # the csv module raises its own error on such a cell, which read_csv names
+    def edit(table):
+        table[2][CSV_COLUMNS.index("duplex")] = "F" * (csv.field_size_limit() + 1)
+
+    err = assert_audit_fails_cleanly(capsys, *audited_csv(tmp_path, edit))
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ":3: field larger than field limit" in err
+
+
+def test_cli_audit_of_a_csv_without_rows_fails(tmp_path, capsys):
+    # a header alone checks nothing, so the audit cannot pass it
+    def edit(table):
+        del table[1:]
+
+    cfg, csv_path = audited_csv(tmp_path, edit)
+    assert read_csv(csv_path) == []
+    assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == f"error: {csv_path}: no rows to audit\n"
+
+
 def test_cli_audit_tiny_overlap_with_a_zero_bandwidth(tmp_path, capsys):
     # the overlap is below the tolerance of validate, so the row is audited
     # with w_a = 0 under overlap: both rates re-evaluate to zero
@@ -754,13 +774,16 @@ def test_sweeps_and_audit_construct_no_per_row_objects(monkeypatch):
     def forbidden(self, *args, **kwargs):
         raise AssertionError(f"a {type(self).__name__} was constructed")
 
-    for cls in (ratemodel.ScenarioParams, ratemodel.Allocation, ratemodel.RateReport,
-                allocator.SolveResult):
+    for cls in (ratemodel.Allocation, ratemodel.RateReport, allocator.SolveResult):
         monkeypatch.setattr(cls, "__init__", forbidden)
+    # a scenario is a one-row batch: every batch built here holds a call's rows, none one row
+    sizes, check = [], ScenarioBatch.__post_init__
+    monkeypatch.setattr(ScenarioBatch, "__post_init__", lambda self: (sizes.append(len(self)), check(self)))
     power, overlap = run_power_sweep(cfg), run_overlap_sweep(cfg)
     assert len(power) == 36 and len(overlap) == 42
     assert audit_rows(cfg, power) == audit_rows(cfg, overlap) == []
     assert audit_rows(cfg, broken) == want
+    assert sizes and min(sizes) > 1
 
 
 @pytest.mark.parametrize("source", ["config", "flag"])
@@ -866,8 +889,8 @@ def test_load_config_power_limits_are_inclusive(tmp_path):
     cfg = load_config(write_json(tmp_path / "cfg.json", payload))
     highest = dataclasses.replace(cfg, total_power_dbm=cfg.power_sweep_max_dbm)
     lowest = dataclasses.replace(cfg, total_power_dbm=cfg.power_sweep_min_dbm)
-    assert math.isfinite(build_scenario(highest).total_power)
-    assert build_scenario(lowest).total_power > 0.0
+    assert math.isfinite(build_scenario(highest).total_power.item())
+    assert build_scenario(lowest).total_power.item() > 0.0
     # the longest power sweep accepted, and one step finer
     payload["power_sweep_step_db"] = 0.1
     cfg = load_config(write_json(tmp_path / "cfg.json", payload))

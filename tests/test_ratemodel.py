@@ -11,31 +11,16 @@ from satiab import (
     DuplexMode,
     RateReport,
     ScenarioBatch,
-    ScenarioParams,
     duplex_factors,
     evaluate,
     evaluate_many,
     link_rates,
+    solve_orthogonal,
+    solve_orthogonal_many,
     validate,
 )
 
-from oracles import random_feasible_allocation, random_scenario, reference_rate
-
-
-def make_scenario(**overrides) -> ScenarioParams:
-    base = dict(
-        total_power=10.0,
-        total_bandwidth=40e6,
-        overlap_bandwidth=0.0,
-        noise_density=3.981071705534973e-21,
-        interference_density=3.981071705534973e-21,
-        access_weight=0.1,
-        duplex=DuplexMode.FDD,
-        beta_ue=1.5734726039155016e-12,
-        beta_bs=1.3589805953889354e-09,
-    )
-    base.update(overrides)
-    return ScenarioParams(**base)
+from oracles import make_scenario, random_feasible_allocation, random_scenario, reference_rate, scalars
 
 
 def test_duplex_factors_values():
@@ -98,7 +83,7 @@ def test_invalid_allocation_under_overlap():
     # a zero bandwidth under overlap gets the all-zero row of evaluate_many
     scn = make_scenario(overlap_bandwidth=10e6)
     for alloc in (Allocation(5.0, 5.0, 15e6, 0.0), Allocation(5.0, 5.0, 0.0, 15e6)):
-        row = evaluate_many(ScenarioBatch.stack([scn]), np.array([dataclasses.astuple(alloc)]))
+        row = evaluate_many(scn, np.array([dataclasses.astuple(alloc)]))
         assert row.tolist() == [[0.0, 0.0, 0.0, 0.0]]
         assert evaluate(scn, alloc) == RateReport(0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -164,9 +149,10 @@ def test_access_rate_midpoint_concavity():
 def test_rates_depend_on_duplex_only_through_factors():
     rng = np.random.default_rng(17)
     for _ in range(200):
-        scn = random_scenario(rng)
-        alloc = Allocation(*random_feasible_allocation(rng, scn))
-        alpha_o, alpha_1 = duplex_factors(scn.duplex)
+        batch = random_scenario(rng)
+        alloc = Allocation(*random_feasible_allocation(rng, batch))
+        scn = scalars(batch)
+        alpha_o, alpha_1 = scn.alpha_o, scn.alpha_1
         dens = scn.noise_density + scn.interference_density
         expected_a = reference_rate(
             alpha_o, alpha_1, alloc.p_ue, scn.beta_ue, alloc.w_a,
@@ -176,7 +162,7 @@ def test_rates_depend_on_duplex_only_through_factors():
             alpha_o, alpha_1, alloc.p_bs, scn.beta_bs, alloc.w_b,
             alloc.p_ue, alloc.w_a, dens, scn.overlap_bandwidth,
         )
-        report = evaluate(scn, alloc)
+        report = evaluate(batch, alloc)
         assert report.rate_access == pytest.approx(expected_a, rel=1e-12, abs=1e-9)
         assert report.rate_backhaul == pytest.approx(expected_b, rel=1e-12, abs=1e-9)
 
@@ -185,7 +171,7 @@ def test_link_rates_batch_rows_equal_single_scenarios():
     rng = np.random.default_rng(41)
     scns = [random_scenario(rng) for _ in range(12)]
     scns += [make_scenario(), make_scenario(overlap_bandwidth=40e6, duplex=DuplexMode.TDD)]
-    assert {s.overlap_bandwidth > 0.0 for s in scns} == {True, False}
+    assert {s.overlap_bandwidth.item() > 0.0 for s in scns} == {True, False}
     alloc = np.array([random_feasible_allocation(rng, s) for s in scns for _ in range(6)])
     alloc = alloc.reshape(len(scns), 6, 4)
     alloc[:, 0, 3] = 0.0  # w_b = 0: zero access rate only where the links overlap
@@ -193,7 +179,7 @@ def test_link_rates_batch_rows_equal_single_scenarios():
     batch = ScenarioBatch.stack(scns)
     rate_a, rate_b = link_rates(batch, *np.moveaxis(alloc, -1, 0))
     for s, scn in enumerate(scns):
-        alone_a, alone_b = link_rates(scn, *alloc[s].T)
+        (alone_a,), (alone_b,) = link_rates(scn, *alloc[s].T)
         assert np.array_equal(rate_a[s], alone_a)
         assert np.array_equal(rate_b[s], alone_b)
         assert (rate_a[s, 0] > 0.0) == (scn.overlap_bandwidth == 0.0)
@@ -218,8 +204,9 @@ def test_link_rates_on_broadcast_axes_equal_materialised_inputs():
             assert rate.shape == (7, 9)
             assert np.array_equal(rate, reference)
     # without overlap each rate spans only the axes of its own link's inputs
+    # and the scenario's (1, 1) columns
     rate_a, rate_b = link_rates(scns[0], p_ue, 1.0, w_a, 2e6)
-    assert rate_a.shape == (7, 9) and rate_b.shape == ()
+    assert rate_a.shape == (7, 9) and rate_b.shape == (1, 1)
 
 
 def test_scenario_validation():
@@ -247,25 +234,78 @@ def test_validate_power_budget_violation():
 
 
 def test_validate_feasible_boundaries():
-    scn = make_scenario(overlap_bandwidth=10e6)
-    _, alpha_1 = duplex_factors(scn.duplex)
+    batch = make_scenario(overlap_bandwidth=10e6)
+    scn = scalars(batch)
+    alpha_1 = scn.alpha_1
     tight = Allocation(5.0, 5.0, alpha_1 * scn.total_bandwidth, alpha_1 * scn.overlap_bandwidth)
-    assert validate(scn, tight) == []
+    assert validate(batch, tight) == []
     half = alpha_1 * (scn.total_bandwidth + scn.overlap_bandwidth) / 2.0
-    assert validate(scn, Allocation(5.0, 5.0, half, half)) == []
+    assert validate(batch, Allocation(5.0, 5.0, half, half)) == []
 
 
 def test_validate_flags_each_constraint():
-    scn = make_scenario(overlap_bandwidth=10e6)
-    _, alpha_1 = duplex_factors(scn.duplex)
-    w_hi = alpha_1 * scn.total_bandwidth
-    w_lo = alpha_1 * scn.overlap_bandwidth
-    assert "1b" in validate(scn, Allocation(1.0, 1.0, w_hi, w_hi))
-    assert "1c" in validate(scn, Allocation(1.0, 1.0, 1.2 * w_hi, w_lo))
-    assert "1d" in validate(scn, Allocation(1.0, 1.0, w_hi, 0.5 * w_lo))
+    batch = make_scenario(overlap_bandwidth=10e6)
+    scn = scalars(batch)
+    w_hi = scn.alpha_1 * scn.total_bandwidth
+    w_lo = scn.alpha_1 * scn.overlap_bandwidth
+    assert "1b" in validate(batch, Allocation(1.0, 1.0, w_hi, w_hi))
+    assert "1c" in validate(batch, Allocation(1.0, 1.0, 1.2 * w_hi, w_lo))
+    assert "1d" in validate(batch, Allocation(1.0, 1.0, w_hi, 0.5 * w_lo))
 
 
-def test_scenario_params_are_frozen():
+def test_one_scenario_views_take_one_row():
+    # evaluate and validate are their batch functions at a one-row batch;
+    # a batch of more rows is not one scenario
+    two = ScenarioBatch.stack([make_scenario(), make_scenario(duplex=DuplexMode.TDD)])
+    alloc = Allocation(1.0, 1.0, 10e6, 10e6)
+    for view in (evaluate, validate):
+        with pytest.raises(ValueError):
+            view(two, alloc)
+        assert view(two.take(1), alloc) == view(make_scenario(duplex=DuplexMode.TDD), alloc)
+
+
+def test_scenarios_are_frozen():
     scn = make_scenario()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        scn.total_power = 20.0
+        scn.total_power = np.array([[20.0]])
+
+
+def test_stack_joins_batches_row_by_row():
+    rng = np.random.default_rng(7)
+    scns = [random_scenario(rng) for _ in range(5)]
+    joined = ScenarioBatch.stack([ScenarioBatch.stack(scns[:2]), scns[2], ScenarioBatch.stack(scns[3:])])
+    assert len(joined) == 5 and len(ScenarioBatch.stack([])) == 0
+    for field in dataclasses.fields(ScenarioBatch):
+        column = getattr(joined, field.name)
+        assert column.shape == (5, 1)
+        assert np.array_equal(column, np.concatenate([getattr(scn, field.name) for scn in scns]))
+    for field in dataclasses.fields(ScenarioBatch):
+        assert getattr(ScenarioBatch.stack([]), field.name).shape == (0, 1)
+
+
+def test_take_with_an_index_gives_its_one_row_batch():
+    rng = np.random.default_rng(11)
+    scns = [random_scenario(rng) for _ in range(4)]
+    batch = ScenarioBatch.stack(scns)
+    for index in (0, 2, -1, np.int64(1)):
+        for row in (batch.take(index), batch.take([index])):
+            assert len(row) == 1
+            for field in dataclasses.fields(ScenarioBatch):
+                assert np.array_equal(getattr(row, field.name), getattr(scns[index], field.name))
+    # the one-row batch solves as the scenario alone
+    orthogonal = ScenarioBatch.stack([random_scenario(rng, orthogonal=True) for _ in range(3)])
+    alloc, iterations, converged = solve_orthogonal_many(orthogonal.take(1))
+    assert alloc.shape == (1, 4) and iterations.shape == converged.shape == (1,)
+    assert solve_orthogonal(orthogonal.take(1)) == solve_orthogonal(orthogonal.take([1]))
+
+
+def test_scenario_batch_rejects_a_column_that_is_not_s_by_1():
+    # two rows, S being total_power's: a (3, 1) total_power makes the next column wrong
+    two = ScenarioBatch.stack([make_scenario()] * 2)
+    for field in dataclasses.fields(ScenarioBatch):
+        for shape in [(), (2,), (2, 2), (3, 1), (1, 2, 1)]:
+            columns = {f.name: getattr(two, f.name) for f in dataclasses.fields(ScenarioBatch)}
+            columns[field.name] = np.full(shape, columns[field.name][0, 0])
+            named = "total_bandwidth" if (field.name, shape) == ("total_power", (3, 1)) else field.name
+            with pytest.raises(ValueError, match=rf"^{named} must have shape \(S, 1\)"):
+                ScenarioBatch(**columns)
