@@ -27,6 +27,7 @@ import operator
 import os
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,7 +75,7 @@ POWER_SWEEP_ALTITUDES_KM = (600.0, 1200.0)
 
 
 class ParseError(Exception):
-    """The config file is not valid JSON."""
+    """A file is not UTF-8 text, or the config file is not valid JSON."""
 
 
 class ValidationError(Exception):
@@ -225,12 +226,13 @@ def load_config(path: str) -> ExperimentConfig:
             raise ValidationError(f"{path}: key given twice: {', '.join(map(repr, twice))}")
         return dict(pairs)
 
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        raw = json.loads(text, object_pairs_hook=unique_keys)
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.loads(fh.read(), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    except UnicodeDecodeError as err:  # of the whole file at once, so its position is the file's
+        raise ParseError(f"{path}: {err}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top-level JSON value must be an object")
 
@@ -305,9 +307,8 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioBatch:
     return build_scenarios(cfg, [_config_point(cfg)])
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One solver run inside a sweep, flattened for CSV output."""
+class SweepRow(NamedTuple):
+    """One solver run inside a sweep: its CSV cells, in column order."""
 
     sweep: str  # "power" | "overlap" | "single"
     sweep_value: float  # dBm for power sweeps, w_o/W for overlap sweeps
@@ -328,24 +329,18 @@ class SweepRow:
     converged: bool
 
 
-CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
-_FLOAT_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow) if f.type == "float")
-# The float cells of a row end with the rate columns of evaluate_many, in
-# Mbps, and then the allocation (p_ue, p_bs, w_a, w_b).
-_float_cells = operator.attrgetter(*_FLOAT_COLUMNS)
-# One CSV line of a row: every cell but the last, converged, then its text.
-_CSV_LINE = ",".join("%.9g" if f.type == "float" else "%s" for f in dataclasses.fields(SweepRow)) + "\r\n"
-_leading_cells = operator.attrgetter(*CSV_COLUMNS[:-1])
-# The point of a row and of a config, in the order build_scenarios takes;
-# the config names the power total_power_dbm and the other four as the row.
-_row_point = operator.attrgetter(*CSV_COLUMNS[2:7])
-_config_point = operator.attrgetter("total_power_dbm", *CSV_COLUMNS[3:7])
-# The cells read_csv accepts in each text column.
+CSV_COLUMNS = SweepRow._fields
+# The CSV format: each text column's cells, in column order; the others are %.9g floats.
 _CELL_CHOICES = {"sweep": ("power", "overlap", "single"), "duplex": tuple(m.value for m in DuplexMode),
                  "solver": _KNOWN_SOLVERS, "converged": ("true", "false")}
-
-def _row_sort_key(row: "SweepRow"):
-    return (row.sweep_value, row.duplex, row.altitude_km, row.access_weight, row.solver)
+# The float cells of a row end with the rate columns of evaluate_many, in
+# Mbps, and then the allocation (p_ue, p_bs, w_a, w_b).
+_FLOAT_INDICES = [i for i, name in enumerate(CSV_COLUMNS) if name not in _CELL_CHOICES]
+_float_cells = operator.itemgetter(*_FLOAT_INDICES)
+# One CSV line of a row: every cell but the last, converged, then its text.
+_CSV_LINE = ",".join("%s" if name in _CELL_CHOICES else "%.9g" for name in CSV_COLUMNS) + "\r\n"
+_config_point = operator.attrgetter("total_power_dbm", *CSV_COLUMNS[3:7])
+_row_sort_key = operator.attrgetter("sweep_value", "duplex", "altitude_km", "access_weight", "solver")
 
 
 def _pso_config(cfg: ExperimentConfig) -> PsoConfig:
@@ -462,35 +457,40 @@ def write_csv(rows: list[SweepRow], path: str) -> None:
     they are: the sweep, duplex and solver names need no quoting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
-        fh.writelines([_CSV_LINE % (*_leading_cells(row), "true" if row.converged else "false")
-                       for row in rows])
+        fh.writelines([_CSV_LINE % (*row[:-1], "true" if row.converged else "false") for row in rows])
 
 
 def read_csv(path: str) -> list[SweepRow]:
-    """Read rows previously written by :func:`write_csv`."""
+    """Read rows written by :func:`write_csv`, as its exact inverse: each text
+    cell must be one of its _CELL_CHOICES, and each float cell the %.9g text
+    of the value it parses to. Blank lines are skipped."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
+            if next(reader, None) != list(CSV_COLUMNS):
                 raise ValidationError(f"{path}: unexpected CSV header")
-            for record in reader:
-                if None in record or None in record.values():  # DictReader's mark of a long or short row
-                    raise ValidationError(f"{path}:{reader.line_num}: expected {len(CSV_COLUMNS)} cells")
+            for cells in filter(None, reader):
+                where = f"{path}:{reader.line_num}"
+                if len(cells) != len(CSV_COLUMNS):
+                    raise ValidationError(f"{where}: expected {len(CSV_COLUMNS)} cells")
                 for name, choices in _CELL_CHOICES.items():
-                    if record[name] not in choices:
-                        raise ValidationError(f"{path}:{reader.line_num}: {name} must be one of "
-                                              f"{', '.join(choices)}, got {record[name]!r}")
-                floats = {}
-                for name in _FLOAT_COLUMNS:
+                    if (text := cells[CSV_COLUMNS.index(name)]) not in choices:
+                        raise ValidationError(f"{where}: {name} must be one of {', '.join(choices)}, "
+                                              f"got {text!r}")
+                for i in _FLOAT_INDICES:
                     try:
-                        floats[name] = float(record[name])
+                        cells[i] = float(text := cells[i])
+                        must = "" if "%.9g" % cells[i] == text else f"be written {'%.9g' % cells[i]!r}"
                     except ValueError:
-                        raise ValidationError(f"{path}:{reader.line_num}: {name} must be a number, "
-                                              f"got {record[name]!r}") from None
-                rows.append(SweepRow(**{**record, **floats, "converged": record["converged"] == "true"}))
-        except csv.Error as err:  # such as a cell over csv.field_size_limit(), on the raw reader's line
-            raise ValidationError(f"{path}:{reader.reader.line_num}: {err}") from None
+                        must = "be a number"
+                    if must:
+                        raise ValidationError(f"{where}: {CSV_COLUMNS[i]} must {must}, got {text!r}")
+                rows.append(SweepRow(*cells[:-1], cells[-1] == "true"))
+        except csv.Error as err:  # such as a cell over csv.field_size_limit()
+            raise ValidationError(f"{path}:{reader.line_num}: {err}") from None
+        except UnicodeDecodeError as err:  # in a chunk, whose line and position need not be the file's
+            raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
     return rows
 
 
@@ -644,14 +644,14 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
     power_dbm (in an overlap row, overlap_mhz / total_bandwidth_mhz to 1e-8)
     gets that as its first message.
     """
-    cells = np.array([_float_cells(row) for row in rows], dtype=float).reshape(-1, len(_FLOAT_COLUMNS))
+    cells = np.array([_float_cells(row) for row in rows], dtype=float).reshape(-1, len(_FLOAT_INDICES))
     point = cells[:, 1:5]  # power_dbm, overlap_mhz, altitude_km, access_weight
     limits = np.array([_RANGES["total_power_dbm"], (0.0, cfg.total_bandwidth_mhz), _RANGES["altitude_km"],
                        _RANGES["access_weight"]])
     outside = ~((limits[:, 0] <= point) & (point <= limits[:, 1]))
     checked = ~outside.any(axis=1) & np.isfinite(cells).all(axis=1)
     index = np.flatnonzero(checked).tolist()
-    batch = build_scenarios(cfg, [_row_point(rows[i]) for i in index])
+    batch = build_scenarios(cfg, [rows[i][2:7] for i in index])
     recorded, alloc = cells[checked, -8:-4], cells[checked, -4:]
     violated = validate_many(batch, alloc)
     feasible = ~violated.any(axis=1)
@@ -661,7 +661,7 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
 
     problems = {}
     for i, j in np.argwhere(outside).tolist():
-        (lo, hi), name = limits[j].tolist(), _FLOAT_COLUMNS[1 + j]
+        (lo, hi), name = limits[j].tolist(), _float_cells(CSV_COLUMNS)[1 + j]
         problems.setdefault(i, []).append(f"row {i}: {name}={point[i, j]:g} must lie in [{lo:g}, {hi:g}]")
     problems |= {i: [f"row {i}: marked converged but holds a non-finite value"]
                  for i in np.flatnonzero(~checked).tolist() if rows[i].converged and i not in problems}

@@ -1,7 +1,9 @@
-"""Random JSON configs through `satiab solve`: each run either exits 0 with
-finite rows that `satiab audit` passes, or exits 1 with a one-line error.
-Hand-edited `solve` CSVs through `satiab audit`: each run either exits 0 with
-`audit ok`, or exits 1 with lines that name a row or the error."""
+"""Random JSON configs through `satiab solve`, `sweep-power` and
+`sweep-overlap`: each run either exits 0 with finite rows that `satiab audit`
+passes, or exits 1 with a one-line error. Hand-edited `solve` CSVs through
+`satiab audit`: each run either exits 0 with `audit ok` on a file that
+`write_csv` writes back byte for byte, or exits 1 with lines that name a row
+or the error."""
 
 import contextlib
 import functools
@@ -11,13 +13,15 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from satiab.expcli import _CELL_CHOICES, _CONFIG_FIELDS, _RANGES, _float_cells, main, read_csv
+from satiab.expcli import CSV_COLUMNS, _CELL_CHOICES, _CONFIG_FIELDS, _RANGES, _float_cells, main, read_csv
+from satiab.expcli import write_csv
 
-# A solve takes milliseconds: these keys are always given, and valid draws
-# of them stay at most these values.
-_CAPS = {"pso_population": 8, "pso_iterations": 10, "oracle_resolution": 40}
+# A solve, or a sweep of at most 4 overlap points, takes milliseconds: these
+# keys are always given, and valid draws of them stay at most these values.
+_CAPS = {"pso_population": 8, "pso_iterations": 10, "oracle_resolution": 40, "overlap_sweep_points": 4}
 # Ranges of valid draws where the config has none, or where most draws in
 # its range would give an empty or an oversized power sweep; 0.001 to 100
 # for the other numbers without a range.
@@ -29,6 +33,13 @@ _DRAW_RANGES = {
     "power_sweep_max_dbm": (50.0, 100.0),
     "power_sweep_step_db": (0.1, 100.0),
 }
+# The power sweep's draw ranges in a sweep-power run, always given there:
+# a valid draw has at most (60 - 30) / 1.6 + 1 < 20 points.
+_POWER_SWEEP_DRAW_RANGES = {
+    "power_sweep_min_dbm": (30.0, 40.0),
+    "power_sweep_max_dbm": (50.0, 60.0),
+    "power_sweep_step_db": (1.6, 100.0),
+}
 # JSON text for numbers json.dumps cannot write or that lie outside every
 # range, and for values of the wrong type.
 _SPECIAL = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e300", "-1e300", "-1",
@@ -39,7 +50,7 @@ _WRONG_TYPE = st.sampled_from(['"40"', "true", "null", "[]", "{}", '["exact", 1]
 _TEXT = st.text("ax\n\",\x00\u00e9", max_size=3)
 
 
-def _valid(key: str):
+def _valid(key: str, draw_ranges=_DRAW_RANGES):
     """Values of the key's JSON type, mostly in its range."""
     kind = _CONFIG_FIELDS[key].type
     if kind == "tuple[str, ...]":  # empty, unknown and repeated names too
@@ -48,20 +59,24 @@ def _valid(key: str):
         return st.sampled_from(["FDD", "TDD", "XDD"]) if key == "duplex" else _TEXT
     if key == "overlap_mhz":  # the default solvers take no overlap
         return st.just(0.0) | st.floats(0.0, 50.0)
-    lo, hi = _DRAW_RANGES.get(key) or _RANGES.get(key, (0.001, 100.0))
+    lo, hi = draw_ranges.get(key) or _RANGES.get(key, (0.001, 100.0))
     if kind == "int":
         return st.integers(int(lo), min(int(hi), _CAPS.get(key, int(hi))))
     return st.floats(lo, hi) | st.integers(math.ceil(lo), int(hi))
 
 
 @st.composite
-def config_texts(draw) -> str:
-    """A config of valid values for up to 6 keys, or one with one fault: a
-    special number, a value of the wrong type, an unknown key or a key
-    given twice."""
+def config_texts(draw, command: str = "solve") -> str:
+    """A config for the command of valid values for up to 6 keys, or one with
+    one fault: a special number, a value of the wrong type, an unknown key or
+    a key given twice."""
     keys = draw(st.lists(st.sampled_from(sorted(_CONFIG_FIELDS)), unique=True, max_size=6))
     values = {key: json.dumps(value) for key, value in _CAPS.items()}
-    values.update({key: json.dumps(draw(_valid(key))) for key in keys})
+    draw_ranges = _DRAW_RANGES
+    if command == "sweep-power":
+        draw_ranges = {**_DRAW_RANGES, **_POWER_SWEEP_DRAW_RANGES}
+        keys = list(_POWER_SWEEP_DRAW_RANGES) + [key for key in keys if key not in _POWER_SWEEP_DRAW_RANGES]
+    values.update({key: json.dumps(draw(_valid(key, draw_ranges))) for key in keys})
     pairs = [f"{json.dumps(key)}: {value}" for key, value in values.items()]
     fault = draw(st.integers(0, 9))
     if fault == 0:
@@ -82,6 +97,27 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# The CSV each command writes in its output directory.
+_CSV_NAMES = {"solve": "solve.csv", "sweep-power": "power_sweep.csv", "sweep-overlap": "overlap_sweep.csv"}
+
+
+def assert_run_passes_audit_or_fails_cleanly(command, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp, "cfg.json"), Path(tmp, "out")
+        config.write_text(text)
+        code, _, err = run([command, "--config", str(config), "--out", str(out)])
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not out.exists()
+            return
+        assert code == 0 and err == ""
+        csv_path = str(out / _CSV_NAMES[command])
+        rows = read_csv(csv_path)
+        assert rows and all(math.isfinite(v) for row in rows for v in _float_cells(row))
+        code, stdout, err = run(["audit", "--config", str(config), "--csv", csv_path])
+        assert (code, stdout, err) == (0, f"audit ok: {len(rows)} row(s)\n", "")
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=120)
 @given(config_texts())
 @example('{"seed": 1, "seed": 2}')
@@ -90,20 +126,14 @@ def run(argv):
 @example('{"pso_population": 8, "pso_iterations": 10, "pso_inertia_weight": 1e300}')
 @example('{"solvers": ["a\\nb", "a\\nb"]}')
 def test_cli_solve_of_a_random_config_passes_audit_or_fails_cleanly(text):
-    with tempfile.TemporaryDirectory() as tmp:
-        config, out = Path(tmp, "cfg.json"), Path(tmp, "out")
-        config.write_text(text)
-        code, _, err = run(["solve", "--config", str(config), "--out", str(out)])
-        if code == 1:
-            assert err.startswith("error: ") and err.count("\n") == 1, err
-            assert not out.exists()
-            return
-        assert code == 0 and err == ""
-        csv_path = str(out / "solve.csv")
-        rows = read_csv(csv_path)
-        assert rows and all(math.isfinite(v) for row in rows for v in _float_cells(row))
-        code, stdout, err = run(["audit", "--config", str(config), "--csv", csv_path])
-        assert (code, stdout, err) == (0, f"audit ok: {len(rows)} row(s)\n", "")
+    assert_run_passes_audit_or_fails_cleanly("solve", text)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(st.sampled_from(["sweep-power", "sweep-overlap"]).flatmap(
+    lambda command: st.tuples(st.just(command), config_texts(command))))
+def test_cli_sweep_of_a_random_config_passes_audit_or_fails_cleanly(command_and_text):
+    assert_run_passes_audit_or_fails_cleanly(*command_and_text)
 
 
 # A solve of all three solvers with the config _CAPS gives, at most this small.
@@ -156,7 +186,28 @@ def test_cli_audit_of_a_hand_edited_csv_passes_or_fails_cleanly(text):
         if code == 0:
             rows = text.count("\n") - 1
             assert rows > 0 and (stdout, err) == (f"audit ok: {rows} row(s)\n", "")
+            written = Path(tmp, "written.csv")
+            write_csv(read_csv(str(csv_path)), str(written))
+            assert written.read_bytes() == csv_path.read_bytes()
         else:
             assert code == 1 and stdout == "" and err.endswith("\n"), (code, stdout, err)
             for line in err.splitlines():
                 assert line.startswith(("row ", "error: ", "audit failed:")), err
+
+
+@pytest.mark.parametrize("text, written", [
+    ("4_0", "40"), (" 40 ", "40"), ("4_0.0_0", "40"), ("40.0", "40"), ("+40", "40"), ("4e1", "40"),
+    ("NaN", "nan"), ("Infinity", "inf"), ("1e400", "inf"),
+])
+def test_cli_audit_rejects_a_float_cell_that_write_csv_would_not_write(tmp_path, text, written):
+    # float() reads each of these texts, but write_csv writes another
+    lines = [line.split(",") for line in _solve_csv_lines()]
+    column = CSV_COLUMNS.index("power_dbm")
+    assert lines[1][column] == "40"
+    lines[1][column] = text
+    config, csv_path = tmp_path / "cfg.json", tmp_path / "solve.csv"
+    config.write_text(_SOLVE_CONFIG)
+    csv_path.write_text("".join(",".join(cells) + "\r\n" for cells in lines), newline="")
+    code, stdout, err = run(["audit", "--config", str(config), "--csv", str(csv_path)])
+    assert (code, stdout) == (1, "")
+    assert err == f"error: {csv_path}:2: power_dbm must be written {written!r}, got {text!r}\n"

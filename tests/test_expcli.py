@@ -311,7 +311,7 @@ def test_sweep_rows_pass_audit(tmp_path):
 def test_audit_catches_tampering():
     cfg = small_config(solvers=("exact",))
     rows = run_power_sweep(cfg)
-    tampered = rows[:3] + [dataclasses.replace(rows[3], throughput_mbps=rows[3].throughput_mbps * 1.01)]
+    tampered = rows[:3] + [rows[3]._replace(throughput_mbps=rows[3].throughput_mbps * 1.01)]
     problems = audit_rows(cfg, tampered)
     assert len(problems) == 1
     assert "throughput_mbps" in problems[0]
@@ -328,7 +328,7 @@ def tampered(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[SweepRow]:
         return tuple(limit.item() for limit in (scn.total_power, *bandwidth_limits(scn)))
 
     def edit(index, **changes):
-        rows[index] = dataclasses.replace(rows[index], **changes)
+        rows[index] = rows[index]._replace(**changes)
 
     edit(0, rate_access_mbps=rows[0].rate_access_mbps * 1.001)
     edit(1, zeta_mbps=math.nan, converged=True)
@@ -535,7 +535,7 @@ def test_cli_audit_round_trip(tmp_path):
     # tamper one recorded rate and the audit must fail
     text = csv_path.read_text()
     rows = read_csv(str(csv_path))
-    broken = [dataclasses.replace(rows[0], rate_access_mbps=rows[0].rate_access_mbps * 2)] + rows[1:]
+    broken = [rows[0]._replace(rate_access_mbps=rows[0].rate_access_mbps * 2)] + rows[1:]
     write_csv(broken, str(csv_path))
     assert main(["audit", "--config", cfg, "--csv", str(csv_path)]) == 1
     csv_path.write_text(text)
@@ -546,7 +546,7 @@ def test_cli_audit_flags_non_finite_rows_marked_converged(tmp_path, capsys, conv
     cfg = cli_config(tmp_path, solvers=["exact"])
     rows = run_power_sweep(load_config(cfg))
     results = ("zeta_mbps", "rate_access_mbps", "rate_backhaul_mbps", "throughput_mbps", "p_ue_w")
-    failed = dataclasses.replace(rows[0], **dict.fromkeys(results, math.nan), converged=converged)
+    failed = rows[0]._replace(**dict.fromkeys(results, math.nan), converged=converged)
     csv_path = tmp_path / "sweep.csv"
     write_csv([failed] + rows[1:], str(csv_path))
     assert main(["audit", "--config", cfg, "--csv", str(csv_path)]) == exit_code
@@ -633,6 +633,27 @@ def test_cli_audit_rejects_a_cell_beyond_the_csv_field_limit(tmp_path, capsys):
     err = assert_audit_fails_cleanly(capsys, *audited_csv(tmp_path, edit))
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ":3: field larger than field limit" in err
+
+
+def test_cli_solve_names_a_config_that_is_not_utf8(tmp_path, capsys):
+    # the file is decoded at once, so the position is the byte's in the file
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_bytes(b'{"seed": 1, "duplex": "\xff"}\n')
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {config}: 'utf-8' codec can't decode byte 0xff in position "
+                                       "23: invalid start byte\n")
+    assert not out.exists()
+
+
+def test_cli_audit_names_a_csv_that_is_not_utf8(tmp_path, capsys):
+    # the file is decoded a chunk at a time, so neither a line nor a position is named
+    def edit(table):
+        table[2][CSV_COLUMNS.index("duplex")] = "FD?"
+
+    cfg, csv_path = audited_csv(tmp_path, edit)
+    Path(csv_path).write_bytes(Path(csv_path).read_bytes().replace(b"FD?", b"FD\xff"))
+    err = assert_audit_fails_cleanly(capsys, cfg, csv_path)
+    assert err == f"error: {csv_path}: not UTF-8 text (invalid start byte)\n"
 
 
 def test_cli_audit_of_a_csv_without_rows_fails(tmp_path, capsys):
