@@ -105,11 +105,11 @@ class ExperimentConfig:
     overlap_mhz: float = 0.0
     access_weight: float = 0.1
     duplex: str = "FDD"
-    pso_population: int = 50
-    pso_iterations: int = 200
-    pso_inertia_weight: float = 0.01
-    pso_learning_factor_1: float = 2.0
-    pso_learning_factor_2: float = 2.0
+    pso_population: int = PsoConfig.population_size
+    pso_iterations: int = PsoConfig.max_iterations
+    pso_inertia_weight: float = PsoConfig.inertia_weight
+    pso_learning_factor_1: float = PsoConfig.learning_factor_1
+    pso_learning_factor_2: float = PsoConfig.learning_factor_2
     seed: int = 1
     solvers: tuple[str, ...] = ("exact", "pso")
     output_dir: str = "out"
@@ -184,8 +184,8 @@ def _config_problems(cfg: ExperimentConfig) -> list[str]:
             f"overlap_mhz={cfg.overlap_mhz:g} must lie in [0, total_bandwidth_mhz="
             f"{cfg.total_bandwidth_mhz:g}]"
         )
-    if cfg.duplex not in ("FDD", "TDD"):
-        problems.append(f"duplex must be FDD or TDD, got {cfg.duplex!r}")
+    if cfg.duplex not in (duplexes := _CELL_CHOICES["duplex"]):
+        problems.append(f"duplex must be {' or '.join(duplexes)}, got {cfg.duplex!r}")
     for name in ("boresight_ue_deg", "boresight_bs_deg"):
         if not abs(getattr(cfg, name)) < 90.0:
             problems.append(f"{name} must satisfy |angle| < 90")
@@ -337,7 +337,8 @@ _CELL_CHOICES = {"sweep": ("power", "overlap", "single"), "duplex": tuple(m.valu
 # Mbps, and then the allocation (p_ue, p_bs, w_a, w_b).
 _FLOAT_INDICES = [i for i, name in enumerate(CSV_COLUMNS) if name not in _CELL_CHOICES]
 _float_cells = operator.itemgetter(*_FLOAT_INDICES)
-# One CSV line of a row: every cell but the last, converged, then its text.
+# The CSV header, and the CSV line of a row: every cell but the last, converged, then its text.
+_CSV_HEADER = ",".join(CSV_COLUMNS) + "\r\n"
 _CSV_LINE = ",".join("%s" if name in _CELL_CHOICES else "%.9g" for name in CSV_COLUMNS) + "\r\n"
 _config_point = operator.attrgetter("total_power_dbm", *CSV_COLUMNS[3:7])
 _row_sort_key = operator.attrgetter("sweep_value", "duplex", "altitude_km", "access_weight", "solver")
@@ -420,7 +421,7 @@ def run_power_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
         raise ValidationError("the power sweep requires overlap_mhz = 0")
 
     def points():
-        grid = itertools.product(_power_grid(cfg), ("FDD", "TDD"), POWER_SWEEP_ALTITUDES_KM)
+        grid = itertools.product(_power_grid(cfg), _CELL_CHOICES["duplex"], POWER_SWEEP_ALTITUDES_KM)
         for row_index, (power_dbm, duplex, altitude_km) in enumerate(grid):
             fields = ("power", power_dbm, power_dbm, 0.0, duplex, altitude_km, cfg.access_weight)
             yield fields, cfg.solvers, _row_seed(cfg.seed, row_index)
@@ -440,7 +441,7 @@ def run_overlap_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
     sweep_solvers = tuple(s for s in cfg.solvers if s != "exact")
 
     def points():
-        grid = itertools.product(fractions, OVERLAP_SWEEP_WEIGHTS, ("FDD", "TDD"))
+        grid = itertools.product(fractions, OVERLAP_SWEEP_WEIGHTS, _CELL_CHOICES["duplex"])
         for row_index, (fraction, access_weight, duplex) in enumerate(grid):
             fields = ("overlap", fraction, cfg.total_power_dbm, fraction * cfg.total_bandwidth_mhz,
                       duplex, cfg.altitude_km, access_weight)
@@ -456,22 +457,24 @@ def write_csv(rows: list[SweepRow], path: str) -> None:
     format per line. Deterministic byte output. Text cells are written as
     they are: the sweep, duplex and solver names need no quoting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        fh.write(_CSV_HEADER)
         fh.writelines([_CSV_LINE % (*row[:-1], "true" if row.converged else "false") for row in rows])
 
 
 def read_csv(path: str) -> list[SweepRow]:
-    """Read rows written by :func:`write_csv`, as its exact inverse: each text
-    cell must be one of its _CELL_CHOICES, and each float cell the %.9g text
-    of the value it parses to. Blank lines are skipped."""
+    """Read rows written by :func:`write_csv`, as its exact inverse: after the
+    _CSV_HEADER line, a line is read only if it is the _CSV_LINE of the row it
+    parses to, so quoted cells, other line endings and blank lines are errors."""
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    limit = csv.field_size_limit()  # the longest cell, as the csv module takes it
+    with open(path, "rb") as fh:
         try:
-            if next(reader, None) != list(CSV_COLUMNS):
+            if fh.readline().decode() != _CSV_HEADER:  # bytes.decode is UTF-8
                 raise ValidationError(f"{path}: unexpected CSV header")
-            for cells in filter(None, reader):
-                where = f"{path}:{reader.line_num}"
+            for number, line in enumerate(map(bytes.decode, fh), 2):
+                where, cells = f"{path}:{number}", line.removesuffix("\r\n").split(",")
+                if len(line) > limit and max(map(len, cells)) > limit:
+                    raise ValidationError(f"{where}: field larger than field limit ({limit})")
                 if len(cells) != len(CSV_COLUMNS):
                     raise ValidationError(f"{where}: expected {len(CSV_COLUMNS)} cells")
                 for name, choices in _CELL_CHOICES.items():
@@ -481,15 +484,15 @@ def read_csv(path: str) -> list[SweepRow]:
                 for i in _FLOAT_INDICES:
                     try:
                         cells[i] = float(text := cells[i])
-                        must = "" if "%.9g" % cells[i] == text else f"be written {'%.9g' % cells[i]!r}"
                     except ValueError:
-                        must = "be a number"
-                    if must:
-                        raise ValidationError(f"{where}: {CSV_COLUMNS[i]} must {must}, got {text!r}")
+                        raise ValidationError(f"{where}: {CSV_COLUMNS[i]} must be a number, "
+                                              f"got {text!r}") from None
+                if (written := _CSV_LINE % tuple(cells)) != line:  # name the first cell that differs
+                    name, want, got = next(diff for diff in zip(CSV_COLUMNS, written.split(","),
+                                                                line.split(",")) if diff[1] != diff[2])
+                    raise ValidationError(f"{where}: {name} must be written {want!r}, got {got!r}")
                 rows.append(SweepRow(*cells[:-1], cells[-1] == "true"))
-        except csv.Error as err:  # such as a cell over csv.field_size_limit()
-            raise ValidationError(f"{path}:{reader.line_num}: {err}") from None
-        except UnicodeDecodeError as err:  # in a chunk, whose line and position need not be the file's
+        except UnicodeDecodeError as err:  # of one line, as no UTF-8 character holds a newline byte
             raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
     return rows
 

@@ -159,20 +159,37 @@ def _solve_csv_lines() -> tuple[str, ...]:
 @st.composite
 def edited_csvs(draw) -> str:
     """A solve CSV with one edit: a data cell replaced by a drawn text, a cell
-    added to or dropped from any line, or every data row removed."""
+    added to or dropped from any line, every data row removed, one cell
+    wrapped in quotes, LF endings on one line or on all, a blank line
+    inserted, or the final CRLF dropped."""
     lines = [line.split(",") for line in _solve_csv_lines()]
-    edit = draw(st.sampled_from(["replace"] * 4 + ["add", "drop", "clear"]))
+    ends = ["\r\n"] * len(lines)
+    edit = draw(st.sampled_from(["replace"] * 4 + ["add", "drop", "clear"]
+                                + ["quote", "lf", "blank", "unended"]))
     if edit == "clear":
-        del lines[1:]
+        del lines[1:], ends[1:]
+    elif edit == "lf":
+        if draw(st.booleans()):
+            ends = ["\n"] * len(ends)
+        else:
+            ends[draw(st.integers(0, len(ends) - 1))] = "\n"
+    elif edit == "blank":
+        at = draw(st.integers(1, len(lines)))
+        lines.insert(at, [""])
+        ends.insert(at, "\r\n")
+    elif edit == "unended":
+        ends[-1] = ""
     else:
-        cells = lines[draw(st.integers(1 if edit == "replace" else 0, len(lines) - 1))]
+        cells = lines[draw(st.integers(1 if edit in ("replace", "quote") else 0, len(lines) - 1))]
         at = draw(st.integers(0, len(cells) - 1))
         if edit == "drop":
             del cells[at]
+        elif edit == "quote":
+            cells[at] = f'"{cells[at]}"'
         else:
             text = draw(_CELL_TEXTS | _GARBAGE | st.sampled_from(cells))
             cells[at:at + 1] = [text] if edit == "replace" else [text, cells[at]]
-    return "".join(",".join(cells) + "\r\n" for cells in lines)
+    return "".join(",".join(cells) + end for cells, end in zip(lines, ends))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)

@@ -615,7 +615,7 @@ def test_cli_audit_rejects_an_unknown_text_cell(tmp_path, capsys, column, text):
     assert f":3: {column} must be one of " in err and repr(text) in err
 
 
-@pytest.mark.parametrize("column, text", [("p_bs_w", "abc"), ("zeta_mbps", ""), ("power_dbm", "1,5")])
+@pytest.mark.parametrize("column, text", [("p_bs_w", "abc"), ("zeta_mbps", ""), ("power_dbm", "1;5")])
 def test_cli_audit_rejects_a_numeric_cell_that_is_not_a_number(tmp_path, capsys, column, text):
     def edit(table):
         table[2][CSV_COLUMNS.index(column)] = text
@@ -625,8 +625,37 @@ def test_cli_audit_rejects_a_numeric_cell_that_is_not_a_number(tmp_path, capsys,
     assert f":3: {column} must be a number, got {text!r}" in err
 
 
+def with_cell(line: bytes, column: str, text: bytes) -> bytes:
+    cells = line.split(b",")
+    cells[CSV_COLUMNS.index(column)] = text
+    return b",".join(cells)
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda lines: lines[:2] + [lines[2][:-2] + b"\n"] + lines[3:],
+                 r":3: converged must be one of true, false, got 'true\n'", id="lf-on-one-line"),
+    pytest.param(lambda lines: [line[:-2] + b"\n" for line in lines], ": unexpected CSV header",
+                 id="lf-on-all-lines"),
+    pytest.param(lambda lines: lines[:1] + [with_cell(lines[1], "power_dbm", b'"40"')] + lines[2:],
+                 """:2: power_dbm must be a number, got '"40"'""", id="quoted-cell"),
+    pytest.param(lambda lines: lines[:2] + [b"\r\n"] + lines[2:], ":3: expected 17 cells", id="blank-line"),
+    pytest.param(lambda lines: lines[:-1] + [lines[-1][:-2]],
+                 r":13: converged must be written 'true\r\n', got 'true'", id="no-final-crlf"),
+    # csv.writer quotes a cell that holds a comma, but read_csv splits on every comma
+    pytest.param(lambda lines: lines[:2] + [with_cell(lines[2], "power_dbm", b'"1,5"')] + lines[3:],
+                 ":3: expected 17 cells", id="quoted-comma"),
+])
+def test_cli_audit_rejects_a_line_that_write_csv_would_not_write(tmp_path, capsys, edit, message):
+    # the csv module reads each of these, but write_csv writes none of them
+    cfg, csv_path = audited_csv(tmp_path, lambda table: None)
+    lines = Path(csv_path).read_bytes().splitlines(keepends=True)
+    assert all(line.endswith(b"\r\n") for line in lines) and len(lines) == 13
+    Path(csv_path).write_bytes(b"".join(edit(lines)))
+    assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == f"error: {csv_path}{message}\n"
+
+
 def test_cli_audit_rejects_a_cell_beyond_the_csv_field_limit(tmp_path, capsys):
-    # the csv module raises its own error on such a cell, which read_csv names
+    # read_csv names such a cell with the csv module's own message and limit
     def edit(table):
         table[2][CSV_COLUMNS.index("duplex")] = "F" * (csv.field_size_limit() + 1)
 
@@ -646,7 +675,7 @@ def test_cli_solve_names_a_config_that_is_not_utf8(tmp_path, capsys):
 
 
 def test_cli_audit_names_a_csv_that_is_not_utf8(tmp_path, capsys):
-    # the file is decoded a chunk at a time, so neither a line nor a position is named
+    # the file is decoded a line at a time, and the message names the file alone
     def edit(table):
         table[2][CSV_COLUMNS.index("duplex")] = "FD?"
 
