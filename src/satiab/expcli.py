@@ -33,14 +33,7 @@ import numpy as np
 
 from .allocator import PSO_WEIGHT_LIMITS, PsoConfig, SolverKind
 from .allocator import grid_oracle_many, pso_solve_many, solve_orthogonal_many
-from .linkbudget import (
-    GroundNodeParams,
-    SatelliteParams,
-    channel_gain,
-    db_to_linear,
-    dbm_to_watts,
-    slant_distance,
-)
+from .linkbudget import channel_gain, db_to_linear, dbm_to_watts
 from .ratemodel import CONSTRAINTS, DuplexMode, ScenarioBatch
 from .ratemodel import duplex_factors, evaluate_many, validate_many
 
@@ -143,8 +136,10 @@ _MAX_POWER_SWEEP_POINTS = 2001
 # db_to_linear and channel_gain stay finite and positive: the channel gain
 # stays within about 1e-85 .. 1e15. Far beyond the ranges of the bandwidth
 # and the access weight, a link's SINR is so small that log2(1 + SINR)
-# rounds to 0. The sizes are capped so that no solve asks for gigabytes: an
-# oracle of resolution r holds r x r allocations, a swarm S x population x 4.
+# rounds to 0. The sizes are capped so that no solve asks for gigabytes: a
+# swarm holds S x population x 4 floats. An oracle of resolution r bisects
+# down the r grid columns of each scenario in (rows, r) arrays of at most
+# max(r, 4,096) columns per chunk, so its cap bounds time, not memory.
 _RANGES = {
     "total_bandwidth_mhz": (0.001, 1e5),
     "access_weight": (1e-6, 1.0),
@@ -278,6 +273,7 @@ def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
     checks first raises, which need not be the first bad point.
     """
     sat_gain = db_to_linear(cfg.satellite_antenna_gain_dbi)
+    aperture, frequency = cfg.aperture_radius_m, cfg.carrier_frequency_ghz * 1e9
     nodes = [(db_to_linear(gain_dbi), math.radians(angle_deg)) for gain_dbi, angle_deg in (
         (cfg.ue_antenna_gain_dbi, cfg.boresight_ue_deg), (cfg.bs_antenna_gain_dbi, cfg.boresight_bs_deg))]
     noise = dbm_to_watts(cfg.noise_density_dbm_hz)
@@ -286,13 +282,8 @@ def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
     rows = []
     for power_dbm, overlap_mhz, duplex, altitude_km, access_weight in points:
         if altitude_km not in gains:
-            altitude_m = altitude_km * 1e3
-            sat = SatelliteParams(sat_gain, cfg.aperture_radius_m, cfg.carrier_frequency_ghz * 1e9,
-                                  altitude_m)
-            gains[altitude_km] = [
-                channel_gain(sat, GroundNodeParams(gain, angle, slant_distance(altitude_m, angle)))
-                for gain, angle in nodes
-            ]
+            gains[altitude_km] = [channel_gain(sat_gain, gain, angle, altitude_km * 1e3, aperture, frequency)
+                                  for gain, angle in nodes]
         # the ScenarioBatch columns, in order
         rows.append((dbm_to_watts(power_dbm), cfg.total_bandwidth_mhz * 1e6, overlap_mhz * 1e6,
                      noise, interference, access_weight, *duplex_factors(DuplexMode(duplex)),

@@ -3,20 +3,19 @@
 Everything here computes in linear SI units (W, Hz, m, radians); decibel
 quantities exist only at the conversion helpers. The channel gain of a
 ground node combines the satellite and terminal antenna gains, the
-normalized aperture pattern toward the node, and free-space path loss.
-All operations are pure functions of their inputs and are safe to call
-concurrently.
+normalized aperture pattern toward the node, and free-space path loss over
+the slant distance, which it derives from the orbit altitude and the
+node's boresight angle. All operations are pure functions of plain floats,
+each checks the inputs it uses (NaN fails every check), and all are safe
+to call concurrently.
 """
 
 import math
-from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
 __all__ = [
     "SPEED_OF_LIGHT",
-    "GroundNodeParams",
-    "SatelliteParams",
     "db_to_linear",
     "linear_to_db",
     "dbm_to_watts",
@@ -28,6 +27,16 @@ __all__ = [
 ]
 
 
+def _require_positive(name: str, x: float) -> None:
+    if not x > 0.0:  # written so that NaN fails too
+        raise ValueError(f"{name} must be positive, got {x}")
+
+
+def _require_boresight_angle(angle: float) -> None:
+    if not abs(angle) < 0.5 * math.pi:
+        raise ValueError(f"boresight angle must satisfy |angle| < pi/2, got {angle}")
+
+
 def db_to_linear(x_db: float) -> float:
     """Convert a decibel ratio (dB, dBi) to a linear power ratio."""
     return 10.0 ** (x_db / 10.0)
@@ -35,59 +44,13 @@ def db_to_linear(x_db: float) -> float:
 
 def linear_to_db(ratio: float) -> float:
     """Inverse of :func:`db_to_linear`; requires a positive ratio."""
-    if ratio <= 0.0:
-        raise ValueError(f"dB conversion needs a positive ratio, got {ratio}")
+    _require_positive("ratio", ratio)
     return 10.0 * math.log10(ratio)
 
 
 def dbm_to_watts(p_dbm: float) -> float:
     """Convert a power level in dBm to watts (30 dBm = 1 W)."""
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
-
-
-@dataclass(frozen=True)
-class GroundNodeParams:
-    """One ground terminal (UE or BS) as seen from the satellite.
-
-    Attributes:
-        antenna_gain: Receive antenna gain, linear power ratio.
-        boresight_angle: Offset from the satellite antenna axis, radians.
-        slant_distance: Satellite-to-node distance, meters.
-    """
-
-    antenna_gain: float
-    boresight_angle: float
-    slant_distance: float
-
-    def __post_init__(self) -> None:
-        if self.antenna_gain <= 0.0:
-            raise ValueError("antenna_gain must be positive")
-        if self.slant_distance <= 0.0:
-            raise ValueError("slant_distance must be positive")
-        if not abs(self.boresight_angle) < 0.5 * math.pi:
-            raise ValueError("boresight_angle must satisfy |angle| < pi/2")
-
-
-@dataclass(frozen=True)
-class SatelliteParams:
-    """Satellite-side antenna and carrier parameters.
-
-    Attributes:
-        antenna_gain: Transmit antenna gain, linear power ratio.
-        aperture_radius: Radius of the circular antenna aperture, meters.
-        carrier_frequency: Carrier frequency, Hz.
-        altitude: Orbit altitude above ground, meters.
-    """
-
-    antenna_gain: float
-    aperture_radius: float
-    carrier_frequency: float
-    altitude: float
-
-    def __post_init__(self) -> None:
-        for name in ("antenna_gain", "aperture_radius", "carrier_frequency", "altitude"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
 
 
 _J1_SERIES_CUTOFF = 12.0
@@ -155,8 +118,9 @@ def antenna_pattern(theta: float, aperture_radius: float, carrier_frequency: flo
         aperture_radius: Aperture radius, meters.
         carrier_frequency: Carrier frequency, Hz.
     """
-    if not abs(theta) < 0.5 * math.pi:
-        raise ValueError("theta must satisfy |theta| < pi/2")
+    _require_boresight_angle(theta)
+    _require_positive("aperture_radius", aperture_radius)
+    _require_positive("carrier_frequency", carrier_frequency)
     if theta == 0.0:
         return 1.0
     k = 2.0 * math.pi * carrier_frequency / SPEED_OF_LIGHT
@@ -169,30 +133,35 @@ def antenna_pattern(theta: float, aperture_radius: float, carrier_frequency: flo
 
 def free_space_path_loss(carrier_frequency: float, distance: float) -> float:
     """Free-space path loss (4 pi f d / c)^2 as a linear power ratio."""
-    if carrier_frequency <= 0.0 or distance <= 0.0:
-        raise ValueError("carrier_frequency and distance must be positive")
+    _require_positive("carrier_frequency", carrier_frequency)
+    _require_positive("distance", distance)
     return (4.0 * math.pi * carrier_frequency * distance / SPEED_OF_LIGHT) ** 2
 
 
 def slant_distance(altitude: float, boresight_angle: float) -> float:
     """Satellite-to-node distance for a node seen at the given boresight angle.
 
-    Modeled as altitude / cos(angle). The angles of interest are well below
-    one degree, so this is numerically indistinguishable from the altitude;
-    it exists so the off-axis node sees a (slightly) longer path.
+    Modeled as altitude / cos(angle). Small angles still matter: 0.8 degrees
+    off axis at 600 km the path is 58 m longer, which lowers that node's
+    channel gain by a relative 2e-4, far more than a 9-digit CSV cell
+    resolves.
     """
-    if altitude <= 0.0:
-        raise ValueError("altitude must be positive")
-    if not abs(boresight_angle) < 0.5 * math.pi:
-        raise ValueError("boresight_angle must satisfy |angle| < pi/2")
+    _require_positive("altitude", altitude)
+    _require_boresight_angle(boresight_angle)
     return altitude / math.cos(boresight_angle)
 
 
-def channel_gain(sat: SatelliteParams, node: GroundNodeParams) -> float:
+def channel_gain(sat_gain: float, node_gain: float, boresight_angle: float, altitude: float,
+                 aperture_radius: float, carrier_frequency: float) -> float:
     """Linear channel power gain between the satellite and one ground node.
 
     gain = G_sat * G_node * pattern(theta) / path_loss(f, d); strictly positive.
+    The antenna gains are linear power ratios, theta is the node's boresight
+    angle in radians, the orbit altitude and aperture radius are in meters,
+    f is in Hz, and the slant distance d = slant_distance(altitude, theta).
     """
-    psi = antenna_pattern(node.boresight_angle, sat.aperture_radius, sat.carrier_frequency)
-    pl = free_space_path_loss(sat.carrier_frequency, node.slant_distance)
-    return sat.antenna_gain * node.antenna_gain * psi / pl
+    _require_positive("sat_gain", sat_gain)
+    _require_positive("node_gain", node_gain)
+    psi = antenna_pattern(boresight_angle, aperture_radius, carrier_frequency)
+    pl = free_space_path_loss(carrier_frequency, slant_distance(altitude, boresight_angle))
+    return sat_gain * node_gain * psi / pl

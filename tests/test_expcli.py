@@ -405,9 +405,9 @@ def test_build_scenarios_equals_scenarios_built_alone():
 def test_channel_gain_runs_twice_per_altitude(tmp_path, monkeypatch):
     calls, channel_gain = [], expcli.channel_gain
 
-    def counted(sat, node):
-        calls.append(sat.altitude)
-        return channel_gain(sat, node)
+    def counted(sat_gain, node_gain, boresight_angle, altitude, *rest):
+        calls.append(altitude)
+        return channel_gain(sat_gain, node_gain, boresight_angle, altitude, *rest)
 
     monkeypatch.setattr(expcli, "channel_gain", counted)
     cfg = small_config(solvers=("exact",))

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from satiab import (
-    GroundNodeParams,
-    SatelliteParams,
     antenna_pattern,
     bessel_j1,
     channel_gain,
@@ -118,71 +116,91 @@ def test_slant_distance_nadir_and_off_axis():
     assert slant_distance(600e3, math.radians(0.8)) == pytest.approx(600058.49, abs=1.0)
 
 
-def _default_satellite(altitude=600e3):
-    return SatelliteParams(
-        antenna_gain=db_to_linear(36.0),
-        aperture_radius=1.5,
-        carrier_frequency=2e9,
-        altitude=altitude,
-    )
+# The default satellite as channel_gain's trailing arguments: 36 dBi, a
+# 1.5 m aperture at 2 GHz; the altitude comes before them in each call.
+SAT_GAIN = db_to_linear(36.0)
+APERTURE = (1.5, 2e9)
 
 
 def test_channel_gain_nadir_user():
-    sat = _default_satellite()
-    ue = GroundNodeParams(antenna_gain=1.0, boresight_angle=0.0, slant_distance=600e3)
-    assert channel_gain(sat, ue) == pytest.approx(1.5734726039155016e-12, rel=0.01)
+    assert channel_gain(SAT_GAIN, 1.0, 0.0, 600e3, *APERTURE) == pytest.approx(
+        1.5734726039155016e-12, rel=0.01)
 
 
 def test_channel_gain_backhaul_ratio():
     # gain ratio = G_bs * pattern(0.8 deg) * (d_ue/d_bs)^2 = 863.6824 from
-    # the extended-precision oracle
-    sat = _default_satellite()
-    ue = GroundNodeParams(antenna_gain=1.0, boresight_angle=0.0, slant_distance=600e3)
+    # the extended-precision oracle; the slant distance d_bs is derived
     theta = math.radians(0.8)
-    bs = GroundNodeParams(
-        antenna_gain=db_to_linear(32.8),
-        boresight_angle=theta,
-        slant_distance=slant_distance(600e3, theta),
-    )
-    ratio = channel_gain(sat, bs) / channel_gain(sat, ue)
-    assert ratio == pytest.approx(863.6824003209116, rel=0.02)
+    ue = channel_gain(SAT_GAIN, 1.0, 0.0, 600e3, *APERTURE)
+    bs = channel_gain(SAT_GAIN, db_to_linear(32.8), theta, 600e3, *APERTURE)
+    assert bs / ue == pytest.approx(863.6824003209116, rel=0.02)
 
 
 def test_channel_gain_unit_antenna_identity():
-    sat = _default_satellite()
-    node = GroundNodeParams(antenna_gain=1.0, boresight_angle=0.1, slant_distance=700e3)
-    expected = sat.antenna_gain * antenna_pattern(0.1, 1.5, 2e9) / free_space_path_loss(2e9, 700e3)
-    assert channel_gain(sat, node) == pytest.approx(expected, rel=1e-12)
+    # the altitude at which a node 0.1 rad off axis is 700 km away
+    altitude = 700e3 * math.cos(0.1)
+    expected = SAT_GAIN * antenna_pattern(0.1, 1.5, 2e9) / free_space_path_loss(2e9, 700e3)
+    assert channel_gain(SAT_GAIN, 1.0, 0.1, altitude, *APERTURE) == pytest.approx(expected, rel=1e-12)
 
 
 def test_channel_gain_monotonicity():
-    sat = _default_satellite()
     rng = np.random.default_rng(11)
     for _ in range(1000):
         gain = 10.0 ** rng.uniform(0.0, 4.0)
         theta = rng.uniform(0.0, 0.02)
-        d1 = 10.0 ** rng.uniform(5.5, 6.5)
-        d2 = d1 * rng.uniform(1.01, 3.0)
-        near = GroundNodeParams(antenna_gain=gain, boresight_angle=theta, slant_distance=d1)
-        far = GroundNodeParams(antenna_gain=gain, boresight_angle=theta, slant_distance=d2)
-        assert channel_gain(sat, near) > channel_gain(sat, far)
-        stronger = GroundNodeParams(
-            antenna_gain=gain * rng.uniform(1.01, 10.0), boresight_angle=theta, slant_distance=d1
-        )
-        assert channel_gain(sat, stronger) > channel_gain(sat, near)
-        bigger_dish = SatelliteParams(
-            antenna_gain=sat.antenna_gain * rng.uniform(1.01, 10.0),
-            aperture_radius=sat.aperture_radius,
-            carrier_frequency=sat.carrier_frequency,
-            altitude=sat.altitude,
-        )
-        assert channel_gain(bigger_dish, near) > channel_gain(sat, near)
+        h1 = 10.0 ** rng.uniform(5.5, 6.5)
+        h2 = h1 * rng.uniform(1.01, 3.0)
+        near = channel_gain(SAT_GAIN, gain, theta, h1, *APERTURE)
+        far = channel_gain(SAT_GAIN, gain, theta, h2, *APERTURE)
+        assert near > far
+        stronger = channel_gain(SAT_GAIN, gain * rng.uniform(1.01, 10.0), theta, h1, *APERTURE)
+        assert stronger > near
+        bigger_dish = channel_gain(SAT_GAIN * rng.uniform(1.01, 10.0), gain, theta, h1, *APERTURE)
+        assert bigger_dish > near
+
+
+def test_channel_gain_is_the_composition_of_its_terms():
+    # the same arithmetic in the same order, so equal to the last bit
+    rng = np.random.default_rng(5)
+    for _ in range(1000):
+        theta = float(rng.choice([0.0, rng.uniform(-0.05, 0.05), rng.uniform(-1.5, 1.5)]))
+        altitude = float(10.0 ** rng.uniform(3.0, 8.0))
+        sat_gain, node_gain = (float(g) for g in 10.0 ** rng.uniform(-5.0, 10.0, size=2))
+        psi = antenna_pattern(theta, *APERTURE)
+        pl = free_space_path_loss(APERTURE[1], slant_distance(altitude, theta))
+        assert channel_gain(sat_gain, node_gain, theta, altitude, *APERTURE) == sat_gain * node_gain * psi / pl
 
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        GroundNodeParams(antenna_gain=0.0, boresight_angle=0.0, slant_distance=1.0)
+        channel_gain(SAT_GAIN, 0.0, 0.0, 1.0, *APERTURE)
     with pytest.raises(ValueError):
-        GroundNodeParams(antenna_gain=1.0, boresight_angle=math.pi / 2, slant_distance=1.0)
+        channel_gain(SAT_GAIN, 1.0, math.pi / 2, 1.0, *APERTURE)
     with pytest.raises(ValueError):
-        SatelliteParams(antenna_gain=1.0, aperture_radius=-1.0, carrier_frequency=2e9, altitude=600e3)
+        channel_gain(1.0, 1.0, 0.0, 600e3, -1.0, 2e9)
+
+
+# Each entry calls one function with one of its positive inputs set to bad.
+# theta = 0.01 rad is off axis, so the pattern's arithmetic would run.
+_POSITIVE_INPUTS = {
+    "linear_to_db": lambda bad: linear_to_db(bad),
+    "free_space_path_loss(f)": lambda bad: free_space_path_loss(bad, 600e3),
+    "free_space_path_loss(d)": lambda bad: free_space_path_loss(2e9, bad),
+    "slant_distance(altitude)": lambda bad: slant_distance(bad, 0.01),
+    "antenna_pattern(a)": lambda bad: antenna_pattern(0.01, bad, 2e9),
+    "antenna_pattern(f)": lambda bad: antenna_pattern(0.01, 1.5, bad),
+    "antenna_pattern(a) at boresight": lambda bad: antenna_pattern(0.0, bad, 2e9),
+    "channel_gain(sat_gain)": lambda bad: channel_gain(bad, 1.0, 0.01, 600e3, *APERTURE),
+    "channel_gain(node_gain)": lambda bad: channel_gain(SAT_GAIN, bad, 0.01, 600e3, *APERTURE),
+    "channel_gain(altitude)": lambda bad: channel_gain(SAT_GAIN, 1.0, 0.01, bad, *APERTURE),
+    "channel_gain(aperture)": lambda bad: channel_gain(SAT_GAIN, 1.0, 0.01, 600e3, bad, 2e9),
+    "channel_gain(frequency)": lambda bad: channel_gain(SAT_GAIN, 1.0, 0.01, 600e3, 1.5, bad),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+@pytest.mark.parametrize("call", list(_POSITIVE_INPUTS.values()), ids=list(_POSITIVE_INPUTS))
+def test_positive_inputs_reject_nan_zero_and_negative(call, bad):
+    with pytest.raises(ValueError):
+        call(bad)
+
