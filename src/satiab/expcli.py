@@ -264,30 +264,36 @@ def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
     """Turn a run's points into a batch of linear-unit scenarios, one row per point.
 
     A point is (power_dbm, overlap_mhz, duplex, altitude_km, access_weight),
-    the SweepRow columns CSV_COLUMNS[2:7]; every other value comes from cfg.
-    The channel gains depend on a point only through its altitude, so each
-    distinct altitude's gains are computed once, when a point first needs
-    them; an unknown duplex or a bad altitude raises at the first point
-    that has one. The batch then raises the first of its conditions that
-    any row fails: of two bad points, the one whose condition the batch
+    the SweepRow columns CSV_COLUMNS[2:7], and points any iterable of them;
+    every other value comes from cfg. Each distinct altitude's channel gains,
+    power's watts and duplex's factors are computed once, in that order, when
+    a point first needs them, so a bad one raises at the first point that has
+    one. The watts stay scalar dbm_to_watts calls: numpy's vector power
+    differs from Python's 10.0 ** x in the last bit on some inputs, which
+    would change CSV bytes. The batch then raises the first of its conditions
+    that any row fails: of two bad points, the one whose condition the batch
     checks first raises, which need not be the first bad point.
     """
     sat_gain = db_to_linear(cfg.satellite_antenna_gain_dbi)
     aperture, frequency = cfg.aperture_radius_m, cfg.carrier_frequency_ghz * 1e9
     nodes = [(db_to_linear(gain_dbi), math.radians(angle_deg)) for gain_dbi, angle_deg in (
         (cfg.ue_antenna_gain_dbi, cfg.boresight_ue_deg), (cfg.bs_antenna_gain_dbi, cfg.boresight_bs_deg))]
+    bandwidth = cfg.total_bandwidth_mhz * 1e6
     noise = dbm_to_watts(cfg.noise_density_dbm_hz)
     interference = dbm_to_watts(cfg.interference_density_dbm_hz)
-    gains: dict[float, list[float]] = {}
+    gains, watts, factors = {}, {}, {}  # of each altitude_km, power_dbm and duplex
     rows = []
     for power_dbm, overlap_mhz, duplex, altitude_km, access_weight in points:
         if altitude_km not in gains:
             gains[altitude_km] = [channel_gain(sat_gain, gain, angle, altitude_km * 1e3, aperture, frequency)
                                   for gain, angle in nodes]
+        if power_dbm not in watts:
+            watts[power_dbm] = dbm_to_watts(power_dbm)
+        if duplex not in factors:
+            factors[duplex] = duplex_factors(DuplexMode(duplex))
         # the ScenarioBatch columns, in order
-        rows.append((dbm_to_watts(power_dbm), cfg.total_bandwidth_mhz * 1e6, overlap_mhz * 1e6,
-                     noise, interference, access_weight, *duplex_factors(DuplexMode(duplex)),
-                     *gains[altitude_km]))
+        rows.append((watts[power_dbm], bandwidth, overlap_mhz * 1e6, noise, interference, access_weight,
+                     *factors[duplex], *gains[altitude_km]))
     columns = np.array(rows, dtype=float).reshape(-1, len(dataclasses.fields(ScenarioBatch))).T
     return ScenarioBatch(*(column.reshape(-1, 1) for column in columns.copy()))
 
@@ -365,22 +371,23 @@ def _run_sweep(cfg: ExperimentConfig, points) -> list[SweepRow]:
 
     points yields (fields, solvers, seed) per point, fields being the
     SweepRow values before the solver name, so fields[2:] is the point that
-    build_scenarios takes, and seed the point's swarm seed. Each solver
-    makes one batch call, from _SOLVERS, and one evaluate_many call on the
-    rows of the batch that select it. A row does not depend on the others.
+    build_scenarios takes, and seed the point's swarm seed. Each solver name
+    is looked up once; its solver makes one batch call, from _SOLVERS, and
+    one evaluate_many call, on the rows of the batch that select it, or on
+    the batch itself if every point does. A row does not depend on the others.
     """
     points = list(points)
     batch = build_scenarios(cfg, [fields[2:] for fields, _, _ in points])
-    jobs: dict[SolverKind, list[int]] = {}
+    jobs: dict[str, list[int]] = {}
     for index, (_, solvers, _) in enumerate(points):
         for solver in solvers:
-            jobs.setdefault(SolverKind(solver), []).append(index)
+            jobs.setdefault(solver, []).append(index)
     rows = []
-    for kind, indices in jobs.items():
-        scns = batch.take(indices)
-        alloc, _, converged = _SOLVERS[kind](cfg, scns, [points[i][2] for i in indices])
+    for solver, indices in jobs.items():
+        scns = batch if len(indices) == len(points) else batch.take(indices)
+        alloc, _, converged = _SOLVERS[SolverKind(solver)](cfg, scns, [points[i][2] for i in indices])
         cells = np.hstack((evaluate_many(scns, alloc) / 1e6, alloc)).tolist()
-        rows += [SweepRow(*points[i][0], kind.value, *row, done)
+        rows += [SweepRow._make((*points[i][0], solver, *row, done))
                  for i, row, done in zip(indices, cells, converged.tolist())]
     rows.sort(key=_row_sort_key)
     return rows
@@ -515,7 +522,8 @@ def emit_plot(rows: list[SweepRow], path: str) -> None:
 
     One polyline per (duplex, altitude, access weight, solver) series,
     throughput in Mbps on the y axis; the x axis is the sweep variable
-    (transmit power in dBm, or overlap fraction spanning [0, 1]).
+    (transmit power in dBm, or overlap fraction spanning [0, 1]). A series'
+    coordinates are two arrays, by the formulas of the ticks.
     """
     if not rows:
         raise ValueError("cannot plot an empty table")
@@ -601,7 +609,8 @@ def emit_plot(rows: list[SweepRow], path: str) -> None:
     legend_y = top + 12
     for index, key in enumerate(sorted(series)):
         color = _PALETTE[index % len(_PALETTE)]
-        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in series[key])
+        xs, ys = np.array(series[key], dtype=float).T
+        points = " ".join(map("%.2f,%.2f".__mod__, zip(sx(xs).tolist(), sy(ys).tolist())))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>'
         )

@@ -14,6 +14,8 @@ reference for the audit that checks all rows as arrays; its feasibility
 check and rate report are the scalar bodies validate and
 RateReport.from_rates once had, on the allocation's floats, so that it
 shares no code with the batch checks but the rate kernel link_rates.
+The per-point scenario builder is build_scenarios as it was before it
+converted each distinct power and duplex once, kept as its reference.
 The reference swarm is the swarm as first written, an S x N x 4 tensor
 with a strided column per coordinate, a fresh temporary per elementwise
 step and one draw call per row and iteration, kept as the reference for
@@ -43,6 +45,9 @@ from satiab import (
     SolverKind,
     SolveResult,
     bandwidth_limits,
+    channel_gain,
+    db_to_linear,
+    dbm_to_watts,
     duplex_factors,
     grid_oracle_many,
     link_rates,
@@ -428,6 +433,29 @@ def row_scenario(cfg: ExperimentConfig, row) -> ScenarioBatch:
         overlap_mhz=row.overlap_mhz,
         access_weight=row.access_weight,
     ))
+
+
+def per_point_build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
+    """build_scenarios as it once was: one dbm_to_watts and one DuplexMode
+    lookup per point, and each distinct altitude's channel gains once."""
+    sat_gain = db_to_linear(cfg.satellite_antenna_gain_dbi)
+    aperture, frequency = cfg.aperture_radius_m, cfg.carrier_frequency_ghz * 1e9
+    nodes = [(db_to_linear(gain_dbi), math.radians(angle_deg)) for gain_dbi, angle_deg in (
+        (cfg.ue_antenna_gain_dbi, cfg.boresight_ue_deg), (cfg.bs_antenna_gain_dbi, cfg.boresight_bs_deg))]
+    noise = dbm_to_watts(cfg.noise_density_dbm_hz)
+    interference = dbm_to_watts(cfg.interference_density_dbm_hz)
+    gains: dict[float, list[float]] = {}
+    rows = []
+    for power_dbm, overlap_mhz, duplex, altitude_km, access_weight in points:
+        if altitude_km not in gains:
+            gains[altitude_km] = [channel_gain(sat_gain, gain, angle, altitude_km * 1e3, aperture, frequency)
+                                  for gain, angle in nodes]
+        # the ScenarioBatch columns, in order
+        rows.append((dbm_to_watts(power_dbm), cfg.total_bandwidth_mhz * 1e6, overlap_mhz * 1e6,
+                     noise, interference, access_weight, *duplex_factors(DuplexMode(duplex)),
+                     *gains[altitude_km]))
+    columns = np.array(rows, dtype=float).reshape(-1, len(dataclasses.fields(ScenarioBatch))).T
+    return ScenarioBatch(*(column.reshape(-1, 1) for column in columns.copy()))
 
 
 def per_row_audit(cfg: ExperimentConfig, rows) -> list[str]:

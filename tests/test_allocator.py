@@ -843,3 +843,23 @@ def test_all_solvers_return_feasible_allocations():
             assert again.maxmin_level == pytest.approx(
                 result.report.maxmin_level, rel=1e-9, abs=1e-9
             )
+
+
+@pytest.mark.parametrize("overlap_mhz", [0.0, 10.0])
+def test_solvers_never_write_into_the_batch(overlap_mhz):
+    # a sweep hands one build_scenarios batch to several solver calls
+    points = [(30.0 + 5.0 * k, overlap_mhz, ("FDD", "TDD")[k % 2], 600.0 * (1 + k // 2), 0.1 * (k + 1))
+              for k in range(6)]
+    batch = expcli.build_scenarios(expcli.ExperimentConfig(), points)
+    writable = ScenarioBatch(*(getattr(batch, f.name).copy() for f in dataclasses.fields(ScenarioBatch)))
+    for field in dataclasses.fields(ScenarioBatch):
+        getattr(batch, field.name).flags.writeable = False
+    solves = [lambda b: pso_solve_many(b, PsoConfig(population_size=8, max_iterations=10), range(6)),
+              lambda b: grid_oracle_many(b, 12)]
+    if overlap_mhz == 0.0:
+        solves.append(solve_orthogonal_many)
+    for solve in solves:
+        (alloc, iterations, converged), again = solve(batch), solve(writable)
+        assert all(map(np.array_equal, (alloc, iterations, converged), again))
+        assert np.array_equal(evaluate_many(batch, alloc), evaluate_many(writable, alloc))
+        assert np.array_equal(validate_many(batch, alloc), validate_many(writable, alloc))

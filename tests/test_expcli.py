@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from satiab import (
     PsoConfig,
@@ -24,6 +26,7 @@ from satiab import (
     solve_orthogonal,
 )
 from satiab.expcli import (
+    _RANGES,
     CSV_COLUMNS,
     ExperimentConfig,
     ParseError,
@@ -43,7 +46,7 @@ from satiab.expcli import (
     write_csv,
 )
 
-from oracles import per_row_audit, row_scenario
+from oracles import per_point_build_scenarios, per_row_audit, row_scenario
 
 
 def write_json(path, payload) -> str:
@@ -420,6 +423,68 @@ def test_channel_gain_runs_twice_per_altitude(tmp_path, monkeypatch):
     assert calls == [600e3, 600e3, 1200e3, 1200e3]
 
 
+def test_dbm_to_watts_runs_once_per_distinct_power(tmp_path, monkeypatch):
+    # twice for the noise and interference densities, then once per power
+    calls, dbm_to_watts = [], expcli.dbm_to_watts
+
+    def counted(p_dbm):
+        calls.append(p_dbm)
+        return dbm_to_watts(p_dbm)
+
+    monkeypatch.setattr(expcli, "dbm_to_watts", counted)
+    cfg = small_config(solvers=("exact",))
+    rows = run_power_sweep(cfg)
+    assert len(rows) == 12 and calls == [-174.0, -174.0, 40.0, 41.0, 42.0]
+    path = tmp_path / "sweep.csv"
+    write_csv(rows, str(path))
+    calls.clear()
+    assert audit_rows(cfg, read_csv(str(path))) == []
+    assert calls == [-174.0, -174.0, 40.0, 41.0, 42.0]
+
+
+def _pool(limits):
+    return st.lists(st.floats(*limits), min_size=1, max_size=3)
+
+
+@st.composite
+def point_lists(draw):
+    """Lists of valid points whose cells repeat, each drawn from a pool of
+    at most three values per column."""
+    pools = (_pool(_RANGES["total_power_dbm"]), _pool((0.0, ExperimentConfig().total_bandwidth_mhz)),
+             st.lists(st.sampled_from(("FDD", "TDD")), min_size=1, max_size=2),
+             _pool(_RANGES["altitude_km"]), _pool(_RANGES["access_weight"]))
+    return draw(st.lists(st.tuples(*(st.sampled_from(draw(pool)) for pool in pools)), max_size=12))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(point_lists())
+@example([])
+def test_build_scenarios_equals_the_per_point_oracle(points):
+    cfg = ExperimentConfig()
+    want = per_point_build_scenarios(cfg, points)
+    for got in (build_scenarios(cfg, points), build_scenarios(cfg, (point for point in points))):
+        for field in dataclasses.fields(ScenarioBatch):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+@pytest.mark.parametrize("points, error, message", [
+    # of two points, the first bad one raises, whatever is bad in it
+    ([(40.0, 0.0, "XDD", 600.0, 0.1), (40.0, 0.0, "FDD", -1.0, 0.1)], ValueError,
+     "'XDD' is not a valid DuplexMode"),
+    ([(40.0, 0.0, "FDD", -1.0, 0.1), (40.0, 0.0, "XDD", 600.0, 0.1)], ValueError,
+     "altitude must be positive, got -1000.0"),
+    ([(1e4, 0.0, "FDD", 600.0, 0.1), (40.0, 0.0, "XDD", 600.0, 0.1)], OverflowError, None),
+    # within a point, the altitude raises first, then the power, then the duplex
+    ([(40.0, 0.0, "XDD", -1.0, 0.1)], ValueError, "altitude must be positive, got -1000.0"),
+    ([(1e4, 0.0, "FDD", -1.0, 0.1)], ValueError, "altitude must be positive, got -1000.0"),
+    ([(1e4, 0.0, "XDD", 600.0, 0.1)], OverflowError, None),
+])
+def test_build_scenarios_raises_at_the_first_bad_point(points, error, message):
+    with pytest.raises(error) as raised:
+        build_scenarios(ExperimentConfig(), points)
+    assert message is None or str(raised.value) == message
+
+
 def test_run_single_produces_one_row_per_solver():
     cfg = small_config(solvers=("exact", "oracle", "pso"))
     rows = run_single(cfg)
@@ -466,6 +531,47 @@ def test_emit_plot_overlap_sweep_axis(tmp_path):
 def test_emit_plot_rejects_empty():
     with pytest.raises(ValueError):
         emit_plot([], "unused.svg")
+
+
+def plot_table(sweep, xs, series, throughput):
+    """Rows of a synthetic sweep, last row first: one per x in xs and
+    (duplex, altitude_km, access_weight, solver) in series, whose
+    throughput is throughput(i, j) for the i-th x and the j-th series."""
+    return [sample_row(sweep=sweep, sweep_value=x, duplex=duplex, altitude_km=altitude_km,
+                       access_weight=access_weight, solver=solver, throughput_mbps=throughput(i, j))
+            for i, x in enumerate(xs) for j, (duplex, altitude_km, access_weight, solver) in enumerate(series)
+            ][::-1]
+
+
+_POWER_SERIES = [("FDD", 600.0, 0.1, "exact"), ("TDD", 600.0, 0.1, "exact"), ("FDD", 1200.0, 0.1, "pso"),
+                 ("TDD", 1200.0, 0.1, "oracle")]
+_PLOT_TABLES = {
+    "power": plot_table("power", [30.0 + 0.3 * i for i in range(11)], _POWER_SERIES,
+                        lambda i, j: 150.0 + 13.7 * i - 21.3 * j + 0.0137 * i * i),
+    "overlap": plot_table("overlap", [i / 6 for i in range(7)],
+                          [(d, 600.0, e, "pso") for d in ("FDD", "TDD") for e in (0.05, 0.1, 0.2)],
+                          lambda i, j: 310.0 - 9.1 * i / (j + 1) + 4.4 * j)
+               + plot_table("overlap", [0.0], [("FDD", 600.0, 0.1, "exact")], lambda i, j: 297.25),
+    "one point": plot_table("power", [40.0], _POWER_SERIES[:2], lambda i, j: 291.633242 - 40.5 * j),
+    "zero throughput": plot_table("power", [40.0, 41.0, 42.0], _POWER_SERIES, lambda i, j: 0.0),
+    "nan throughput": plot_table("power", [40.0, 45.5, 51.0], _POWER_SERIES,
+                                 lambda i, j: math.nan if (i, j) == (1, 2) else 88.8 * (i + 1) + 0.75 * j),
+}
+
+
+@pytest.mark.parametrize("name, sha256", [
+    ("power", "c67e08fdea53a8ec7d96bd3c25715505e401c521ae34f70bac9ba2f5d25acf31"),
+    ("overlap", "46ac61b0de2b709032e6dc6f63d4ee0ac65c9b1e03113968fff30b8d5da556a3"),
+    ("one point", "d1b84926b8c69eed55d66262376a33ee5ea76cd64328a3fd86356b1328a745c6"),
+    ("zero throughput", "5fb0385d9cb11c0877d99690030d85d33457018d0f0f338e39f6110a32e7c6b6"),
+    ("nan throughput", "1e8fa96ce27c43a2ef70dba9bcd51b9338eedd7cafde868b63e1037c6c18c7a5"),
+])
+def test_emit_plot_bytes(tmp_path, name, sha256):
+    # digests of the SVGs as the per-point emit_plot wrote them; the tables
+    # use only exactly rounded arithmetic, so no libm enters the bytes
+    path = tmp_path / "plot.svg"
+    emit_plot(_PLOT_TABLES[name], str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 # --------------------------------------------------------------------- cli
