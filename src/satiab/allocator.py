@@ -124,10 +124,10 @@ def _log_marginal_cost(y):
 
 
 def _split_share(y_whole, log_gain_ratio, share):
-    """Access shares s of the bandwidth budget, an (S, 1) column, that
-    minimize the power delivering both links' rates, given their y = rate
-    ln2 / (alpha_o w) at the whole budget (columns of y_whole), log(beta_bs
-    / beta_ue) and a starting share per row.
+    """Access shares s of the bandwidth budget, an (S,) row, that minimize
+    the power delivering both links' rates, given their y = rate ln2 /
+    (alpha_o w) at the whole budget (the (2, S) plane y_whole: access, then
+    backhaul), log(beta_bs / beta_ue) and a starting share per scenario.
 
     A link's power inversion has derivative -dens h(y) / beta in its
     bandwidth, so the total power is convex in s and least where F(s) =
@@ -140,16 +140,16 @@ def _split_share(y_whole, log_gain_ratio, share):
     lo, hi = np.zeros_like(share), np.ones_like(share)
     done = np.zeros(share.shape, dtype=bool)
     for _ in range(_MAX_STEPS):
-        pair = np.concatenate((share, 1.0 - share), axis=1)
+        pair = np.stack((share, 1.0 - share))
         y = y_whole / pair
         log_h, slope = _log_marginal_cost(y)
-        f = log_h[:, :1] - log_h[:, 1:] + log_gain_ratio
+        f = log_h[0] - log_h[1] + log_gain_ratio
         lo, hi = np.where(f > 0.0, share, lo), np.where(f > 0.0, hi, share)
-        new = share + f / (slope * y / pair).sum(axis=1, keepdims=True)
+        new = share + f / np.add(*(slope * y / pair))
         # a step below rounding leaves share, which may be the bracket's new end
         newton = (new > lo) & (new < hi) | (new == share)
         new = np.minimum(np.where(newton, new, 0.5 * (lo + hi)), _BELOW_ONE)
-        small = np.abs(new - share) <= 1e-8 * np.minimum.reduce(pair, axis=1, keepdims=True)
+        small = np.abs(new - share) <= 1e-8 * np.minimum(*pair)
         share, done = np.where(done, share, new), done | newton & small | (new == share)
         if done.all():
             break
@@ -185,24 +185,23 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
     """
     if (batch.overlap_bandwidth != 0.0).any():
         raise ValueError("solve_orthogonal requires overlap_bandwidth == 0")
-    alpha_o, eps, dens = batch.alpha_o, batch.access_weight, batch.density
-    p_total = batch.total_power
-    w_total = bandwidth_limits(batch)[0]  # the budget of both links, w_o being 0
-    # (S, 2) arrays with one column per link: access, then backhaul
-    beta = np.hstack((batch.beta_ue, batch.beta_bs))
-    log_gain_ratio = np.log(batch.beta_bs / batch.beta_ue)
-    rate_per_zeta = np.hstack((eps, np.ones_like(eps)))
-    y_per_zeta = rate_per_zeta * _LN2 / (alpha_o * w_total)
-
+    p_total, w_total = batch.total_power, bandwidth_limits(batch)[0]  # both links' budget, w_o being 0
     # upper bounds on zeta: each link alone, and both below log2(1 + x) <= x / ln2
-    rate_a, zeta_ub = link_rates(batch, p_total, p_total, w_total, w_total)
-    low_snr = alpha_o * p_total / (_LN2 * dens * (rate_per_zeta / beta).sum(axis=1, keepdims=True))
+    rate_a, zeta_ub = (rate.ravel() for rate in link_rates(batch, p_total, p_total, w_total, w_total))
+    # (S,) rows, one per scenario, and (2, S) planes, one row per link: access, then backhaul
+    alpha_o, eps, dens, p_total, w_total = (column.ravel() for column in (
+        batch.alpha_o, batch.access_weight, batch.density, p_total, w_total))
+    beta = np.vstack((batch.beta_ue.T, batch.beta_bs.T))
+    log_gain_ratio = np.log(batch.beta_bs / batch.beta_ue).ravel()
+    rate_per_zeta = np.stack((eps, np.ones_like(eps)))
+    y_per_zeta = rate_per_zeta * _LN2 / (alpha_o * w_total)
+    low_snr = alpha_o * p_total / (_LN2 * dens * np.add(*(rate_per_zeta / beta)))
     zeta = np.minimum(np.minimum(zeta_ub, np.where(rate_a > 0.0, rate_a / eps, np.inf)), low_snr)
     zeta = np.where(zeta > 0.0, zeta, zeta_ub)
     tol = 1e-13 * np.maximum(zeta_ub, 1.0)
     lo, hi = np.zeros_like(zeta_ub), zeta_ub.copy()
-    share = y_per_zeta[:, :1] / y_per_zeta.sum(axis=1, keepdims=True)  # equal y on both links
-    alloc = np.hstack((np.zeros_like(beta), 0.5 * w_total, 0.5 * w_total))  # at lo = 0
+    share = y_per_zeta[0] / np.add(*y_per_zeta)  # equal y on both links
+    alloc = np.vstack((np.zeros_like(beta), 0.5 * w_total, 0.5 * w_total))  # at lo = 0
     iterations = np.zeros(zeta_ub.shape, dtype=int)
     for _ in range(_MAX_STEPS):
         active = hi - lo > tol
@@ -210,17 +209,17 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
             break
         iterations += active
         rows = slice(None) if active.all() else np.flatnonzero(active)  # views while all rows are
-        z, y_z = zeta[rows], zeta[rows] * y_per_zeta[rows]
+        z, y_z = zeta[rows], zeta[rows] * y_per_zeta[:, rows]
         share[rows] = s = _split_share(y_z, log_gain_ratio[rows], share[rows])
-        pair = np.concatenate((s, 1.0 - s), axis=1)
+        pair = np.stack((s, 1.0 - s))
         w = pair * w_total[rows]
-        p = _inversion_power(z * rate_per_zeta[rows], w, beta[rows], alpha_o[rows], dens[rows])
-        spent = p.sum(axis=1, keepdims=True)
+        p = _inversion_power(z * rate_per_zeta[:, rows], w, beta[:, rows], alpha_o[rows], dens[rows])
+        spent = np.add(*p)
         feasible = spent <= p_total[rows]
         lo_s, hi_s = np.where(feasible, z, lo[rows]), np.where(feasible, hi[rows], z)
         lo[rows], hi[rows] = lo_s, hi_s
-        alloc[rows] = np.where(feasible, np.concatenate((p, w), axis=1), alloc[rows])
-        growth = ((p + dens[rows] * w / beta[rows]) * (y_z / pair)).sum(axis=1, keepdims=True)
+        alloc[:, rows] = np.where(feasible, np.concatenate((p, w)), alloc[:, rows])
+        growth = np.add(*((p + dens[rows] * w / beta[:, rows]) * (y_z / pair)))
         with np.errstate(divide="ignore", invalid="ignore"):  # spent 0 or inf: a NaN step bisects
             step = np.abs(z * np.expm1(np.log(p_total[rows] / spent) * spent / growth))
         half_tol = 0.5 * tol[rows]
@@ -229,7 +228,7 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
         new = z + np.where(feasible, step, -step)
         zeta[rows] = np.where((new > lo_s) & (new < hi_s), new, 0.5 * (lo_s + hi_s))
 
-    return alloc, iterations.ravel(), (hi - lo <= tol).ravel()
+    return alloc.T.copy(), iterations, hi - lo <= tol
 
 
 def solve_orthogonal(scn: ScenarioBatch) -> SolveResult:

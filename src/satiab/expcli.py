@@ -330,6 +330,7 @@ CSV_COLUMNS = SweepRow._fields
 # The CSV format: each text column's cells, in column order; the others are %.9g floats.
 _CELL_CHOICES = {"sweep": ("power", "overlap", "single"), "duplex": tuple(m.value for m in DuplexMode),
                  "solver": _KNOWN_SOLVERS, "converged": ("true", "false")}
+_TEXT_CELLS = [(CSV_COLUMNS.index(name), name, choices) for name, choices in _CELL_CHOICES.items()]
 # The float cells of a row end with the rate columns of evaluate_many, in
 # Mbps, and then the allocation (p_ue, p_bs, w_a, w_b).
 _FLOAT_INDICES = [i for i, name in enumerate(CSV_COLUMNS) if name not in _CELL_CHOICES]
@@ -475,8 +476,8 @@ def read_csv(path: str) -> list[SweepRow]:
                     raise ValidationError(f"{where}: field larger than field limit ({limit})")
                 if len(cells) != len(CSV_COLUMNS):
                     raise ValidationError(f"{where}: expected {len(CSV_COLUMNS)} cells")
-                for name, choices in _CELL_CHOICES.items():
-                    if (text := cells[CSV_COLUMNS.index(name)]) not in choices:
+                for i, name, choices in _TEXT_CELLS:
+                    if (text := cells[i]) not in choices:
                         raise ValidationError(f"{where}: {name} must be one of {', '.join(choices)}, "
                                               f"got {text!r}")
                 for i in _FLOAT_INDICES:

@@ -20,6 +20,9 @@ The reference swarm is the swarm as first written, an S x N x 4 tensor
 with a strided column per coordinate, a fresh temporary per elementwise
 step and one draw call per row and iteration, kept as the reference for
 the swarm of contiguous planes, in-place steps and block draws.
+The column solver is the exact solver before its link planes, each
+per-link quantity an (S, 2) array summed and minimized by reductions over
+axis 1, kept as the reference for the solver on (2, S) planes.
 The mpmath level solves the exact solver's optimality conditions at 40
 digits, as the reference for its accuracy. solved_rows turns the arrays of
 a batch solver into one SolveResult per row, for tests that compare rows.
@@ -54,6 +57,7 @@ from satiab import (
     pso_solve_many,
     solve_orthogonal_many,
 )
+from satiab.allocator import _BELOW_ONE, _LN2, _MAX_STEPS, _inversion_power, _log_marginal_cost
 from satiab.expcli import _RANGES, ExperimentConfig, _float_cells, build_scenario
 
 
@@ -331,6 +335,78 @@ def golden_section_solve(batch: ScenarioBatch) -> SolveResult:
         iterations_used=iterations,
         converged=converged,
     )
+
+
+def _reference_split_share(y_whole, log_gain_ratio, share):
+    """_split_share on (S, 2) columns of y_whole and (S, 1) columns of the
+    rest, as solve_orthogonal_many's split was written before the planes."""
+    lo, hi = np.zeros_like(share), np.ones_like(share)
+    done = np.zeros(share.shape, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        pair = np.concatenate((share, 1.0 - share), axis=1)
+        y = y_whole / pair
+        log_h, slope = _log_marginal_cost(y)
+        f = log_h[:, :1] - log_h[:, 1:] + log_gain_ratio
+        lo, hi = np.where(f > 0.0, share, lo), np.where(f > 0.0, hi, share)
+        new = share + f / (slope * y / pair).sum(axis=1, keepdims=True)
+        newton = (new > lo) & (new < hi) | (new == share)
+        new = np.minimum(np.where(newton, new, 0.5 * (lo + hi)), _BELOW_ONE)
+        small = np.abs(new - share) <= 1e-8 * np.minimum.reduce(pair, axis=1, keepdims=True)
+        share, done = np.where(done, share, new), done | newton & small | (new == share)
+        if done.all():
+            break
+    return share
+
+
+def reference_solve_orthogonal_many(batch: ScenarioBatch):
+    """solve_orthogonal_many with one (S, 2) column pair per link quantity
+    (access, then backhaul), summed and minimized by numpy reductions over
+    axis 1, and (S, 1) columns per scenario quantity."""
+    if (batch.overlap_bandwidth != 0.0).any():
+        raise ValueError("solve_orthogonal requires overlap_bandwidth == 0")
+    alpha_o, eps, dens = batch.alpha_o, batch.access_weight, batch.density
+    p_total = batch.total_power
+    w_total = bandwidth_limits(batch)[0]
+    beta = np.hstack((batch.beta_ue, batch.beta_bs))
+    log_gain_ratio = np.log(batch.beta_bs / batch.beta_ue)
+    rate_per_zeta = np.hstack((eps, np.ones_like(eps)))
+    y_per_zeta = rate_per_zeta * _LN2 / (alpha_o * w_total)
+
+    rate_a, zeta_ub = link_rates(batch, p_total, p_total, w_total, w_total)
+    low_snr = alpha_o * p_total / (_LN2 * dens * (rate_per_zeta / beta).sum(axis=1, keepdims=True))
+    zeta = np.minimum(np.minimum(zeta_ub, np.where(rate_a > 0.0, rate_a / eps, np.inf)), low_snr)
+    zeta = np.where(zeta > 0.0, zeta, zeta_ub)
+    tol = 1e-13 * np.maximum(zeta_ub, 1.0)
+    lo, hi = np.zeros_like(zeta_ub), zeta_ub.copy()
+    share = y_per_zeta[:, :1] / y_per_zeta.sum(axis=1, keepdims=True)
+    alloc = np.hstack((np.zeros_like(beta), 0.5 * w_total, 0.5 * w_total))
+    iterations = np.zeros(zeta_ub.shape, dtype=int)
+    for _ in range(_MAX_STEPS):
+        active = hi - lo > tol
+        if not active.any():
+            break
+        iterations += active
+        rows = slice(None) if active.all() else np.flatnonzero(active)
+        z, y_z = zeta[rows], zeta[rows] * y_per_zeta[rows]
+        share[rows] = s = _reference_split_share(y_z, log_gain_ratio[rows], share[rows])
+        pair = np.concatenate((s, 1.0 - s), axis=1)
+        w = pair * w_total[rows]
+        p = _inversion_power(z * rate_per_zeta[rows], w, beta[rows], alpha_o[rows], dens[rows])
+        spent = p.sum(axis=1, keepdims=True)
+        feasible = spent <= p_total[rows]
+        lo_s, hi_s = np.where(feasible, z, lo[rows]), np.where(feasible, hi[rows], z)
+        lo[rows], hi[rows] = lo_s, hi_s
+        alloc[rows] = np.where(feasible, np.concatenate((p, w), axis=1), alloc[rows])
+        growth = ((p + dens[rows] * w / beta[rows]) * (y_z / pair)).sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.abs(z * np.expm1(np.log(p_total[rows] / spent) * spent / growth))
+        half_tol = 0.5 * tol[rows]
+        past = np.maximum(0.125 * step, np.minimum(1e-14 * z, 0.5 * half_tol))
+        step = np.where(step <= half_tol, step + past, step)
+        new = z + np.where(feasible, step, -step)
+        zeta[rows] = np.where((new > lo_s) & (new < hi_s), new, 0.5 * (lo_s + hi_s))
+
+    return alloc, iterations.ravel(), (hi - lo <= tol).ravel()
 
 
 def mp_log_marginal_cost(y, dps: int = 40):

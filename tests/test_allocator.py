@@ -42,6 +42,7 @@ from oracles import (
     random_scenario,
     reference_run_pso,
     reference_scenarios,
+    reference_solve_orthogonal_many,
     reference_validate,
     scalars,
     solved_rows,
@@ -312,6 +313,33 @@ def test_solve_orthogonal_spends_at_most_the_power_budget():
     scns = orthogonal_batch() + [orthogonal_corner(*draw) for draw in CORNER_DRAWS]
     for scn, result in zip(scns, solved_rows(solve_orthogonal_many, scns)):
         assert result.allocation.p_ue + result.allocation.p_bs <= scn.total_power
+
+
+def test_solve_orthogonal_many_equals_the_column_reference(monkeypatch):
+    # the sweep's 1,204 scenarios of 30-60 dBm by 0.1 dB, as it solves them,
+    # then the 1,012 scenarios of orthogonal_batch, the orthogonal corners of
+    # 400 draws, one-row batches and the empty batch
+    batches = []
+
+    def solve(batch):
+        batches.append(batch)
+        return solve_orthogonal_many(batch)
+
+    monkeypatch.setattr(expcli, "solve_orthogonal_many", solve)
+    cfg = dataclasses.replace(expcli.ExperimentConfig(), solvers=["exact"], power_sweep_min_dbm=30.0,
+                              power_sweep_max_dbm=60.0, power_sweep_step_db=0.1)
+    expcli.run_power_sweep(cfg)
+    assert len(batches[0]) == 1204
+    rng = np.random.default_rng(19)
+    corners = [scn for scn in (corner_scenario(rng) for _ in range(400)) if scn.overlap_bandwidth == 0.0]
+    scns = orthogonal_batch()
+    batches += [ScenarioBatch.stack(scns), ScenarioBatch.stack(corners), ScenarioBatch.stack([])]
+    batches += scns[:12] + scns[-3:] + corners[:3]
+    for batch in batches:
+        got, want = solve_orthogonal_many(batch), reference_solve_orthogonal_many(batch)
+        for x, y in zip(got, want):
+            assert (x.shape, x.dtype, x.flags.c_contiguous) == (y.shape, y.dtype, True)
+            assert np.array_equal(x, y)
 
 
 # ------------------------------------------------------------- grid oracle
@@ -648,6 +676,7 @@ def test_pso_batch_rows_equal_swarms_run_alone():
     solved = solved_rows(pso_solve_many, scns, cfg, seeds)
     for scn, seed, result in zip(scns, seeds, solved):
         assert result == pso_solve(scn, cfg, seed)
+    assert solved_rows(pso_solve_many, [], cfg, []) == []
 
 
 @pytest.mark.parametrize("n", [3, 12, 50])
