@@ -53,7 +53,7 @@ _MAX_STEPS = 200
 _Solved = tuple[np.ndarray, np.ndarray, np.ndarray]  # allocations, iterations, converged
 _GRID_BLOCK = 4_096  # grid columns per grid_oracle_many kernel call: 32 KiB temporaries
 _SWARM_PARTICLES = 65_536  # particles per run_pso batch of pso_solve_many
-_ROW_DRAWS, _BLOCK_DRAWS = 1_024, 65_536  # draws of a swarm's draw block: about per row, at most in all
+_ROW_DRAWS, _BLOCK_DRAWS = 4_096, 131_072  # draws of a swarm's draw block: about per row, at most in all
 PSO_WEIGHT_LIMITS = {"inertia_weight": (0.0, 1e3),  # closed ranges that keep the swarm's steps finite
                      "learning_factor_1": (1e-6, 1e3), "learning_factor_2": (1e-6, 1e3)}
 
@@ -245,10 +245,11 @@ def _grid_maxima(batch: ScenarioBatch, resolution: int) -> np.ndarray:
     p_grid, w_a = (np.array([np.linspace(a, b, resolution) for a, b in zip(lo.ravel(), hi.ravel())])
                    for lo, hi in ((np.zeros_like(p_total), p_total), (w_lo, w_hi)))
     w_b = band_total - w_a
+    first = np.arange(0, p_grid.size, resolution)[:, None]  # p_grid's flat index of each scenario's row
 
     def at(rows):
         # rate_a / eps and rate_b of every column at its grid row rows[s, j]
-        p_ue = np.take_along_axis(p_grid, rows, axis=1)
+        p_ue = p_grid.take(first + rows)
         rate_a, rate_b = link_rates(batch, p_ue, p_total - p_ue, w_a, w_b)
         return rate_a / eps, rate_b
 
@@ -354,10 +355,11 @@ def _normalize_population(swarm: np.ndarray, p_total: np.ndarray, band_total: np
     """Project the swarm's (S, N) planes p_ue, p_bs, w_a, w_b onto their feasible sets, in
     place: fold each pair positive, rescale it to sum to its (S, 1) budget, and clamp the
     bandwidths into [w_lo, w_hi], which keeps their budget as the two overshoot symmetrically.
-    A pair summing to zero is first redrawn on its initialization range from its row's draws."""
+    A pair summing to zero is first redrawn on its initialization range from its row's draws;
+    the rows are searched for one only when the whole plane of sums holds a zero."""
     for pair, scale in ((swarm[:2], p_total), (swarm[2:], band_total)):
         sums = np.add(*np.abs(pair, out=pair))
-        for s in np.flatnonzero(~sums.all(axis=1)):
+        for s in () if sums.all() else np.flatnonzero(~sums.all(axis=1)):
             while not sums[s].all():
                 degenerate = sums[s] == 0.0
                 redraw = draws.row(s, 2 * int(degenerate.sum())).reshape(-1, 2)

@@ -131,6 +131,9 @@ _KNOWN_SOLVERS = tuple(kind.value for kind in SolverKind)
 POWER_DBM_LIMITS = (-100.0, 100.0)
 # Most points a power sweep may have (0.1 dB steps over 200 dB).
 _MAX_POWER_SWEEP_POINTS = 2001
+# Most particle-steps (pso rows x population x iterations) a run may ask of
+# the swarm: about 2.5 minutes at some 150 ns a step.
+_MAX_PARTICLE_STEPS = 10**9
 # Closed ranges of the numeric entries, in the units of their keys. Each is
 # wide enough for any satellite link and tight enough that dbm_to_watts,
 # db_to_linear and channel_gain stay finite and positive: the channel gain
@@ -376,13 +379,18 @@ def _run_sweep(cfg: ExperimentConfig, points) -> list[SweepRow]:
     is looked up once; its solver makes one batch call, from _SOLVERS, and
     one evaluate_many call, on the rows of the batch that select it, or on
     the batch itself if every point does. A row does not depend on the others.
+    A run asking the swarm for more than _MAX_PARTICLE_STEPS raises before any solve.
     """
     points = list(points)
-    batch = build_scenarios(cfg, [fields[2:] for fields, _, _ in points])
     jobs: dict[str, list[int]] = {}
     for index, (_, solvers, _) in enumerate(points):
         for solver in solvers:
             jobs.setdefault(solver, []).append(index)
+    pso_rows = len(jobs.get(SolverKind.PSO.value, ()))
+    if (steps := pso_rows * cfg.pso_population * cfg.pso_iterations) > _MAX_PARTICLE_STEPS:
+        raise ValidationError(f"{pso_rows} pso rows x pso_population={cfg.pso_population} x pso_iterations="
+                              f"{cfg.pso_iterations} = {steps} particle-steps, more than {_MAX_PARTICLE_STEPS}")
+    batch = build_scenarios(cfg, [fields[2:] for fields, _, _ in points])
     rows = []
     for solver, indices in jobs.items():
         scns = batch if len(indices) == len(points) else batch.take(indices)

@@ -166,6 +166,11 @@ def bandwidth_limits(batch: ScenarioBatch):
     return alpha_1 * (w + w_o), alpha_1 * w_o, alpha_1 * w
 
 
+def _all_positive(x: np.ndarray) -> bool:
+    """Whether every element of x is above zero: false if one is NaN, true if x is empty."""
+    return x.min(initial=np.inf) > 0.0
+
+
 def link_rates(batch: ScenarioBatch, p_ue, p_bs, w_a, w_b):
     """Vectorized access and backhaul rates for arrays of allocations.
 
@@ -175,6 +180,12 @@ def link_rates(batch: ScenarioBatch, p_ue, p_bs, w_a, w_b):
     entries yield zero rate (the x*log(1+c/x) -> 0 limit); entries whose
     interference term would divide by a zero bandwidth also yield zero. This
     fallback is the one rule for what can be evaluated: every allocation gets rates.
+
+    The fallbacks are applied only where an input needs them. Where every
+    bandwidth a rate depends on and each of its denominators is positive,
+    each stand-in returns its first operand and the zero-rate mask keeps
+    every rate, so the plain arithmetic gives the same values to the bit.
+    A min() > 0.0 check on each input chooses, and a NaN fails it.
 
     The inputs are not broadcast against each other up front, so a term
     of one axis only, such as the noise of a row of bandwidths, is computed
@@ -191,20 +202,21 @@ def link_rates(batch: ScenarioBatch, p_ue, p_bs, w_a, w_b):
 
     def one_way(p_own, beta, w_own, p_other, w_other):
         noise = dens * w_own
+        plain = _all_positive(w_own) and (not overlapped or _all_positive(w_other))
         if overlapped:
-            positive = w_other > 0.0
-            # A scenario with w_o = 0 adds exactly zero interference, so the
-            # other link's bandwidth may be zero there.
-            other_ok = positive | (w_o == 0.0)
-            interf = alpha_1 * p_other * beta * w_o / np.where(positive, w_other, 1.0)
-            den = noise + interf
+            other = w_other if plain else np.where(w_other > 0.0, w_other, 1.0)
+            den = noise + alpha_1 * p_other * beta * w_o / other
         else:
-            other_ok = True
             den = noise
-        active = (w_own > 0.0) & other_ok
-        sinr = p_own * beta / np.where(den > 0.0, den, 1.0)
+        plain = plain and _all_positive(den)
+        sinr = p_own * beta / (den if plain else np.where(den > 0.0, den, 1.0))
         rate = alpha_o * w_own * np.log2(1.0 + sinr)
-        return np.where(active, rate, 0.0)
+        if plain:
+            return rate
+        # A scenario with w_o = 0 adds exactly zero interference, so the
+        # other link's bandwidth may be zero there.
+        other_ok = (w_other > 0.0) | (w_o == 0.0) if overlapped else True
+        return np.where((w_own > 0.0) & other_ok, rate, 0.0)
 
     rate_a = one_way(p_ue, batch.beta_ue, w_a, p_bs, w_b)
     rate_b = one_way(p_bs, batch.beta_bs, w_b, p_ue, w_a)

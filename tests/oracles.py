@@ -23,6 +23,9 @@ the swarm of contiguous planes, in-place steps and block draws.
 The column solver is the exact solver before its link planes, each
 per-link quantity an (S, 2) array summed and minimized by reductions over
 axis 1, kept as the reference for the solver on (2, S) planes.
+The masked rate kernel is link_rates as it was before it skipped its
+fallbacks where no input needs them, every stand-in and the zero-rate mask
+applied on every call, kept as the bitwise reference for the kernel.
 The mpmath level solves the exact solver's optimality conditions at 40
 digits, as the reference for its accuracy. solved_rows turns the arrays of
 a batch solver into one SolveResult per row, for tests that compare rows.
@@ -238,6 +241,37 @@ def solved_rows(solve_many, scns, *args) -> list[SolveResult]:
         SolveResult(Allocation(*row), reference_evaluate(scn, *row), _SOLVER_KINDS[solve_many], n, done)
         for scn, row, n, done in zip(scns, alloc.tolist(), iterations.tolist(), converged.tolist())
     ]
+
+
+def reference_link_rates(batch: ScenarioBatch, p_ue, p_bs, w_a, w_b):
+    """link_rates with its fallbacks applied on every call: the stand-ins for
+    a zero other-link bandwidth and a zero denominator, and the zero-rate mask."""
+    alpha_o, alpha_1, dens, w_o = batch.alpha_o, batch.alpha_1, batch.density, batch.overlap_bandwidth
+    # Without overlap in any scenario the interference term is zero;
+    # skipping it keeps the large orthogonal grid batches cheap.
+    overlapped = np.any(w_o > 0.0)
+    p_ue, p_bs, w_a, w_b = (np.asarray(x, dtype=float) for x in (p_ue, p_bs, w_a, w_b))
+
+    def one_way(p_own, beta, w_own, p_other, w_other):
+        noise = dens * w_own
+        if overlapped:
+            positive = w_other > 0.0
+            # A scenario with w_o = 0 adds exactly zero interference, so the
+            # other link's bandwidth may be zero there.
+            other_ok = positive | (w_o == 0.0)
+            interf = alpha_1 * p_other * beta * w_o / np.where(positive, w_other, 1.0)
+            den = noise + interf
+        else:
+            other_ok = True
+            den = noise
+        active = (w_own > 0.0) & other_ok
+        sinr = p_own * beta / np.where(den > 0.0, den, 1.0)
+        rate = alpha_o * w_own * np.log2(1.0 + sinr)
+        return np.where(active, rate, 0.0)
+
+    rate_a = one_way(p_ue, batch.beta_ue, w_a, p_bs, w_b)
+    rate_b = one_way(p_bs, batch.beta_bs, w_b, p_ue, w_a)
+    return rate_a, rate_b
 
 
 def reference_rate(alpha_o, alpha_1, p_own, beta, w_own, p_other, w_other, dens, w_o):

@@ -712,6 +712,25 @@ def test_draw_block_reads_each_row_stream_in_order():
         assert row == rng.random(len(row)).tolist()
 
 
+def test_pso_refills_each_row_stream_once_per_four_default_iterations(monkeypatch):
+    # 66 rows of 50 particles, as in the default overlap sweep: one draw call
+    # per row for the initial population, and one per row for the velocity
+    # draws of every 4 iterations
+    calls = []
+
+    class CountedGenerator(np.random.Generator):
+        def random(self, *args, **kwargs):
+            calls.append(1)
+            return super().random(*args, **kwargs)
+
+    rng = np.random.default_rng(20)
+    batch = ScenarioBatch.stack([random_scenario(rng) for _ in range(66)])
+    monkeypatch.setattr(np.random, "Generator", CountedGenerator)
+    cfg = PsoConfig()
+    pso_solve_many(batch, cfg, range(66))
+    assert 0 < len(calls) <= 66 * (1 + cfg.max_iterations // 4)
+
+
 def test_ring_best_is_the_first_maximum_of_self_previous_and_next():
     rng = np.random.default_rng(4)
     for size, n in ((1, 3), (5, 4), (7, 50)):

@@ -1040,6 +1040,42 @@ def test_load_config_rejects_oversized_solves(tmp_path, payload, field):
         load_config(write_json(tmp_path / "cfg.json", payload))
 
 
+def test_cli_rejects_a_run_beyond_the_swarm_work_bound(tmp_path, capsys, monkeypatch):
+    # every key within its range, but 8,004 pso rows of 1,000 particles and
+    # 10,000 iterations would run for about 3 hours: one line, before anything is built
+    payload = {"pso_population": 1000, "pso_iterations": 10_000, "power_sweep_min_dbm": -100,
+               "power_sweep_max_dbm": 100, "power_sweep_step_db": 0.1}
+    out = tmp_path / "out"
+    assert main(["sweep-power", "--config", write_json(tmp_path / "cfg.json", payload), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert all(text in err for text in ("8004 pso rows", "pso_population=1000", "pso_iterations=10000",
+                                        "= 80040000000 particle-steps"))
+    assert not out.exists()
+
+    # the default sweeps stay under the bound at the largest population and
+    # iterations, and a run of exactly the bound is solved
+    class Built(Exception):
+        pass
+
+    def built(*args):
+        raise Built
+
+    with monkeypatch.context() as patch:
+        patch.setattr(expcli, "build_scenarios", built)
+        for run in (run_power_sweep, run_overlap_sweep):
+            with pytest.raises(Built):
+                run(dataclasses.replace(ExperimentConfig(), pso_population=1000, pso_iterations=10_000))
+    cfg = small_config(solvers=("pso",))
+    # 18 pso rows (3 points x 3 weights x 2 duplexes) of 8 particles and 20
+    # iterations, and the 6 exact rows at zero overlap
+    monkeypatch.setattr(expcli, "_MAX_PARTICLE_STEPS", 18 * 8 * 20)
+    assert len(run_overlap_sweep(cfg)) == 24
+    monkeypatch.setattr(expcli, "_MAX_PARTICLE_STEPS", 18 * 8 * 20 - 1)
+    with pytest.raises(ValidationError, match="18 pso rows"):
+        run_overlap_sweep(cfg)
+
+
 def test_load_config_power_limits_are_inclusive(tmp_path):
     payload = {"total_power_dbm": 100, "power_sweep_min_dbm": -100, "power_sweep_max_dbm": 100}
     cfg = load_config(write_json(tmp_path / "cfg.json", payload))

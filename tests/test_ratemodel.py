@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from satiab import (
     Allocation,
@@ -20,7 +22,8 @@ from satiab import (
     validate,
 )
 
-from oracles import make_scenario, random_feasible_allocation, random_scenario, reference_rate, scalars
+from oracles import make_scenario, random_feasible_allocation, random_scenario, reference_link_rates
+from oracles import reference_rate, scalars
 
 
 def test_duplex_factors_values():
@@ -207,6 +210,42 @@ def test_link_rates_on_broadcast_axes_equal_materialised_inputs():
     # and the scenario's (1, 1) columns
     rate_a, rate_b = link_rates(scns[0], p_ue, 1.0, w_a, 2e6)
     assert rate_a.shape == (7, 9) and rate_b.shape == (1, 1)
+
+
+# Values that meet a fallback of link_rates: zeros of both signs, negatives,
+# NaN, infinities and subnormals, positive bandwidths whose noise underflows to 0.
+_SUBNORMALS = (5e-324, 1e-310, 1e-305)
+_FALLBACK_VALUES = (0.0, -0.0, -3.0, math.nan, math.inf, -math.inf, *_SUBNORMALS)
+
+
+@st.composite
+def rate_kernel_inputs(draw):
+    """A batch of 0 to 4 rows, orthogonal, overlapped or a mix, and four
+    allocation arrays of shapes that broadcast against its (S, 1) columns.
+    Each array is all positive, or mixes in subnormals or any of
+    _FALLBACK_VALUES, so that calls take the plain path and the masked one."""
+    rows = st.tuples(st.sampled_from((0.0, 0.0, 5e-324, 4e6, 40e6)), st.sampled_from(DuplexMode))
+    size, columns = draw(st.sampled_from((1, 2, 3, 4, 0))), draw(st.sampled_from((1, 2, 3, 1, 2, 3, 0)))
+    batch = ScenarioBatch.stack([make_scenario(overlap_bandwidth=w_o, duplex=duplex)
+                                 for w_o, duplex in draw(st.lists(rows, min_size=size, max_size=size))])
+    shapes = ((), (columns,), (1, columns), (size, 1), (size, columns))
+    positive = st.floats(1e-3, 1e9)
+    kinds = st.sampled_from((positive, positive, positive | st.sampled_from(_SUBNORMALS),
+                             positive | st.sampled_from(_FALLBACK_VALUES)))
+    return batch, [draw(arrays(np.float64, draw(st.sampled_from(shapes)), elements=draw(kinds)))
+                   for _ in range(4)]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(rate_kernel_inputs())
+def test_link_rates_equal_the_masked_kernel_bit_for_bit(case):
+    batch, inputs = case
+    with np.errstate(all="ignore"):
+        got, want = link_rates(batch, *inputs), reference_link_rates(batch, *inputs)
+    for rate, reference in zip(got, want):
+        assert rate.shape == reference.shape and rate.dtype == reference.dtype
+        assert np.array_equal(rate, reference, equal_nan=True)
+        assert np.array_equal(np.signbit(rate), np.signbit(reference))
 
 
 def test_scenario_validation():
