@@ -12,7 +12,7 @@ select it, and each SweepRow is built once, from the solver's arrays and
 their evaluate_many columns. `satiab solve` is a sweep of one point.
 
 Exit codes of the command-line entry point: 0 success, 1 config/validation
-error (including audit mismatches), 2 I/O error.
+error (including audit mismatches), 2 I/O error or an argparse usage error.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "SweepRow",
     "CSV_COLUMNS",
     "load_config",
-    "write_config",
     "build_scenario",
     "build_scenarios",
     "run_single",
@@ -61,14 +60,12 @@ __all__ = [
     "main",
 ]
 
-SEED_ENV_VAR = "SAT_IAB_SEED"
-
 OVERLAP_SWEEP_WEIGHTS = (0.05, 0.1, 0.2)
 POWER_SWEEP_ALTITUDES_KM = (600.0, 1200.0)
 
 
 class ParseError(Exception):
-    """A file is not UTF-8 text, or the config file is not valid JSON."""
+    """A file is not UTF-8 text, or the config file is not JSON that json.loads reads."""
 
 
 class ValidationError(Exception):
@@ -215,7 +212,8 @@ def load_config(path: str) -> ExperimentConfig:
     Missing keys take the defaults, and each key's value must have the JSON
     type of its ExperimentConfig annotation. Unknown keys, keys given twice,
     values of the wrong type and invariant violations raise ValidationError;
-    malformed JSON raises ParseError with the location of the problem.
+    JSON that does not parse raises ParseError naming the file, and the
+    problem's location where the parser gives one.
     """
     def unique_keys(pairs):
         keys = [key for key, _ in pairs]
@@ -230,6 +228,8 @@ def load_config(path: str) -> ExperimentConfig:
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
     except UnicodeDecodeError as err:  # of the whole file at once, so its position is the file's
+        raise ParseError(f"{path}: {err}") from None
+    except (ValueError, RecursionError) as err:  # an integer past int's digit limit, or deep nesting
         raise ParseError(f"{path}: {err}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top-level JSON value must be an object")
@@ -254,13 +254,6 @@ def load_config(path: str) -> ExperimentConfig:
     if problems:
         raise ValidationError(f"{path}: " + "; ".join(problems))
     return cfg
-
-
-def write_config(cfg: ExperimentConfig, path: str) -> None:
-    """Write a config back to JSON; load_config inverts this exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
@@ -709,16 +702,7 @@ def _print_rows(rows: list[SweepRow], stream) -> None:
 
 def _effective_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    seed = cfg.seed
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as err:
-            raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from err
-    if args.seed is not None:
-        seed = args.seed
-    updates = {"seed": seed}
+    updates = {"seed": cfg.seed if args.seed is None else args.seed}
     if args.out is not None:
         updates["output_dir"] = args.out
     if getattr(args, "solvers", None) is not None:

@@ -15,7 +15,6 @@ validate are their views at a one-row batch and one Allocation.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -116,12 +115,6 @@ class ScenarioBatch:
     def density(self) -> np.ndarray:
         """Noise-plus-interference PSD of each scenario, W/Hz."""
         return self.noise_density + self.interference_density
-
-    @classmethod
-    def stack(cls, batches: Sequence["ScenarioBatch"]) -> "ScenarioBatch":
-        """The rows of batches, in order, as one batch; stack([]) is the empty batch."""
-        return cls(*(np.concatenate([getattr(b, f.name) for b in batches] or [np.empty((0, 1))])
-                     for f in fields(cls)))
 
     def take(self, rows) -> "ScenarioBatch":
         """The scenarios at rows, an index list, mask or slice, or an index for its one-row batch."""

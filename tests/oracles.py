@@ -30,8 +30,9 @@ The mpmath level solves the exact solver's optimality conditions at 40
 digits, as the reference for its accuracy. solved_rows turns the arrays of
 a batch solver into one SolveResult per row, for tests that compare rows.
 A scenario is a one-row ScenarioBatch: make_scenario builds one from
-floats, and the scalar references read its floats through scalars, so that
-their arithmetic is that of Python floats.
+floats, stack joins batches row by row into one, and the scalar references
+read a scenario's floats through scalars, so that their arithmetic is that
+of Python floats.
 """
 
 import dataclasses
@@ -103,6 +104,12 @@ def scenario(duplex: DuplexMode = DuplexMode.FDD, **values: float) -> ScenarioBa
     alpha_o, alpha_1 = duplex_factors(duplex)
     values = {**values, "alpha_o": alpha_o, "alpha_1": alpha_1}
     return ScenarioBatch(**{name: np.array([[value]], dtype=float) for name, value in values.items()})
+
+
+def stack(batches: Sequence[ScenarioBatch]) -> ScenarioBatch:
+    """The rows of batches, in order, as one batch; stack([]) is the empty batch."""
+    return ScenarioBatch(*(np.concatenate([getattr(b, f.name) for b in batches] or [np.empty((0, 1))])
+                           for f in dataclasses.fields(ScenarioBatch)))
 
 
 def make_scenario(**overrides) -> ScenarioBatch:
@@ -235,7 +242,7 @@ def solved_rows(solve_many, scns, *args) -> list[SolveResult]:
     """solve_many(batch of scns, *args) as one SolveResult per row: the
     row's allocation, its reference_evaluate report, its iterations and
     its converged flag."""
-    alloc, iterations, converged = solve_many(ScenarioBatch.stack(scns), *args)
+    alloc, iterations, converged = solve_many(stack(scns), *args)
     assert alloc.shape == (len(scns), 4) and iterations.shape == converged.shape == (len(scns),)
     return [
         SolveResult(Allocation(*row), reference_evaluate(scn, *row), _SOLVER_KINDS[solve_many], n, done)

@@ -11,7 +11,6 @@ import pytest
 from satiab import (
     Allocation,
     PsoConfig,
-    ScenarioBatch,
     evaluate,
     evaluate_many,
     free_space_path_loss,
@@ -36,6 +35,7 @@ from oracles import (
     random_feasible_allocation,
     random_scenario,
     reference_scenarios,
+    stack,
 )
 
 
@@ -77,7 +77,7 @@ def test_criterion_3_pso_reaches_exact_optimum():
         exact = solve_orthogonal(scn).report.maxmin_level
         good = 0
         # one batch of 20 swarms; each row equals pso_solve with its seed
-        batch = ScenarioBatch.stack([scn] * len(seeds))
+        batch = stack([scn] * len(seeds))
         alloc, _, _ = pso_solve_many(batch, PsoConfig(), seeds)
         for swarm in evaluate_many(batch, alloc)[:, 0].tolist():
             gap = abs(exact - swarm) / exact

@@ -46,6 +46,7 @@ from oracles import (
     reference_validate,
     scalars,
     solved_rows,
+    stack,
 )
 
 
@@ -107,7 +108,7 @@ def test_solve_orthogonal_rejects_overlap():
         solve_orthogonal(make_scenario(overlap_bandwidth=5e6))
     # one overlapped row fails the whole batch
     with pytest.raises(ValueError):
-        solve_orthogonal_many(ScenarioBatch.stack([make_scenario(), make_scenario(overlap_bandwidth=5e6)]))
+        solve_orthogonal_many(stack([make_scenario(), make_scenario(overlap_bandwidth=5e6)]))
 
 
 def test_solve_orthogonal_symmetric_links():
@@ -304,7 +305,7 @@ def test_solve_orthogonal_takes_few_steps(monkeypatch):
                               power_sweep_max_dbm=60.0, power_sweep_step_db=0.1)
     expcli.run_power_sweep(cfg)
     assert len(iterations) == 1204
-    solve(ScenarioBatch.stack(orthogonal_batch()))
+    solve(stack(orthogonal_batch()))
     assert all(converged)
     assert max(iterations) <= 12
 
@@ -333,7 +334,7 @@ def test_solve_orthogonal_many_equals_the_column_reference(monkeypatch):
     rng = np.random.default_rng(19)
     corners = [scn for scn in (corner_scenario(rng) for _ in range(400)) if scn.overlap_bandwidth == 0.0]
     scns = orthogonal_batch()
-    batches += [ScenarioBatch.stack(scns), ScenarioBatch.stack(corners), ScenarioBatch.stack([])]
+    batches += [stack(scns), stack(corners), stack([])]
     batches += scns[:12] + scns[-3:] + corners[:3]
     for batch in batches:
         got, want = solve_orthogonal_many(batch), reference_solve_orthogonal_many(batch)
@@ -350,7 +351,7 @@ def test_grid_oracle_rejects_tiny_resolution():
         grid_oracle(make_scenario(), 9)
     for scns in ([], [make_scenario()] * 3):
         with pytest.raises(ValueError):
-            grid_oracle_many(ScenarioBatch.stack(scns), 9)
+            grid_oracle_many(stack(scns), 9)
 
 
 def test_grid_oracle_refinement_is_monotone():
@@ -517,7 +518,7 @@ def test_grid_oracle_batch_memory_is_bounded():
     scns = [random_scenario(rng) for _ in range(44)]
     tracemalloc.start()
     try:
-        grid_oracle_many(ScenarioBatch.stack(scns), 1000)
+        grid_oracle_many(stack(scns), 1000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -557,7 +558,7 @@ def test_pso_single_point_population_is_stationary():
     point = np.array([4.0, 6.0, 8e6, 12e6])
     population = np.tile(point, (n, 1))
     cfg = PsoConfig(population_size=n, max_iterations=30, inertia_weight=0.0)
-    best = run_pso(ScenarioBatch.stack([scn]), cfg, [0], initial_population=population[None])
+    best = run_pso(stack([scn]), cfg, [0], initial_population=population[None])
     assert np.array_equal(best, point[None])  # the point is feasible, so projecting keeps it
     expected = evaluate(scn, Allocation(*point)).fitness
     assert evaluate(scn, Allocation(*best[0].tolist())).fitness == pytest.approx(expected, rel=1e-12)
@@ -596,7 +597,7 @@ def test_pso_more_iterations_never_score_lower():
 def test_normalize_population_is_feasible():
     rng = np.random.default_rng(8)
     scns = mixed_batch()
-    batch = ScenarioBatch.stack(scns)
+    batch = stack(scns)
     p_total = batch.total_power[..., None]
     band_total, w_lo, w_hi = (limit[..., None] for limit in bandwidth_limits(batch))
     # signed draws beyond the budgets, with an all-zero pair of each kind
@@ -630,7 +631,7 @@ def test_pso_config_takes_the_cli_weight_ranges(weights):
     # a library call gets the ranges of the CLI, which names them by its keys:
     # an inertia weight of 1e300 used to overflow the swarm
     with pytest.raises(ValueError, match="must lie in"):
-        pso_solve_many(ScenarioBatch.stack(mixed_batch()[:2]), PsoConfig(**weights), [1, 2])
+        pso_solve_many(stack(mixed_batch()[:2]), PsoConfig(**weights), [1, 2])
     PsoConfig(inertia_weight=0.0, learning_factor_1=1e-6, learning_factor_2=1e3)
     PsoConfig(inertia_weight=1e3)
     cfg = dataclasses.replace(expcli.ExperimentConfig(), pso_inertia_weight=1e300)
@@ -658,7 +659,7 @@ def mixed_batch() -> list[ScenarioBatch]:
 def assert_rows_match_alone(scns, cfg, seeds, batch, initial=None):
     for s, (scn, seed) in enumerate(zip(scns, seeds)):
         alone = run_pso(
-            ScenarioBatch.stack([scn]), cfg, [seed], initial_population=None if initial is None else initial[s:s + 1]
+            stack([scn]), cfg, [seed], initial_population=None if initial is None else initial[s:s + 1]
         )
         assert np.array_equal(batch[s], alone[0])
 
@@ -667,11 +668,11 @@ def test_pso_batch_rows_equal_swarms_run_alone():
     scns = mixed_batch()
     cfg = PsoConfig(population_size=12, max_iterations=40)
     seeds = [7 * s + 3 for s in range(len(scns))]
-    batch = run_pso(ScenarioBatch.stack(scns), cfg, seeds)
+    batch = run_pso(stack(scns), cfg, seeds)
     assert batch.shape == (len(scns), 4)
     assert_rows_match_alone(scns, cfg, seeds, batch)
     # the row results do not depend on the batch's size or order
-    tail = run_pso(ScenarioBatch.stack(scns[:2:-1]), cfg, seeds[:2:-1])
+    tail = run_pso(stack(scns[:2:-1]), cfg, seeds[:2:-1])
     assert np.array_equal(tail, batch[:2:-1])
     solved = solved_rows(pso_solve_many, scns, cfg, seeds)
     for scn, seed, result in zip(scns, seeds, solved):
@@ -683,7 +684,7 @@ def test_pso_batch_rows_equal_swarms_run_alone():
 def test_run_pso_equals_the_reference_swarm(n):
     # 50 iterations refill every population's draw block at least once
     scns = mixed_batch()
-    batch, cfg = ScenarioBatch.stack(scns), PsoConfig(population_size=n, max_iterations=50)
+    batch, cfg = stack(scns), PsoConfig(population_size=n, max_iterations=50)
     seeds = [5 * s + 2 for s in range(len(scns))]
     initial = np.random.default_rng(n).random((len(scns), n, 4)) * np.array([10.0, 10.0, 20e6, 20e6])
     degenerate = initial.copy()  # all-zero pairs of both kinds, one row's every bandwidth pair
@@ -724,7 +725,7 @@ def test_pso_refills_each_row_stream_once_per_four_default_iterations(monkeypatc
             return super().random(*args, **kwargs)
 
     rng = np.random.default_rng(20)
-    batch = ScenarioBatch.stack([random_scenario(rng) for _ in range(66)])
+    batch = stack([random_scenario(rng) for _ in range(66)])
     monkeypatch.setattr(np.random, "Generator", CountedGenerator)
     cfg = PsoConfig()
     pso_solve_many(batch, cfg, range(66))
@@ -751,8 +752,8 @@ def test_pso_redraw_in_one_row_leaves_other_rows_unchanged():
     initial = draw * np.array([10.0, 10.0, 20e6, 20e6])
     degenerate = initial.copy()
     degenerate[3, 4, 0:2] = 0.0  # an all-zero power pair must be redrawn
-    plain = run_pso(ScenarioBatch.stack(scns), cfg, seeds, initial_population=initial)
-    redrawn = run_pso(ScenarioBatch.stack(scns), cfg, seeds, initial_population=degenerate)
+    plain = run_pso(stack(scns), cfg, seeds, initial_population=initial)
+    redrawn = run_pso(stack(scns), cfg, seeds, initial_population=degenerate)
     others = [s for s in range(len(scns)) if s != 3]
     assert np.array_equal(plain[others], redrawn[others])
     # the redraw consumed row 3's stream, so its swarm took another path
@@ -776,14 +777,14 @@ def test_batch_reports_equal_evaluate():
     scns = [random_scenario(rng) for _ in range(300)] + mixed_batch()
     alloc = np.array([random_feasible_allocation(rng, scn) for scn in scns])
     alloc[-1, 2] = 0.0  # the last scenario of mixed_batch overlaps
-    columns = evaluate_many(ScenarioBatch.stack(scns), alloc)
+    columns = evaluate_many(stack(scns), alloc)
     assert columns.shape == (len(scns), 4)
     for scn, row, cells in zip(scns, alloc.tolist(), columns.tolist()):
         report = evaluate(scn, Allocation(*row))
         assert cells == [report.maxmin_level, report.rate_access, report.rate_backhaul,
                          report.throughput]
     assert columns[-1].tolist() == [0.0, 0.0, 0.0, 0.0]
-    assert evaluate_many(ScenarioBatch.stack([]), np.empty((0, 4))).shape == (0, 4)
+    assert evaluate_many(stack([]), np.empty((0, 4))).shape == (0, 4)
 
 
 def test_validate_many_rows_equal_validate():
@@ -795,7 +796,7 @@ def test_validate_many_rows_equal_validate():
     alloc[2::5, 2:4] *= 1.7
     alloc[3::5, 3] = 0.0
     alloc[4::10, 1] = [-1e-3 * scn.total_power.item() for scn in scns[4::10]]  # no Allocation holds these
-    flags = validate_many(ScenarioBatch.stack(scns), alloc)
+    flags = validate_many(stack(scns), alloc)
     assert flags.shape == (len(scns), 4) and flags.dtype == bool
     assert flags.any(axis=0).all() and not flags[::5].any() and flags[4::10, 0].all()
     for scn, row, violated in zip(scns, alloc.tolist(), flags.tolist()):
@@ -803,18 +804,18 @@ def test_validate_many_rows_equal_validate():
         assert names == reference_validate(scn, *row)
         if min(row) >= 0.0:
             assert validate(scn, Allocation(*row)) == names
-    assert validate_many(ScenarioBatch.stack([]), np.empty((0, 4))).shape == (0, 4)
+    assert validate_many(stack([]), np.empty((0, 4))).shape == (0, 4)
 
 
 def test_pso_batch_rejects_mismatched_inputs():
     scns = mixed_batch()[:3]
     cfg = PsoConfig(population_size=5, max_iterations=2)
     with pytest.raises(ValueError, match="seeds"):
-        run_pso(ScenarioBatch.stack(scns), cfg, [1, 2])
+        run_pso(stack(scns), cfg, [1, 2])
     with pytest.raises(ValueError, match="shape"):
-        run_pso(ScenarioBatch.stack(scns), cfg, [1, 2, 3], initial_population=np.ones((5, 4)))
+        run_pso(stack(scns), cfg, [1, 2, 3], initial_population=np.ones((5, 4)))
     with pytest.raises(ValueError, match="seeds"):
-        pso_solve_many(ScenarioBatch.stack(scns), cfg, [1, 2, 3, 4])
+        pso_solve_many(stack(scns), cfg, [1, 2, 3, 4])
     assert solved_rows(pso_solve_many, [], cfg, []) == []
 
 
@@ -839,7 +840,7 @@ def test_pso_memory_does_not_grow_with_iterations():
         cfg = PsoConfig(population_size=3, max_iterations=iterations)
         tracemalloc.start()
         try:
-            pso_solve_many(ScenarioBatch.stack(scns), cfg, range(len(scns)))
+            pso_solve_many(stack(scns), cfg, range(len(scns)))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -852,7 +853,7 @@ def test_pso_memory_at_a_full_chunk():
     # 1,310 rows of 50 particles make one full run_pso batch: four planes,
     # three step buffers and a draw block of one iteration
     rng = np.random.default_rng(5)
-    batch = ScenarioBatch.stack([random_scenario(rng) for _ in range(1310)])
+    batch = stack([random_scenario(rng) for _ in range(1310)])
     tracemalloc.start()
     try:
         pso_solve_many(batch, PsoConfig(population_size=50, max_iterations=5), range(1310))

@@ -42,11 +42,10 @@ from satiab.expcli import (
     run_overlap_sweep,
     run_power_sweep,
     run_single,
-    write_config,
     write_csv,
 )
 
-from oracles import per_point_build_scenarios, per_row_audit, row_scenario
+from oracles import per_point_build_scenarios, per_row_audit, row_scenario, stack
 
 
 def write_json(path, payload) -> str:
@@ -121,6 +120,22 @@ def test_load_config_parse_error_reports_location(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, '{"seed": ' + "9" * 5000 + "}"],
+                         ids=["deeply-nested", "5000-digit-seed"])
+def test_load_config_names_the_file_of_json_it_cannot_decode(tmp_path, capsys, text):
+    # json.loads raises RecursionError for deep nesting and ValueError past
+    # int's digit limit: each is a ParseError naming the file
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=r"cfg\.json: "):
+        load_config(str(path))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_load_config_rejects_exact_solver_with_overlap(tmp_path):
     payload = {"overlap_mhz": 10, "solvers": ["exact", "pso"]}
     with pytest.raises(ValidationError, match="exact solver"):
@@ -155,7 +170,7 @@ def test_load_config_names_a_non_finite_number(tmp_path, literal, value):
 def test_config_round_trip(tmp_path):
     cfg = small_config(duplex="TDD", access_weight=0.2, seed=99, solvers=("pso",), overlap_mhz=8.0)
     path = tmp_path / "cfg.json"
-    write_config(cfg, str(path))
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
     assert load_config(str(path)) == cfg
 
 
@@ -396,7 +411,7 @@ def test_build_scenarios_equals_scenarios_built_alone():
                                            access_weight=access_weight))
         for power_dbm, overlap_mhz, duplex, altitude_km, access_weight in points
     ]
-    batch, stacked = build_scenarios(cfg, points), ScenarioBatch.stack(alone)
+    batch, stacked = build_scenarios(cfg, points), stack(alone)
     for field in dataclasses.fields(ScenarioBatch):
         column = getattr(batch, field.name)
         assert column.shape == (len(points), 1)
@@ -957,32 +972,22 @@ def test_cli_rejects_a_repeated_solver(tmp_path, capsys, source):
 
 
 def test_cli_seed_precedence(tmp_path, monkeypatch):
+    # the seed is --seed if given, else the config's; SAT_IAB_SEED is not read
     cfg = cli_config(tmp_path, solvers=["pso"], seed=5)
     out_config = tmp_path / "o1"
-    out_env = tmp_path / "o2"
-    out_flag = tmp_path / "o3"
-    out_ref = tmp_path / "o4"
+    out_flag = tmp_path / "o2"
+    out_env = tmp_path / "o3"
 
     assert main(["sweep-overlap", "--config", cfg, "--out", str(out_config)]) == 0
+    assert main(["sweep-overlap", "--config", cfg, "--out", str(out_flag), "--seed", "6"]) == 0
     monkeypatch.setenv("SAT_IAB_SEED", "6")
     assert main(["sweep-overlap", "--config", cfg, "--out", str(out_env)]) == 0
-    assert main(["sweep-overlap", "--config", cfg, "--out", str(out_flag), "--seed", "7"]) == 0
-    monkeypatch.delenv("SAT_IAB_SEED")
-    assert main(["sweep-overlap", "--config", cfg, "--out", str(out_ref), "--seed", "6"]) == 0
 
     config_bytes = (out_config / "overlap_sweep.csv").read_bytes()
-    env_bytes = (out_env / "overlap_sweep.csv").read_bytes()
     flag_bytes = (out_flag / "overlap_sweep.csv").read_bytes()
-    ref_bytes = (out_ref / "overlap_sweep.csv").read_bytes()
-    assert env_bytes == ref_bytes  # env seed 6 equals explicit seed 6
-    assert env_bytes != config_bytes  # env overrides the config seed
-    assert flag_bytes != env_bytes  # flag overrides the env seed
-
-
-def test_cli_bad_env_seed(tmp_path, monkeypatch):
-    cfg = cli_config(tmp_path)
-    monkeypatch.setenv("SAT_IAB_SEED", "not-a-number")
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    env_bytes = (out_env / "overlap_sweep.csv").read_bytes()
+    assert flag_bytes != config_bytes  # the flag overrides the config seed
+    assert env_bytes == config_bytes  # the environment variable changes nothing
 
 
 def test_cli_solvers_flag(tmp_path):

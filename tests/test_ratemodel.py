@@ -23,7 +23,7 @@ from satiab import (
 )
 
 from oracles import make_scenario, random_feasible_allocation, random_scenario, reference_link_rates
-from oracles import reference_rate, scalars
+from oracles import reference_rate, scalars, stack
 
 
 def test_duplex_factors_values():
@@ -179,7 +179,7 @@ def test_link_rates_batch_rows_equal_single_scenarios():
     alloc = alloc.reshape(len(scns), 6, 4)
     alloc[:, 0, 3] = 0.0  # w_b = 0: zero access rate only where the links overlap
     alloc[:, 1, 2] = 0.0
-    batch = ScenarioBatch.stack(scns)
+    batch = stack(scns)
     rate_a, rate_b = link_rates(batch, *np.moveaxis(alloc, -1, 0))
     for s, scn in enumerate(scns):
         (alone_a,), (alone_b,) = link_rates(scn, *alloc[s].T)
@@ -200,7 +200,7 @@ def test_link_rates_on_broadcast_axes_equal_materialised_inputs():
     scns = [make_scenario(), make_scenario(overlap_bandwidth=8e6, duplex=DuplexMode.TDD)]
     scns += [random_scenario(rng) for _ in range(5)]
     # the batch of seven scenarios takes one row of powers each
-    for scn in (*scns[:2], ScenarioBatch.stack(scns)):
+    for scn in (*scns[:2], stack(scns)):
         lazy = link_rates(scn, p_ue, p_bs, w_a, w_b)
         eager = link_rates(scn, *np.broadcast_arrays(p_ue, p_bs, w_a, w_b))
         for rate, reference in zip(lazy, eager):
@@ -226,8 +226,8 @@ def rate_kernel_inputs(draw):
     _FALLBACK_VALUES, so that calls take the plain path and the masked one."""
     rows = st.tuples(st.sampled_from((0.0, 0.0, 5e-324, 4e6, 40e6)), st.sampled_from(DuplexMode))
     size, columns = draw(st.sampled_from((1, 2, 3, 4, 0))), draw(st.sampled_from((1, 2, 3, 1, 2, 3, 0)))
-    batch = ScenarioBatch.stack([make_scenario(overlap_bandwidth=w_o, duplex=duplex)
-                                 for w_o, duplex in draw(st.lists(rows, min_size=size, max_size=size))])
+    batch = stack([make_scenario(overlap_bandwidth=w_o, duplex=duplex)
+                   for w_o, duplex in draw(st.lists(rows, min_size=size, max_size=size))])
     shapes = ((), (columns,), (1, columns), (size, 1), (size, columns))
     positive = st.floats(1e-3, 1e9)
     kinds = st.sampled_from((positive, positive, positive | st.sampled_from(_SUBNORMALS),
@@ -295,7 +295,7 @@ def test_validate_flags_each_constraint():
 def test_one_scenario_views_take_one_row():
     # evaluate and validate are their batch functions at a one-row batch;
     # a batch of more rows is not one scenario
-    two = ScenarioBatch.stack([make_scenario(), make_scenario(duplex=DuplexMode.TDD)])
+    two = stack([make_scenario(), make_scenario(duplex=DuplexMode.TDD)])
     alloc = Allocation(1.0, 1.0, 10e6, 10e6)
     for view in (evaluate, validate):
         with pytest.raises(ValueError):
@@ -312,27 +312,27 @@ def test_scenarios_are_frozen():
 def test_stack_joins_batches_row_by_row():
     rng = np.random.default_rng(7)
     scns = [random_scenario(rng) for _ in range(5)]
-    joined = ScenarioBatch.stack([ScenarioBatch.stack(scns[:2]), scns[2], ScenarioBatch.stack(scns[3:])])
-    assert len(joined) == 5 and len(ScenarioBatch.stack([])) == 0
+    joined = stack([stack(scns[:2]), scns[2], stack(scns[3:])])
+    assert len(joined) == 5 and len(stack([])) == 0
     for field in dataclasses.fields(ScenarioBatch):
         column = getattr(joined, field.name)
         assert column.shape == (5, 1)
         assert np.array_equal(column, np.concatenate([getattr(scn, field.name) for scn in scns]))
     for field in dataclasses.fields(ScenarioBatch):
-        assert getattr(ScenarioBatch.stack([]), field.name).shape == (0, 1)
+        assert getattr(stack([]), field.name).shape == (0, 1)
 
 
 def test_take_with_an_index_gives_its_one_row_batch():
     rng = np.random.default_rng(11)
     scns = [random_scenario(rng) for _ in range(4)]
-    batch = ScenarioBatch.stack(scns)
+    batch = stack(scns)
     for index in (0, 2, -1, np.int64(1)):
         for row in (batch.take(index), batch.take([index])):
             assert len(row) == 1
             for field in dataclasses.fields(ScenarioBatch):
                 assert np.array_equal(getattr(row, field.name), getattr(scns[index], field.name))
     # the one-row batch solves as the scenario alone
-    orthogonal = ScenarioBatch.stack([random_scenario(rng, orthogonal=True) for _ in range(3)])
+    orthogonal = stack([random_scenario(rng, orthogonal=True) for _ in range(3)])
     alloc, iterations, converged = solve_orthogonal_many(orthogonal.take(1))
     assert alloc.shape == (1, 4) and iterations.shape == converged.shape == (1,)
     assert solve_orthogonal(orthogonal.take(1)) == solve_orthogonal(orthogonal.take([1]))
@@ -340,7 +340,7 @@ def test_take_with_an_index_gives_its_one_row_batch():
 
 def test_scenario_batch_rejects_a_column_that_is_not_s_by_1():
     # two rows, S being total_power's: a (3, 1) total_power makes the next column wrong
-    two = ScenarioBatch.stack([make_scenario()] * 2)
+    two = stack([make_scenario()] * 2)
     for field in dataclasses.fields(ScenarioBatch):
         for shape in [(), (2,), (2, 2), (3, 1), (1, 2, 1)]:
             columns = {f.name: getattr(two, f.name) for f in dataclasses.fields(ScenarioBatch)}
