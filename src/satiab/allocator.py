@@ -187,7 +187,7 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
         raise ValueError("solve_orthogonal requires overlap_bandwidth == 0")
     p_total, w_total = batch.total_power, bandwidth_limits(batch)[0]  # both links' budget, w_o being 0
     # upper bounds on zeta: each link alone, and both below log2(1 + x) <= x / ln2
-    rate_a, zeta_ub = (rate.ravel() for rate in link_rates(batch, p_total, p_total, w_total, w_total))
+    rate_a, zeta_ub = link_rates(batch, np.stack((p_total,) * 2), np.stack((w_total,) * 2)).reshape(2, -1)
     # (S,) rows, one per scenario, and (2, S) planes, one row per link: access, then backhaul
     alpha_o, eps, dens, p_total, w_total = (column.ravel() for column in (
         batch.alpha_o, batch.access_weight, batch.density, p_total, w_total))
@@ -244,13 +244,14 @@ def _grid_maxima(batch: ScenarioBatch, resolution: int) -> np.ndarray:
     # every row another way once one row's step is zero, as at a full overlap's bandwidth
     p_grid, w_a = (np.array([np.linspace(a, b, resolution) for a, b in zip(lo.ravel(), hi.ravel())])
                    for lo, hi in ((np.zeros_like(p_total), p_total), (w_lo, w_hi)))
-    w_b = band_total - w_a
+    w = np.stack((w_a, band_total - w_a))
+    p = np.empty_like(w)  # each step's (p_ue, p_bs) pair
     first = np.arange(0, p_grid.size, resolution)[:, None]  # p_grid's flat index of each scenario's row
 
     def at(rows):
         # rate_a / eps and rate_b of every column at its grid row rows[s, j]
-        p_ue = p_grid.take(first + rows)
-        rate_a, rate_b = link_rates(batch, p_ue, p_total - p_ue, w_a, w_b)
+        np.subtract(p_total, p_grid.take(first + rows, out=p[0]), out=p[1])
+        rate_a, rate_b = link_rates(batch, p, w)
         return rate_a / eps, rate_b
 
     # the first row with a >= b; the last row qualifies unevaluated (p_bs = 0,
@@ -279,7 +280,7 @@ def _grid_maxima(batch: ScenarioBatch, resolution: int) -> np.ndarray:
                      hi * resolution + np.arange(resolution))
     i, j = np.divmod(order.min(axis=1), resolution)
     s = np.arange(len(batch))
-    return np.column_stack((p_grid[s, i], p_total[:, 0] - p_grid[s, i], w_a[s, j], w_b[s, j]))
+    return np.column_stack((p_grid[s, i], p_total[:, 0] - p_grid[s, i], *w[:, s, j]))
 
 
 def grid_oracle_many(batch: ScenarioBatch, resolution: int) -> _Solved:
@@ -418,7 +419,7 @@ def run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int],
 
     for _ in range(cfg.max_iterations):
         _normalize_population(swarm, p_total, band_total, w_lo, w_hi, draws)
-        rate_a, rate_b = link_rates(batch, *swarm)
+        rate_a, rate_b = link_rates(batch, swarm[:2], swarm[2:])
         fitness = np.minimum(rate_a, np.multiply(batch.access_weight, rate_b, out=rate_b), out=rate_a)
 
         leader = ring[0, :, 0] + np.argmax(fitness, axis=1)

@@ -34,8 +34,8 @@ import numpy as np
 from .allocator import PSO_WEIGHT_LIMITS, PsoConfig, SolverKind
 from .allocator import grid_oracle_many, pso_solve_many, solve_orthogonal_many
 from .linkbudget import channel_gain, db_to_linear, dbm_to_watts
-from .ratemodel import CONSTRAINTS, DuplexMode, ScenarioBatch
-from .ratemodel import duplex_factors, evaluate_many, validate_many
+from .ratemodel import _SLACK, CONSTRAINTS, DuplexMode, ScenarioBatch
+from .ratemodel import bandwidth_limits, duplex_factors, evaluate_many, validate_many
 
 # Unused here: the span tracer of bench/spans.py wraps these names in this module.
 from .allocator import grid_oracle, pso_solve, solve_orthogonal  # noqa: F401
@@ -645,7 +645,9 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
     not. The rest are checked as arrays, by one build_scenarios,
     validate_many (constraints 1a-1d) and, on the feasible rows,
     evaluate_many call, whose rates must match the recorded ones within the
-    relative tolerance _AUDIT_TOL. A row whose sweep_value is not its
+    relative tolerance _AUDIT_TOL. A row that passes must also spend both
+    budgets, p_ue + p_bs >= P and w_a + w_b >= alpha_1 (W + w_o), within
+    validate_many's relative slack. A row whose sweep_value is not its
     power_dbm (in an overlap row, overlap_mhz / total_bandwidth_mhz to 1e-8)
     gets that as its first message.
     """
@@ -663,6 +665,9 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
     want = np.zeros_like(recorded)
     want[feasible] = evaluate_many(batch.take(feasible), alloc[feasible]) / 1e6
     off = feasible[:, None] & (np.abs(recorded - want) > _AUDIT_TOL * np.maximum(np.abs(want), 1e-12))
+    spent = alloc[:, 0::2] + alloc[:, 1::2]  # p_ue + p_bs and w_a + w_b
+    budgets = np.hstack((batch.total_power, bandwidth_limits(batch)[0]))
+    unspent = (feasible & ~off.any(axis=1))[:, None] & (spent < (1.0 - _SLACK) * budgets)
 
     problems = {}
     for i, j in np.argwhere(outside).tolist():
@@ -670,11 +675,14 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
         problems.setdefault(i, []).append(f"row {i}: {name}={point[i, j]:g} must lie in [{lo:g}, {hi:g}]")
     problems |= {i: [f"row {i}: marked converged but holds a non-finite value"]
                  for i in np.flatnonzero(~checked).tolist() if rows[i].converged and i not in problems}
-    for k in np.flatnonzero(~feasible | off.any(axis=1)).tolist():
+    for k in np.flatnonzero(~feasible | off.any(axis=1) | unspent.any(axis=1)).tolist():
         i = index[k]
         if not feasible[k]:
             names = [name for name, bad in zip(CONSTRAINTS, violated[k]) if bad]
             problems[i] = [f"row {i}: allocation violates {', '.join(names)}"]
+        elif unspent[k].any():
+            names = [name for name, bad in zip(("power", "bandwidth"), unspent[k]) if bad]
+            problems[i] = [f"row {i}: allocation leaves budget unspent: {', '.join(names)}"]
         else:
             problems[i] = [f"row {i}: {name} recorded {got:.9g} but re-evaluates to {value:.9g}"
                            for name, got, value, bad in zip(CSV_COLUMNS[8:12], recorded[k].tolist(),

@@ -164,56 +164,41 @@ def _all_positive(x: np.ndarray) -> bool:
     return x.min(initial=np.inf) > 0.0
 
 
-def link_rates(batch: ScenarioBatch, p_ue, p_bs, w_a, w_b):
-    """Vectorized access and backhaul rates for arrays of allocations.
+def link_rates(batch: ScenarioBatch, p, w) -> np.ndarray:
+    """Access and backhaul rates, in bits/s, of the power pair p = (p_ue, p_bs)
+    and the bandwidth pair w = (w_a, w_b): (2, rows, columns) arrays whose first
+    axis holds the access link, then the backhaul link, and whose rows and
+    columns broadcast against the batch's (S, 1) columns, one row per scenario.
+    The result is one (2, ...) array (rate_a, rate_b) of their joint shape.
+    Powers and bandwidths are not broadcast against each other up front, so a
+    term of one of them only, such as the noise, is computed at its size.
 
-    Accepts scalars or broadcastable numpy arrays and returns the pair
-    (access, backhaul) in bits/s. The batch's (S, 1) columns broadcast
-    against allocation arrays with one row per scenario. Zero-bandwidth
-    entries yield zero rate (the x*log(1+c/x) -> 0 limit); entries whose
-    interference term would divide by a zero bandwidth also yield zero. This
-    fallback is the one rule for what can be evaluated: every allocation gets rates.
-
-    The fallbacks are applied only where an input needs them. Where every
-    bandwidth a rate depends on and each of its denominators is positive,
-    each stand-in returns its first operand and the zero-rate mask keeps
-    every rate, so the plain arithmetic gives the same values to the bit.
-    A min() > 0.0 check on each input chooses, and a NaN fails it.
-
-    The inputs are not broadcast against each other up front, so a term
-    of one axis only, such as the noise of a row of bandwidths, is computed
-    at that size. Each rate has the broadcast shape of what it depends on:
-    the scenario's columns, its own link's power and bandwidth and, when
-    any scenario overlaps, the other link's power and bandwidth. Its values
-    equal those computed from inputs broadcast to one shape first.
+    Each formula is written once over the pair, the other link being p[::-1]
+    and w[::-1]. A zero bandwidth yields zero rate (the x*log(1+c/x) -> 0
+    limit), and so does an interference term that would divide by one: every
+    allocation gets rates. These fallbacks are applied only where a min() > 0.0
+    check on an input fails, as NaN does; elsewhere they would change no bit.
     """
     alpha_o, alpha_1, dens, w_o = batch.alpha_o, batch.alpha_1, batch.density, batch.overlap_bandwidth
+    p, w, beta = (np.asarray(x, dtype=float) for x in (p, w, (batch.beta_ue, batch.beta_bs)))
+    if p.shape[:1] != (2,) or w.shape[:1] != (2,) or p.ndim != 3 or w.ndim != 3:
+        raise ValueError(f"link pairs must be (2, rows, columns) arrays, got shapes {p.shape} and {w.shape}")
     # Without overlap in any scenario the interference term is zero;
     # skipping it keeps the large orthogonal grid batches cheap.
     overlapped = np.any(w_o > 0.0)
-    p_ue, p_bs, w_a, w_b = (np.asarray(x, dtype=float) for x in (p_ue, p_bs, w_a, w_b))
-
-    def one_way(p_own, beta, w_own, p_other, w_other):
-        noise = dens * w_own
-        plain = _all_positive(w_own) and (not overlapped or _all_positive(w_other))
-        if overlapped:
-            other = w_other if plain else np.where(w_other > 0.0, w_other, 1.0)
-            den = noise + alpha_1 * p_other * beta * w_o / other
-        else:
-            den = noise
-        plain = plain and _all_positive(den)
-        sinr = p_own * beta / (den if plain else np.where(den > 0.0, den, 1.0))
-        rate = alpha_o * w_own * np.log2(1.0 + sinr)
-        if plain:
-            return rate
-        # A scenario with w_o = 0 adds exactly zero interference, so the
-        # other link's bandwidth may be zero there.
-        other_ok = (w_other > 0.0) | (w_o == 0.0) if overlapped else True
-        return np.where((w_own > 0.0) & other_ok, rate, 0.0)
-
-    rate_a = one_way(p_ue, batch.beta_ue, w_a, p_bs, w_b)
-    rate_b = one_way(p_bs, batch.beta_bs, w_b, p_ue, w_a)
-    return rate_a, rate_b
+    plain, den = _all_positive(w), dens * w
+    if overlapped:
+        other = w[::-1] if plain else np.where(w[::-1] > 0.0, w[::-1], 1.0)
+        den = den + alpha_1 * p[::-1] * beta * w_o / other
+    plain = plain and _all_positive(den)
+    sinr = p * beta / (den if plain else np.where(den > 0.0, den, 1.0))
+    rate = alpha_o * w * np.log2(1.0 + sinr)
+    if plain:
+        return rate
+    # A scenario with w_o = 0 adds exactly zero interference, so the
+    # other link's bandwidth may be zero there.
+    ok = w > 0.0
+    return np.where(ok & (ok[::-1] | (w_o == 0.0)) if overlapped else ok, rate, 0.0)
 
 
 def evaluate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:
@@ -221,7 +206,7 @@ def evaluate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:
     and throughput, in bits/s, of the (S, 4) allocations alloc (p_ue, p_bs,
     w_a, w_b), row s under scenario s of batch, from one link_rates call;
     a zero bandwidth under overlap gets its zero fallback."""
-    rate_a, rate_b = link_rates(batch, *(alloc[:, k:k + 1] for k in range(4)))
+    rate_a, rate_b = link_rates(batch, alloc.T[:2, :, None], alloc.T[2:, :, None])
     return np.hstack((np.minimum(rate_a / batch.access_weight, rate_b), rate_a, rate_b,
                       rate_a + rate_b))
 

@@ -6,14 +6,14 @@ The golden-section solver is the exact orthogonal solver as first written,
 one scenario at a time in pure Python, kept as the reference for the
 batched marginal-cost solver; it compares powers by their logs, so it holds
 where a power overflows. The full-grid oracle is the grid oracle as
-first written, the whole grid in one link_rates call and np.argmax, kept as
+first written, the whole grid in one rate kernel call and np.argmax, kept as
 the reference for the oracle that bisects each column for its peak. The
 per-row audit is the audit as first written, one point check, one scenario,
 one feasibility check and one scalar rate report per row, kept as the
 reference for the audit that checks all rows as arrays; its feasibility
 check and rate report are the scalar bodies validate and
 RateReport.from_rates once had, on the allocation's floats, so that it
-shares no code with the batch checks but the rate kernel link_rates.
+shares no code with the batch checks but the masked rate kernel.
 The per-point scenario builder is build_scenarios as it was before it
 converted each distinct power and duplex once, kept as its reference.
 The reference swarm is the swarm as first written, an S x N x 4 tensor
@@ -24,8 +24,11 @@ The column solver is the exact solver before its link planes, each
 per-link quantity an (S, 2) array summed and minimized by reductions over
 axis 1, kept as the reference for the solver on (2, S) planes.
 The masked rate kernel is link_rates as it was before it skipped its
-fallbacks where no input needs them, every stand-in and the zero-rate mask
-applied on every call, kept as the bitwise reference for the kernel.
+fallbacks where no input needs them and before it took the links as pairs:
+four per-link arrays, each link's rate by its own call of the formulas, every
+stand-in and the zero-rate mask applied on every call. It is the bitwise
+reference for the kernel, and the other references compute their rates with
+it, so that they share no code with the kernel under test.
 The mpmath level solves the exact solver's optimality conditions at 40
 digits, as the reference for its accuracy. solved_rows turns the arrays of
 a batch solver into one SolveResult per row, for tests that compare rows.
@@ -57,7 +60,6 @@ from satiab import (
     dbm_to_watts,
     duplex_factors,
     grid_oracle_many,
-    link_rates,
     pso_solve_many,
     solve_orthogonal_many,
 )
@@ -199,10 +201,10 @@ def random_feasible_allocation(rng, scn: ScenarioBatch):
 
 
 def reference_evaluate(scn: ScenarioBatch, p_ue, p_bs, w_a, w_b) -> RateReport:
-    """The rate report of one allocation, given as floats, from the rate
-    kernel's floats and scalar arithmetic, as RateReport.from_rates once
+    """The rate report of one allocation, given as floats, from the masked
+    rate kernel's floats and scalar arithmetic, as RateReport.from_rates once
     computed it."""
-    rate_a, rate_b = (rate.item() for rate in link_rates(scn, p_ue, p_bs, w_a, w_b))
+    rate_a, rate_b = (rate.item() for rate in reference_link_rates(scn, p_ue, p_bs, w_a, w_b))
     eps = scalars(scn).access_weight
     return RateReport(
         rate_access=rate_a,
@@ -251,8 +253,9 @@ def solved_rows(solve_many, scns, *args) -> list[SolveResult]:
 
 
 def reference_link_rates(batch: ScenarioBatch, p_ue, p_bs, w_a, w_b):
-    """link_rates with its fallbacks applied on every call: the stand-ins for
-    a zero other-link bandwidth and a zero denominator, and the zero-rate mask."""
+    """link_rates on four per-link arrays, each rate of the broadcast shape of
+    what it depends on, with its fallbacks applied on every call: the stand-ins
+    for a zero other-link bandwidth and a zero denominator, and the zero-rate mask."""
     alpha_o, alpha_1, dens, w_o = batch.alpha_o, batch.alpha_1, batch.density, batch.overlap_bandwidth
     # Without overlap in any scenario the interference term is zero;
     # skipping it keeps the large orthogonal grid batches cheap.
@@ -413,7 +416,7 @@ def reference_solve_orthogonal_many(batch: ScenarioBatch):
     rate_per_zeta = np.hstack((eps, np.ones_like(eps)))
     y_per_zeta = rate_per_zeta * _LN2 / (alpha_o * w_total)
 
-    rate_a, zeta_ub = link_rates(batch, p_total, p_total, w_total, w_total)
+    rate_a, zeta_ub = reference_link_rates(batch, p_total, p_total, w_total, w_total)
     low_snr = alpha_o * p_total / (_LN2 * dens * (rate_per_zeta / beta).sum(axis=1, keepdims=True))
     zeta = np.minimum(np.minimum(zeta_ub, np.where(rate_a > 0.0, rate_a / eps, np.inf)), low_snr)
     zeta = np.where(zeta > 0.0, zeta, zeta_ub)
@@ -505,20 +508,20 @@ def mp_orthogonal_level(batch: ScenarioBatch, dps: int = 40):
 def full_grid(batch: ScenarioBatch, resolution: int):
     """The oracle's power and bandwidth axes, and min(rate_a / eps, rate_b)
     at every point of its resolution x resolution grid, power rows by
-    bandwidth columns, from one link_rates call."""
+    bandwidth columns, from one reference_link_rates call."""
     scn = scalars(batch)
     band_total, w_lo, w_hi = (limit.item() for limit in bandwidth_limits(batch))
     p_grid = np.linspace(0.0, scn.total_power, resolution)
     wa_grid = np.linspace(w_lo, w_hi, resolution)
     p_ue = p_grid[:, None]
     w_a = wa_grid[None, :]
-    rate_a, rate_b = link_rates(batch, p_ue, scn.total_power - p_ue, w_a, band_total - w_a)
+    rate_a, rate_b = reference_link_rates(batch, p_ue, scn.total_power - p_ue, w_a, band_total - w_a)
     return p_grid, wa_grid, np.minimum(rate_a / scn.access_weight, rate_b)
 
 
 def full_grid_oracle(batch: ScenarioBatch, resolution: int) -> SolveResult:
     """The grid oracle's search in one piece: every point of the
-    resolution x resolution grid in one link_rates call, then np.argmax."""
+    resolution x resolution grid in one reference_link_rates call, then np.argmax."""
     scn = scalars(batch)
     band_total = bandwidth_limits(batch)[0].item()
     p_grid, wa_grid, maxmin = full_grid(batch, resolution)
@@ -578,8 +581,9 @@ def per_point_build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
 def per_row_audit(cfg: ExperimentConfig, rows) -> list[str]:
     """audit_rows one row at a time: check the row's point against the
     config's ranges and its sweep_value against its point, build its scenario, check its allocation with
-    reference_validate, and re-evaluate a feasible one with
-    reference_evaluate."""
+    reference_validate, re-evaluate a feasible one with reference_evaluate
+    and, if its rates agree, check that it spends both budgets within the
+    relative slack of validate."""
     ranges = {
         "power_dbm": _RANGES["total_power_dbm"],
         "overlap_mhz": (0.0, cfg.total_bandwidth_mhz),
@@ -612,6 +616,7 @@ def per_row_audit(cfg: ExperimentConfig, rows) -> list[str]:
             problems.append(f"row {index}: allocation violates {', '.join(violated)}")
             continue
         report = reference_evaluate(scn, *alloc)
+        found = len(problems)
         recorded = {
             "zeta_mbps": (row.zeta_mbps, report.maxmin_level / 1e6),
             "rate_access_mbps": (row.rate_access_mbps, report.rate_access / 1e6),
@@ -624,6 +629,13 @@ def per_row_audit(cfg: ExperimentConfig, rows) -> list[str]:
                 problems.append(
                     f"row {index}: {name} recorded {got:.9g} but re-evaluates to {want:.9g}"
                 )
+        budgets = {
+            "power": (row.p_ue_w + row.p_bs_w, scalars(scn).total_power),
+            "bandwidth": (row.w_a_hz + row.w_b_hz, bandwidth_limits(scn)[0].item()),
+        }
+        unspent = [name for name, (spent, budget) in budgets.items() if spent < (1.0 - 1e-6) * budget]
+        if unspent and len(problems) == found:
+            problems.append(f"row {index}: allocation leaves budget unspent: {', '.join(unspent)}")
     return problems
 
 
@@ -700,7 +712,7 @@ def reference_run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int]
 
     for _ in range(cfg.max_iterations):
         _reference_normalize_population(population, p_total, band_total, w_lo, w_hi, rngs)
-        rate_a, rate_b = link_rates(
+        rate_a, rate_b = reference_link_rates(
             batch, population[..., 0], population[..., 1], population[..., 2], population[..., 3]
         )
         fitness = np.minimum(rate_a, eps * rate_b)

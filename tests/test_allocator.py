@@ -58,11 +58,12 @@ def brute_force_maxmin(batch: ScenarioBatch, res: int = 100) -> float:
     band_total = alpha_1 * (scn.total_bandwidth + scn.overlap_bandwidth)
     w_lo = alpha_1 * scn.overlap_bandwidth
     w_hi = alpha_1 * scn.total_bandwidth
-    p_ue = np.linspace(0.0, scn.total_power, res)[:, None, None]
-    w_a = np.linspace(w_lo, w_hi, res)[None, :, None]
-    w_b = np.linspace(w_lo, w_hi, res)[None, None, :]
+    # power rows against the (w_a, w_b) grid, flattened into columns
+    p_ue = np.linspace(0.0, scn.total_power, res)[:, None]
+    w_axis = np.linspace(w_lo, w_hi, res)
+    w_a, w_b = np.repeat(w_axis, res)[None, :], np.tile(w_axis, res)[None, :]
     feasible = w_a + w_b <= band_total * (1.0 + 1e-12)
-    rate_a, rate_b = link_rates(batch, p_ue, scn.total_power - p_ue, w_a, w_b)
+    rate_a, rate_b = link_rates(batch, np.stack((p_ue, scn.total_power - p_ue)), np.stack((w_a, w_b)))
     maxmin = np.minimum(rate_a / scn.access_weight, rate_b)
     return float(np.where(feasible, maxmin, -np.inf).max())
 
@@ -489,9 +490,8 @@ def test_grid_oracle_blocks_of_any_size_equal_the_full_grid(monkeypatch):
 def test_grid_oracle_ties_go_to_the_first_point(monkeypatch):
     # a flat grid: every point ties, so np.argmax over the whole grid picks
     # the first, and so must the search, in every chunk
-    def flat_rates(scn, p_ue, p_bs, w_a, w_b):
-        ones = np.ones(np.broadcast_shapes(np.shape(p_ue), np.shape(w_a)))
-        return ones, ones
+    def flat_rates(scn, p, w):
+        return np.ones(np.broadcast_shapes(p.shape, w.shape))
 
     monkeypatch.setattr(allocator, "link_rates", flat_rates)
     monkeypatch.setattr(allocator, "_GRID_BLOCK", 40)

@@ -19,6 +19,7 @@ from satiab import (
     ScenarioBatch,
     allocator,
     bandwidth_limits,
+    evaluate_many,
     expcli,
     grid_oracle,
     pso_solve,
@@ -335,10 +336,24 @@ def test_audit_catches_tampering():
     assert "throughput_mbps" in problems[0]
 
 
+def rerated(cfg: ExperimentConfig, row: SweepRow) -> SweepRow:
+    """row with its four rate cells re-evaluated from its allocation."""
+    alloc = np.array([[row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz]])
+    zeta, rate_a, rate_b, throughput = (evaluate_many(row_scenario(cfg, row), alloc)[0] / 1e6).tolist()
+    return row._replace(zeta_mbps=zeta, rate_access_mbps=rate_a, rate_backhaul_mbps=rate_b,
+                        throughput_mbps=throughput)
+
+
+def halved_power(cfg: ExperimentConfig, row: SweepRow) -> SweepRow:
+    """row with half its powers, a feasible allocation that leaves power unspent, and rates to match."""
+    return rerated(cfg, row._replace(p_ue_w=row.p_ue_w / 2, p_bs_w=row.p_bs_w / 2))
+
+
 def tampered(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[SweepRow]:
     """A copy of rows with every kind of problem the audit reports: non-finite
-    rows marked converged and not, each of constraints 1a to 1d violated, and
-    rate mismatches, interleaved so that the kinds alternate in row order."""
+    rows marked converged and not, each of constraints 1a to 1d violated, rate
+    mismatches and an unspent budget, interleaved so that the kinds alternate
+    in row order."""
     rows = list(rows)
 
     def limits(row):
@@ -360,6 +375,7 @@ def tampered(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[SweepRow]:
     edit(7, overlap_mhz=cfg.total_bandwidth_mhz / 2, w_a_hz=0.0)  # 1d
     edit(8, **dict.fromkeys(("zeta_mbps", "p_ue_w", "w_b_hz"), math.nan), converged=True)
     edit(9, rate_backhaul_mbps=rows[9].rate_backhaul_mbps * 1.5)
+    rows[11] = halved_power(cfg, rows[11])
     return rows
 
 
@@ -391,6 +407,7 @@ def test_audit_equals_the_per_row_audit(run, solvers):
         assert constraint in text
     for index in (0, 1, 2, 4, 5, 6, 7, 8, 9):
         assert f"row {index}:" in text
+    assert problems[-1] == "row 11: allocation leaves budget unspent: power"
     assert "row 3:" not in text and "row 10:" not in text
     assert audit_rows(cfg, []) == per_row_audit(cfg, []) == []
 
@@ -890,6 +907,19 @@ def test_cli_audit_checks_a_row_sweep_cells(tmp_path, capsys, cells, message):
     cfg, csv_path = twelve_row_csv(tmp_path, {5: cells})
     assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == failed_audit([f"row 5: {message}"])
     assert per_row_audit(load_config(cfg), read_csv(csv_path)) == [f"row 5: {message}"]
+
+
+def test_cli_audit_rejects_a_row_that_leaves_power_unspent(tmp_path, capsys):
+    # halved powers are feasible and their recomputed rates re-evaluate, but
+    # the row's max-min level falls well below the exact solver's
+    cfg = cli_config(tmp_path, solvers=["exact"], power_sweep_max_dbm=42.0)
+    rows = run_power_sweep(load_config(cfg))
+    rows[0] = halved_power(load_config(cfg), rows[0])
+    csv_path = str(tmp_path / "sweep.csv")
+    write_csv(rows, csv_path)
+    problems = ["row 0: allocation leaves budget unspent: power"]
+    assert per_row_audit(load_config(cfg), read_csv(csv_path)) == problems
+    assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == failed_audit(problems)
 
 
 def test_cli_audit_skips_a_solver_failure(tmp_path, capsys):

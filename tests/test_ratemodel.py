@@ -180,36 +180,44 @@ def test_link_rates_batch_rows_equal_single_scenarios():
     alloc[:, 0, 3] = 0.0  # w_b = 0: zero access rate only where the links overlap
     alloc[:, 1, 2] = 0.0
     batch = stack(scns)
-    rate_a, rate_b = link_rates(batch, *np.moveaxis(alloc, -1, 0))
+    planes = np.moveaxis(alloc, -1, 0)  # (4, S, 6): p_ue, p_bs, w_a, w_b
+    rate_a, rate_b = link_rates(batch, planes[:2], planes[2:])
     for s, scn in enumerate(scns):
-        (alone_a,), (alone_b,) = link_rates(scn, *alloc[s].T)
+        (alone_a,), (alone_b,) = link_rates(scn, planes[:2, s:s + 1], planes[2:, s:s + 1])
         assert np.array_equal(rate_a[s], alone_a)
         assert np.array_equal(rate_b[s], alone_b)
         assert (rate_a[s, 0] > 0.0) == (scn.overlap_bandwidth == 0.0)
 
 
 def test_link_rates_on_broadcast_axes_equal_materialised_inputs():
-    # (R, 1) powers against (1, N) bandwidths, as the grid oracle passes them
+    # (7, 1) powers against (1, 9) bandwidths
     rng = np.random.default_rng(61)
     p_ue = rng.uniform(0.0, 10.0, (7, 1))
     p_ue[0] = 0.0
-    p_bs = 10.0 - p_ue
     w_a = rng.uniform(0.0, 40e6, (1, 9))
     w_a[0, :2] = 0.0
-    w_b = w_a[:, ::-1].copy()  # zero bandwidths at both ends of the row
+    p = np.stack((p_ue, 10.0 - p_ue))
+    w = np.stack((w_a, w_a[:, ::-1]))  # zero bandwidths at both ends of the row
     scns = [make_scenario(), make_scenario(overlap_bandwidth=8e6, duplex=DuplexMode.TDD)]
     scns += [random_scenario(rng) for _ in range(5)]
     # the batch of seven scenarios takes one row of powers each
     for scn in (*scns[:2], stack(scns)):
-        lazy = link_rates(scn, p_ue, p_bs, w_a, w_b)
-        eager = link_rates(scn, *np.broadcast_arrays(p_ue, p_bs, w_a, w_b))
-        for rate, reference in zip(lazy, eager):
-            assert rate.shape == (7, 9)
-            assert np.array_equal(rate, reference)
-    # without overlap each rate spans only the axes of its own link's inputs
-    # and the scenario's (1, 1) columns
-    rate_a, rate_b = link_rates(scns[0], p_ue, 1.0, w_a, 2e6)
-    assert rate_a.shape == (7, 9) and rate_b.shape == (1, 1)
+        lazy = link_rates(scn, p, w)
+        eager = link_rates(scn, *np.broadcast_arrays(p, w))
+        assert lazy.shape == (2, 7, 9)
+        assert np.array_equal(lazy, eager)
+
+
+def test_link_rates_take_pairs_of_three_axes():
+    scn = make_scenario()
+    p, w = np.full((2, 1, 3), 1.0), np.full((2, 1, 3), 1e6)
+    assert link_rates(scn, p, w).shape == (2, 1, 3)
+    for bad in (np.ones((3, 1, 3)), np.ones((1, 1, 3)), np.ones((0, 1, 3)), np.ones(2), np.ones((2, 3)),
+                np.ones((2, 1, 1, 3)), [1.0, 2.0]):
+        with pytest.raises(ValueError, match="link pairs must be"):
+            link_rates(scn, bad, w)
+        with pytest.raises(ValueError, match="link pairs must be"):
+            link_rates(scn, p, bad)
 
 
 # Values that meet a fallback of link_rates: zeros of both signs, negatives,
@@ -220,28 +228,30 @@ _FALLBACK_VALUES = (0.0, -0.0, -3.0, math.nan, math.inf, -math.inf, *_SUBNORMALS
 
 @st.composite
 def rate_kernel_inputs(draw):
-    """A batch of 0 to 4 rows, orthogonal, overlapped or a mix, and four
-    allocation arrays of shapes that broadcast against its (S, 1) columns.
-    Each array is all positive, or mixes in subnormals or any of
-    _FALLBACK_VALUES, so that calls take the plain path and the masked one."""
+    """A batch of 0 to 4 rows, orthogonal, overlapped or a mix, and a power
+    pair and a bandwidth pair, each of one shape drawn for the pair, whose
+    links broadcast against its (S, 1) columns. Each pair is all positive, or
+    mixes in subnormals or any of _FALLBACK_VALUES, so that calls take the
+    plain path and the masked one."""
     rows = st.tuples(st.sampled_from((0.0, 0.0, 5e-324, 4e6, 40e6)), st.sampled_from(DuplexMode))
     size, columns = draw(st.sampled_from((1, 2, 3, 4, 0))), draw(st.sampled_from((1, 2, 3, 1, 2, 3, 0)))
     batch = stack([make_scenario(overlap_bandwidth=w_o, duplex=duplex)
                    for w_o, duplex in draw(st.lists(rows, min_size=size, max_size=size))])
-    shapes = ((), (columns,), (1, columns), (size, 1), (size, columns))
+    shapes = ((1, 1), (1, columns), (size, 1), (size, columns))
     positive = st.floats(1e-3, 1e9)
     kinds = st.sampled_from((positive, positive, positive | st.sampled_from(_SUBNORMALS),
                              positive | st.sampled_from(_FALLBACK_VALUES)))
-    return batch, [draw(arrays(np.float64, draw(st.sampled_from(shapes)), elements=draw(kinds)))
-                   for _ in range(4)]
+    return batch, [draw(arrays(np.float64, (2, *draw(st.sampled_from(shapes))), elements=draw(kinds)))
+                   for _ in range(2)]
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=400)
 @given(rate_kernel_inputs())
 def test_link_rates_equal_the_masked_kernel_bit_for_bit(case):
-    batch, inputs = case
+    batch, (p, w) = case
     with np.errstate(all="ignore"):
-        got, want = link_rates(batch, *inputs), reference_link_rates(batch, *inputs)
+        got, want = link_rates(batch, p, w), reference_link_rates(batch, *p, *w)
+    assert got.shape == (2, *np.broadcast_shapes(batch.total_power.shape, p.shape[1:], w.shape[1:]))
     for rate, reference in zip(got, want):
         assert rate.shape == reference.shape and rate.dtype == reference.dtype
         assert np.array_equal(rate, reference, equal_nan=True)
