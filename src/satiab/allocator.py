@@ -54,8 +54,7 @@ _Solved = tuple[np.ndarray, np.ndarray, np.ndarray]  # allocations, iterations, 
 _GRID_BLOCK = 4_096  # grid columns per grid_oracle_many kernel call: 32 KiB temporaries
 _SWARM_PARTICLES = 65_536  # particles per run_pso batch of pso_solve_many
 _ROW_DRAWS, _BLOCK_DRAWS = 4_096, 131_072  # draws of a swarm's draw block: about per row, at most in all
-PSO_WEIGHT_LIMITS = {"inertia_weight": (0.0, 1e3),  # closed ranges that keep the swarm's steps finite
-                     "learning_factor_1": (1e-6, 1e3), "learning_factor_2": (1e-6, 1e3)}
+_LEARNING_FACTORS, _INERTIA_WEIGHT = (2.0, 2.0), 0.01  # the reference swarm's step rule
 
 
 class SolverKind(enum.Enum):
@@ -78,29 +77,24 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm hyperparameters.
+    """The swarm's size: its particles and iterations.
 
-    The defaults reproduce the reference configuration: 50 particles,
-    200 iterations, inertia weight 0.01, both learning factors 2, and a
-    ring neighborhood that includes the particle itself. The seed is not
-    a hyperparameter: each swarm is keyed by the seed its solve call is
-    given, so one config serves every row of a batch.
+    The defaults reproduce the reference configuration, 50 particles and
+    200 iterations. Its step rule is fixed at the reference's: inertia
+    weight 0.01, both learning factors 2 (_INERTIA_WEIGHT and
+    _LEARNING_FACTORS), and a ring neighborhood that includes the particle
+    itself. The seed is not a hyperparameter: each swarm is keyed by the
+    seed its solve call is given, so one config serves every row of a batch.
     """
 
     population_size: int = 50
     max_iterations: int = 200
-    learning_factor_1: float = 2.0
-    learning_factor_2: float = 2.0
-    inertia_weight: float = 0.01
 
     def __post_init__(self) -> None:
         if self.population_size < 3:
             raise ValueError("population_size must be >= 3 (ring topology)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        for name, (lo, hi) in PSO_WEIGHT_LIMITS.items():
-            if not lo <= getattr(self, name) <= hi:
-                raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}]")
 
 
 def _inversion_power(rate, bandwidth, beta, alpha_o, dens):
@@ -180,8 +174,8 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
     A row stops once hi - lo <= 1e-13 max(zeta_ub, 1); iterations_used
     counts its levels, and converged says it stopped so. It returns the
     allocation computed at its final lo, whose powers sum to at most P
-    exactly. Rows share only elementwise arithmetic, so row s is exactly
-    the solve of scenario s alone.
+    exactly, or both budgets halved where lo stays 0. Rows share only
+    elementwise arithmetic, so row s is exactly the solve of scenario s alone.
     """
     if (batch.overlap_bandwidth != 0.0).any():
         raise ValueError("solve_orthogonal requires overlap_bandwidth == 0")
@@ -201,7 +195,7 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
     tol = 1e-13 * np.maximum(zeta_ub, 1.0)
     lo, hi = np.zeros_like(zeta_ub), zeta_ub.copy()
     share = y_per_zeta[0] / np.add(*y_per_zeta)  # equal y on both links
-    alloc = np.vstack((np.zeros_like(beta), 0.5 * w_total, 0.5 * w_total))  # at lo = 0
+    alloc = 0.5 * np.vstack((p_total, p_total, w_total, w_total))  # both budgets halved, spent exactly
     iterations = np.zeros(zeta_ub.shape, dtype=int)
     for _ in range(_MAX_STEPS):
         active = hi - lo > tol
@@ -431,12 +425,11 @@ def run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int],
 
         step = draws.take(8 * n).reshape(size, n, 4, 2).transpose(3, 2, 0, 1)  # r1, r2 by plane
         np.take(planes, _ring_best(fitness, ring), axis=1, out=local, mode="clip")
-        for factor, r, best in ((cfg.learning_factor_1, step[0], local),
-                                (cfg.learning_factor_2, step[1], global_best[..., None])):
+        for factor, r, best in zip(_LEARNING_FACTORS, step, (local, global_best[..., None])):
             np.multiply(factor, r, out=term)
             term *= np.subtract(best, swarm, out=local)
             velocity += term
-        swarm += np.multiply(cfg.inertia_weight, velocity, out=term)
+        swarm += np.multiply(_INERTIA_WEIGHT, velocity, out=term)
 
     return best_particle.T.copy()
 

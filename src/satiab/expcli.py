@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocator import PSO_WEIGHT_LIMITS, PsoConfig, SolverKind
+from .allocator import PsoConfig, SolverKind
 from .allocator import grid_oracle_many, pso_solve_many, solve_orthogonal_many
 from .linkbudget import channel_gain, db_to_linear, dbm_to_watts
 from .ratemodel import _SLACK, CONSTRAINTS, DuplexMode, ScenarioBatch
@@ -74,10 +74,11 @@ class ValidationError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: scenario table values, swarm settings, sweep settings.
+    """One experiment: scenario table values, the swarm's size, sweep settings.
 
     Field names double as the JSON keys; unit suffixes carry the units.
-    Any key missing from the file falls back to the default below.
+    Any key missing from the file falls back to the default below. The
+    swarm's step weights are not settable: it runs the reference's (PsoConfig).
     """
 
     total_bandwidth_mhz: float = 40.0
@@ -97,9 +98,6 @@ class ExperimentConfig:
     duplex: str = "FDD"
     pso_population: int = PsoConfig.population_size
     pso_iterations: int = PsoConfig.max_iterations
-    pso_inertia_weight: float = PsoConfig.inertia_weight
-    pso_learning_factor_1: float = PsoConfig.learning_factor_1
-    pso_learning_factor_2: float = PsoConfig.learning_factor_2
     seed: int = 1
     solvers: tuple[str, ...] = ("exact", "pso")
     output_dir: str = "out"
@@ -145,7 +143,6 @@ _RANGES = {
     "access_weight": (1e-6, 1.0),
     "pso_population": (3, 1000),
     "pso_iterations": (1, 10_000),
-    **{f"pso_{name}": limits for name, limits in PSO_WEIGHT_LIMITS.items()},
     "overlap_sweep_points": (2, 1001),
     "oracle_resolution": (10, 2000),
     "total_power_dbm": POWER_DBM_LIMITS,
@@ -339,13 +336,7 @@ _row_sort_key = operator.attrgetter("sweep_value", "duplex", "altitude_km", "acc
 
 
 def _pso_config(cfg: ExperimentConfig) -> PsoConfig:
-    return PsoConfig(
-        population_size=cfg.pso_population,
-        max_iterations=cfg.pso_iterations,
-        learning_factor_1=cfg.pso_learning_factor_1,
-        learning_factor_2=cfg.pso_learning_factor_2,
-        inertia_weight=cfg.pso_inertia_weight,
-    )
+    return PsoConfig(population_size=cfg.pso_population, max_iterations=cfg.pso_iterations)
 
 
 def _row_seed(base_seed: int, row_index: int) -> int:
@@ -639,26 +630,28 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
     Returns one message per discrepancy, in row order. A row whose point
     lies outside the config's ranges (power_dbm, altitude_km and
     access_weight those of their _RANGES keys, overlap_mhz [0, the config's
-    total_bandwidth_mhz]; NaN and inf lie outside) gets one message per such
-    cell and nothing else. Of the other rows, one that holds a non-finite
-    value is a problem if marked converged, and a skipped solver failure if
-    not. The rest are checked as arrays, by one build_scenarios,
-    validate_many (constraints 1a-1d) and, on the feasible rows,
-    evaluate_many call, whose rates must match the recorded ones within the
-    relative tolerance _AUDIT_TOL. A row that passes must also spend both
-    budgets, p_ue + p_bs >= P and w_a + w_b >= alpha_1 (W + w_o), within
-    validate_many's relative slack. A row whose sweep_value is not its
-    power_dbm (in an overlap row, overlap_mhz / total_bandwidth_mhz to 1e-8)
-    gets that as its first message.
+    total_bandwidth_mhz as a %.9g cell]; NaN and inf lie outside) gets one
+    message per such cell and nothing else. Of the other rows, one that
+    holds a non-finite value is a problem if marked converged, and a
+    skipped solver failure if not. The rest are checked as arrays, by one
+    build_scenarios (which reads an overlap_mhz above the bandwidth, a full
+    overlap rounded up, as the bandwidth), validate_many (constraints 1a-1d)
+    and, on the feasible rows, evaluate_many call, whose rates must match
+    the recorded ones within the relative tolerance _AUDIT_TOL. A row that
+    passes must also spend both budgets, p_ue + p_bs >= P and w_a + w_b >=
+    alpha_1 (W + w_o), within validate_many's relative slack. A row whose
+    sweep_value is not its power_dbm (in an overlap row, overlap_mhz /
+    total_bandwidth_mhz to 1e-8) gets that as its first message.
     """
     cells = np.array([_float_cells(row) for row in rows], dtype=float).reshape(-1, len(_FLOAT_INDICES))
     point = cells[:, 1:5]  # power_dbm, overlap_mhz, altitude_km, access_weight
-    limits = np.array([_RANGES["total_power_dbm"], (0.0, cfg.total_bandwidth_mhz), _RANGES["altitude_km"],
+    band = cfg.total_bandwidth_mhz
+    limits = np.array([_RANGES["total_power_dbm"], (0.0, float(f"{band:.9g}")), _RANGES["altitude_km"],
                        _RANGES["access_weight"]])
     outside = ~((limits[:, 0] <= point) & (point <= limits[:, 1]))
     checked = ~outside.any(axis=1) & np.isfinite(cells).all(axis=1)
     index = np.flatnonzero(checked).tolist()
-    batch = build_scenarios(cfg, [rows[i][2:7] for i in index])
+    batch = build_scenarios(cfg, [(rows[i][2], min(rows[i][3], band), *rows[i][4:7]) for i in index])
     recorded, alloc = cells[checked, -8:-4], cells[checked, -4:]
     violated = validate_many(batch, alloc)
     feasible = ~violated.any(axis=1)
@@ -672,7 +665,8 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
     problems = {}
     for i, j in np.argwhere(outside).tolist():
         (lo, hi), name = limits[j].tolist(), _float_cells(CSV_COLUMNS)[1 + j]
-        problems.setdefault(i, []).append(f"row {i}: {name}={point[i, j]:g} must lie in [{lo:g}, {hi:g}]")
+        message = f"row {i}: {name}={point[i, j]:.9g} must lie in [{lo:.9g}, {hi:.9g}]"
+        problems.setdefault(i, []).append(message)
     problems |= {i: [f"row {i}: marked converged but holds a non-finite value"]
                  for i in np.flatnonzero(~checked).tolist() if rows[i].converged and i not in problems}
     for k in np.flatnonzero(~feasible | off.any(axis=1) | unspent.any(axis=1)).tolist():
@@ -688,7 +682,7 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
                            for name, got, value, bad in zip(CSV_COLUMNS[8:12], recorded[k].tolist(),
                                                             want[k].tolist(), off[k]) if bad]
     overlap = np.array([row.sweep == "overlap" for row in rows], dtype=bool)
-    swept = np.where(overlap, cells[:, 2] / cfg.total_bandwidth_mhz, cells[:, 1])
+    swept = np.where(overlap, cells[:, 2] / band, cells[:, 1])
     mislabelled = ~np.isclose(cells[:, 0], swept, rtol=1e-8 * overlap, atol=0.0) & ~outside.any(axis=1)
     for i in np.flatnonzero(mislabelled).tolist():
         name = "overlap_mhz/total_bandwidth_mhz" if overlap[i] else "power_dbm"
@@ -713,7 +707,7 @@ def _effective_config(args) -> ExperimentConfig:
     updates = {"seed": cfg.seed if args.seed is None else args.seed}
     if args.out is not None:
         updates["output_dir"] = args.out
-    if getattr(args, "solvers", None) is not None:
+    if args.solvers is not None:
         updates["solvers"] = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
     cfg = dataclasses.replace(cfg, **updates)
     problems = _config_problems(cfg)
@@ -742,7 +736,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    cfg = _effective_config(args)
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
     rows = read_csv(args.csv)
     if not rows:
         raise ValidationError(f"{args.csv}: no rows to audit")
@@ -756,12 +750,11 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser, with_solvers: bool = True) -> None:
+def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a JSON config file")
     parser.add_argument("--seed", type=int, help="override the RNG seed")
     parser.add_argument("--out", help="output directory")
-    if with_solvers:
-        parser.add_argument("--solvers", help="comma-separated subset of exact,pso,oracle")
+    parser.add_argument("--solvers", help="comma-separated subset of exact,pso,oracle")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -784,7 +777,7 @@ def main(argv: list[str] | None = None) -> int:
         p.set_defaults(handler=_cmd_sweep, run=run, stem=stem)
 
     p = sub.add_parser("audit", help="re-validate a previously written sweep CSV")
-    _add_common_arguments(p, with_solvers=False)
+    p.add_argument("--config", help="path to a JSON config file")
     p.add_argument("--csv", required=True, help="CSV file to audit")
     p.set_defaults(handler=_cmd_audit)
 

@@ -423,7 +423,7 @@ def reference_solve_orthogonal_many(batch: ScenarioBatch):
     tol = 1e-13 * np.maximum(zeta_ub, 1.0)
     lo, hi = np.zeros_like(zeta_ub), zeta_ub.copy()
     share = y_per_zeta[:, :1] / y_per_zeta.sum(axis=1, keepdims=True)
-    alloc = np.hstack((np.zeros_like(beta), 0.5 * w_total, 0.5 * w_total))
+    alloc = np.hstack((0.5 * p_total, 0.5 * p_total, 0.5 * w_total, 0.5 * w_total))
     iterations = np.zeros(zeta_ub.shape, dtype=int)
     for _ in range(_MAX_STEPS):
         active = hi - lo > tol
@@ -544,13 +544,14 @@ def full_grid_oracle(batch: ScenarioBatch, resolution: int) -> SolveResult:
 
 def row_scenario(cfg: ExperimentConfig, row) -> ScenarioBatch:
     """The scenario of one sweep row, built alone from the config with the
-    row's point in place of the config's own."""
+    row's point in place of the config's own; an overlap above the
+    bandwidth (a full overlap's 9-digit cell rounded up) is the bandwidth."""
     return build_scenario(dataclasses.replace(
         cfg,
         total_power_dbm=row.power_dbm,
         duplex=row.duplex,
         altitude_km=row.altitude_km,
-        overlap_mhz=row.overlap_mhz,
+        overlap_mhz=min(row.overlap_mhz, cfg.total_bandwidth_mhz),
         access_weight=row.access_weight,
     ))
 
@@ -586,13 +587,13 @@ def per_row_audit(cfg: ExperimentConfig, rows) -> list[str]:
     relative slack of validate."""
     ranges = {
         "power_dbm": _RANGES["total_power_dbm"],
-        "overlap_mhz": (0.0, cfg.total_bandwidth_mhz),
+        "overlap_mhz": (0.0, float(f"{cfg.total_bandwidth_mhz:.9g}")),  # as a CSV cell
         "altitude_km": _RANGES["altitude_km"],
         "access_weight": _RANGES["access_weight"],
     }
     problems = []
     for index, row in enumerate(rows):
-        outside = [f"row {index}: {name}={getattr(row, name):g} must lie in [{lo:g}, {hi:g}]"
+        outside = [f"row {index}: {name}={getattr(row, name):.9g} must lie in [{lo:.9g}, {hi:.9g}]"
                    for name, (lo, hi) in ranges.items() if not lo <= getattr(row, name) <= hi]
         if outside:
             problems += outside
@@ -730,8 +731,8 @@ def reference_run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int]
 
         for rng, block in zip(rngs, draws):
             rng.random(out=block)
-        velocity += cfg.learning_factor_1 * draws[..., 0] * (local_best - population)
-        velocity += cfg.learning_factor_2 * draws[..., 1] * (global_best[:, None] - population)
-        population = population + cfg.inertia_weight * velocity
+        velocity += 2.0 * draws[..., 0] * (local_best - population)
+        velocity += 2.0 * draws[..., 1] * (global_best[:, None] - population)
+        population = population + 0.01 * velocity
 
     return best_particle

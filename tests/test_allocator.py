@@ -557,7 +557,7 @@ def test_pso_single_point_population_is_stationary():
     n = 6
     point = np.array([4.0, 6.0, 8e6, 12e6])
     population = np.tile(point, (n, 1))
-    cfg = PsoConfig(population_size=n, max_iterations=30, inertia_weight=0.0)
+    cfg = PsoConfig(population_size=n, max_iterations=30)
     best = run_pso(stack([scn]), cfg, [0], initial_population=population[None])
     assert np.array_equal(best, point[None])  # the point is feasible, so projecting keeps it
     expected = evaluate(scn, Allocation(*point)).fitness
@@ -617,25 +617,6 @@ def test_pso_config_validation():
         PsoConfig(population_size=2)
     with pytest.raises(ValueError):
         PsoConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        PsoConfig(learning_factor_1=0.0)
-    with pytest.raises(ValueError):
-        PsoConfig(inertia_weight=-0.1)
-
-
-@pytest.mark.parametrize("weights", [
-    {"inertia_weight": 1e300}, {"inertia_weight": 1000.5}, {"inertia_weight": math.nan},
-    {"learning_factor_1": 1e300}, {"learning_factor_2": 1e-7},
-])
-def test_pso_config_takes_the_cli_weight_ranges(weights):
-    # a library call gets the ranges of the CLI, which names them by its keys:
-    # an inertia weight of 1e300 used to overflow the swarm
-    with pytest.raises(ValueError, match="must lie in"):
-        pso_solve_many(stack(mixed_batch()[:2]), PsoConfig(**weights), [1, 2])
-    PsoConfig(inertia_weight=0.0, learning_factor_1=1e-6, learning_factor_2=1e3)
-    PsoConfig(inertia_weight=1e3)
-    cfg = dataclasses.replace(expcli.ExperimentConfig(), pso_inertia_weight=1e300)
-    assert expcli._config_problems(cfg) == ["pso_inertia_weight=1e+300 must lie in [0, 1000]"]
 
 
 def mixed_batch() -> list[ScenarioBatch]:

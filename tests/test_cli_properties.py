@@ -121,10 +121,13 @@ def assert_run_passes_audit_or_fails_cleanly(command, text):
 @settings(derandomize=True, deadline=None, database=None, max_examples=120)
 @given(config_texts())
 @example('{"seed": 1, "seed": 2}')
-# configs that once broke the property: the first overflowed the swarm, the
-# second printed a newline inside its error
+# configs that once broke the property: the first overflowed the swarm (the
+# swarm's weights are no longer keys, so it now fails as an unknown key), the
+# second printed a newline inside its error, and the third's exact row, at
+# level 0, spent no power
 @example('{"pso_population": 8, "pso_iterations": 10, "pso_inertia_weight": 1e300}')
 @example('{"solvers": ["a\\nb", "a\\nb"]}')
+@example('{"total_power_dbm": -100, "altitude_km": 100000, "total_bandwidth_mhz": 100000, "solvers": ["exact"]}')
 def test_cli_solve_of_a_random_config_passes_audit_or_fails_cleanly(text):
     assert_run_passes_audit_or_fails_cleanly("solve", text)
 
@@ -132,6 +135,10 @@ def test_cli_solve_of_a_random_config_passes_audit_or_fails_cleanly(text):
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(st.sampled_from(["sweep-power", "sweep-overlap"]).flatmap(
     lambda command: st.tuples(st.just(command), config_texts(command))))
+# a config that once broke the property: its full-overlap rows wrote the
+# bandwidth rounded up, above the config's
+@example(("sweep-overlap", '{"pso_population": 8, "pso_iterations": 10, "overlap_sweep_points": 4, '
+                           '"total_bandwidth_mhz": 12.34567896}'))
 def test_cli_sweep_of_a_random_config_passes_audit_or_fails_cleanly(command_and_text):
     assert_run_passes_audit_or_fails_cleanly(*command_and_text)
 

@@ -6,6 +6,8 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -937,6 +939,48 @@ def test_cli_audit_of_two_bad_points_reports_both_in_row_order(tmp_path, capsys)
     assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == failed_audit(problems)
 
 
+def test_cli_audit_passes_a_full_overlap_written_above_the_bandwidth(tmp_path, capsys):
+    # the full-overlap rows write 12.34567896 MHz as 12.345679, above the
+    # config's bandwidth; the audit takes the bandwidth as the CSV writes it
+    cfg = cli_config(tmp_path, solvers=["pso"], total_bandwidth_mhz=12.34567896)
+    out = tmp_path / "out"
+    assert main(["sweep-overlap", "--config", cfg, "--out", str(out)]) == 0
+    csv_path = str(out / "overlap_sweep.csv")
+    rows = read_csv(csv_path)
+    assert [row.overlap_mhz for row in rows if row.sweep_value == 1.0] == [12.345679] * 6
+    assert per_row_audit(load_config(cfg), rows) == []
+    capsys.readouterr()
+    assert main(["audit", "--config", cfg, "--csv", csv_path]) == 0
+    assert capsys.readouterr().out == f"audit ok: {len(rows)} row(s)\n"
+
+
+def test_cli_audit_reports_an_overlap_above_the_written_bandwidth_at_9_digits(tmp_path, capsys):
+    cfg = cli_config(tmp_path, solvers=["exact"], power_sweep_max_dbm=42.0, total_bandwidth_mhz=12.34567896)
+    rows = run_power_sweep(load_config(cfg))
+    rows[6] = rows[6]._replace(overlap_mhz=12.3456791)
+    csv_path = str(tmp_path / "sweep.csv")
+    write_csv(rows, csv_path)
+    problems = ["row 6: overlap_mhz=12.3456791 must lie in [0, 12.345679]"]
+    assert per_row_audit(load_config(cfg), read_csv(csv_path)) == problems
+    assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == failed_audit(problems)
+
+
+def test_cli_exact_row_at_zero_level_spends_the_power_and_passes_audit(tmp_path, capsys):
+    # every value is in range, but the rates at the whole budget round to 0,
+    # so the level stays 0: the row holds both budgets halved, not zero power
+    cfg = write_json(tmp_path / "cfg.json", {"total_power_dbm": -100, "altitude_km": 100000,
+                                             "total_bandwidth_mhz": 100000, "solvers": ["exact"]})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    (row,) = read_csv(str(out / "solve.csv"))
+    assert row.zeta_mbps == 0.0
+    assert (row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz) == (5e-14, 5e-14, 2.5e10, 2.5e10)
+    assert per_row_audit(load_config(cfg), [row]) == []
+    capsys.readouterr()
+    assert main(["audit", "--config", cfg, "--csv", str(out / "solve.csv")]) == 0
+    assert capsys.readouterr().out == "audit ok: 1 row(s)\n"
+
+
 def test_build_scenarios_of_two_bad_points_raises_the_first_failing_condition():
     # the first point's access weight is bad and the second's overlap; the
     # batch tests the overlap first, so its message wins
@@ -1018,6 +1062,22 @@ def test_cli_seed_precedence(tmp_path, monkeypatch):
     env_bytes = (out_env / "overlap_sweep.csv").read_bytes()
     assert flag_bytes != config_bytes  # the flag overrides the config seed
     assert env_bytes == config_bytes  # the environment variable changes nothing
+
+
+def test_cli_config_that_sets_a_swarm_weight_fails(tmp_path, capsys):
+    # the swarm runs the reference's step weights, and no key sets them
+    cfg = write_json(tmp_path / "cfg.json", {"pso_inertia_weight": 0.01})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: unknown key 'pso_inertia_weight'\n"
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--out", "out"]])
+def test_cli_audit_takes_no_seed_or_out(tmp_path, capsys, flag):
+    # audit reads no seed and writes nothing, so either flag is a usage error
+    with pytest.raises(SystemExit) as exit_:
+        main(["audit", "--csv", str(tmp_path / "solve.csv"), *flag])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_cli_solvers_flag(tmp_path):
@@ -1150,6 +1210,55 @@ def test_cli_arithmetic_error_exits_1(tmp_path, capsys, monkeypatch):
     assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Runs each argv list of argv[1] (JSON) through main, then prints the numpy
+# CPU dispatch targets enabled in this process as a JSON list.
+_DISPATCH_CHILD = """
+import json, sys
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as umath
+from satiab.expcli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps([name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]))
+"""
+
+
+def test_outputs_are_byte_identical_with_the_cpu_dispatch_targets_disabled(tmp_path):
+    # numpy picks its SIMD loops per CPU, and log2, expm1, exp and power
+    # differ between them in the last bit; no %.9g cell, swarm comparison or
+    # plot coordinate may show it. The default sweep-overlap with the oracle
+    # added, and the default sweep-power of the exact solver and the oracle,
+    # run once as they are and once with every enabled target above numpy's
+    # baseline off.
+    config = {"solvers": ["exact", "pso", "oracle"]}
+    commands = [["sweep-overlap", "--config", "cfg.json", "--out", "out"],
+                ["sweep-power", "--config", "cfg.json", "--out", "out", "--solvers", "exact,oracle"]]
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run(name, **extra):
+        work = tmp_path / name
+        work.mkdir()
+        write_json(work / "cfg.json", config)
+        proc = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD, json.dumps(commands)], cwd=work,
+                              env={**env, **extra}, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        *stdout, targets = proc.stdout.splitlines()
+        files = {str(path.relative_to(work)): path.read_bytes() for path in sorted(work.rglob("*"))
+                 if path.is_file()}
+        return json.loads(targets), stdout, files
+
+    targets, stdout, files = run("dispatched")
+    if not targets:
+        pytest.skip("numpy enables no CPU dispatch target above its baseline on this host")
+    assert sorted(files) == ["cfg.json", "out/overlap_sweep.csv", "out/overlap_sweep.svg",
+                             "out/power_sweep.csv", "out/power_sweep.svg"]
+    assert run("baseline", NPY_DISABLE_CPU_FEATURES=" ".join(targets)) == ([], stdout, files)
 
 
 # ----------------------------------------------------------------- tooling
