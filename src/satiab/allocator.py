@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ratemodel import Allocation, RateReport, ScenarioBatch
-from .ratemodel import bandwidth_limits, evaluate, link_rates
+from .ratemodel import bandwidth_limits, evaluate, link_rates, rates_at
 
 __all__ = [
     "PsoConfig",
@@ -231,7 +231,7 @@ def solve_orthogonal(scn: ScenarioBatch) -> SolveResult:
 
 
 def _grid_maxima(batch: ScenarioBatch, resolution: int) -> np.ndarray:
-    """(S, 4) allocations at the scenarios' first grid maxima; see grid_oracle_many."""
+    """(S, 4) allocations at the first grid maxima, each step a call of one rates_at; see grid_oracle_many."""
     eps, p_total = batch.access_weight, batch.total_power
     band_total, w_lo, w_hi = bandwidth_limits(batch)
     # one np.linspace per grid row, as for a scenario alone: on whole columns it rounds
@@ -239,13 +239,13 @@ def _grid_maxima(batch: ScenarioBatch, resolution: int) -> np.ndarray:
     p_grid, w_a = (np.array([np.linspace(a, b, resolution) for a, b in zip(lo.ravel(), hi.ravel())])
                    for lo, hi in ((np.zeros_like(p_total), p_total), (w_lo, w_hi)))
     w = np.stack((w_a, band_total - w_a))
-    p = np.empty_like(w)  # each step's (p_ue, p_bs) pair
+    p, rates = np.empty_like(w), rates_at(batch, w)  # each step's (p_ue, p_bs) pair, and its rates
     first = np.arange(0, p_grid.size, resolution)[:, None]  # p_grid's flat index of each scenario's row
 
     def at(rows):
         # rate_a / eps and rate_b of every column at its grid row rows[s, j]
         np.subtract(p_total, p_grid.take(first + rows, out=p[0]), out=p[1])
-        rate_a, rate_b = link_rates(batch, p, w)
+        rate_a, rate_b = rates(p)
         return rate_a / eps, rate_b
 
     # the first row with a >= b; the last row qualifies unevaluated (p_bs = 0,
@@ -299,9 +299,9 @@ def grid_oracle_many(batch: ScenarioBatch, resolution: int) -> _Solved:
     corners of the parameter ranges. Columns combine by smallest row, then
     smallest column, as np.argmax's first maximum in row-major order.
 
-    Scenarios are searched in chunks of at most _GRID_BLOCK columns (at
-    least one scenario), one kernel call per search step. Each row counts
-    resolution**2 grid points as iterations.
+    Scenarios are searched in chunks of at most _GRID_BLOCK columns (at least
+    one scenario): rates_at computes a chunk's bandwidth terms once, and each
+    search step calls the result. Rows count resolution**2 grid points as iterations.
     """
     if resolution < 10:
         raise ValueError("resolution must be >= 10")

@@ -27,6 +27,7 @@ __all__ = [
     "duplex_factors",
     "bandwidth_limits",
     "link_rates",
+    "rates_at",
     "evaluate",
     "evaluate_many",
     "validate",
@@ -164,6 +165,48 @@ def _all_positive(x: np.ndarray) -> bool:
     return x.min(initial=np.inf) > 0.0
 
 
+def _link_pair(x) -> np.ndarray:
+    """x as a float (2, rows, columns) link pair; see link_rates."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[:1] != (2,) or x.ndim != 3:
+        raise ValueError(f"link pairs must be (2, rows, columns) arrays, got shape {x.shape}")
+    return x
+
+
+def _denominator(den: np.ndarray, plain: bool) -> np.ndarray:
+    """den, with 1.0 standing in where it is not above zero, unless plain and all of it is."""
+    return den if plain and _all_positive(den) else np.where(den > 0.0, den, 1.0)
+
+
+def rates_at(batch: ScenarioBatch, w):
+    """link_rates(batch, p, w) as a function of the power pair p alone, bit for bit.
+    Building it computes the terms of the batch and w alone: the noise dens w, the
+    prefactor alpha_o w, the other link's bandwidth with its stand-in, the zero-rate
+    mask and, if no scenario overlaps, the whole denominator with its stand-in; a
+    call computes the rest. It holds a view of w: do not write w while it is in use."""
+    w_o, w = batch.overlap_bandwidth, _link_pair(w)
+    plain, den, other, mask = _all_positive(w), batch.density * w, None, None
+    overlapped = np.any(w_o > 0.0)  # if not, the interference term is zero and skipped
+    if overlapped:
+        other = w[::-1] if plain else np.where(w[::-1] > 0.0, w[::-1], 1.0)
+    else:
+        den = _denominator(den, plain)
+    if not plain:
+        # w_o = 0 adds exactly zero interference: the other link's bandwidth may be 0 there
+        ok = w > 0.0
+        mask = ok & (ok[::-1] | (w_o == 0.0)) if overlapped else ok
+    beta, prefactor = np.asarray((batch.beta_ue, batch.beta_bs), dtype=float), batch.alpha_o * w
+
+    def rates(p) -> np.ndarray:
+        p = _link_pair(p)
+        sinr = p * beta / (_denominator(den + batch.alpha_1 * p[::-1] * beta * w_o / other, plain)
+                           if overlapped else den)
+        rate = prefactor * np.log2(1.0 + sinr)
+        return rate if mask is None else np.where(mask, rate, 0.0)
+
+    return rates
+
+
 def link_rates(batch: ScenarioBatch, p, w) -> np.ndarray:
     """Access and backhaul rates, in bits/s, of the power pair p = (p_ue, p_bs)
     and the bandwidth pair w = (w_a, w_b): (2, rows, columns) arrays whose first
@@ -178,27 +221,9 @@ def link_rates(batch: ScenarioBatch, p, w) -> np.ndarray:
     limit), and so does an interference term that would divide by one: every
     allocation gets rates. These fallbacks are applied only where a min() > 0.0
     check on an input fails, as NaN does; elsewhere they would change no bit.
+    It is rates_at(batch, w)(p): the terms of w alone, then those of p.
     """
-    alpha_o, alpha_1, dens, w_o = batch.alpha_o, batch.alpha_1, batch.density, batch.overlap_bandwidth
-    p, w, beta = (np.asarray(x, dtype=float) for x in (p, w, (batch.beta_ue, batch.beta_bs)))
-    if p.shape[:1] != (2,) or w.shape[:1] != (2,) or p.ndim != 3 or w.ndim != 3:
-        raise ValueError(f"link pairs must be (2, rows, columns) arrays, got shapes {p.shape} and {w.shape}")
-    # Without overlap in any scenario the interference term is zero;
-    # skipping it keeps the large orthogonal grid batches cheap.
-    overlapped = np.any(w_o > 0.0)
-    plain, den = _all_positive(w), dens * w
-    if overlapped:
-        other = w[::-1] if plain else np.where(w[::-1] > 0.0, w[::-1], 1.0)
-        den = den + alpha_1 * p[::-1] * beta * w_o / other
-    plain = plain and _all_positive(den)
-    sinr = p * beta / (den if plain else np.where(den > 0.0, den, 1.0))
-    rate = alpha_o * w * np.log2(1.0 + sinr)
-    if plain:
-        return rate
-    # A scenario with w_o = 0 adds exactly zero interference, so the
-    # other link's bandwidth may be zero there.
-    ok = w > 0.0
-    return np.where(ok & (ok[::-1] | (w_o == 0.0)) if overlapped else ok, rate, 0.0)
+    return rates_at(batch, w)(p)
 
 
 def evaluate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:

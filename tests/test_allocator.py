@@ -22,6 +22,7 @@ from satiab import (
     link_rates,
     pso_solve,
     pso_solve_many,
+    rates_at,
     run_pso,
     solve_orthogonal,
     solve_orthogonal_many,
@@ -490,13 +491,35 @@ def test_grid_oracle_blocks_of_any_size_equal_the_full_grid(monkeypatch):
 def test_grid_oracle_ties_go_to_the_first_point(monkeypatch):
     # a flat grid: every point ties, so np.argmax over the whole grid picks
     # the first, and so must the search, in every chunk
-    def flat_rates(scn, p, w):
-        return np.ones(np.broadcast_shapes(p.shape, w.shape))
+    def flat_rates(scn, w):
+        return lambda p: np.ones(np.broadcast_shapes(p.shape, w.shape))
 
-    monkeypatch.setattr(allocator, "link_rates", flat_rates)
+    monkeypatch.setattr(allocator, "rates_at", flat_rates)
     monkeypatch.setattr(allocator, "_GRID_BLOCK", 40)
     for result in solved_rows(grid_oracle_many, [make_scenario()] * 3, 20):
         assert (result.allocation.p_ue, result.allocation.w_a) == (0.0, 0.0)
+
+
+def test_grid_oracle_builds_the_rates_of_each_chunk_once(monkeypatch):
+    # a power sweep's 44 scenarios at 1000 x 1000 are 11 chunks of
+    # _GRID_BLOCK // 1000 = 4 scenarios: each chunk builds its bandwidth
+    # terms once, and its search steps call only the function built
+    rng = np.random.default_rng(61)
+    batch = stack([random_scenario(rng) for _ in range(44)])
+    expected, built = grid_oracle_many(batch, 1000), []
+
+    def counted_rates_at(scn, w):
+        built.append(len(scn))
+        return rates_at(scn, w)
+
+    def no_link_rates(*args):
+        raise AssertionError("the grid calls link_rates")
+
+    monkeypatch.setattr(allocator, "rates_at", counted_rates_at)
+    monkeypatch.setattr(allocator, "link_rates", no_link_rates)
+    for got, want in zip(grid_oracle_many(batch, 1000), expected):
+        assert np.array_equal(got, want)
+    assert built == [4] * 11
 
 
 def test_grid_oracle_memory_is_bounded():

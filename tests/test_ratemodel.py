@@ -17,6 +17,7 @@ from satiab import (
     evaluate,
     evaluate_many,
     link_rates,
+    rates_at,
     solve_orthogonal,
     solve_orthogonal_many,
     validate,
@@ -227,12 +228,12 @@ _FALLBACK_VALUES = (0.0, -0.0, -3.0, math.nan, math.inf, -math.inf, *_SUBNORMALS
 
 
 @st.composite
-def rate_kernel_inputs(draw):
-    """A batch of 0 to 4 rows, orthogonal, overlapped or a mix, and a power
-    pair and a bandwidth pair, each of one shape drawn for the pair, whose
-    links broadcast against its (S, 1) columns. Each pair is all positive, or
-    mixes in subnormals or any of _FALLBACK_VALUES, so that calls take the
-    plain path and the masked one."""
+def rate_kernel_inputs(draw, pairs: int = 2):
+    """A batch of 0 to 4 rows, orthogonal, overlapped or a mix, and pairs
+    link pairs (by default a power pair and a bandwidth pair), each of one
+    shape drawn for the pair, whose links broadcast against its (S, 1)
+    columns. Each pair is all positive, or mixes in subnormals or any of
+    _FALLBACK_VALUES, so that calls take the plain path and the masked one."""
     rows = st.tuples(st.sampled_from((0.0, 0.0, 5e-324, 4e6, 40e6)), st.sampled_from(DuplexMode))
     size, columns = draw(st.sampled_from((1, 2, 3, 4, 0))), draw(st.sampled_from((1, 2, 3, 1, 2, 3, 0)))
     batch = stack([make_scenario(overlap_bandwidth=w_o, duplex=duplex)
@@ -242,7 +243,7 @@ def rate_kernel_inputs(draw):
     kinds = st.sampled_from((positive, positive, positive | st.sampled_from(_SUBNORMALS),
                              positive | st.sampled_from(_FALLBACK_VALUES)))
     return batch, [draw(arrays(np.float64, (2, *draw(st.sampled_from(shapes))), elements=draw(kinds)))
-                   for _ in range(2)]
+                   for _ in range(pairs)]
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=400)
@@ -256,6 +257,23 @@ def test_link_rates_equal_the_masked_kernel_bit_for_bit(case):
         assert rate.shape == reference.shape and rate.dtype == reference.dtype
         assert np.array_equal(rate, reference, equal_nan=True)
         assert np.array_equal(np.signbit(rate), np.signbit(reference))
+
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(rate_kernel_inputs(pairs=4))
+def test_rates_at_one_bandwidth_pair_equal_the_masked_kernel_at_every_power_pair(case):
+    # one function of the powers serves every call: p1, p2, p3, then p1 again
+    batch, (w, *powers) = case
+    with np.errstate(all="ignore"):
+        rates = rates_at(batch, w)
+        for p in (*powers, powers[0]):
+            got, want = rates(p), reference_link_rates(batch, *p, *w)
+            assert got.shape == (2, *np.broadcast_shapes(batch.total_power.shape, p.shape[1:], w.shape[1:]))
+            for rate, reference in zip(got, want):
+                assert rate.shape == reference.shape and rate.dtype == reference.dtype
+                assert np.array_equal(rate, reference, equal_nan=True)
+                assert np.array_equal(np.signbit(rate), np.signbit(reference))
 
 
 def test_scenario_validation():
