@@ -34,8 +34,8 @@ import numpy as np
 from .allocator import PsoConfig, SolverKind
 from .allocator import grid_oracle_many, pso_solve_many, solve_orthogonal_many
 from .linkbudget import channel_gain, db_to_linear, dbm_to_watts
-from .ratemodel import _SLACK, CONSTRAINTS, DuplexMode, ScenarioBatch
-from .ratemodel import bandwidth_limits, duplex_factors, evaluate_many, validate_many
+from .ratemodel import _SLACK, CONSTRAINTS, DUPLEX_FACTORS, ScenarioBatch
+from .ratemodel import bandwidth_limits, evaluate_many, validate_many
 
 # Unused here: the span tracer of bench/spans.py wraps these names in this module.
 from .allocator import grid_oracle, pso_solve, solve_orthogonal  # noqa: F401
@@ -258,23 +258,24 @@ def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
 
     A point is (power_dbm, overlap_mhz, duplex, altitude_km, access_weight),
     the SweepRow columns CSV_COLUMNS[2:7], and points any iterable of them;
-    every other value comes from cfg. Each distinct altitude's channel gains,
-    power's watts and duplex's factors are computed once, in that order, when
-    a point first needs them, so a bad one raises at the first point that has
-    one. The watts stay scalar dbm_to_watts calls: numpy's vector power
-    differs from Python's 10.0 ** x in the last bit on some inputs, which
-    would change CSV bytes. The batch then raises the first of its conditions
-    that any row fails: of two bad points, the one whose condition the batch
-    checks first raises, which need not be the first bad point.
+    every other value comes from cfg, the density being noise plus interference
+    in W/Hz. Each distinct altitude's channel gains and power's watts are
+    computed once, when a point first needs them, and its duplex factors are
+    read from DUPLEX_FACTORS, so a bad one raises at the first point that has
+    one: at its altitude, then its power, then a duplex other than FDD or TDD.
+    The watts stay scalar dbm_to_watts calls: numpy's vector power differs
+    from Python's 10.0 ** x in the last bit on some inputs, which would change
+    CSV bytes. The batch then raises the first of its conditions that any row
+    fails: of two bad points, the one whose condition the batch checks first
+    raises, which need not be the first bad point.
     """
     sat_gain = db_to_linear(cfg.satellite_antenna_gain_dbi)
     aperture, frequency = cfg.aperture_radius_m, cfg.carrier_frequency_ghz * 1e9
     nodes = [(db_to_linear(gain_dbi), math.radians(angle_deg)) for gain_dbi, angle_deg in (
         (cfg.ue_antenna_gain_dbi, cfg.boresight_ue_deg), (cfg.bs_antenna_gain_dbi, cfg.boresight_bs_deg))]
     bandwidth = cfg.total_bandwidth_mhz * 1e6
-    noise = dbm_to_watts(cfg.noise_density_dbm_hz)
-    interference = dbm_to_watts(cfg.interference_density_dbm_hz)
-    gains, watts, factors = {}, {}, {}  # of each altitude_km, power_dbm and duplex
+    density = dbm_to_watts(cfg.noise_density_dbm_hz) + dbm_to_watts(cfg.interference_density_dbm_hz)
+    gains, watts = {}, {}  # of each altitude_km and power_dbm
     rows = []
     for power_dbm, overlap_mhz, duplex, altitude_km, access_weight in points:
         if altitude_km not in gains:
@@ -282,11 +283,11 @@ def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
                                   for gain, angle in nodes]
         if power_dbm not in watts:
             watts[power_dbm] = dbm_to_watts(power_dbm)
-        if duplex not in factors:
-            factors[duplex] = duplex_factors(DuplexMode(duplex))
+        if duplex not in DUPLEX_FACTORS:
+            raise ValueError(f"duplex must be {' or '.join(DUPLEX_FACTORS)}, got {duplex!r}")
         # the ScenarioBatch columns, in order
-        rows.append((watts[power_dbm], bandwidth, overlap_mhz * 1e6, noise, interference, access_weight,
-                     *factors[duplex], *gains[altitude_km]))
+        rows.append((watts[power_dbm], bandwidth, overlap_mhz * 1e6, density, access_weight,
+                     *DUPLEX_FACTORS[duplex], *gains[altitude_km]))
     columns = np.array(rows, dtype=float).reshape(-1, len(dataclasses.fields(ScenarioBatch))).T
     return ScenarioBatch(*(column.reshape(-1, 1) for column in columns.copy()))
 
@@ -321,7 +322,7 @@ class SweepRow(NamedTuple):
 
 CSV_COLUMNS = SweepRow._fields
 # The CSV format: each text column's cells, in column order; the others are %.9g floats.
-_CELL_CHOICES = {"sweep": ("power", "overlap", "single"), "duplex": tuple(m.value for m in DuplexMode),
+_CELL_CHOICES = {"sweep": ("power", "overlap", "single"), "duplex": tuple(DUPLEX_FACTORS),
                  "solver": _KNOWN_SOLVERS, "converged": ("true", "false")}
 _TEXT_CELLS = [(CSV_COLUMNS.index(name), name, choices) for name, choices in _CELL_CHOICES.items()]
 # The float cells of a row end with the rate columns of evaluate_many, in

@@ -3,8 +3,9 @@ an access user and a backhaul base station.
 
 The two links may share part of the band; overlapped spectrum turns the
 other link's transmission into interference. Duplexing enters only through
-the pair of factors returned by :func:`duplex_factors`, and all quantities
-are linear SI units (W, Hz, bits/s).
+its pair of factors in DUPLEX_FACTORS, and the noise only through the
+noise-plus-interference density; all quantities are linear SI units (W, Hz,
+bits/s).
 
 A ScenarioBatch holds S scenarios as (S, 1) columns, checked as a whole,
 and one scenario is a batch of one row. evaluate_many and validate_many
@@ -14,17 +15,15 @@ validate are their views at a one-row batch and one Allocation.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 __all__ = [
-    "DuplexMode",
+    "DUPLEX_FACTORS",
     "ScenarioBatch",
     "Allocation",
     "RateReport",
-    "duplex_factors",
     "bandwidth_limits",
     "link_rates",
     "rates_at",
@@ -37,24 +36,9 @@ __all__ = [
 
 _SLACK = 1e-6  # relative slack of each constraint that validate checks
 CONSTRAINTS = ("1a", "1b", "1c", "1d")  # the columns of validate_many, in order
-
-
-class DuplexMode(enum.Enum):
-    FDD = "FDD"
-    TDD = "TDD"
-
-
-def duplex_factors(mode: DuplexMode) -> tuple[float, float]:
-    """Time-share and bandwidth-share factors (alpha_o, alpha_1) of a duplex mode.
-
-    FDD -> (1, 1/2): full-time transmission over half the spectrum.
-    TDD -> (1/2, 1): half-time transmission over the full spectrum.
-    """
-    if mode is DuplexMode.FDD:
-        return 1.0, 0.5
-    if mode is DuplexMode.TDD:
-        return 0.5, 1.0
-    raise ValueError(f"unknown duplex mode: {mode!r}")
+# The time-share and bandwidth-share factors (alpha_o, alpha_1) of each duplex
+# mode: FDD transmits full-time over half the spectrum, TDD half-time over all of it.
+DUPLEX_FACTORS = {"FDD": (1.0, 0.5), "TDD": (0.5, 1.0)}
 
 
 # The conditions of a valid scenario and their messages, each on a
@@ -64,8 +48,7 @@ _SCENARIO_CHECKS = (
     (lambda s: s.total_bandwidth > 0.0, "total_bandwidth must be positive"),
     (lambda s: (0.0 <= s.overlap_bandwidth) & (s.overlap_bandwidth <= s.total_bandwidth),
      "overlap_bandwidth must lie in [0, total_bandwidth]"),
-    (lambda s: (s.noise_density > 0.0) & (s.interference_density > 0.0),
-     "noise and interference densities must be positive"),
+    (lambda s: s.density > 0.0, "density must be positive"),
     (lambda s: (0.0 < s.access_weight) & (s.access_weight <= 1.0), "access_weight must lie in (0, 1]"),
     (lambda s: (s.beta_ue > 0.0) & (s.beta_bs > 0.0), "channel gains must be positive"),
 )
@@ -81,10 +64,10 @@ class ScenarioBatch:
         total_power: Satellite transmit power budget P, W.
         total_bandwidth: Total available bandwidth W, Hz.
         overlap_bandwidth: Bandwidth shared by the two links w_o, Hz.
-        noise_density: Thermal noise PSD, W/Hz.
-        interference_density: Out-of-band emission / sync-error PSD, W/Hz.
+        density: Noise-plus-interference PSD (thermal noise plus out-of-band
+            emission / sync error), W/Hz.
         access_weight: QoS weight of the access link (0 < eps <= 1).
-        alpha_o, alpha_1: Time- and bandwidth-share factors of the duplex mode; see duplex_factors.
+        alpha_o, alpha_1: Time- and bandwidth-share factors of the duplex mode; see DUPLEX_FACTORS.
         beta_ue: Channel power gain of the access user, linear.
         beta_bs: Channel power gain of the backhaul station, linear.
     """
@@ -92,8 +75,7 @@ class ScenarioBatch:
     total_power: np.ndarray
     total_bandwidth: np.ndarray
     overlap_bandwidth: np.ndarray
-    noise_density: np.ndarray
-    interference_density: np.ndarray
+    density: np.ndarray
     access_weight: np.ndarray
     alpha_o: np.ndarray
     alpha_1: np.ndarray
@@ -111,11 +93,6 @@ class ScenarioBatch:
 
     def __len__(self) -> int:
         return len(self.total_power)
-
-    @property
-    def density(self) -> np.ndarray:
-        """Noise-plus-interference PSD of each scenario, W/Hz."""
-        return self.noise_density + self.interference_density
 
     def take(self, rows) -> "ScenarioBatch":
         """The scenarios at rows, an index list, mask or slice, or an index for its one-row batch."""

@@ -15,7 +15,7 @@ check and rate report are the scalar bodies validate and
 RateReport.from_rates once had, on the allocation's floats, so that it
 shares no code with the batch checks but the masked rate kernel.
 The per-point scenario builder is build_scenarios as it was before it
-converted each distinct power and duplex once, kept as its reference.
+converted each distinct power once, kept as its reference.
 The reference swarm is the swarm as first written, an S x N x 4 tensor
 with a strided column per coordinate, a fresh temporary per elementwise
 step and one draw call per row and iteration, kept as the reference for
@@ -47,9 +47,9 @@ import mpmath as mp
 import numpy as np
 
 from satiab import (
+    DUPLEX_FACTORS,
     Allocation,
     PsoConfig,
-    DuplexMode,
     RateReport,
     ScenarioBatch,
     SolverKind,
@@ -58,7 +58,6 @@ from satiab import (
     channel_gain,
     db_to_linear,
     dbm_to_watts,
-    duplex_factors,
     grid_oracle_many,
     pso_solve_many,
     solve_orthogonal_many,
@@ -100,10 +99,10 @@ def reference_scenarios():
     return out
 
 
-def scenario(duplex: DuplexMode = DuplexMode.FDD, **values: float) -> ScenarioBatch:
+def scenario(duplex: str = "FDD", **values: float) -> ScenarioBatch:
     """The one-row batch of a scenario given by the floats of its columns,
-    with its duplex mode in place of alpha_o and alpha_1."""
-    alpha_o, alpha_1 = duplex_factors(duplex)
+    with its duplex mode's name in place of alpha_o and alpha_1."""
+    alpha_o, alpha_1 = DUPLEX_FACTORS[duplex]
     values = {**values, "alpha_o": alpha_o, "alpha_1": alpha_1}
     return ScenarioBatch(**{name: np.array([[value]], dtype=float) for name, value in values.items()})
 
@@ -120,10 +119,9 @@ def make_scenario(**overrides) -> ScenarioBatch:
         total_power=10.0,
         total_bandwidth=40e6,
         overlap_bandwidth=0.0,
-        noise_density=3.981071705534973e-21,
-        interference_density=3.981071705534973e-21,
+        density=3.981071705534973e-21 + 3.981071705534973e-21,
         access_weight=0.1,
-        duplex=DuplexMode.FDD,
+        duplex="FDD",
         beta_ue=1.5734726039155016e-12,
         beta_bs=1.3589805953889354e-09,
     )
@@ -132,9 +130,8 @@ def make_scenario(**overrides) -> ScenarioBatch:
 
 def scalars(scn: ScenarioBatch) -> types.SimpleNamespace:
     """The floats of a one-row batch: each column's .item(), alpha_o and
-    alpha_1 among them, and the density, noise plus interference."""
-    values = {f.name: getattr(scn, f.name).item() for f in dataclasses.fields(scn)}
-    return types.SimpleNamespace(**values, density=values["noise_density"] + values["interference_density"])
+    alpha_1 among them."""
+    return types.SimpleNamespace(**{f.name: getattr(scn, f.name).item() for f in dataclasses.fields(scn)})
 
 
 def random_scenario(rng, orthogonal: bool = False) -> ScenarioBatch:
@@ -148,10 +145,9 @@ def random_scenario(rng, orthogonal: bool = False) -> ScenarioBatch:
         total_power=10.0 ** rng.uniform(0.0, 2.0),
         total_bandwidth=total_bandwidth,
         overlap_bandwidth=overlap,
-        noise_density=10.0 ** rng.uniform(-21.0, -19.5),
-        interference_density=10.0 ** rng.uniform(-21.0, -19.5),
+        density=10.0 ** rng.uniform(-21.0, -19.5) + 10.0 ** rng.uniform(-21.0, -19.5),
         access_weight=rng.uniform(0.02, 1.0),
-        duplex=DuplexMode.FDD if rng.random() < 0.5 else DuplexMode.TDD,
+        duplex="FDD" if rng.random() < 0.5 else "TDD",
         beta_ue=10.0 ** rng.uniform(-13.0, -11.0),
         beta_bs=10.0 ** rng.uniform(-11.0, -8.5),
     )
@@ -478,7 +474,7 @@ def mp_orthogonal_level(batch: ScenarioBatch, dps: int = 40):
     start = golden_section_solve(batch)
     with mp.workdps(dps):
         w_total = mp.mpf(alpha_1) * scn.total_bandwidth
-        dens = mp.mpf(scn.noise_density) + scn.interference_density
+        dens = mp.mpf(scn.density)
         betas = mp.mpf(scn.beta_ue), mp.mpf(scn.beta_bs)
         rates_per_zeta = mp.mpf(scn.access_weight), mp.mpf(1)
 
@@ -557,14 +553,13 @@ def row_scenario(cfg: ExperimentConfig, row) -> ScenarioBatch:
 
 
 def per_point_build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
-    """build_scenarios as it once was: one dbm_to_watts and one DuplexMode
+    """build_scenarios as it once was: one dbm_to_watts and one DUPLEX_FACTORS
     lookup per point, and each distinct altitude's channel gains once."""
     sat_gain = db_to_linear(cfg.satellite_antenna_gain_dbi)
     aperture, frequency = cfg.aperture_radius_m, cfg.carrier_frequency_ghz * 1e9
     nodes = [(db_to_linear(gain_dbi), math.radians(angle_deg)) for gain_dbi, angle_deg in (
         (cfg.ue_antenna_gain_dbi, cfg.boresight_ue_deg), (cfg.bs_antenna_gain_dbi, cfg.boresight_bs_deg))]
-    noise = dbm_to_watts(cfg.noise_density_dbm_hz)
-    interference = dbm_to_watts(cfg.interference_density_dbm_hz)
+    density = dbm_to_watts(cfg.noise_density_dbm_hz) + dbm_to_watts(cfg.interference_density_dbm_hz)
     gains: dict[float, list[float]] = {}
     rows = []
     for power_dbm, overlap_mhz, duplex, altitude_km, access_weight in points:
@@ -573,7 +568,7 @@ def per_point_build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
                                   for gain, angle in nodes]
         # the ScenarioBatch columns, in order
         rows.append((dbm_to_watts(power_dbm), cfg.total_bandwidth_mhz * 1e6, overlap_mhz * 1e6,
-                     noise, interference, access_weight, *duplex_factors(DuplexMode(duplex)),
+                     density, access_weight, *DUPLEX_FACTORS[duplex],
                      *gains[altitude_km]))
     columns = np.array(rows, dtype=float).reshape(-1, len(dataclasses.fields(ScenarioBatch))).T
     return ScenarioBatch(*(column.reshape(-1, 1) for column in columns.copy()))

@@ -10,7 +10,6 @@ import pytest
 from satiab import (
     CONSTRAINTS,
     Allocation,
-    DuplexMode,
     PsoConfig,
     ScenarioBatch,
     SolverKind,
@@ -79,7 +78,7 @@ def test_min_power_zero_rate():
 def test_min_power_unit_spectral_efficiency():
     scn = scalars(make_scenario())
     bandwidth = 10e6
-    dens = scn.noise_density + scn.interference_density
+    dens = scn.density
     # one effective bit/s/Hz: 2^1 - 1 = 1, so the power is exactly dens*w/beta
     power = allocator._inversion_power(1.0 * bandwidth, bandwidth, scn.beta_ue, scn.alpha_o, dens)
     assert power == dens * bandwidth / scn.beta_ue
@@ -130,7 +129,7 @@ def test_solve_orthogonal_vanishing_access_weight():
     scn = scalars(batch)
     alpha_o, alpha_1 = scn.alpha_o, scn.alpha_1
     w_total = alpha_1 * scn.total_bandwidth
-    dens = scn.noise_density + scn.interference_density
+    dens = scn.density
     single_link_best = alpha_o * w_total * math.log2(
         1.0 + scn.total_power * scn.beta_bs / (dens * w_total)
     )
@@ -648,14 +647,14 @@ def mixed_batch() -> list[ScenarioBatch]:
     return [
         make_scenario(duplex=duplex, overlap_bandwidth=overlap, access_weight=eps)
         for duplex, overlap, eps in (
-            (DuplexMode.FDD, 0.0, 0.05),
-            (DuplexMode.TDD, 0.0, 0.1),
-            (DuplexMode.FDD, 12e6, 0.2),
-            (DuplexMode.TDD, 40e6, 0.05),
-            (DuplexMode.FDD, 40e6, 0.1),
-            (DuplexMode.TDD, 4e6, 0.2),
-            (DuplexMode.FDD, 0.0, 0.2),
-            (DuplexMode.TDD, 20e6, 0.1),
+            ("FDD", 0.0, 0.05),
+            ("TDD", 0.0, 0.1),
+            ("FDD", 12e6, 0.2),
+            ("TDD", 40e6, 0.05),
+            ("FDD", 40e6, 0.1),
+            ("TDD", 4e6, 0.2),
+            ("FDD", 0.0, 0.2),
+            ("TDD", 20e6, 0.1),
         )
     ]
 

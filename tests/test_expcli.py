@@ -21,6 +21,7 @@ from satiab import (
     ScenarioBatch,
     allocator,
     bandwidth_limits,
+    dbm_to_watts,
     evaluate_many,
     expcli,
     grid_oracle,
@@ -79,7 +80,7 @@ def test_load_config_empty_object_gives_defaults(tmp_path):
     assert scn.total_bandwidth == 40e6
     assert scn.total_power == pytest.approx(10.0, rel=1e-12)
     assert scn.overlap_bandwidth == 0.0
-    assert scn.noise_density == pytest.approx(3.981071705534973e-21, rel=1e-12)
+    assert scn.density == pytest.approx(2 * 3.981071705534973e-21, rel=1e-12)
     assert scn.beta_ue == pytest.approx(1.5734726039155016e-12, rel=1e-9)
     assert scn.beta_bs == pytest.approx(1.3589805953889354e-09, rel=1e-9)
 
@@ -504,7 +505,7 @@ def test_build_scenarios_equals_the_per_point_oracle(points):
 @pytest.mark.parametrize("points, error, message", [
     # of two points, the first bad one raises, whatever is bad in it
     ([(40.0, 0.0, "XDD", 600.0, 0.1), (40.0, 0.0, "FDD", -1.0, 0.1)], ValueError,
-     "'XDD' is not a valid DuplexMode"),
+     "duplex must be FDD or TDD, got 'XDD'"),
     ([(40.0, 0.0, "FDD", -1.0, 0.1), (40.0, 0.0, "XDD", 600.0, 0.1)], ValueError,
      "altitude must be positive, got -1000.0"),
     ([(1e4, 0.0, "FDD", 600.0, 0.1), (40.0, 0.0, "XDD", 600.0, 0.1)], OverflowError, None),
@@ -517,6 +518,33 @@ def test_build_scenarios_raises_at_the_first_bad_point(points, error, message):
     with pytest.raises(error) as raised:
         build_scenarios(ExperimentConfig(), points)
     assert message is None or str(raised.value) == message
+
+
+def test_one_list_of_duplex_names(tmp_path):
+    # the table's keys are the CSV's duplex cells and the config's duplex values, FDD first
+    names = tuple(ratemodel.DUPLEX_FACTORS)
+    assert names == expcli._CELL_CHOICES["duplex"] == ("FDD", "TDD")
+    for duplex in names:
+        assert load_config(write_json(tmp_path / "cfg.json", {"duplex": duplex})).duplex == duplex
+    for duplex in ("XDD", "fdd", "", "DuplexMode.FDD"):
+        with pytest.raises(ValidationError) as raised:
+            load_config(write_json(tmp_path / "cfg.json", {"duplex": duplex}))
+        assert str(raised.value).endswith(f"duplex must be FDD or TDD, got {duplex!r}")
+    for name, (alpha_o, alpha_1) in ratemodel.DUPLEX_FACTORS.items():
+        assert alpha_o * alpha_1 == 0.5
+        scn = build_scenario(dataclasses.replace(ExperimentConfig(), duplex=name))
+        assert (scn.alpha_o.item(), scn.alpha_1.item()) == (alpha_o, alpha_1)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.floats(*_RANGES["noise_density_dbm_hz"]), st.floats(*_RANGES["interference_density_dbm_hz"]))
+@example(-174.0, -174.0)
+def test_build_scenarios_density_is_noise_plus_interference(noise_dbm_hz, interference_dbm_hz):
+    cfg = dataclasses.replace(ExperimentConfig(), noise_density_dbm_hz=noise_dbm_hz,
+                              interference_density_dbm_hz=interference_dbm_hz)
+    density = build_scenarios(cfg, [(40.0, 0.0, "FDD", 600.0, 0.1), (50.0, 0.0, "TDD", 1200.0, 1.0)]).density
+    want = dbm_to_watts(noise_dbm_hz) + dbm_to_watts(interference_dbm_hz)
+    assert density.shape == (2, 1) and density.tolist() == [[want], [want]]
 
 
 def test_run_single_produces_one_row_per_solver():
@@ -1193,7 +1221,7 @@ def test_load_config_link_budget_limits_are_inclusive(tmp_path):
         cfg = load_config(write_json(tmp_path / "cfg.json", payload))
         for duplex in ("FDD", "TDD"):
             scn = build_scenario(dataclasses.replace(cfg, duplex=duplex))
-            gains = (scn.beta_ue, scn.beta_bs, scn.noise_density, scn.interference_density)
+            gains = (scn.beta_ue, scn.beta_bs, scn.density)
             assert all(0.0 < g < math.inf for g in gains)
             result = solve_orthogonal(scn)
             assert result.converged and math.isfinite(result.report.throughput)

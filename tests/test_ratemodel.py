@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from satiab import (
+    DUPLEX_FACTORS,
     Allocation,
-    DuplexMode,
     RateReport,
     ScenarioBatch,
-    duplex_factors,
     evaluate,
     evaluate_many,
     link_rates,
@@ -28,10 +27,10 @@ from oracles import reference_rate, scalars, stack
 
 
 def test_duplex_factors_values():
-    assert duplex_factors(DuplexMode.FDD) == (1.0, 0.5)
-    assert duplex_factors(DuplexMode.TDD) == (0.5, 1.0)
-    for mode in DuplexMode:
-        alpha_o, alpha_1 = duplex_factors(mode)
+    assert DUPLEX_FACTORS["FDD"] == (1.0, 0.5)
+    assert DUPLEX_FACTORS["TDD"] == (0.5, 1.0)
+    for mode in DUPLEX_FACTORS:
+        alpha_o, alpha_1 = DUPLEX_FACTORS[mode]
         assert alpha_o * alpha_1 == 0.5
 
 
@@ -46,8 +45,7 @@ def test_access_rate_reference_value():
     # an extended-precision evaluation of the rate formula: 2721394.069 bits/s
     scn = make_scenario(
         beta_ue=1.575e-12,
-        noise_density=3.981e-18,
-        interference_density=3.981e-18,
+        density=3.981e-18 + 3.981e-18,
     )
     alloc = Allocation(p_ue=10.0, p_bs=0.0, w_a=20e6, w_b=0.0)
     rate = evaluate(scn, alloc).rate_access
@@ -157,7 +155,7 @@ def test_rates_depend_on_duplex_only_through_factors():
         alloc = Allocation(*random_feasible_allocation(rng, batch))
         scn = scalars(batch)
         alpha_o, alpha_1 = scn.alpha_o, scn.alpha_1
-        dens = scn.noise_density + scn.interference_density
+        dens = scn.density
         expected_a = reference_rate(
             alpha_o, alpha_1, alloc.p_ue, scn.beta_ue, alloc.w_a,
             alloc.p_bs, alloc.w_b, dens, scn.overlap_bandwidth,
@@ -174,7 +172,7 @@ def test_rates_depend_on_duplex_only_through_factors():
 def test_link_rates_batch_rows_equal_single_scenarios():
     rng = np.random.default_rng(41)
     scns = [random_scenario(rng) for _ in range(12)]
-    scns += [make_scenario(), make_scenario(overlap_bandwidth=40e6, duplex=DuplexMode.TDD)]
+    scns += [make_scenario(), make_scenario(overlap_bandwidth=40e6, duplex="TDD")]
     assert {s.overlap_bandwidth.item() > 0.0 for s in scns} == {True, False}
     alloc = np.array([random_feasible_allocation(rng, s) for s in scns for _ in range(6)])
     alloc = alloc.reshape(len(scns), 6, 4)
@@ -199,7 +197,7 @@ def test_link_rates_on_broadcast_axes_equal_materialised_inputs():
     w_a[0, :2] = 0.0
     p = np.stack((p_ue, 10.0 - p_ue))
     w = np.stack((w_a, w_a[:, ::-1]))  # zero bandwidths at both ends of the row
-    scns = [make_scenario(), make_scenario(overlap_bandwidth=8e6, duplex=DuplexMode.TDD)]
+    scns = [make_scenario(), make_scenario(overlap_bandwidth=8e6, duplex="TDD")]
     scns += [random_scenario(rng) for _ in range(5)]
     # the batch of seven scenarios takes one row of powers each
     for scn in (*scns[:2], stack(scns)):
@@ -234,7 +232,7 @@ def rate_kernel_inputs(draw, pairs: int = 2):
     shape drawn for the pair, whose links broadcast against its (S, 1)
     columns. Each pair is all positive, or mixes in subnormals or any of
     _FALLBACK_VALUES, so that calls take the plain path and the masked one."""
-    rows = st.tuples(st.sampled_from((0.0, 0.0, 5e-324, 4e6, 40e6)), st.sampled_from(DuplexMode))
+    rows = st.tuples(st.sampled_from((0.0, 0.0, 5e-324, 4e6, 40e6)), st.sampled_from(tuple(DUPLEX_FACTORS)))
     size, columns = draw(st.sampled_from((1, 2, 3, 4, 0))), draw(st.sampled_from((1, 2, 3, 1, 2, 3, 0)))
     batch = stack([make_scenario(overlap_bandwidth=w_o, duplex=duplex)
                    for w_o, duplex in draw(st.lists(rows, min_size=size, max_size=size))])
@@ -285,6 +283,9 @@ def test_scenario_validation():
         make_scenario(access_weight=0.0)
     with pytest.raises(ValueError):
         make_scenario(access_weight=1.5)
+    for density in (0.0, -1e-20, math.nan):
+        with pytest.raises(ValueError, match="^density must be positive$"):
+            make_scenario(density=density)
 
 
 def test_allocation_rejects_negative_fields():
@@ -323,12 +324,12 @@ def test_validate_flags_each_constraint():
 def test_one_scenario_views_take_one_row():
     # evaluate and validate are their batch functions at a one-row batch;
     # a batch of more rows is not one scenario
-    two = stack([make_scenario(), make_scenario(duplex=DuplexMode.TDD)])
+    two = stack([make_scenario(), make_scenario(duplex="TDD")])
     alloc = Allocation(1.0, 1.0, 10e6, 10e6)
     for view in (evaluate, validate):
         with pytest.raises(ValueError):
             view(two, alloc)
-        assert view(two.take(1), alloc) == view(make_scenario(duplex=DuplexMode.TDD), alloc)
+        assert view(two.take(1), alloc) == view(make_scenario(duplex="TDD"), alloc)
 
 
 def test_scenarios_are_frozen():
