@@ -19,10 +19,10 @@ grid = grid_oracle(scn, 200)
 
 print(f"{'solver':>10} {'level Mbps':>12} {'access Mbps':>12} {'backhaul Mbps':>14} "
       f"{'P_ue W':>8} {'W_a MHz':>8}")
-for result in (exact, swarm, grid):
+for name, result in (("exact", exact), ("pso", swarm), ("oracle", grid)):
     report = result.report
     alloc = result.allocation
-    print(f"{result.solver.value:>10} {report.maxmin_level / 1e6:12.3f} "
+    print(f"{name:>10} {report.maxmin_level / 1e6:12.3f} "
           f"{report.rate_access / 1e6:12.3f} {report.rate_backhaul / 1e6:14.3f} "
           f"{alloc.p_ue:8.3f} {alloc.w_a / 1e6:8.3f}")
 

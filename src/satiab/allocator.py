@@ -16,13 +16,13 @@ the root when they would leave it.
 Every solver takes a ScenarioBatch and returns arrays with one row per
 scenario: the (S, 4) allocations (p_ue, p_bs, w_a, w_b), the iterations
 used and the converged flags. Its one-scenario function is a view of that
-at a one-row batch, a SolveResult reported by evaluate. The grid oracle bisects
+at a one-row batch, a SolveResult reported by evaluate. The solvers have no
+names here: the CLI's table in expcli names them. The grid oracle bisects
 each bandwidth column for its single peak, in chunks of whole scenarios.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -34,7 +34,6 @@ from .ratemodel import bandwidth_limits, evaluate, link_rates, rates_at
 
 __all__ = [
     "PsoConfig",
-    "SolverKind",
     "SolveResult",
     "solve_orthogonal",
     "solve_orthogonal_many",
@@ -57,12 +56,6 @@ _ROW_DRAWS, _BLOCK_DRAWS = 4_096, 131_072  # draws of a swarm's draw block: abou
 _LEARNING_FACTORS, _INERTIA_WEIGHT = (2.0, 2.0), 0.01  # the reference swarm's step rule
 
 
-class SolverKind(enum.Enum):
-    EXACT_ORTHOGONAL = "exact"
-    PSO = "pso"
-    GRID_ORACLE = "oracle"
-
-
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of one solver run. iterations_used counts the exact solver's
@@ -70,7 +63,6 @@ class SolveResult:
 
     allocation: Allocation
     report: RateReport
-    solver: SolverKind
     iterations_used: int
     converged: bool
 
@@ -150,11 +142,11 @@ def _split_share(y_whole, log_gain_ratio, share):
     return share
 
 
-def _solved_alone(solve_many, solver: SolverKind, scn: ScenarioBatch, *args) -> SolveResult:
+def _solved_alone(solve_many, scn: ScenarioBatch, *args) -> SolveResult:
     """The SolveResult of solve_many(scn, *args) on the one-row batch scn."""
     (alloc,), (iterations,), (converged,) = solve_many(scn, *args)
     found = Allocation(*alloc.tolist())
-    return SolveResult(found, evaluate(scn, found), solver, int(iterations), bool(converged))
+    return SolveResult(found, evaluate(scn, found), int(iterations), bool(converged))
 
 
 def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
@@ -227,7 +219,7 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
 
 def solve_orthogonal(scn: ScenarioBatch) -> SolveResult:
     """Exact max-min solution of the orthogonal one-row batch scn; see :func:`solve_orthogonal_many`."""
-    return _solved_alone(solve_orthogonal_many, SolverKind.EXACT_ORTHOGONAL, scn)
+    return _solved_alone(solve_orthogonal_many, scn)
 
 
 def _grid_maxima(batch: ScenarioBatch, resolution: int) -> np.ndarray:
@@ -312,7 +304,7 @@ def grid_oracle_many(batch: ScenarioBatch, resolution: int) -> _Solved:
 
 def grid_oracle(scn: ScenarioBatch, resolution: int) -> SolveResult:
     """Grid maximizer of the max-min level of the one-row batch scn; see :func:`grid_oracle_many`."""
-    return _solved_alone(grid_oracle_many, SolverKind.GRID_ORACLE, scn, resolution)
+    return _solved_alone(grid_oracle_many, scn, resolution)
 
 
 class _DrawBlock:
@@ -453,4 +445,4 @@ def pso_solve_many(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int]) -
 
 def pso_solve(scn: ScenarioBatch, cfg: PsoConfig, seed: int) -> SolveResult:
     """Particle-swarm solution of the one-row batch scn, keyed by seed; see :func:`pso_solve_many`."""
-    return _solved_alone(pso_solve_many, SolverKind.PSO, scn, cfg, [seed])
+    return _solved_alone(pso_solve_many, scn, cfg, [seed])

@@ -7,9 +7,9 @@ files byte for byte, because each sweep row derives its own swarm seed
 from the base seed and the row's position in the sweep grid.
 
 Every command runs on arrays: the run's points make one ScenarioBatch, each
-solver makes one batch call, from the _SOLVERS table, on all the points that
-select it, and each SweepRow is built once, from the solver's arrays and
-their evaluate_many columns. `satiab solve` is a sweep of one point.
+solver (the _SOLVERS entry of its name) makes one batch call on all the
+points that select it, and each SweepRow is built once, from those arrays
+and their evaluate_many columns. `satiab solve` is a sweep of one point.
 
 Exit codes of the command-line entry point: 0 success, 1 config/validation
 error (including audit mismatches), 2 I/O error or an argparse usage error.
@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .allocator import PsoConfig, SolverKind
+from .allocator import PsoConfig
 from .allocator import grid_oracle_many, pso_solve_many, solve_orthogonal_many
 from .linkbudget import channel_gain, db_to_linear, dbm_to_watts
 from .ratemodel import _SLACK, CONSTRAINTS, DUPLEX_FACTORS, ScenarioBatch
@@ -119,7 +119,16 @@ _JSON_TYPES = {
     "tuple[str, ...]": (lambda v: type(v) is list and all(type(s) is str for s in v), tuple,
                         "a list of strings"),
 }
-_KNOWN_SOLVERS = tuple(kind.value for kind in SolverKind)
+# The solvers, by the names that configs, CSVs and --solvers take, each as a batch
+# call: (config, batch, swarm seeds) -> arrays of allocations, iterations and
+# converged flags. The calls look their solvers up in this module when they
+# run, so a function patched in here sees them.
+_SOLVERS = {
+    "exact": lambda cfg, batch, seeds: solve_orthogonal_many(batch),
+    "pso": lambda cfg, batch, seeds: pso_solve_many(
+        batch, PsoConfig(cfg.pso_population, cfg.pso_iterations), seeds),
+    "oracle": lambda cfg, batch, seeds: grid_oracle_many(batch, cfg.oracle_resolution),
+}
 # Transmit powers accepted, in dBm (0.1 pW to 10 MW): wide enough for any
 # satellite, and far inside the range where dbm_to_watts stays finite and
 # positive.
@@ -185,7 +194,7 @@ def _config_problems(cfg: ExperimentConfig) -> list[str]:
         problems.append("seed must be nonnegative")
     if not cfg.solvers:
         problems.append("at least one solver must be selected")
-    unknown = sorted(set(cfg.solvers) - set(_KNOWN_SOLVERS))
+    unknown = sorted(set(cfg.solvers) - set(_SOLVERS))
     if unknown:  # as reprs, so that a name holding a newline keeps the message on one line
         problems.append(f"unknown solvers: {', '.join(map(repr, unknown))}")
     repeated = sorted({name for name in cfg.solvers if cfg.solvers.count(name) > 1} - set(unknown))
@@ -323,7 +332,7 @@ class SweepRow(NamedTuple):
 CSV_COLUMNS = SweepRow._fields
 # The CSV format: each text column's cells, in column order; the others are %.9g floats.
 _CELL_CHOICES = {"sweep": ("power", "overlap", "single"), "duplex": tuple(DUPLEX_FACTORS),
-                 "solver": _KNOWN_SOLVERS, "converged": ("true", "false")}
+                 "solver": tuple(_SOLVERS), "converged": ("true", "false")}
 _TEXT_CELLS = [(CSV_COLUMNS.index(name), name, choices) for name, choices in _CELL_CHOICES.items()]
 # The float cells of a row end with the rate columns of evaluate_many, in
 # Mbps, and then the allocation (p_ue, p_bs, w_a, w_b).
@@ -336,23 +345,9 @@ _config_point = operator.attrgetter("total_power_dbm", *CSV_COLUMNS[3:7])
 _row_sort_key = operator.attrgetter("sweep_value", "duplex", "altitude_km", "access_weight", "solver")
 
 
-def _pso_config(cfg: ExperimentConfig) -> PsoConfig:
-    return PsoConfig(population_size=cfg.pso_population, max_iterations=cfg.pso_iterations)
-
-
 def _row_seed(base_seed: int, row_index: int) -> int:
     # Stable per-row seed so sweep points can run in any order.
     return (base_seed * 1_000_003 + row_index) % 2**63
-
-
-# The batch call of each solver: (config, batch, swarm seeds) -> arrays of
-# allocations, iterations and converged flags. The calls look their solvers
-# up in this module when they run, so a function patched in here sees them.
-_SOLVERS = {
-    SolverKind.EXACT_ORTHOGONAL: lambda cfg, batch, seeds: solve_orthogonal_many(batch),
-    SolverKind.PSO: lambda cfg, batch, seeds: pso_solve_many(batch, _pso_config(cfg), seeds),
-    SolverKind.GRID_ORACLE: lambda cfg, batch, seeds: grid_oracle_many(batch, cfg.oracle_resolution),
-}
 
 
 def _run_sweep(cfg: ExperimentConfig, points) -> list[SweepRow]:
@@ -361,7 +356,7 @@ def _run_sweep(cfg: ExperimentConfig, points) -> list[SweepRow]:
     points yields (fields, solvers, seed) per point, fields being the
     SweepRow values before the solver name, so fields[2:] is the point that
     build_scenarios takes, and seed the point's swarm seed. Each solver name
-    is looked up once; its solver makes one batch call, from _SOLVERS, and
+    is a key of _SOLVERS, looked up once: its entry makes one batch call, and
     one evaluate_many call, on the rows of the batch that select it, or on
     the batch itself if every point does. A row does not depend on the others.
     A run asking the swarm for more than _MAX_PARTICLE_STEPS raises before any solve.
@@ -371,7 +366,7 @@ def _run_sweep(cfg: ExperimentConfig, points) -> list[SweepRow]:
     for index, (_, solvers, _) in enumerate(points):
         for solver in solvers:
             jobs.setdefault(solver, []).append(index)
-    pso_rows = len(jobs.get(SolverKind.PSO.value, ()))
+    pso_rows = len(jobs.get("pso", ()))
     if (steps := pso_rows * cfg.pso_population * cfg.pso_iterations) > _MAX_PARTICLE_STEPS:
         raise ValidationError(f"{pso_rows} pso rows x pso_population={cfg.pso_population} x pso_iterations="
                               f"{cfg.pso_iterations} = {steps} particle-steps, more than {_MAX_PARTICLE_STEPS}")
@@ -379,7 +374,7 @@ def _run_sweep(cfg: ExperimentConfig, points) -> list[SweepRow]:
     rows = []
     for solver, indices in jobs.items():
         scns = batch if len(indices) == len(points) else batch.take(indices)
-        alloc, _, converged = _SOLVERS[SolverKind(solver)](cfg, scns, [points[i][2] for i in indices])
+        alloc, _, converged = _SOLVERS[solver](cfg, scns, [points[i][2] for i in indices])
         cells = np.hstack((evaluate_many(scns, alloc) / 1e6, alloc)).tolist()
         rows += [SweepRow._make((*points[i][0], solver, *row, done))
                  for i, row, done in zip(indices, cells, converged.tolist())]
@@ -755,7 +750,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a JSON config file")
     parser.add_argument("--seed", type=int, help="override the RNG seed")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--solvers", help="comma-separated subset of exact,pso,oracle")
+    parser.add_argument("--solvers", help=f"comma-separated subset of {','.join(_SOLVERS)}")
 
 
 def main(argv: list[str] | None = None) -> int:

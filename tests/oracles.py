@@ -52,15 +52,11 @@ from satiab import (
     PsoConfig,
     RateReport,
     ScenarioBatch,
-    SolverKind,
     SolveResult,
     bandwidth_limits,
     channel_gain,
     db_to_linear,
     dbm_to_watts,
-    grid_oracle_many,
-    pso_solve_many,
-    solve_orthogonal_many,
 )
 from satiab.allocator import _BELOW_ONE, _LN2, _MAX_STEPS, _inversion_power, _log_marginal_cost
 from satiab.expcli import _RANGES, ExperimentConfig, _float_cells, build_scenario
@@ -229,13 +225,6 @@ def reference_validate(scn: ScenarioBatch, p_ue, p_bs, w_a, w_b) -> list[str]:
     return violated
 
 
-_SOLVER_KINDS = {
-    solve_orthogonal_many: SolverKind.EXACT_ORTHOGONAL,
-    pso_solve_many: SolverKind.PSO,
-    grid_oracle_many: SolverKind.GRID_ORACLE,
-}
-
-
 def solved_rows(solve_many, scns, *args) -> list[SolveResult]:
     """solve_many(batch of scns, *args) as one SolveResult per row: the
     row's allocation, its reference_evaluate report, its iterations and
@@ -243,7 +232,7 @@ def solved_rows(solve_many, scns, *args) -> list[SolveResult]:
     alloc, iterations, converged = solve_many(stack(scns), *args)
     assert alloc.shape == (len(scns), 4) and iterations.shape == converged.shape == (len(scns),)
     return [
-        SolveResult(Allocation(*row), reference_evaluate(scn, *row), _SOLVER_KINDS[solve_many], n, done)
+        SolveResult(Allocation(*row), reference_evaluate(scn, *row), n, done)
         for scn, row, n, done in zip(scns, alloc.tolist(), iterations.tolist(), converged.tolist())
     ]
 
@@ -371,7 +360,6 @@ def golden_section_solve(batch: ScenarioBatch) -> SolveResult:
     return SolveResult(
         allocation=alloc,
         report=reference_evaluate(batch, *dataclasses.astuple(alloc)),
-        solver=SolverKind.EXACT_ORTHOGONAL,
         iterations_used=iterations,
         converged=converged,
     )
@@ -532,7 +520,6 @@ def full_grid_oracle(batch: ScenarioBatch, resolution: int) -> SolveResult:
     return SolveResult(
         allocation=alloc,
         report=reference_evaluate(batch, *dataclasses.astuple(alloc)),
-        solver=SolverKind.GRID_ORACLE,
         iterations_used=resolution * resolution,
         converged=True,
     )

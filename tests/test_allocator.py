@@ -12,7 +12,6 @@ from satiab import (
     Allocation,
     PsoConfig,
     ScenarioBatch,
-    SolverKind,
     bandwidth_limits,
     evaluate,
     evaluate_many,
@@ -175,7 +174,6 @@ def test_solve_orthogonal_report_is_consistent():
     result = solve_orthogonal(scn)
     again = evaluate(scn, result.allocation)
     assert again.maxmin_level == pytest.approx(result.report.maxmin_level, rel=1e-6)
-    assert result.solver is SolverKind.EXACT_ORTHOGONAL
 
 
 def orthogonal_batch():

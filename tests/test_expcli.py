@@ -7,6 +7,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import satiab
 from satiab import (
     PsoConfig,
     ScenarioBatch,
@@ -534,6 +536,57 @@ def test_one_list_of_duplex_names(tmp_path):
         assert alpha_o * alpha_1 == 0.5
         scn = build_scenario(dataclasses.replace(ExperimentConfig(), duplex=name))
         assert (scn.alpha_o.item(), scn.alpha_1.item()) == (alpha_o, alpha_1)
+
+
+def test_one_list_of_solver_names(tmp_path, capsys, monkeypatch):
+    # the table's keys are the CSV's solver cells, the config's solver names and the --solvers help
+    names = tuple(expcli._SOLVERS)
+    assert names == expcli._CELL_CHOICES["solver"] == ("exact", "pso", "oracle")
+    for solvers in [[name] for name in names] + [list(names)]:
+        assert load_config(write_json(tmp_path / "cfg.json", {"solvers": solvers})).solvers == tuple(solvers)
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    assert tuple(re.search(r"subset of\s+(\S+)", capsys.readouterr().out)[1].split(",")) == names
+    for name in ("EXACT", "SolverKind.PSO", "grid"):
+        assert main(["solve", "--solvers", name, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: unknown solvers: {name!r}\n"
+    assert not hasattr(satiab, "SolverKind") and "SolverKind" not in satiab.__all__
+    # the names of expcli's rules are keys: "exact" in _config_problems and
+    # run_overlap_sweep, "pso" in _run_sweep's particle-step cap
+    overlapped = dataclasses.replace(ExperimentConfig(), overlap_mhz=10.0)
+    assert [name for name in names if any("exact solver" in problem for problem in expcli._config_problems(
+        dataclasses.replace(overlapped, solvers=(name,))))] == ["exact"]
+    rows = run_overlap_sweep(small_config(solvers=("pso",), overlap_sweep_points=2))
+    assert {(row.solver, row.sweep_value) for row in rows} == {("pso", 0.0), ("pso", 1.0), ("exact", 0.0)}
+    huge = small_config(solvers=("pso",), pso_population=1000, pso_iterations=10_000,
+                        power_sweep_min_dbm=30.0, power_sweep_max_dbm=60.0, power_sweep_step_db=0.1)
+    monkeypatch.setattr(expcli, "pso_solve_many", None)  # the cap stops the run before any swarm
+    with pytest.raises(ValidationError, match=r"^1204 pso rows x "):
+        run_power_sweep(huge)
+
+
+@pytest.mark.parametrize("solver, attribute", [
+    ("exact", "solve_orthogonal_many"), ("pso", "pso_solve_many"), ("oracle", "grid_oracle_many")])
+def test_each_solver_entry_looks_its_solver_up_in_expcli(monkeypatch, solver, attribute):
+    # a function patched at the entry's expcli name is the one run_single calls, once, on the
+    # one-row batch of the config's point; the row of that name holds its allocation, and
+    # every row is that of the unpatched run
+    cfg = small_config(solvers=tuple(expcli._SOLVERS))
+    want, calls, solve = run_single(cfg), [], getattr(expcli, attribute)
+
+    def patched(batch, *args):
+        calls.append((batch, solve(batch, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(expcli, attribute, patched)
+    rows = run_single(cfg)
+    assert rows == want and {row.solver for row in rows} == set(expcli._SOLVERS)
+    (batch, (alloc, _, _)), = calls
+    scn = build_scenario(cfg)
+    for field in dataclasses.fields(scn):
+        assert np.array_equal(getattr(batch, field.name), getattr(scn, field.name))
+    row, = (row for row in rows if row.solver == solver)
+    assert [row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz] == alloc.tolist()[0]
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
