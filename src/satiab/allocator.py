@@ -50,7 +50,7 @@ _G_SERIES = [-1 / 5040, 1 / 720, -1 / 120, 1 / 24, -1 / 6, 1 / 2]  # y polyval(_
 _BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest access share, so the backhaul's stays positive
 _MAX_STEPS = 200
 _Solved = tuple[np.ndarray, np.ndarray, np.ndarray]  # allocations, iterations, converged
-_GRID_BLOCK = 4_096  # grid columns per grid_oracle_many kernel call: 32 KiB temporaries
+_GRID_BLOCK = 4_096  # grid columns per grid_oracle_many chunk: 32 KiB per column array, made once
 _SWARM_PARTICLES = 65_536  # particles per run_pso batch of pso_solve_many
 _ROW_DRAWS, _BLOCK_DRAWS = 4_096, 131_072  # draws of a swarm's draw block: about per row, at most in all
 _LEARNING_FACTORS, _INERTIA_WEIGHT = (2.0, 2.0), 0.01  # the reference swarm's step rule
@@ -233,34 +233,40 @@ def _grid_maxima(batch: ScenarioBatch, resolution: int) -> np.ndarray:
     w = np.stack((w_a, band_total - w_a))
     p, rates = np.empty_like(w), rates_at(batch, w)  # each step's (p_ue, p_bs) pair, and its rates
     first = np.arange(0, p_grid.size, resolution)[:, None]  # p_grid's flat index of each scenario's row
+    index = np.empty(w_a.shape, dtype=np.intp)
 
     def at(rows):
         # rate_a / eps and rate_b of every column at its grid row rows[s, j]
-        np.subtract(p_total, p_grid.take(first + rows, out=p[0]), out=p[1])
-        rate_a, rate_b = rates(p)
-        return rate_a / eps, rate_b
+        np.subtract(p_total, p_grid.take(np.add(first, rows, out=index), out=p[0]), out=p[1])
+        rate = rates(p)
+        rate[0] /= eps
+        return rate
 
-    # the first row with a >= b; the last row qualifies unevaluated (p_bs = 0,
-    # so b = 0), and a_lo, b_hi keep a at row lo - 1 and b at row hi
+    # the first row with a >= b; the last row qualifies unevaluated (p_bs = 0, so b = 0), and
+    # a_lo, b_hi keep a at row lo - 1 and b at row hi; each step writes in place, mid by a shift
     lo, hi = np.zeros(w_a.shape, dtype=np.intp), np.full(w_a.shape, resolution - 1)
     a_lo, b_hi = np.full(w_a.shape, -math.inf), np.zeros(w_a.shape)
+    mid, crossed = np.empty_like(lo), np.empty(w_a.shape, dtype=bool)
     for _ in range((resolution - 1).bit_length()):
-        mid = (lo + hi) // 2
-        a, b = at(mid)
-        crossed = a >= b
-        hi, b_hi = np.where(crossed, mid, hi), np.where(crossed, b, b_hi)
-        lo, a_lo = np.where(crossed, lo, mid + 1), np.where(crossed, a_lo, a)
+        a, b = at(np.right_shift(np.add(lo, hi, out=mid), 1, out=mid))
+        np.greater_equal(a, b, out=crossed)
+        np.copyto(hi, mid, where=crossed)
+        np.copyto(b_hi, b, where=crossed)
+        np.logical_not(crossed, out=crossed)
+        np.copyto(lo, np.add(mid, 1, out=mid), where=crossed)
+        np.copyto(a_lo, a, where=crossed)
     best = np.maximum(a_lo, b_hi)
     # where a wins (ties too), its first row reaching best is row 0 if best is
     # 0 (a is 0 at p_ue = 0), else in [0, hi - 1] and most often hi - 1 itself
     a_wins = a_lo >= b_hi
     hi = np.where(a_wins, np.where(best > 0.0, hi - 1, 0), hi)
     lo = np.where(a_wins, 0, hi)
-    mid = np.maximum(hi - 1, lo)
-    while (lo < hi).any():
-        reached = at(mid)[0] >= best
-        hi, lo = np.where(reached, mid, hi), np.where(reached, lo, mid + 1)
-        mid = (lo + hi) // 2
+    np.maximum(hi - 1, lo, out=mid)
+    while np.less(lo, hi, out=crossed).any():
+        np.greater_equal(at(mid)[0], best, out=crossed)  # a has reached best
+        np.copyto(hi, mid, where=crossed)
+        np.copyto(lo, np.add(mid, 1, out=mid), where=np.logical_not(crossed, out=crossed))
+        np.right_shift(np.add(lo, hi, out=mid), 1, out=mid)
     # the first maximum in row-major order: smallest row, then smallest column
     order = np.where(best < best.max(axis=1, keepdims=True), resolution**2,
                      hi * resolution + np.arange(resolution))

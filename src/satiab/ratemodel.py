@@ -159,10 +159,11 @@ def rates_at(batch: ScenarioBatch, w):
     """link_rates(batch, p, w) as a function of the power pair p alone, bit for bit.
     Building it computes the terms of the batch and w alone: the noise dens w, the
     prefactor alpha_o w, the other link's bandwidth with its stand-in, the zero-rate
-    mask and, if no scenario overlaps, the whole denominator with its stand-in; a
-    call computes the rest. It holds a view of w: do not write w while it is in use."""
+    mask's inverse and, if no scenario overlaps, the whole denominator with its stand-in.
+    Each call computes the rest in the one array it returns, new on every call (one more
+    holds an overlap's denominator). It holds a view of w: do not write w while in use."""
     w_o, w = batch.overlap_bandwidth, _link_pair(w)
-    plain, den, other, mask = _all_positive(w), batch.density * w, None, None
+    plain, den, other, zero = _all_positive(w), batch.density * w, None, None
     overlapped = np.any(w_o > 0.0)  # if not, the interference term is zero and skipped
     if overlapped:
         other = w[::-1] if plain else np.where(w[::-1] > 0.0, w[::-1], 1.0)
@@ -171,15 +172,23 @@ def rates_at(batch: ScenarioBatch, w):
     if not plain:
         # w_o = 0 adds exactly zero interference: the other link's bandwidth may be 0 there
         ok = w > 0.0
-        mask = ok & (ok[::-1] | (w_o == 0.0)) if overlapped else ok
+        zero = ~(ok & (ok[::-1] | (w_o == 0.0)) if overlapped else ok)
     beta, prefactor = np.asarray((batch.beta_ue, batch.beta_bs), dtype=float), batch.alpha_o * w
 
     def rates(p) -> np.ndarray:
         p = _link_pair(p)
-        sinr = p * beta / (_denominator(den + batch.alpha_1 * p[::-1] * beta * w_o / other, plain)
-                           if overlapped else den)
-        rate = prefactor * np.log2(1.0 + sinr)
-        return rate if mask is None else np.where(mask, rate, 0.0)
+        rate = np.multiply(p, beta, out=np.empty(np.broadcast(den, p).shape))  # at the joint shape
+        if overlapped:
+            term = np.multiply(batch.alpha_1, p[::-1], out=np.empty_like(rate))
+            term *= beta
+            term *= w_o
+            term /= other
+        rate /= _denominator(np.add(den, term, out=term), plain) if overlapped else den
+        np.log2(np.add(rate, 1.0, out=rate), out=rate)
+        rate *= prefactor
+        if zero is not None:
+            np.copyto(rate, 0.0, where=zero)
+        return rate
 
     return rates
 

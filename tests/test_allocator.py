@@ -473,6 +473,21 @@ def test_grid_oracle_batch_rows_equal_rows_solved_alone():
     assert solved_rows(grid_oracle_many, [], 37) == []
 
 
+def test_grid_oracle_writes_only_what_it_owns(monkeypatch):
+    # the search writes its step arrays in place: it leaves every column of the
+    # batch as it was, and one call leaves nothing that changes the next
+    rng = np.random.default_rng(67)
+    batch = stack([random_scenario(rng, orthogonal=True), make_scenario(overlap_bandwidth=10e6),
+                   corner_scenario(rng)])
+    columns = {f.name: getattr(batch, f.name).tobytes() for f in dataclasses.fields(batch)}
+    for block in (allocator._GRID_BLOCK, 37):  # one chunk, then one chunk a scenario
+        monkeypatch.setattr(allocator, "_GRID_BLOCK", block)
+        first, second = grid_oracle_many(batch, 37), grid_oracle_many(batch, 37)
+        assert {name: getattr(batch, name).tobytes() for name in columns} == columns
+        for got, want in zip(second, first):
+            assert np.array_equal(got, want)
+
+
 def test_grid_oracle_blocks_of_any_size_equal_the_full_grid(monkeypatch):
     rng = np.random.default_rng(59)
     scns = [random_scenario(rng, orthogonal=True), random_scenario(rng), make_scenario(),
@@ -533,7 +548,8 @@ def test_grid_oracle_memory_is_bounded():
 
 def test_grid_oracle_batch_memory_is_bounded():
     # a power sweep's 44 scenarios at 1000 x 1000: one kernel call on all of
-    # them at once peaks near 7.3 MiB, and chunks of 4,096 columns near 0.7 MiB
+    # them at once peaks near 7.3 MiB, and chunks of 4,096 columns near 0.9 MiB,
+    # about 0.67 MiB of it the arrays a chunk holds through its whole search
     rng = np.random.default_rng(61)
     scns = [random_scenario(rng) for _ in range(44)]
     tracemalloc.start()

@@ -261,8 +261,10 @@ def test_link_rates_equal_the_masked_kernel_bit_for_bit(case):
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(rate_kernel_inputs(pairs=4))
 def test_rates_at_one_bandwidth_pair_equal_the_masked_kernel_at_every_power_pair(case):
-    # one function of the powers serves every call: p1, p2, p3, then p1 again
+    # one function of the powers serves every call: p1, p2, p3, then p1 again; each
+    # call returns a new array, which no later call writes
     batch, (w, *powers) = case
+    kept = []
     with np.errstate(all="ignore"):
         rates = rates_at(batch, w)
         for p in (*powers, powers[0]):
@@ -272,6 +274,13 @@ def test_rates_at_one_bandwidth_pair_equal_the_masked_kernel_at_every_power_pair
                 assert rate.shape == reference.shape and rate.dtype == reference.dtype
                 assert np.array_equal(rate, reference, equal_nan=True)
                 assert np.array_equal(np.signbit(rate), np.signbit(reference))
+            kept.append((got, want))
+    for k, (got, want) in enumerate(kept):
+        for rate, reference in zip(got, want):
+            assert np.array_equal(rate, reference, equal_nan=True)
+            assert np.array_equal(np.signbit(rate), np.signbit(reference))
+        others = [w, *powers] + [earlier for earlier, _ in kept[:k]]
+        assert not any(np.shares_memory(got, other) for other in others)
 
 
 def test_scenario_validation():
