@@ -459,25 +459,25 @@ def read_csv(path: str) -> list[SweepRow]:
             if fh.readline().decode() != _CSV_HEADER:  # bytes.decode is UTF-8
                 raise ValidationError(f"{path}: unexpected CSV header")
             for number, line in enumerate(map(bytes.decode, fh), 2):
-                where, cells = f"{path}:{number}", line.removesuffix("\r\n").split(",")
+                cells = line.removesuffix("\r\n").split(",")
                 if len(line) > limit and max(map(len, cells)) > limit:
-                    raise ValidationError(f"{where}: field larger than field limit ({limit})")
+                    raise ValidationError(f"{path}:{number}: field larger than field limit ({limit})")
                 if len(cells) != len(CSV_COLUMNS):
-                    raise ValidationError(f"{where}: expected {len(CSV_COLUMNS)} cells")
+                    raise ValidationError(f"{path}:{number}: expected {len(CSV_COLUMNS)} cells")
                 for i, name, choices in _TEXT_CELLS:
                     if (text := cells[i]) not in choices:
-                        raise ValidationError(f"{where}: {name} must be one of {', '.join(choices)}, "
+                        raise ValidationError(f"{path}:{number}: {name} must be one of {', '.join(choices)}, "
                                               f"got {text!r}")
                 for i in _FLOAT_INDICES:
                     try:
                         cells[i] = float(text := cells[i])
                     except ValueError:
-                        raise ValidationError(f"{where}: {CSV_COLUMNS[i]} must be a number, "
+                        raise ValidationError(f"{path}:{number}: {CSV_COLUMNS[i]} must be a number, "
                                               f"got {text!r}") from None
                 if (written := _CSV_LINE % tuple(cells)) != line:  # name the first cell that differs
                     name, want, got = next(diff for diff in zip(CSV_COLUMNS, written.split(","),
                                                                 line.split(",")) if diff[1] != diff[2])
-                    raise ValidationError(f"{where}: {name} must be written {want!r}, got {got!r}")
+                    raise ValidationError(f"{path}:{number}: {name} must be written {want!r}, got {got!r}")
                 rows.append(SweepRow(*cells[:-1], cells[-1] == "true"))
         except UnicodeDecodeError as err:  # of one line, as no UTF-8 character holds a newline byte
             raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
@@ -541,7 +541,7 @@ def emit_plot(rows: list[SweepRow], path: str) -> None:
         x_lo, x_hi = min(xs), max(xs)
         if x_hi <= x_lo:
             x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-        x_label = "Transmit power (dBm)" if sweep == "power" else "Sweep value"
+        x_label = "Transmit power (dBm)"  # a single row's sweep_value is its power too
     y_label = "Throughput (Mbps)"
     ys = [y for pts in series.values() for _, y in pts]
     y_lo, y_hi = 0.0, (max(ys) if ys else 1.0) * 1.05
@@ -652,7 +652,7 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
     violated = validate_many(batch, alloc)
     feasible = ~violated.any(axis=1)
     want = np.zeros_like(recorded)
-    want[feasible] = evaluate_many(batch.take(feasible), alloc[feasible]) / 1e6
+    want[feasible] = evaluate_many(batch if feasible.all() else batch.take(feasible), alloc[feasible]) / 1e6
     off = feasible[:, None] & (np.abs(recorded - want) > _AUDIT_TOL * np.maximum(np.abs(want), 1e-12))
     spent = alloc[:, 0::2] + alloc[:, 1::2]  # p_ue + p_bs and w_a + w_b
     budgets = np.hstack((batch.total_power, bandwidth_limits(batch)[0]))
@@ -746,30 +746,26 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a JSON config file")
-    parser.add_argument("--seed", type=int, help="override the RNG seed")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--solvers", help=f"comma-separated subset of {','.join(_SOLVERS)}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="satiab",
         description="Satellite access/backhaul allocation experiments",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    common = argparse.ArgumentParser(add_help=False)  # the options of the three run commands
+    common.add_argument("--config", help="path to a JSON config file")
+    common.add_argument("--seed", type=int, help="override the RNG seed")
+    common.add_argument("--out", help="output directory")
+    common.add_argument("--solvers", help=f"comma-separated subset of {','.join(_SOLVERS)}")
 
-    p = sub.add_parser("solve", help="run the selected solvers on one scenario")
-    _add_common_arguments(p)
+    p = sub.add_parser("solve", parents=[common], help="run the selected solvers on one scenario")
     p.set_defaults(handler=_cmd_solve)
 
     for name, run, stem, text in (
         ("sweep-power", run_power_sweep, "power_sweep", "throughput vs transmit power"),
         ("sweep-overlap", run_overlap_sweep, "overlap_sweep", "throughput vs bandwidth overlap"),
     ):
-        p = sub.add_parser(name, help=text)
-        _add_common_arguments(p)
+        p = sub.add_parser(name, parents=[common], help=text)
         p.set_defaults(handler=_cmd_sweep, run=run, stem=stem)
 
     p = sub.add_parser("audit", help="re-validate a previously written sweep CSV")

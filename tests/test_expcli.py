@@ -643,6 +643,13 @@ def test_emit_plot_overlap_sweep_axis(tmp_path):
     assert "w_o/W" in content
 
 
+def test_emit_plot_labels_a_single_table_by_transmit_power(tmp_path):
+    # a single row's sweep_value is its transmit power
+    path = tmp_path / "single.svg"
+    emit_plot(run_single(small_config(solvers=("exact",))), str(path))
+    assert ">Transmit power (dBm)</text>" in path.read_text()
+
+
 def test_emit_plot_rejects_empty():
     with pytest.raises(ValueError):
         emit_plot([], "unused.svg")
@@ -1159,6 +1166,35 @@ def test_cli_audit_takes_no_seed_or_out(tmp_path, capsys, flag):
         main(["audit", "--csv", str(tmp_path / "solve.csv"), *flag])
     assert exit_.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep-power", "sweep-overlap"])
+def test_cli_run_command_help_lists_the_shared_options(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())  # as one line, however the help wraps
+    for option, text in (("--config CONFIG", "path to a JSON config file"),
+                         ("--seed SEED", "override the RNG seed"),
+                         ("--out OUT", "output directory"),
+                         ("--solvers SOLVERS", "comma-separated subset of exact,pso,oracle")):
+        assert f"{option} {text}" in out
+
+
+def test_cli_sweep_overlap_rejects_a_seed_that_is_not_an_int(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep-overlap", "--seed", "x"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: satiab sweep-overlap")
+    assert err.endswith("satiab sweep-overlap: error: argument --seed: invalid int value: 'x'\n")
+
+
+def test_cli_unknown_command_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["bogus"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err  # the choice list's quoting varies by Python
 
 
 def test_cli_solvers_flag(tmp_path):
