@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ratemodel import Allocation, RateReport, ScenarioBatch
+from .ratemodel import _LN2, Allocation, RateReport, ScenarioBatch
 from .ratemodel import bandwidth_limits, evaluate, link_rates, rates_at
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "pso_solve_many",
 ]
 
-_LN2 = math.log(2.0)
 _SERIES_Y = 1e-2  # below this y, _log_marginal_cost sums g(y) / y as a series,
 _G_SERIES = [-1 / 5040, 1 / 720, -1 / 120, 1 / 24, -1 / 6, 1 / 2]  # y polyval(_G_SERIES, y)
 _BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest access share, so the backhaul's stays positive
@@ -159,15 +158,16 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
     steps on log(power needed / P) in log zeta from the least of three upper
     bounds. The envelope theorem gives the slope without differentiating
     the split: d power / d log zeta sums dens w / beta e**y y over the links.
-    A step that would leave the bracket bisects it, and one of at most half
-    the tolerance goes an eighth further (at least 1e-14 zeta), so that the
+    A step that would leave the bracket bisects it, and one of at most
+    0.5e-13 zeta goes an eighth further (at least 1e-14 zeta), so that the
     bracket closes around the root.
 
-    A row stops once hi - lo <= 1e-13 max(zeta_ub, 1); iterations_used
-    counts its levels, and converged says it stopped so. It returns the
-    allocation computed at its final lo, whose powers sum to at most P
-    exactly, or both budgets halved where lo stays 0. Rows share only
-    elementwise arithmetic, so row s is exactly the solve of scenario s alone.
+    A row stops once hi - lo <= 1e-13 lo, relative to its own bracket;
+    iterations_used counts its levels, and converged says it stopped so. It
+    returns the allocation computed at its final lo, whose powers sum to at
+    most P exactly, or both budgets halved where zeta_ub is 0 (p beta
+    underflows, far outside the config ranges). Rows share only elementwise
+    arithmetic, so row s is exactly the solve of scenario s alone.
     """
     if (batch.overlap_bandwidth != 0.0).any():
         raise ValueError("solve_orthogonal requires overlap_bandwidth == 0")
@@ -184,13 +184,12 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
     low_snr = alpha_o * p_total / (_LN2 * dens * np.add(*(rate_per_zeta / beta)))
     zeta = np.minimum(np.minimum(zeta_ub, np.where(rate_a > 0.0, rate_a / eps, np.inf)), low_snr)
     zeta = np.where(zeta > 0.0, zeta, zeta_ub)
-    tol = 1e-13 * np.maximum(zeta_ub, 1.0)
     lo, hi = np.zeros_like(zeta_ub), zeta_ub.copy()
     share = y_per_zeta[0] / np.add(*y_per_zeta)  # equal y on both links
     alloc = 0.5 * np.vstack((p_total, p_total, w_total, w_total))  # both budgets halved, spent exactly
     iterations = np.zeros(zeta_ub.shape, dtype=int)
     for _ in range(_MAX_STEPS):
-        active = hi - lo > tol
+        active = hi - lo > 1e-13 * lo
         if not active.any():
             break
         iterations += active
@@ -208,13 +207,11 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
         growth = np.add(*((p + dens[rows] * w / beta[:, rows]) * (y_z / pair)))
         with np.errstate(divide="ignore", invalid="ignore"):  # spent 0 or inf: a NaN step bisects
             step = np.abs(z * np.expm1(np.log(p_total[rows] / spent) * spent / growth))
-        half_tol = 0.5 * tol[rows]
-        past = np.maximum(0.125 * step, np.minimum(1e-14 * z, 0.5 * half_tol))
-        step = np.where(step <= half_tol, step + past, step)
+        step = np.where(step <= 0.5e-13 * z, step + np.maximum(0.125 * step, 1e-14 * z), step)
         new = z + np.where(feasible, step, -step)
         zeta[rows] = np.where((new > lo_s) & (new < hi_s), new, 0.5 * (lo_s + hi_s))
 
-    return alloc.T.copy(), iterations, hi - lo <= tol
+    return alloc.T.copy(), iterations, hi - lo <= 1e-13 * lo
 
 
 def solve_orthogonal(scn: ScenarioBatch) -> SolveResult:
@@ -293,9 +290,10 @@ def grid_oracle_many(batch: ScenarioBatch, resolution: int) -> _Solved:
     max(a[k - 1], b[k]), first reached at row k if b[k] is greater, else
     where a first reaches a[k - 1]: row 0 if that is 0, most often row
     k - 1 (a probe of row k - 2 tells), and else the start of a plateau,
-    found by a second bisection; rounding makes such plateaus near the
-    corners of the parameter ranges. Columns combine by smallest row, then
-    smallest column, as np.argmax's first maximum in row-major order.
+    found by a second bisection; rounding makes such plateaus where p beta
+    is a few subnormal ulps, far outside the config ranges. Columns combine
+    by smallest row, then smallest column, as np.argmax's first maximum in
+    row-major order.
 
     Scenarios are searched in chunks of at most _GRID_BLOCK columns (at least
     one scenario): rates_at computes a chunk's bandwidth terms once, and each

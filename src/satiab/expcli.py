@@ -100,7 +100,6 @@ class ExperimentConfig:
     pso_iterations: int = PsoConfig.max_iterations
     seed: int = 1
     solvers: tuple[str, ...] = ("exact", "pso")
-    output_dir: str = "out"
     power_sweep_min_dbm: float = 40.0
     power_sweep_max_dbm: float = 50.0
     power_sweep_step_db: float = 1.0
@@ -141,12 +140,12 @@ _MAX_PARTICLE_STEPS = 10**9
 # Closed ranges of the numeric entries, in the units of their keys. Each is
 # wide enough for any satellite link and tight enough that dbm_to_watts,
 # db_to_linear and channel_gain stay finite and positive: the channel gain
-# stays within about 1e-85 .. 1e15. Far beyond the ranges of the bandwidth
-# and the access weight, a link's SINR is so small that log2(1 + SINR)
-# rounds to 0. The sizes are capped so that no solve asks for gigabytes: a
-# swarm holds S x population x 4 floats. An oracle of resolution r bisects
-# down the r grid columns of each scenario in (rows, r) arrays of at most
-# max(r, 4,096) columns per chunk, so its cap bounds time, not memory.
+# stays within about 1e-85 .. 1e15, so p beta never underflows and every
+# link's rate at the whole budget is positive, however small. The sizes are
+# capped so that no solve asks for gigabytes: a swarm holds S x population x
+# 4 floats. An oracle of resolution r bisects down the r grid columns of
+# each scenario in (rows, r) arrays of at most max(r, 4,096) columns per
+# chunk, so its cap bounds time, not memory.
 _RANGES = {
     "total_bandwidth_mhz": (0.001, 1e5),
     "access_weight": (1e-6, 1.0),
@@ -233,9 +232,9 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.loads(fh.read(), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
-    except UnicodeDecodeError as err:  # of the whole file at once, so its position is the file's
-        raise ParseError(f"{path}: {err}") from None
-    except (ValueError, RecursionError) as err:  # an integer past int's digit limit, or deep nesting
+    # a byte that is not UTF-8 (decoded with the whole file, so its position is the file's),
+    # an integer past int's digit limit, or deep nesting
+    except (ValueError, RecursionError) as err:
         raise ParseError(f"{path}: {err}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top-level JSON value must be an object")
@@ -701,8 +700,6 @@ def _print_rows(rows: list[SweepRow], stream) -> None:
 def _effective_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     updates = {"seed": cfg.seed if args.seed is None else args.seed}
-    if args.out is not None:
-        updates["output_dir"] = args.out
     if args.solvers is not None:
         updates["solvers"] = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
     cfg = dataclasses.replace(cfg, **updates)
@@ -713,21 +710,19 @@ def _effective_config(args) -> ExperimentConfig:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _effective_config(args)
-    rows = run_single(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    write_csv(rows, os.path.join(cfg.output_dir, "solve.csv"))
+    rows = run_single(_effective_config(args))
+    os.makedirs(args.out, exist_ok=True)
+    write_csv(rows, os.path.join(args.out, "solve.csv"))
     _print_rows(rows, sys.stdout)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _effective_config(args)
-    rows = args.run(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    write_csv(rows, os.path.join(cfg.output_dir, f"{args.stem}.csv"))
-    emit_plot(rows, os.path.join(cfg.output_dir, f"{args.stem}.svg"))
-    print(f"wrote {len(rows)} rows to {cfg.output_dir}/{args.stem}.csv")
+    rows = args.run(_effective_config(args))
+    os.makedirs(args.out, exist_ok=True)
+    write_csv(rows, os.path.join(args.out, f"{args.stem}.csv"))
+    emit_plot(rows, os.path.join(args.out, f"{args.stem}.svg"))
+    print(f"wrote {len(rows)} rows to {args.out}/{args.stem}.csv")
     return 0
 
 
@@ -755,7 +750,7 @@ def main(argv: list[str] | None = None) -> int:
     common = argparse.ArgumentParser(add_help=False)  # the options of the three run commands
     common.add_argument("--config", help="path to a JSON config file")
     common.add_argument("--seed", type=int, help="override the RNG seed")
-    common.add_argument("--out", help="output directory")
+    common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--solvers", help=f"comma-separated subset of {','.join(_SOLVERS)}")
 
     p = sub.add_parser("solve", parents=[common], help="run the selected solvers on one scenario")

@@ -15,6 +15,7 @@ validate are their views at a one-row batch and one Allocation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 _SLACK = 1e-6  # relative slack of each constraint that validate checks
+_LN2 = math.log(2.0)  # a rate is alpha_o w log1p(SINR) / _LN2: log2(1 + SINR) without rounding 1 + SINR
 CONSTRAINTS = ("1a", "1b", "1c", "1d")  # the columns of validate_many, in order
 # The time-share and bandwidth-share factors (alpha_o, alpha_1) of each duplex
 # mode: FDD transmits full-time over half the spectrum, TDD half-time over all of it.
@@ -158,7 +160,7 @@ def _denominator(den: np.ndarray, plain: bool) -> np.ndarray:
 def rates_at(batch: ScenarioBatch, w):
     """link_rates(batch, p, w) as a function of the power pair p alone, bit for bit.
     Building it computes the terms of the batch and w alone: the noise dens w, the
-    prefactor alpha_o w, the other link's bandwidth with its stand-in, the zero-rate
+    prefactor alpha_o w / ln 2, the other link's bandwidth with its stand-in, the zero-rate
     mask's inverse and, if no scenario overlaps, the whole denominator with its stand-in.
     Each call computes the rest in the one array it returns, new on every call (one more
     holds an overlap's denominator). It holds a view of w: do not write w while in use."""
@@ -173,7 +175,7 @@ def rates_at(batch: ScenarioBatch, w):
         # w_o = 0 adds exactly zero interference: the other link's bandwidth may be 0 there
         ok = w > 0.0
         zero = ~(ok & (ok[::-1] | (w_o == 0.0)) if overlapped else ok)
-    beta, prefactor = np.asarray((batch.beta_ue, batch.beta_bs), dtype=float), batch.alpha_o * w
+    beta, prefactor = np.asarray((batch.beta_ue, batch.beta_bs), dtype=float), batch.alpha_o * w / _LN2
 
     def rates(p) -> np.ndarray:
         p = _link_pair(p)
@@ -184,7 +186,7 @@ def rates_at(batch: ScenarioBatch, w):
             term *= w_o
             term /= other
         rate /= _denominator(np.add(den, term, out=term), plain) if overlapped else den
-        np.log2(np.add(rate, 1.0, out=rate), out=rate)
+        np.log1p(rate, out=rate)
         rate *= prefactor
         if zero is not None:
             np.copyto(rate, 0.0, where=zero)

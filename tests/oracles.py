@@ -58,8 +58,9 @@ from satiab import (
     db_to_linear,
     dbm_to_watts,
 )
-from satiab.allocator import _BELOW_ONE, _LN2, _MAX_STEPS, _inversion_power, _log_marginal_cost
+from satiab.allocator import _BELOW_ONE, _MAX_STEPS, _inversion_power, _log_marginal_cost
 from satiab.expcli import _RANGES, ExperimentConfig, _float_cells, build_scenario
+from satiab.ratemodel import _LN2
 
 
 def j1_power_series(x: float, terms: int = 80, dps: int = 50) -> float:
@@ -167,7 +168,7 @@ _CORNER_KEYS = (
 def corner_scenario(rng) -> ScenarioBatch:
     """A scenario from a config whose scenario keys each sit at one end of
     the range the config accepts, or uniformly between, with no, half or
-    full overlap. Near these corners rates round to 0 or move in flat steps."""
+    full overlap. Near these corners an SINR can be so small that 1 + SINR rounds to 1."""
     values = {}
     for name in _CORNER_KEYS:
         lo, hi = _RANGES[name]
@@ -261,7 +262,7 @@ def reference_link_rates(batch: ScenarioBatch, p_ue, p_bs, w_a, w_b):
             den = noise
         active = (w_own > 0.0) & other_ok
         sinr = p_own * beta / np.where(den > 0.0, den, 1.0)
-        rate = alpha_o * w_own * np.log2(1.0 + sinr)
+        rate = np.log1p(sinr) * (alpha_o * w_own / _LN2)
         return np.where(active, rate, 0.0)
 
     rate_a = one_way(p_ue, batch.beta_ue, w_a, p_bs, w_b)
@@ -274,7 +275,7 @@ def reference_rate(alpha_o, alpha_1, p_own, beta, w_own, p_other, w_other, dens,
     if w_own <= 0.0:
         return 0.0
     interference = alpha_1 * p_other * beta * w_o / w_other if w_o > 0.0 else 0.0
-    return alpha_o * w_own * math.log2(1.0 + p_own * beta / (dens * w_own + interference))
+    return alpha_o * w_own / _LN2 * math.log1p(p_own * beta / (dens * w_own + interference))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -311,7 +312,7 @@ def golden_section_solve(batch: ScenarioBatch) -> SolveResult:
     w_total = alpha_1 * scn.total_bandwidth
     p_total = scn.total_power
     eps = scn.access_weight
-    zeta_ub = alpha_o * w_total * math.log2(1.0 + p_total * scn.beta_bs / (dens * w_total))
+    zeta_ub = alpha_o * w_total / _LN2 * math.log1p(p_total * scn.beta_bs / (dens * w_total))
     w_lo = w_total * 1e-12
     w_hi = w_total * (1.0 - 1e-12)
     log_scale_a, log_scale_b = math.log(dens / scn.beta_ue), math.log(dens / scn.beta_bs)
@@ -404,13 +405,12 @@ def reference_solve_orthogonal_many(batch: ScenarioBatch):
     low_snr = alpha_o * p_total / (_LN2 * dens * (rate_per_zeta / beta).sum(axis=1, keepdims=True))
     zeta = np.minimum(np.minimum(zeta_ub, np.where(rate_a > 0.0, rate_a / eps, np.inf)), low_snr)
     zeta = np.where(zeta > 0.0, zeta, zeta_ub)
-    tol = 1e-13 * np.maximum(zeta_ub, 1.0)
     lo, hi = np.zeros_like(zeta_ub), zeta_ub.copy()
     share = y_per_zeta[:, :1] / y_per_zeta.sum(axis=1, keepdims=True)
     alloc = np.hstack((0.5 * p_total, 0.5 * p_total, 0.5 * w_total, 0.5 * w_total))
     iterations = np.zeros(zeta_ub.shape, dtype=int)
     for _ in range(_MAX_STEPS):
-        active = hi - lo > tol
+        active = hi - lo > 1e-13 * lo
         if not active.any():
             break
         iterations += active
@@ -428,13 +428,13 @@ def reference_solve_orthogonal_many(batch: ScenarioBatch):
         growth = ((p + dens[rows] * w / beta[rows]) * (y_z / pair)).sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.abs(z * np.expm1(np.log(p_total[rows] / spent) * spent / growth))
-        half_tol = 0.5 * tol[rows]
+        half_tol = 0.5e-13 * z
         past = np.maximum(0.125 * step, np.minimum(1e-14 * z, 0.5 * half_tol))
         step = np.where(step <= half_tol, step + past, step)
         new = z + np.where(feasible, step, -step)
         zeta[rows] = np.where((new > lo_s) & (new < hi_s), new, 0.5 * (lo_s + hi_s))
 
-    return alloc, iterations.ravel(), (hi - lo <= tol).ravel()
+    return alloc, iterations.ravel(), (hi - lo <= 1e-13 * lo).ravel()
 
 
 def mp_log_marginal_cost(y, dps: int = 40):

@@ -282,9 +282,23 @@ def test_solve_orthogonal_matches_mpmath_at_config_corners():
     scns = [orthogonal_corner(*draw) for draw in CORNER_DRAWS]
     for scn, result in zip(scns, solved_rows(solve_orthogonal_many, scns)):
         zeta, y_min = mp_orthogonal_level(scn)
-        # below y = 1e-6, log2(1 + sinr) in link_rates loses the digits first
+        # y reaches 1e-6 here, where rounding 1 + sinr would cost about 1e-7 of the level
         assert y_min >= 1e-6
-        assert result.report.maxmin_level == pytest.approx(float(zeta), rel=1e-7)
+        assert result.report.maxmin_level == pytest.approx(float(zeta), rel=1e-12)
+
+
+def test_solve_orthogonal_matches_mpmath_at_a_low_snr_sweep_point():
+    # the 33.2 dBm, TDD, 1,200 km point of a power sweep under an
+    # interference density of -50.375 dBm/Hz: y is about 3e-12 there, where
+    # log2(1 + sinr) left the level 2.8e-5 low
+    cfg = expcli.ExperimentConfig(access_weight=0.0625, boresight_bs_deg=0.0625,
+                                  interference_density_dbm_hz=-50.375)
+    scn = expcli.build_scenarios(cfg, [(30.0 + 2 * 1.6, 0.0, "TDD", 1200.0, 0.0625)])
+    zeta, y_min = mp_orthogonal_level(scn)
+    assert y_min < 1e-11
+    alloc, _, converged = solve_orthogonal_many(scn)
+    assert converged.all()
+    assert evaluate_many(scn, alloc)[0, 0] == pytest.approx(float(zeta), rel=1e-12)
 
 
 def test_solve_orthogonal_takes_few_steps(monkeypatch):
@@ -411,9 +425,10 @@ def test_grid_oracle_equals_the_full_grid_at_config_corners():
     for resolution in (10, 37):
         reference = [full_grid_oracle(scn, resolution) for scn in scns]
         assert solved_rows(grid_oracle_many, scns, resolution) == reference
-    # the corners include grids that are 0 throughout and grids that are not
+    # the corners include levels so small that log2(1 + SINR) would round
+    # them to 0, which log1p keeps positive, and levels of ordinary links
     levels = [result.report.maxmin_level for result in reference]
-    assert 0.0 in levels and max(levels) > 0.0
+    assert 0.0 < min(levels) < 1e-30 and max(levels) > 1e6
 
 
 def test_grid_oracle_zero_columns_of_orthogonal_grids():
@@ -427,21 +442,29 @@ def test_grid_oracle_zero_columns_of_orthogonal_grids():
 
 
 def test_grid_oracle_grid_maximum_zero():
-    # every rate rounds to 0, so the first grid point is the first maximum
+    # far outside the config ranges, p beta underflows to 0 at every grid
+    # point, so every rate is 0 and the first grid point is the first maximum
     for overlap in (0.0, 20e6, 40e6):
-        scn = make_scenario(total_power=1e-30, overlap_bandwidth=overlap)
+        scn = make_scenario(total_power=1e-300, beta_ue=1e-30, beta_bs=1e-30, overlap_bandwidth=overlap)
         *_, grid = full_grid(scn, 20)
         assert not grid.any()
         result = grid_oracle(scn, 20)
         assert result == full_grid_oracle(scn, 20)
         assert (result.allocation.p_ue, result.report.maxmin_level) == (0.0, 0.0)
+    # the exact solver's upper bound is then 0: it takes no level step and
+    # returns both budgets halved
+    result = solve_orthogonal(make_scenario(total_power=1e-300, beta_ue=1e-30, beta_bs=1e-30))
+    assert (result.report.maxmin_level, result.iterations_used, result.converged) == (0.0, 0, True)
+    assert dataclasses.astuple(result.allocation) == (5e-301, 5e-301, 10e6, 10e6)
 
 
 def test_grid_oracle_plateau_below_the_crossing():
-    # an access SINR of a few ulps: log2(1 + sinr) moves in flat steps, so
-    # down the best column the access rate reaches its last value before
-    # the crossing some rows early, and the first of those rows is the maximum
-    scn = make_scenario(beta_ue=10.0**-30.8, access_weight=1.0)
+    # an access SINR a few subnormal ulps wide: with beta_ue the smallest
+    # subnormal and P = 3 W, p_ue beta_ue rounds to 0 to 3 ulps down a column,
+    # so the access rate moves in flat steps; down the best column it reaches
+    # its last value before the crossing some rows early, and the first of
+    # those rows is the maximum
+    scn = make_scenario(total_power=3.0, beta_ue=5e-324, access_weight=1.0)
     *_, grid = full_grid(scn, 20)
     i, j = divmod(int(np.argmax(grid)), 20)
     assert grid[i, j] > 0.0 and grid[i + 1, j] == grid[i, j] and grid[i + 2, j] == grid[i, j]

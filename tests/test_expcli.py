@@ -1054,19 +1054,23 @@ def test_cli_audit_reports_an_overlap_above_the_written_bandwidth_at_9_digits(tm
 
 
 def test_cli_exact_row_at_zero_level_spends_the_power_and_passes_audit(tmp_path, capsys):
-    # every value is in range, but the rates at the whole budget round to 0,
-    # so the level stays 0: the row holds both budgets halved, not zero power
+    # every value is in range, and the SINR at the whole budget is so small
+    # that 1 + SINR rounds to 1, which once left the level at 0; log1p keeps
+    # it, so the exact row has a positive level, at least the oracle's, and
+    # spends both budgets
     cfg = write_json(tmp_path / "cfg.json", {"total_power_dbm": -100, "altitude_km": 100000,
-                                             "total_bandwidth_mhz": 100000, "solvers": ["exact"]})
+                                             "total_bandwidth_mhz": 100000, "solvers": ["exact", "oracle"]})
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-    (row,) = read_csv(str(out / "solve.csv"))
-    assert row.zeta_mbps == 0.0
-    assert (row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz) == (5e-14, 5e-14, 2.5e10, 2.5e10)
-    assert per_row_audit(load_config(cfg), [row]) == []
+    exact, oracle = read_csv(str(out / "solve.csv"))
+    assert (exact.solver, oracle.solver) == ("exact", "oracle")
+    assert exact.zeta_mbps >= oracle.zeta_mbps > 0.0 and exact.zeta_mbps < 1e-13
+    assert exact.p_ue_w + exact.p_bs_w == pytest.approx(1e-13, rel=1e-9)
+    assert exact.w_a_hz + exact.w_b_hz == pytest.approx(5e10, rel=1e-9)
+    assert per_row_audit(load_config(cfg), [exact, oracle]) == []
     capsys.readouterr()
     assert main(["audit", "--config", cfg, "--csv", str(out / "solve.csv")]) == 0
-    assert capsys.readouterr().out == "audit ok: 1 row(s)\n"
+    assert capsys.readouterr().out == "audit ok: 2 row(s)\n"
 
 
 def test_build_scenarios_of_two_bad_points_raises_the_first_failing_condition():
@@ -1157,6 +1161,20 @@ def test_cli_config_that_sets_a_swarm_weight_fails(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", {"pso_inertia_weight": 0.01})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {cfg}: unknown key 'pso_inertia_weight'\n"
+
+
+def test_cli_output_directory_is_the_out_flag_alone(tmp_path, monkeypatch, capsys):
+    # without --out a run writes under out/ in the working directory, and no
+    # config key names the directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve"]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out"]
+    assert [row.solver for row in read_csv("out/solve.csv")] == ["exact", "pso"]
+    cfg = write_json(tmp_path / "cfg.json", {"output_dir": "elsewhere"})
+    capsys.readouterr()
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "named")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: unknown key 'output_dir'\n"
+    assert not (tmp_path / "named").exists() and not (tmp_path / "elsewhere").exists()
 
 
 @pytest.mark.parametrize("flag", [["--seed", "1"], ["--out", "out"]])
@@ -1345,7 +1363,7 @@ print(json.dumps([name for name in umath.__cpu_dispatch__ if umath.__cpu_feature
 
 
 def test_outputs_are_byte_identical_with_the_cpu_dispatch_targets_disabled(tmp_path):
-    # numpy picks its SIMD loops per CPU, and log2, expm1, exp and power
+    # numpy picks its SIMD loops per CPU, and log1p, expm1, exp and power
     # differ between them in the last bit; no %.9g cell, swarm comparison or
     # plot coordinate may show it. The default sweep-overlap with the oracle
     # added, and the default sweep-power of the exact solver and the oracle,
