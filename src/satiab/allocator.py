@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ratemodel import _LN2, Allocation, RateReport, ScenarioBatch
-from .ratemodel import bandwidth_limits, evaluate, link_rates, rates_at
+from .ratemodel import bandwidth_limits, evaluate, link_rates, rate_kernel, rates_at
 
 __all__ = [
     "PsoConfig",
@@ -50,7 +50,7 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest access share, so the backhaul
 _MAX_STEPS = 200
 _Solved = tuple[np.ndarray, np.ndarray, np.ndarray]  # allocations, iterations, converged
 _GRID_BLOCK = 4_096  # grid columns per grid_oracle_many chunk: 32 KiB per column array, made once
-_SWARM_PARTICLES = 65_536  # particles per run_pso batch of pso_solve_many
+_SWARM_PARTICLES = 32_768  # particles per run_pso batch of pso_solve_many, each with its scenario row
 _ROW_DRAWS, _BLOCK_DRAWS = 4_096, 131_072  # draws of a swarm's draw block: about per row, at most in all
 _LEARNING_FACTORS, _INERTIA_WEIGHT = (2.0, 2.0), 0.01  # the reference swarm's step rule
 
@@ -341,22 +341,23 @@ def _ring_best(fitness: np.ndarray, ring: np.ndarray) -> np.ndarray:
     return np.where(fitness.take(after) > fitness.take(best), after, best)
 
 
-def _normalize_population(swarm: np.ndarray, p_total: np.ndarray, band_total: np.ndarray,
-                          w_lo: np.ndarray, w_hi: np.ndarray, draws: _DrawBlock) -> None:
-    """Project the swarm's (S, N) planes p_ue, p_bs, w_a, w_b onto their feasible sets, in
-    place: fold each pair positive, rescale it to sum to its (S, 1) budget, and clamp the
-    bandwidths into [w_lo, w_hi], which keeps their budget as the two overshoot symmetrically.
-    A pair summing to zero is first redrawn on its initialization range from its row's draws;
-    the rows are searched for one only when the whole plane of sums holds a zero."""
-    for pair, scale in ((swarm[:2], p_total), (swarm[2:], band_total)):
-        sums = np.add(*np.abs(pair, out=pair))
-        for s in () if sums.all() else np.flatnonzero(~sums.all(axis=1)):
-            while not sums[s].all():
-                degenerate = sums[s] == 0.0
-                redraw = draws.row(s, 2 * int(degenerate.sum())).reshape(-1, 2)
-                pair[:, s, degenerate] = (redraw * scale[s, 0]).T
-                sums[s] = pair[0, s] + pair[1, s]
-        pair *= np.divide(scale, sums, out=sums)
+def _normalize_population(swarm: np.ndarray, scale: np.ndarray, w_lo: np.ndarray, w_hi: np.ndarray,
+                          draws: _DrawBlock) -> None:
+    """Project the swarm's (S, N) planes p_ue, p_bs, w_a, w_b onto their feasible sets, in place
+    and both pairs in one pass: fold each pair positive, rescale it to sum to its budget in the
+    (2, S, N) scale pair (P, alpha_1 (W + w_o)), and clamp the bandwidths into [w_lo, w_hi],
+    which keeps their budget as the two overshoot symmetrically. A pair summing to zero is
+    first redrawn on its initialization range from its row's draws, a row's power pairs before
+    its bandwidth pairs; rows are searched for one only when the plane of sums holds a zero."""
+    pairs = np.abs(swarm, out=swarm).reshape(2, 2, *swarm.shape[1:])  # views: powers, bandwidths
+    sums = np.add(swarm[0::2], swarm[1::2])
+    for k, s in () if sums.all() else zip(*np.nonzero(~sums.all(axis=2))):
+        while not sums[k, s].all():
+            degenerate = sums[k, s] == 0.0
+            redraw = draws.row(s, 2 * int(degenerate.sum())).reshape(-1, 2)
+            pairs[k][:, s, degenerate] = (redraw * scale[k, s, 0]).T
+            sums[k, s] = pairs[k, 0, s] + pairs[k, 1, s]
+    pairs *= np.divide(scale, sums, out=sums)[:, None]
     np.minimum(np.maximum(swarm[2:], w_lo, out=swarm[2:]), w_hi, out=swarm[2:])
 
 
@@ -374,7 +375,9 @@ def run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int],
     seen across all its iterations.
 
     The S swarms of batch run in lockstep as four contiguous (S, N) planes, one per
-    coordinate, stepped in place; initial_population, if given, is S x N x 4. Row s draws
+    coordinate, stepped in place; initial_population, if given, is S x N x 4. The rate kernel
+    is built once, on one scenario row per particle, and called on the planes viewed as
+    (2, S N, 1) columns, so no step broadcasts a scenario's terms along its row. Row s draws
     from its own Philox generator, keyed by seeds[s], in a fixed sequential order:
     initialization fills its N x 4 population row-major, any degenerate pair is redrawn as 2
     draws when projected, and each velocity update consumes an N x 4 x 2 block row-major
@@ -386,14 +389,17 @@ def run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int],
     if len(seeds) != size:
         raise ValueError(f"{len(seeds)} seeds for {size} scenarios")
 
-    p_total, (band_total, w_lo, w_hi) = batch.total_power, bandwidth_limits(batch)
+    particles = batch.take(np.repeat(np.arange(size), n))  # one scenario row per particle
+    eps, p_total, band_total, w_lo, w_hi = (column.reshape(size, n) for column in (
+        particles.access_weight, particles.total_power, *bandwidth_limits(particles)))
+    scale, rates_of = np.stack((p_total, band_total)), rate_kernel(particles)
 
     rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
     if initial_population is None:
         swarm = np.empty((size, n, 4))
         for rng, rows in zip(rngs, swarm):
             rng.random(out=rows)
-        swarm *= np.hstack((p_total, p_total, band_total, band_total))[:, None]
+        swarm *= scale.repeat(2, axis=0).transpose(1, 2, 0)
     else:
         swarm = np.asarray(initial_population, dtype=float)
         if swarm.shape != (size, n, 4):
@@ -408,9 +414,9 @@ def run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int],
     best_particle = swarm[..., 0].copy()
 
     for _ in range(cfg.max_iterations):
-        _normalize_population(swarm, p_total, band_total, w_lo, w_hi, draws)
-        rate_a, rate_b = link_rates(batch, swarm[:2], swarm[2:])
-        fitness = np.minimum(rate_a, np.multiply(batch.access_weight, rate_b, out=rate_b), out=rate_a)
+        _normalize_population(swarm, scale, w_lo, w_hi, draws)
+        rate_a, rate_b = rates_of(planes[2:, :, None])(planes[:2, :, None]).reshape(2, size, n)
+        fitness = np.minimum(rate_a, np.multiply(eps, rate_b, out=rate_b), out=rate_a)
 
         leader = ring[0, :, 0] + np.argmax(fitness, axis=1)
         global_best = planes[:, leader]

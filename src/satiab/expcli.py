@@ -142,10 +142,11 @@ _MAX_PARTICLE_STEPS = 10**9
 # db_to_linear and channel_gain stay finite and positive: the channel gain
 # stays within about 1e-85 .. 1e15, so p beta never underflows and every
 # link's rate at the whole budget is positive, however small. The sizes are
-# capped so that no solve asks for gigabytes: a swarm holds S x population x
-# 4 floats. An oracle of resolution r bisects down the r grid columns of
-# each scenario in (rows, r) arrays of at most max(r, 4,096) columns per
-# chunk, so its cap bounds time, not memory.
+# capped so that no solve asks for gigabytes: a swarm runs in chunks of at
+# most max(population, 32,768) particles, and holds 4 floats and a scenario
+# row of 9 per particle. An oracle of resolution r bisects down the r grid
+# columns of each scenario in (rows, r) arrays of at most max(r, 4,096)
+# columns per chunk, so its cap bounds time, not memory.
 _RANGES = {
     "total_bandwidth_mhz": (0.001, 1e5),
     "access_weight": (1e-6, 1.0),

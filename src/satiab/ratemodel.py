@@ -27,6 +27,7 @@ __all__ = [
     "RateReport",
     "bandwidth_limits",
     "link_rates",
+    "rate_kernel",
     "rates_at",
     "evaluate",
     "evaluate_many",
@@ -157,42 +158,54 @@ def _denominator(den: np.ndarray, plain: bool) -> np.ndarray:
     return den if plain and _all_positive(den) else np.where(den > 0.0, den, 1.0)
 
 
+def rate_kernel(batch: ScenarioBatch):
+    """link_rates(batch, p, w) in three stages, bit for bit: rate_kernel(batch)(w)(p).
+    Building it computes the batch's own terms once, the (2, S, 1) gain pair and whether
+    any scenario overlaps; each of its calls is rates_at(batch, w), a function of p alone."""
+    w_o, beta = batch.overlap_bandwidth, np.asarray((batch.beta_ue, batch.beta_bs), dtype=float)
+    overlapped = np.any(w_o > 0.0)  # if not, the interference term is zero and skipped
+
+    def at(w):
+        w = _link_pair(w)
+        plain, den, other, zero = _all_positive(w), batch.density * w, None, None
+        if overlapped:
+            other = w[::-1] if plain else np.where(w[::-1] > 0.0, w[::-1], 1.0)
+        else:
+            den = _denominator(den, plain)
+        if not plain:
+            # w_o = 0 adds exactly zero interference: the other link's bandwidth may be 0 there
+            ok = w > 0.0
+            zero = ~(ok & (ok[::-1] | (w_o == 0.0)) if overlapped else ok)
+        prefactor = batch.alpha_o * w / _LN2
+
+        def rates(p) -> np.ndarray:
+            p = _link_pair(p)
+            rate = np.multiply(p, beta, out=np.empty(np.broadcast(den, p).shape))  # at the joint shape
+            if overlapped:
+                term = np.multiply(batch.alpha_1, p[::-1], out=np.empty_like(rate))
+                term *= beta
+                term *= w_o
+                term /= other
+            rate /= _denominator(np.add(den, term, out=term), plain) if overlapped else den
+            np.log1p(rate, out=rate)
+            rate *= prefactor
+            if zero is not None:
+                np.copyto(rate, 0.0, where=zero)
+            return rate
+
+        return rates
+
+    return at
+
+
 def rates_at(batch: ScenarioBatch, w):
-    """link_rates(batch, p, w) as a function of the power pair p alone, bit for bit.
-    Building it computes the terms of the batch and w alone: the noise dens w, the
-    prefactor alpha_o w / ln 2, the other link's bandwidth with its stand-in, the zero-rate
+    """link_rates(batch, p, w) as a function of the power pair p alone, bit for bit: the
+    kernel's bandwidth stage, whose building computes the terms of w alone: the noise dens w,
+    the prefactor alpha_o w / ln 2, the other link's bandwidth with its stand-in, the zero-rate
     mask's inverse and, if no scenario overlaps, the whole denominator with its stand-in.
     Each call computes the rest in the one array it returns, new on every call (one more
     holds an overlap's denominator). It holds a view of w: do not write w while in use."""
-    w_o, w = batch.overlap_bandwidth, _link_pair(w)
-    plain, den, other, zero = _all_positive(w), batch.density * w, None, None
-    overlapped = np.any(w_o > 0.0)  # if not, the interference term is zero and skipped
-    if overlapped:
-        other = w[::-1] if plain else np.where(w[::-1] > 0.0, w[::-1], 1.0)
-    else:
-        den = _denominator(den, plain)
-    if not plain:
-        # w_o = 0 adds exactly zero interference: the other link's bandwidth may be 0 there
-        ok = w > 0.0
-        zero = ~(ok & (ok[::-1] | (w_o == 0.0)) if overlapped else ok)
-    beta, prefactor = np.asarray((batch.beta_ue, batch.beta_bs), dtype=float), batch.alpha_o * w / _LN2
-
-    def rates(p) -> np.ndarray:
-        p = _link_pair(p)
-        rate = np.multiply(p, beta, out=np.empty(np.broadcast(den, p).shape))  # at the joint shape
-        if overlapped:
-            term = np.multiply(batch.alpha_1, p[::-1], out=np.empty_like(rate))
-            term *= beta
-            term *= w_o
-            term /= other
-        rate /= _denominator(np.add(den, term, out=term), plain) if overlapped else den
-        np.log1p(rate, out=rate)
-        rate *= prefactor
-        if zero is not None:
-            np.copyto(rate, 0.0, where=zero)
-        return rate
-
-    return rates
+    return rate_kernel(batch)(w)
 
 
 def link_rates(batch: ScenarioBatch, p, w) -> np.ndarray:

@@ -20,6 +20,7 @@ from satiab import (
     link_rates,
     pso_solve,
     pso_solve_many,
+    rate_kernel,
     rates_at,
     run_pso,
     solve_orthogonal,
@@ -557,6 +558,30 @@ def test_grid_oracle_builds_the_rates_of_each_chunk_once(monkeypatch):
     assert built == [4] * 11
 
 
+def test_run_pso_builds_one_rate_kernel_on_a_scenario_row_per_particle(monkeypatch):
+    # the swarm's counterpart of the grid's test above: run_pso builds the kernel
+    # once, on S N rows, and calls only its stages; pso_solve_many on 1,310 rows
+    # of 50 particles builds it once per chunk of _SWARM_PARTICLES // 50 = 655 rows
+    scns, cfg = mixed_batch(), PsoConfig(population_size=5, max_iterations=4)
+    expected, built = run_pso(stack(scns), cfg, range(len(scns))), []
+
+    def counted_rate_kernel(batch):
+        built.append(len(batch))
+        return rate_kernel(batch)
+
+    def no_link_rates(*args):
+        raise AssertionError("the swarm calls link_rates")
+
+    monkeypatch.setattr(allocator, "rate_kernel", counted_rate_kernel)
+    monkeypatch.setattr(allocator, "link_rates", no_link_rates)
+    assert np.array_equal(run_pso(stack(scns), cfg, range(len(scns))), expected)
+    assert built == [len(scns) * 5]
+    rng = np.random.default_rng(5)
+    batch, built[:] = stack([random_scenario(rng) for _ in range(1310)]), []
+    pso_solve_many(batch, PsoConfig(population_size=50, max_iterations=1), range(1310))
+    assert built == [655 * 50] * 2
+
+
 def test_grid_oracle_memory_is_bounded():
     # the whole 2000 x 2000 grid at once peaks near 187 MiB
     scn = make_scenario(overlap_bandwidth=10e6)
@@ -664,7 +689,7 @@ def test_normalize_population_is_feasible():
     population[2, 5, 0:2] = 0.0
     population[6, 0, 2:4] = 0.0
     rngs = [np.random.Generator(np.random.Philox(s)) for s in range(len(scns))]
-    allocator._normalize_population(population.transpose(2, 0, 1), p_total[..., 0], band_total[..., 0],
+    allocator._normalize_population(population.transpose(2, 0, 1), np.stack((p_total, band_total))[..., 0],
                                     w_lo[..., 0], w_hi[..., 0], allocator._DrawBlock(rngs, 0))
     for scn, rows in zip(scns, population.tolist()):
         for row in rows:
@@ -730,7 +755,10 @@ def test_run_pso_equals_the_reference_swarm(n):
     degenerate = initial.copy()  # all-zero pairs of both kinds, one row's every bandwidth pair
     degenerate[1, 0, 0:2] = degenerate[6, [0, n - 1], 0:2] = degenerate[3, 1, 2:4] = 0.0
     degenerate[4, :, 2:4] = 0.0
-    for start in (None, initial, degenerate):
+    masked = initial.copy()  # w_a, w_b and p_ue zero in particles 0, 1 and 2 of every row:
+    masked[:, 0, 2] = masked[:, 1, 3] = masked[:, 2, 0] = 0.0  # a zero-overlap row keeps w = 0
+    masked[5, -1] = 0.0  # one projection redraws a power pair, then a bandwidth pair, of one row
+    for start in (None, initial, degenerate, masked):
         swarm = run_pso(batch, cfg, seeds, initial_population=start)
         assert swarm.tobytes() == reference_run_pso(batch, cfg, seeds, initial_population=start).tobytes()
 
@@ -890,8 +918,9 @@ def test_pso_memory_does_not_grow_with_iterations():
 
 
 def test_pso_memory_at_a_full_chunk():
-    # 1,310 rows of 50 particles make one full run_pso batch: four planes,
-    # three step buffers and a draw block of one iteration
+    # 1,310 rows of 50 particles make two full run_pso batches of 655 rows, each
+    # four planes, three step buffers, a draw block of one iteration and one
+    # scenario row per particle
     rng = np.random.default_rng(5)
     batch = stack([random_scenario(rng) for _ in range(1310)])
     tracemalloc.start()

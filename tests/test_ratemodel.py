@@ -16,6 +16,7 @@ from satiab import (
     evaluate,
     evaluate_many,
     link_rates,
+    rate_kernel,
     rates_at,
     solve_orthogonal,
     solve_orthogonal_many,
@@ -281,6 +282,25 @@ def test_rates_at_one_bandwidth_pair_equal_the_masked_kernel_at_every_power_pair
             assert np.array_equal(np.signbit(rate), np.signbit(reference))
         others = [w, *powers] + [earlier for earlier, _ in kept[:k]]
         assert not any(np.shares_memory(got, other) for other in others)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(rate_kernel_inputs(pairs=5))
+def test_one_rate_kernel_serves_every_bandwidth_pair_and_each_of_those_every_power_pair(case):
+    # one kernel's two bandwidth stages, both built before either is called, each
+    # called at three power pairs in turn: no stage changes what another returns
+    batch, (*bandwidths, p1, p2, p3) = case
+    with np.errstate(all="ignore"):
+        kernel = rate_kernel(batch)
+        stages = [kernel(w) for w in bandwidths]
+        for p in (p1, p2, p3):
+            for rates, w in zip(stages, bandwidths):
+                got, want = rates(p), reference_link_rates(batch, *p, *w)
+                assert got.shape == (2, *np.broadcast_shapes(batch.total_power.shape, p.shape[1:], w.shape[1:]))
+                for rate, reference in zip(got, want):
+                    assert rate.shape == reference.shape and rate.dtype == reference.dtype
+                    assert np.array_equal(rate, reference, equal_nan=True)
+                    assert np.array_equal(np.signbit(rate), np.signbit(reference))
 
 
 def test_scenario_validation():
