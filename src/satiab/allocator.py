@@ -17,8 +17,10 @@ Every solver takes a ScenarioBatch and returns arrays with one row per
 scenario: the (S, 4) allocations (p_ue, p_bs, w_a, w_b), the iterations
 used and the converged flags. Its one-scenario function is a view of that
 at a one-row batch, a SolveResult reported by evaluate. The solvers have no
-names here: the CLI's table in expcli names them. The grid oracle bisects
-each bandwidth column for its single peak, in chunks of whole scenarios.
+names here: the CLI's table in expcli names them. The grid oracle binary-
+searches each bandwidth column for its single peak, in chunks of whole
+scenarios that hold no stored power grid or gather index, and searches
+plateaus only in the columns at their scenario's maximum.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ratemodel import _LN2, Allocation, RateReport, ScenarioBatch
-from .ratemodel import bandwidth_limits, evaluate, link_rates, rate_kernel, rates_at
+from .ratemodel import bandwidth_limits, evaluate, link_rates, rate_kernel
 
 __all__ = [
     "PsoConfig",
@@ -219,57 +221,67 @@ def solve_orthogonal(scn: ScenarioBatch) -> SolveResult:
     return _solved_alone(solve_orthogonal_many, scn)
 
 
-def _grid_maxima(batch: ScenarioBatch, resolution: int) -> np.ndarray:
-    """(S, 4) allocations at the first grid maxima, each step a call of one rates_at; see grid_oracle_many."""
-    eps, p_total = batch.access_weight, batch.total_power
-    band_total, w_lo, w_hi = bandwidth_limits(batch)
-    # one np.linspace per grid row, as for a scenario alone: on whole columns it rounds
-    # every row another way once one row's step is zero, as at a full overlap's bandwidth
-    p_grid, w_a = (np.array([np.linspace(a, b, resolution) for a, b in zip(lo.ravel(), hi.ravel())])
-                   for lo, hi in ((np.zeros_like(p_total), p_total), (w_lo, w_hi)))
-    w = np.stack((w_a, band_total - w_a))
-    p, rates = np.empty_like(w), rates_at(batch, w)  # each step's (p_ue, p_bs) pair, and its rates
-    first = np.arange(0, p_grid.size, resolution)[:, None]  # p_grid's flat index of each scenario's row
-    index = np.empty(w_a.shape, dtype=np.intp)
+def _grid_rows(lo, hi, k, last):
+    """Points k of np.linspace(lo, hi, last + 1) in each (S, 1) row, bit for bit: k (hi - lo) / last,
+    or k / last (hi - lo) where that step underflows to 0, + lo; hi at k = last (a zero width: lo)."""
+    step = (hi - lo) / last
+    return np.where(k == last, hi, np.where(step == 0.0, k / last * (hi - lo), k * step) + lo)
 
-    def at(rows):
-        # rate_a / eps and rate_b of every column at its grid row rows[s, j]
-        np.subtract(p_total, p_grid.take(np.add(first, rows, out=index), out=p[0]), out=p[1])
+
+def _grid_maxima(batch: ScenarioBatch, resolution: int) -> np.ndarray:
+    """(S, 4) allocations at the first maxima of the grids of batch; see grid_oracle_many."""
+    eps, p_total, last = batch.access_weight, batch.total_power, resolution - 1
+    band_total, w_lo, w_hi = bandwidth_limits(batch)
+    w_a, s = _grid_rows(w_lo, w_hi, np.arange(resolution), last), np.arange(len(batch))[:, None]
+    w, kernel, p_step = np.stack((w_a, band_total - w_a)), rate_kernel(batch), p_total / last
+    exact = p_step.all()  # no power step underflows: row k < last is k p_step
+
+    def at(rates, rows, step=p_step, total=p_total, weight=eps):
+        # rate_a / eps and rate_b of every column of the bandwidth stage rates at its grid row rows[s, j]
+        p = np.empty((2, *rows.shape))
+        np.multiply(rows, step, out=p[0])
+        if not exact:
+            p[0] = _grid_rows(0.0, p_total, rows, last)
+        np.subtract(total, p[0], out=p[1])
         rate = rates(p)
-        rate[0] /= eps
+        rate[0] /= weight
         return rate
 
-    # the first row with a >= b; the last row qualifies unevaluated (p_bs = 0, so b = 0), and
-    # a_lo, b_hi keep a at row lo - 1 and b at row hi; each step writes in place, mid by a shift
-    lo, hi = np.zeros(w_a.shape, dtype=np.intp), np.full(w_a.shape, resolution - 1)
-    a_lo, b_hi = np.full(w_a.shape, -math.inf), np.zeros(w_a.shape)
-    mid, crossed = np.empty_like(lo), np.empty(w_a.shape, dtype=bool)
-    for _ in range((resolution - 1).bit_length()):
-        a, b = at(np.right_shift(np.add(lo, hi, out=mid), 1, out=mid))
+    # the first row hi with a >= b, by binary lifting: for each power-of-two step, largest first,
+    # hi moves one past its probe hi + step - 1 where a < b there (a_lo keeps that a), and b_hi
+    # keeps b where a >= b, which ends as b at row hi. The last row qualifies unevaluated (p_bs = 0,
+    # so b = 0): no probe passes last - 1. Each step writes in place, on rows as exact floats and
+    # on terms at the grid's shape (not broadcast, which costs more).
+    hi, a_lo, b_hi = np.zeros(w_a.shape), np.full(w_a.shape, -math.inf), np.zeros(w_a.shape)
+    probe, crossed, rates = np.empty_like(hi), np.empty(w_a.shape, dtype=bool), kernel(w)
+    terms = [np.repeat(column, resolution, axis=1) for column in (p_step, p_total, eps)]
+    for k in reversed(range(last.bit_length())):
+        a, b = at(rates, np.minimum(np.add(hi, 2**k - 1, out=probe), last - 1, out=probe), *terms)
         np.greater_equal(a, b, out=crossed)
-        np.copyto(hi, mid, where=crossed)
         np.copyto(b_hi, b, where=crossed)
         np.logical_not(crossed, out=crossed)
-        np.copyto(lo, np.add(mid, 1, out=mid), where=crossed)
+        np.copyto(hi, np.add(probe, 1, out=probe), where=crossed)
         np.copyto(a_lo, a, where=crossed)
     best = np.maximum(a_lo, b_hi)
+    # the (S, m) block of each scenario's m columns at its maximum, padded by repeating them
+    row, cols = np.nonzero(~(best < best.max(axis=1, keepdims=True)))
+    count = np.bincount(row)[:, None]
+    cols = cols[np.cumsum(count, axis=0) - count + np.arange(count.max()) % count]
+    best, hi, a_wins, rates = best[s, cols], hi[s, cols], (a_lo >= b_hi)[s, cols], kernel(w[:, s, cols])
     # where a wins (ties too), its first row reaching best is row 0 if best is
     # 0 (a is 0 at p_ue = 0), else in [0, hi - 1] and most often hi - 1 itself
-    a_wins = a_lo >= b_hi
     hi = np.where(a_wins, np.where(best > 0.0, hi - 1, 0), hi)
     lo = np.where(a_wins, 0, hi)
-    np.maximum(hi - 1, lo, out=mid)
+    mid, crossed = np.maximum(hi - 1, lo), np.empty(hi.shape, dtype=bool)
     while np.less(lo, hi, out=crossed).any():
-        np.greater_equal(at(mid)[0], best, out=crossed)  # a has reached best
+        np.greater_equal(at(rates, mid)[0], best, out=crossed)  # a has reached best
         np.copyto(hi, mid, where=crossed)
         np.copyto(lo, np.add(mid, 1, out=mid), where=np.logical_not(crossed, out=crossed))
-        np.right_shift(np.add(lo, hi, out=mid), 1, out=mid)
+        np.floor(np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid), out=mid)
     # the first maximum in row-major order: smallest row, then smallest column
-    order = np.where(best < best.max(axis=1, keepdims=True), resolution**2,
-                     hi * resolution + np.arange(resolution))
-    i, j = np.divmod(order.min(axis=1), resolution)
-    s = np.arange(len(batch))
-    return np.column_stack((p_grid[s, i], p_total[:, 0] - p_grid[s, i], *w[:, s, j]))
+    i, j = np.divmod((hi * resolution + cols).min(axis=1).astype(np.intp), resolution)
+    p_ue = _grid_rows(0.0, p_total, i[:, None], last)
+    return np.column_stack((p_ue, p_total - p_ue, *w[:, s[:, 0], j]))
 
 
 def grid_oracle_many(batch: ScenarioBatch, resolution: int) -> _Solved:
@@ -285,19 +297,23 @@ def grid_oracle_many(batch: ScenarioBatch, resolution: int) -> _Solved:
     falls, so the access SINR rises (its own power up, its interferer's
     down) and the backhaul SINR falls, with or without overlap: a =
     rate_a / eps never decreases, b = rate_b never increases, and min(a, b)
-    peaks where they cross. A bisection finds the first row k with a >= b
-    (the last row, where b = 0, qualifies). The column's maximum is
-    max(a[k - 1], b[k]), first reached at row k if b[k] is greater, else
-    where a first reaches a[k - 1]: row 0 if that is 0, most often row
-    k - 1 (a probe of row k - 2 tells), and else the start of a plateau,
-    found by a second bisection; rounding makes such plateaus where p beta
-    is a few subnormal ulps, far outside the config ranges. Columns combine
-    by smallest row, then smallest column, as np.argmax's first maximum in
+    peaks where they cross. A binary search in power-of-two steps finds the
+    first row k with a >= b (the last row, where b = 0, qualifies). The
+    column's maximum is max(a[k - 1], b[k]), first reached at row k if b[k]
+    is greater, else where a first reaches a[k - 1]: row 0 if that is 0,
+    most often row k - 1 (a probe of row k - 2 tells), and else the start of
+    a plateau, found by a second bisection; rounding makes such plateaus
+    where p beta is a few subnormal ulps, far outside the config ranges. It
+    runs only on the columns at their scenario's maximum, which combine by
+    smallest row, then smallest column, as np.argmax's first maximum in
     row-major order.
 
     Scenarios are searched in chunks of at most _GRID_BLOCK columns (at least
-    one scenario): rates_at computes a chunk's bandwidth terms once, and each
-    search step calls the result. Rows count resolution**2 grid points as iterations.
+    one scenario), each with one rate_kernel, whose bandwidth stages at the
+    grid's columns and at the winning ones serve every step of the first and
+    the second search. A step computes its powers from its rows: a chunk
+    allocates no stored power grid or gather index. Rows count resolution**2
+    grid points as iterations.
     """
     if resolution < 10:
         raise ValueError("resolution must be >= 10")

@@ -699,7 +699,7 @@ def _print_rows(rows: list[SweepRow], stream) -> None:
 
 
 def _effective_config(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    cfg = load_config(args.config) if args.config is not None else ExperimentConfig()
     updates = {"seed": cfg.seed if args.seed is None else args.seed}
     if args.solvers is not None:
         updates["solvers"] = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
@@ -728,7 +728,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    cfg = load_config(args.config) if args.config is not None else ExperimentConfig()
     rows = read_csv(args.csv)
     if not rows:
         raise ValidationError(f"{args.csv}: no rows to audit")

@@ -28,7 +28,6 @@ __all__ = [
     "bandwidth_limits",
     "link_rates",
     "rate_kernel",
-    "rates_at",
     "evaluate",
     "evaluate_many",
     "validate",
@@ -161,7 +160,11 @@ def _denominator(den: np.ndarray, plain: bool) -> np.ndarray:
 def rate_kernel(batch: ScenarioBatch):
     """link_rates(batch, p, w) in three stages, bit for bit: rate_kernel(batch)(w)(p).
     Building it computes the batch's own terms once, the (2, S, 1) gain pair and whether
-    any scenario overlaps; each of its calls is rates_at(batch, w), a function of p alone."""
+    any scenario overlaps. Its call at w, the bandwidth stage, computes the terms of w alone: the
+    noise dens w, the prefactor alpha_o w / ln 2, the other link's bandwidth with its stand-in,
+    the zero-rate mask's inverse and, if no scenario overlaps, the whole denominator with its
+    stand-in. The function of p it returns holds a view of w (do not write w while in use) and
+    computes the rest in one new array a call (one more holds an overlap's denominator)."""
     w_o, beta = batch.overlap_bandwidth, np.asarray((batch.beta_ue, batch.beta_bs), dtype=float)
     overlapped = np.any(w_o > 0.0)  # if not, the interference term is zero and skipped
 
@@ -198,16 +201,6 @@ def rate_kernel(batch: ScenarioBatch):
     return at
 
 
-def rates_at(batch: ScenarioBatch, w):
-    """link_rates(batch, p, w) as a function of the power pair p alone, bit for bit: the
-    kernel's bandwidth stage, whose building computes the terms of w alone: the noise dens w,
-    the prefactor alpha_o w / ln 2, the other link's bandwidth with its stand-in, the zero-rate
-    mask's inverse and, if no scenario overlaps, the whole denominator with its stand-in.
-    Each call computes the rest in the one array it returns, new on every call (one more
-    holds an overlap's denominator). It holds a view of w: do not write w while in use."""
-    return rate_kernel(batch)(w)
-
-
 def link_rates(batch: ScenarioBatch, p, w) -> np.ndarray:
     """Access and backhaul rates, in bits/s, of the power pair p = (p_ue, p_bs)
     and the bandwidth pair w = (w_a, w_b): (2, rows, columns) arrays whose first
@@ -222,9 +215,9 @@ def link_rates(batch: ScenarioBatch, p, w) -> np.ndarray:
     limit), and so does an interference term that would divide by one: every
     allocation gets rates. These fallbacks are applied only where a min() > 0.0
     check on an input fails, as NaN does; elsewhere they would change no bit.
-    It is rates_at(batch, w)(p): the terms of w alone, then those of p.
+    It is rate_kernel(batch)(w)(p): the terms of w alone, then those of p.
     """
-    return rates_at(batch, w)(p)
+    return rate_kernel(batch)(w)(p)
 
 
 def evaluate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:

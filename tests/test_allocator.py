@@ -21,7 +21,6 @@ from satiab import (
     pso_solve,
     pso_solve_many,
     rate_kernel,
-    rates_at,
     run_pso,
     solve_orthogonal,
     solve_orthogonal_many,
@@ -472,6 +471,64 @@ def test_grid_oracle_plateau_below_the_crossing():
     assert grid_oracle(scn, 20) == full_grid_oracle(scn, 20)
 
 
+@pytest.mark.parametrize("resolution", [10, 11, 37, 1000])
+def test_grid_rows_equal_np_linspace_bit_for_bit(resolution):
+    # the search computes its grid rows rather than storing np.linspace's, one per row:
+    # ordinary rows, a tiny but nonzero step, rows of zero width (as a full overlap's
+    # bandwidths) and a row whose step underflows to 0, each with its own last point
+    last = resolution - 1
+    lo = np.array([[0.0], [5e6], [3.0], [20e6], [1e-310], [0.0], [0.0]])
+    hi = np.array([[10.0], [40e6], [3.0 + 2e-15], [20e6], [1e-310], [5e-324], [7e-3]])
+    linspace = np.array([np.linspace(a, b, resolution) for a, b in zip(lo.ravel(), hi.ravel())])
+    assert ((hi - lo) / last == 0.0).sum() == 3
+    assert allocator._grid_rows(lo, hi, np.arange(resolution), last).tobytes() == linspace.tobytes()
+    # a search step's powers, where no step underflows: row k < last is k (P / last)
+    p_total = np.array([[10.0], [3.0], [1e-300], [1e-310], [7e-3]])
+    linspace = np.array([np.linspace(0.0, p, resolution) for p in p_total.ravel()])
+    assert (np.arange(last, dtype=float) * (p_total / last)).tobytes() == linspace[:, :last].tobytes()
+
+
+@pytest.mark.parametrize("resolution", [10, 11, 37, 1000])
+def test_grid_oracle_chunk_of_tied_plateau_and_ordinary_rows(monkeypatch, resolution):
+    # one chunk: a full overlap, whose columns all tie, so that its second search takes
+    # every column; the plateau above; a power whose grid step underflows to 0 at
+    # resolution 1000; and ordinary rows, whose second search takes one column or a few
+    rng = np.random.default_rng(79)
+    scns = [make_scenario(overlap_bandwidth=40e6),
+            make_scenario(total_power=3.0, beta_ue=5e-324, access_weight=1.0),
+            make_scenario(total_power=5e-322, beta_ue=1e300, beta_bs=1e300),
+            random_scenario(rng, orthogonal=True), random_scenario(rng), corner_scenario(rng)]
+    monkeypatch.setattr(allocator, "_GRID_BLOCK", resolution * len(scns))
+    reference = [full_grid_oracle(scn, resolution) for scn in scns]
+    assert solved_rows(grid_oracle_many, scns, resolution) == reference
+    assert [grid_oracle(scn, resolution) for scn in scns] == reference
+
+
+def test_grid_oracle_probes_grid_points_below_the_last_row(monkeypatch):
+    # the last row's p_ue is P itself, which (resolution - 1) times the step need not be:
+    # every probe is at a grid point of np.linspace's rows, and none at the last row,
+    # although the w_a = 0 column of an orthogonal grid crosses only there
+    probes = []
+
+    def recording_kernel(scn):
+        kernel = rate_kernel(scn)
+
+        def stage(w):
+            rates = kernel(w)
+            return lambda p: probes.append(p.copy()) or rates(p)
+
+        return stage
+
+    monkeypatch.setattr(allocator, "rate_kernel", recording_kernel)
+    for resolution in (10, 11, 37, 1000):
+        for p_total in (1.22, 1.7, 1.99, 10.0):
+            probes.clear()
+            assert grid_oracle(make_scenario(total_power=p_total), resolution)
+            rows = np.linspace(0.0, p_total, resolution)[:-1]
+            assert probes and all(np.isin(p_ue, rows).all() and (p_bs == p_total - p_ue).all()
+                                  for p_ue, p_bs in probes)
+
+
 def test_grid_oracle_tie_at_the_crossing():
     # full overlap makes every column the same; with equal gains, eps = 1
     # and p_ue = 0, 1, ..., 9 W, the access rate in row 4 (4 W against 5 W)
@@ -527,10 +584,10 @@ def test_grid_oracle_blocks_of_any_size_equal_the_full_grid(monkeypatch):
 def test_grid_oracle_ties_go_to_the_first_point(monkeypatch):
     # a flat grid: every point ties, so np.argmax over the whole grid picks
     # the first, and so must the search, in every chunk
-    def flat_rates(scn, w):
-        return lambda p: np.ones(np.broadcast_shapes(p.shape, w.shape))
+    def flat_kernel(scn):
+        return lambda w: lambda p: np.ones(np.broadcast_shapes(p.shape, w.shape))
 
-    monkeypatch.setattr(allocator, "rates_at", flat_rates)
+    monkeypatch.setattr(allocator, "rate_kernel", flat_kernel)
     monkeypatch.setattr(allocator, "_GRID_BLOCK", 40)
     for result in solved_rows(grid_oracle_many, [make_scenario()] * 3, 20):
         assert (result.allocation.p_ue, result.allocation.w_a) == (0.0, 0.0)
@@ -538,20 +595,20 @@ def test_grid_oracle_ties_go_to_the_first_point(monkeypatch):
 
 def test_grid_oracle_builds_the_rates_of_each_chunk_once(monkeypatch):
     # a power sweep's 44 scenarios at 1000 x 1000 are 11 chunks of
-    # _GRID_BLOCK // 1000 = 4 scenarios: each chunk builds its bandwidth
-    # terms once, and its search steps call only the function built
+    # _GRID_BLOCK // 1000 = 4 scenarios: each chunk builds one kernel, and
+    # its search steps call only that kernel's bandwidth stages
     rng = np.random.default_rng(61)
     batch = stack([random_scenario(rng) for _ in range(44)])
     expected, built = grid_oracle_many(batch, 1000), []
 
-    def counted_rates_at(scn, w):
+    def counted_rate_kernel(scn):
         built.append(len(scn))
-        return rates_at(scn, w)
+        return rate_kernel(scn)
 
     def no_link_rates(*args):
         raise AssertionError("the grid calls link_rates")
 
-    monkeypatch.setattr(allocator, "rates_at", counted_rates_at)
+    monkeypatch.setattr(allocator, "rate_kernel", counted_rate_kernel)
     monkeypatch.setattr(allocator, "link_rates", no_link_rates)
     for got, want in zip(grid_oracle_many(batch, 1000), expected):
         assert np.array_equal(got, want)

@@ -747,6 +747,27 @@ def test_cli_missing_config_is_io_error(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep-power", "sweep-overlap"])
+def test_cli_run_with_an_empty_config_path_is_io_error(tmp_path, capsys, command):
+    # only an absent --config means the default config: "" names a file that cannot be opened
+    out = tmp_path / "out"
+    assert main([command, "--config", "", "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err.startswith("i/o error: ") and printed.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_audit_with_an_empty_config_path_is_io_error(tmp_path, capsys):
+    # the default solve's CSV passes its audit without --config, but not with an empty one
+    csv_path = tmp_path / "solve.csv"
+    write_csv(run_single(ExperimentConfig()), str(csv_path))
+    assert main(["audit", "--csv", str(csv_path)]) == 0
+    capsys.readouterr()
+    assert main(["audit", "--config", "", "--csv", str(csv_path)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err.startswith("i/o error: ") and printed.err.count("\n") == 1
+
+
 def test_cli_unwritable_output_is_io_error(tmp_path):
     cfg = cli_config(tmp_path)
     blocker = tmp_path / "blocked"

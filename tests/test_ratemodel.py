@@ -17,7 +17,6 @@ from satiab import (
     evaluate_many,
     link_rates,
     rate_kernel,
-    rates_at,
     solve_orthogonal,
     solve_orthogonal_many,
     validate,
@@ -261,13 +260,13 @@ def test_link_rates_equal_the_masked_kernel_bit_for_bit(case):
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(rate_kernel_inputs(pairs=4))
-def test_rates_at_one_bandwidth_pair_equal_the_masked_kernel_at_every_power_pair(case):
+def test_a_bandwidth_stage_equals_the_masked_kernel_at_every_power_pair(case):
     # one function of the powers serves every call: p1, p2, p3, then p1 again; each
     # call returns a new array, which no later call writes
     batch, (w, *powers) = case
     kept = []
     with np.errstate(all="ignore"):
-        rates = rates_at(batch, w)
+        rates = rate_kernel(batch)(w)
         for p in (*powers, powers[0]):
             got, want = rates(p), reference_link_rates(batch, *p, *w)
             assert got.shape == (2, *np.broadcast_shapes(batch.total_power.shape, p.shape[1:], w.shape[1:]))
