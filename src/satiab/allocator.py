@@ -18,9 +18,8 @@ scenario: the (S, 4) allocations (p_ue, p_bs, w_a, w_b), the iterations
 used and the converged flags. Its one-scenario function is a view of that
 at a one-row batch, a SolveResult reported by evaluate. The solvers have no
 names here: the CLI's table in expcli names them. The grid oracle binary-
-searches each bandwidth column for its single peak, in chunks of whole
-scenarios that hold no stored power grid or gather index, and searches
-plateaus only in the columns at their scenario's maximum.
+searches each bandwidth column once for its single peak, in chunks of whole
+scenarios that hold no stored power grid or gather index.
 """
 
 from __future__ import annotations
@@ -229,59 +228,43 @@ def _grid_rows(lo, hi, k, last):
 
 
 def _grid_maxima(batch: ScenarioBatch, resolution: int) -> np.ndarray:
-    """(S, 4) allocations at the first maxima of the grids of batch; see grid_oracle_many."""
+    """(S, 4) allocations at the grid maxima of batch, one search per column; see grid_oracle_many."""
     eps, p_total, last = batch.access_weight, batch.total_power, resolution - 1
     band_total, w_lo, w_hi = bandwidth_limits(batch)
-    w_a, s = _grid_rows(w_lo, w_hi, np.arange(resolution), last), np.arange(len(batch))[:, None]
-    w, kernel, p_step = np.stack((w_a, band_total - w_a)), rate_kernel(batch), p_total / last
-    exact = p_step.all()  # no power step underflows: row k < last is k p_step
-
-    def at(rates, rows, step=p_step, total=p_total, weight=eps):
-        # rate_a / eps and rate_b of every column of the bandwidth stage rates at its grid row rows[s, j]
-        p = np.empty((2, *rows.shape))
-        np.multiply(rows, step, out=p[0])
-        if not exact:
-            p[0] = _grid_rows(0.0, p_total, rows, last)
-        np.subtract(total, p[0], out=p[1])
-        rate = rates(p)
-        rate[0] /= weight
-        return rate
-
+    cols, p_step = np.arange(resolution), p_total / last
+    w_a = _grid_rows(w_lo, w_hi, cols, last)
+    w, exact = np.stack((w_a, band_total - w_a)), p_step.all()  # exact: row k < last is k p_step
+    rates = rate_kernel(batch)(w)
     # the first row hi with a >= b, by binary lifting: for each power-of-two step, largest first,
     # hi moves one past its probe hi + step - 1 where a < b there (a_lo keeps that a), and b_hi
     # keeps b where a >= b, which ends as b at row hi. The last row qualifies unevaluated (p_bs = 0,
     # so b = 0): no probe passes last - 1. Each step writes in place, on rows as exact floats and
     # on terms at the grid's shape (not broadcast, which costs more).
     hi, a_lo, b_hi = np.zeros(w_a.shape), np.full(w_a.shape, -math.inf), np.zeros(w_a.shape)
-    probe, crossed, rates = np.empty_like(hi), np.empty(w_a.shape, dtype=bool), kernel(w)
-    terms = [np.repeat(column, resolution, axis=1) for column in (p_step, p_total, eps)]
+    probe, crossed, p = np.empty_like(hi), np.empty(w_a.shape, dtype=bool), np.empty((2, *w_a.shape))
+    step, total, weight = (np.repeat(column, resolution, axis=1) for column in (p_step, p_total, eps))
     for k in reversed(range(last.bit_length())):
-        a, b = at(rates, np.minimum(np.add(hi, 2**k - 1, out=probe), last - 1, out=probe), *terms)
+        np.minimum(np.add(hi, 2**k - 1, out=probe), last - 1, out=probe)
+        np.multiply(probe, step, out=p[0])
+        if not exact:
+            p[0] = _grid_rows(0.0, p_total, probe, last)
+        np.subtract(total, p[0], out=p[1])
+        a, b = rates(p)
+        a /= weight
         np.greater_equal(a, b, out=crossed)
         np.copyto(b_hi, b, where=crossed)
         np.logical_not(crossed, out=crossed)
         np.copyto(hi, np.add(probe, 1, out=probe), where=crossed)
         np.copyto(a_lo, a, where=crossed)
+    # a column's maximum is max(a_lo, b_hi): at row hi where b wins, else at row hi - 1, or
+    # row 0 where it is 0 (a is 0 at p_ue = 0); of the columns at their scenario's maximum,
+    # the smallest row, then the smallest column
     best = np.maximum(a_lo, b_hi)
-    # the (S, m) block of each scenario's m columns at its maximum, padded by repeating them
-    row, cols = np.nonzero(~(best < best.max(axis=1, keepdims=True)))
-    count = np.bincount(row)[:, None]
-    cols = cols[np.cumsum(count, axis=0) - count + np.arange(count.max()) % count]
-    best, hi, a_wins, rates = best[s, cols], hi[s, cols], (a_lo >= b_hi)[s, cols], kernel(w[:, s, cols])
-    # where a wins (ties too), its first row reaching best is row 0 if best is
-    # 0 (a is 0 at p_ue = 0), else in [0, hi - 1] and most often hi - 1 itself
-    hi = np.where(a_wins, np.where(best > 0.0, hi - 1, 0), hi)
-    lo = np.where(a_wins, 0, hi)
-    mid, crossed = np.maximum(hi - 1, lo), np.empty(hi.shape, dtype=bool)
-    while np.less(lo, hi, out=crossed).any():
-        np.greater_equal(at(rates, mid)[0], best, out=crossed)  # a has reached best
-        np.copyto(hi, mid, where=crossed)
-        np.copyto(lo, np.add(mid, 1, out=mid), where=np.logical_not(crossed, out=crossed))
-        np.floor(np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid), out=mid)
-    # the first maximum in row-major order: smallest row, then smallest column
-    i, j = np.divmod((hi * resolution + cols).min(axis=1).astype(np.intp), resolution)
+    row = np.where(a_lo >= b_hi, np.where(best > 0.0, hi - 1, 0), hi)
+    first = np.where(best < best.max(axis=1, keepdims=True), math.inf, row * resolution + cols)
+    i, j = np.divmod(first.min(axis=1).astype(np.intp), resolution)
     p_ue = _grid_rows(0.0, p_total, i[:, None], last)
-    return np.column_stack((p_ue, p_total - p_ue, *w[:, s[:, 0], j]))
+    return np.column_stack((p_ue, p_total - p_ue, *w[:, np.arange(len(batch)), j]))
 
 
 def grid_oracle_many(batch: ScenarioBatch, resolution: int) -> _Solved:
@@ -290,8 +273,9 @@ def grid_oracle_many(batch: ScenarioBatch, resolution: int) -> _Solved:
     Each grid spans the power split p_ue in [0, P] (with p_bs = P - p_ue)
     and the bandwidth split w_a in [alpha_1 w_o, alpha_1 W] with the
     bandwidth budget used exactly, which keeps every grid point feasible.
-    Row s is the point np.argmax picks from min(rate_a / eps, rate_b) over
-    the grid of scenario s, found without evaluating the whole grid.
+    Row s is a maximizer of min(rate_a / eps, rate_b) over the grid of
+    scenario s, found without evaluating the whole grid: the point np.argmax
+    picks, except on a rounding plateau (below).
 
     Down a column (a fixed bandwidth split), p_ue rises and p_bs = P - p_ue
     falls, so the access SINR rises (its own power up, its interferer's
@@ -299,21 +283,19 @@ def grid_oracle_many(batch: ScenarioBatch, resolution: int) -> _Solved:
     rate_a / eps never decreases, b = rate_b never increases, and min(a, b)
     peaks where they cross. A binary search in power-of-two steps finds the
     first row k with a >= b (the last row, where b = 0, qualifies). The
-    column's maximum is max(a[k - 1], b[k]), first reached at row k if b[k]
-    is greater, else where a first reaches a[k - 1]: row 0 if that is 0,
-    most often row k - 1 (a probe of row k - 2 tells), and else the start of
-    a plateau, found by a second bisection; rounding makes such plateaus
-    where p beta is a few subnormal ulps, far outside the config ranges. It
-    runs only on the columns at their scenario's maximum, which combine by
-    smallest row, then smallest column, as np.argmax's first maximum in
-    row-major order.
+    column's maximum is max(a[k - 1], b[k]), taken at row k if b[k] is
+    greater, else at row k - 1, or row 0 if it is 0. That is the column's
+    first maximum unless a is flat for some rows before k: rounding makes
+    such plateaus where p beta is a few subnormal ulps, far outside the
+    config ranges, and the search then returns the plateau's last row, at
+    the same level. The columns at their scenario's maximum combine by
+    smallest row, then smallest column, as np.argmax does in row-major order.
 
     Scenarios are searched in chunks of at most _GRID_BLOCK columns (at least
-    one scenario), each with one rate_kernel, whose bandwidth stages at the
-    grid's columns and at the winning ones serve every step of the first and
-    the second search. A step computes its powers from its rows: a chunk
-    allocates no stored power grid or gather index. Rows count resolution**2
-    grid points as iterations.
+    one scenario), each with one rate_kernel and one bandwidth stage of it,
+    at the grid's columns, which serves every step of the search. A step
+    computes its powers from its rows: a chunk allocates no stored power grid
+    or gather index. Rows count resolution**2 grid points as iterations.
     """
     if resolution < 10:
         raise ValueError("resolution must be >= 10")

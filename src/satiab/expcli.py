@@ -144,9 +144,9 @@ _MAX_PARTICLE_STEPS = 10**9
 # link's rate at the whole budget is positive, however small. The sizes are
 # capped so that no solve asks for gigabytes: a swarm runs in chunks of at
 # most max(population, 32,768) particles, and holds 4 floats and a scenario
-# row of 9 per particle. An oracle of resolution r bisects down the r grid
-# columns of each scenario in (rows, r) arrays of at most max(r, 4,096)
-# columns per chunk, so its cap bounds time, not memory.
+# row of 9 per particle. An oracle of resolution r binary-searches each of
+# the r grid columns of each scenario once, in (rows, r) arrays of at most
+# max(r, 4,096) columns per chunk, so its cap bounds time, not memory.
 _RANGES = {
     "total_bandwidth_mhz": (0.001, 1e5),
     "access_weight": (1e-6, 1.0),

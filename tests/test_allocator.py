@@ -422,7 +422,8 @@ def test_grid_oracle_equals_the_full_grid():
 def test_grid_oracle_equals_the_full_grid_at_config_corners():
     rng = np.random.default_rng(67)
     scns = [corner_scenario(rng) for _ in range(120)]
-    for resolution in (10, 37):
+    # 200 rows is the default resolution: no access-rate plateau moves a point there
+    for resolution in (10, 37, 200):
         reference = [full_grid_oracle(scn, resolution) for scn in scns]
         assert solved_rows(grid_oracle_many, scns, resolution) == reference
     # the corners include levels so small that log2(1 + SINR) would round
@@ -458,17 +459,31 @@ def test_grid_oracle_grid_maximum_zero():
     assert dataclasses.astuple(result.allocation) == (5e-301, 5e-301, 10e6, 10e6)
 
 
+def assert_plateau_last_row(scn, resolution, result):
+    """result is at the full grid's maximum, with its level to the bit, in the
+    first maximum's column and at the last row of that column's plateau."""
+    p_grid, wa_grid, grid = full_grid(scn, resolution)
+    j = int(np.argmax(grid)) % resolution
+    assert result.report.maxmin_level == grid.max()
+    (i,), (k,) = (np.flatnonzero(axis == x) for axis, x in ((p_grid, result.allocation.p_ue),
+                                                          (wa_grid, result.allocation.w_a)))
+    assert grid[i, k] == grid.max()
+    assert (i, k) == (np.flatnonzero(grid[:, j] == grid.max())[-1], j)
+
+
 def test_grid_oracle_plateau_below_the_crossing():
     # an access SINR a few subnormal ulps wide: with beta_ue the smallest
     # subnormal and P = 3 W, p_ue beta_ue rounds to 0 to 3 ulps down a column,
     # so the access rate moves in flat steps; down the best column it reaches
-    # its last value before the crossing some rows early, and the first of
-    # those rows is the maximum
+    # its last value before the crossing some rows early. The search returns
+    # the last of those rows, at the same level as np.argmax's first
     scn = make_scenario(total_power=3.0, beta_ue=5e-324, access_weight=1.0)
     *_, grid = full_grid(scn, 20)
     i, j = divmod(int(np.argmax(grid)), 20)
     assert grid[i, j] > 0.0 and grid[i + 1, j] == grid[i, j] and grid[i + 2, j] == grid[i, j]
-    assert grid_oracle(scn, 20) == full_grid_oracle(scn, 20)
+    result = grid_oracle(scn, 20)
+    assert_plateau_last_row(scn, 20, result)
+    assert result.allocation.p_ue > full_grid_oracle(scn, 20).allocation.p_ue
 
 
 @pytest.mark.parametrize("resolution", [10, 11, 37, 1000])
@@ -490,9 +505,9 @@ def test_grid_rows_equal_np_linspace_bit_for_bit(resolution):
 
 @pytest.mark.parametrize("resolution", [10, 11, 37, 1000])
 def test_grid_oracle_chunk_of_tied_plateau_and_ordinary_rows(monkeypatch, resolution):
-    # one chunk: a full overlap, whose columns all tie, so that its second search takes
-    # every column; the plateau above; a power whose grid step underflows to 0 at
-    # resolution 1000; and ordinary rows, whose second search takes one column or a few
+    # one chunk: a full overlap, whose columns all tie; the plateau above, at the
+    # last row of its plateau; a power whose grid step underflows to 0 at
+    # resolution 1000; and ordinary rows, at np.argmax's first maximum
     rng = np.random.default_rng(79)
     scns = [make_scenario(overlap_bandwidth=40e6),
             make_scenario(total_power=3.0, beta_ue=5e-324, access_weight=1.0),
@@ -500,8 +515,10 @@ def test_grid_oracle_chunk_of_tied_plateau_and_ordinary_rows(monkeypatch, resolu
             random_scenario(rng, orthogonal=True), random_scenario(rng), corner_scenario(rng)]
     monkeypatch.setattr(allocator, "_GRID_BLOCK", resolution * len(scns))
     reference = [full_grid_oracle(scn, resolution) for scn in scns]
-    assert solved_rows(grid_oracle_many, scns, resolution) == reference
-    assert [grid_oracle(scn, resolution) for scn in scns] == reference
+    batch = solved_rows(grid_oracle_many, scns, resolution)
+    assert [grid_oracle(scn, resolution) for scn in scns] == batch
+    assert batch[:1] + batch[2:] == reference[:1] + reference[2:]
+    assert_plateau_last_row(scns[1], resolution, batch[1])
 
 
 def test_grid_oracle_probes_grid_points_below_the_last_row(monkeypatch):
@@ -595,15 +612,16 @@ def test_grid_oracle_ties_go_to_the_first_point(monkeypatch):
 
 def test_grid_oracle_builds_the_rates_of_each_chunk_once(monkeypatch):
     # a power sweep's 44 scenarios at 1000 x 1000 are 11 chunks of
-    # _GRID_BLOCK // 1000 = 4 scenarios: each chunk builds one kernel, and
-    # its search steps call only that kernel's bandwidth stages
+    # _GRID_BLOCK // 1000 = 4 scenarios: each chunk builds one kernel and
+    # one bandwidth stage of it, which every search step calls
     rng = np.random.default_rng(61)
     batch = stack([random_scenario(rng) for _ in range(44)])
-    expected, built = grid_oracle_many(batch, 1000), []
+    expected, built, stages = grid_oracle_many(batch, 1000), [], []
 
     def counted_rate_kernel(scn):
         built.append(len(scn))
-        return rate_kernel(scn)
+        kernel = rate_kernel(scn)
+        return lambda w: stages.append(w.shape) or kernel(w)
 
     def no_link_rates(*args):
         raise AssertionError("the grid calls link_rates")
@@ -613,6 +631,7 @@ def test_grid_oracle_builds_the_rates_of_each_chunk_once(monkeypatch):
     for got, want in zip(grid_oracle_many(batch, 1000), expected):
         assert np.array_equal(got, want)
     assert built == [4] * 11
+    assert stages == [(2, 4, 1000)] * 11
 
 
 def test_run_pso_builds_one_rate_kernel_on_a_scenario_row_per_particle(monkeypatch):
