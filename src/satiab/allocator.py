@@ -16,8 +16,8 @@ the root when they would leave it.
 Every solver takes a ScenarioBatch and returns arrays with one row per
 scenario: the (S, 4) allocations (p_ue, p_bs, w_a, w_b), the iterations
 used and the converged flags. Its one-scenario function is a view of that
-at a one-row batch, a SolveResult reported by evaluate. The solvers have no
-names here: the CLI's table in expcli names them. The grid oracle binary-
+at a one-row batch, the row as Python values. The solvers have no names
+here: the CLI's table in expcli names them. The grid oracle binary-
 searches each bandwidth column once for its single peak, in chunks of whole
 scenarios that hold no stored power grid or gather index.
 """
@@ -30,12 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ratemodel import _LN2, Allocation, RateReport, ScenarioBatch
-from .ratemodel import bandwidth_limits, evaluate, link_rates, rate_kernel
+from .ratemodel import _LN2, ScenarioBatch, bandwidth_limits, link_rates, rate_kernel
+# Unused here: the span tracer of bench/spans.py wraps this name in this module.
+from .ratemodel import evaluate  # noqa: F401
 
 __all__ = [
     "PsoConfig",
-    "SolveResult",
     "solve_orthogonal",
     "solve_orthogonal_many",
     "grid_oracle",
@@ -50,21 +50,11 @@ _G_SERIES = [-1 / 5040, 1 / 720, -1 / 120, 1 / 24, -1 / 6, 1 / 2]  # y polyval(_
 _BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest access share, so the backhaul's stays positive
 _MAX_STEPS = 200
 _Solved = tuple[np.ndarray, np.ndarray, np.ndarray]  # allocations, iterations, converged
+_SolvedRow = tuple[tuple[float, float, float, float], int, bool]  # one row of a _Solved
 _GRID_BLOCK = 4_096  # grid columns per grid_oracle_many chunk: 32 KiB per column array, made once
 _SWARM_PARTICLES = 32_768  # particles per run_pso batch of pso_solve_many, each with its scenario row
 _ROW_DRAWS, _BLOCK_DRAWS = 4_096, 131_072  # draws of a swarm's draw block: about per row, at most in all
 _LEARNING_FACTORS, _INERTIA_WEIGHT = (2.0, 2.0), 0.01  # the reference swarm's step rule
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    """Outcome of one solver run. iterations_used counts the exact solver's
-    level steps, the swarm's iterations and the grid oracle's grid points."""
-
-    allocation: Allocation
-    report: RateReport
-    iterations_used: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -142,11 +132,10 @@ def _split_share(y_whole, log_gain_ratio, share):
     return share
 
 
-def _solved_alone(solve_many, scn: ScenarioBatch, *args) -> SolveResult:
-    """The SolveResult of solve_many(scn, *args) on the one-row batch scn."""
+def _solved_alone(solve_many, scn: ScenarioBatch, *args) -> _SolvedRow:
+    """solve_many(scn, *args) at the one-row batch scn: ((p_ue, p_bs, w_a, w_b), iterations, converged)."""
     (alloc,), (iterations,), (converged,) = solve_many(scn, *args)
-    found = Allocation(*alloc.tolist())
-    return SolveResult(found, evaluate(scn, found), int(iterations), bool(converged))
+    return tuple(alloc.tolist()), int(iterations), bool(converged)
 
 
 def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
@@ -164,7 +153,7 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
     bracket closes around the root.
 
     A row stops once hi - lo <= 1e-13 lo, relative to its own bracket;
-    iterations_used counts its levels, and converged says it stopped so. It
+    its iterations count its levels, and converged says it stopped so. It
     returns the allocation computed at its final lo, whose powers sum to at
     most P exactly, or both budgets halved where zeta_ub is 0 (p beta
     underflows, far outside the config ranges). Rows share only elementwise
@@ -215,7 +204,7 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
     return alloc.T.copy(), iterations, hi - lo <= 1e-13 * lo
 
 
-def solve_orthogonal(scn: ScenarioBatch) -> SolveResult:
+def solve_orthogonal(scn: ScenarioBatch) -> _SolvedRow:
     """Exact max-min solution of the orthogonal one-row batch scn; see :func:`solve_orthogonal_many`."""
     return _solved_alone(solve_orthogonal_many, scn)
 
@@ -304,7 +293,7 @@ def grid_oracle_many(batch: ScenarioBatch, resolution: int) -> _Solved:
     return np.concatenate(alloc or [np.empty((0, 4))]), np.full(n, resolution**2), np.ones(n, bool)
 
 
-def grid_oracle(scn: ScenarioBatch, resolution: int) -> SolveResult:
+def grid_oracle(scn: ScenarioBatch, resolution: int) -> _SolvedRow:
     """Grid maximizer of the max-min level of the one-row batch scn; see :func:`grid_oracle_many`."""
     return _solved_alone(grid_oracle_many, scn, resolution)
 
@@ -451,6 +440,6 @@ def pso_solve_many(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int]) -
     return best, np.full(n, cfg.max_iterations), np.ones(n, bool)
 
 
-def pso_solve(scn: ScenarioBatch, cfg: PsoConfig, seed: int) -> SolveResult:
+def pso_solve(scn: ScenarioBatch, cfg: PsoConfig, seed: int) -> _SolvedRow:
     """Particle-swarm solution of the one-row batch scn, keyed by seed; see :func:`pso_solve_many`."""
     return _solved_alone(pso_solve_many, scn, cfg, [seed])

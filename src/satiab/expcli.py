@@ -514,16 +514,14 @@ def emit_plot(rows: list[SweepRow], path: str) -> None:
     (transmit power in dBm, or overlap fraction spanning [0, 1]). A series'
     coordinates are two arrays, by the formulas of the ticks.
     """
-    if not rows:
-        raise ValueError("cannot plot an empty table")
-    sweep = rows[0].sweep
-
     series: dict[tuple, list[tuple[float, float]]] = {}
     for row in rows:
         if math.isnan(row.throughput_mbps):
             continue
         key = (row.duplex, row.altitude_km, row.access_weight, row.solver)
         series.setdefault(key, []).append((row.sweep_value, row.throughput_mbps))
+    if not series:
+        raise ValueError("cannot plot a table with no finite throughput")
     for points in series.values():
         points.sort()
 
@@ -533,7 +531,7 @@ def emit_plot(rows: list[SweepRow], path: str) -> None:
     if len({k[2] for k in series}) > 1:
         varying.add("eps")
 
-    if sweep == "overlap":
+    if rows[0].sweep == "overlap":
         x_lo, x_hi = 0.0, 1.0
         x_label = "Bandwidth overlap fraction w_o/W"
     else:
@@ -544,7 +542,7 @@ def emit_plot(rows: list[SweepRow], path: str) -> None:
         x_label = "Transmit power (dBm)"  # a single row's sweep_value is its power too
     y_label = "Throughput (Mbps)"
     ys = [y for pts in series.values() for _, y in pts]
-    y_lo, y_hi = 0.0, (max(ys) if ys else 1.0) * 1.05
+    y_lo, y_hi = 0.0, max(ys) * 1.05
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
 

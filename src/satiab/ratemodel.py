@@ -10,7 +10,8 @@ bits/s).
 A ScenarioBatch holds S scenarios as (S, 1) columns, checked as a whole,
 and one scenario is a batch of one row. evaluate_many and validate_many
 take a batch and (S, 4) allocations and return arrays; evaluate and
-validate are their views at a one-row batch and one Allocation.
+validate are their views at a one-row batch and one allocation, four
+numbers, returning that row as Python values.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import numpy as np
 __all__ = [
     "DUPLEX_FACTORS",
     "ScenarioBatch",
-    "Allocation",
-    "RateReport",
     "bandwidth_limits",
     "link_rates",
     "rate_kernel",
@@ -99,36 +98,6 @@ class ScenarioBatch:
     def take(self, rows) -> "ScenarioBatch":
         """The scenarios at rows, an index list, mask or slice, or an index for its one-row batch."""
         return ScenarioBatch(*(getattr(self, f.name)[rows].reshape(-1, 1) for f in fields(self)))
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """Decision variables: per-link transmit powers (W) and bandwidths (Hz)."""
-
-    p_ue: float
-    p_bs: float
-    w_a: float
-    w_b: float
-
-    def __post_init__(self) -> None:
-        for name in ("p_ue", "p_bs", "w_a", "w_b"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Rates achieved by one allocation, all in bits/s.
-
-    maxmin_level is min(rate_access / eps, rate_backhaul); fitness is the
-    equivalent min(rate_access, eps * rate_backhaul) = eps * maxmin_level.
-    """
-
-    rate_access: float
-    rate_backhaul: float
-    throughput: float
-    maxmin_level: float
-    fitness: float
 
 
 def bandwidth_limits(batch: ScenarioBatch):
@@ -230,12 +199,20 @@ def evaluate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:
                       rate_a + rate_b))
 
 
-def evaluate(scn: ScenarioBatch, alloc: Allocation) -> RateReport:
-    """Rate report of one allocation under the one-row batch scn: :func:`evaluate_many`
-    at its row, so a zero bandwidth under overlap gets the zero rates of link_rates."""
-    row = [[alloc.p_ue, alloc.p_bs, alloc.w_a, alloc.w_b]]
-    (zeta, rate_a, rate_b, throughput), = evaluate_many(scn, np.array(row)).tolist()
-    return RateReport(rate_a, rate_b, throughput, zeta, min(rate_a, scn.access_weight.item() * rate_b))
+def _one_row(alloc) -> np.ndarray:
+    """The four numbers alloc (p_ue, p_bs, w_a, w_b) as (1, 4) allocations; a negative or NaN raises."""
+    row = np.array([alloc], dtype=float)
+    for name, value in zip(("p_ue", "p_bs", "w_a", "w_b"), row[0], strict=True):
+        if not value >= 0.0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+    return row
+
+
+def evaluate(scn: ScenarioBatch, alloc) -> tuple[float, float, float, float]:
+    """(zeta, rate_a, rate_b, throughput), in bits/s, of the four numbers alloc (p_ue, p_bs, w_a, w_b)
+    under the one-row batch scn: :func:`evaluate_many` at its row, zero rates for a zero bandwidth."""
+    (row,) = evaluate_many(scn, _one_row(alloc)).tolist()
+    return tuple(row)
 
 
 def validate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:
@@ -248,19 +225,21 @@ def validate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:
         1b: w_a + w_b <= alpha_1 (W + w_o)
         1c: w_a, w_b <= alpha_1 W
         1d: w_a, w_b >= alpha_1 w_o
+
+    Each is written as what must hold and negated, so a NaN entry fails it.
     """
     p_ue, p_bs, w_a, w_b = (alloc[:, k:k + 1] for k in range(4))
     p_cap = batch.total_power
     band_cap, w_lo, w_hi = bandwidth_limits(batch)
-    return np.hstack((
-        (p_ue + p_bs > p_cap + _SLACK * p_cap) | (p_ue < -_SLACK * p_cap) | (p_bs < -_SLACK * p_cap),
-        w_a + w_b > band_cap + _SLACK * band_cap,
-        (w_a > w_hi + _SLACK * w_hi) | (w_b > w_hi + _SLACK * w_hi),
-        (w_a < w_lo - _SLACK * w_hi) | (w_b < w_lo - _SLACK * w_hi),
+    return ~np.hstack((
+        (p_ue + p_bs <= p_cap + _SLACK * p_cap) & (p_ue >= -_SLACK * p_cap) & (p_bs >= -_SLACK * p_cap),
+        w_a + w_b <= band_cap + _SLACK * band_cap,
+        (w_a <= w_hi + _SLACK * w_hi) & (w_b <= w_hi + _SLACK * w_hi),
+        (w_a >= w_lo - _SLACK * w_hi) & (w_b >= w_lo - _SLACK * w_hi),
     ))
 
 
-def validate(scn: ScenarioBatch, alloc: Allocation) -> list[str]:
-    """Constraints that one allocation violates under the one-row batch scn; see validate_many."""
-    flags, = validate_many(scn, np.array([[alloc.p_ue, alloc.p_bs, alloc.w_a, alloc.w_b]])).tolist()
+def validate(scn: ScenarioBatch, alloc) -> list[str]:
+    """The names of the constraints that the four numbers alloc violate under the one-row batch scn."""
+    (flags,) = validate_many(scn, _one_row(alloc)).tolist()
     return [name for name, violated in zip(CONSTRAINTS, flags) if violated]

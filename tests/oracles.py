@@ -9,11 +9,11 @@ where a power overflows. The full-grid oracle is the grid oracle as
 first written, the whole grid in one rate kernel call and np.argmax, kept as
 the reference for the oracle that bisects each column for its peak. The
 per-row audit is the audit as first written, one point check, one scenario,
-one feasibility check and one scalar rate report per row, kept as the
+one feasibility check and one scalar evaluation per row, kept as the
 reference for the audit that checks all rows as arrays; its feasibility
-check and rate report are the scalar bodies validate and
-RateReport.from_rates once had, on the allocation's floats, so that it
-shares no code with the batch checks but the masked rate kernel.
+check and evaluation are the scalar bodies validate and the rate report
+once had, on the allocation's floats, so that it shares no code with the
+batch checks but the masked rate kernel.
 The per-point scenario builder is build_scenarios as it was before it
 converted each distinct power once, kept as its reference.
 The reference swarm is the swarm as first written, an S x N x 4 tensor
@@ -31,7 +31,10 @@ reference for the kernel, and the other references compute their rates with
 it, so that they share no code with the kernel under test.
 The mpmath level solves the exact solver's optimality conditions at 40
 digits, as the reference for its accuracy. solved_rows turns the arrays of
-a batch solver into one SolveResult per row, for tests that compare rows.
+a batch solver into one row per scenario, for tests that compare rows: the
+((p_ue, p_bs, w_a, w_b), iterations, converged) tuple of the one-scenario
+solver views, which golden_section_solve and full_grid_oracle return too;
+reference_evaluate returns evaluate's (zeta, rate_a, rate_b, throughput).
 A scenario is a one-row ScenarioBatch: make_scenario builds one from
 floats, stack joins batches row by row into one, and the scalar references
 read a scenario's floats through scalars, so that their arithmetic is that
@@ -48,17 +51,15 @@ import numpy as np
 
 from satiab import (
     DUPLEX_FACTORS,
-    Allocation,
     PsoConfig,
-    RateReport,
     ScenarioBatch,
-    SolveResult,
     bandwidth_limits,
     channel_gain,
     db_to_linear,
     dbm_to_watts,
 )
 from satiab.allocator import _BELOW_ONE, _MAX_STEPS, _inversion_power, _log_marginal_cost
+from satiab.allocator import _SolvedRow as SolvedRow
 from satiab.expcli import _RANGES, ExperimentConfig, _float_cells, build_scenario
 from satiab.ratemodel import _LN2
 
@@ -193,19 +194,12 @@ def random_feasible_allocation(rng, scn: ScenarioBatch):
     return p1 * p_scale, p2 * p_scale, w_a, w_b
 
 
-def reference_evaluate(scn: ScenarioBatch, p_ue, p_bs, w_a, w_b) -> RateReport:
-    """The rate report of one allocation, given as floats, from the masked
-    rate kernel's floats and scalar arithmetic, as RateReport.from_rates once
-    computed it."""
+def reference_evaluate(scn: ScenarioBatch, p_ue, p_bs, w_a, w_b) -> tuple[float, float, float, float]:
+    """(zeta, rate_a, rate_b, throughput) of one allocation, given as floats,
+    from the masked rate kernel's floats and scalar arithmetic, as the rate
+    report once computed it."""
     rate_a, rate_b = (rate.item() for rate in reference_link_rates(scn, p_ue, p_bs, w_a, w_b))
-    eps = scalars(scn).access_weight
-    return RateReport(
-        rate_access=rate_a,
-        rate_backhaul=rate_b,
-        throughput=rate_a + rate_b,
-        maxmin_level=min(rate_a / eps, rate_b),
-        fitness=min(rate_a, eps * rate_b),
-    )
+    return min(rate_a / scalars(scn).access_weight, rate_b), rate_a, rate_b, rate_a + rate_b
 
 
 def reference_validate(scn: ScenarioBatch, p_ue, p_bs, w_a, w_b) -> list[str]:
@@ -226,16 +220,17 @@ def reference_validate(scn: ScenarioBatch, p_ue, p_bs, w_a, w_b) -> list[str]:
     return violated
 
 
-def solved_rows(solve_many, scns, *args) -> list[SolveResult]:
-    """solve_many(batch of scns, *args) as one SolveResult per row: the
-    row's allocation, its reference_evaluate report, its iterations and
-    its converged flag."""
+def solved_rows(solve_many, scns, *args) -> list[SolvedRow]:
+    """solve_many(batch of scns, *args) as one ((p_ue, p_bs, w_a, w_b),
+    iterations, converged) tuple of Python values per row."""
     alloc, iterations, converged = solve_many(stack(scns), *args)
     assert alloc.shape == (len(scns), 4) and iterations.shape == converged.shape == (len(scns),)
-    return [
-        SolveResult(Allocation(*row), reference_evaluate(scn, *row), n, done)
-        for scn, row, n, done in zip(scns, alloc.tolist(), iterations.tolist(), converged.tolist())
-    ]
+    return list(zip(map(tuple, alloc.tolist()), iterations.tolist(), converged.tolist()))
+
+
+def level(scn: ScenarioBatch, solved: SolvedRow) -> float:
+    """The max-min level zeta of a solved row's allocation under scn, by reference_evaluate."""
+    return reference_evaluate(scn, *solved[0])[0]
 
 
 def reference_link_rates(batch: ScenarioBatch, p_ue, p_bs, w_a, w_b):
@@ -302,7 +297,7 @@ def _golden_section(f, lo, hi, rel_tol=1e-9, max_iter=200):
     return x, f(x)
 
 
-def golden_section_solve(batch: ScenarioBatch) -> SolveResult:
+def golden_section_solve(batch: ScenarioBatch) -> SolvedRow:
     """Exact max-min solution of one orthogonal scenario: bisection on the
     level zeta, golden section over the bandwidth split for the cheapest
     power that delivers eps*zeta and zeta."""
@@ -357,13 +352,7 @@ def golden_section_solve(batch: ScenarioBatch) -> SolveResult:
             hi = mid
 
     _, w_a, p_a, p_b = cheapest_split(lo)
-    alloc = Allocation(p_ue=p_a, p_bs=p_b, w_a=w_a, w_b=w_total - w_a)
-    return SolveResult(
-        allocation=alloc,
-        report=reference_evaluate(batch, *dataclasses.astuple(alloc)),
-        iterations_used=iterations,
-        converged=converged,
-    )
+    return (p_a, p_b, w_a, w_total - w_a), iterations, converged
 
 
 def _reference_split_share(y_whole, log_gain_ratio, share):
@@ -483,8 +472,8 @@ def mp_orthogonal_level(batch: ScenarioBatch, dps: int = 40):
             power = sum(dens * w / b * mp.expm1(y) for w, y, b in zip(widths, ys, betas))
             return mp.log(power / scn.total_power)
 
-        a = start.allocation
-        x0 = mp.log(mp.mpf(a.w_a) / a.w_b), mp.log(start.report.maxmin_level)
+        (_, _, w_a, w_b), _, _ = start
+        x0 = mp.log(mp.mpf(w_a) / w_b), mp.log(level(batch, start))
         logit, log_zeta = mp.findroot([equal_costs, budget_spent], x0, solver="mdnewton")
         return mp.exp(log_zeta), min(links(logit, log_zeta)[1])
 
@@ -503,7 +492,7 @@ def full_grid(batch: ScenarioBatch, resolution: int):
     return p_grid, wa_grid, np.minimum(rate_a / scn.access_weight, rate_b)
 
 
-def full_grid_oracle(batch: ScenarioBatch, resolution: int) -> SolveResult:
+def full_grid_oracle(batch: ScenarioBatch, resolution: int) -> SolvedRow:
     """The grid oracle's search in one piece: every point of the
     resolution x resolution grid in one reference_link_rates call, then np.argmax."""
     scn = scalars(batch)
@@ -511,18 +500,8 @@ def full_grid_oracle(batch: ScenarioBatch, resolution: int) -> SolveResult:
     p_grid, wa_grid, maxmin = full_grid(batch, resolution)
 
     i, j = divmod(int(np.argmax(maxmin)), resolution)
-    alloc = Allocation(
-        p_ue=float(p_grid[i]),
-        p_bs=float(scn.total_power - p_grid[i]),
-        w_a=float(wa_grid[j]),
-        w_b=float(band_total - wa_grid[j]),
-    )
-    return SolveResult(
-        allocation=alloc,
-        report=reference_evaluate(batch, *dataclasses.astuple(alloc)),
-        iterations_used=resolution * resolution,
-        converged=True,
-    )
+    p_ue, w_a = float(p_grid[i]), float(wa_grid[j])
+    return (p_ue, float(scn.total_power - p_ue), w_a, float(band_total - w_a)), resolution * resolution, True
 
 
 def row_scenario(cfg: ExperimentConfig, row) -> ScenarioBatch:
@@ -598,13 +577,13 @@ def per_row_audit(cfg: ExperimentConfig, rows) -> list[str]:
         if violated:
             problems.append(f"row {index}: allocation violates {', '.join(violated)}")
             continue
-        report = reference_evaluate(scn, *alloc)
+        zeta, rate_a, rate_b, throughput = reference_evaluate(scn, *alloc)
         found = len(problems)
         recorded = {
-            "zeta_mbps": (row.zeta_mbps, report.maxmin_level / 1e6),
-            "rate_access_mbps": (row.rate_access_mbps, report.rate_access / 1e6),
-            "rate_backhaul_mbps": (row.rate_backhaul_mbps, report.rate_backhaul / 1e6),
-            "throughput_mbps": (row.throughput_mbps, report.throughput / 1e6),
+            "zeta_mbps": (row.zeta_mbps, zeta / 1e6),
+            "rate_access_mbps": (row.rate_access_mbps, rate_a / 1e6),
+            "rate_backhaul_mbps": (row.rate_backhaul_mbps, rate_b / 1e6),
+            "throughput_mbps": (row.throughput_mbps, throughput / 1e6),
         }
         for name, (got, want) in recorded.items():
             scale = max(abs(want), 1e-12)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from satiab import (
-    Allocation,
     PsoConfig,
     evaluate,
     evaluate_many,
@@ -32,6 +31,7 @@ from satiab.expcli import (
 
 from oracles import (
     j1_power_series,
+    level,
     random_feasible_allocation,
     random_scenario,
     reference_scenarios,
@@ -61,8 +61,8 @@ def test_criterion_1_link_budget_correctness():
 def test_criterion_2_exact_solver_vs_grid():
     worst_gap = 0.0
     for label, scn in reference_scenarios():
-        exact = solve_orthogonal(scn).report.maxmin_level
-        grid = grid_oracle(scn, 200).report.maxmin_level
+        exact = level(scn, solve_orthogonal(scn))
+        grid = level(scn, grid_oracle(scn, 200))
         assert exact >= grid, label
         gap = (exact - grid) / exact
         worst_gap = max(worst_gap, gap)
@@ -74,7 +74,7 @@ def test_criterion_3_pso_reaches_exact_optimum():
     seeds = range(20)
     worst_gap = 0.0
     for label, scn in reference_scenarios():
-        exact = solve_orthogonal(scn).report.maxmin_level
+        exact = level(scn, solve_orthogonal(scn))
         good = 0
         # one batch of 20 swarms; each row equals pso_solve with its seed
         batch = stack([scn] * len(seeds))
@@ -151,13 +151,13 @@ def test_criterion_6_optimum_tightness():
     worst_rate = 0.0
     worst_power = 0.0
     for label, scn in reference_scenarios():
-        result = solve_orthogonal(scn)
-        zeta = result.report.maxmin_level
-        access_ratio = result.report.rate_access / (scn.access_weight * zeta)
-        backhaul_ratio = result.report.rate_backhaul / zeta
+        (p_ue, p_bs, w_a, w_b), _, _ = solve_orthogonal(scn)
+        zeta, rate_access, rate_backhaul, _ = evaluate(scn, (p_ue, p_bs, w_a, w_b))
+        access_ratio = rate_access / (scn.access_weight * zeta)
+        backhaul_ratio = rate_backhaul / zeta
         assert abs(access_ratio - 1.0) <= 1e-4, label
         assert abs(backhaul_ratio - 1.0) <= 1e-4, label
-        spent = result.allocation.p_ue + result.allocation.p_bs
+        spent = p_ue + p_bs
         power_err = abs(spent - scn.total_power.item()) / scn.total_power.item()
         assert power_err <= 1e-6, label
         worst_rate = max(worst_rate, abs(access_ratio - 1.0), abs(backhaul_ratio - 1.0))
@@ -191,37 +191,37 @@ def test_criterion_8_randomized_invariant_suites():
         results = [grid_oracle(scn, 25), pso_solve(scn, small, 7)]
         if scn.overlap_bandwidth == 0.0:
             results.append(solve_orthogonal(scn))
-        for result in results:
-            assert validate(scn, result.allocation) == []
+        for alloc, _, _ in results:
+            assert validate(scn, alloc) == []
 
     # fitness identity and nonnegativity over ten thousand random points
     for _ in range(10_000):
         scn = random_scenario(rng)
-        alloc = Allocation(*random_feasible_allocation(rng, scn))
-        report = evaluate(scn, alloc)
-        assert report.rate_access >= 0.0 and report.rate_backhaul >= 0.0
-        scale = max(abs(report.fitness), 1e-9)
-        assert abs(report.fitness - scn.access_weight * report.maxmin_level) <= 1e-9 * scale
+        zeta, rate_access, rate_backhaul, _ = evaluate(scn, random_feasible_allocation(rng, scn))
+        assert rate_access >= 0.0 and rate_backhaul >= 0.0
+        fitness = min(rate_access, scn.access_weight.item() * rate_backhaul)
+        scale = max(abs(fitness), 1e-9)
+        assert abs(fitness - scn.access_weight * zeta) <= 1e-9 * scale
 
     # monotonicity and midpoint concavity of the access rate without overlap
     scn = random_scenario(rng, orthogonal=True)
     for _ in range(1000):
         p = rng.uniform(0.1, 0.9) * scn.total_power.item()
         w = rng.uniform(0.01, 0.95) * 0.5 * scn.total_bandwidth.item()
-        base = evaluate(scn, Allocation(p, 0.0, w, 0.0)).rate_access
-        assert evaluate(scn, Allocation(p * 1.1, 0.0, w, 0.0)).rate_access > base
-        assert evaluate(scn, Allocation(p, 0.0, w * 1.02, 0.0)).rate_access > base
+        base = evaluate(scn, (p, 0.0, w, 0.0))[1]
+        assert evaluate(scn, (p * 1.1, 0.0, w, 0.0))[1] > base
+        assert evaluate(scn, (p, 0.0, w * 1.02, 0.0))[1] > base
         p2 = rng.uniform(0.1, 0.9) * scn.total_power.item()
         w2 = rng.uniform(0.01, 0.95) * 0.5 * scn.total_bandwidth.item()
-        other = evaluate(scn, Allocation(p2, 0.0, w2, 0.0)).rate_access
-        mid = evaluate(scn, Allocation((p + p2) / 2, 0.0, (w + w2) / 2, 0.0)).rate_access
+        other = evaluate(scn, (p2, 0.0, w2, 0.0))[1]
+        mid = evaluate(scn, ((p + p2) / 2, 0.0, (w + w2) / 2, 0.0))[1]
         assert mid >= (base + other) / 2 - 1e-9 * max(base, other, 1.0)
 
     # nested grid refinement never loses ground
     for _ in range(5):
         scn = random_scenario(rng)
-        coarse = grid_oracle(scn, 10).report.maxmin_level
-        fine = grid_oracle(scn, 100).report.maxmin_level
+        coarse = level(scn, grid_oracle(scn, 10))
+        fine = level(scn, grid_oracle(scn, 100))
         assert fine >= coarse - 1e-12
 
     print(

@@ -9,7 +9,6 @@ import pytest
 
 from satiab import (
     CONSTRAINTS,
-    Allocation,
     PsoConfig,
     ScenarioBatch,
     bandwidth_limits,
@@ -34,6 +33,7 @@ from oracles import (
     full_grid,
     full_grid_oracle,
     golden_section_solve,
+    level,
     make_scenario,
     mp_log_marginal_cost,
     mp_orthogonal_level,
@@ -41,6 +41,7 @@ from oracles import (
     random_scenario,
     reference_run_pso,
     reference_scenarios,
+    reference_evaluate,
     reference_solve_orthogonal_many,
     reference_validate,
     scalars,
@@ -67,6 +68,12 @@ def brute_force_maxmin(batch: ScenarioBatch, res: int = 100) -> float:
     return float(np.where(feasible, maxmin, -np.inf).max())
 
 
+def swarm_fitness(scn: ScenarioBatch, alloc) -> float:
+    """The swarm's score min(rate_a, eps rate_b) of the four numbers alloc under scn."""
+    _, rate_a, rate_b, _ = evaluate(scn, alloc)
+    return min(rate_a, scn.access_weight.item() * rate_b)
+
+
 # ---------------------------------------------------------------- inversion
 
 
@@ -89,7 +96,7 @@ def test_min_power_round_trip():
     target = 5e6
     bandwidth = 8e6
     power = allocator._inversion_power(target, bandwidth, scn.beta_ue, scn.alpha_o, scn.density)
-    rate = evaluate(batch, Allocation(power, 0.0, bandwidth, 1e6)).rate_access
+    rate = evaluate(batch, (power, 0.0, bandwidth, 1e6))[1]
     assert rate == pytest.approx(target, rel=1e-9)
 
 
@@ -114,13 +121,12 @@ def test_solve_orthogonal_rejects_overlap():
 def test_solve_orthogonal_symmetric_links():
     beta = 1e-10
     scn = make_scenario(beta_ue=beta, beta_bs=beta, access_weight=1.0)
-    result = solve_orthogonal(scn)
-    assert result.converged
-    alloc = result.allocation
-    assert alloc.p_ue == pytest.approx(alloc.p_bs, rel=1e-4)
-    assert alloc.w_a == pytest.approx(alloc.w_b, rel=1e-4)
-    assert alloc.p_ue == pytest.approx(5.0, rel=1e-4)
-    assert alloc.w_a == pytest.approx(10e6, rel=1e-4)
+    (p_ue, p_bs, w_a, w_b), _, converged = solve_orthogonal(scn)
+    assert converged
+    assert p_ue == pytest.approx(p_bs, rel=1e-4)
+    assert w_a == pytest.approx(w_b, rel=1e-4)
+    assert p_ue == pytest.approx(5.0, rel=1e-4)
+    assert w_a == pytest.approx(10e6, rel=1e-4)
 
 
 def test_solve_orthogonal_vanishing_access_weight():
@@ -133,47 +139,44 @@ def test_solve_orthogonal_vanishing_access_weight():
         1.0 + scn.total_power * scn.beta_bs / (dens * w_total)
     )
     result = solve_orthogonal(batch)
-    assert result.report.maxmin_level == pytest.approx(single_link_best, rel=1e-3)
-    assert result.allocation.p_bs > 0.99 * scn.total_power
+    assert level(batch, result) == pytest.approx(single_link_best, rel=1e-3)
+    assert result[0][1] > 0.99 * scn.total_power  # p_bs
 
 
 def test_solve_orthogonal_matches_grid():
     scn = make_scenario()
-    exact = solve_orthogonal(scn).report.maxmin_level
-    grid = grid_oracle(scn, 200).report.maxmin_level
+    exact = level(scn, solve_orthogonal(scn))
+    grid = level(scn, grid_oracle(scn, 200))
     assert exact >= grid
     assert (exact - grid) / exact <= 0.01
 
 
 def test_solve_orthogonal_targets_are_tight():
     for _, batch in reference_scenarios():
-        result = solve_orthogonal(batch)
+        alloc, _, _ = solve_orthogonal(batch)
         scn = scalars(batch)
-        zeta = result.report.maxmin_level
-        assert result.report.rate_access / (scn.access_weight * zeta) == pytest.approx(1.0, abs=1e-4)
-        assert result.report.rate_backhaul / zeta == pytest.approx(1.0, abs=1e-4)
-        spent = result.allocation.p_ue + result.allocation.p_bs
+        zeta, rate_a, rate_b, _ = evaluate(batch, alloc)
+        assert rate_a / (scn.access_weight * zeta) == pytest.approx(1.0, abs=1e-4)
+        assert rate_b / zeta == pytest.approx(1.0, abs=1e-4)
+        spent = alloc[0] + alloc[1]
         assert spent == pytest.approx(scn.total_power, rel=1e-6)
 
 
 def test_solve_orthogonal_monotone_in_power_and_bandwidth():
-    levels = [
-        solve_orthogonal(make_scenario(total_power=p)).report.maxmin_level
-        for p in np.linspace(5.0, 100.0, 8)
-    ]
+    scns = [make_scenario(total_power=p) for p in np.linspace(5.0, 100.0, 8)]
+    levels = [level(scn, solve_orthogonal(scn)) for scn in scns]
     assert all(a <= b + 1e-9 * abs(b) for a, b in zip(levels, levels[1:]))
-    levels = [
-        solve_orthogonal(make_scenario(total_bandwidth=w)).report.maxmin_level
-        for w in np.linspace(10e6, 80e6, 8)
-    ]
+    scns = [make_scenario(total_bandwidth=w) for w in np.linspace(10e6, 80e6, 8)]
+    levels = [level(scn, solve_orthogonal(scn)) for scn in scns]
     assert all(a <= b + 1e-9 * abs(b) for a, b in zip(levels, levels[1:]))
 
 
 def test_solve_orthogonal_report_is_consistent():
+    # the view's allocation is the batch row's, and evaluate reports its level
     scn = make_scenario()
     result = solve_orthogonal(scn)
-    again = evaluate(scn, result.allocation)
-    assert again.maxmin_level == pytest.approx(result.report.maxmin_level, rel=1e-6)
+    assert result[0] == tuple(solve_orthogonal_many(scn)[0][0].tolist())
+    assert evaluate(scn, result[0])[0] == pytest.approx(level(scn, result), rel=1e-6)
 
 
 def orthogonal_batch():
@@ -186,9 +189,9 @@ def test_solve_orthogonal_many_matches_golden_section():
     scns = orthogonal_batch()
     for scn, result in zip(scns, solved_rows(solve_orthogonal_many, scns)):
         reference = golden_section_solve(scn)
-        assert result.converged and reference.converged
-        assert result.report.maxmin_level == pytest.approx(reference.report.maxmin_level, rel=1e-9)
-        assert validate(scn, result.allocation) == []
+        assert result[2] and reference[2]  # converged
+        assert level(scn, result) == pytest.approx(level(scn, reference), rel=1e-9)
+        assert validate(scn, result[0]) == []
 
 
 def test_solve_orthogonal_batch_rows_equal_rows_solved_alone():
@@ -208,16 +211,15 @@ def test_solve_orthogonal_batch_rows_equal_rows_solved_alone():
 )
 def test_solve_orthogonal_extreme_rows_are_finite_and_feasible(overrides):
     scn = make_scenario(**overrides)
-    result = solve_orthogonal(scn)
-    assert result.converged
-    values = [*dataclasses.astuple(result.allocation), *dataclasses.astuple(result.report)]
-    assert all(math.isfinite(v) for v in values)
-    assert validate(scn, result.allocation) == []
+    result = alloc, _, converged = solve_orthogonal(scn)
+    assert converged
+    assert all(math.isfinite(v) for v in (*alloc, *evaluate(scn, alloc)))
+    assert validate(scn, alloc) == []
     # P=1e250W: near the optimum 2**x overflows, so the golden section
     # compares log powers; the 40-digit level starts from its solution
-    reference = golden_section_solve(scn).report.maxmin_level
-    assert result.report.maxmin_level == pytest.approx(reference, rel=1e-9)
-    assert result.report.maxmin_level == pytest.approx(float(mp_orthogonal_level(scn)[0]), rel=1e-9)
+    reference = level(scn, golden_section_solve(scn))
+    assert level(scn, result) == pytest.approx(reference, rel=1e-9)
+    assert level(scn, result) == pytest.approx(float(mp_orthogonal_level(scn)[0]), rel=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -229,12 +231,11 @@ def test_solve_orthogonal_far_outside_the_config_ranges(overrides):
     # the first: the cheapest power at the first levels overflows to inf;
     # the second: the best access share rounds to 1, leaving the backhaul none
     scn = make_scenario(**overrides)
-    result = solve_orthogonal(scn)
-    assert result.converged and result.iterations_used <= 12
-    values = [*dataclasses.astuple(result.allocation), *dataclasses.astuple(result.report)]
-    assert all(math.isfinite(v) for v in values)
-    assert validate(scn, result.allocation) == []
-    assert result.allocation.p_ue + result.allocation.p_bs <= scn.total_power
+    alloc, iterations, converged = solve_orthogonal(scn)
+    assert converged and iterations <= 12
+    assert all(math.isfinite(v) for v in (*alloc, *evaluate(scn, alloc)))
+    assert validate(scn, alloc) == []
+    assert alloc[0] + alloc[1] <= scn.total_power
 
 
 @pytest.mark.parametrize("y", [
@@ -263,7 +264,7 @@ def test_solve_orthogonal_matches_mpmath_on_reference_scenarios():
     scns = [scn for _, scn in reference_scenarios()]
     for scn, result in zip(scns, solved_rows(solve_orthogonal_many, scns)):
         zeta, _ = mp_orthogonal_level(scn)
-        assert result.report.maxmin_level == pytest.approx(float(zeta), rel=1e-11)
+        assert level(scn, result) == pytest.approx(float(zeta), rel=1e-11)
 
 
 # (seed, index) of orthogonal corner draws: the index-th scenario without
@@ -284,7 +285,7 @@ def test_solve_orthogonal_matches_mpmath_at_config_corners():
         zeta, y_min = mp_orthogonal_level(scn)
         # y reaches 1e-6 here, where rounding 1 + sinr would cost about 1e-7 of the level
         assert y_min >= 1e-6
-        assert result.report.maxmin_level == pytest.approx(float(zeta), rel=1e-12)
+        assert level(scn, result) == pytest.approx(float(zeta), rel=1e-12)
 
 
 def test_solve_orthogonal_matches_mpmath_at_a_low_snr_sweep_point():
@@ -325,8 +326,8 @@ def test_solve_orthogonal_takes_few_steps(monkeypatch):
 
 def test_solve_orthogonal_spends_at_most_the_power_budget():
     scns = orthogonal_batch() + [orthogonal_corner(*draw) for draw in CORNER_DRAWS]
-    for scn, result in zip(scns, solved_rows(solve_orthogonal_many, scns)):
-        assert result.allocation.p_ue + result.allocation.p_bs <= scn.total_power
+    for scn, ((p_ue, p_bs, _, _), _, _) in zip(scns, solved_rows(solve_orthogonal_many, scns)):
+        assert p_ue + p_bs <= scn.total_power
 
 
 def test_solve_orthogonal_many_equals_the_column_reference(monkeypatch):
@@ -370,14 +371,14 @@ def test_grid_oracle_rejects_tiny_resolution():
 def test_grid_oracle_refinement_is_monotone():
     # 10-point and 100-point inclusive grids nest (99 intervals = 11 * 9)
     scn = make_scenario()
-    coarse = grid_oracle(scn, 10).report.maxmin_level
-    fine = grid_oracle(scn, 100).report.maxmin_level
+    coarse = level(scn, grid_oracle(scn, 10))
+    fine = level(scn, grid_oracle(scn, 100))
     assert fine >= coarse - 1e-12
     rng = np.random.default_rng(23)
     for _ in range(5):
         scn = random_scenario(rng)
-        coarse = grid_oracle(scn, 10).report.maxmin_level
-        fine = grid_oracle(scn, 100).report.maxmin_level
+        coarse = level(scn, grid_oracle(scn, 10))
+        fine = level(scn, grid_oracle(scn, 100))
         assert fine >= coarse - 1e-12
 
 
@@ -385,20 +386,20 @@ def test_grid_oracle_symmetric_midpoint():
     beta = 1e-10
     scn = make_scenario(beta_ue=beta, beta_bs=beta, access_weight=1.0)
     res = 101  # odd keeps the exact midpoint on the grid
-    result = grid_oracle(scn, res)
+    (p_ue, _, w_a, _), _, _ = grid_oracle(scn, res)
     scn = scalars(scn)
     p_cell = scn.total_power / (res - 1)
     w_cell = scn.alpha_1 * scn.total_bandwidth / (res - 1)
-    assert abs(result.allocation.p_ue - 5.0) <= p_cell
-    assert abs(result.allocation.w_a - 10e6) <= w_cell
+    assert abs(p_ue - 5.0) <= p_cell
+    assert abs(w_a - 10e6) <= w_cell
 
 
 def test_grid_oracle_never_beats_exact():
     rng = np.random.default_rng(29)
     for _ in range(50):
         scn = random_scenario(rng, orthogonal=True)
-        exact = solve_orthogonal(scn).report.maxmin_level
-        grid = grid_oracle(scn, 40).report.maxmin_level
+        exact = level(scn, solve_orthogonal(scn))
+        grid = level(scn, grid_oracle(scn, 40))
         assert grid <= exact + 1e-9 * max(exact, 1.0)
 
 
@@ -414,7 +415,7 @@ def test_grid_oracle_equals_the_full_grid():
                     scn = random_scenario(rng)
                 scns.append(scn)
         reference = [full_grid_oracle(scn, resolution) for scn in scns]
-        # allocation and report, with every float exactly equal
+        # allocation, iterations and flag, with every float exactly equal
         assert grid_oracle(scns[0], resolution) == reference[0]
         assert solved_rows(grid_oracle_many, scns, resolution) == reference
 
@@ -428,8 +429,11 @@ def test_grid_oracle_equals_the_full_grid_at_config_corners():
         assert solved_rows(grid_oracle_many, scns, resolution) == reference
     # the corners include levels so small that log2(1 + SINR) would round
     # them to 0, which log1p keeps positive, and levels of ordinary links
-    levels = [result.report.maxmin_level for result in reference]
+    levels = [level(scn, result) for scn, result in zip(scns, reference)]
     assert 0.0 < min(levels) < 1e-30 and max(levels) > 1e6
+    # the library's evaluate gives the reference's report bit for bit there
+    for scn, (alloc, _, _) in zip(scns, reference):
+        assert evaluate(scn, alloc) == reference_evaluate(scn, *alloc)
 
 
 def test_grid_oracle_zero_columns_of_orthogonal_grids():
@@ -451,12 +455,15 @@ def test_grid_oracle_grid_maximum_zero():
         assert not grid.any()
         result = grid_oracle(scn, 20)
         assert result == full_grid_oracle(scn, 20)
-        assert (result.allocation.p_ue, result.report.maxmin_level) == (0.0, 0.0)
+        assert (result[0][0], level(scn, result)) == (0.0, 0.0)
+        assert evaluate(scn, result[0]) == reference_evaluate(scn, *result[0])
     # the exact solver's upper bound is then 0: it takes no level step and
     # returns both budgets halved
-    result = solve_orthogonal(make_scenario(total_power=1e-300, beta_ue=1e-30, beta_bs=1e-30))
-    assert (result.report.maxmin_level, result.iterations_used, result.converged) == (0.0, 0, True)
-    assert dataclasses.astuple(result.allocation) == (5e-301, 5e-301, 10e6, 10e6)
+    scn = make_scenario(total_power=1e-300, beta_ue=1e-30, beta_bs=1e-30)
+    result = solve_orthogonal(scn)
+    assert (level(scn, result), *result[1:]) == (0.0, 0, True)
+    assert result[0] == (5e-301, 5e-301, 10e6, 10e6)
+    assert evaluate(scn, result[0]) == reference_evaluate(scn, *result[0])
 
 
 def assert_plateau_last_row(scn, resolution, result):
@@ -464,9 +471,9 @@ def assert_plateau_last_row(scn, resolution, result):
     first maximum's column and at the last row of that column's plateau."""
     p_grid, wa_grid, grid = full_grid(scn, resolution)
     j = int(np.argmax(grid)) % resolution
-    assert result.report.maxmin_level == grid.max()
-    (i,), (k,) = (np.flatnonzero(axis == x) for axis, x in ((p_grid, result.allocation.p_ue),
-                                                          (wa_grid, result.allocation.w_a)))
+    (p_ue, _, w_a, _), _, _ = result
+    assert level(scn, result) == grid.max()
+    (i,), (k,) = (np.flatnonzero(axis == x) for axis, x in ((p_grid, p_ue), (wa_grid, w_a)))
     assert grid[i, k] == grid.max()
     assert (i, k) == (np.flatnonzero(grid[:, j] == grid.max())[-1], j)
 
@@ -483,7 +490,7 @@ def test_grid_oracle_plateau_below_the_crossing():
     assert grid[i, j] > 0.0 and grid[i + 1, j] == grid[i, j] and grid[i + 2, j] == grid[i, j]
     result = grid_oracle(scn, 20)
     assert_plateau_last_row(scn, 20, result)
-    assert result.allocation.p_ue > full_grid_oracle(scn, 20).allocation.p_ue
+    assert result[0][0] > full_grid_oracle(scn, 20)[0][0]  # p_ue
 
 
 @pytest.mark.parametrize("resolution", [10, 11, 37, 1000])
@@ -558,7 +565,8 @@ def test_grid_oracle_tie_at_the_crossing():
     assert grid[4, 0] == grid[5, 0] == grid.max()
     result = grid_oracle(scn, 10)
     assert result == full_grid_oracle(scn, 10)
-    assert (result.allocation.p_ue, result.allocation.w_a) == (4.0, 20e6)
+    (p_ue, _, w_a, _), _, _ = result
+    assert (p_ue, w_a) == (4.0, 20e6)
 
 
 def test_grid_oracle_batch_rows_equal_rows_solved_alone():
@@ -606,8 +614,8 @@ def test_grid_oracle_ties_go_to_the_first_point(monkeypatch):
 
     monkeypatch.setattr(allocator, "rate_kernel", flat_kernel)
     monkeypatch.setattr(allocator, "_GRID_BLOCK", 40)
-    for result in solved_rows(grid_oracle_many, [make_scenario()] * 3, 20):
-        assert (result.allocation.p_ue, result.allocation.w_a) == (0.0, 0.0)
+    for (p_ue, _, w_a, _), _, _ in solved_rows(grid_oracle_many, [make_scenario()] * 3, 20):
+        assert (p_ue, w_a) == (0.0, 0.0)
 
 
 def test_grid_oracle_builds_the_rates_of_each_chunk_once(monkeypatch):
@@ -690,25 +698,25 @@ def test_grid_oracle_batch_memory_is_bounded():
 
 def test_pso_matches_exact_without_overlap():
     scn = make_scenario()
-    exact = solve_orthogonal(scn).report.maxmin_level
-    swarm = pso_solve(scn, PsoConfig(), 42).report.maxmin_level
+    exact = level(scn, solve_orthogonal(scn))
+    swarm = level(scn, pso_solve(scn, PsoConfig(), 42))
     assert abs(exact - swarm) / exact <= 0.02
 
 
 def test_pso_matches_brute_force_under_full_overlap():
     scn = make_scenario(overlap_bandwidth=40e6)
     reference = brute_force_maxmin(scn, 100)
-    swarm = pso_solve(scn, PsoConfig(), 3).report.maxmin_level
+    swarm = level(scn, pso_solve(scn, PsoConfig(), 3))
     assert abs(swarm - reference) / reference <= 0.02
     # the finer two-axis grid should agree more closely
-    fine = grid_oracle(scn, 200).report.maxmin_level
+    fine = level(scn, grid_oracle(scn, 200))
     assert abs(swarm - fine) / fine <= 0.02
 
 
 def test_pso_matches_brute_force_under_half_overlap():
     scn = make_scenario(overlap_bandwidth=20e6)
     reference = brute_force_maxmin(scn, 100)
-    swarm = pso_solve(scn, PsoConfig(), 3).report.maxmin_level
+    swarm = level(scn, pso_solve(scn, PsoConfig(), 3))
     assert abs(swarm - reference) / reference <= 0.02
 
 
@@ -720,25 +728,23 @@ def test_pso_single_point_population_is_stationary():
     cfg = PsoConfig(population_size=n, max_iterations=30)
     best = run_pso(stack([scn]), cfg, [0], initial_population=population[None])
     assert np.array_equal(best, point[None])  # the point is feasible, so projecting keeps it
-    expected = evaluate(scn, Allocation(*point)).fitness
-    assert evaluate(scn, Allocation(*best[0].tolist())).fitness == pytest.approx(expected, rel=1e-12)
+    expected = swarm_fitness(scn, point)
+    assert swarm_fitness(scn, best[0]) == pytest.approx(expected, rel=1e-12)
 
 
 def test_pso_is_deterministic_per_seed():
     scn = make_scenario()
     first = pso_solve(scn, PsoConfig(), 11)
     second = pso_solve(scn, PsoConfig(), 11)
-    assert first.allocation == second.allocation
-    assert first.report == second.report
+    assert first == second
+    assert evaluate(scn, first[0]) == evaluate(scn, second[0])
     third = pso_solve(scn, PsoConfig(), 12)
-    assert third.allocation != first.allocation
+    assert third[0] != first[0]
 
 
 def test_pso_seed_spread_is_small():
     scn = make_scenario()
-    levels = [
-        pso_solve(scn, PsoConfig(), seed).report.maxmin_level for seed in range(20)
-    ]
+    levels = [level(scn, pso_solve(scn, PsoConfig(), seed)) for seed in range(20)]
     assert (max(levels) - min(levels)) / max(levels) <= 0.05
 
 
@@ -747,7 +753,7 @@ def test_pso_more_iterations_never_score_lower():
     # run's draws, and the best particle is the best seen so far
     scn = make_scenario(overlap_bandwidth=8e6)
     levels = [
-        pso_solve(scn, PsoConfig(population_size=20, max_iterations=t), 5).report.fitness
+        swarm_fitness(scn, pso_solve(scn, PsoConfig(population_size=20, max_iterations=t), 5)[0])
         for t in (1, 10, 30, 60)
     ]
     assert levels == sorted(levels)
@@ -769,7 +775,7 @@ def test_normalize_population_is_feasible():
                                     w_lo[..., 0], w_hi[..., 0], allocator._DrawBlock(rngs, 0))
     for scn, rows in zip(scns, population.tolist()):
         for row in rows:
-            assert validate(scn, Allocation(*row)) == []
+            assert validate(scn, row) == []
 
 
 def test_pso_config_validation():
@@ -906,7 +912,7 @@ def test_pso_redraw_in_one_row_leaves_other_rows_unchanged():
 
 
 def test_batch_reports_equal_evaluate():
-    # every batch solver's rows, reported alone by evaluate, equal the reference report
+    # every batch solver's rows, evaluated alone, equal the reference evaluation
     scns = mixed_batch()
     results = solved_rows(pso_solve_many, scns, PsoConfig(population_size=8, max_iterations=10),
                           range(len(scns)))
@@ -914,7 +920,7 @@ def test_batch_reports_equal_evaluate():
     results += solved_rows(solve_orthogonal_many, orthogonal)
     results += solved_rows(grid_oracle_many, scns, 12)
     for scn, result in zip(scns + orthogonal + scns, results):
-        assert result.report == evaluate(scn, result.allocation)
+        assert evaluate(scn, result[0]) == reference_evaluate(scn, *result[0])
     # every row of evaluate_many equals evaluate, a zero bandwidth under
     # overlap included: both give it the zero rates of link_rates
     rng = np.random.default_rng(71)
@@ -924,9 +930,7 @@ def test_batch_reports_equal_evaluate():
     columns = evaluate_many(stack(scns), alloc)
     assert columns.shape == (len(scns), 4)
     for scn, row, cells in zip(scns, alloc.tolist(), columns.tolist()):
-        report = evaluate(scn, Allocation(*row))
-        assert cells == [report.maxmin_level, report.rate_access, report.rate_backhaul,
-                         report.throughput]
+        assert tuple(cells) == evaluate(scn, row)
     assert columns[-1].tolist() == [0.0, 0.0, 0.0, 0.0]
     assert evaluate_many(stack([]), np.empty((0, 4))).shape == (0, 4)
 
@@ -939,7 +943,7 @@ def test_validate_many_rows_equal_validate():
     alloc[1::5, 0] *= 3.0
     alloc[2::5, 2:4] *= 1.7
     alloc[3::5, 3] = 0.0
-    alloc[4::10, 1] = [-1e-3 * scn.total_power.item() for scn in scns[4::10]]  # no Allocation holds these
+    alloc[4::10, 1] = [-1e-3 * scn.total_power.item() for scn in scns[4::10]]  # which validate rejects
     flags = validate_many(stack(scns), alloc)
     assert flags.shape == (len(scns), 4) and flags.dtype == bool
     assert flags.any(axis=0).all() and not flags[::5].any() and flags[4::10, 0].all()
@@ -947,7 +951,7 @@ def test_validate_many_rows_equal_validate():
         names = [name for name, bad in zip(CONSTRAINTS, violated) if bad]
         assert names == reference_validate(scn, *row)
         if min(row) >= 0.0:
-            assert validate(scn, Allocation(*row)) == names
+            assert validate(scn, row) == names
     assert validate_many(stack([]), np.empty((0, 4))).shape == (0, 4)
 
 
@@ -1013,11 +1017,10 @@ def test_pso_long_swarm_stays_finite_and_feasible():
     # accumulated bandwidth velocities reach 1e7 to 1e8 Hz, beyond the budget
     scns = [make_scenario(), make_scenario(overlap_bandwidth=20e6)]
     cfg = PsoConfig(population_size=3, max_iterations=10_000)
-    for scn, result in zip(scns, solved_rows(pso_solve_many, scns, cfg, [1, 2])):
-        values = [*dataclasses.astuple(result.allocation), *dataclasses.astuple(result.report)]
-        assert all(map(math.isfinite, values))
-        assert validate(scn, result.allocation) == []
-        assert result.converged
+    for scn, (alloc, _, converged) in zip(scns, solved_rows(pso_solve_many, scns, cfg, [1, 2])):
+        assert all(map(math.isfinite, (*alloc, *evaluate(scn, alloc))))
+        assert validate(scn, alloc) == []
+        assert converged
 
 
 # --------------------------------------------------- cross-solver invariants
@@ -1032,11 +1035,8 @@ def test_all_solvers_return_feasible_allocations():
         if scn.overlap_bandwidth == 0.0:
             results.append(solve_orthogonal(scn))
         for result in results:
-            assert validate(scn, result.allocation) == []
-            again = evaluate(scn, result.allocation)
-            assert again.maxmin_level == pytest.approx(
-                result.report.maxmin_level, rel=1e-9, abs=1e-9
-            )
+            assert validate(scn, result[0]) == []
+            assert evaluate(scn, result[0])[0] == pytest.approx(level(scn, result), rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("overlap_mhz", [0.0, 10.0])

@@ -1,4 +1,4 @@
-"""Rate equations, duplex factors, the rate report, and feasibility checks."""
+"""Rate equations, duplex factors, the one-scenario views, and feasibility checks."""
 
 import dataclasses
 import math
@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from satiab import (
+    CONSTRAINTS,
     DUPLEX_FACTORS,
-    Allocation,
-    RateReport,
     ScenarioBatch,
     evaluate,
     evaluate_many,
@@ -20,10 +19,11 @@ from satiab import (
     solve_orthogonal,
     solve_orthogonal_many,
     validate,
+    validate_many,
 )
 
 from oracles import make_scenario, random_feasible_allocation, random_scenario, reference_link_rates
-from oracles import reference_rate, scalars, stack
+from oracles import reference_rate, reference_scenarios, reference_validate, scalars, stack
 
 
 def test_duplex_factors_values():
@@ -36,8 +36,8 @@ def test_duplex_factors_values():
 
 def test_access_rate_zero_power():
     scn = make_scenario()
-    alloc = Allocation(p_ue=0.0, p_bs=5.0, w_a=10e6, w_b=10e6)
-    assert evaluate(scn, alloc).rate_access == 0.0
+    alloc = (0.0, 5.0, 10e6, 10e6)  # p_ue, p_bs, w_a, w_b
+    assert evaluate(scn, alloc)[1] == 0.0
 
 
 def test_access_rate_reference_value():
@@ -47,81 +47,76 @@ def test_access_rate_reference_value():
         beta_ue=1.575e-12,
         density=3.981e-18 + 3.981e-18,
     )
-    alloc = Allocation(p_ue=10.0, p_bs=0.0, w_a=20e6, w_b=0.0)
-    rate = evaluate(scn, alloc).rate_access
+    alloc = (10.0, 0.0, 20e6, 0.0)
+    rate = evaluate(scn, alloc)[1]
     assert rate == pytest.approx(2721394.0688714305, rel=1e-9)
     assert rate == pytest.approx(2.73e6, rel=0.02)
 
 
 def test_access_rate_monotone_in_power():
     scn = make_scenario()
-    lo = evaluate(scn, Allocation(2.0, 0.0, 15e6, 5e6)).rate_access
-    hi = evaluate(scn, Allocation(4.0, 0.0, 15e6, 5e6)).rate_access
+    lo = evaluate(scn, (2.0, 0.0, 15e6, 5e6))[1]
+    hi = evaluate(scn, (4.0, 0.0, 15e6, 5e6))[1]
     assert hi > lo
 
 
 def test_backhaul_rate_zero_power():
     scn = make_scenario()
-    assert evaluate(scn, Allocation(5.0, 0.0, 10e6, 10e6)).rate_backhaul == 0.0
+    assert evaluate(scn, (5.0, 0.0, 10e6, 10e6))[2] == 0.0
 
 
 def test_backhaul_mirrors_access():
     beta = 3e-11
     scn = make_scenario(beta_ue=beta, beta_bs=beta, overlap_bandwidth=10e6)
-    alloc = Allocation(p_ue=2.0, p_bs=7.0, w_a=12e6, w_b=8e6)
-    mirrored = Allocation(p_ue=7.0, p_bs=2.0, w_a=8e6, w_b=12e6)
-    mirror = evaluate(scn, mirrored).rate_access
-    assert evaluate(scn, alloc).rate_backhaul == pytest.approx(mirror, rel=1e-12)
+    alloc = (2.0, 7.0, 12e6, 8e6)
+    mirrored = (7.0, 2.0, 8e6, 12e6)
+    mirror = evaluate(scn, mirrored)[1]
+    assert evaluate(scn, alloc)[2] == pytest.approx(mirror, rel=1e-12)
 
 
 def test_full_overlap_interference_hurts_backhaul():
     scn = make_scenario(overlap_bandwidth=40e6)
-    quiet = evaluate(scn, Allocation(1.0, 5.0, 20e6, 20e6)).rate_backhaul
-    loud = evaluate(scn, Allocation(4.0, 5.0, 20e6, 20e6)).rate_backhaul
+    quiet = evaluate(scn, (1.0, 5.0, 20e6, 20e6))[2]
+    loud = evaluate(scn, (4.0, 5.0, 20e6, 20e6))[2]
     assert loud < quiet
 
 
 def test_invalid_allocation_under_overlap():
     # a zero bandwidth under overlap gets the all-zero row of evaluate_many
     scn = make_scenario(overlap_bandwidth=10e6)
-    for alloc in (Allocation(5.0, 5.0, 15e6, 0.0), Allocation(5.0, 5.0, 0.0, 15e6)):
-        row = evaluate_many(scn, np.array([dataclasses.astuple(alloc)]))
+    for alloc in ((5.0, 5.0, 15e6, 0.0), (5.0, 5.0, 0.0, 15e6)):
+        row = evaluate_many(scn, np.array([alloc]))
         assert row.tolist() == [[0.0, 0.0, 0.0, 0.0]]
-        assert evaluate(scn, alloc) == RateReport(0.0, 0.0, 0.0, 0.0, 0.0)
+        assert evaluate(scn, alloc) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_evaluate_zero_power():
     scn = make_scenario()
-    report = evaluate(scn, Allocation(0.0, 0.0, 10e6, 10e6))
-    assert report.rate_access == 0.0
-    assert report.rate_backhaul == 0.0
-    assert report.throughput == 0.0
-    assert report.maxmin_level == 0.0
-    assert report.fitness == 0.0
+    assert evaluate(scn, (0.0, 0.0, 10e6, 10e6)) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_evaluate_fitness_identity():
+    # the swarm's fitness min(rate_a, eps rate_b) is eps zeta
     rng = np.random.default_rng(3)
     for _ in range(10_000):
         scn = random_scenario(rng)
-        alloc = Allocation(*random_feasible_allocation(rng, scn))
-        report = evaluate(scn, alloc)
-        assert report.throughput == pytest.approx(
-            report.rate_access + report.rate_backhaul, rel=1e-12
-        )
-        scale = max(abs(report.fitness), 1e-9)
-        assert abs(report.fitness - scn.access_weight * report.maxmin_level) <= 1e-9 * scale
+        eps = scn.access_weight.item()
+        zeta, rate_a, rate_b, throughput = evaluate(scn, random_feasible_allocation(rng, scn))
+        assert throughput == pytest.approx(rate_a + rate_b, rel=1e-12)
+        fitness = min(rate_a, eps * rate_b)
+        scale = max(abs(fitness), 1e-9)
+        assert abs(fitness - eps * zeta) <= 1e-9 * scale
 
 
 def test_rates_nonnegative_on_feasible_points():
     rng = np.random.default_rng(5)
     for _ in range(10_000):
         scn = random_scenario(rng)
-        alloc = Allocation(*random_feasible_allocation(rng, scn))
+        alloc = random_feasible_allocation(rng, scn)
         assert validate(scn, alloc) == []
-        report = evaluate(scn, alloc)
-        assert report.rate_access >= 0.0
-        assert report.rate_backhaul >= 0.0
+        _, rate_a, rate_b, _ = evaluate(scn, alloc)
+        assert rate_a >= 0.0
+        assert rate_b >= 0.0
 
 
 def test_access_rate_strictly_increasing_without_overlap():
@@ -130,9 +125,9 @@ def test_access_rate_strictly_increasing_without_overlap():
     for _ in range(1000):
         p = rng.uniform(0.1, 9.0)
         w = rng.uniform(1e5, 19e6)
-        base = evaluate(scn, Allocation(p, 0.0, w, 1e6)).rate_access
-        assert evaluate(scn, Allocation(p * rng.uniform(1.01, 2.0), 0.0, w, 1e6)).rate_access > base
-        assert evaluate(scn, Allocation(p, 0.0, w * rng.uniform(1.01, 1.05), 1e6)).rate_access > base
+        base = evaluate(scn, (p, 0.0, w, 1e6))[1]
+        assert evaluate(scn, (p * rng.uniform(1.01, 2.0), 0.0, w, 1e6))[1] > base
+        assert evaluate(scn, (p, 0.0, w * rng.uniform(1.01, 1.05), 1e6))[1] > base
 
 
 def test_access_rate_midpoint_concavity():
@@ -141,9 +136,9 @@ def test_access_rate_midpoint_concavity():
     for _ in range(1000):
         p1, p2 = rng.uniform(0.0, 10.0, 2)
         w1, w2 = rng.uniform(1e4, 20e6, 2)
-        f1 = evaluate(scn, Allocation(p1, 0.0, w1, 0.0)).rate_access
-        f2 = evaluate(scn, Allocation(p2, 0.0, w2, 0.0)).rate_access
-        mid = evaluate(scn, Allocation((p1 + p2) / 2, 0.0, (w1 + w2) / 2, 0.0)).rate_access
+        f1 = evaluate(scn, (p1, 0.0, w1, 0.0))[1]
+        f2 = evaluate(scn, (p2, 0.0, w2, 0.0))[1]
+        mid = evaluate(scn, ((p1 + p2) / 2, 0.0, (w1 + w2) / 2, 0.0))[1]
         scale = max(abs(f1), abs(f2), 1.0)
         assert mid >= (f1 + f2) / 2 - 1e-9 * scale
 
@@ -152,21 +147,20 @@ def test_rates_depend_on_duplex_only_through_factors():
     rng = np.random.default_rng(17)
     for _ in range(200):
         batch = random_scenario(rng)
-        alloc = Allocation(*random_feasible_allocation(rng, batch))
+        alloc = random_feasible_allocation(rng, batch)
+        p_ue, p_bs, w_a, w_b = alloc
         scn = scalars(batch)
         alpha_o, alpha_1 = scn.alpha_o, scn.alpha_1
         dens = scn.density
         expected_a = reference_rate(
-            alpha_o, alpha_1, alloc.p_ue, scn.beta_ue, alloc.w_a,
-            alloc.p_bs, alloc.w_b, dens, scn.overlap_bandwidth,
+            alpha_o, alpha_1, p_ue, scn.beta_ue, w_a, p_bs, w_b, dens, scn.overlap_bandwidth,
         )
         expected_b = reference_rate(
-            alpha_o, alpha_1, alloc.p_bs, scn.beta_bs, alloc.w_b,
-            alloc.p_ue, alloc.w_a, dens, scn.overlap_bandwidth,
+            alpha_o, alpha_1, p_bs, scn.beta_bs, w_b, p_ue, w_a, dens, scn.overlap_bandwidth,
         )
-        report = evaluate(batch, alloc)
-        assert report.rate_access == pytest.approx(expected_a, rel=1e-12, abs=1e-9)
-        assert report.rate_backhaul == pytest.approx(expected_b, rel=1e-12, abs=1e-9)
+        _, rate_a, rate_b, _ = evaluate(batch, alloc)
+        assert rate_a == pytest.approx(expected_a, rel=1e-12, abs=1e-9)
+        assert rate_b == pytest.approx(expected_b, rel=1e-12, abs=1e-9)
 
 
 def test_link_rates_batch_rows_equal_single_scenarios():
@@ -317,15 +311,21 @@ def test_scenario_validation():
 
 
 def test_allocation_rejects_negative_fields():
-    with pytest.raises(ValueError):
-        Allocation(-1.0, 0.0, 1e6, 1e6)
-    with pytest.raises(ValueError):
-        Allocation(1.0, 0.0, -1e6, 1e6)
+    # evaluate and validate share one check of the four numbers: a negative or NaN entry raises
+    scn = make_scenario()
+    for view in (evaluate, validate):
+        for k, name in enumerate(("p_ue", "p_bs", "w_a", "w_b")):
+            for bad in (-1.0, -0.5e-300, math.nan, -math.inf):
+                alloc = [1.0, 1.0, 10e6, 10e6]
+                alloc[k] = bad
+                with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):
+                    view(scn, alloc)
+        assert view(scn, (0.0, -0.0, 0.0, 0.0)) is not None  # zeros of both signs are allowed
 
 
 def test_validate_power_budget_violation():
     scn = make_scenario()
-    alloc = Allocation(5.005, 5.005, 10e6, 10e6)  # 1.001 * budget
+    alloc = (5.005, 5.005, 10e6, 10e6)  # 1.001 * budget
     assert validate(scn, alloc) == ["1a"]
 
 
@@ -333,10 +333,10 @@ def test_validate_feasible_boundaries():
     batch = make_scenario(overlap_bandwidth=10e6)
     scn = scalars(batch)
     alpha_1 = scn.alpha_1
-    tight = Allocation(5.0, 5.0, alpha_1 * scn.total_bandwidth, alpha_1 * scn.overlap_bandwidth)
+    tight = (5.0, 5.0, alpha_1 * scn.total_bandwidth, alpha_1 * scn.overlap_bandwidth)
     assert validate(batch, tight) == []
     half = alpha_1 * (scn.total_bandwidth + scn.overlap_bandwidth) / 2.0
-    assert validate(batch, Allocation(5.0, 5.0, half, half)) == []
+    assert validate(batch, (5.0, 5.0, half, half)) == []
 
 
 def test_validate_flags_each_constraint():
@@ -344,20 +344,61 @@ def test_validate_flags_each_constraint():
     scn = scalars(batch)
     w_hi = scn.alpha_1 * scn.total_bandwidth
     w_lo = scn.alpha_1 * scn.overlap_bandwidth
-    assert "1b" in validate(batch, Allocation(1.0, 1.0, w_hi, w_hi))
-    assert "1c" in validate(batch, Allocation(1.0, 1.0, 1.2 * w_hi, w_lo))
-    assert "1d" in validate(batch, Allocation(1.0, 1.0, w_hi, 0.5 * w_lo))
+    assert "1b" in validate(batch, (1.0, 1.0, w_hi, w_hi))
+    assert "1c" in validate(batch, (1.0, 1.0, 1.2 * w_hi, w_lo))
+    assert "1d" in validate(batch, (1.0, 1.0, w_hi, 0.5 * w_lo))
 
 
 def test_one_scenario_views_take_one_row():
-    # evaluate and validate are their batch functions at a one-row batch;
-    # a batch of more rows is not one scenario
+    # each view is the row of its _many call at a one-row batch, as Python values;
+    # a batch of more rows is not one scenario, and a negative or NaN entry raises
+    rng = np.random.default_rng(23)
+    for _, scn in reference_scenarios():
+        alloc = random_feasible_allocation(rng, scn)
+        many = np.array([alloc])
+        got = evaluate(scn, alloc)
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert got == tuple(evaluate_many(scn, many)[0].tolist())
+        flags = validate_many(scn, many)[0].tolist()
+        assert validate(scn, alloc) == [name for name, bad in zip(CONSTRAINTS, flags) if bad]
     two = stack([make_scenario(), make_scenario(duplex="TDD")])
-    alloc = Allocation(1.0, 1.0, 10e6, 10e6)
+    alloc = (1.0, 1.0, 10e6, 10e6)
     for view in (evaluate, validate):
         with pytest.raises(ValueError):
             view(two, alloc)
         assert view(two.take(1), alloc) == view(make_scenario(duplex="TDD"), alloc)
+        for bad in ((-1.0, 1.0, 10e6, 10e6), (1.0, 1.0, math.nan, 10e6)):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                view(make_scenario(), bad)
+
+
+def test_validate_many_flags_nan_entries():
+    # a NaN power fails 1a, a NaN bandwidth 1b-1d: each constraint is what must hold, negated
+    scn = make_scenario(overlap_bandwidth=10e6)
+    alloc = np.array([[1.0, 1.0, 12e6, 12e6]])
+    assert not validate_many(scn, alloc).any()
+    want = {0: [True, False, False, False], 1: [True, False, False, False],
+            2: [False, True, True, True], 3: [False, True, True, True]}
+    for k, flags in want.items():
+        bad = alloc.copy()
+        bad[0, k] = math.nan
+        assert validate_many(scn, bad).tolist() == [flags]
+    assert validate_many(scn, np.full((1, 4), math.nan)).tolist() == [[True] * 4]
+
+
+def test_validate_many_equals_the_reference_on_random_finite_rows():
+    # the negated form keeps every flag of the first-written checks on finite rows,
+    # near the slack boundaries too
+    rng = np.random.default_rng(29)
+    scns = [random_scenario(rng) for _ in range(1000)]
+    alloc = np.array([random_feasible_allocation(rng, scn) for scn in scns])
+    alloc *= rng.choice([1.0, 1.0 + 1e-6, 1.0 + 2e-6, 0.5, 2.0], size=alloc.shape)
+    alloc[::7] *= -1e-7 * rng.random((len(alloc[::7]), 4)) + 1.0
+    alloc[3::11, :2] *= -1.0
+    flags = validate_many(stack(scns), alloc)
+    assert flags.any(axis=0).all() and not flags.all(axis=0).any()
+    for scn, row, got in zip(scns, alloc.tolist(), flags.tolist()):
+        assert [name for name, bad in zip(CONSTRAINTS, got) if bad] == reference_validate(scn, *row)
 
 
 def test_scenarios_are_frozen():
