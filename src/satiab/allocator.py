@@ -25,6 +25,7 @@ scenarios that hold no stored power grid or gather index.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -53,7 +54,7 @@ _Solved = tuple[np.ndarray, np.ndarray, np.ndarray]  # allocations, iterations, 
 _SolvedRow = tuple[tuple[float, float, float, float], int, bool]  # one row of a _Solved
 _GRID_BLOCK = 4_096  # grid columns per grid_oracle_many chunk: 32 KiB per column array, made once
 _SWARM_PARTICLES = 32_768  # particles per run_pso batch of pso_solve_many, each with its scenario row
-_ROW_DRAWS, _BLOCK_DRAWS = 4_096, 131_072  # draws of a swarm's draw block: about per row, at most in all
+_ROW_DRAWS, _BLOCK_DRAWS = 4_096, 131_072  # velocity draws read at once: about per row, at most in all
 _LEARNING_FACTORS, _INERTIA_WEIGHT = (2.0, 2.0), 0.01  # the reference swarm's step rule
 
 
@@ -73,9 +74,9 @@ class PsoConfig:
     max_iterations: int = 200
 
     def __post_init__(self) -> None:
-        if self.population_size < 3:
+        if operator.index(self.population_size) < 3:
             raise ValueError("population_size must be >= 3 (ring topology)")
-        if self.max_iterations < 1:
+        if operator.index(self.max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
 
 
@@ -286,6 +287,7 @@ def grid_oracle_many(batch: ScenarioBatch, resolution: int) -> _Solved:
     computes its powers from its rows: a chunk allocates no stored power grid
     or gather index. Rows count resolution**2 grid points as iterations.
     """
+    resolution = operator.index(resolution)
     if resolution < 10:
         raise ValueError("resolution must be >= 10")
     n, rows = len(batch), max(1, _GRID_BLOCK // resolution)
@@ -298,28 +300,6 @@ def grid_oracle(scn: ScenarioBatch, resolution: int) -> _SolvedRow:
     return _solved_alone(grid_oracle_many, scn, resolution)
 
 
-class _DrawBlock:
-    """Each row's Philox stream, read an (S, width) block at a time: block[s, cursor:] holds
-    row s's next draws and rngs[s] stands just past them. take gives every row its next count
-    draws (count divides width); row gives row s alone its next count, refilling its tail."""
-
-    def __init__(self, rngs: Sequence[np.random.Generator], width: int) -> None:
-        self.rngs, self.block, self.cursor = rngs, np.empty((len(rngs), width)), width
-
-    def take(self, count: int) -> np.ndarray:
-        if self.cursor == self.block.shape[1]:
-            for rng, row in zip(self.rngs, self.block):
-                rng.random(out=row)
-            self.cursor = 0
-        self.cursor += count
-        return self.block[:, self.cursor - count:self.cursor]
-
-    def row(self, s: int, count: int) -> np.ndarray:
-        stream = np.concatenate((self.block[s, self.cursor:], self.rngs[s].random(count)))
-        self.block[s, self.cursor:] = stream[count:]
-        return stream[:count]
-
-
 def _ring_best(fitness: np.ndarray, ring: np.ndarray) -> np.ndarray:
     """Flat indices of each particle's ring-neighborhood best, ring holding those of (self,
     previous, next) in the (S, N) fitness: np.argmax's first maximum over the three."""
@@ -328,22 +308,18 @@ def _ring_best(fitness: np.ndarray, ring: np.ndarray) -> np.ndarray:
     return np.where(fitness.take(after) > fitness.take(best), after, best)
 
 
-def _normalize_population(swarm: np.ndarray, scale: np.ndarray, w_lo: np.ndarray, w_hi: np.ndarray,
-                          draws: _DrawBlock) -> None:
+def _normalize_population(swarm: np.ndarray, scale: np.ndarray, w_lo: np.ndarray, w_hi: np.ndarray) -> None:
     """Project the swarm's (S, N) planes p_ue, p_bs, w_a, w_b onto their feasible sets, in place
     and both pairs in one pass: fold each pair positive, rescale it to sum to its budget in the
     (2, S, N) scale pair (P, alpha_1 (W + w_o)), and clamp the bandwidths into [w_lo, w_hi],
-    which keeps their budget as the two overshoot symmetrically. A pair summing to zero is
-    first redrawn on its initialization range from its row's draws, a row's power pairs before
-    its bandwidth pairs; rows are searched for one only when the plane of sums holds a zero."""
+    which keeps their budget as the two overshoot symmetrically. A pair summing to zero goes to
+    the middle of its budget, the projection of the zero vector, which lies inside the clamps."""
     pairs = np.abs(swarm, out=swarm).reshape(2, 2, *swarm.shape[1:])  # views: powers, bandwidths
     sums = np.add(swarm[0::2], swarm[1::2])
-    for k, s in () if sums.all() else zip(*np.nonzero(~sums.all(axis=2))):
-        while not sums[k, s].all():
-            degenerate = sums[k, s] == 0.0
-            redraw = draws.row(s, 2 * int(degenerate.sum())).reshape(-1, 2)
-            pairs[k][:, s, degenerate] = (redraw * scale[k, s, 0]).T
-            sums[k, s] = pairs[k, 0, s] + pairs[k, 1, s]
+    if not sums.all():
+        zero = sums == 0.0
+        np.copyto(pairs, 1.0, where=zero[:, None])
+        np.copyto(sums, 2.0, where=zero)
     pairs *= np.divide(scale, sums, out=sums)[:, None]
     np.minimum(np.maximum(swarm[2:], w_lo, out=swarm[2:]), w_hi, out=swarm[2:])
 
@@ -366,11 +342,12 @@ def run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int],
     is built once, on one scenario row per particle, and called on the planes viewed as
     (2, S N, 1) columns, so no step broadcasts a scenario's terms along its row. Row s draws
     from its own Philox generator, keyed by seeds[s], in a fixed sequential order:
-    initialization fills its N x 4 population row-major, any degenerate pair is redrawn as 2
-    draws when projected, and each velocity update consumes an N x 4 x 2 block row-major
-    with r1 before r2 per element; a _DrawBlock reads these several iterations at a time,
-    which leaves the order unchanged. So a row's result is bit-identical for a fixed seed,
-    and does not depend on the other rows or on how fitness evaluation is scheduled.
+    initialization fills its N x 4 population row-major, then each velocity update consumes
+    an N x 4 x 2 block row-major with r1 before r2 per element, read into an (S, K, 8 N) block
+    K iterations at a time, which leaves the order unchanged. The projection takes no draws, so
+    a row hands out 4 N + 8 N K ceil(T / K) draws in T iterations, whatever its swarm does. So
+    a row's result is bit-identical for a fixed seed, and does not depend on the other rows or
+    on how fitness evaluation is scheduled.
     """
     seeds, size, n = list(seeds), len(batch), cfg.population_size
     if len(seeds) != size:
@@ -394,14 +371,15 @@ def run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int],
     swarm = swarm.transpose(2, 0, 1).copy()  # (4, S, N): one contiguous plane per coordinate
     planes = swarm.reshape(4, -1)
     velocity, term, local = np.zeros_like(swarm), np.empty_like(swarm), np.empty_like(swarm)
-    draws = _DrawBlock(rngs, 8 * n * max(1, min(_ROW_DRAWS, _BLOCK_DRAWS // max(size, 1)) // (8 * n)))
+    depth = max(1, min(_ROW_DRAWS, _BLOCK_DRAWS // max(size, 1)) // (8 * n))  # K iterations a block
+    block = np.empty((size, depth, 8 * n))
     ring = np.stack([np.roll(np.arange(size * n).reshape(size, n), k, axis=1) for k in (0, 1, -1)])
 
     best_fitness = np.full(size, -math.inf)
     best_particle = swarm[..., 0].copy()
 
-    for _ in range(cfg.max_iterations):
-        _normalize_population(swarm, scale, w_lo, w_hi, draws)
+    for t in range(cfg.max_iterations):
+        _normalize_population(swarm, scale, w_lo, w_hi)
         rate_a, rate_b = rates_of(planes[2:, :, None])(planes[:2, :, None]).reshape(2, size, n)
         fitness = np.minimum(rate_a, np.multiply(eps, rate_b, out=rate_b), out=rate_a)
 
@@ -412,7 +390,10 @@ def run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int],
         np.copyto(best_fitness, lead_fitness, where=improved)
         np.copyto(best_particle, global_best, where=improved)
 
-        step = draws.take(8 * n).reshape(size, n, 4, 2).transpose(3, 2, 0, 1)  # r1, r2 by plane
+        if t % depth == 0:  # each row's velocity draws of its next K iterations
+            for rng, rows in zip(rngs, block):
+                rng.random(out=rows)
+        step = block[:, t % depth].reshape(size, n, 4, 2).transpose(3, 2, 0, 1)  # r1, r2 by plane
         np.take(planes, _ring_best(fitness, ring), axis=1, out=local, mode="clip")
         for factor, r, best in zip(_LEARNING_FACTORS, step, (local, global_best[..., None])):
             np.multiply(factor, r, out=term)

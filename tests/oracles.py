@@ -607,30 +607,22 @@ def _reference_normalize_population(
     band_total: np.ndarray,
     w_lo: np.ndarray,
     w_hi: np.ndarray,
-    rngs: Sequence[np.random.Generator],
 ) -> None:
     """Project a batch of swarms onto their feasible sets, in place.
 
     population is S x N x 4; the budgets and bandwidth bounds are S x 1 x 1
-    columns and rngs holds each row's generator. Power pairs are folded
-    positive and rescaled to sum to the power budget; bandwidth pairs
-    likewise to the bandwidth budget, then clamped into [w_lo, w_hi] (the
-    clamps restore the budget exactly because the two columns overshoot
-    symmetrically). A pair summing to zero has no defined projection and is
-    redrawn uniformly on its initialization range first, from its own
-    row's generator.
+    columns. Power pairs are folded positive and rescaled to sum to the
+    power budget; bandwidth pairs likewise to the bandwidth budget, then
+    clamped into [w_lo, w_hi] (the clamps restore the budget exactly
+    because the two columns overshoot symmetrically). A pair summing to
+    zero goes to half of its budget each, the projection of the zero
+    vector onto the pairs that spend the budget.
     """
     for cols, scale in ((slice(0, 2), p_total), (slice(2, 4), band_total)):
         block = np.abs(population[..., cols])
         sums = block[..., 0] + block[..., 1]
-        for s in np.flatnonzero((sums == 0.0).any(axis=1)):
-            degenerate = sums[s] == 0.0
-            while degenerate.any():
-                redraw = rngs[s].random((int(degenerate.sum()), 2))
-                population[s, degenerate, cols] = redraw * scale[s, 0, 0]
-                block[s] = np.abs(population[s, :, cols])
-                sums[s] = block[s, :, 0] + block[s, :, 1]
-                degenerate = sums[s] == 0.0
+        zero = sums == 0.0
+        block[zero], sums[zero] = 0.5, 1.0
         population[..., cols] = block * (scale[..., 0] / sums)[..., None]
     np.clip(population[..., 2:4], w_lo, w_hi, out=population[..., 2:4])
 
@@ -639,9 +631,8 @@ def reference_run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int]
                       initial_population: np.ndarray | None = None) -> np.ndarray:
     """The (S, 4) best particles of run_pso, one swarm per scenario run in
     lockstep as one S x N x 4 tensor; the draw order per row is run_pso's:
-    the N x 4 initial population row-major, 2 draws per degenerate pair
-    when projected, and an N x 4 x 2 block per velocity update, r1 before
-    r2 per element."""
+    the N x 4 initial population row-major, then an N x 4 x 2 block per
+    velocity update, r1 before r2 per element."""
     seeds, size, n = list(seeds), len(batch), cfg.population_size
     if len(seeds) != size:
         raise ValueError(f"{len(seeds)} seeds for {size} scenarios")
@@ -673,7 +664,7 @@ def reference_run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int]
     best_particle = population[:, 0].copy()
 
     for _ in range(cfg.max_iterations):
-        _reference_normalize_population(population, p_total, band_total, w_lo, w_hi, rngs)
+        _reference_normalize_population(population, p_total, band_total, w_lo, w_hi)
         rate_a, rate_b = reference_link_rates(
             batch, population[..., 0], population[..., 1], population[..., 2], population[..., 3]
         )

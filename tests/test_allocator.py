@@ -27,6 +27,7 @@ from satiab import (
     validate_many,
 )
 from satiab import allocator, expcli
+from satiab.ratemodel import _SLACK
 
 from oracles import (
     corner_scenario,
@@ -366,6 +367,16 @@ def test_grid_oracle_rejects_tiny_resolution():
     for scns in ([], [make_scenario()] * 3):
         with pytest.raises(ValueError):
             grid_oracle_many(stack(scns), 9)
+
+
+def test_grid_oracle_takes_an_integer_resolution():
+    # a NumPy integer is the integer; a float is refused where it enters
+    rng = np.random.default_rng(37)
+    batch = stack([random_scenario(rng) for _ in range(5)])
+    for got, want in zip(grid_oracle_many(batch, np.int64(37)), grid_oracle_many(batch, 37)):
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(TypeError):
+        grid_oracle_many(batch, 37.0)
 
 
 def test_grid_oracle_refinement_is_monotone():
@@ -770,12 +781,14 @@ def test_normalize_population_is_feasible():
     population = rng.normal(size=(len(scns), 16, 4)) * np.array([20.0, 20.0, 60e6, 60e6])
     population[2, 5, 0:2] = 0.0
     population[6, 0, 2:4] = 0.0
-    rngs = [np.random.Generator(np.random.Philox(s)) for s in range(len(scns))]
     allocator._normalize_population(population.transpose(2, 0, 1), np.stack((p_total, band_total))[..., 0],
-                                    w_lo[..., 0], w_hi[..., 0], allocator._DrawBlock(rngs, 0))
+                                    w_lo[..., 0], w_hi[..., 0])
     for scn, rows in zip(scns, population.tolist()):
         for row in rows:
             assert validate(scn, row) == []
+    # each zero pair goes to the middle of its budget, inside the bandwidth clamps
+    assert population[2, 5, 0:2].tolist() == [p_total[2, 0, 0] / 2] * 2
+    assert population[6, 0, 2:4].tolist() == [band_total[6, 0, 0] / 2] * 2
 
 
 def test_pso_config_validation():
@@ -783,6 +796,12 @@ def test_pso_config_validation():
         PsoConfig(population_size=2)
     with pytest.raises(ValueError):
         PsoConfig(max_iterations=0)
+    # sizes are integers, NumPy's included, checked where they enter
+    for sizes in ((50.0,), (50, 200.0)):
+        with pytest.raises(TypeError):
+            PsoConfig(*sizes)
+    scn = make_scenario(overlap_bandwidth=8e6)
+    assert pso_solve(scn, PsoConfig(np.int64(8), np.int64(20)), 3) == pso_solve(scn, PsoConfig(8, 20), 3)
 
 
 def mixed_batch() -> list[ScenarioBatch]:
@@ -839,28 +858,42 @@ def test_run_pso_equals_the_reference_swarm(n):
     degenerate[4, :, 2:4] = 0.0
     masked = initial.copy()  # w_a, w_b and p_ue zero in particles 0, 1 and 2 of every row:
     masked[:, 0, 2] = masked[:, 1, 3] = masked[:, 2, 0] = 0.0  # a zero-overlap row keeps w = 0
-    masked[5, -1] = 0.0  # one projection redraws a power pair, then a bandwidth pair, of one row
+    masked[5, -1] = 0.0  # a power pair and a bandwidth pair of one particle sum to zero
     for start in (None, initial, degenerate, masked):
         swarm = run_pso(batch, cfg, seeds, initial_population=start)
         assert swarm.tobytes() == reference_run_pso(batch, cfg, seeds, initial_population=start).tobytes()
 
 
-def test_draw_block_reads_each_row_stream_in_order():
-    def generators():
-        return [np.random.Generator(np.random.Philox(seed)) for seed in (3, 4, 5)]
+def test_each_row_stream_hands_out_a_fixed_number_of_draws(monkeypatch):
+    # N x 4 initial draws, then the 8 N velocity draws of each iteration read
+    # K iterations at a time, whatever the swarm does: a zero pair takes none
+    generators = []
 
-    # a block of 3 reads of 4 draws; None reads every row, (s, count) redraws
-    # row s at the block's end, and of fewer draws than are left, as many and more
-    draws, got = allocator._DrawBlock(generators(), 12), [[], [], []]
-    for step in [(0, 2), None, (1, 3), None, (2, 4), None, (0, 5), None, (1, 20), (2, 9), None,
-                 None, None, (0, 1), None]:
-        if step is None:
-            for row, block in zip(got, draws.take(4).tolist()):
-                row += block
-        else:
-            got[step[0]] += draws.row(*step).tolist()
-    for rng, row in zip(generators(), got):
-        assert row == rng.random(len(row)).tolist()
+    class CountedGenerator(np.random.Generator):
+        def __init__(self, bit_generator):
+            super().__init__(bit_generator)
+            self.draws = 0
+            generators.append(self)
+
+        def random(self, *args, **kwargs):
+            drawn = super().random(*args, **kwargs)
+            self.draws += np.size(drawn)
+            return drawn
+
+    monkeypatch.setattr(np.random, "Generator", CountedGenerator)
+    scns = mixed_batch()
+    batch, seeds = stack(scns), range(len(scns))
+    for n, iterations in ((3, 1), (12, 40), (50, 25), (50, 80)):
+        cfg = PsoConfig(n, iterations)
+        depth = max(1, min(allocator._ROW_DRAWS, allocator._BLOCK_DRAWS // len(scns)) // (8 * n))
+        velocity = 8 * n * depth * -(-iterations // depth)
+        initial = np.random.default_rng(n).random((len(scns), n, 4)) * np.array([10.0, 10.0, 20e6, 20e6])
+        zeroed = initial.copy()
+        zeroed[1, 0, 0:2] = zeroed[3, n - 1, 2:4] = zeroed[4, :, 2:4] = 0.0
+        for start, want in ((None, 4 * n + velocity), (initial, velocity), (zeroed, velocity)):
+            generators.clear()
+            run_pso(batch, cfg, seeds, initial_population=start)
+            assert [rng.draws for rng in generators] == [want] * len(scns)
 
 
 def test_pso_refills_each_row_stream_once_per_four_default_iterations(monkeypatch):
@@ -894,21 +927,21 @@ def test_ring_best_is_the_first_maximum_of_self_previous_and_next():
                               np.take_along_axis(ring, pick[None], axis=0)[0])
 
 
-def test_pso_redraw_in_one_row_leaves_other_rows_unchanged():
+def test_pso_zero_pair_in_one_row_leaves_other_rows_unchanged():
     scns = mixed_batch()
     cfg = PsoConfig(population_size=10, max_iterations=25)
     seeds = list(range(100, 100 + len(scns)))
     draw = np.random.default_rng(17).random((len(scns), 10, 4))
     initial = draw * np.array([10.0, 10.0, 20e6, 20e6])
     degenerate = initial.copy()
-    degenerate[3, 4, 0:2] = 0.0  # an all-zero power pair must be redrawn
+    degenerate[3, 4, 0:2] = 0.0  # an all-zero power pair goes to the middle of its budget
     plain = run_pso(stack(scns), cfg, seeds, initial_population=initial)
-    redrawn = run_pso(stack(scns), cfg, seeds, initial_population=degenerate)
+    projected = run_pso(stack(scns), cfg, seeds, initial_population=degenerate)
     others = [s for s in range(len(scns)) if s != 3]
-    assert np.array_equal(plain[others], redrawn[others])
-    # the redraw consumed row 3's stream, so its swarm took another path
-    assert not np.array_equal(plain[3], redrawn[3])
-    assert_rows_match_alone(scns, cfg, seeds, redrawn, initial=degenerate)
+    assert np.array_equal(plain[others], projected[others])
+    # the particle started elsewhere, so row 3's swarm took another path
+    assert not np.array_equal(plain[3], projected[3])
+    assert_rows_match_alone(scns, cfg, seeds, projected, initial=degenerate)
 
 
 def test_batch_reports_equal_evaluate():
@@ -1010,6 +1043,21 @@ def test_pso_memory_at_a_full_chunk():
     finally:
         tracemalloc.stop()
     assert peak <= 23 * 2**20
+
+
+def test_pso_at_the_config_corners():
+    # full overlap and the smallest budgets: every row finite and feasible, its rates
+    # finite, and both budgets spent to within the audit's slack
+    cfg = PsoConfig(8, 20)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        batch = stack([corner_scenario(rng) for _ in range(400)])
+        alloc, _, _ = pso_solve_many(batch, cfg, range(400))
+        assert np.isfinite(alloc).all()
+        assert not validate_many(batch, alloc).any()
+        assert np.isfinite(evaluate_many(batch, alloc)).all()
+        budgets = np.hstack((batch.total_power, bandwidth_limits(batch)[0]))
+        assert (alloc[:, 0::2] + alloc[:, 1::2] >= (1.0 - _SLACK) * budgets).all()
 
 
 def test_pso_long_swarm_stays_finite_and_feasible():
