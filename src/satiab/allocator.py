@@ -15,11 +15,11 @@ the root when they would leave it.
 
 Every solver takes a ScenarioBatch and returns arrays with one row per
 scenario: the (S, 4) allocations (p_ue, p_bs, w_a, w_b), the iterations
-used and the converged flags. Its one-scenario function is a view of that
-at a one-row batch, the row as Python values. The solvers have no names
-here: the CLI's table in expcli names them. The grid oracle binary-
-searches each bandwidth column once for its single peak, in chunks of whole
-scenarios that hold no stored power grid or gather index.
+used and the converged flags. The one-row views stay, unexported, only for
+bench/spans.py, which wraps them by name. The solvers have no names here:
+the CLI's table in expcli names them. The grid oracle binary-searches each
+bandwidth column once for its single peak, in chunks of whole scenarios
+that hold no stored power grid or gather index.
 """
 
 from __future__ import annotations
@@ -37,12 +37,9 @@ from .ratemodel import evaluate  # noqa: F401
 
 __all__ = [
     "PsoConfig",
-    "solve_orthogonal",
     "solve_orthogonal_many",
-    "grid_oracle",
     "grid_oracle_many",
     "run_pso",
-    "pso_solve",
     "pso_solve_many",
 ]
 
@@ -409,7 +406,7 @@ def pso_solve_many(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int]) -
     at most _SWARM_PARTICLES particles (and at least one row) each.
 
     Row s is the swarm keyed by seeds[s] (see :func:`run_pso`), so it
-    gets exactly the result of pso_solve(scenario s, cfg, seeds[s]),
+    gets exactly the result of scenario s solved alone with seeds[s],
     whatever the other rows. Each row counts cfg.max_iterations.
     """
     seeds, n = list(seeds), len(batch)

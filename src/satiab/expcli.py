@@ -37,18 +37,16 @@ from .linkbudget import channel_gain, db_to_linear, dbm_to_watts
 from .ratemodel import _SLACK, CONSTRAINTS, DUPLEX_FACTORS, ScenarioBatch
 from .ratemodel import bandwidth_limits, evaluate_many, validate_many
 
-# Unused here: the span tracer of bench/spans.py wraps these names in this module.
+# Unused here and unexported, like build_scenario: bench/spans.py wraps these names in this module.
 from .allocator import grid_oracle, pso_solve, solve_orthogonal  # noqa: F401
 from .ratemodel import evaluate, validate  # noqa: F401
 
 __all__ = [
-    "ParseError",
     "ValidationError",
     "ExperimentConfig",
     "SweepRow",
     "CSV_COLUMNS",
     "load_config",
-    "build_scenario",
     "build_scenarios",
     "run_single",
     "run_power_sweep",
@@ -64,12 +62,8 @@ OVERLAP_SWEEP_WEIGHTS = (0.05, 0.1, 0.2)
 POWER_SWEEP_ALTITUDES_KM = (600.0, 1200.0)
 
 
-class ParseError(Exception):
-    """A file is not UTF-8 text, or the config file is not JSON that json.loads reads."""
-
-
 class ValidationError(Exception):
-    """The config (or CLI arguments) violate an invariant."""
+    """An input the program does not take: a config, CLI arguments or a CSV, unreadable or invalid."""
 
 
 @dataclass(frozen=True)
@@ -142,11 +136,12 @@ _MAX_PARTICLE_STEPS = 10**9
 # db_to_linear and channel_gain stay finite and positive: the channel gain
 # stays within about 1e-85 .. 1e15, so p beta never underflows and every
 # link's rate at the whole budget is positive, however small. The sizes are
-# capped so that no solve asks for gigabytes: a swarm runs in chunks of at
-# most max(population, 32,768) particles, and holds 4 floats and a scenario
-# row of 9 per particle. An oracle of resolution r binary-searches each of
-# the r grid columns of each scenario once, in (rows, r) arrays of at most
-# max(r, 4,096) columns per chunk, so its cap bounds time, not memory.
+# capped so that no solve asks for gigabytes, and memory is bounded per chunk,
+# not per run: run_pso holds four (4, S, N) arrays (swarm, velocity, term and
+# local), a scenario row per particle and a draw block (_ROW_DRAWS, _BLOCK_DRAWS)
+# for at most max(population, _SWARM_PARTICLES) particles, and an oracle of
+# resolution r searches each scenario's r grid columns once, in chunks of at
+# most max(r, _GRID_BLOCK) columns, so its cap bounds time, not memory.
 _RANGES = {
     "total_bandwidth_mhz": (0.001, 1e5),
     "access_weight": (1e-6, 1.0),
@@ -217,9 +212,9 @@ def load_config(path: str) -> ExperimentConfig:
 
     Missing keys take the defaults, and each key's value must have the JSON
     type of its ExperimentConfig annotation. Unknown keys, keys given twice,
-    values of the wrong type and invariant violations raise ValidationError;
-    JSON that does not parse raises ParseError naming the file, and the
-    problem's location where the parser gives one.
+    values of the wrong type and invariant violations raise ValidationError,
+    and so does JSON that does not parse, naming the file and the problem's
+    location where the parser gives one.
     """
     def unique_keys(pairs):
         keys = [key for key, _ in pairs]
@@ -232,13 +227,13 @@ def load_config(path: str) -> ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.loads(fh.read(), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
-        raise ParseError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+        raise ValidationError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
     # a byte that is not UTF-8 (decoded with the whole file, so its position is the file's),
     # an integer past int's digit limit, or deep nesting
     except (ValueError, RecursionError) as err:
-        raise ParseError(f"{path}: {err}") from None
+        raise ValidationError(f"{path}: {err}") from None
     if not isinstance(raw, dict):
-        raise ParseError(f"{path}: top-level JSON value must be an object")
+        raise ValidationError(f"{path}: top-level JSON value must be an object")
 
     problems = []
     values = {}
@@ -302,8 +297,8 @@ def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
 
 
 def build_scenario(cfg: ExperimentConfig) -> ScenarioBatch:
-    """The one-row batch of the config's own point, build_scenarios of that
-    point; to vary a table entry, pass dataclasses.replace(cfg, ...)."""
+    """The one-row batch of the config's own point, unexported: it stays only for the span
+    tracer of bench/spans.py, which wraps it by name; library code calls build_scenarios."""
     return build_scenarios(cfg, [_config_point(cfg)])
 
 
@@ -480,7 +475,7 @@ def read_csv(path: str) -> list[SweepRow]:
                     raise ValidationError(f"{path}:{number}: {name} must be written {want!r}, got {got!r}")
                 rows.append(SweepRow(*cells[:-1], cells[-1] == "true"))
         except UnicodeDecodeError as err:  # of one line, as no UTF-8 character holds a newline byte
-            raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
+            raise ValidationError(f"{path}: not UTF-8 text ({err.reason})") from None
     return rows
 
 
@@ -770,7 +765,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, ValidationError, ValueError, ArithmeticError) as err:
+    except (ValidationError, ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except OSError as err:

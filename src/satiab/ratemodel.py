@@ -9,9 +9,9 @@ bits/s).
 
 A ScenarioBatch holds S scenarios as (S, 1) columns, checked as a whole,
 and one scenario is a batch of one row. evaluate_many and validate_many
-take a batch and (S, 4) allocations and return arrays; evaluate and
-validate are their views at a one-row batch and one allocation, four
-numbers, returning that row as Python values.
+take a batch and its (S, 4) allocations and return arrays. Their one-row
+views evaluate and validate stay, unexported, only for bench/spans.py,
+which wraps them by name.
 """
 
 from __future__ import annotations
@@ -27,14 +27,12 @@ __all__ = [
     "bandwidth_limits",
     "link_rates",
     "rate_kernel",
-    "evaluate",
     "evaluate_many",
-    "validate",
     "validate_many",
     "CONSTRAINTS",
 ]
 
-_SLACK = 1e-6  # relative slack of each constraint that validate checks
+_SLACK = 1e-6  # relative slack of each constraint that validate_many checks
 _LN2 = math.log(2.0)  # a rate is alpha_o w log1p(SINR) / _LN2: log2(1 + SINR) without rounding 1 + SINR
 CONSTRAINTS = ("1a", "1b", "1c", "1d")  # the columns of validate_many, in order
 # The time-share and bandwidth-share factors (alpha_o, alpha_1) of each duplex
@@ -183,10 +181,17 @@ def link_rates(batch: ScenarioBatch, p, w) -> np.ndarray:
     and w[::-1]. A zero bandwidth yields zero rate (the x*log(1+c/x) -> 0
     limit), and so does an interference term that would divide by one: every
     allocation gets rates. These fallbacks are applied only where a min() > 0.0
-    check on an input fails, as NaN does; elsewhere they would change no bit.
+    check on an input fails, as NaN does, or a zero bandwidth, which a feasible allocation holds
+    only where w_o = 0 (an orthogonal grid's end columns do); elsewhere they would change no bit.
     It is rate_kernel(batch)(w)(p): the terms of w alone, then those of p.
     """
     return rate_kernel(batch)(w)(p)
+
+
+def _check_allocations(batch: ScenarioBatch, alloc: np.ndarray) -> None:
+    """Raise ValueError unless alloc holds one allocation (p_ue, p_bs, w_a, w_b) per scenario of batch."""
+    if np.shape(alloc) != (len(batch), 4):
+        raise ValueError(f"allocations must have shape {(len(batch), 4)}, got {np.shape(alloc)}")
 
 
 def evaluate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:
@@ -194,6 +199,7 @@ def evaluate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:
     and throughput, in bits/s, of the (S, 4) allocations alloc (p_ue, p_bs,
     w_a, w_b), row s under scenario s of batch, from one link_rates call;
     a zero bandwidth under overlap gets its zero fallback."""
+    _check_allocations(batch, alloc)
     rate_a, rate_b = link_rates(batch, alloc.T[:2, :, None], alloc.T[2:, :, None])
     return np.hstack((np.minimum(rate_a / batch.access_weight, rate_b), rate_a, rate_b,
                       rate_a + rate_b))
@@ -228,6 +234,7 @@ def validate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:
 
     Each is written as what must hold and negated, so a NaN entry fails it.
     """
+    _check_allocations(batch, alloc)
     p_ue, p_bs, w_a, w_b = (alloc[:, k:k + 1] for k in range(4))
     p_cap = batch.total_power
     band_cap, w_lo, w_hi = bandwidth_limits(batch)

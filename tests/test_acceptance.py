@@ -10,18 +10,15 @@ import pytest
 
 from satiab import (
     PsoConfig,
-    evaluate,
     evaluate_many,
     free_space_path_loss,
     antenna_pattern,
     bessel_j1,
-    grid_oracle,
     linear_to_db,
-    pso_solve,
     pso_solve_many,
-    solve_orthogonal,
-    validate,
 )
+from satiab.allocator import grid_oracle, pso_solve, solve_orthogonal
+from satiab.ratemodel import evaluate, validate
 from satiab.expcli import (
     ExperimentConfig,
     main,

@@ -12,22 +12,18 @@ from satiab import (
     PsoConfig,
     ScenarioBatch,
     bandwidth_limits,
-    evaluate,
     evaluate_many,
-    grid_oracle,
     grid_oracle_many,
     link_rates,
-    pso_solve,
     pso_solve_many,
     rate_kernel,
     run_pso,
-    solve_orthogonal,
     solve_orthogonal_many,
-    validate,
     validate_many,
 )
 from satiab import allocator, expcli
-from satiab.ratemodel import _SLACK
+from satiab.allocator import grid_oracle, pso_solve, solve_orthogonal
+from satiab.ratemodel import _SLACK, evaluate, validate
 
 from oracles import (
     corner_scenario,

@@ -24,19 +24,16 @@ from satiab import (
     allocator,
     bandwidth_limits,
     dbm_to_watts,
-    evaluate,
     evaluate_many,
     expcli,
-    grid_oracle,
-    pso_solve,
     ratemodel,
-    solve_orthogonal,
 )
+from satiab.allocator import grid_oracle, pso_solve, solve_orthogonal
+from satiab.ratemodel import evaluate
 from satiab.expcli import (
     _RANGES,
     CSV_COLUMNS,
     ExperimentConfig,
-    ParseError,
     SweepRow,
     ValidationError,
     audit_rows,
@@ -123,7 +120,7 @@ def test_load_config_rejects_a_value_of_the_wrong_type(tmp_path, field):
 def test_load_config_parse_error_reports_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"total_power_dbm": 40,}')
-    with pytest.raises(ParseError, match=r"broken\.json:1:"):
+    with pytest.raises(ValidationError, match=r"broken\.json:1:"):
         load_config(str(path))
 
 
@@ -131,10 +128,10 @@ def test_load_config_parse_error_reports_location(tmp_path):
                          ids=["deeply-nested", "5000-digit-seed"])
 def test_load_config_names_the_file_of_json_it_cannot_decode(tmp_path, capsys, text):
     # json.loads raises RecursionError for deep nesting and ValueError past
-    # int's digit limit: each is a ParseError naming the file
+    # int's digit limit: each is a ValidationError naming the file
     path = tmp_path / "cfg.json"
     path.write_text(text)
-    with pytest.raises(ParseError, match=r"cfg\.json: "):
+    with pytest.raises(ValidationError, match=r"cfg\.json: "):
         load_config(str(path))
     out = tmp_path / "out"
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
@@ -740,7 +737,7 @@ def test_cli_solve_oracle_solver(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out), "--solvers", "oracle"]) == 0
     rows = read_csv(str(out / "solve.csv"))
     assert [r.solver for r in rows] == ["oracle"]
-    (p_ue, _, _, _), _, _ = expcli.grid_oracle(expcli.build_scenario(load_config(cfg)), 25)
+    (p_ue, _, _, _), _, _ = grid_oracle(build_scenario(load_config(cfg)), 25)
     assert rows[0].p_ue_w == pytest.approx(p_ue, rel=1e-8)
 
 
@@ -1280,6 +1277,37 @@ def test_cli_rejects_non_finite_and_out_of_range_numbers(tmp_path, capsys, text,
     assert field in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload, flags, message",
+    [
+        ("solve", {"boresight_ue_deg": 90}, [], "boresight_ue_deg must satisfy |angle| < 90"),
+        ("solve", {"boresight_ue_deg": -95}, [], "boresight_ue_deg must satisfy |angle| < 90"),
+        ("solve", {"boresight_bs_deg": 90}, [], "boresight_bs_deg must satisfy |angle| < 90"),
+        ("solve", {"boresight_bs_deg": -95}, [], "boresight_bs_deg must satisfy |angle| < 90"),
+        ("sweep-power", {"seed": -1}, [], "seed must be nonnegative"),
+        ("sweep-power", {}, ["--seed", "-1"], "seed must be nonnegative"),
+        ("sweep-power", {"power_sweep_min_dbm": 45, "power_sweep_max_dbm": 44}, [],
+         "power sweep range is empty (max < min)"),
+        ("solve", [], [], "top-level JSON value must be an object"),
+        ("solve", "cfg", [], "top-level JSON value must be an object"),
+        ("solve", 40, [], "top-level JSON value must be an object"),
+    ],
+    ids=["ue-90", "ue-minus-95", "bs-90", "bs-minus-95", "config-seed", "flag-seed", "empty-power-range",
+         "list", "string", "number"],
+)
+def test_cli_rejects_a_config_outside_its_invariants(tmp_path, capsys, command, payload, flags, message):
+    # one line, naming the key where there is one, before anything is solved or written; without
+    # these checks a seed of -1 folds into a row seed mod 2**63, and a list ends in a traceback
+    cfg, out = write_json(tmp_path / "cfg.json", payload), tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 1
+    where = "" if flags else f"{cfg}: "
+    assert capsys.readouterr().err == f"error: {where}{message}\n"
+    assert not out.exists()
+    if not flags:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_config(cfg)
 
 
 @pytest.mark.parametrize(

@@ -62,6 +62,13 @@ def test_antenna_pattern_boresight_is_exactly_one():
     assert antenna_pattern(0.0, 1.5, 2e9) == 1.0
 
 
+@pytest.mark.parametrize("theta", [1e-12, -1e-12, 1e-310])
+def test_antenna_pattern_near_boresight_is_its_off_axis_limit(theta):
+    # below an argument of 1e-8 the pattern is its series 1/2 - x**2/16, exactly 1/2 here, also at
+    # 1e-310 rad (a boresight_bs_deg of about 5.7e-309), where the argument is subnormal
+    assert antenna_pattern(theta, 1.5, 2e9) == 0.5
+
+
 def test_antenna_pattern_off_axis_value():
     # 0.8 degrees, 1.5 m aperture, 2 GHz carrier; oracle value of
     # |J1(k a sin t) / (k a sin t)| is 0.45335534519007728

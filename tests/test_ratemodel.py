@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,15 +13,14 @@ from satiab import (
     CONSTRAINTS,
     DUPLEX_FACTORS,
     ScenarioBatch,
-    evaluate,
     evaluate_many,
     link_rates,
     rate_kernel,
-    solve_orthogonal,
     solve_orthogonal_many,
-    validate,
     validate_many,
 )
+from satiab.allocator import solve_orthogonal
+from satiab.ratemodel import evaluate, validate
 
 from oracles import make_scenario, random_feasible_allocation, random_scenario, reference_link_rates
 from oracles import reference_rate, reference_scenarios, reference_validate, scalars, stack
@@ -370,6 +370,19 @@ def test_one_scenario_views_take_one_row():
         for bad in ((-1.0, 1.0, 10e6, 10e6), (1.0, 1.0, math.nan, 10e6)):
             with pytest.raises(ValueError, match="must be nonnegative"):
                 view(make_scenario(), bad)
+
+
+def test_many_calls_take_one_allocation_per_scenario():
+    # an allocation array that is not (S, 4) raises, naming both shapes: (1, 4) against three
+    # rows would otherwise broadcast to three rows, and (2, 4) fail deep inside numpy
+    rng = np.random.default_rng(5)
+    scns = [scn for _, scn in reference_scenarios()[:3]]
+    batch, alloc = stack(scns), np.array([random_feasible_allocation(rng, scn) for scn in scns])
+    for many in (evaluate_many, validate_many):
+        assert many(batch, alloc).shape == (3, 4)
+        for bad in (alloc[:1], alloc[:2], np.vstack((alloc, alloc[:1])), alloc[:, :3], alloc[0]):
+            with pytest.raises(ValueError, match=re.escape(f"must have shape (3, 4), got {bad.shape}")):
+                many(batch, bad)
 
 
 def test_validate_many_flags_nan_entries():
