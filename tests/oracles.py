@@ -97,12 +97,29 @@ def reference_scenarios():
     return out
 
 
-def scenario(duplex: str = "FDD", **values: float) -> ScenarioBatch:
-    """The one-row batch of a scenario given by the floats of its columns,
-    with its duplex mode's name in place of alpha_o and alpha_1."""
+def scenario(duplex: str = "FDD", **values) -> ScenarioBatch:
+    """The batch of scenarios of duplex mode duplex given by the physical
+    values of their columns, floats for one row or columns of (S, 1) floats,
+    the density being noise plus interference in W/Hz."""
     alpha_o, alpha_1 = DUPLEX_FACTORS[duplex]
-    values = {**values, "alpha_o": alpha_o, "alpha_1": alpha_1}
-    return ScenarioBatch(**{name: np.array([[value]], dtype=float) for name, value in values.items()})
+    columns = {name: np.array(value, dtype=float).reshape(-1, 1) for name, value in values.items()}
+    rows = len(columns["total_power"])
+    columns |= {"alpha_o": np.full((rows, 1), alpha_o), "alpha_1": np.full((rows, 1), alpha_1)}
+    return ScenarioBatch(**columns)
+
+
+def physical_values(scn: ScenarioBatch, duplex: str) -> dict:
+    """The physical values of the columns of a batch of duplex mode duplex,
+    the inverse of scenario: scenario(duplex, **physical_values(scn, duplex))
+    holds the columns of scn."""
+    return {f.name: getattr(scn, f.name) for f in dataclasses.fields(scn) if f.name not in ("alpha_o", "alpha_1")}
+
+
+def hertz_per_unit(duplex: str) -> float:
+    """The CSV's hertz per unit of the bandwidths of a batch of duplex mode
+    duplex, in its allocations and its columns: a solver's w_a is the CSV's
+    w_a_hz / hertz_per_unit(duplex). Bandwidths are compared through it."""
+    return 1.0
 
 
 def stack(batches: Sequence[ScenarioBatch]) -> ScenarioBatch:
@@ -132,14 +149,14 @@ def scalars(scn: ScenarioBatch) -> types.SimpleNamespace:
     return types.SimpleNamespace(**{f.name: getattr(scn, f.name).item() for f in dataclasses.fields(scn)})
 
 
-def random_scenario(rng, orthogonal: bool = False) -> ScenarioBatch:
-    """A physically plausible random scenario for property tests."""
+def random_values(rng, orthogonal: bool = False) -> dict:
+    """The physical values and duplex mode of a plausible random scenario, scenario's arguments."""
     total_bandwidth = 10.0 ** rng.uniform(6.5, 8.0)
     if orthogonal or rng.random() < 0.4:
         overlap = 0.0
     else:
         overlap = rng.uniform(0.0, 1.0) * total_bandwidth
-    return scenario(
+    return dict(
         total_power=10.0 ** rng.uniform(0.0, 2.0),
         total_bandwidth=total_bandwidth,
         overlap_bandwidth=overlap,
@@ -149,6 +166,11 @@ def random_scenario(rng, orthogonal: bool = False) -> ScenarioBatch:
         beta_ue=10.0 ** rng.uniform(-13.0, -11.0),
         beta_bs=10.0 ** rng.uniform(-11.0, -8.5),
     )
+
+
+def random_scenario(rng, orthogonal: bool = False) -> ScenarioBatch:
+    """A physically plausible random scenario for property tests."""
+    return scenario(**random_values(rng, orthogonal))
 
 
 _CORNER_KEYS = (
@@ -166,17 +188,22 @@ _CORNER_KEYS = (
 )
 
 
-def corner_scenario(rng) -> ScenarioBatch:
-    """A scenario from a config whose scenario keys each sit at one end of
-    the range the config accepts, or uniformly between, with no, half or
-    full overlap. Near these corners an SINR can be so small that 1 + SINR rounds to 1."""
+def corner_config(rng) -> ExperimentConfig:
+    """A config whose scenario keys each sit at one end of the range the
+    config accepts, or uniformly between, with no, half or full overlap and
+    either duplex mode. Near these corners an SINR can be so small that 1 + SINR rounds to 1."""
     values = {}
     for name in _CORNER_KEYS:
         lo, hi = _RANGES[name]
         values[name] = float(rng.choice([lo, hi, rng.uniform(lo, hi)]))
     values["overlap_mhz"] = values["total_bandwidth_mhz"] * float(rng.choice([0.0, 0.5, 1.0]))
     values["duplex"] = str(rng.choice(["FDD", "TDD"]))
-    return build_scenario(dataclasses.replace(ExperimentConfig(), **values))
+    return dataclasses.replace(ExperimentConfig(), **values)
+
+
+def corner_scenario(rng) -> ScenarioBatch:
+    """The scenario of a corner_config draw."""
+    return build_scenario(corner_config(rng))
 
 
 def random_feasible_allocation(rng, scn: ScenarioBatch):

@@ -4,6 +4,7 @@ prints one pass line; a failed assertion marks the criterion failed."""
 import collections
 import dataclasses
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -14,24 +15,35 @@ from satiab import (
     free_space_path_loss,
     antenna_pattern,
     bessel_j1,
+    grid_oracle_many,
     linear_to_db,
     pso_solve_many,
+    solve_orthogonal_many,
 )
 from satiab.allocator import grid_oracle, pso_solve, solve_orthogonal
 from satiab.ratemodel import evaluate, validate
 from satiab.expcli import (
+    OVERLAP_SWEEP_WEIGHTS,
+    POWER_SWEEP_ALTITUDES_KM,
     ExperimentConfig,
+    _power_grid,
+    build_scenarios,
     main,
     run_overlap_sweep,
     run_power_sweep,
 )
 
 from oracles import (
+    corner_config,
+    hertz_per_unit,
     j1_power_series,
     level,
+    physical_values,
     random_feasible_allocation,
     random_scenario,
+    random_values,
     reference_scenarios,
+    scenario,
     stack,
 )
 
@@ -224,4 +236,89 @@ def test_criterion_8_randomized_invariant_suites():
     print(
         "[criterion 8] PASS — feasibility, fitness identity, monotonicity/concavity and "
         "grid-refinement invariants hold on randomized inputs"
+    )
+
+
+def duplex_twins(rows):
+    """The (batch row, duplex) pairs rows as two batches: the TDD scenario at
+    each row's TDD power and the FDD scenario at half of it, every other
+    physical value the row's. A TDD row is its own TDD side, an FDD row at
+    P its own FDD side, with the TDD side at 2P."""
+    tdd, fdd = [], []
+    for scn, duplex in rows:
+        values = physical_values(scn, duplex)
+        power = values["total_power"] * (2.0 if duplex == "FDD" else 1.0)
+        tdd.append(scenario("TDD", **{**values, "total_power": power}))
+        fdd.append(scenario("FDD", **{**values, "total_power": power / 2.0}))
+    return stack(tdd), stack(fdd)
+
+
+def twin_mismatches(tdd, fdd, cfg: PsoConfig, resolution: int) -> dict[str, list[int]]:
+    """The rows, per solver, where the solve of the TDD batch is not the FDD
+    twin's to the bit: the same level, rates, iterations and converged flag,
+    with the TDD powers and (in the CSV's hertz) bandwidths twice the FDD ones.
+    Each solver runs on both batches with the same seeds or resolution, the
+    exact solver on the rows without overlap."""
+    rows = np.arange(len(tdd))
+    runs = {
+        "exact": (rows[tdd.overlap_bandwidth.ravel() == 0.0], solve_orthogonal_many),
+        "pso": (rows, lambda batch: pso_solve_many(batch, cfg, range(len(batch)))),
+        "oracle": (rows, lambda batch: grid_oracle_many(batch, resolution)),
+    }
+    mismatches = {}
+    for name, (picked, solve) in runs.items():
+        t, f = tdd.take(picked), fdd.take(picked)
+        (alloc_t, steps_t, done_t), (alloc_f, steps_f, done_f) = solve(t), solve(f)
+        hertz_t, hertz_f = alloc_t[:, 2:] * hertz_per_unit("TDD"), alloc_f[:, 2:] * hertz_per_unit("FDD")
+        same = ((alloc_t[:, :2] == 2.0 * alloc_f[:, :2]).all(axis=1) & (hertz_t == 2.0 * hertz_f).all(axis=1)
+                & (evaluate_many(t, alloc_t) == evaluate_many(f, alloc_f)).all(axis=1)
+                & (steps_t == steps_f) & (done_t == done_f))
+        mismatches[name] = picked[~same].tolist()
+    return mismatches
+
+
+def test_criterion_9_tdd_is_fdd_at_half_power():
+    # Both duplex modes have alpha_o alpha_1 = 1/2, so with u = w / alpha_1 every rate is
+    # (u / 2) log2(1 + p beta / (alpha_1 dens u + p' beta w_o / u')): a TDD scenario at power P
+    # is the FDD scenario at P / 2, its bandwidths in hertz doubled. The scalings are by powers
+    # of two, and the config ranges keep every intermediate a normal float, so each solver's
+    # TDD and FDD solves are twins to the bit.
+    cfg = ExperimentConfig()
+    power_points = [(power, 0.0, "TDD", altitude, cfg.access_weight)
+                    for power in _power_grid(cfg) for altitude in POWER_SWEEP_ALTITUDES_KM]
+    overlap_points = [(cfg.total_power_dbm, i / 10 * cfg.total_bandwidth_mhz, "TDD", cfg.altitude_km, eps)
+                      for i in range(11) for eps in OVERLAP_SWEEP_WEIGHTS]
+    default_rows = [(build_scenarios(cfg, [point]), "TDD") for point in power_points + overlap_points]
+    default_rows += [(scn, label.split("-")[1]) for label, scn in reference_scenarios()]
+    rng = np.random.default_rng(9)
+    draws = [random_values(rng) for _ in range(1000)]
+    random_rows = [(scenario(**values), values["duplex"]) for values in draws]
+    corners = [corner_config(rng) for _ in range(200)]
+    corner_rows = [(build_scenarios(c, [(c.total_power_dbm, c.overlap_mhz, c.duplex, c.altitude_km,
+                                         c.access_weight)]), c.duplex) for c in corners]
+
+    checks = (("default", default_rows, PsoConfig(), cfg.oracle_resolution),
+              ("random", random_rows, PsoConfig(10, 30), 25),
+              ("corner", corner_rows, PsoConfig(10, 30), 25))
+    for name, rows, swarm, resolution in checks:
+        # a corner row that differed would be listed here, not dropped: a subnormal or
+        # overflowed intermediate breaks the exact scaling
+        mismatches = twin_mismatches(*duplex_twins(rows), swarm, resolution)
+        assert mismatches == {"exact": [], "pso": [], "oracle": []}, name
+
+    # the theorem's order, on the default sweeps: the exact solver's FDD level is at least its
+    # TDD level at every point; the swarm's rows may reverse it, by solver error
+    point = operator.attrgetter("sweep", "sweep_value", "altitude_km", "access_weight", "solver")
+    levels = {(point(row), row.duplex): row.zeta_mbps for row in run_power_sweep(cfg) + run_overlap_sweep(cfg)}
+    pairs = [(key[-1], levels[key, "FDD"], levels[key, "TDD"]) for key, duplex in levels if duplex == "TDD"]
+    exact = [(fdd, tdd) for solver, fdd, tdd in pairs if solver == "exact"]
+    assert len(exact) == len(power_points) + len(OVERLAP_SWEEP_WEIGHTS)
+    assert all(fdd >= tdd for fdd, tdd in exact)
+    swarm = [(fdd, tdd) for solver, fdd, tdd in pairs if solver == "pso"]
+    reversed_rows = sum(fdd < tdd for fdd, tdd in swarm)
+    print(
+        f"[criterion 9] PASS — TDD at P is FDD at P/2 to the bit (p and w doubled) for exact, pso "
+        f"and oracle on {len(default_rows)} default and reference rows, 1000 random and "
+        f"{len(corner_rows)} corner draws (0 differ); FDD >= TDD on all {len(exact)} exact sweep pairs; "
+        f"pso reverses the order on {reversed_rows} of {len(swarm)} pairs"
     )

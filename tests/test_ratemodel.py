@@ -22,8 +22,9 @@ from satiab import (
 from satiab.allocator import solve_orthogonal
 from satiab.ratemodel import evaluate, validate
 
-from oracles import make_scenario, random_feasible_allocation, random_scenario, reference_link_rates
-from oracles import reference_rate, reference_scenarios, reference_validate, scalars, stack
+from oracles import hertz_per_unit, make_scenario, random_feasible_allocation, random_scenario
+from oracles import reference_link_rates, reference_rate, reference_scenarios, reference_validate, scalars
+from oracles import scenario, stack
 
 
 def test_duplex_factors_values():
@@ -294,6 +295,46 @@ def test_one_rate_kernel_serves_every_bandwidth_pair_and_each_of_those_every_pow
                     assert rate.shape == reference.shape and rate.dtype == reference.dtype
                     assert np.array_equal(rate, reference, equal_nan=True)
                     assert np.array_equal(np.signbit(rate), np.signbit(reference))
+
+
+@st.composite
+def duplex_twin_inputs(draw):
+    """The physical values of 1 to 3 scenarios, orthogonal or overlapped, and
+    a power pair and a bandwidth pair in hertz of shape (2, S, N). Values lie
+    within the config ranges and each entry is 0 or within them too, so that
+    no intermediate of the kernel is subnormal or overflows."""
+    size, columns = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    fraction = st.sampled_from((0.0, 0.5, 1.0)) | st.floats(1e-6, 1.0)
+
+    def column(entries):
+        return draw(st.lists(entries, min_size=size, max_size=size))
+
+    bandwidth = column(st.floats(1e3, 1e11))
+    values = dict(
+        total_power=column(st.floats(1e-13, 1e7)),
+        total_bandwidth=bandwidth,
+        overlap_bandwidth=[w * draw(fraction) for w in bandwidth],
+        density=column(st.floats(1e-28, 2e-8)),
+        access_weight=column(st.floats(1e-6, 1.0)),
+        beta_ue=column(st.floats(1e-85, 1e15)),
+        beta_bs=column(st.floats(1e-85, 1e15)),
+    )
+
+    def pair(entries):
+        return draw(arrays(np.float64, (2, size, columns), elements=entries))
+
+    return values, pair(st.just(0.0) | st.floats(1e-13, 1e7)), pair(st.just(0.0) | st.floats(1e-3, 1e11))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(duplex_twin_inputs())
+def test_a_tdd_scenario_rates_as_its_fdd_twin_at_half_power(case):
+    # TDD at powers p over bandwidths w (hertz) is FDD at p / 2 over w / 2, to the bit
+    values, p, w = case
+    tdd = scenario("TDD", **values)
+    fdd = scenario("FDD", **{**values, "total_power": np.divide(values["total_power"], 2.0)})
+    got = link_rates(tdd, p, w / hertz_per_unit("TDD"))
+    assert np.array_equal(got, link_rates(fdd, p / 2.0, w / 2.0 / hertz_per_unit("FDD")))
 
 
 def test_scenario_validation():
