@@ -9,7 +9,7 @@ solver, the particle swarm, and a brute-force grid on the same scenario.
 import numpy as np
 
 from satiab import PsoConfig, evaluate_many, grid_oracle_many, pso_solve_many, solve_orthogonal_many
-from satiab.expcli import ExperimentConfig, build_scenarios
+from satiab.expcli import DUPLEX_FACTORS, ExperimentConfig, build_scenarios
 
 # The default configuration: 40 dBm, 40 MHz, FDD, 600 km, no overlap,
 # access weight 0.1 (the handheld user gets a tenth of the backhaul QoS).
@@ -19,7 +19,8 @@ scn = build_scenarios(ExperimentConfig(), [(40.0, 0.0, "FDD", 600.0, 0.1)])
 
 # Each solver takes a batch and returns its (S, 4) allocations
 # (p_ue, p_bs, w_a, w_b), one row per scenario, the iterations and the
-# converged flags.
+# converged flags. Bandwidths are band shares: times the duplex's
+# DUPLEX_FACTORS entry they are hertz of spectrum, as the CSVs hold them.
 exact, _, _ = solve_orthogonal_many(scn)
 swarm, _, _ = pso_solve_many(scn, PsoConfig(), [1])  # each row's seed keys its swarm's generator
 grid, _, _ = grid_oracle_many(scn, 200)
@@ -36,7 +37,7 @@ for name, (level, rate_access, rate_backhaul, _), (p_ue, _, w_a, _) in zip(
         ("exact", "pso", "oracle"), rates, alloc.tolist()):
     print(f"{name:>10} {level / 1e6:12.3f} "
           f"{rate_access / 1e6:12.3f} {rate_backhaul / 1e6:14.3f} "
-          f"{p_ue:8.3f} {w_a / 1e6:8.3f}")
+          f"{p_ue:8.3f} {w_a * DUPLEX_FACTORS['FDD'] / 1e6:8.3f}")
 
 (level, rate_access, rate_backhaul, _), (swarm_level, *_), _ = rates
 gap = abs(level - swarm_level) / level

@@ -4,22 +4,15 @@ Three routes to the same problem: an exact parametric solver for the
 orthogonal (no-overlap) case, a particle swarm for the general case, and a
 grid search used as an independent cross-check.
 
-The orthogonal solver finds the max-min level zeta where the cheapest
-power that delivers rate eps*zeta on the access link and zeta on the
-backhaul link, minimized over the bandwidth split, meets the power budget.
-That inner objective is a sum of two convex single-link power inversions,
-so its minimum is where the links' marginal power costs of bandwidth are
-equal. Both roots, of the log cost ratio and of the log of the cheapest
-power over the budget, are found by Newton steps that bisect a bracket of
-the root when they would leave it.
+The orthogonal solver finds the level zeta whose cheapest power, over the
+bandwidth split, meets the budget, and the split where the links' marginal
+power costs are equal, by Newton steps that bisect a bracket of each root.
 
 Every solver takes a ScenarioBatch and returns arrays with one row per
 scenario: the (S, 4) allocations (p_ue, p_bs, w_a, w_b), the iterations
 used and the converged flags. The one-row views stay, unexported, only for
 bench/spans.py, which wraps them by name. The solvers have no names here:
-the CLI's table in expcli names them. The grid oracle binary-searches each
-bandwidth column once for its single peak, in chunks of whole scenarios
-that hold no stored power grid or gather index.
+the CLI's table in expcli names them.
 """
 
 from __future__ import annotations
@@ -77,11 +70,11 @@ class PsoConfig:
             raise ValueError("max_iterations must be >= 1")
 
 
-def _inversion_power(rate, bandwidth, beta, alpha_o, dens):
-    """Power (2**(rate / (alpha_o w)) - 1) * dens * w / beta that carries rate
+def _inversion_power(rate, bandwidth, beta, dens):
+    """Power (2**(rate / (0.5 w)) - 1) * dens * w / beta that carries rate
     over bandwidth w > 0 on one orthogonal link, elementwise; +inf on overflow."""
     with np.errstate(over="ignore"):
-        return np.expm1(rate / (alpha_o * bandwidth) * _LN2) * dens * bandwidth / beta
+        return np.expm1(rate / (0.5 * bandwidth) * _LN2) * dens * bandwidth / beta
 
 
 def _log_marginal_cost(y):
@@ -100,7 +93,7 @@ def _log_marginal_cost(y):
 def _split_share(y_whole, log_gain_ratio, share):
     """Access shares s of the bandwidth budget, an (S,) row, that minimize
     the power delivering both links' rates, given their y = rate ln2 /
-    (alpha_o w) at the whole budget (the (2, S) plane y_whole: access, then
+    (0.5 w) at the whole budget (the (2, S) plane y_whole: access, then
     backhaul), log(beta_bs / beta_ue) and a starting share per scenario.
 
     A link's power inversion has derivative -dens h(y) / beta in its
@@ -163,13 +156,12 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
     # upper bounds on zeta: each link alone, and both below log2(1 + x) <= x / ln2
     rate_a, zeta_ub = link_rates(batch, np.stack((p_total,) * 2), np.stack((w_total,) * 2)).reshape(2, -1)
     # (S,) rows, one per scenario, and (2, S) planes, one row per link: access, then backhaul
-    alpha_o, eps, dens, p_total, w_total = (column.ravel() for column in (
-        batch.alpha_o, batch.access_weight, batch.density, p_total, w_total))
+    eps, dens, p_total, w_total = (c.ravel() for c in (batch.access_weight, batch.density, p_total, w_total))
     beta = np.vstack((batch.beta_ue.T, batch.beta_bs.T))
     log_gain_ratio = np.log(batch.beta_bs / batch.beta_ue).ravel()
     rate_per_zeta = np.stack((eps, np.ones_like(eps)))
-    y_per_zeta = rate_per_zeta * _LN2 / (alpha_o * w_total)
-    low_snr = alpha_o * p_total / (_LN2 * dens * np.add(*(rate_per_zeta / beta)))
+    y_per_zeta = rate_per_zeta * _LN2 / (0.5 * w_total)
+    low_snr = 0.5 * p_total / (_LN2 * dens * np.add(*(rate_per_zeta / beta)))
     zeta = np.minimum(np.minimum(zeta_ub, np.where(rate_a > 0.0, rate_a / eps, np.inf)), low_snr)
     zeta = np.where(zeta > 0.0, zeta, zeta_ub)
     lo, hi = np.zeros_like(zeta_ub), zeta_ub.copy()
@@ -186,7 +178,7 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
         share[rows] = s = _split_share(y_z, log_gain_ratio[rows], share[rows])
         pair = np.stack((s, 1.0 - s))
         w = pair * w_total[rows]
-        p = _inversion_power(z * rate_per_zeta[:, rows], w, beta[:, rows], alpha_o[rows], dens[rows])
+        p = _inversion_power(z * rate_per_zeta[:, rows], w, beta[:, rows], dens[rows])
         spent = np.add(*p)
         feasible = spent <= p_total[rows]
         lo_s, hi_s = np.where(feasible, z, lo[rows]), np.where(feasible, hi[rows], z)
@@ -258,7 +250,7 @@ def grid_oracle_many(batch: ScenarioBatch, resolution: int) -> _Solved:
     """Maximizers of the max-min level over uniform grids, one row per scenario.
 
     Each grid spans the power split p_ue in [0, P] (with p_bs = P - p_ue)
-    and the bandwidth split w_a in [alpha_1 w_o, alpha_1 W] with the
+    and the bandwidth split w_a in [w_o, W] with the
     bandwidth budget used exactly, which keeps every grid point feasible.
     Row s is a maximizer of min(rate_a / eps, rate_b) over the grid of
     scenario s, found without evaluating the whole grid: the point np.argmax
@@ -308,7 +300,7 @@ def _ring_best(fitness: np.ndarray, ring: np.ndarray) -> np.ndarray:
 def _normalize_population(swarm: np.ndarray, scale: np.ndarray, w_lo: np.ndarray, w_hi: np.ndarray) -> None:
     """Project the swarm's (S, N) planes p_ue, p_bs, w_a, w_b onto their feasible sets, in place
     and both pairs in one pass: fold each pair positive, rescale it to sum to its budget in the
-    (2, S, N) scale pair (P, alpha_1 (W + w_o)), and clamp the bandwidths into [w_lo, w_hi],
+    (2, S, N) scale pair (P, W + w_o), and clamp the bandwidths into [w_lo, w_hi],
     which keeps their budget as the two overshoot symmetrically. A pair summing to zero goes to
     the middle of its budget, the projection of the zero vector, which lies inside the clamps."""
     pairs = np.abs(swarm, out=swarm).reshape(2, 2, *swarm.shape[1:])  # views: powers, bandwidths

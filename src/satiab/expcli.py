@@ -11,6 +11,12 @@ solver (the _SOLVERS entry of its name) makes one batch call on all the
 points that select it, and each SweepRow is built once, from those arrays
 and their evaluate_many columns. `satiab solve` is a sweep of one point.
 
+Only this module knows the duplex mode: batches and solvers hold each
+bandwidth w as a band share u = w / alpha_1 (its DUPLEX_FACTORS entry), a
+TDD row's hertz or twice an FDD row's. So build_scenarios scales the density
+by alpha_1, a row's w_a and w_b are its solver's times alpha_1, and
+audit_rows divides a CSV's by it, all exactly, alpha_1 being a power of two.
+
 Exit codes of the command-line entry point: 0 success, 1 config/validation
 error (including audit mismatches), 2 I/O error or an argparse usage error.
 """
@@ -34,7 +40,7 @@ import numpy as np
 from .allocator import PsoConfig
 from .allocator import grid_oracle_many, pso_solve_many, solve_orthogonal_many
 from .linkbudget import channel_gain, db_to_linear, dbm_to_watts
-from .ratemodel import _SLACK, CONSTRAINTS, DUPLEX_FACTORS, ScenarioBatch
+from .ratemodel import _SLACK, CONSTRAINTS, ScenarioBatch
 from .ratemodel import bandwidth_limits, evaluate_many, validate_many
 
 # Unused here and unexported, like build_scenario: bench/spans.py wraps these names in this module.
@@ -42,6 +48,7 @@ from .allocator import grid_oracle, pso_solve, solve_orthogonal  # noqa: F401
 from .ratemodel import evaluate, validate  # noqa: F401
 
 __all__ = [
+    "DUPLEX_FACTORS",
     "ValidationError",
     "ExperimentConfig",
     "SweepRow",
@@ -60,6 +67,9 @@ __all__ = [
 
 OVERLAP_SWEEP_WEIGHTS = (0.05, 0.1, 0.2)
 POWER_SWEEP_ALTITUDES_KM = (600.0, 1200.0)
+# alpha_1 of each mode: FDD sends full-time over half the band, TDD half-time over all of it, so
+# time share x alpha_1 = 1/2 (the rate kernel's 0.5), and TDD is FDD at half power, hertz doubled.
+DUPLEX_FACTORS = {"FDD": 0.5, "TDD": 1.0}
 
 
 class ValidationError(Exception):
@@ -203,7 +213,8 @@ def _config_problems(cfg: ExperimentConfig) -> list[str]:
         problems.append(f"power_sweep_step_db={cfg.power_sweep_step_db:g} gives a power sweep of "
                         f"more than {_MAX_POWER_SWEEP_POINTS} points")
     if cfg.power_sweep_max_dbm < cfg.power_sweep_min_dbm:
-        problems.append("power sweep range is empty (max < min)")
+        problems.append(f"power_sweep_max_dbm={cfg.power_sweep_max_dbm:g} must be at least "
+                        f"power_sweep_min_dbm={cfg.power_sweep_min_dbm:g}")
     return problems
 
 
@@ -263,10 +274,10 @@ def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
     A point is (power_dbm, overlap_mhz, duplex, altitude_km, access_weight),
     the SweepRow columns CSV_COLUMNS[2:7], and points any iterable of them;
     every other value comes from cfg, the density being noise plus interference
-    in W/Hz. Each distinct altitude's channel gains and power's watts are
-    computed once, when a point first needs them, and its duplex factors are
-    read from DUPLEX_FACTORS, so a bad one raises at the first point that has
-    one: at its altitude, then its power, then a duplex other than FDD or TDD.
+    in W/Hz times alpha_1. Each distinct altitude's channel gains and power's watts
+    are computed once, when a point first needs them, and its alpha_1 is read from
+    DUPLEX_FACTORS, so a bad one raises at the first point that has one: at its
+    altitude, then its power, then a duplex other than FDD or TDD.
     The watts stay scalar dbm_to_watts calls: numpy's vector power differs
     from Python's 10.0 ** x in the last bit on some inputs, which would change
     CSV bytes. The batch then raises the first of its conditions that any row
@@ -290,8 +301,8 @@ def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
         if duplex not in DUPLEX_FACTORS:
             raise ValueError(f"duplex must be {' or '.join(DUPLEX_FACTORS)}, got {duplex!r}")
         # the ScenarioBatch columns, in order
-        rows.append((watts[power_dbm], bandwidth, overlap_mhz * 1e6, density, access_weight,
-                     *DUPLEX_FACTORS[duplex], *gains[altitude_km]))
+        rows.append((watts[power_dbm], bandwidth, overlap_mhz * 1e6, density * DUPLEX_FACTORS[duplex],
+                     access_weight, *gains[altitude_km]))
     columns = np.array(rows, dtype=float).reshape(-1, len(dataclasses.fields(ScenarioBatch))).T
     return ScenarioBatch(*(column.reshape(-1, 1) for column in columns.copy()))
 
@@ -340,6 +351,11 @@ _config_point = operator.attrgetter("total_power_dbm", *CSV_COLUMNS[3:7])
 _row_sort_key = operator.attrgetter("sweep_value", "duplex", "altitude_km", "access_weight", "solver")
 
 
+def _hertz_per_share(duplexes) -> np.ndarray:
+    """The (k, 1) column of the DUPLEX_FACTORS entries of k duplex names: hertz per hertz of band share."""
+    return np.array([DUPLEX_FACTORS[duplex] for duplex in duplexes]).reshape(-1, 1)
+
+
 def _row_seed(base_seed: int, row_index: int) -> int:
     # Stable per-row seed so sweep points can run in any order.
     return (base_seed * 1_000_003 + row_index) % 2**63
@@ -366,13 +382,14 @@ def _run_sweep(cfg: ExperimentConfig, points) -> list[SweepRow]:
         raise ValidationError(f"{pso_rows} pso rows x pso_population={cfg.pso_population} x pso_iterations="
                               f"{cfg.pso_iterations} = {steps} particle-steps, more than {_MAX_PARTICLE_STEPS}")
     batch = build_scenarios(cfg, [fields[2:] for fields, _, _ in points])
+    hertz = _hertz_per_share(fields[4] for fields, _, _ in points)
     rows = []
     for solver, indices in jobs.items():
         scns = batch if len(indices) == len(points) else batch.take(indices)
         alloc, _, converged = _SOLVERS[solver](cfg, scns, [points[i][2] for i in indices])
-        cells = np.hstack((evaluate_many(scns, alloc) / 1e6, alloc)).tolist()
+        cells = np.hstack((evaluate_many(scns, alloc) / 1e6, alloc[:, :2], alloc[:, 2:] * hertz[indices]))
         rows += [SweepRow._make((*points[i][0], solver, *row, done))
-                 for i, row, done in zip(indices, cells, converged.tolist())]
+                 for i, row, done in zip(indices, cells.tolist(), converged.tolist())]
     rows.sort(key=_row_sort_key)
     return rows
 
@@ -622,15 +639,16 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
     total_bandwidth_mhz as a %.9g cell]; NaN and inf lie outside) gets one
     message per such cell and nothing else. Of the other rows, one that
     holds a non-finite value is a problem if marked converged, and a
-    skipped solver failure if not. The rest are checked as arrays, by one
-    build_scenarios (which reads an overlap_mhz above the bandwidth, a full
-    overlap rounded up, as the bandwidth), validate_many (constraints 1a-1d)
-    and, on the feasible rows, evaluate_many call, whose rates must match
-    the recorded ones within the relative tolerance _AUDIT_TOL. A row that
-    passes must also spend both budgets, p_ue + p_bs >= P and w_a + w_b >=
-    alpha_1 (W + w_o), within validate_many's relative slack. A row whose
-    sweep_value is not its power_dbm (in an overlap row, overlap_mhz /
-    total_bandwidth_mhz to 1e-8) gets that as its first message.
+    skipped solver failure if not. The rest are checked as arrays, w_a and
+    w_b divided by alpha_1, by one build_scenarios (which reads an
+    overlap_mhz above the bandwidth, a full overlap rounded up, as the
+    bandwidth), validate_many (constraints 1a-1d) and, on the feasible rows,
+    evaluate_many call, whose rates must match the recorded ones within the
+    relative tolerance _AUDIT_TOL. A row that passes must also spend both
+    budgets, p_ue + p_bs >= P and w_a + w_b >= alpha_1 (W + w_o), within
+    validate_many's relative slack. A row whose sweep_value is not its power_dbm
+    (in an overlap row, overlap_mhz / total_bandwidth_mhz to 1e-8) gets that as
+    its first message.
     """
     cells = np.array([_float_cells(row) for row in rows], dtype=float).reshape(-1, len(_FLOAT_INDICES))
     point = cells[:, 1:5]  # power_dbm, overlap_mhz, altitude_km, access_weight
@@ -642,6 +660,7 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
     index = np.flatnonzero(checked).tolist()
     batch = build_scenarios(cfg, [(rows[i][2], min(rows[i][3], band), *rows[i][4:7]) for i in index])
     recorded, alloc = cells[checked, -8:-4], cells[checked, -4:]
+    alloc[:, 2:] /= _hertz_per_share(rows[i].duplex for i in index)
     violated = validate_many(batch, alloc)
     feasible = ~violated.any(axis=1)
     want = np.zeros_like(recorded)

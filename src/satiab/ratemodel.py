@@ -2,10 +2,9 @@
 an access user and a backhaul base station.
 
 The two links may share part of the band; overlapped spectrum turns the
-other link's transmission into interference. Duplexing enters only through
-its pair of factors in DUPLEX_FACTORS, and the noise only through the
-noise-plus-interference density; all quantities are linear SI units (W, Hz,
-bits/s).
+other link's transmission into interference. Each bandwidth is a band
+share u, in Hz, so that every rate is (u / 2) log2(1 + SINR); expcli
+converts FDD and TDD hertz to and from it. Quantities are linear SI units.
 
 A ScenarioBatch holds S scenarios as (S, 1) columns, checked as a whole,
 and one scenario is a batch of one row. evaluate_many and validate_many
@@ -17,12 +16,11 @@ which wraps them by name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "DUPLEX_FACTORS",
     "ScenarioBatch",
     "bandwidth_limits",
     "link_rates",
@@ -33,11 +31,8 @@ __all__ = [
 ]
 
 _SLACK = 1e-6  # relative slack of each constraint that validate_many checks
-_LN2 = math.log(2.0)  # a rate is alpha_o w log1p(SINR) / _LN2: log2(1 + SINR) without rounding 1 + SINR
+_LN2 = math.log(2.0)  # a rate is 0.5 w log1p(SINR) / _LN2: log2(1 + SINR) without rounding 1 + SINR
 CONSTRAINTS = ("1a", "1b", "1c", "1d")  # the columns of validate_many, in order
-# The time-share and bandwidth-share factors (alpha_o, alpha_1) of each duplex
-# mode: FDD transmits full-time over half the spectrum, TDD half-time over all of it.
-DUPLEX_FACTORS = {"FDD": (1.0, 0.5), "TDD": (0.5, 1.0)}
 
 
 # The conditions of a valid scenario and their messages, each on a
@@ -61,12 +56,11 @@ class ScenarioBatch:
 
     Attributes:
         total_power: Satellite transmit power budget P, W.
-        total_bandwidth: Total available bandwidth W, Hz.
-        overlap_bandwidth: Bandwidth shared by the two links w_o, Hz.
+        total_bandwidth: Total available bandwidth W, Hz of band share.
+        overlap_bandwidth: Bandwidth shared by the two links w_o, Hz of band share.
         density: Noise-plus-interference PSD (thermal noise plus out-of-band
-            emission / sync error), W/Hz.
+            emission / sync error), W/Hz, times the spectrum w / u of a band share.
         access_weight: QoS weight of the access link (0 < eps <= 1).
-        alpha_o, alpha_1: Time- and bandwidth-share factors of the duplex mode; see DUPLEX_FACTORS.
         beta_ue: Channel power gain of the access user, linear.
         beta_bs: Channel power gain of the backhaul station, linear.
     """
@@ -76,16 +70,13 @@ class ScenarioBatch:
     overlap_bandwidth: np.ndarray
     density: np.ndarray
     access_weight: np.ndarray
-    alpha_o: np.ndarray
-    alpha_1: np.ndarray
     beta_ue: np.ndarray
     beta_bs: np.ndarray
 
     def __post_init__(self) -> None:
-        shapes = {f.name: np.shape(getattr(self, f.name)) for f in fields(self)}
-        for name, shape in shapes.items():
-            if shape != shapes["total_power"][:1] + (1,):
-                raise ValueError(f"{name} must have shape (S, 1), with total_power's S, got {shape}")
+        for name, column in vars(self).items():
+            if np.shape(column) != np.shape(self.total_power)[:1] + (1,):
+                raise ValueError(f"{name} must have shape (S, 1), with total_power's S, got {np.shape(column)}")
         for holds, message in _SCENARIO_CHECKS:
             if not holds(self).all():
                 raise ValueError(message)
@@ -94,16 +85,16 @@ class ScenarioBatch:
         return len(self.total_power)
 
     def take(self, rows) -> "ScenarioBatch":
-        """The scenarios at rows, an index list, mask or slice, or an index for its one-row batch."""
-        return ScenarioBatch(*(getattr(self, f.name)[rows].reshape(-1, 1) for f in fields(self)))
+        """The scenarios at rows (an index list, mask, slice or index), unchecked: their checks passed."""
+        batch = object.__new__(ScenarioBatch)
+        batch.__dict__.update({name: column[rows].reshape(-1, 1) for name, column in vars(self).items()})
+        return batch
 
 
 def bandwidth_limits(batch: ScenarioBatch):
     """Bandwidth bounds of the feasible set, as (S, 1) columns: the budget
-    alpha_1 (W + w_o) of the two links together, and the floor alpha_1 w_o
-    and cap alpha_1 W of each link."""
-    alpha_1, w, w_o = batch.alpha_1, batch.total_bandwidth, batch.overlap_bandwidth
-    return alpha_1 * (w + w_o), alpha_1 * w_o, alpha_1 * w
+    W + w_o of the two links together, and the floor w_o and cap W of each link."""
+    return batch.total_bandwidth + batch.overlap_bandwidth, batch.overlap_bandwidth, batch.total_bandwidth
 
 
 def _all_positive(x: np.ndarray) -> bool:
@@ -128,7 +119,7 @@ def rate_kernel(batch: ScenarioBatch):
     """link_rates(batch, p, w) in three stages, bit for bit: rate_kernel(batch)(w)(p).
     Building it computes the batch's own terms once, the (2, S, 1) gain pair and whether
     any scenario overlaps. Its call at w, the bandwidth stage, computes the terms of w alone: the
-    noise dens w, the prefactor alpha_o w / ln 2, the other link's bandwidth with its stand-in,
+    noise dens w, the prefactor 0.5 w / ln 2, the other link's bandwidth with its stand-in,
     the zero-rate mask's inverse and, if no scenario overlaps, the whole denominator with its
     stand-in. The function of p it returns holds a view of w (do not write w while in use) and
     computes the rest in one new array a call (one more holds an overlap's denominator)."""
@@ -146,14 +137,13 @@ def rate_kernel(batch: ScenarioBatch):
             # w_o = 0 adds exactly zero interference: the other link's bandwidth may be 0 there
             ok = w > 0.0
             zero = ~(ok & (ok[::-1] | (w_o == 0.0)) if overlapped else ok)
-        prefactor = batch.alpha_o * w / _LN2
+        prefactor = 0.5 * w / _LN2
 
         def rates(p) -> np.ndarray:
             p = _link_pair(p)
             rate = np.multiply(p, beta, out=np.empty(np.broadcast(den, p).shape))  # at the joint shape
             if overlapped:
-                term = np.multiply(batch.alpha_1, p[::-1], out=np.empty_like(rate))
-                term *= beta
+                term = np.multiply(p[::-1], beta, out=np.empty_like(rate))
                 term *= w_o
                 term /= other
             rate /= _denominator(np.add(den, term, out=term), plain) if overlapped else den
@@ -170,20 +160,20 @@ def rate_kernel(batch: ScenarioBatch):
 
 def link_rates(batch: ScenarioBatch, p, w) -> np.ndarray:
     """Access and backhaul rates, in bits/s, of the power pair p = (p_ue, p_bs)
-    and the bandwidth pair w = (w_a, w_b): (2, rows, columns) arrays whose first
-    axis holds the access link, then the backhaul link, and whose rows and
-    columns broadcast against the batch's (S, 1) columns, one row per scenario.
-    The result is one (2, ...) array (rate_a, rate_b) of their joint shape.
-    Powers and bandwidths are not broadcast against each other up front, so a
-    term of one of them only, such as the noise, is computed at its size.
+    and the band-share pair w = (w_a, w_b): (2, rows, columns) arrays whose
+    first axis holds the access link, then the backhaul link, and whose rows
+    and columns broadcast against the batch's (S, 1) columns, one row per
+    scenario. The result is one (2, ...) array (rate_a, rate_b) of their joint
+    shape. Powers and bandwidths are not broadcast against each other up front,
+    so a term of one of them only, such as the noise, is computed at its size.
 
     Each formula is written once over the pair, the other link being p[::-1]
     and w[::-1]. A zero bandwidth yields zero rate (the x*log(1+c/x) -> 0
     limit), and so does an interference term that would divide by one: every
     allocation gets rates. These fallbacks are applied only where a min() > 0.0
-    check on an input fails, as NaN does, or a zero bandwidth, which a feasible allocation holds
-    only where w_o = 0 (an orthogonal grid's end columns do); elsewhere they would change no bit.
-    It is rate_kernel(batch)(w)(p): the terms of w alone, then those of p.
+    check on an input fails, as NaN does, or a zero bandwidth, which a feasible
+    allocation holds only where w_o = 0 (an orthogonal grid's end columns do);
+    elsewhere they would change no bit. It is rate_kernel(batch)(w)(p).
     """
     return rate_kernel(batch)(w)(p)
 
@@ -217,8 +207,7 @@ def _one_row(alloc) -> np.ndarray:
 def evaluate(scn: ScenarioBatch, alloc) -> tuple[float, float, float, float]:
     """(zeta, rate_a, rate_b, throughput), in bits/s, of the four numbers alloc (p_ue, p_bs, w_a, w_b)
     under the one-row batch scn: :func:`evaluate_many` at its row, zero rates for a zero bandwidth."""
-    (row,) = evaluate_many(scn, _one_row(alloc)).tolist()
-    return tuple(row)
+    return tuple(evaluate_many(scn, _one_row(alloc))[0].tolist())
 
 
 def validate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:
@@ -228,9 +217,9 @@ def validate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:
     Constraints, with relative slack _SLACK (scaled by the power budget in
     1a, by the bound itself in 1b, by the per-link bandwidth cap in 1c, 1d):
         1a: p_ue + p_bs <= P and p_ue, p_bs >= 0
-        1b: w_a + w_b <= alpha_1 (W + w_o)
-        1c: w_a, w_b <= alpha_1 W
-        1d: w_a, w_b >= alpha_1 w_o
+        1b: w_a + w_b <= W + w_o
+        1c: w_a, w_b <= W
+        1d: w_a, w_b >= w_o
 
     Each is written as what must hold and negated, so a NaN entry fails it.
     """
@@ -248,5 +237,4 @@ def validate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:
 
 def validate(scn: ScenarioBatch, alloc) -> list[str]:
     """The names of the constraints that the four numbers alloc violate under the one-row batch scn."""
-    (flags,) = validate_many(scn, _one_row(alloc)).tolist()
-    return [name for name, violated in zip(CONSTRAINTS, flags) if violated]
+    return [name for name, violated in zip(CONSTRAINTS, validate_many(scn, _one_row(alloc))[0]) if violated]

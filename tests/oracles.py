@@ -38,7 +38,11 @@ reference_evaluate returns evaluate's (zeta, rate_a, rate_b, throughput).
 A scenario is a one-row ScenarioBatch: make_scenario builds one from
 floats, stack joins batches row by row into one, and the scalar references
 read a scenario's floats through scalars, so that their arithmetic is that
-of Python floats.
+of Python floats. A batch's bandwidths are band shares (see satiab.expcli):
+scenario and physical_values convert a duplex mode's physical density to
+the batch's and back, and hertz_per_unit converts its bandwidths to the
+CSV's hertz. reference_rate alone computes a rate from the physical values
+and both duplex factors, the paper's formula.
 """
 
 import dataclasses
@@ -50,7 +54,6 @@ import mpmath as mp
 import numpy as np
 
 from satiab import (
-    DUPLEX_FACTORS,
     PsoConfig,
     ScenarioBatch,
     bandwidth_limits,
@@ -60,7 +63,7 @@ from satiab import (
 )
 from satiab.allocator import _BELOW_ONE, _MAX_STEPS, _inversion_power, _log_marginal_cost
 from satiab.allocator import _SolvedRow as SolvedRow
-from satiab.expcli import _RANGES, ExperimentConfig, _float_cells, build_scenario
+from satiab.expcli import _RANGES, DUPLEX_FACTORS, ExperimentConfig, _float_cells, build_scenario
 from satiab.ratemodel import _LN2
 
 
@@ -100,11 +103,10 @@ def reference_scenarios():
 def scenario(duplex: str = "FDD", **values) -> ScenarioBatch:
     """The batch of scenarios of duplex mode duplex given by the physical
     values of their columns, floats for one row or columns of (S, 1) floats,
-    the density being noise plus interference in W/Hz."""
-    alpha_o, alpha_1 = DUPLEX_FACTORS[duplex]
+    the density being noise plus interference in W/Hz: the batch's density is
+    that times the duplex mode's bandwidth share."""
     columns = {name: np.array(value, dtype=float).reshape(-1, 1) for name, value in values.items()}
-    rows = len(columns["total_power"])
-    columns |= {"alpha_o": np.full((rows, 1), alpha_o), "alpha_1": np.full((rows, 1), alpha_1)}
+    columns["density"] = columns["density"] * DUPLEX_FACTORS[duplex]
     return ScenarioBatch(**columns)
 
 
@@ -112,14 +114,15 @@ def physical_values(scn: ScenarioBatch, duplex: str) -> dict:
     """The physical values of the columns of a batch of duplex mode duplex,
     the inverse of scenario: scenario(duplex, **physical_values(scn, duplex))
     holds the columns of scn."""
-    return {f.name: getattr(scn, f.name) for f in dataclasses.fields(scn) if f.name not in ("alpha_o", "alpha_1")}
+    values = {f.name: getattr(scn, f.name) for f in dataclasses.fields(scn)}
+    return values | {"density": scn.density / DUPLEX_FACTORS[duplex]}
 
 
 def hertz_per_unit(duplex: str) -> float:
     """The CSV's hertz per unit of the bandwidths of a batch of duplex mode
     duplex, in its allocations and its columns: a solver's w_a is the CSV's
     w_a_hz / hertz_per_unit(duplex). Bandwidths are compared through it."""
-    return 1.0
+    return DUPLEX_FACTORS[duplex]
 
 
 def stack(batches: Sequence[ScenarioBatch]) -> ScenarioBatch:
@@ -144,8 +147,7 @@ def make_scenario(**overrides) -> ScenarioBatch:
 
 
 def scalars(scn: ScenarioBatch) -> types.SimpleNamespace:
-    """The floats of a one-row batch: each column's .item(), alpha_o and
-    alpha_1 among them."""
+    """The floats of a one-row batch: each column's .item()."""
     return types.SimpleNamespace(**{f.name: getattr(scn, f.name).item() for f in dataclasses.fields(scn)})
 
 
@@ -209,9 +211,9 @@ def corner_scenario(rng) -> ScenarioBatch:
 def random_feasible_allocation(rng, scn: ScenarioBatch):
     """Uniformly drawn raw values projected onto the feasible set."""
     scn = scalars(scn)
-    band_total = scn.alpha_1 * (scn.total_bandwidth + scn.overlap_bandwidth)
-    w_lo = scn.alpha_1 * scn.overlap_bandwidth
-    w_hi = scn.alpha_1 * scn.total_bandwidth
+    band_total = scn.total_bandwidth + scn.overlap_bandwidth
+    w_lo = scn.overlap_bandwidth
+    w_hi = scn.total_bandwidth
     p1, p2 = rng.random(2)
     p_scale = scn.total_power * rng.random() / (p1 + p2 + 1e-300)
     w1, w2 = rng.random(2)
@@ -264,7 +266,7 @@ def reference_link_rates(batch: ScenarioBatch, p_ue, p_bs, w_a, w_b):
     """link_rates on four per-link arrays, each rate of the broadcast shape of
     what it depends on, with its fallbacks applied on every call: the stand-ins
     for a zero other-link bandwidth and a zero denominator, and the zero-rate mask."""
-    alpha_o, alpha_1, dens, w_o = batch.alpha_o, batch.alpha_1, batch.density, batch.overlap_bandwidth
+    dens, w_o = batch.density, batch.overlap_bandwidth
     # Without overlap in any scenario the interference term is zero;
     # skipping it keeps the large orthogonal grid batches cheap.
     overlapped = np.any(w_o > 0.0)
@@ -277,14 +279,14 @@ def reference_link_rates(batch: ScenarioBatch, p_ue, p_bs, w_a, w_b):
             # A scenario with w_o = 0 adds exactly zero interference, so the
             # other link's bandwidth may be zero there.
             other_ok = positive | (w_o == 0.0)
-            interf = alpha_1 * p_other * beta * w_o / np.where(positive, w_other, 1.0)
+            interf = p_other * beta * w_o / np.where(positive, w_other, 1.0)
             den = noise + interf
         else:
             other_ok = True
             den = noise
         active = (w_own > 0.0) & other_ok
         sinr = p_own * beta / np.where(den > 0.0, den, 1.0)
-        rate = np.log1p(sinr) * (alpha_o * w_own / _LN2)
+        rate = np.log1p(sinr) * (0.5 * w_own / _LN2)
         return np.where(active, rate, 0.0)
 
     rate_a = one_way(p_ue, batch.beta_ue, w_a, p_bs, w_b)
@@ -292,8 +294,15 @@ def reference_link_rates(batch: ScenarioBatch, p_ue, p_bs, w_a, w_b):
     return rate_a, rate_b
 
 
+# The time share alpha_o and bandwidth share alpha_1 of each duplex mode, as the paper
+# states them: FDD transmits full-time over half the band, TDD half-time over all of it.
+PAPER_DUPLEX_FACTORS = {"FDD": (1.0, 0.5), "TDD": (0.5, 1.0)}
+
+
 def reference_rate(alpha_o, alpha_1, p_own, beta, w_own, p_other, w_other, dens, w_o):
-    """Single-link rate written out directly, for cross-checking."""
+    """Single-link rate written out directly, for cross-checking: the paper's
+    formula in hertz, with time share alpha_o, bandwidth share alpha_1 and the
+    physical density dens."""
     if w_own <= 0.0:
         return 0.0
     interference = alpha_1 * p_other * beta * w_o / w_other if w_o > 0.0 else 0.0
@@ -329,18 +338,18 @@ def golden_section_solve(batch: ScenarioBatch) -> SolvedRow:
     level zeta, golden section over the bandwidth split for the cheapest
     power that delivers eps*zeta and zeta."""
     scn = scalars(batch)
-    alpha_o, alpha_1 = scn.alpha_o, scn.alpha_1
+    time_share = 0.5  # of every band share: a rate is 0.5 u log2(1 + SINR)
     dens = scn.density
-    w_total = alpha_1 * scn.total_bandwidth
+    w_total = scn.total_bandwidth
     p_total = scn.total_power
     eps = scn.access_weight
-    zeta_ub = alpha_o * w_total / _LN2 * math.log1p(p_total * scn.beta_bs / (dens * w_total))
+    zeta_ub = time_share * w_total / _LN2 * math.log1p(p_total * scn.beta_bs / (dens * w_total))
     w_lo = w_total * 1e-12
     w_hi = w_total * (1.0 - 1e-12)
     log_scale_a, log_scale_b = math.log(dens / scn.beta_ue), math.log(dens / scn.beta_bs)
 
     def cheapest_split(zeta):
-        # A link's power for rate k alpha_o / ln2 over bandwidth w is
+        # A link's power for rate k time_share / ln2 over bandwidth w is
         # (2**x - 1) dens w / beta = e**(y + log(dens / beta)) (-expm1(-y)) w,
         # with y = x ln2 = k / w. The split minimizes the log of the links'
         # sum with the larger exponential factored out, which stays finite
@@ -348,7 +357,7 @@ def golden_section_solve(batch: ScenarioBatch) -> SolvedRow:
         # bandwidth of the split and the two powers.
         if zeta <= 0.0:
             return -math.inf, 0.5 * w_total, 0.0, 0.0
-        k_a, k_b = eps * zeta * math.log(2.0) / alpha_o, zeta * math.log(2.0) / alpha_o
+        k_a, k_b = eps * zeta * math.log(2.0) / time_share, zeta * math.log(2.0) / time_share
 
         def log_total(w_a):
             w_b = w_total - w_a
@@ -409,16 +418,16 @@ def reference_solve_orthogonal_many(batch: ScenarioBatch):
     axis 1, and (S, 1) columns per scenario quantity."""
     if (batch.overlap_bandwidth != 0.0).any():
         raise ValueError("solve_orthogonal requires overlap_bandwidth == 0")
-    alpha_o, eps, dens = batch.alpha_o, batch.access_weight, batch.density
+    eps, dens = batch.access_weight, batch.density
     p_total = batch.total_power
     w_total = bandwidth_limits(batch)[0]
     beta = np.hstack((batch.beta_ue, batch.beta_bs))
     log_gain_ratio = np.log(batch.beta_bs / batch.beta_ue)
     rate_per_zeta = np.hstack((eps, np.ones_like(eps)))
-    y_per_zeta = rate_per_zeta * _LN2 / (alpha_o * w_total)
+    y_per_zeta = rate_per_zeta * _LN2 / (0.5 * w_total)
 
     rate_a, zeta_ub = reference_link_rates(batch, p_total, p_total, w_total, w_total)
-    low_snr = alpha_o * p_total / (_LN2 * dens * (rate_per_zeta / beta).sum(axis=1, keepdims=True))
+    low_snr = 0.5 * p_total / (_LN2 * dens * (rate_per_zeta / beta).sum(axis=1, keepdims=True))
     zeta = np.minimum(np.minimum(zeta_ub, np.where(rate_a > 0.0, rate_a / eps, np.inf)), low_snr)
     zeta = np.where(zeta > 0.0, zeta, zeta_ub)
     lo, hi = np.zeros_like(zeta_ub), zeta_ub.copy()
@@ -435,7 +444,7 @@ def reference_solve_orthogonal_many(batch: ScenarioBatch):
         share[rows] = s = _reference_split_share(y_z, log_gain_ratio[rows], share[rows])
         pair = np.concatenate((s, 1.0 - s), axis=1)
         w = pair * w_total[rows]
-        p = _inversion_power(z * rate_per_zeta[rows], w, beta[rows], alpha_o[rows], dens[rows])
+        p = _inversion_power(z * rate_per_zeta[rows], w, beta[rows], dens[rows])
         spent = p.sum(axis=1, keepdims=True)
         feasible = spent <= p_total[rows]
         lo_s, hi_s = np.where(feasible, z, lo[rows]), np.where(feasible, hi[rows], z)
@@ -464,7 +473,7 @@ def mp_log_marginal_cost(y, dps: int = 40):
 
 def mp_orthogonal_level(batch: ScenarioBatch, dps: int = 40):
     """Optimal max-min level of an orthogonal scenario at dps digits, and
-    the smaller of the two links' y = rate ln2 / (alpha_o w) there.
+    the smaller of the two links' y = rate ln2 / (0.5 w) there.
 
     At the optimum the bandwidth split makes the links' marginal power
     costs h(y) / beta equal (the condition the exact solver uses) and the
@@ -474,10 +483,10 @@ def mp_orthogonal_level(batch: ScenarioBatch, dps: int = 40):
     mpmath raises if the residual does not vanish.
     """
     scn = scalars(batch)
-    alpha_o, alpha_1 = scn.alpha_o, scn.alpha_1
+    time_share = mp.mpf(0.5)
     start = golden_section_solve(batch)
     with mp.workdps(dps):
-        w_total = mp.mpf(alpha_1) * scn.total_bandwidth
+        w_total = mp.mpf(scn.total_bandwidth)
         dens = mp.mpf(scn.density)
         betas = mp.mpf(scn.beta_ue), mp.mpf(scn.beta_bs)
         rates_per_zeta = mp.mpf(scn.access_weight), mp.mpf(1)
@@ -486,7 +495,7 @@ def mp_orthogonal_level(batch: ScenarioBatch, dps: int = 40):
             share = 1 / (1 + mp.exp(-logit))
             widths = share * w_total, (1 - share) * w_total
             zeta = mp.exp(log_zeta)
-            ys = [r * zeta * mp.log(2) / (alpha_o * w) for r, w in zip(rates_per_zeta, widths)]
+            ys = [r * zeta * mp.log(2) / (time_share * w) for r, w in zip(rates_per_zeta, widths)]
             return widths, ys
 
         def equal_costs(logit, log_zeta):
@@ -547,7 +556,8 @@ def row_scenario(cfg: ExperimentConfig, row) -> ScenarioBatch:
 
 def per_point_build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
     """build_scenarios as it once was: one dbm_to_watts and one DUPLEX_FACTORS
-    lookup per point, and each distinct altitude's channel gains once."""
+    lookup per point, and each distinct altitude's channel gains once; the
+    density is noise plus interference times the duplex's DUPLEX_FACTORS entry."""
     sat_gain = db_to_linear(cfg.satellite_antenna_gain_dbi)
     aperture, frequency = cfg.aperture_radius_m, cfg.carrier_frequency_ghz * 1e9
     nodes = [(db_to_linear(gain_dbi), math.radians(angle_deg)) for gain_dbi, angle_deg in (
@@ -561,8 +571,7 @@ def per_point_build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
                                   for gain, angle in nodes]
         # the ScenarioBatch columns, in order
         rows.append((dbm_to_watts(power_dbm), cfg.total_bandwidth_mhz * 1e6, overlap_mhz * 1e6,
-                     density, access_weight, *DUPLEX_FACTORS[duplex],
-                     *gains[altitude_km]))
+                     density * DUPLEX_FACTORS[duplex], access_weight, *gains[altitude_km]))
     columns = np.array(rows, dtype=float).reshape(-1, len(dataclasses.fields(ScenarioBatch))).T
     return ScenarioBatch(*(column.reshape(-1, 1) for column in columns.copy()))
 
@@ -572,7 +581,7 @@ def per_row_audit(cfg: ExperimentConfig, rows) -> list[str]:
     config's ranges and its sweep_value against its point, build its scenario, check its allocation with
     reference_validate, re-evaluate a feasible one with reference_evaluate
     and, if its rates agree, check that it spends both budgets within the
-    relative slack of validate."""
+    relative slack of validate, its bandwidths in the batch's units."""
     ranges = {
         "power_dbm": _RANGES["total_power_dbm"],
         "overlap_mhz": (0.0, float(f"{cfg.total_bandwidth_mhz:.9g}")),  # as a CSV cell
@@ -599,7 +608,8 @@ def per_row_audit(cfg: ExperimentConfig, rows) -> list[str]:
                 problems.append(f"row {index}: marked converged but holds a non-finite value")
             continue
         scn = row_scenario(cfg, row)
-        alloc = (row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz)
+        hertz = hertz_per_unit(row.duplex)
+        alloc = (row.p_ue_w, row.p_bs_w, row.w_a_hz / hertz, row.w_b_hz / hertz)
         violated = reference_validate(scn, *alloc)
         if violated:
             problems.append(f"row {index}: allocation violates {', '.join(violated)}")
@@ -620,7 +630,7 @@ def per_row_audit(cfg: ExperimentConfig, rows) -> list[str]:
                 )
         budgets = {
             "power": (row.p_ue_w + row.p_bs_w, scalars(scn).total_power),
-            "bandwidth": (row.w_a_hz + row.w_b_hz, bandwidth_limits(scn)[0].item()),
+            "bandwidth": (alloc[2] + alloc[3], bandwidth_limits(scn)[0].item()),
         }
         unspent = [name for name, (spent, budget) in budgets.items() if spent < (1.0 - 1e-6) * budget]
         if unspent and len(problems) == found:

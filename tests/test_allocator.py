@@ -30,6 +30,7 @@ from oracles import (
     full_grid,
     full_grid_oracle,
     golden_section_solve,
+    hertz_per_unit,
     level,
     make_scenario,
     mp_log_marginal_cost,
@@ -51,10 +52,9 @@ def brute_force_maxmin(batch: ScenarioBatch, res: int = 100) -> float:
     """Exhaustive three-axis search over the feasible box, used as an
     independent check against the swarm under overlapped spectrum."""
     scn = scalars(batch)
-    alpha_1 = scn.alpha_1
-    band_total = alpha_1 * (scn.total_bandwidth + scn.overlap_bandwidth)
-    w_lo = alpha_1 * scn.overlap_bandwidth
-    w_hi = alpha_1 * scn.total_bandwidth
+    band_total = scn.total_bandwidth + scn.overlap_bandwidth
+    w_lo = scn.overlap_bandwidth
+    w_hi = scn.total_bandwidth
     # power rows against the (w_a, w_b) grid, flattened into columns
     p_ue = np.linspace(0.0, scn.total_power, res)[:, None]
     w_axis = np.linspace(w_lo, w_hi, res)
@@ -75,15 +75,16 @@ def swarm_fitness(scn: ScenarioBatch, alloc) -> float:
 
 
 def test_min_power_zero_rate():
-    assert allocator._inversion_power(0.0, 10e6, 1e-12, 1.0, 8e-21) == 0.0
+    assert allocator._inversion_power(0.0, 10e6, 1e-12, 8e-21) == 0.0
 
 
 def test_min_power_unit_spectral_efficiency():
     scn = scalars(make_scenario())
     bandwidth = 10e6
     dens = scn.density
-    # one effective bit/s/Hz: 2^1 - 1 = 1, so the power is exactly dens*w/beta
-    power = allocator._inversion_power(1.0 * bandwidth, bandwidth, scn.beta_ue, scn.alpha_o, dens)
+    # one effective bit/s/Hz of time, half a bit/s per hertz of band share: 2^1 - 1 = 1, so
+    # the power is exactly dens*w/beta
+    power = allocator._inversion_power(0.5 * bandwidth, bandwidth, scn.beta_ue, dens)
     assert power == dens * bandwidth / scn.beta_ue
 
 
@@ -92,7 +93,7 @@ def test_min_power_round_trip():
     scn = scalars(batch)
     target = 5e6
     bandwidth = 8e6
-    power = allocator._inversion_power(target, bandwidth, scn.beta_ue, scn.alpha_o, scn.density)
+    power = allocator._inversion_power(target, bandwidth, scn.beta_ue, scn.density)
     rate = evaluate(batch, (power, 0.0, bandwidth, 1e6))[1]
     assert rate == pytest.approx(target, rel=1e-9)
 
@@ -100,7 +101,7 @@ def test_min_power_round_trip():
 def test_min_power_overflow_is_infeasible():
     # an overflowing power is +inf, which no power budget can pay
     scn = scalars(make_scenario())
-    power = allocator._inversion_power(1e12, 1e3, scn.beta_ue, scn.alpha_o, scn.density)
+    power = allocator._inversion_power(1e12, 1e3, scn.beta_ue, scn.density)
     assert power == math.inf
 
 
@@ -123,16 +124,15 @@ def test_solve_orthogonal_symmetric_links():
     assert p_ue == pytest.approx(p_bs, rel=1e-4)
     assert w_a == pytest.approx(w_b, rel=1e-4)
     assert p_ue == pytest.approx(5.0, rel=1e-4)
-    assert w_a == pytest.approx(10e6, rel=1e-4)
+    assert w_a * hertz_per_unit("FDD") == pytest.approx(10e6, rel=1e-4)
 
 
 def test_solve_orthogonal_vanishing_access_weight():
     batch = make_scenario(access_weight=1e-9)
     scn = scalars(batch)
-    alpha_o, alpha_1 = scn.alpha_o, scn.alpha_1
-    w_total = alpha_1 * scn.total_bandwidth
+    w_total = scn.total_bandwidth
     dens = scn.density
-    single_link_best = alpha_o * w_total * math.log2(
+    single_link_best = 0.5 * w_total * math.log2(
         1.0 + scn.total_power * scn.beta_bs / (dens * w_total)
     )
     result = solve_orthogonal(batch)
@@ -396,9 +396,10 @@ def test_grid_oracle_symmetric_midpoint():
     (p_ue, _, w_a, _), _, _ = grid_oracle(scn, res)
     scn = scalars(scn)
     p_cell = scn.total_power / (res - 1)
-    w_cell = scn.alpha_1 * scn.total_bandwidth / (res - 1)
+    w_cell = scn.total_bandwidth / (res - 1)
+    hertz = hertz_per_unit("FDD")
     assert abs(p_ue - 5.0) <= p_cell
-    assert abs(w_a - 10e6) <= w_cell
+    assert abs(w_a * hertz - 10e6) <= w_cell * hertz
 
 
 def test_grid_oracle_never_beats_exact():
@@ -469,7 +470,8 @@ def test_grid_oracle_grid_maximum_zero():
     scn = make_scenario(total_power=1e-300, beta_ue=1e-30, beta_bs=1e-30)
     result = solve_orthogonal(scn)
     assert (level(scn, result), *result[1:]) == (0.0, 0, True)
-    assert result[0] == (5e-301, 5e-301, 10e6, 10e6)
+    hertz = hertz_per_unit("FDD")
+    assert result[0] == (5e-301, 5e-301, 10e6 / hertz, 10e6 / hertz)
     assert evaluate(scn, result[0]) == reference_evaluate(scn, *result[0])
 
 
@@ -573,7 +575,7 @@ def test_grid_oracle_tie_at_the_crossing():
     result = grid_oracle(scn, 10)
     assert result == full_grid_oracle(scn, 10)
     (p_ue, _, w_a, _), _, _ = result
-    assert (p_ue, w_a) == (4.0, 20e6)
+    assert (p_ue, w_a * hertz_per_unit("FDD")) == (4.0, 20e6)
 
 
 def test_grid_oracle_batch_rows_equal_rows_solved_alone():
@@ -730,7 +732,7 @@ def test_pso_matches_brute_force_under_half_overlap():
 def test_pso_single_point_population_is_stationary():
     scn = make_scenario()
     n = 6
-    point = np.array([4.0, 6.0, 8e6, 12e6])
+    point = np.array([4.0, 6.0, 8e6 / hertz_per_unit("FDD"), 12e6 / hertz_per_unit("FDD")])
     population = np.tile(point, (n, 1))
     cfg = PsoConfig(population_size=n, max_iterations=30)
     best = run_pso(stack([scn]), cfg, [0], initial_population=population[None])

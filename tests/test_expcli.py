@@ -49,7 +49,15 @@ from satiab.expcli import (
     write_csv,
 )
 
-from oracles import per_point_build_scenarios, per_row_audit, row_scenario, stack
+from oracles import PAPER_DUPLEX_FACTORS, hertz_per_unit, per_point_build_scenarios, per_row_audit
+from oracles import row_scenario, stack
+
+
+def in_hertz(alloc, duplex: str) -> tuple:
+    """The four numbers alloc (p_ue, p_bs, w_a, w_b) of a batch of duplex mode duplex, its
+    bandwidths in the CSV's hertz."""
+    p_ue, p_bs, w_a, w_b = alloc
+    return p_ue, p_bs, w_a * hertz_per_unit(duplex), w_b * hertz_per_unit(duplex)
 
 
 def write_json(path, payload) -> str:
@@ -278,7 +286,7 @@ def test_power_sweep_exact_rows_equal_rows_solved_alone():
     for row in exact_rows:
         scn = row_scenario(cfg, row)
         alloc, _, _ = solve_orthogonal(scn)
-        assert (row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz) == alloc
+        assert (row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz) == in_hertz(alloc, row.duplex)
         assert row.zeta_mbps == evaluate(scn, alloc)[0] / 1e6
         assert row.converged
 
@@ -341,7 +349,8 @@ def test_audit_catches_tampering():
 
 def rerated(cfg: ExperimentConfig, row: SweepRow) -> SweepRow:
     """row with its four rate cells re-evaluated from its allocation."""
-    alloc = np.array([[row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz]])
+    hertz = hertz_per_unit(row.duplex)
+    alloc = np.array([[row.p_ue_w, row.p_bs_w, row.w_a_hz / hertz, row.w_b_hz / hertz]])
     zeta, rate_a, rate_b, throughput = (evaluate_many(row_scenario(cfg, row), alloc)[0] / 1e6).tolist()
     return row._replace(zeta_mbps=zeta, rate_access_mbps=rate_a, rate_backhaul_mbps=rate_b,
                         throughput_mbps=throughput)
@@ -359,9 +368,10 @@ def tampered(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[SweepRow]:
     in row order."""
     rows = list(rows)
 
-    def limits(row):
+    def limits(row):  # the power budget and bandwidth_limits, in the CSV's hertz
         scn = row_scenario(cfg, row)
-        return tuple(limit.item() for limit in (scn.total_power, *bandwidth_limits(scn)))
+        hertz = hertz_per_unit(row.duplex)
+        return scn.total_power.item(), *(limit.item() * hertz for limit in bandwidth_limits(scn))
 
     def edit(index, **changes):
         rows[index] = rows[index]._replace(**changes)
@@ -522,7 +532,7 @@ def test_build_scenarios_raises_at_the_first_bad_point(points, error, message):
 
 def test_one_list_of_duplex_names(tmp_path):
     # the table's keys are the CSV's duplex cells and the config's duplex values, FDD first
-    names = tuple(ratemodel.DUPLEX_FACTORS)
+    names = tuple(expcli.DUPLEX_FACTORS)
     assert names == expcli._CELL_CHOICES["duplex"] == ("FDD", "TDD")
     for duplex in names:
         assert load_config(write_json(tmp_path / "cfg.json", {"duplex": duplex})).duplex == duplex
@@ -530,10 +540,12 @@ def test_one_list_of_duplex_names(tmp_path):
         with pytest.raises(ValidationError) as raised:
             load_config(write_json(tmp_path / "cfg.json", {"duplex": duplex}))
         assert str(raised.value).endswith(f"duplex must be FDD or TDD, got {duplex!r}")
-    for name, (alpha_o, alpha_1) in ratemodel.DUPLEX_FACTORS.items():
+    cfg = ExperimentConfig()
+    density = dbm_to_watts(cfg.noise_density_dbm_hz) + dbm_to_watts(cfg.interference_density_dbm_hz)
+    for name, (alpha_o, alpha_1) in PAPER_DUPLEX_FACTORS.items():
         assert alpha_o * alpha_1 == 0.5
-        scn = build_scenario(dataclasses.replace(ExperimentConfig(), duplex=name))
-        assert (scn.alpha_o.item(), scn.alpha_1.item()) == (alpha_o, alpha_1)
+        scn = build_scenario(dataclasses.replace(cfg, duplex=name))
+        assert (expcli.DUPLEX_FACTORS[name], scn.density.item()) == (alpha_1, alpha_1 * density)
 
 
 def test_one_list_of_solver_names(tmp_path, capsys, monkeypatch):
@@ -584,7 +596,7 @@ def test_each_solver_entry_looks_its_solver_up_in_expcli(monkeypatch, solver, at
     for field in dataclasses.fields(scn):
         assert np.array_equal(getattr(batch, field.name), getattr(scn, field.name))
     row, = (row for row in rows if row.solver == solver)
-    assert [row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz] == alloc.tolist()[0]
+    assert [row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz] == list(in_hertz(alloc.tolist()[0], row.duplex))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
@@ -595,7 +607,8 @@ def test_build_scenarios_density_is_noise_plus_interference(noise_dbm_hz, interf
                               interference_density_dbm_hz=interference_dbm_hz)
     density = build_scenarios(cfg, [(40.0, 0.0, "FDD", 600.0, 0.1), (50.0, 0.0, "TDD", 1200.0, 1.0)]).density
     want = dbm_to_watts(noise_dbm_hz) + dbm_to_watts(interference_dbm_hz)
-    assert density.shape == (2, 1) and density.tolist() == [[want], [want]]
+    shares = expcli.DUPLEX_FACTORS["FDD"], expcli.DUPLEX_FACTORS["TDD"]  # the density times alpha_1
+    assert density.shape == (2, 1) and density.tolist() == [[want * shares[0]], [want * shares[1]]]
 
 
 def test_run_single_produces_one_row_per_solver():
@@ -609,7 +622,7 @@ def test_run_single_produces_one_row_per_solver():
     direct = [solve_orthogonal(scn), grid_oracle(scn, cfg.oracle_resolution),
               pso_solve(scn, swarm, cfg.seed)]
     for row, (alloc, _, converged) in zip(rows, direct):
-        assert (row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz) == alloc
+        assert (row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz) == in_hertz(alloc, row.duplex)
         zeta, _, _, throughput = evaluate(scn, alloc)
         assert row.zeta_mbps == zeta / 1e6
         assert row.throughput_mbps == throughput / 1e6
@@ -1140,8 +1153,15 @@ def test_sweeps_and_audit_construct_no_per_row_objects(monkeypatch):
     broken = tampered(cfg, run_power_sweep(cfg))
     want = per_row_audit(cfg, broken)
     # a scenario is a one-row batch: every batch built here holds a call's rows, none one row
-    sizes, check = [], ScenarioBatch.__post_init__
+    sizes, check, take = [], ScenarioBatch.__post_init__, ScenarioBatch.take
     monkeypatch.setattr(ScenarioBatch, "__post_init__", lambda self: (sizes.append(len(self)), check(self)))
+
+    def counted_take(self, rows):  # take builds its batch without __post_init__
+        taken = take(self, rows)
+        sizes.append(len(taken))
+        return taken
+
+    monkeypatch.setattr(ScenarioBatch, "take", counted_take)
     power, overlap = run_power_sweep(cfg), run_overlap_sweep(cfg)
     assert len(power) == 36 and len(overlap) == 42
     assert audit_rows(cfg, power) == audit_rows(cfg, overlap) == []
@@ -1289,13 +1309,15 @@ def test_cli_rejects_non_finite_and_out_of_range_numbers(tmp_path, capsys, text,
         ("sweep-power", {"seed": -1}, [], "seed must be nonnegative"),
         ("sweep-power", {}, ["--seed", "-1"], "seed must be nonnegative"),
         ("sweep-power", {"power_sweep_min_dbm": 45, "power_sweep_max_dbm": 44}, [],
-         "power sweep range is empty (max < min)"),
+         "power_sweep_max_dbm=44 must be at least power_sweep_min_dbm=45"),
+        ("solve", {"power_sweep_min_dbm": 45, "power_sweep_max_dbm": 44}, [],
+         "power_sweep_max_dbm=44 must be at least power_sweep_min_dbm=45"),
         ("solve", [], [], "top-level JSON value must be an object"),
         ("solve", "cfg", [], "top-level JSON value must be an object"),
         ("solve", 40, [], "top-level JSON value must be an object"),
     ],
     ids=["ue-90", "ue-minus-95", "bs-90", "bs-minus-95", "config-seed", "flag-seed", "empty-power-range",
-         "list", "string", "number"],
+         "empty-power-range-solve", "list", "string", "number"],
 )
 def test_cli_rejects_a_config_outside_its_invariants(tmp_path, capsys, command, payload, flags, message):
     # one line, naming the key where there is one, before anything is solved or written; without

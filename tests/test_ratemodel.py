@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from satiab import (
     CONSTRAINTS,
-    DUPLEX_FACTORS,
     ScenarioBatch,
     evaluate_many,
     link_rates,
@@ -20,19 +19,22 @@ from satiab import (
     validate_many,
 )
 from satiab.allocator import solve_orthogonal
+from satiab.expcli import DUPLEX_FACTORS, ExperimentConfig, build_scenarios
+from satiab.linkbudget import dbm_to_watts
 from satiab.ratemodel import evaluate, validate
 
 from oracles import hertz_per_unit, make_scenario, random_feasible_allocation, random_scenario
 from oracles import reference_link_rates, reference_rate, reference_scenarios, reference_validate, scalars
-from oracles import scenario, stack
+from oracles import PAPER_DUPLEX_FACTORS, scenario, stack
 
 
 def test_duplex_factors_values():
-    assert DUPLEX_FACTORS["FDD"] == (1.0, 0.5)
-    assert DUPLEX_FACTORS["TDD"] == (0.5, 1.0)
+    # expcli keeps alpha_1 alone, the CSV's hertz per hertz of band share
+    assert DUPLEX_FACTORS["FDD"] == 0.5
+    assert DUPLEX_FACTORS["TDD"] == 1.0
     for mode in DUPLEX_FACTORS:
-        alpha_o, alpha_1 = DUPLEX_FACTORS[mode]
-        assert alpha_o * alpha_1 == 0.5
+        alpha_o, alpha_1 = PAPER_DUPLEX_FACTORS[mode]
+        assert alpha_o * alpha_1 == 0.5 and DUPLEX_FACTORS[mode] == alpha_1
 
 
 def test_access_rate_zero_power():
@@ -48,7 +50,7 @@ def test_access_rate_reference_value():
         beta_ue=1.575e-12,
         density=3.981e-18 + 3.981e-18,
     )
-    alloc = (10.0, 0.0, 20e6, 0.0)
+    alloc = (10.0, 0.0, 20e6 / hertz_per_unit("FDD"), 0.0)
     rate = evaluate(scn, alloc)[1]
     assert rate == pytest.approx(2721394.0688714305, rel=1e-9)
     assert rate == pytest.approx(2.73e6, rel=0.02)
@@ -145,21 +147,37 @@ def test_access_rate_midpoint_concavity():
 
 
 def test_rates_depend_on_duplex_only_through_factors():
+    # link_rates of a build_scenarios batch at band shares u = w / alpha_1 is the paper's rate
+    # of each mode at w hertz, by reference_rate with both factors and the physical density:
+    # the kernel's 0.5 is alpha_o alpha_1, the same for both modes
+    for alpha_o, alpha_1 in PAPER_DUPLEX_FACTORS.values():
+        assert alpha_o * alpha_1 == 0.5
     rng = np.random.default_rng(17)
     for _ in range(200):
-        batch = random_scenario(rng)
-        alloc = random_feasible_allocation(rng, batch)
-        p_ue, p_bs, w_a, w_b = alloc
+        cfg = ExperimentConfig(total_bandwidth_mhz=rng.uniform(5.0, 100.0),
+                               noise_density_dbm_hz=rng.uniform(-180.0, -150.0),
+                               interference_density_dbm_hz=rng.uniform(-180.0, -150.0))
+        duplex = str(rng.choice(["FDD", "TDD"]))
+        overlap_mhz = cfg.total_bandwidth_mhz * float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+        power_dbm = rng.uniform(30.0, 60.0)
+        batch = build_scenarios(cfg, [(power_dbm, overlap_mhz, duplex, rng.uniform(500.0, 1500.0),
+                                       rng.uniform(0.02, 1.0))])
         scn = scalars(batch)
-        alpha_o, alpha_1 = scn.alpha_o, scn.alpha_1
-        dens = scn.density
+        alpha_o, alpha_1 = PAPER_DUPLEX_FACTORS[duplex]
+        dens = dbm_to_watts(cfg.noise_density_dbm_hz) + dbm_to_watts(cfg.interference_density_dbm_hz)
+        w_total, w_o = cfg.total_bandwidth_mhz * 1e6, overlap_mhz * 1e6
+        # a feasible allocation in hertz: w_a in [alpha_1 w_o, alpha_1 W], w_b the rest of alpha_1 (W + w_o)
+        p_ue, p_bs = rng.uniform(0.0, 0.5 * dbm_to_watts(power_dbm), 2)
+        w_a = alpha_1 * rng.uniform(w_o, w_total)
+        w_b = alpha_1 * (w_total + w_o) - w_a
         expected_a = reference_rate(
-            alpha_o, alpha_1, p_ue, scn.beta_ue, w_a, p_bs, w_b, dens, scn.overlap_bandwidth,
+            alpha_o, alpha_1, p_ue, scn.beta_ue, w_a, p_bs, w_b, dens, w_o,
         )
         expected_b = reference_rate(
-            alpha_o, alpha_1, p_bs, scn.beta_bs, w_b, p_ue, w_a, dens, scn.overlap_bandwidth,
+            alpha_o, alpha_1, p_bs, scn.beta_bs, w_b, p_ue, w_a, dens, w_o,
         )
-        _, rate_a, rate_b, _ = evaluate(batch, alloc)
+        rates = link_rates(batch, [[[p_ue]], [[p_bs]]], [[[w_a / alpha_1]], [[w_b / alpha_1]]])
+        rate_a, rate_b = rates.ravel().tolist()
         assert rate_a == pytest.approx(expected_a, rel=1e-12, abs=1e-9)
         assert rate_b == pytest.approx(expected_b, rel=1e-12, abs=1e-9)
 
@@ -373,18 +391,17 @@ def test_validate_power_budget_violation():
 def test_validate_feasible_boundaries():
     batch = make_scenario(overlap_bandwidth=10e6)
     scn = scalars(batch)
-    alpha_1 = scn.alpha_1
-    tight = (5.0, 5.0, alpha_1 * scn.total_bandwidth, alpha_1 * scn.overlap_bandwidth)
+    tight = (5.0, 5.0, scn.total_bandwidth, scn.overlap_bandwidth)
     assert validate(batch, tight) == []
-    half = alpha_1 * (scn.total_bandwidth + scn.overlap_bandwidth) / 2.0
+    half = (scn.total_bandwidth + scn.overlap_bandwidth) / 2.0
     assert validate(batch, (5.0, 5.0, half, half)) == []
 
 
 def test_validate_flags_each_constraint():
     batch = make_scenario(overlap_bandwidth=10e6)
     scn = scalars(batch)
-    w_hi = scn.alpha_1 * scn.total_bandwidth
-    w_lo = scn.alpha_1 * scn.overlap_bandwidth
+    w_hi = scn.total_bandwidth
+    w_lo = scn.overlap_bandwidth
     assert "1b" in validate(batch, (1.0, 1.0, w_hi, w_hi))
     assert "1c" in validate(batch, (1.0, 1.0, 1.2 * w_hi, w_lo))
     assert "1d" in validate(batch, (1.0, 1.0, w_hi, 0.5 * w_lo))
@@ -488,6 +505,24 @@ def test_take_with_an_index_gives_its_one_row_batch():
     alloc, iterations, converged = solve_orthogonal_many(orthogonal.take(1))
     assert alloc.shape == (1, 4) and iterations.shape == converged.shape == (1,)
     assert solve_orthogonal(orthogonal.take(1)) == solve_orthogonal(orthogonal.take([1]))
+
+
+def test_take_gives_the_columns_of_the_batch_built_with_checks():
+    # take skips the checks its rows passed once; the batch built from the same rows runs
+    # them, and both hold the same columns, for every kind of row selection
+    rng = np.random.default_rng(13)
+    batch = stack([random_scenario(rng) for _ in range(5)])
+    mask = np.array([True, False, True, True, False])
+    for rows in (slice(1, 4), slice(None, None, -2), [4, 0, 0], mask, 3, np.int64(-1), []):
+        taken = batch.take(rows)
+        checked = ScenarioBatch(**{f.name: getattr(batch, f.name)[rows].reshape(-1, 1)
+                                   for f in dataclasses.fields(ScenarioBatch)})
+        assert type(taken) is ScenarioBatch and len(taken) == len(checked)
+        for field in dataclasses.fields(ScenarioBatch):
+            assert np.array_equal(getattr(taken, field.name), getattr(checked, field.name))
+            assert getattr(taken, field.name).shape == (len(checked), 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            taken.total_power = checked.total_power
 
 
 def test_scenario_batch_rejects_a_column_that_is_not_s_by_1():
