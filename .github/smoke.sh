@@ -13,6 +13,12 @@
 # are so small that 1 + SINR rounds to 1, and an overlap sweep at 1 kHz and 100 dBm),
 # each followed by the audit of its own CSV under its own config. The first nonzero
 # exit ends the run with that status.
+#
+# First it writes what the parser prints into OUT/cli/: the help of satiab and of each
+# command (help.txt, <command>-help.txt), and the stderr of three usage errors, an
+# unknown command, an unrecognized argument and a --seed that is not an integer
+# (unknown-command.txt, unrecognized-argument.txt, bad-seed.txt), each of which must
+# exit 2; any other status ends the run with status 1.
 set -euo pipefail
 out=$1
 shift
@@ -23,6 +29,26 @@ cd "$out"
 satiab() {
   "${cli[@]}" "$@"
 }
+
+# The usage error of satiab $2..., its stderr into cli/$1.txt; its exit status must be 2.
+usage_error() {
+  local name=$1 status=0
+  shift
+  satiab "$@" 2> "cli/$name.txt" || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "satiab $*: exit status $status, not 2" >&2
+    exit 1
+  fi
+}
+
+mkdir -p cli
+satiab --help > cli/help.txt
+for command in solve sweep-power sweep-overlap audit; do
+  satiab "$command" --help > "cli/$command-help.txt"
+done
+usage_error unknown-command bogus
+usage_error unrecognized-argument solve extra
+usage_error bad-seed sweep-overlap --seed x
 
 # A solve or sweep under the config $2 (or the defaults if it is empty), into the
 # directory $3, then the audit of its CSV $4 under the same config.

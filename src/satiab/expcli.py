@@ -691,8 +691,11 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
                                                             want[k].tolist(), off[k]) if bad]
     overlap = np.array([row.sweep == "overlap" for row in rows], dtype=bool)
     swept = np.where(overlap, cells[:, 2] / band, cells[:, 1])
-    mislabelled = ~np.isclose(cells[:, 0], swept, rtol=1e-8 * overlap, atol=0.0) & ~outside.any(axis=1)
-    for i in np.flatnonzero(mislabelled).tolist():
+    # |sweep_value - swept| <= 1e-8 |swept| on an overlap row, == on the others; a NaN fails both. The rows
+    # outside are not compared: only theirs can have an infinite swept, which np.isclose passed if equal.
+    near = np.flatnonzero(~outside.any(axis=1))
+    close = np.abs(cells[near, 0] - swept[near]) <= 1e-8 * overlap[near] * np.abs(swept[near])
+    for i in near[~close].tolist():
         name = "overlap_mhz/total_bandwidth_mhz" if overlap[i] else "power_dbm"
         problems.setdefault(i, []).insert(0, f"row {i}: sweep_value={cells[i, 0]:g} != "
                                              f"{name}={swept[i]:g}")
@@ -754,34 +757,46 @@ def _cmd_audit(args) -> int:
     return 0
 
 
+# The commands: (help, handler and its defaults, whether it takes the run options).
+_COMMANDS = {
+    "solve": ("run the selected solvers on one scenario", {"handler": _cmd_solve}, True),
+    "sweep-power": ("throughput vs transmit power",
+                    {"handler": _cmd_sweep, "run": run_power_sweep, "stem": "power_sweep"}, True),
+    "sweep-overlap": ("throughput vs bandwidth overlap",
+                      {"handler": _cmd_sweep, "run": run_overlap_sweep, "stem": "overlap_sweep"}, True),
+    "audit": ("re-validate a previously written sweep CSV", {"handler": _cmd_audit}, False),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """parser with the arguments and defaults of the command name."""
+    _, defaults, runs = _COMMANDS[name]
+    parser.add_argument("--config", help="path to a JSON config file")
+    if runs:
+        parser.add_argument("--seed", type=int, help="override the RNG seed")
+        parser.add_argument("--out", default="out", help="output directory")
+        parser.add_argument("--solvers", help=f"comma-separated subset of {','.join(_SOLVERS)}")
+    else:
+        parser.add_argument("--csv", required=True, help="CSV file to audit")
+    parser.set_defaults(**defaults)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="satiab",
-        description="Satellite access/backhaul allocation experiments",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-    common = argparse.ArgumentParser(add_help=False)  # the options of the three run commands
-    common.add_argument("--config", help="path to a JSON config file")
-    common.add_argument("--seed", type=int, help="override the RNG seed")
-    common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--solvers", help=f"comma-separated subset of {','.join(_SOLVERS)}")
-
-    p = sub.add_parser("solve", parents=[common], help="run the selected solvers on one scenario")
-    p.set_defaults(handler=_cmd_solve)
-
-    for name, run, stem, text in (
-        ("sweep-power", run_power_sweep, "power_sweep", "throughput vs transmit power"),
-        ("sweep-overlap", run_overlap_sweep, "overlap_sweep", "throughput vs bandwidth overlap"),
-    ):
-        p = sub.add_parser(name, parents=[common], help=text)
-        p.set_defaults(handler=_cmd_sweep, run=run, stem=stem)
-
-    p = sub.add_parser("audit", help="re-validate a previously written sweep CSV")
-    p.add_argument("--config", help="path to a JSON config file")
-    p.add_argument("--csv", required=True, help="CSV file to audit")
-    p.set_defaults(handler=_cmd_audit)
-
-    args = parser.parse_args(argv)
+    # The command named first parses the rest with its own parser, as the whole parser's subparser
+    # would; any other argv, or an argument left over, goes through the whole parser and its usage.
+    argv = sys.argv[1:] if argv is None else argv
+    args, rest = None, argv
+    if argv and argv[0] in _COMMANDS:
+        parser = _add_command(argparse.ArgumentParser(prog=f"satiab {argv[0]}"), argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+    if args is None or rest:
+        parser = argparse.ArgumentParser(prog="satiab",
+                                         description="Satellite access/backhaul allocation experiments")
+        sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+        for name, (text, _, _) in _COMMANDS.items():
+            _add_command(sub.add_parser(name, help=text), name)
+        args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except (ValidationError, ValueError, ArithmeticError) as err:

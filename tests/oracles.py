@@ -43,8 +43,13 @@ scenario and physical_values convert a duplex mode's physical density to
 the batch's and back, and hertz_per_unit converts its bandwidths to the
 CSV's hertz. reference_rate alone computes a rate from the physical values
 and both duplex factors, the paper's formula.
+The reference command-line parser is main's parser as first written: the
+top parser, a shared parent parser of the run options and all four
+subparsers, built whatever the command; main must print its help, usage
+errors and exit codes, and parse what it parses.
 """
 
+import argparse
 import dataclasses
 import math
 import types
@@ -63,7 +68,8 @@ from satiab import (
 )
 from satiab.allocator import _BELOW_ONE, _MAX_STEPS, _inversion_power, _log_marginal_cost
 from satiab.allocator import _SolvedRow as SolvedRow
-from satiab.expcli import _RANGES, DUPLEX_FACTORS, ExperimentConfig, _float_cells, build_scenario
+from satiab.expcli import _RANGES, _SOLVERS, DUPLEX_FACTORS, ExperimentConfig, _float_cells, build_scenario
+from satiab.expcli import _cmd_audit, _cmd_solve, _cmd_sweep, run_overlap_sweep, run_power_sweep
 from satiab.ratemodel import _LN2
 
 
@@ -725,3 +731,33 @@ def reference_run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int]
         population = population + 0.01 * velocity
 
     return best_particle
+
+
+def reference_cli_parser() -> argparse.ArgumentParser:
+    """The parser of main as first written, every command's subparser built on each call."""
+    parser = argparse.ArgumentParser(
+        prog="satiab",
+        description="Satellite access/backhaul allocation experiments",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    common = argparse.ArgumentParser(add_help=False)  # the options of the three run commands
+    common.add_argument("--config", help="path to a JSON config file")
+    common.add_argument("--seed", type=int, help="override the RNG seed")
+    common.add_argument("--out", default="out", help="output directory")
+    common.add_argument("--solvers", help=f"comma-separated subset of {','.join(_SOLVERS)}")
+
+    p = sub.add_parser("solve", parents=[common], help="run the selected solvers on one scenario")
+    p.set_defaults(handler=_cmd_solve)
+
+    for name, run, stem, text in (
+        ("sweep-power", run_power_sweep, "power_sweep", "throughput vs transmit power"),
+        ("sweep-overlap", run_overlap_sweep, "overlap_sweep", "throughput vs bandwidth overlap"),
+    ):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.set_defaults(handler=_cmd_sweep, run=run, stem=stem)
+
+    p = sub.add_parser("audit", help="re-validate a previously written sweep CSV")
+    p.add_argument("--config", help="path to a JSON config file")
+    p.add_argument("--csv", required=True, help="CSV file to audit")
+    p.set_defaults(handler=_cmd_audit)
+    return parser

@@ -1,5 +1,6 @@
 """Config loading, sweep runners, CSV/SVG output, auditing, and the CLI."""
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -50,7 +51,7 @@ from satiab.expcli import (
 )
 
 from oracles import PAPER_DUPLEX_FACTORS, hertz_per_unit, per_point_build_scenarios, per_row_audit
-from oracles import row_scenario, stack
+from oracles import reference_cli_parser, row_scenario, stack
 
 
 def in_hertz(alloc, duplex: str) -> tuple:
@@ -1035,13 +1036,40 @@ def test_cli_audit_reports_a_bad_point_or_power_on_its_row(tmp_path, capsys, col
 @pytest.mark.parametrize("cells, message", [
     ({"sweep_value": "99"}, "sweep_value=99 != power_dbm=41"),
     ({"sweep": "overlap"}, "sweep_value=41 != overlap_mhz/total_bandwidth_mhz=0"),
+    ({"sweep_value": "nan"}, "sweep_value=nan != power_dbm=41"),
+    ({"sweep_value": "inf"}, "sweep_value=inf != power_dbm=41"),
 ])
 def test_cli_audit_checks_a_row_sweep_cells(tmp_path, capsys, cells, message):
     # row 5 is at 41 dBm: its sweep_value must be its power, and relabelled
-    # an overlap row, the overlap fraction, which is 0
+    # an overlap row, the overlap fraction, which is 0; a non-finite
+    # sweep_value is neither, and it makes the converged row non-finite
     cfg, csv_path = twelve_row_csv(tmp_path, {5: cells})
-    assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == failed_audit([f"row 5: {message}"])
-    assert per_row_audit(load_config(cfg), read_csv(csv_path)) == [f"row 5: {message}"]
+    problems = [f"row 5: {message}"]
+    if not math.isfinite(float(cells.get("sweep_value", 0))):
+        problems.append("row 5: marked converged but holds a non-finite value")
+    assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == failed_audit(problems)
+    assert per_row_audit(load_config(cfg), read_csv(csv_path)) == problems
+
+
+@pytest.mark.parametrize("sweep_value, mislabelled", [
+    (0.500000004, False), (0.499999996, False), (0.500000006, True), (0.499999994, True),
+])
+def test_cli_audit_checks_an_overlap_row_sweep_value_to_1e_8_relative(tmp_path, capsys, sweep_value,
+                                                                      mislabelled):
+    # an overlap row's sweep_value must be its overlap fraction, here 0.5, within 1e-8 of it
+    cfg = cli_config(tmp_path, solvers=["pso"])
+    rows = run_overlap_sweep(load_config(cfg))
+    index = [row.sweep_value for row in rows].index(0.5)
+    rows[index] = rows[index]._replace(sweep_value=sweep_value)
+    csv_path = str(tmp_path / "sweep.csv")
+    write_csv(rows, csv_path)
+    problems = [f"row {index}: sweep_value=0.5 != overlap_mhz/total_bandwidth_mhz=0.5"] if mislabelled else []
+    assert per_row_audit(load_config(cfg), read_csv(csv_path)) == problems
+    if mislabelled:
+        assert assert_audit_fails_cleanly(capsys, cfg, csv_path) == failed_audit(problems, rows=len(rows))
+    else:
+        assert main(["audit", "--config", cfg, "--csv", csv_path]) == 0
+        assert capsys.readouterr().out == f"audit ok: {len(rows)} row(s)\n"
 
 
 def test_cli_audit_rejects_a_row_that_leaves_power_unspent(tmp_path, capsys):
@@ -1259,6 +1287,86 @@ def test_cli_unknown_command_is_a_usage_error(capsys):
         main(["bogus"])
     assert exit_.value.code == 2
     assert "invalid choice: 'bogus'" in capsys.readouterr().err  # the choice list's quoting varies by Python
+
+
+# Command lines whose parse main must print or take as the reference parser does: help,
+# usage errors, a leftover argument, a leading --, and abbreviated options (the last two
+# lines are valid, and main runs them to an i/o error: their files do not exist).
+CLI_LINES = [
+    [], ["--help"],
+    *([command, "--help"] for command in ("solve", "sweep-power", "sweep-overlap", "audit")),
+    ["bogus"], ["solve", "extra"], ["audit", "--csv", "x", "--seed", "1"], ["sweep-overlap", "--seed", "x"],
+    ["audit"], ["--", "solve", "--help"],
+    ["audit", "--cs", "missing.csv"], ["sweep-power", "--conf", "missing.json", "--seed", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", CLI_LINES, ids=lambda argv: "_".join(argv) or "none")
+def test_cli_parses_as_the_parser_as_first_written(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    try:
+        want = vars(reference_cli_parser().parse_args(argv))
+    except SystemExit as exit_:
+        want = (exit_.code, *capsys.readouterr())
+    parsed = []  # each parse_known_args result, the outermost last
+    parse = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        lambda self, *args, **kwargs: parsed.append(parse(self, *args, **kwargs)) or parsed[-1])
+    if isinstance(want, tuple):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert (exit_.value.code, *capsys.readouterr()) == want
+    else:
+        assert main(argv) == 2 and capsys.readouterr().err.startswith("i/o error: ")
+        args, rest = parsed[-1]
+        assert rest == []
+        assert {**vars(args), "command": None} == {**want, "command": None}
+
+
+def exact_solve_csv(tmp_path) -> str:
+    """The path of the one-row CSV of the exact solve of the default config."""
+    csv_path = str(tmp_path / "solve.csv")
+    write_csv(run_single(dataclasses.replace(ExperimentConfig(), solvers=("exact",))), csv_path)
+    return csv_path
+
+
+def test_a_command_builds_its_parser_alone(tmp_path, monkeypatch, capsys):
+    # the reference parser builds six: the top parser, the shared parent and four subparsers
+    csv_path = exact_solve_csv(tmp_path)
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs))
+    assert main(["audit", "--csv", csv_path]) == 0
+    assert capsys.readouterr().out == "audit ok: 1 row(s)\n"
+    assert [parser.prog for parser in built] == ["satiab audit"]
+
+
+def test_importing_expcli_builds_no_parser():
+    child = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "argparse.ArgumentParser.__init__ = lambda self, *a, **k: (\n"
+             "    built.append(self) or init(self, *a, **k))\n"
+             "import satiab.expcli\n"
+             "print(len(built))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def test_cli_without_argv_reads_sys_argv(tmp_path, monkeypatch, capsys):
+    # the console script calls main() alone
+    csv_path = exact_solve_csv(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["satiab", "audit", "--csv", csv_path])
+    assert main() == 0
+    assert capsys.readouterr().out == "audit ok: 1 row(s)\n"
+    monkeypatch.setattr(sys, "argv", ["satiab"])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == ("usage: satiab [-h] {solve,sweep-power,sweep-overlap,audit} ...\n"
+                                       "satiab: error: the following arguments are required: command\n")
 
 
 def test_cli_solvers_flag(tmp_path):
