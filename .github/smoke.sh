@@ -9,10 +9,13 @@
 # (44 rows at 200 x 200, three grid chunks), a solve at 10 MHz of overlap by the swarm
 # and the grid oracle in each duplex mode (the rate kernel's overlapped path at fixed
 # bandwidths), a solve at full overlap by both at the smallest grid (every grid column
-# ties), and two sweeps at the corners of the config ranges (a power sweep whose SINRs
+# ties), two sweeps at the corners of the config ranges (a power sweep whose SINRs
 # are so small that 1 + SINR rounds to 1, and an overlap sweep at 1 kHz and 100 dBm),
-# each followed by the audit of its own CSV under its own config. The first nonzero
-# exit ends the run with that status.
+# and the power sweeps of the benchmark's power-exact and power-oracle workloads at
+# --seed 1, under the configs bench/run.py writes for that seed (1,204 exact rows, and
+# 44 oracle rows at 1000 x 1000; the default overlap sweep is overlap-pso's), each
+# followed by the audit of its own CSV under its own config. The first nonzero exit
+# ends the run with that status.
 #
 # First it writes what the parser prints into OUT/cli/: the help of satiab and of each
 # command (help.txt, <command>-help.txt), and the stderr of three usage errors, an
@@ -79,4 +82,8 @@ run_and_audit() {
     low-snr power_sweep.csv
   run_and_audit sweep-overlap '{"total_bandwidth_mhz": 0.001, "total_power_dbm": 100.0, "noise_density_dbm_hz": -110.0, "bs_antenna_gain_dbi": -50.0, "carrier_frequency_ghz": 1000.0, "altitude_km": 91137.0}' \
     corner overlap_sweep.csv
+  run_and_audit sweep-power '{"solvers": ["exact"], "power_sweep_min_dbm": 30.025, "power_sweep_max_dbm": 60.025, "power_sweep_step_db": 0.1}' \
+    bench-power-exact power_sweep.csv --seed 1
+  run_and_audit sweep-power '{"solvers": ["oracle"], "oracle_resolution": 1000, "power_sweep_min_dbm": 40.025, "power_sweep_max_dbm": 50.025, "power_sweep_step_db": 1.0}' \
+    bench-power-oracle power_sweep.csv --seed 1
 } | tee stdout.txt

@@ -19,7 +19,7 @@ scn = build_scenarios(ExperimentConfig(), [(40.0, 0.0, "FDD", 600.0, 0.1)])
 
 # Each solver takes a batch and returns its (S, 4) allocations
 # (p_ue, p_bs, w_a, w_b), one row per scenario, the iterations and the
-# converged flags. Bandwidths are band shares: times the duplex's
+# converged flags. Bandwidths are airtime hertz: times the duplex's
 # DUPLEX_FACTORS entry they are hertz of spectrum, as the CSVs hold them.
 exact, _, _ = solve_orthogonal_many(scn)
 swarm, _, _ = pso_solve_many(scn, PsoConfig(), [1])  # each row's seed keys its swarm's generator

@@ -45,7 +45,7 @@ _SolvedRow = tuple[tuple[float, float, float, float], int, bool]  # one row of a
 _GRID_BLOCK = 4_096  # grid columns per grid_oracle_many chunk: 32 KiB per column array, made once
 _SWARM_PARTICLES = 32_768  # particles per run_pso batch of pso_solve_many, each with its scenario row
 _ROW_DRAWS, _BLOCK_DRAWS = 4_096, 131_072  # velocity draws read at once: about per row, at most in all
-_LEARNING_FACTORS, _INERTIA_WEIGHT = (2.0, 2.0), 0.01  # the reference swarm's step rule
+_LEARNING_FACTOR, _INERTIA_WEIGHT = 2.0, 0.01  # the reference swarm's step rule, one factor for both
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,11 @@ class PsoConfig:
     """The swarm's size: its particles and iterations.
 
     The defaults reproduce the reference configuration, 50 particles and
-    200 iterations. Its step rule is fixed at the reference's: inertia
-    weight 0.01, both learning factors 2 (_INERTIA_WEIGHT and
-    _LEARNING_FACTORS), and a ring neighborhood that includes the particle
-    itself. The seed is not a hyperparameter: each swarm is keyed by the
-    seed its solve call is given, so one config serves every row of a batch.
+    200 iterations. Its step rule is fixed at the reference's: inertia weight
+    0.01, both learning factors 2 (_INERTIA_WEIGHT, _LEARNING_FACTOR; run_pso holds
+    the velocity over 2, a power of two, so every product rounds as the reference's),
+    and a ring neighborhood that includes the particle itself. The seed is not a
+    hyperparameter: each swarm is keyed by its solve call's seed, so one config serves every row.
     """
 
     population_size: int = 50
@@ -71,10 +71,10 @@ class PsoConfig:
 
 
 def _inversion_power(rate, bandwidth, beta, dens):
-    """Power (2**(rate / (0.5 w)) - 1) * dens * w / beta that carries rate
+    """Power (2**(rate / w) - 1) * dens * w / beta that carries rate
     over bandwidth w > 0 on one orthogonal link, elementwise; +inf on overflow."""
     with np.errstate(over="ignore"):
-        return np.expm1(rate / (0.5 * bandwidth) * _LN2) * dens * bandwidth / beta
+        return np.expm1(rate / bandwidth * _LN2) * dens * bandwidth / beta
 
 
 def _log_marginal_cost(y):
@@ -92,8 +92,8 @@ def _log_marginal_cost(y):
 
 def _split_share(y_whole, log_gain_ratio, share):
     """Access shares s of the bandwidth budget, an (S,) row, that minimize
-    the power delivering both links' rates, given their y = rate ln2 /
-    (0.5 w) at the whole budget (the (2, S) plane y_whole: access, then
+    the power delivering both links' rates, given their y = rate ln2 / w
+    at the whole budget (the (2, S) plane y_whole: access, then
     backhaul), log(beta_bs / beta_ue) and a starting share per scenario.
 
     A link's power inversion has derivative -dens h(y) / beta in its
@@ -160,8 +160,8 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
     beta = np.vstack((batch.beta_ue.T, batch.beta_bs.T))
     log_gain_ratio = np.log(batch.beta_bs / batch.beta_ue).ravel()
     rate_per_zeta = np.stack((eps, np.ones_like(eps)))
-    y_per_zeta = rate_per_zeta * _LN2 / (0.5 * w_total)
-    low_snr = 0.5 * p_total / (_LN2 * dens * np.add(*(rate_per_zeta / beta)))
+    y_per_zeta = rate_per_zeta * _LN2 / w_total
+    low_snr = p_total / (_LN2 * dens * np.add(*(rate_per_zeta / beta)))
     zeta = np.minimum(np.minimum(zeta_ub, np.where(rate_a > 0.0, rate_a / eps, np.inf)), low_snr)
     zeta = np.where(zeta > 0.0, zeta, zeta_ub)
     lo, hi = np.zeros_like(zeta_ub), zeta_ub.copy()
@@ -323,8 +323,9 @@ def run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int],
     iteration-global best and each particle's ring-neighborhood best, then
     accumulate velocities
         X += u1 r1 (local_best - F) + u2 r2 (global_best - F)
-    and step positions by F += mu X. A row's result is the best particle
-    seen across all its iterations.
+    and step positions by F += mu X, to the bit as Y += r1 (local_best - F) + r2 (global_best -
+    F) and F += (u mu) Y with Y = X / u, u1 = u2 = u being a power of two. A row's result is
+    the best particle seen across all its iterations.
 
     The S swarms of batch run in lockstep as four contiguous (S, N) planes, one per
     coordinate, stepped in place; initial_population, if given, is S x N x 4. The rate kernel
@@ -384,11 +385,9 @@ def run_pso(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int],
                 rng.random(out=rows)
         step = block[:, t % depth].reshape(size, n, 4, 2).transpose(3, 2, 0, 1)  # r1, r2 by plane
         np.take(planes, _ring_best(fitness, ring), axis=1, out=local, mode="clip")
-        for factor, r, best in zip(_LEARNING_FACTORS, step, (local, global_best[..., None])):
-            np.multiply(factor, r, out=term)
-            term *= np.subtract(best, swarm, out=local)
-            velocity += term
-        swarm += np.multiply(_INERTIA_WEIGHT, velocity, out=term)
+        for r, best in zip(step, (local, global_best[..., None])):  # velocity over _LEARNING_FACTOR
+            velocity += np.multiply(r, np.subtract(best, swarm, out=local), out=term)
+        swarm += np.multiply(_LEARNING_FACTOR * _INERTIA_WEIGHT, velocity, out=term)
 
     return best_particle.T.copy()
 

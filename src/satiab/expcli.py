@@ -12,10 +12,10 @@ points that select it, and each SweepRow is built once, from those arrays
 and their evaluate_many columns. `satiab solve` is a sweep of one point.
 
 Only this module knows the duplex mode: batches and solvers hold each
-bandwidth w as a band share u = w / alpha_1 (its DUPLEX_FACTORS entry), a
-TDD row's hertz or twice an FDD row's. So build_scenarios scales the density
-by alpha_1, a row's w_a and w_b are its solver's times alpha_1, and
-audit_rows divides a CSV's by it, all exactly, alpha_1 being a power of two.
+bandwidth w in airtime hertz v = alpha_o w, an FDD row's hertz or half a TDD
+row's. So build_scenarios scales the density by 1 / alpha_o (DUPLEX_FACTORS),
+a row's w_a and w_b are its solver's times it, and audit_rows divides a CSV's
+by it, all exactly, alpha_o being a power of two.
 
 Exit codes of the command-line entry point: 0 success, 1 config/validation
 error (including audit mismatches), 2 I/O error or an argparse usage error.
@@ -32,6 +32,7 @@ import math
 import operator
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,9 +68,10 @@ __all__ = [
 
 OVERLAP_SWEEP_WEIGHTS = (0.05, 0.1, 0.2)
 POWER_SWEEP_ALTITUDES_KM = (600.0, 1200.0)
-# alpha_1 of each mode: FDD sends full-time over half the band, TDD half-time over all of it, so
-# time share x alpha_1 = 1/2 (the rate kernel's 0.5), and TDD is FDD at half power, hertz doubled.
-DUPLEX_FACTORS = {"FDD": 0.5, "TDD": 1.0}
+# 1 / alpha_o of each mode: FDD sends full-time over half the band, TDD half-time over all of it, so
+# in both alpha_o x alpha_1 = 1/2, and a TDD row is its FDD row at twice the density, or at half power.
+DUPLEX_FACTORS = {"FDD": 1.0, "TDD": 2.0}
+_AIRTIME_PER_BAND_HERTZ = 0.5  # alpha_o x alpha_1 of both modes: a link's airtime hertz per band hertz
 
 
 class ValidationError(Exception):
@@ -199,10 +201,10 @@ def _config_problems(cfg: ExperimentConfig) -> list[str]:
         problems.append("seed must be nonnegative")
     if not cfg.solvers:
         problems.append("at least one solver must be selected")
-    unknown = sorted(set(cfg.solvers) - set(_SOLVERS))
+    unknown = sorted(set(cfg.solvers) - _SOLVERS.keys())
     if unknown:  # as reprs, so that a name holding a newline keeps the message on one line
         problems.append(f"unknown solvers: {', '.join(map(repr, unknown))}")
-    repeated = sorted({name for name in cfg.solvers if cfg.solvers.count(name) > 1} - set(unknown))
+    repeated = sorted(name for name, count in Counter(cfg.solvers).items() if count > 1 and name in _SOLVERS)
     if repeated:
         problems.append(f"repeated solvers: {', '.join(repeated)}")
     if "exact" in cfg.solvers and cfg.overlap_mhz > 0.0:
@@ -228,11 +230,10 @@ def load_config(path: str) -> ExperimentConfig:
     location where the parser gives one.
     """
     def unique_keys(pairs):
-        keys = [key for key, _ in pairs]
-        twice = sorted({key for key in keys if keys.count(key) > 1})
-        if twice:
+        if len(values := dict(pairs)) < len(pairs):  # then count each distinct key once: linear time
+            twice = sorted(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
             raise ValidationError(f"{path}: key given twice: {', '.join(map(repr, twice))}")
-        return dict(pairs)
+        return values
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -273,11 +274,11 @@ def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
 
     A point is (power_dbm, overlap_mhz, duplex, altitude_km, access_weight),
     the SweepRow columns CSV_COLUMNS[2:7], and points any iterable of them;
-    every other value comes from cfg, the density being noise plus interference
-    in W/Hz times alpha_1. Each distinct altitude's channel gains and power's watts
-    are computed once, when a point first needs them, and its alpha_1 is read from
-    DUPLEX_FACTORS, so a bad one raises at the first point that has one: at its
-    altitude, then its power, then a duplex other than FDD or TDD.
+    every other value comes from cfg: bandwidths in airtime hertz, the density noise
+    plus interference in W/Hz times 1 / alpha_o. Each distinct altitude's channel gains
+    and power's watts are computed once, when a point first needs them, and 1 / alpha_o
+    is read from DUPLEX_FACTORS, so a bad one raises at the first point that has one: at
+    its altitude, then its power, then a duplex other than FDD or TDD.
     The watts stay scalar dbm_to_watts calls: numpy's vector power differs
     from Python's 10.0 ** x in the last bit on some inputs, which would change
     CSV bytes. The batch then raises the first of its conditions that any row
@@ -288,7 +289,7 @@ def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
     aperture, frequency = cfg.aperture_radius_m, cfg.carrier_frequency_ghz * 1e9
     nodes = [(db_to_linear(gain_dbi), math.radians(angle_deg)) for gain_dbi, angle_deg in (
         (cfg.ue_antenna_gain_dbi, cfg.boresight_ue_deg), (cfg.bs_antenna_gain_dbi, cfg.boresight_bs_deg))]
-    bandwidth = cfg.total_bandwidth_mhz * 1e6
+    hertz = 1e6 * _AIRTIME_PER_BAND_HERTZ  # a link's airtime hertz per MHz of the band, in both modes
     density = dbm_to_watts(cfg.noise_density_dbm_hz) + dbm_to_watts(cfg.interference_density_dbm_hz)
     gains, watts = {}, {}  # of each altitude_km and power_dbm
     rows = []
@@ -301,8 +302,8 @@ def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
         if duplex not in DUPLEX_FACTORS:
             raise ValueError(f"duplex must be {' or '.join(DUPLEX_FACTORS)}, got {duplex!r}")
         # the ScenarioBatch columns, in order
-        rows.append((watts[power_dbm], bandwidth, overlap_mhz * 1e6, density * DUPLEX_FACTORS[duplex],
-                     access_weight, *gains[altitude_km]))
+        rows.append((watts[power_dbm], cfg.total_bandwidth_mhz * hertz, overlap_mhz * hertz,
+                     density * DUPLEX_FACTORS[duplex], access_weight, *gains[altitude_km]))
     columns = np.array(rows, dtype=float).reshape(-1, len(dataclasses.fields(ScenarioBatch))).T
     return ScenarioBatch(*(column.reshape(-1, 1) for column in columns.copy()))
 
@@ -351,8 +352,8 @@ _config_point = operator.attrgetter("total_power_dbm", *CSV_COLUMNS[3:7])
 _row_sort_key = operator.attrgetter("sweep_value", "duplex", "altitude_km", "access_weight", "solver")
 
 
-def _hertz_per_share(duplexes) -> np.ndarray:
-    """The (k, 1) column of the DUPLEX_FACTORS entries of k duplex names: hertz per hertz of band share."""
+def _hertz_per_airtime(duplexes) -> np.ndarray:
+    """The (k, 1) column of the DUPLEX_FACTORS entries of k duplex names: hertz per airtime hertz."""
     return np.array([DUPLEX_FACTORS[duplex] for duplex in duplexes]).reshape(-1, 1)
 
 
@@ -382,7 +383,7 @@ def _run_sweep(cfg: ExperimentConfig, points) -> list[SweepRow]:
         raise ValidationError(f"{pso_rows} pso rows x pso_population={cfg.pso_population} x pso_iterations="
                               f"{cfg.pso_iterations} = {steps} particle-steps, more than {_MAX_PARTICLE_STEPS}")
     batch = build_scenarios(cfg, [fields[2:] for fields, _, _ in points])
-    hertz = _hertz_per_share(fields[4] for fields, _, _ in points)
+    hertz = _hertz_per_airtime(fields[4] for fields, _, _ in points)
     rows = []
     for solver, indices in jobs.items():
         scns = batch if len(indices) == len(points) else batch.take(indices)
@@ -640,7 +641,7 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
     message per such cell and nothing else. Of the other rows, one that
     holds a non-finite value is a problem if marked converged, and a
     skipped solver failure if not. The rest are checked as arrays, w_a and
-    w_b divided by alpha_1, by one build_scenarios (which reads an
+    w_b times alpha_o, by one build_scenarios (which reads an
     overlap_mhz above the bandwidth, a full overlap rounded up, as the
     bandwidth), validate_many (constraints 1a-1d) and, on the feasible rows,
     evaluate_many call, whose rates must match the recorded ones within the
@@ -660,7 +661,7 @@ def audit_rows(cfg: ExperimentConfig, rows: list[SweepRow]) -> list[str]:
     index = np.flatnonzero(checked).tolist()
     batch = build_scenarios(cfg, [(rows[i][2], min(rows[i][3], band), *rows[i][4:7]) for i in index])
     recorded, alloc = cells[checked, -8:-4], cells[checked, -4:]
-    alloc[:, 2:] /= _hertz_per_share(rows[i].duplex for i in index)
+    alloc[:, 2:] /= _hertz_per_airtime(rows[i].duplex for i in index)
     violated = validate_many(batch, alloc)
     feasible = ~violated.any(axis=1)
     want = np.zeros_like(recorded)

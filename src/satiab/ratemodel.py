@@ -2,8 +2,8 @@
 an access user and a backhaul base station.
 
 The two links may share part of the band; overlapped spectrum turns the
-other link's transmission into interference. Each bandwidth is a band
-share u, in Hz, so that every rate is (u / 2) log2(1 + SINR); expcli
+other link's transmission into interference. Each bandwidth v is in airtime
+hertz, hertz times time share, so every rate is v log2(1 + SINR); expcli
 converts FDD and TDD hertz to and from it. Quantities are linear SI units.
 
 A ScenarioBatch holds S scenarios as (S, 1) columns, checked as a whole,
@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 _SLACK = 1e-6  # relative slack of each constraint that validate_many checks
-_LN2 = math.log(2.0)  # a rate is 0.5 w log1p(SINR) / _LN2: log2(1 + SINR) without rounding 1 + SINR
+_LN2 = math.log(2.0)  # a rate is w log1p(SINR) / _LN2: log2(1 + SINR) without rounding 1 + SINR
 CONSTRAINTS = ("1a", "1b", "1c", "1d")  # the columns of validate_many, in order
 
 
@@ -56,10 +56,10 @@ class ScenarioBatch:
 
     Attributes:
         total_power: Satellite transmit power budget P, W.
-        total_bandwidth: Total available bandwidth W, Hz of band share.
-        overlap_bandwidth: Bandwidth shared by the two links w_o, Hz of band share.
+        total_bandwidth: Either link's bandwidth cap W, airtime Hz.
+        overlap_bandwidth: Bandwidth shared by the two links w_o, airtime Hz.
         density: Noise-plus-interference PSD (thermal noise plus out-of-band
-            emission / sync error), W/Hz, times the spectrum w / u of a band share.
+            emission / sync error), W/Hz, times the hertz per airtime hertz.
         access_weight: QoS weight of the access link (0 < eps <= 1).
         beta_ue: Channel power gain of the access user, linear.
         beta_bs: Channel power gain of the backhaul station, linear.
@@ -119,7 +119,7 @@ def rate_kernel(batch: ScenarioBatch):
     """link_rates(batch, p, w) in three stages, bit for bit: rate_kernel(batch)(w)(p).
     Building it computes the batch's own terms once, the (2, S, 1) gain pair and whether
     any scenario overlaps. Its call at w, the bandwidth stage, computes the terms of w alone: the
-    noise dens w, the prefactor 0.5 w / ln 2, the other link's bandwidth with its stand-in,
+    noise dens w, the prefactor w / ln 2, the other link's bandwidth with its stand-in,
     the zero-rate mask's inverse and, if no scenario overlaps, the whole denominator with its
     stand-in. The function of p it returns holds a view of w (do not write w while in use) and
     computes the rest in one new array a call (one more holds an overlap's denominator)."""
@@ -137,7 +137,7 @@ def rate_kernel(batch: ScenarioBatch):
             # w_o = 0 adds exactly zero interference: the other link's bandwidth may be 0 there
             ok = w > 0.0
             zero = ~(ok & (ok[::-1] | (w_o == 0.0)) if overlapped else ok)
-        prefactor = 0.5 * w / _LN2
+        prefactor = w / _LN2
 
         def rates(p) -> np.ndarray:
             p = _link_pair(p)
@@ -160,7 +160,7 @@ def rate_kernel(batch: ScenarioBatch):
 
 def link_rates(batch: ScenarioBatch, p, w) -> np.ndarray:
     """Access and backhaul rates, in bits/s, of the power pair p = (p_ue, p_bs)
-    and the band-share pair w = (w_a, w_b): (2, rows, columns) arrays whose
+    and the airtime-hertz pair w = (w_a, w_b): (2, rows, columns) arrays whose
     first axis holds the access link, then the backhaul link, and whose rows
     and columns broadcast against the batch's (S, 1) columns, one row per
     scenario. The result is one (2, ...) array (rate_a, rate_b) of their joint

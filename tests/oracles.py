@@ -38,11 +38,11 @@ reference_evaluate returns evaluate's (zeta, rate_a, rate_b, throughput).
 A scenario is a one-row ScenarioBatch: make_scenario builds one from
 floats, stack joins batches row by row into one, and the scalar references
 read a scenario's floats through scalars, so that their arithmetic is that
-of Python floats. A batch's bandwidths are band shares (see satiab.expcli):
-scenario and physical_values convert a duplex mode's physical density to
-the batch's and back, and hertz_per_unit converts its bandwidths to the
-CSV's hertz. reference_rate alone computes a rate from the physical values
-and both duplex factors, the paper's formula.
+of Python floats. A batch's bandwidths are airtime hertz (see satiab.expcli),
+an FDD row's own hertz: scenario and physical_values convert a duplex mode's
+physical density to the batch's and back, and hertz_per_unit converts its
+bandwidths to the CSV's hertz. reference_rate alone computes a rate from the
+physical values and both duplex factors, the paper's formula.
 The reference command-line parser is main's parser as first written: the
 top parser, a shared parent parser of the run options and all four
 subparsers, built whatever the command; main must print its help, usage
@@ -109,8 +109,8 @@ def reference_scenarios():
 def scenario(duplex: str = "FDD", **values) -> ScenarioBatch:
     """The batch of scenarios of duplex mode duplex given by the physical
     values of their columns, floats for one row or columns of (S, 1) floats,
-    the density being noise plus interference in W/Hz: the batch's density is
-    that times the duplex mode's bandwidth share."""
+    the bandwidths in airtime hertz and the density noise plus interference in
+    W/Hz: the batch's density is that over the duplex mode's time share."""
     columns = {name: np.array(value, dtype=float).reshape(-1, 1) for name, value in values.items()}
     columns["density"] = columns["density"] * DUPLEX_FACTORS[duplex]
     return ScenarioBatch(**columns)
@@ -118,16 +118,17 @@ def scenario(duplex: str = "FDD", **values) -> ScenarioBatch:
 
 def physical_values(scn: ScenarioBatch, duplex: str) -> dict:
     """The physical values of the columns of a batch of duplex mode duplex,
-    the inverse of scenario: scenario(duplex, **physical_values(scn, duplex))
-    holds the columns of scn."""
+    bandwidths in airtime hertz, the inverse of scenario:
+    scenario(duplex, **physical_values(scn, duplex)) holds the columns of scn."""
     values = {f.name: getattr(scn, f.name) for f in dataclasses.fields(scn)}
     return values | {"density": scn.density / DUPLEX_FACTORS[duplex]}
 
 
 def hertz_per_unit(duplex: str) -> float:
-    """The CSV's hertz per unit of the bandwidths of a batch of duplex mode
-    duplex, in its allocations and its columns: a solver's w_a is the CSV's
-    w_a_hz / hertz_per_unit(duplex). Bandwidths are compared through it."""
+    """The CSV's hertz per airtime hertz, the unit of the bandwidths of a batch
+    of duplex mode duplex in its allocations and its columns: 1 / alpha_o, so a
+    solver's w_a is the CSV's w_a_hz / hertz_per_unit(duplex). Bandwidths are
+    compared through it."""
     return DUPLEX_FACTORS[duplex]
 
 
@@ -138,7 +139,8 @@ def stack(batches: Sequence[ScenarioBatch]) -> ScenarioBatch:
 
 
 def make_scenario(**overrides) -> ScenarioBatch:
-    """The default config's scenario, with overrides of its floats or duplex."""
+    """The default config's scenario at twice its band (each link's cap 40 MHz of
+    airtime), with overrides of its floats or duplex."""
     base = dict(
         total_power=10.0,
         total_bandwidth=40e6,
@@ -292,7 +294,7 @@ def reference_link_rates(batch: ScenarioBatch, p_ue, p_bs, w_a, w_b):
             den = noise
         active = (w_own > 0.0) & other_ok
         sinr = p_own * beta / np.where(den > 0.0, den, 1.0)
-        rate = np.log1p(sinr) * (0.5 * w_own / _LN2)
+        rate = np.log1p(sinr) * (w_own / _LN2)
         return np.where(active, rate, 0.0)
 
     rate_a = one_way(p_ue, batch.beta_ue, w_a, p_bs, w_b)
@@ -344,18 +346,17 @@ def golden_section_solve(batch: ScenarioBatch) -> SolvedRow:
     level zeta, golden section over the bandwidth split for the cheapest
     power that delivers eps*zeta and zeta."""
     scn = scalars(batch)
-    time_share = 0.5  # of every band share: a rate is 0.5 u log2(1 + SINR)
     dens = scn.density
     w_total = scn.total_bandwidth
     p_total = scn.total_power
     eps = scn.access_weight
-    zeta_ub = time_share * w_total / _LN2 * math.log1p(p_total * scn.beta_bs / (dens * w_total))
+    zeta_ub = w_total / _LN2 * math.log1p(p_total * scn.beta_bs / (dens * w_total))
     w_lo = w_total * 1e-12
     w_hi = w_total * (1.0 - 1e-12)
     log_scale_a, log_scale_b = math.log(dens / scn.beta_ue), math.log(dens / scn.beta_bs)
 
     def cheapest_split(zeta):
-        # A link's power for rate k time_share / ln2 over bandwidth w is
+        # A link's power for rate k / ln2 over bandwidth w is
         # (2**x - 1) dens w / beta = e**(y + log(dens / beta)) (-expm1(-y)) w,
         # with y = x ln2 = k / w. The split minimizes the log of the links'
         # sum with the larger exponential factored out, which stays finite
@@ -363,7 +364,7 @@ def golden_section_solve(batch: ScenarioBatch) -> SolvedRow:
         # bandwidth of the split and the two powers.
         if zeta <= 0.0:
             return -math.inf, 0.5 * w_total, 0.0, 0.0
-        k_a, k_b = eps * zeta * math.log(2.0) / time_share, zeta * math.log(2.0) / time_share
+        k_a, k_b = eps * zeta * math.log(2.0), zeta * math.log(2.0)
 
         def log_total(w_a):
             w_b = w_total - w_a
@@ -430,10 +431,10 @@ def reference_solve_orthogonal_many(batch: ScenarioBatch):
     beta = np.hstack((batch.beta_ue, batch.beta_bs))
     log_gain_ratio = np.log(batch.beta_bs / batch.beta_ue)
     rate_per_zeta = np.hstack((eps, np.ones_like(eps)))
-    y_per_zeta = rate_per_zeta * _LN2 / (0.5 * w_total)
+    y_per_zeta = rate_per_zeta * _LN2 / w_total
 
     rate_a, zeta_ub = reference_link_rates(batch, p_total, p_total, w_total, w_total)
-    low_snr = 0.5 * p_total / (_LN2 * dens * (rate_per_zeta / beta).sum(axis=1, keepdims=True))
+    low_snr = p_total / (_LN2 * dens * (rate_per_zeta / beta).sum(axis=1, keepdims=True))
     zeta = np.minimum(np.minimum(zeta_ub, np.where(rate_a > 0.0, rate_a / eps, np.inf)), low_snr)
     zeta = np.where(zeta > 0.0, zeta, zeta_ub)
     lo, hi = np.zeros_like(zeta_ub), zeta_ub.copy()
@@ -479,7 +480,7 @@ def mp_log_marginal_cost(y, dps: int = 40):
 
 def mp_orthogonal_level(batch: ScenarioBatch, dps: int = 40):
     """Optimal max-min level of an orthogonal scenario at dps digits, and
-    the smaller of the two links' y = rate ln2 / (0.5 w) there.
+    the smaller of the two links' y = rate ln2 / w there.
 
     At the optimum the bandwidth split makes the links' marginal power
     costs h(y) / beta equal (the condition the exact solver uses) and the
@@ -489,7 +490,6 @@ def mp_orthogonal_level(batch: ScenarioBatch, dps: int = 40):
     mpmath raises if the residual does not vanish.
     """
     scn = scalars(batch)
-    time_share = mp.mpf(0.5)
     start = golden_section_solve(batch)
     with mp.workdps(dps):
         w_total = mp.mpf(scn.total_bandwidth)
@@ -501,7 +501,7 @@ def mp_orthogonal_level(batch: ScenarioBatch, dps: int = 40):
             share = 1 / (1 + mp.exp(-logit))
             widths = share * w_total, (1 - share) * w_total
             zeta = mp.exp(log_zeta)
-            ys = [r * zeta * mp.log(2) / (time_share * w) for r, w in zip(rates_per_zeta, widths)]
+            ys = [r * zeta * mp.log(2) / w for r, w in zip(rates_per_zeta, widths)]
             return widths, ys
 
         def equal_costs(logit, log_zeta):
@@ -563,7 +563,8 @@ def row_scenario(cfg: ExperimentConfig, row) -> ScenarioBatch:
 def per_point_build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
     """build_scenarios as it once was: one dbm_to_watts and one DUPLEX_FACTORS
     lookup per point, and each distinct altitude's channel gains once; the
-    density is noise plus interference times the duplex's DUPLEX_FACTORS entry."""
+    bandwidths are half the band's hertz, a link's airtime hertz in either mode, and
+    the density is noise plus interference times the duplex's DUPLEX_FACTORS entry."""
     sat_gain = db_to_linear(cfg.satellite_antenna_gain_dbi)
     aperture, frequency = cfg.aperture_radius_m, cfg.carrier_frequency_ghz * 1e9
     nodes = [(db_to_linear(gain_dbi), math.radians(angle_deg)) for gain_dbi, angle_deg in (
@@ -576,7 +577,7 @@ def per_point_build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
             gains[altitude_km] = [channel_gain(sat_gain, gain, angle, altitude_km * 1e3, aperture, frequency)
                                   for gain, angle in nodes]
         # the ScenarioBatch columns, in order
-        rows.append((dbm_to_watts(power_dbm), cfg.total_bandwidth_mhz * 1e6, overlap_mhz * 1e6,
+        rows.append((dbm_to_watts(power_dbm), 0.5 * cfg.total_bandwidth_mhz * 1e6, 0.5 * overlap_mhz * 1e6,
                      density * DUPLEX_FACTORS[duplex], access_weight, *gains[altitude_km]))
     columns = np.array(rows, dtype=float).reshape(-1, len(dataclasses.fields(ScenarioBatch))).T
     return ScenarioBatch(*(column.reshape(-1, 1) for column in columns.copy()))

@@ -82,9 +82,8 @@ def test_min_power_unit_spectral_efficiency():
     scn = scalars(make_scenario())
     bandwidth = 10e6
     dens = scn.density
-    # one effective bit/s/Hz of time, half a bit/s per hertz of band share: 2^1 - 1 = 1, so
-    # the power is exactly dens*w/beta
-    power = allocator._inversion_power(0.5 * bandwidth, bandwidth, scn.beta_ue, dens)
+    # one bit/s per airtime hertz: 2^1 - 1 = 1, so the power is exactly dens*w/beta
+    power = allocator._inversion_power(bandwidth, bandwidth, scn.beta_ue, dens)
     assert power == dens * bandwidth / scn.beta_ue
 
 
@@ -124,7 +123,7 @@ def test_solve_orthogonal_symmetric_links():
     assert p_ue == pytest.approx(p_bs, rel=1e-4)
     assert w_a == pytest.approx(w_b, rel=1e-4)
     assert p_ue == pytest.approx(5.0, rel=1e-4)
-    assert w_a * hertz_per_unit("FDD") == pytest.approx(10e6, rel=1e-4)
+    assert w_a * hertz_per_unit("FDD") == pytest.approx(20e6, rel=1e-4)
 
 
 def test_solve_orthogonal_vanishing_access_weight():
@@ -132,7 +131,7 @@ def test_solve_orthogonal_vanishing_access_weight():
     scn = scalars(batch)
     w_total = scn.total_bandwidth
     dens = scn.density
-    single_link_best = 0.5 * w_total * math.log2(
+    single_link_best = w_total * math.log2(
         1.0 + scn.total_power * scn.beta_bs / (dens * w_total)
     )
     result = solve_orthogonal(batch)
@@ -399,7 +398,7 @@ def test_grid_oracle_symmetric_midpoint():
     w_cell = scn.total_bandwidth / (res - 1)
     hertz = hertz_per_unit("FDD")
     assert abs(p_ue - 5.0) <= p_cell
-    assert abs(w_a * hertz - 10e6) <= w_cell * hertz
+    assert abs(w_a * hertz - 20e6) <= w_cell * hertz
 
 
 def test_grid_oracle_never_beats_exact():
@@ -471,7 +470,7 @@ def test_grid_oracle_grid_maximum_zero():
     result = solve_orthogonal(scn)
     assert (level(scn, result), *result[1:]) == (0.0, 0, True)
     hertz = hertz_per_unit("FDD")
-    assert result[0] == (5e-301, 5e-301, 10e6 / hertz, 10e6 / hertz)
+    assert result[0] == (5e-301, 5e-301, 20e6 / hertz, 20e6 / hertz)
     assert evaluate(scn, result[0]) == reference_evaluate(scn, *result[0])
 
 
@@ -575,7 +574,7 @@ def test_grid_oracle_tie_at_the_crossing():
     result = grid_oracle(scn, 10)
     assert result == full_grid_oracle(scn, 10)
     (p_ue, _, w_a, _), _, _ = result
-    assert (p_ue, w_a * hertz_per_unit("FDD")) == (4.0, 20e6)
+    assert (p_ue, w_a * hertz_per_unit("FDD")) == (4.0, 40e6)
 
 
 def test_grid_oracle_batch_rows_equal_rows_solved_alone():
@@ -732,7 +731,7 @@ def test_pso_matches_brute_force_under_half_overlap():
 def test_pso_single_point_population_is_stationary():
     scn = make_scenario()
     n = 6
-    point = np.array([4.0, 6.0, 8e6 / hertz_per_unit("FDD"), 12e6 / hertz_per_unit("FDD")])
+    point = np.array([4.0, 6.0, 16e6 / hertz_per_unit("FDD"), 24e6 / hertz_per_unit("FDD")])
     population = np.tile(point, (n, 1))
     cfg = PsoConfig(population_size=n, max_iterations=30)
     best = run_pso(stack([scn]), cfg, [0], initial_population=population[None])
@@ -860,6 +859,11 @@ def test_run_pso_equals_the_reference_swarm(n):
     for start in (None, initial, degenerate, masked):
         swarm = run_pso(batch, cfg, seeds, initial_population=start)
         assert swarm.tobytes() == reference_run_pso(batch, cfg, seeds, initial_population=start).tobytes()
+    # budgets at the config corners, 10 MW and 100 GHz or 0.1 pW and 1 kHz, where the velocity held
+    # over the learning factor must still scale exactly
+    rng = np.random.default_rng(n)
+    corners, seeds = stack([corner_scenario(rng) for _ in range(20)]), range(20)
+    assert run_pso(corners, cfg, seeds).tobytes() == reference_run_pso(corners, cfg, seeds).tobytes()
 
 
 def test_each_row_stream_hands_out_a_fixed_number_of_draws(monkeypatch):
@@ -932,7 +936,9 @@ def test_pso_zero_pair_in_one_row_leaves_other_rows_unchanged():
     draw = np.random.default_rng(17).random((len(scns), 10, 4))
     initial = draw * np.array([10.0, 10.0, 20e6, 20e6])
     degenerate = initial.copy()
-    degenerate[3, 4, 0:2] = 0.0  # an all-zero power pair goes to the middle of its budget
+    # an all-zero power pair goes to the middle of its budget; row 3's bandwidths are pinned at
+    # full overlap, and from particle 4 its swarm ends at the same best to the bit, not from 2
+    degenerate[3, 2, 0:2] = 0.0
     plain = run_pso(stack(scns), cfg, seeds, initial_population=initial)
     projected = run_pso(stack(scns), cfg, seeds, initial_population=degenerate)
     others = [s for s in range(len(scns)) if s != 3]

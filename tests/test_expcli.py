@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -86,12 +87,12 @@ def test_load_config_empty_object_gives_defaults(tmp_path):
     cfg = load_config(write_json(tmp_path / "cfg.json", {}))
     assert cfg == ExperimentConfig()
     scn = build_scenario(cfg)
-    assert scn.total_bandwidth == 40e6
+    assert scn.total_bandwidth == 20e6  # airtime hertz: half the 40 MHz band's, in either mode
     assert scn.total_power == pytest.approx(10.0, rel=1e-12)
     assert scn.overlap_bandwidth == 0.0
-    assert scn.density == pytest.approx(2 * 3.981071705534973e-21, rel=1e-12)
-    assert scn.beta_ue == pytest.approx(1.5734726039155016e-12, rel=1e-9)
-    assert scn.beta_bs == pytest.approx(1.3589805953889354e-09, rel=1e-9)
+    assert scn.density == pytest.approx(2 * 3.981071705534973e-21, rel=1e-12, abs=0.0)
+    assert scn.beta_ue == pytest.approx(1.5734726039155016e-12, rel=1e-9, abs=0.0)
+    assert scn.beta_bs == pytest.approx(1.3589805953889354e-09, rel=1e-9, abs=0.0)
 
 
 def test_load_config_power_conversion(tmp_path):
@@ -546,7 +547,7 @@ def test_one_list_of_duplex_names(tmp_path):
     for name, (alpha_o, alpha_1) in PAPER_DUPLEX_FACTORS.items():
         assert alpha_o * alpha_1 == 0.5
         scn = build_scenario(dataclasses.replace(cfg, duplex=name))
-        assert (expcli.DUPLEX_FACTORS[name], scn.density.item()) == (alpha_1, alpha_1 * density)
+        assert (expcli.DUPLEX_FACTORS[name], scn.density.item()) == (1 / alpha_o, density / alpha_o)
 
 
 def test_one_list_of_solver_names(tmp_path, capsys, monkeypatch):
@@ -608,7 +609,7 @@ def test_build_scenarios_density_is_noise_plus_interference(noise_dbm_hz, interf
                               interference_density_dbm_hz=interference_dbm_hz)
     density = build_scenarios(cfg, [(40.0, 0.0, "FDD", 600.0, 0.1), (50.0, 0.0, "TDD", 1200.0, 1.0)]).density
     want = dbm_to_watts(noise_dbm_hz) + dbm_to_watts(interference_dbm_hz)
-    shares = expcli.DUPLEX_FACTORS["FDD"], expcli.DUPLEX_FACTORS["TDD"]  # the density times alpha_1
+    shares = expcli.DUPLEX_FACTORS["FDD"], expcli.DUPLEX_FACTORS["TDD"]  # the density over alpha_o
     assert density.shape == (2, 1) and density.tolist() == [[want * shares[0]], [want * shares[1]]]
 
 
@@ -1138,7 +1139,7 @@ def test_cli_exact_row_at_zero_level_spends_the_power_and_passes_audit(tmp_path,
     exact, oracle = read_csv(str(out / "solve.csv"))
     assert (exact.solver, oracle.solver) == ("exact", "oracle")
     assert exact.zeta_mbps >= oracle.zeta_mbps > 0.0 and exact.zeta_mbps < 1e-13
-    assert exact.p_ue_w + exact.p_bs_w == pytest.approx(1e-13, rel=1e-9)
+    assert exact.p_ue_w + exact.p_bs_w == pytest.approx(1e-13, rel=1e-9, abs=0.0)
     assert exact.w_a_hz + exact.w_b_hz == pytest.approx(5e10, rel=1e-9)
     assert per_row_audit(load_config(cfg), [exact, oracle]) == []
     capsys.readouterr()
@@ -1209,6 +1210,36 @@ def test_cli_rejects_a_repeated_solver(tmp_path, capsys, source):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert err.rstrip().endswith("repeated solvers: " + ("pso" if source == "config" else "exact"))
     assert not out.exists()
+
+
+_MANY = 10**5  # entries of a config or a --solvers list: a check quadratic in them takes minutes
+
+
+@pytest.mark.parametrize("case", ["distinct keys", "keys given twice", "one solver", "distinct solvers",
+                                  "one solver by flag", "distinct solvers by flag", "mixed solvers by flag"])
+def test_config_checks_take_linear_time(tmp_path, capsys, case):
+    # each distinct key and solver name is counted once; the messages are those of the checks
+    # that counted every entry again, in the same order, and every case exits 1
+    path, names, half = tmp_path / "cfg.json", [f"s{i}" for i in range(_MANY)], range(_MANY // 2)
+    unknown = "unknown solvers: " + ", ".join(map(repr, sorted(names)))
+    text, flag, want = {  # the config's text, the --solvers flag and the message
+        "distinct keys": (json.dumps({f"k{i}": 1 for i in range(_MANY)}), None,
+                          f"{path}: " + "; ".join(f"unknown key 'k{i}'" for i in range(_MANY))),
+        "keys given twice": ("{" + ", ".join(f'"k{i}": 1' for i in [*half, *half]) + "}", None,
+                             f"{path}: key given twice: " + ", ".join(sorted(f"'k{i}'" for i in half))),
+        "one solver": (json.dumps({"solvers": ["pso"] * _MANY}), None, f"{path}: repeated solvers: pso"),
+        "distinct solvers": (json.dumps({"solvers": names}), None, f"{path}: {unknown}"),
+        "one solver by flag": ("{}", ",".join(["pso"] * _MANY), "repeated solvers: pso"),
+        "distinct solvers by flag": ("{}", ",".join(names), unknown),
+        "mixed solvers by flag": ("{}", "pso,bogus,exact,exact,pso",
+                                  "unknown solvers: 'bogus'; repeated solvers: exact, pso"),
+    }[case]
+    path.write_text(text)
+    argv = ["solve", "--config", str(path), "--out", str(tmp_path / "out")]
+    start = time.perf_counter()
+    assert main(argv + (["--solvers", flag] if flag else [])) == 1
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().err == f"error: {want}\n"
 
 
 def test_cli_seed_precedence(tmp_path, monkeypatch):

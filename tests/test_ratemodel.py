@@ -19,7 +19,7 @@ from satiab import (
     validate_many,
 )
 from satiab.allocator import solve_orthogonal
-from satiab.expcli import DUPLEX_FACTORS, ExperimentConfig, build_scenarios
+from satiab.expcli import _AIRTIME_PER_BAND_HERTZ, DUPLEX_FACTORS, ExperimentConfig, build_scenarios
 from satiab.linkbudget import dbm_to_watts
 from satiab.ratemodel import evaluate, validate
 
@@ -29,12 +29,14 @@ from oracles import PAPER_DUPLEX_FACTORS, scenario, stack
 
 
 def test_duplex_factors_values():
-    # expcli keeps alpha_1 alone, the CSV's hertz per hertz of band share
-    assert DUPLEX_FACTORS["FDD"] == 0.5
-    assert DUPLEX_FACTORS["TDD"] == 1.0
+    # expcli keeps 1 / alpha_o alone, the CSV's hertz per airtime hertz, and alpha_o alpha_1 = 1/2,
+    # a link's airtime hertz per hertz of the band, as one constant for both modes
+    assert DUPLEX_FACTORS["FDD"] == 1.0
+    assert DUPLEX_FACTORS["TDD"] == 2.0
     for mode in DUPLEX_FACTORS:
         alpha_o, alpha_1 = PAPER_DUPLEX_FACTORS[mode]
-        assert alpha_o * alpha_1 == 0.5 and DUPLEX_FACTORS[mode] == alpha_1
+        assert alpha_o * alpha_1 == 0.5 and DUPLEX_FACTORS[mode] == 1 / alpha_o
+        assert _AIRTIME_PER_BAND_HERTZ == alpha_o * alpha_1
 
 
 def test_access_rate_zero_power():
@@ -147,9 +149,9 @@ def test_access_rate_midpoint_concavity():
 
 
 def test_rates_depend_on_duplex_only_through_factors():
-    # link_rates of a build_scenarios batch at band shares u = w / alpha_1 is the paper's rate
+    # link_rates of a build_scenarios batch at airtime hertz v = alpha_o w is the paper's rate
     # of each mode at w hertz, by reference_rate with both factors and the physical density:
-    # the kernel's 0.5 is alpha_o alpha_1, the same for both modes
+    # the batch's bandwidths are the band's times alpha_o alpha_1, the same for both modes
     for alpha_o, alpha_1 in PAPER_DUPLEX_FACTORS.values():
         assert alpha_o * alpha_1 == 0.5
     rng = np.random.default_rng(17)
@@ -176,7 +178,7 @@ def test_rates_depend_on_duplex_only_through_factors():
         expected_b = reference_rate(
             alpha_o, alpha_1, p_bs, scn.beta_bs, w_b, p_ue, w_a, dens, w_o,
         )
-        rates = link_rates(batch, [[[p_ue]], [[p_bs]]], [[[w_a / alpha_1]], [[w_b / alpha_1]]])
+        rates = link_rates(batch, [[[p_ue]], [[p_bs]]], [[[w_a * alpha_o]], [[w_b * alpha_o]]])
         rate_a, rate_b = rates.ravel().tolist()
         assert rate_a == pytest.approx(expected_a, rel=1e-12, abs=1e-9)
         assert rate_b == pytest.approx(expected_b, rel=1e-12, abs=1e-9)
