@@ -44,9 +44,10 @@ gap = abs(level - swarm_level) / level
 print(f"\nswarm lands within {gap:.4%} of the exact optimum")
 
 # At the optimum both rate targets bind: the access link delivers exactly
-# a tenth of the level and the backhaul exactly the level.
-print("access / (0.1 * level):", rate_access / (0.1 * level))
-print("backhaul / level:      ", rate_backhaul / level)
+# a tenth of the level and the backhaul exactly the level, to rounding,
+# which 12 significant digits leave out.
+print(f"access / (0.1 * level): {rate_access / (0.1 * level):.12g}")
+print(f"backhaul / level:       {rate_backhaul / level:.12g}")
 
 # With overlapping spectrum the problem stops being convex; the swarm and
 # the grid still agree.

@@ -70,11 +70,11 @@ class PsoConfig:
             raise ValueError("max_iterations must be >= 1")
 
 
-def _inversion_power(rate, bandwidth, beta, dens):
-    """Power (2**(rate / w) - 1) * dens * w / beta that carries rate
+def _inversion_power(rate, bandwidth, gain):
+    """Power (2**(rate / w) - 1) * w / gain that carries rate
     over bandwidth w > 0 on one orthogonal link, elementwise; +inf on overflow."""
     with np.errstate(over="ignore"):
-        return np.expm1(rate / bandwidth * _LN2) * dens * bandwidth / beta
+        return np.expm1(rate / bandwidth * _LN2) * bandwidth / gain
 
 
 def _log_marginal_cost(y):
@@ -94,11 +94,11 @@ def _split_share(y_whole, log_gain_ratio, share):
     """Access shares s of the bandwidth budget, an (S,) row, that minimize
     the power delivering both links' rates, given their y = rate ln2 / w
     at the whole budget (the (2, S) plane y_whole: access, then
-    backhaul), log(beta_bs / beta_ue) and a starting share per scenario.
+    backhaul), log(gain_bs / gain_ue) and a starting share per scenario.
 
-    A link's power inversion has derivative -dens h(y) / beta in its
+    A link's power inversion has derivative -h(y) / gain in its
     bandwidth, so the total power is convex in s and least where F(s) =
-    log h(y_a) - log h(y_b) + log(beta_bs / beta_ue) is zero; F falls from
+    log h(y_a) - log h(y_b) + log(gain_bs / gain_ue) is zero; F falls from
     +inf to -inf across (0, 1). Each row takes Newton steps on F in a
     bracket that starts as (0, 1), bisects the bracket where a step would
     leave it, and stops after a Newton step of at most 1e-8 min(s, 1 - s)
@@ -138,7 +138,7 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
     feasible lo and an infeasible hi, from [0, zeta_ub], and takes Newton
     steps on log(power needed / P) in log zeta from the least of three upper
     bounds. The envelope theorem gives the slope without differentiating
-    the split: d power / d log zeta sums dens w / beta e**y y over the links.
+    the split: d power / d log zeta sums w / gain e**y y over the links.
     A step that would leave the bracket bisects it, and one of at most
     0.5e-13 zeta goes an eighth further (at least 1e-14 zeta), so that the
     bracket closes around the root.
@@ -146,7 +146,7 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
     A row stops once hi - lo <= 1e-13 lo, relative to its own bracket;
     its iterations count its levels, and converged says it stopped so. It
     returns the allocation computed at its final lo, whose powers sum to at
-    most P exactly, or both budgets halved where zeta_ub is 0 (p beta
+    most P exactly, or both budgets halved where zeta_ub is 0 (p gain
     underflows, far outside the config ranges). Rows share only elementwise
     arithmetic, so row s is exactly the solve of scenario s alone.
     """
@@ -156,12 +156,12 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
     # upper bounds on zeta: each link alone, and both below log2(1 + x) <= x / ln2
     rate_a, zeta_ub = link_rates(batch, np.stack((p_total,) * 2), np.stack((w_total,) * 2)).reshape(2, -1)
     # (S,) rows, one per scenario, and (2, S) planes, one row per link: access, then backhaul
-    eps, dens, p_total, w_total = (c.ravel() for c in (batch.access_weight, batch.density, p_total, w_total))
-    beta = np.vstack((batch.beta_ue.T, batch.beta_bs.T))
-    log_gain_ratio = np.log(batch.beta_bs / batch.beta_ue).ravel()
+    eps, p_total, w_total = (c.ravel() for c in (batch.access_weight, p_total, w_total))
+    gain = np.vstack((batch.gain_ue.T, batch.gain_bs.T))
+    log_gain_ratio = np.log(batch.gain_bs / batch.gain_ue).ravel()
     rate_per_zeta = np.stack((eps, np.ones_like(eps)))
     y_per_zeta = rate_per_zeta * _LN2 / w_total
-    low_snr = p_total / (_LN2 * dens * np.add(*(rate_per_zeta / beta)))
+    low_snr = p_total / (_LN2 * np.add(*(rate_per_zeta / gain)))
     zeta = np.minimum(np.minimum(zeta_ub, np.where(rate_a > 0.0, rate_a / eps, np.inf)), low_snr)
     zeta = np.where(zeta > 0.0, zeta, zeta_ub)
     lo, hi = np.zeros_like(zeta_ub), zeta_ub.copy()
@@ -178,13 +178,13 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
         share[rows] = s = _split_share(y_z, log_gain_ratio[rows], share[rows])
         pair = np.stack((s, 1.0 - s))
         w = pair * w_total[rows]
-        p = _inversion_power(z * rate_per_zeta[:, rows], w, beta[:, rows], dens[rows])
+        p = _inversion_power(z * rate_per_zeta[:, rows], w, gain[:, rows])
         spent = np.add(*p)
         feasible = spent <= p_total[rows]
         lo_s, hi_s = np.where(feasible, z, lo[rows]), np.where(feasible, hi[rows], z)
         lo[rows], hi[rows] = lo_s, hi_s
         alloc[:, rows] = np.where(feasible, np.concatenate((p, w)), alloc[:, rows])
-        growth = np.add(*((p + dens[rows] * w / beta[:, rows]) * (y_z / pair)))
+        growth = np.add(*((p + w / gain[:, rows]) * (y_z / pair)))
         with np.errstate(divide="ignore", invalid="ignore"):  # spent 0 or inf: a NaN step bisects
             step = np.abs(z * np.expm1(np.log(p_total[rows] / spent) * spent / growth))
         step = np.where(step <= 0.5e-13 * z, step + np.maximum(0.125 * step, 1e-14 * z), step)
@@ -265,7 +265,7 @@ def grid_oracle_many(batch: ScenarioBatch, resolution: int) -> _Solved:
     column's maximum is max(a[k - 1], b[k]), taken at row k if b[k] is
     greater, else at row k - 1, or row 0 if it is 0. That is the column's
     first maximum unless a is flat for some rows before k: rounding makes
-    such plateaus where p beta is a few subnormal ulps, far outside the
+    such plateaus where an SINR is a few subnormal ulps, far outside the
     config ranges, and the search then returns the plateau's last row, at
     the same level. The columns at their scenario's maximum combine by
     smallest row, then smallest column, as np.argmax does in row-major order.

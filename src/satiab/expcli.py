@@ -13,7 +13,7 @@ and their evaluate_many columns. `satiab solve` is a sweep of one point.
 
 Only this module knows the duplex mode: batches and solvers hold each
 bandwidth w in airtime hertz v = alpha_o w, an FDD row's hertz or half a TDD
-row's. So build_scenarios scales the density by 1 / alpha_o (DUPLEX_FACTORS),
+row's. So build_scenarios divides the gains by 1 / alpha_o (DUPLEX_FACTORS),
 a row's w_a and w_b are its solver's times it, and audit_rows divides a CSV's
 by it, all exactly, alpha_o being a power of two.
 
@@ -69,7 +69,7 @@ __all__ = [
 OVERLAP_SWEEP_WEIGHTS = (0.05, 0.1, 0.2)
 POWER_SWEEP_ALTITUDES_KM = (600.0, 1200.0)
 # 1 / alpha_o of each mode: FDD sends full-time over half the band, TDD half-time over all of it, so
-# in both alpha_o x alpha_1 = 1/2, and a TDD row is its FDD row at twice the density, or at half power.
+# in both alpha_o x alpha_1 = 1/2, and a TDD row is its FDD row at half the gains, or at half power.
 DUPLEX_FACTORS = {"FDD": 1.0, "TDD": 2.0}
 _AIRTIME_PER_BAND_HERTZ = 0.5  # alpha_o x alpha_1 of both modes: a link's airtime hertz per band hertz
 
@@ -145,8 +145,8 @@ _MAX_POWER_SWEEP_POINTS = 2001
 _MAX_PARTICLE_STEPS = 10**9
 # Closed ranges of the numeric entries, in the units of their keys. Each is
 # wide enough for any satellite link and tight enough that dbm_to_watts,
-# db_to_linear and channel_gain stay finite and positive: the channel gain
-# stays within about 1e-85 .. 1e15, so p beta never underflows and every
+# db_to_linear and channel_gain stay finite and positive: a batch's gain
+# stays within about 1e-78 .. 1e43, so p gain never underflows and every
 # link's rate at the whole budget is positive, however small. The sizes are
 # capped so that no solve asks for gigabytes, and memory is bounded per chunk,
 # not per run: run_pso holds four (4, S, N) arrays (swarm, velocity, term and
@@ -274,11 +274,11 @@ def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
 
     A point is (power_dbm, overlap_mhz, duplex, altitude_km, access_weight),
     the SweepRow columns CSV_COLUMNS[2:7], and points any iterable of them;
-    every other value comes from cfg: bandwidths in airtime hertz, the density noise
-    plus interference in W/Hz times 1 / alpha_o. Each distinct altitude's channel gains
-    and power's watts are computed once, when a point first needs them, and 1 / alpha_o
-    is read from DUPLEX_FACTORS, so a bad one raises at the first point that has one: at
-    its altitude, then its power, then a duplex other than FDD or TDD.
+    every other value comes from cfg: bandwidths in airtime hertz, each gain the channel
+    gain over the density noise plus interference in W/Hz times 1 / alpha_o (DUPLEX_FACTORS).
+    Each distinct altitude's gains, for both modes, and power's watts are computed once, when
+    a point first needs them, so a bad one raises at the first point that has one: at its
+    altitude, then its power, then a duplex other than FDD or TDD.
     The watts stay scalar dbm_to_watts calls: numpy's vector power differs
     from Python's 10.0 ** x in the last bit on some inputs, which would change
     CSV bytes. The batch then raises the first of its conditions that any row
@@ -291,19 +291,21 @@ def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
         (cfg.ue_antenna_gain_dbi, cfg.boresight_ue_deg), (cfg.bs_antenna_gain_dbi, cfg.boresight_bs_deg))]
     hertz = 1e6 * _AIRTIME_PER_BAND_HERTZ  # a link's airtime hertz per MHz of the band, in both modes
     density = dbm_to_watts(cfg.noise_density_dbm_hz) + dbm_to_watts(cfg.interference_density_dbm_hz)
-    gains, watts = {}, {}  # of each altitude_km and power_dbm
+    gains, watts = {}, {}  # of each altitude_km, then duplex, and of each power_dbm
     rows = []
     for power_dbm, overlap_mhz, duplex, altitude_km, access_weight in points:
         if altitude_km not in gains:
-            gains[altitude_km] = [channel_gain(sat_gain, gain, angle, altitude_km * 1e3, aperture, frequency)
-                                  for gain, angle in nodes]
+            betas = [channel_gain(sat_gain, gain, angle, altitude_km * 1e3, aperture, frequency)
+                     for gain, angle in nodes]
+            gains[altitude_km] = {mode: [beta / (density * factor) for beta in betas]
+                                  for mode, factor in DUPLEX_FACTORS.items()}
         if power_dbm not in watts:
             watts[power_dbm] = dbm_to_watts(power_dbm)
         if duplex not in DUPLEX_FACTORS:
             raise ValueError(f"duplex must be {' or '.join(DUPLEX_FACTORS)}, got {duplex!r}")
         # the ScenarioBatch columns, in order
         rows.append((watts[power_dbm], cfg.total_bandwidth_mhz * hertz, overlap_mhz * hertz,
-                     density * DUPLEX_FACTORS[duplex], access_weight, *gains[altitude_km]))
+                     access_weight, *gains[altitude_km][duplex]))
     columns = np.array(rows, dtype=float).reshape(-1, len(dataclasses.fields(ScenarioBatch))).T
     return ScenarioBatch(*(column.reshape(-1, 1) for column in columns.copy()))
 

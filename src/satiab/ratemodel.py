@@ -4,7 +4,9 @@ an access user and a backhaul base station.
 The two links may share part of the band; overlapped spectrum turns the
 other link's transmission into interference. Each bandwidth v is in airtime
 hertz, hertz times time share, so every rate is v log2(1 + SINR); expcli
-converts FDD and TDD hertz to and from it. Quantities are linear SI units.
+converts FDD and TDD hertz to and from it. A link's gain is its channel gain over
+the noise density per airtime hertz, so p gain / v is its SNR. Quantities are
+linear SI units.
 
 A ScenarioBatch holds S scenarios as (S, 1) columns, checked as a whole,
 and one scenario is a batch of one row. evaluate_many and validate_many
@@ -42,9 +44,8 @@ _SCENARIO_CHECKS = (
     (lambda s: s.total_bandwidth > 0.0, "total_bandwidth must be positive"),
     (lambda s: (0.0 <= s.overlap_bandwidth) & (s.overlap_bandwidth <= s.total_bandwidth),
      "overlap_bandwidth must lie in [0, total_bandwidth]"),
-    (lambda s: s.density > 0.0, "density must be positive"),
     (lambda s: (0.0 < s.access_weight) & (s.access_weight <= 1.0), "access_weight must lie in (0, 1]"),
-    (lambda s: (s.beta_ue > 0.0) & (s.beta_bs > 0.0), "channel gains must be positive"),
+    (lambda s: (s.gain_ue > 0.0) & (s.gain_bs > 0.0), "channel gains must be positive"),
 )
 
 
@@ -58,20 +59,19 @@ class ScenarioBatch:
         total_power: Satellite transmit power budget P, W.
         total_bandwidth: Either link's bandwidth cap W, airtime Hz.
         overlap_bandwidth: Bandwidth shared by the two links w_o, airtime Hz.
-        density: Noise-plus-interference PSD (thermal noise plus out-of-band
-            emission / sync error), W/Hz, times the hertz per airtime hertz.
         access_weight: QoS weight of the access link (0 < eps <= 1).
-        beta_ue: Channel power gain of the access user, linear.
-        beta_bs: Channel power gain of the backhaul station, linear.
+        gain_ue: Channel power gain of the access user over the noise-plus-interference
+            density (thermal noise plus out-of-band emission / sync error) in W per
+            airtime Hz, airtime Hz/W: p gain_ue / v is the access link's SNR.
+        gain_bs: The same of the backhaul station.
     """
 
     total_power: np.ndarray
     total_bandwidth: np.ndarray
     overlap_bandwidth: np.ndarray
-    density: np.ndarray
     access_weight: np.ndarray
-    beta_ue: np.ndarray
-    beta_bs: np.ndarray
+    gain_ue: np.ndarray
+    gain_bs: np.ndarray
 
     def __post_init__(self) -> None:
         for name, column in vars(self).items():
@@ -118,21 +118,18 @@ def _denominator(den: np.ndarray, plain: bool) -> np.ndarray:
 def rate_kernel(batch: ScenarioBatch):
     """link_rates(batch, p, w) in three stages, bit for bit: rate_kernel(batch)(w)(p).
     Building it computes the batch's own terms once, the (2, S, 1) gain pair and whether
-    any scenario overlaps. Its call at w, the bandwidth stage, computes the terms of w alone: the
-    noise dens w, the prefactor w / ln 2, the other link's bandwidth with its stand-in,
-    the zero-rate mask's inverse and, if no scenario overlaps, the whole denominator with its
-    stand-in. The function of p it returns holds a view of w (do not write w while in use) and
-    computes the rest in one new array a call (one more holds an overlap's denominator)."""
-    w_o, beta = batch.overlap_bandwidth, np.asarray((batch.beta_ue, batch.beta_bs), dtype=float)
+    any scenario overlaps. Its call at w, the bandwidth stage, computes the terms of w alone,
+    with no noise term: the prefactor w / ln 2, w with its stand-in (the orthogonal denominator
+    and, reversed, the other link's bandwidth) and the zero-rate mask's inverse. The function of
+    p it returns holds a view of w (do not write w while in use) and computes the rest in one
+    new array a call (one more holds an overlap's denominator)."""
+    w_o, gain = batch.overlap_bandwidth, np.asarray((batch.gain_ue, batch.gain_bs), dtype=float)
     overlapped = np.any(w_o > 0.0)  # if not, the interference term is zero and skipped
 
     def at(w):
         w = _link_pair(w)
-        plain, den, other, zero = _all_positive(w), batch.density * w, None, None
-        if overlapped:
-            other = w[::-1] if plain else np.where(w[::-1] > 0.0, w[::-1], 1.0)
-        else:
-            den = _denominator(den, plain)
+        plain, zero = _all_positive(w), None
+        safe = w if plain else np.where(w > 0.0, w, 1.0)  # 1.0 stands in where w is not above zero
         if not plain:
             # w_o = 0 adds exactly zero interference: the other link's bandwidth may be 0 there
             ok = w > 0.0
@@ -141,12 +138,12 @@ def rate_kernel(batch: ScenarioBatch):
 
         def rates(p) -> np.ndarray:
             p = _link_pair(p)
-            rate = np.multiply(p, beta, out=np.empty(np.broadcast(den, p).shape))  # at the joint shape
+            rate = np.multiply(p, gain, out=np.empty(np.broadcast(w, p, gain).shape))  # at the joint shape
             if overlapped:
-                term = np.multiply(p[::-1], beta, out=np.empty_like(rate))
+                term = np.multiply(p[::-1], gain, out=np.empty_like(rate))
                 term *= w_o
-                term /= other
-            rate /= _denominator(np.add(den, term, out=term), plain) if overlapped else den
+                term /= safe[::-1]
+            rate /= _denominator(np.add(w, term, out=term), plain) if overlapped else safe
             np.log1p(rate, out=rate)
             rate *= prefactor
             if zero is not None:
@@ -165,7 +162,7 @@ def link_rates(batch: ScenarioBatch, p, w) -> np.ndarray:
     and columns broadcast against the batch's (S, 1) columns, one row per
     scenario. The result is one (2, ...) array (rate_a, rate_b) of their joint
     shape. Powers and bandwidths are not broadcast against each other up front,
-    so a term of one of them only, such as the noise, is computed at its size.
+    so a term of one of them only, such as the prefactor, is computed at its size.
 
     Each formula is written once over the pair, the other link being p[::-1]
     and w[::-1]. A zero bandwidth yields zero rate (the x*log(1+c/x) -> 0

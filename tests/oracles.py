@@ -39,10 +39,14 @@ A scenario is a one-row ScenarioBatch: make_scenario builds one from
 floats, stack joins batches row by row into one, and the scalar references
 read a scenario's floats through scalars, so that their arithmetic is that
 of Python floats. A batch's bandwidths are airtime hertz (see satiab.expcli),
-an FDD row's own hertz: scenario and physical_values convert a duplex mode's
-physical density to the batch's and back, and hertz_per_unit converts its
-bandwidths to the CSV's hertz. reference_rate alone computes a rate from the
-physical values and both duplex factors, the paper's formula.
+an FDD row's own hertz, and its gains are the channel gains over the
+noise-plus-interference density in airtime hertz: scenario divides a duplex
+mode's physical channel gains by its physical density over the mode's time
+share, physical_values gives them back in units of the density (the model
+sees the two only as their ratio), channel_gains computes a config's physical
+channel gains, and hertz_per_unit converts a batch's bandwidths to the CSV's
+hertz. reference_rate alone computes a rate from the physical values and both
+duplex factors, the paper's formula.
 The reference command-line parser is main's parser as first written: the
 top parser, a shared parent parser of the run options and all four
 subparsers, built whatever the command; main must print its help, usage
@@ -107,21 +111,27 @@ def reference_scenarios():
 
 
 def scenario(duplex: str = "FDD", **values) -> ScenarioBatch:
-    """The batch of scenarios of duplex mode duplex given by the physical
-    values of their columns, floats for one row or columns of (S, 1) floats,
-    the bandwidths in airtime hertz and the density noise plus interference in
-    W/Hz: the batch's density is that over the duplex mode's time share."""
+    """The batch of scenarios of duplex mode duplex given by physical values,
+    floats for one row or columns of (S, 1) floats: the batch's columns but its
+    gains, with the bandwidths in airtime hertz, and the channel gains beta_ue and
+    beta_bs and the density noise plus interference in W/Hz. Each gain is
+    beta / (density / alpha_o), as build_scenarios computes it."""
     columns = {name: np.array(value, dtype=float).reshape(-1, 1) for name, value in values.items()}
-    columns["density"] = columns["density"] * DUPLEX_FACTORS[duplex]
+    density = columns.pop("density") * DUPLEX_FACTORS[duplex]
+    for link in ("ue", "bs"):
+        columns[f"gain_{link}"] = columns.pop(f"beta_{link}") / density
     return ScenarioBatch(**columns)
 
 
 def physical_values(scn: ScenarioBatch, duplex: str) -> dict:
-    """The physical values of the columns of a batch of duplex mode duplex,
-    bandwidths in airtime hertz, the inverse of scenario:
+    """Physical values of a batch of duplex mode duplex, bandwidths in airtime hertz,
+    the inverse of scenario: the density is 1 W/Hz and the channel gains are each
+    gain times 1 / alpha_o, their ratio to it, exactly. So
     scenario(duplex, **physical_values(scn, duplex)) holds the columns of scn."""
     values = {f.name: getattr(scn, f.name) for f in dataclasses.fields(scn)}
-    return values | {"density": scn.density / DUPLEX_FACTORS[duplex]}
+    for link in ("ue", "bs"):
+        values[f"beta_{link}"] = values.pop(f"gain_{link}") * DUPLEX_FACTORS[duplex]
+    return values | {"density": 1.0}
 
 
 def hertz_per_unit(duplex: str) -> float:
@@ -274,31 +284,31 @@ def reference_link_rates(batch: ScenarioBatch, p_ue, p_bs, w_a, w_b):
     """link_rates on four per-link arrays, each rate of the broadcast shape of
     what it depends on, with its fallbacks applied on every call: the stand-ins
     for a zero other-link bandwidth and a zero denominator, and the zero-rate mask."""
-    dens, w_o = batch.density, batch.overlap_bandwidth
+    w_o = batch.overlap_bandwidth
     # Without overlap in any scenario the interference term is zero;
     # skipping it keeps the large orthogonal grid batches cheap.
     overlapped = np.any(w_o > 0.0)
     p_ue, p_bs, w_a, w_b = (np.asarray(x, dtype=float) for x in (p_ue, p_bs, w_a, w_b))
 
-    def one_way(p_own, beta, w_own, p_other, w_other):
-        noise = dens * w_own
+    def one_way(p_own, gain, w_own, p_other, w_other):
+        # the gain is over the density, so the noise term is the bandwidth itself
         if overlapped:
             positive = w_other > 0.0
             # A scenario with w_o = 0 adds exactly zero interference, so the
             # other link's bandwidth may be zero there.
             other_ok = positive | (w_o == 0.0)
-            interf = p_other * beta * w_o / np.where(positive, w_other, 1.0)
-            den = noise + interf
+            interf = p_other * gain * w_o / np.where(positive, w_other, 1.0)
+            den = w_own + interf
         else:
             other_ok = True
-            den = noise
+            den = w_own
         active = (w_own > 0.0) & other_ok
-        sinr = p_own * beta / np.where(den > 0.0, den, 1.0)
+        sinr = p_own * gain / np.where(den > 0.0, den, 1.0)
         rate = np.log1p(sinr) * (w_own / _LN2)
         return np.where(active, rate, 0.0)
 
-    rate_a = one_way(p_ue, batch.beta_ue, w_a, p_bs, w_b)
-    rate_b = one_way(p_bs, batch.beta_bs, w_b, p_ue, w_a)
+    rate_a = one_way(p_ue, batch.gain_ue, w_a, p_bs, w_b)
+    rate_b = one_way(p_bs, batch.gain_bs, w_b, p_ue, w_a)
     return rate_a, rate_b
 
 
@@ -346,18 +356,17 @@ def golden_section_solve(batch: ScenarioBatch) -> SolvedRow:
     level zeta, golden section over the bandwidth split for the cheapest
     power that delivers eps*zeta and zeta."""
     scn = scalars(batch)
-    dens = scn.density
     w_total = scn.total_bandwidth
     p_total = scn.total_power
     eps = scn.access_weight
-    zeta_ub = w_total / _LN2 * math.log1p(p_total * scn.beta_bs / (dens * w_total))
+    zeta_ub = w_total / _LN2 * math.log1p(p_total * scn.gain_bs / w_total)
     w_lo = w_total * 1e-12
     w_hi = w_total * (1.0 - 1e-12)
-    log_scale_a, log_scale_b = math.log(dens / scn.beta_ue), math.log(dens / scn.beta_bs)
+    log_scale_a, log_scale_b = -math.log(scn.gain_ue), -math.log(scn.gain_bs)
 
     def cheapest_split(zeta):
         # A link's power for rate k / ln2 over bandwidth w is
-        # (2**x - 1) dens w / beta = e**(y + log(dens / beta)) (-expm1(-y)) w,
+        # (2**x - 1) w / gain = e**(y + log(1 / gain)) (-expm1(-y)) w,
         # with y = x ln2 = k / w. The split minimizes the log of the links'
         # sum with the larger exponential factored out, which stays finite
         # and ordered where 2**x overflows. Returns that log, the access
@@ -425,16 +434,16 @@ def reference_solve_orthogonal_many(batch: ScenarioBatch):
     axis 1, and (S, 1) columns per scenario quantity."""
     if (batch.overlap_bandwidth != 0.0).any():
         raise ValueError("solve_orthogonal requires overlap_bandwidth == 0")
-    eps, dens = batch.access_weight, batch.density
+    eps = batch.access_weight
     p_total = batch.total_power
     w_total = bandwidth_limits(batch)[0]
-    beta = np.hstack((batch.beta_ue, batch.beta_bs))
-    log_gain_ratio = np.log(batch.beta_bs / batch.beta_ue)
+    gain = np.hstack((batch.gain_ue, batch.gain_bs))
+    log_gain_ratio = np.log(batch.gain_bs / batch.gain_ue)
     rate_per_zeta = np.hstack((eps, np.ones_like(eps)))
     y_per_zeta = rate_per_zeta * _LN2 / w_total
 
     rate_a, zeta_ub = reference_link_rates(batch, p_total, p_total, w_total, w_total)
-    low_snr = p_total / (_LN2 * dens * (rate_per_zeta / beta).sum(axis=1, keepdims=True))
+    low_snr = p_total / (_LN2 * (rate_per_zeta / gain).sum(axis=1, keepdims=True))
     zeta = np.minimum(np.minimum(zeta_ub, np.where(rate_a > 0.0, rate_a / eps, np.inf)), low_snr)
     zeta = np.where(zeta > 0.0, zeta, zeta_ub)
     lo, hi = np.zeros_like(zeta_ub), zeta_ub.copy()
@@ -451,13 +460,13 @@ def reference_solve_orthogonal_many(batch: ScenarioBatch):
         share[rows] = s = _reference_split_share(y_z, log_gain_ratio[rows], share[rows])
         pair = np.concatenate((s, 1.0 - s), axis=1)
         w = pair * w_total[rows]
-        p = _inversion_power(z * rate_per_zeta[rows], w, beta[rows], dens[rows])
+        p = _inversion_power(z * rate_per_zeta[rows], w, gain[rows])
         spent = p.sum(axis=1, keepdims=True)
         feasible = spent <= p_total[rows]
         lo_s, hi_s = np.where(feasible, z, lo[rows]), np.where(feasible, hi[rows], z)
         lo[rows], hi[rows] = lo_s, hi_s
         alloc[rows] = np.where(feasible, np.concatenate((p, w), axis=1), alloc[rows])
-        growth = ((p + dens[rows] * w / beta[rows]) * (y_z / pair)).sum(axis=1, keepdims=True)
+        growth = ((p + w / gain[rows]) * (y_z / pair)).sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.abs(z * np.expm1(np.log(p_total[rows] / spent) * spent / growth))
         half_tol = 0.5e-13 * z
@@ -483,7 +492,7 @@ def mp_orthogonal_level(batch: ScenarioBatch, dps: int = 40):
     the smaller of the two links' y = rate ln2 / w there.
 
     At the optimum the bandwidth split makes the links' marginal power
-    costs h(y) / beta equal (the condition the exact solver uses) and the
+    costs h(y) / gain equal (the condition the exact solver uses) and the
     power that split needs equals the budget. Both conditions are solved
     together by Newton's method at dps digits, in the log of the level and
     the logit of the access share, from the golden-section solution;
@@ -493,8 +502,7 @@ def mp_orthogonal_level(batch: ScenarioBatch, dps: int = 40):
     start = golden_section_solve(batch)
     with mp.workdps(dps):
         w_total = mp.mpf(scn.total_bandwidth)
-        dens = mp.mpf(scn.density)
-        betas = mp.mpf(scn.beta_ue), mp.mpf(scn.beta_bs)
+        gains = mp.mpf(scn.gain_ue), mp.mpf(scn.gain_bs)
         rates_per_zeta = mp.mpf(scn.access_weight), mp.mpf(1)
 
         def links(logit, log_zeta):
@@ -506,12 +514,12 @@ def mp_orthogonal_level(batch: ScenarioBatch, dps: int = 40):
 
         def equal_costs(logit, log_zeta):
             ys = links(logit, log_zeta)[1]
-            return (mp_log_marginal_cost(ys[0], dps)[0] - mp.log(betas[0])
-                    - mp_log_marginal_cost(ys[1], dps)[0] + mp.log(betas[1]))
+            return (mp_log_marginal_cost(ys[0], dps)[0] - mp.log(gains[0])
+                    - mp_log_marginal_cost(ys[1], dps)[0] + mp.log(gains[1]))
 
         def budget_spent(logit, log_zeta):
             widths, ys = links(logit, log_zeta)
-            power = sum(dens * w / b * mp.expm1(y) for w, y, b in zip(widths, ys, betas))
+            power = sum(w / g * mp.expm1(y) for w, y, g in zip(widths, ys, gains))
             return mp.log(power / scn.total_power)
 
         (_, _, w_a, w_b), _, _ = start
@@ -560,25 +568,32 @@ def row_scenario(cfg: ExperimentConfig, row) -> ScenarioBatch:
     ))
 
 
-def per_point_build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
-    """build_scenarios as it once was: one dbm_to_watts and one DUPLEX_FACTORS
-    lookup per point, and each distinct altitude's channel gains once; the
-    bandwidths are half the band's hertz, a link's airtime hertz in either mode, and
-    the density is noise plus interference times the duplex's DUPLEX_FACTORS entry."""
+def channel_gains(cfg: ExperimentConfig, altitude_km: float) -> list[float]:
+    """The physical channel gains (beta_ue, beta_bs) of cfg's link budget at altitude_km."""
     sat_gain = db_to_linear(cfg.satellite_antenna_gain_dbi)
     aperture, frequency = cfg.aperture_radius_m, cfg.carrier_frequency_ghz * 1e9
     nodes = [(db_to_linear(gain_dbi), math.radians(angle_deg)) for gain_dbi, angle_deg in (
         (cfg.ue_antenna_gain_dbi, cfg.boresight_ue_deg), (cfg.bs_antenna_gain_dbi, cfg.boresight_bs_deg))]
+    return [channel_gain(sat_gain, gain, angle, altitude_km * 1e3, aperture, frequency)
+            for gain, angle in nodes]
+
+
+def per_point_build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
+    """build_scenarios as it once was: one dbm_to_watts and one DUPLEX_FACTORS
+    lookup and division per point, and each distinct altitude's channel gains once;
+    the bandwidths are half the band's hertz, a link's airtime hertz in either mode,
+    and each gain is the channel gain over noise plus interference times the duplex's
+    DUPLEX_FACTORS entry."""
     density = dbm_to_watts(cfg.noise_density_dbm_hz) + dbm_to_watts(cfg.interference_density_dbm_hz)
     gains: dict[float, list[float]] = {}
     rows = []
     for power_dbm, overlap_mhz, duplex, altitude_km, access_weight in points:
         if altitude_km not in gains:
-            gains[altitude_km] = [channel_gain(sat_gain, gain, angle, altitude_km * 1e3, aperture, frequency)
-                                  for gain, angle in nodes]
+            gains[altitude_km] = channel_gains(cfg, altitude_km)
         # the ScenarioBatch columns, in order
+        noise = density * DUPLEX_FACTORS[duplex]
         rows.append((dbm_to_watts(power_dbm), 0.5 * cfg.total_bandwidth_mhz * 1e6, 0.5 * overlap_mhz * 1e6,
-                     density * DUPLEX_FACTORS[duplex], access_weight, *gains[altitude_km]))
+                     access_weight, *[beta / noise for beta in gains[altitude_km]]))
     columns = np.array(rows, dtype=float).reshape(-1, len(dataclasses.fields(ScenarioBatch))).T
     return ScenarioBatch(*(column.reshape(-1, 1) for column in columns.copy()))
 

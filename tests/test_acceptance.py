@@ -162,7 +162,7 @@ def test_criterion_6_optimum_tightness():
     for label, scn in reference_scenarios():
         (p_ue, p_bs, w_a, w_b), _, _ = solve_orthogonal(scn)
         zeta, rate_access, rate_backhaul, _ = evaluate(scn, (p_ue, p_bs, w_a, w_b))
-        access_ratio = rate_access / (scn.access_weight * zeta)
+        access_ratio = rate_access / (scn.access_weight.item() * zeta)
         backhaul_ratio = rate_backhaul / zeta
         assert abs(access_ratio - 1.0) <= 1e-4, label
         assert abs(backhaul_ratio - 1.0) <= 1e-4, label

@@ -75,16 +75,15 @@ def swarm_fitness(scn: ScenarioBatch, alloc) -> float:
 
 
 def test_min_power_zero_rate():
-    assert allocator._inversion_power(0.0, 10e6, 1e-12, 8e-21) == 0.0
+    assert allocator._inversion_power(0.0, 10e6, 1e-12 / 8e-21) == 0.0
 
 
 def test_min_power_unit_spectral_efficiency():
     scn = scalars(make_scenario())
     bandwidth = 10e6
-    dens = scn.density
-    # one bit/s per airtime hertz: 2^1 - 1 = 1, so the power is exactly dens*w/beta
-    power = allocator._inversion_power(bandwidth, bandwidth, scn.beta_ue, dens)
-    assert power == dens * bandwidth / scn.beta_ue
+    # one bit/s per airtime hertz: 2^1 - 1 = 1, so the power is exactly w/gain
+    power = allocator._inversion_power(bandwidth, bandwidth, scn.gain_ue)
+    assert power == bandwidth / scn.gain_ue
 
 
 def test_min_power_round_trip():
@@ -92,7 +91,7 @@ def test_min_power_round_trip():
     scn = scalars(batch)
     target = 5e6
     bandwidth = 8e6
-    power = allocator._inversion_power(target, bandwidth, scn.beta_ue, scn.density)
+    power = allocator._inversion_power(target, bandwidth, scn.gain_ue)
     rate = evaluate(batch, (power, 0.0, bandwidth, 1e6))[1]
     assert rate == pytest.approx(target, rel=1e-9)
 
@@ -100,7 +99,7 @@ def test_min_power_round_trip():
 def test_min_power_overflow_is_infeasible():
     # an overflowing power is +inf, which no power budget can pay
     scn = scalars(make_scenario())
-    power = allocator._inversion_power(1e12, 1e3, scn.beta_ue, scn.density)
+    power = allocator._inversion_power(1e12, 1e3, scn.gain_ue)
     assert power == math.inf
 
 
@@ -130,9 +129,8 @@ def test_solve_orthogonal_vanishing_access_weight():
     batch = make_scenario(access_weight=1e-9)
     scn = scalars(batch)
     w_total = scn.total_bandwidth
-    dens = scn.density
     single_link_best = w_total * math.log2(
-        1.0 + scn.total_power * scn.beta_bs / (dens * w_total)
+        1.0 + scn.total_power * scn.gain_bs / w_total
     )
     result = solve_orthogonal(batch)
     assert level(batch, result) == pytest.approx(single_link_best, rel=1e-3)
@@ -454,10 +452,12 @@ def test_grid_oracle_zero_columns_of_orthogonal_grids():
 
 
 def test_grid_oracle_grid_maximum_zero():
-    # far outside the config ranges, p beta underflows to 0 at every grid
+    # far outside the config ranges, p gain underflows to 0 at every grid
     # point, so every rate is 0 and the first grid point is the first maximum
+    # (a density of 1 W/Hz makes each gain its channel gain)
     for overlap in (0.0, 20e6, 40e6):
-        scn = make_scenario(total_power=1e-300, beta_ue=1e-30, beta_bs=1e-30, overlap_bandwidth=overlap)
+        scn = make_scenario(total_power=1e-300, density=1.0, beta_ue=1e-30, beta_bs=1e-30,
+                            overlap_bandwidth=overlap)
         *_, grid = full_grid(scn, 20)
         assert not grid.any()
         result = grid_oracle(scn, 20)
@@ -466,12 +466,19 @@ def test_grid_oracle_grid_maximum_zero():
         assert evaluate(scn, result[0]) == reference_evaluate(scn, *result[0])
     # the exact solver's upper bound is then 0: it takes no level step and
     # returns both budgets halved
-    scn = make_scenario(total_power=1e-300, beta_ue=1e-30, beta_bs=1e-30)
+    scn = make_scenario(total_power=1e-300, density=1.0, beta_ue=1e-30, beta_bs=1e-30)
     result = solve_orthogonal(scn)
     assert (level(scn, result), *result[1:]) == (0.0, 0, True)
     hertz = hertz_per_unit("FDD")
     assert result[0] == (5e-301, 5e-301, 20e6 / hertz, 20e6 / hertz)
     assert evaluate(scn, result[0]) == reference_evaluate(scn, *result[0])
+
+
+def plateau_scenario() -> ScenarioBatch:
+    """The default scenario at P = 3 W and eps = 1 with an access gain of 5e-318,
+    whose access SINR is 0 or one subnormal ulp: see the test below."""
+    return make_scenario(total_power=3.0, density=1.0, beta_ue=5e-318,
+                         beta_bs=scalars(make_scenario()).gain_bs, access_weight=1.0)
 
 
 def assert_plateau_last_row(scn, resolution, result):
@@ -487,12 +494,13 @@ def assert_plateau_last_row(scn, resolution, result):
 
 
 def test_grid_oracle_plateau_below_the_crossing():
-    # an access SINR a few subnormal ulps wide: with beta_ue the smallest
-    # subnormal and P = 3 W, p_ue beta_ue rounds to 0 to 3 ulps down a column,
-    # so the access rate moves in flat steps; down the best column it reaches
-    # its last value before the crossing some rows early. The search returns
-    # the last of those rows, at the same level as np.argmax's first
-    scn = make_scenario(total_power=3.0, beta_ue=5e-324, access_weight=1.0)
+    # an access SINR one subnormal ulp wide: with gain_ue 5e-318 (a density of
+    # 1 W/Hz makes each gain its channel gain; gain_bs is the default's) and P = 3 W,
+    # p_ue gain_ue / w_a rounds to 0 or 1 ulp down a column, so the access rate
+    # moves in flat steps; down the best column it reaches its last value before
+    # the crossing some rows early. The search returns the last of those rows, at
+    # the same level as np.argmax's first
+    scn = plateau_scenario()
     *_, grid = full_grid(scn, 20)
     i, j = divmod(int(np.argmax(grid)), 20)
     assert grid[i, j] > 0.0 and grid[i + 1, j] == grid[i, j] and grid[i + 2, j] == grid[i, j]
@@ -525,8 +533,8 @@ def test_grid_oracle_chunk_of_tied_plateau_and_ordinary_rows(monkeypatch, resolu
     # resolution 1000; and ordinary rows, at np.argmax's first maximum
     rng = np.random.default_rng(79)
     scns = [make_scenario(overlap_bandwidth=40e6),
-            make_scenario(total_power=3.0, beta_ue=5e-324, access_weight=1.0),
-            make_scenario(total_power=5e-322, beta_ue=1e300, beta_bs=1e300),
+            plateau_scenario(),
+            make_scenario(total_power=5e-322, density=1.0, beta_ue=1e300, beta_bs=1e300),
             random_scenario(rng, orthogonal=True), random_scenario(rng), corner_scenario(rng)]
     monkeypatch.setattr(allocator, "_GRID_BLOCK", resolution * len(scns))
     reference = [full_grid_oracle(scn, resolution) for scn in scns]
@@ -936,15 +944,23 @@ def test_pso_zero_pair_in_one_row_leaves_other_rows_unchanged():
     draw = np.random.default_rng(17).random((len(scns), 10, 4))
     initial = draw * np.array([10.0, 10.0, 20e6, 20e6])
     degenerate = initial.copy()
-    # an all-zero power pair goes to the middle of its budget; row 3's bandwidths are pinned at
-    # full overlap, and from particle 4 its swarm ends at the same best to the bit, not from 2
+    # an all-zero power pair goes to the middle of its budget
     degenerate[3, 2, 0:2] = 0.0
     plain = run_pso(stack(scns), cfg, seeds, initial_population=initial)
     projected = run_pso(stack(scns), cfg, seeds, initial_population=degenerate)
     others = [s for s in range(len(scns)) if s != 3]
     assert np.array_equal(plain[others], projected[others])
-    # the particle started elsewhere, so row 3's swarm took another path
-    assert not np.array_equal(plain[3], projected[3])
+    # the particle starts elsewhere: the two populations, projected as the swarm's first
+    # step projects them, differ only in that particle's power pair, which is (P/2, P/2)
+    batch = stack(scns)
+    band_total, w_lo, w_hi = bandwidth_limits(batch)
+    starts = []
+    for population in (initial, degenerate):
+        swarm = population.transpose(2, 0, 1).copy()
+        allocator._normalize_population(swarm, np.stack((batch.total_power, band_total)), w_lo, w_hi)
+        starts.append(swarm.transpose(1, 2, 0))
+    assert np.argwhere(starts[0] != starts[1]).tolist() == [[3, 2, 0], [3, 2, 1]]
+    assert starts[1][3, 2, :2].tolist() == [batch.total_power[3, 0] / 2] * 2
     assert_rows_match_alone(scns, cfg, seeds, projected, initial=degenerate)
 
 

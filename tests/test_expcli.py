@@ -52,7 +52,7 @@ from satiab.expcli import (
 )
 
 from oracles import PAPER_DUPLEX_FACTORS, hertz_per_unit, per_point_build_scenarios, per_row_audit
-from oracles import reference_cli_parser, row_scenario, stack
+from oracles import channel_gains, reference_cli_parser, row_scenario, stack
 
 
 def in_hertz(alloc, duplex: str) -> tuple:
@@ -90,9 +90,13 @@ def test_load_config_empty_object_gives_defaults(tmp_path):
     assert scn.total_bandwidth == 20e6  # airtime hertz: half the 40 MHz band's, in either mode
     assert scn.total_power == pytest.approx(10.0, rel=1e-12)
     assert scn.overlap_bandwidth == 0.0
-    assert scn.density == pytest.approx(2 * 3.981071705534973e-21, rel=1e-12, abs=0.0)
-    assert scn.beta_ue == pytest.approx(1.5734726039155016e-12, rel=1e-9, abs=0.0)
-    assert scn.beta_bs == pytest.approx(1.3589805953889354e-09, rel=1e-9, abs=0.0)
+    # each gain is the channel gain over the density, noise plus interference (FDD: alpha_o = 1)
+    beta_ue, beta_bs = channel_gains(cfg, cfg.altitude_km)
+    assert beta_ue / scn.gain_ue.item() == pytest.approx(2 * 3.981071705534973e-21, rel=1e-12, abs=0.0)
+    assert beta_ue == pytest.approx(1.5734726039155016e-12, rel=1e-9, abs=0.0)
+    assert beta_bs == pytest.approx(1.3589805953889354e-09, rel=1e-9, abs=0.0)
+    assert scn.gain_ue == pytest.approx(1.5734726039155016e-12 / (2 * 3.981071705534973e-21), rel=1e-9, abs=0.0)
+    assert scn.gain_bs == pytest.approx(1.3589805953889354e-09 / (2 * 3.981071705534973e-21), rel=1e-9, abs=0.0)
 
 
 def test_load_config_power_conversion(tmp_path):
@@ -544,10 +548,12 @@ def test_one_list_of_duplex_names(tmp_path):
         assert str(raised.value).endswith(f"duplex must be FDD or TDD, got {duplex!r}")
     cfg = ExperimentConfig()
     density = dbm_to_watts(cfg.noise_density_dbm_hz) + dbm_to_watts(cfg.interference_density_dbm_hz)
+    beta_ue, beta_bs = channel_gains(cfg, cfg.altitude_km)
     for name, (alpha_o, alpha_1) in PAPER_DUPLEX_FACTORS.items():
         assert alpha_o * alpha_1 == 0.5
         scn = build_scenario(dataclasses.replace(cfg, duplex=name))
-        assert (expcli.DUPLEX_FACTORS[name], scn.density.item()) == (1 / alpha_o, density / alpha_o)
+        assert (expcli.DUPLEX_FACTORS[name], scn.gain_ue.item(), scn.gain_bs.item()) == (
+            1 / alpha_o, beta_ue / (density / alpha_o), beta_bs / (density / alpha_o))
 
 
 def test_one_list_of_solver_names(tmp_path, capsys, monkeypatch):
@@ -605,12 +611,19 @@ def test_each_solver_entry_looks_its_solver_up_in_expcli(monkeypatch, solver, at
 @given(st.floats(*_RANGES["noise_density_dbm_hz"]), st.floats(*_RANGES["interference_density_dbm_hz"]))
 @example(-174.0, -174.0)
 def test_build_scenarios_density_is_noise_plus_interference(noise_dbm_hz, interference_dbm_hz):
+    # each gain is the channel gain over the density, noise plus interference, over alpha_o,
+    # to the bit, and a TDD row's gains are its FDD twin's halved, exactly
     cfg = dataclasses.replace(ExperimentConfig(), noise_density_dbm_hz=noise_dbm_hz,
                               interference_density_dbm_hz=interference_dbm_hz)
-    density = build_scenarios(cfg, [(40.0, 0.0, "FDD", 600.0, 0.1), (50.0, 0.0, "TDD", 1200.0, 1.0)]).density
+    points = [(40.0, 0.0, "FDD", 600.0, 0.1), (50.0, 0.0, "TDD", 1200.0, 1.0),
+              (45.0, 0.0, "TDD", 600.0, 0.5), (40.0, 0.0, "FDD", 1200.0, 0.1)]
+    batch = build_scenarios(cfg, points)
+    gains = np.hstack((batch.gain_ue, batch.gain_bs))
     want = dbm_to_watts(noise_dbm_hz) + dbm_to_watts(interference_dbm_hz)
-    shares = expcli.DUPLEX_FACTORS["FDD"], expcli.DUPLEX_FACTORS["TDD"]  # the density over alpha_o
-    assert density.shape == (2, 1) and density.tolist() == [[want * shares[0]], [want * shares[1]]]
+    assert gains.shape == (4, 2) and gains.tolist() == [
+        [beta / (want * expcli.DUPLEX_FACTORS[duplex]) for beta in channel_gains(cfg, altitude_km)]
+        for _, _, duplex, altitude_km, _ in points]
+    assert (gains[[2, 1]] == gains[[0, 3]] / 2.0).all()  # TDD against FDD, at 600 and 1200 km
 
 
 def test_run_single_produces_one_row_per_solver():
@@ -1544,9 +1557,10 @@ def test_load_config_link_budget_limits_are_inclusive(tmp_path):
     for bound in (0, 1):
         payload = {name: limits[bound] for name, limits in expcli._RANGES.items()}
         cfg = load_config(write_json(tmp_path / "cfg.json", payload))
+        density = dbm_to_watts(cfg.noise_density_dbm_hz) + dbm_to_watts(cfg.interference_density_dbm_hz)
         for duplex in ("FDD", "TDD"):
             scn = build_scenario(dataclasses.replace(cfg, duplex=duplex))
-            gains = (scn.beta_ue, scn.beta_bs, scn.density)
+            gains = (scn.gain_ue, scn.gain_bs, *channel_gains(cfg, cfg.altitude_km), density)
             assert all(0.0 < g < math.inf for g in gains)
             alloc, _, converged = solve_orthogonal(scn)
             assert converged and math.isfinite(evaluate(scn, alloc)[3])

@@ -25,7 +25,7 @@ from satiab.ratemodel import evaluate, validate
 
 from oracles import hertz_per_unit, make_scenario, random_feasible_allocation, random_scenario
 from oracles import reference_link_rates, reference_rate, reference_scenarios, reference_validate, scalars
-from oracles import PAPER_DUPLEX_FACTORS, scenario, stack
+from oracles import PAPER_DUPLEX_FACTORS, channel_gains, scenario, stack
 
 
 def test_duplex_factors_values():
@@ -150,8 +150,9 @@ def test_access_rate_midpoint_concavity():
 
 def test_rates_depend_on_duplex_only_through_factors():
     # link_rates of a build_scenarios batch at airtime hertz v = alpha_o w is the paper's rate
-    # of each mode at w hertz, by reference_rate with both factors and the physical density:
-    # the batch's bandwidths are the band's times alpha_o alpha_1, the same for both modes
+    # of each mode at w hertz, by reference_rate with both factors, the physical density and
+    # the physical channel gains: the batch's bandwidths are the band's times alpha_o alpha_1,
+    # the same for both modes, and its gains the channel gains over the density times 1 / alpha_o
     for alpha_o, alpha_1 in PAPER_DUPLEX_FACTORS.values():
         assert alpha_o * alpha_1 == 0.5
     rng = np.random.default_rng(17)
@@ -162,9 +163,9 @@ def test_rates_depend_on_duplex_only_through_factors():
         duplex = str(rng.choice(["FDD", "TDD"]))
         overlap_mhz = cfg.total_bandwidth_mhz * float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
         power_dbm = rng.uniform(30.0, 60.0)
-        batch = build_scenarios(cfg, [(power_dbm, overlap_mhz, duplex, rng.uniform(500.0, 1500.0),
-                                       rng.uniform(0.02, 1.0))])
-        scn = scalars(batch)
+        altitude_km = rng.uniform(500.0, 1500.0)
+        batch = build_scenarios(cfg, [(power_dbm, overlap_mhz, duplex, altitude_km, rng.uniform(0.02, 1.0))])
+        beta_ue, beta_bs = channel_gains(cfg, altitude_km)
         alpha_o, alpha_1 = PAPER_DUPLEX_FACTORS[duplex]
         dens = dbm_to_watts(cfg.noise_density_dbm_hz) + dbm_to_watts(cfg.interference_density_dbm_hz)
         w_total, w_o = cfg.total_bandwidth_mhz * 1e6, overlap_mhz * 1e6
@@ -173,10 +174,10 @@ def test_rates_depend_on_duplex_only_through_factors():
         w_a = alpha_1 * rng.uniform(w_o, w_total)
         w_b = alpha_1 * (w_total + w_o) - w_a
         expected_a = reference_rate(
-            alpha_o, alpha_1, p_ue, scn.beta_ue, w_a, p_bs, w_b, dens, w_o,
+            alpha_o, alpha_1, p_ue, beta_ue, w_a, p_bs, w_b, dens, w_o,
         )
         expected_b = reference_rate(
-            alpha_o, alpha_1, p_bs, scn.beta_bs, w_b, p_ue, w_a, dens, w_o,
+            alpha_o, alpha_1, p_bs, beta_bs, w_b, p_ue, w_a, dens, w_o,
         )
         rates = link_rates(batch, [[[p_ue]], [[p_bs]]], [[[w_a * alpha_o]], [[w_b * alpha_o]]])
         rate_a, rate_b = rates.ravel().tolist()
@@ -366,8 +367,14 @@ def test_scenario_validation():
         make_scenario(access_weight=0.0)
     with pytest.raises(ValueError):
         make_scenario(access_weight=1.5)
-    for density in (0.0, -1e-20, math.nan):
-        with pytest.raises(ValueError, match="^density must be positive$"):
+    # the batch holds no density, only the gains over it: a channel gain that is zero,
+    # negative or NaN makes a gain that is not positive, and so does a negative or NaN density
+    for value in (0.0, -1e-20, math.nan):
+        for name in ("beta_ue", "beta_bs"):
+            with pytest.raises(ValueError, match="^channel gains must be positive$"):
+                make_scenario(**{name: value})
+    for density in (-1e-20, math.nan):
+        with pytest.raises(ValueError, match="^channel gains must be positive$"):
             make_scenario(density=density)
 
 
