@@ -10,9 +10,8 @@ power costs are equal, by Newton steps that bisect a bracket of each root.
 
 Every solver takes a ScenarioBatch and returns arrays with one row per
 scenario: the (S, 4) allocations (p_ue, p_bs, w_a, w_b), the iterations
-used and the converged flags. The one-row views stay, unexported, only for
-bench/spans.py, which wraps them by name. The solvers have no names here:
-the CLI's table in expcli names them.
+used and the converged flags; one scenario is a batch of one row. The
+solvers have no names here: the CLI's table in expcli names them.
 """
 
 from __future__ import annotations
@@ -25,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ratemodel import _LN2, ScenarioBatch, bandwidth_limits, link_rates, rate_kernel
-# Unused here: the span tracer of bench/spans.py wraps this name in this module.
-from .ratemodel import evaluate  # noqa: F401
+# Unused here, and called by nothing: the span tracer of bench/spans.py wraps this name in this
+# module. ROADMAP item 15 deletes it along with the tracer.
+from .ratemodel import evaluate_many as evaluate  # noqa: F401
 
 __all__ = [
     "PsoConfig",
@@ -41,7 +41,6 @@ _G_SERIES = [-1 / 5040, 1 / 720, -1 / 120, 1 / 24, -1 / 6, 1 / 2]  # y polyval(_
 _BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest access share, so the backhaul's stays positive
 _MAX_STEPS = 200
 _Solved = tuple[np.ndarray, np.ndarray, np.ndarray]  # allocations, iterations, converged
-_SolvedRow = tuple[tuple[float, float, float, float], int, bool]  # one row of a _Solved
 _GRID_BLOCK = 4_096  # grid columns per grid_oracle_many chunk: 32 KiB per column array, made once
 _SWARM_PARTICLES = 32_768  # particles per run_pso batch of pso_solve_many, each with its scenario row
 _ROW_DRAWS, _BLOCK_DRAWS = 4_096, 131_072  # velocity draws read at once: about per row, at most in all
@@ -123,12 +122,6 @@ def _split_share(y_whole, log_gain_ratio, share):
     return share
 
 
-def _solved_alone(solve_many, scn: ScenarioBatch, *args) -> _SolvedRow:
-    """solve_many(scn, *args) at the one-row batch scn: ((p_ue, p_bs, w_a, w_b), iterations, converged)."""
-    (alloc,), (iterations,), (converged,) = solve_many(scn, *args)
-    return tuple(alloc.tolist()), int(iterations), bool(converged)
-
-
 def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
     """Exact max-min solutions of many orthogonal scenarios (overlap zero).
 
@@ -192,11 +185,6 @@ def solve_orthogonal_many(batch: ScenarioBatch) -> _Solved:
         zeta[rows] = np.where((new > lo_s) & (new < hi_s), new, 0.5 * (lo_s + hi_s))
 
     return alloc.T.copy(), iterations, hi - lo <= 1e-13 * lo
-
-
-def solve_orthogonal(scn: ScenarioBatch) -> _SolvedRow:
-    """Exact max-min solution of the orthogonal one-row batch scn; see :func:`solve_orthogonal_many`."""
-    return _solved_alone(solve_orthogonal_many, scn)
 
 
 def _grid_rows(lo, hi, k, last):
@@ -282,11 +270,6 @@ def grid_oracle_many(batch: ScenarioBatch, resolution: int) -> _Solved:
     n, rows = len(batch), max(1, _GRID_BLOCK // resolution)
     alloc = [_grid_maxima(batch.take(slice(k, k + rows)), resolution) for k in range(0, n, rows)]
     return np.concatenate(alloc or [np.empty((0, 4))]), np.full(n, resolution**2), np.ones(n, bool)
-
-
-def grid_oracle(scn: ScenarioBatch, resolution: int) -> _SolvedRow:
-    """Grid maximizer of the max-min level of the one-row batch scn; see :func:`grid_oracle_many`."""
-    return _solved_alone(grid_oracle_many, scn, resolution)
 
 
 def _ring_best(fitness: np.ndarray, ring: np.ndarray) -> np.ndarray:
@@ -407,8 +390,3 @@ def pso_solve_many(batch: ScenarioBatch, cfg: PsoConfig, seeds: Sequence[int]) -
     best = [run_pso(batch.take(slice(k, k + rows)), cfg, seeds[k:k + rows]) for k in range(0, n, rows)]
     best = np.concatenate(best or [np.empty((0, 4))])
     return best, np.full(n, cfg.max_iterations), np.ones(n, bool)
-
-
-def pso_solve(scn: ScenarioBatch, cfg: PsoConfig, seed: int) -> _SolvedRow:
-    """Particle-swarm solution of the one-row batch scn, keyed by seed; see :func:`pso_solve_many`."""
-    return _solved_alone(pso_solve_many, scn, cfg, [seed])

@@ -44,10 +44,6 @@ from .linkbudget import channel_gain, db_to_linear, dbm_to_watts
 from .ratemodel import _SLACK, CONSTRAINTS, ScenarioBatch
 from .ratemodel import bandwidth_limits, evaluate_many, validate_many
 
-# Unused here and unexported, like build_scenario: bench/spans.py wraps these names in this module.
-from .allocator import grid_oracle, pso_solve, solve_orthogonal  # noqa: F401
-from .ratemodel import evaluate, validate  # noqa: F401
-
 __all__ = [
     "DUPLEX_FACTORS",
     "ValidationError",
@@ -310,10 +306,10 @@ def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
     return ScenarioBatch(*(column.reshape(-1, 1) for column in columns.copy()))
 
 
-def build_scenario(cfg: ExperimentConfig) -> ScenarioBatch:
-    """The one-row batch of the config's own point, unexported: it stays only for the span
-    tracer of bench/spans.py, which wraps it by name; library code calls build_scenarios."""
-    return build_scenarios(cfg, [_config_point(cfg)])
+# Aliases of the batch calls, unexported, which nothing calls: the span tracer of bench/spans.py
+# wraps these names in this module. ROADMAP item 15 deletes them along with the tracer.
+build_scenario, evaluate, validate = build_scenarios, evaluate_many, validate_many
+solve_orthogonal, pso_solve, grid_oracle = solve_orthogonal_many, pso_solve_many, grid_oracle_many
 
 
 class SweepRow(NamedTuple):

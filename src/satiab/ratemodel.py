@@ -10,9 +10,7 @@ linear SI units.
 
 A ScenarioBatch holds S scenarios as (S, 1) columns, checked as a whole,
 and one scenario is a batch of one row. evaluate_many and validate_many
-take a batch and its (S, 4) allocations and return arrays. Their one-row
-views evaluate and validate stay, unexported, only for bench/spans.py,
-which wraps them by name.
+take a batch and its (S, 4) allocations and return arrays.
 """
 
 from __future__ import annotations
@@ -46,6 +44,8 @@ _SCENARIO_CHECKS = (
      "overlap_bandwidth must lie in [0, total_bandwidth]"),
     (lambda s: (0.0 < s.access_weight) & (s.access_weight <= 1.0), "access_weight must lie in (0, 1]"),
     (lambda s: (s.gain_ue > 0.0) & (s.gain_bs > 0.0), "channel gains must be positive"),
+    (lambda s: np.isfinite(np.hstack((s.total_power, s.total_bandwidth, s.gain_ue, s.gain_bs))),
+     "total_power, total_bandwidth and channel gains must be finite"),
 )
 
 
@@ -192,21 +192,6 @@ def evaluate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:
                       rate_a + rate_b))
 
 
-def _one_row(alloc) -> np.ndarray:
-    """The four numbers alloc (p_ue, p_bs, w_a, w_b) as (1, 4) allocations; a negative or NaN raises."""
-    row = np.array([alloc], dtype=float)
-    for name, value in zip(("p_ue", "p_bs", "w_a", "w_b"), row[0], strict=True):
-        if not value >= 0.0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-    return row
-
-
-def evaluate(scn: ScenarioBatch, alloc) -> tuple[float, float, float, float]:
-    """(zeta, rate_a, rate_b, throughput), in bits/s, of the four numbers alloc (p_ue, p_bs, w_a, w_b)
-    under the one-row batch scn: :func:`evaluate_many` at its row, zero rates for a zero bandwidth."""
-    return tuple(evaluate_many(scn, _one_row(alloc))[0].tolist())
-
-
 def validate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:
     """The (S, 4) flags of constraints 1a-1d of the (S, 4) allocations alloc,
     row s under scenario s of batch.
@@ -230,8 +215,3 @@ def validate_many(batch: ScenarioBatch, alloc: np.ndarray) -> np.ndarray:
         (w_a <= w_hi + _SLACK * w_hi) & (w_b <= w_hi + _SLACK * w_hi),
         (w_a >= w_lo - _SLACK * w_hi) & (w_b >= w_lo - _SLACK * w_hi),
     ))
-
-
-def validate(scn: ScenarioBatch, alloc) -> list[str]:
-    """The names of the constraints that the four numbers alloc violate under the one-row batch scn."""
-    return [name for name, violated in zip(CONSTRAINTS, validate_many(scn, _one_row(alloc))[0]) if violated]

@@ -11,9 +11,9 @@ the reference for the oracle that bisects each column for its peak. The
 per-row audit is the audit as first written, one point check, one scenario,
 one feasibility check and one scalar evaluation per row, kept as the
 reference for the audit that checks all rows as arrays; its feasibility
-check and evaluation are the scalar bodies validate and the rate report
-once had, on the allocation's floats, so that it shares no code with the
-batch checks but the masked rate kernel.
+check and evaluation are the scalar bodies that the one-scenario validate
+and rate report once had, on the allocation's floats, so that it shares no
+code with the batch checks but the masked rate kernel.
 The per-point scenario builder is build_scenarios as it was before it
 converted each distinct power once, kept as its reference.
 The reference swarm is the swarm as first written, an S x N x 4 tensor
@@ -31,10 +31,11 @@ reference for the kernel, and the other references compute their rates with
 it, so that they share no code with the kernel under test.
 The mpmath level solves the exact solver's optimality conditions at 40
 digits, as the reference for its accuracy. solved_rows turns the arrays of
-a batch solver into one row per scenario, for tests that compare rows: the
-((p_ue, p_bs, w_a, w_b), iterations, converged) tuple of the one-scenario
-solver views, which golden_section_solve and full_grid_oracle return too;
-reference_evaluate returns evaluate's (zeta, rate_a, rate_b, throughput).
+a batch solver into one SolvedRow per scenario, for tests that compare rows:
+a ((p_ue, p_bs, w_a, w_b), iterations, converged) tuple of Python values,
+which golden_section_solve and full_grid_oracle return too;
+reference_evaluate returns one row of evaluate_many as the tuple (zeta,
+rate_a, rate_b, throughput).
 A scenario is a one-row ScenarioBatch: make_scenario builds one from
 floats, stack joins batches row by row into one, and the scalar references
 read a scenario's floats through scalars, so that their arithmetic is that
@@ -71,10 +72,12 @@ from satiab import (
     dbm_to_watts,
 )
 from satiab.allocator import _BELOW_ONE, _MAX_STEPS, _inversion_power, _log_marginal_cost
-from satiab.allocator import _SolvedRow as SolvedRow
-from satiab.expcli import _RANGES, _SOLVERS, DUPLEX_FACTORS, ExperimentConfig, _float_cells, build_scenario
+from satiab.expcli import _RANGES, _SOLVERS, DUPLEX_FACTORS, ExperimentConfig, _config_point, _float_cells
+from satiab.expcli import build_scenarios
 from satiab.expcli import _cmd_audit, _cmd_solve, _cmd_sweep, run_overlap_sweep, run_power_sweep
 from satiab.ratemodel import _LN2
+
+SolvedRow = tuple[tuple[float, float, float, float], int, bool]  # allocation, iterations, converged
 
 
 def j1_power_series(x: float, terms: int = 80, dps: int = 50) -> float:
@@ -98,14 +101,7 @@ def reference_scenarios():
     for power_dbm in (40.0, 45.0, 50.0):
         for duplex in ("FDD", "TDD"):
             for altitude_km in (600.0, 1200.0):
-                scn = build_scenario(dataclasses.replace(
-                    cfg,
-                    total_power_dbm=power_dbm,
-                    duplex=duplex,
-                    altitude_km=altitude_km,
-                    overlap_mhz=0.0,
-                    access_weight=0.1,
-                ))
+                scn = build_scenarios(cfg, [(power_dbm, 0.0, duplex, altitude_km, 0.1)])
                 out.append((f"P{power_dbm:g}dBm-{duplex}-{altitude_km:g}km", scn))
     return out
 
@@ -223,7 +219,8 @@ def corner_config(rng) -> ExperimentConfig:
 
 def corner_scenario(rng) -> ScenarioBatch:
     """The scenario of a corner_config draw."""
-    return build_scenario(corner_config(rng))
+    cfg = corner_config(rng)
+    return build_scenarios(cfg, [_config_point(cfg)])
 
 
 def random_feasible_allocation(rng, scn: ScenarioBatch):
@@ -558,14 +555,8 @@ def row_scenario(cfg: ExperimentConfig, row) -> ScenarioBatch:
     """The scenario of one sweep row, built alone from the config with the
     row's point in place of the config's own; an overlap above the
     bandwidth (a full overlap's 9-digit cell rounded up) is the bandwidth."""
-    return build_scenario(dataclasses.replace(
-        cfg,
-        total_power_dbm=row.power_dbm,
-        duplex=row.duplex,
-        altitude_km=row.altitude_km,
-        overlap_mhz=min(row.overlap_mhz, cfg.total_bandwidth_mhz),
-        access_weight=row.access_weight,
-    ))
+    overlap_mhz = min(row.overlap_mhz, cfg.total_bandwidth_mhz)
+    return build_scenarios(cfg, [(row.power_dbm, overlap_mhz, row.duplex, row.altitude_km, row.access_weight)])
 
 
 def channel_gains(cfg: ExperimentConfig, altitude_km: float) -> list[float]:

@@ -19,9 +19,8 @@ from satiab import (
     linear_to_db,
     pso_solve_many,
     solve_orthogonal_many,
+    validate_many,
 )
-from satiab.allocator import grid_oracle, pso_solve, solve_orthogonal
-from satiab.ratemodel import evaluate, validate
 from satiab.expcli import (
     OVERLAP_SWEEP_WEIGHTS,
     POWER_SWEEP_ALTITUDES_KM,
@@ -44,6 +43,7 @@ from oracles import (
     random_values,
     reference_scenarios,
     scenario,
+    solved_rows,
     stack,
 )
 
@@ -69,9 +69,10 @@ def test_criterion_1_link_budget_correctness():
 
 def test_criterion_2_exact_solver_vs_grid():
     worst_gap = 0.0
-    for label, scn in reference_scenarios():
-        exact = level(scn, solve_orthogonal(scn))
-        grid = level(scn, grid_oracle(scn, 200))
+    labels, scns = zip(*reference_scenarios())
+    exact, grid = solved_rows(solve_orthogonal_many, scns), solved_rows(grid_oracle_many, scns, 200)
+    for label, scn, exact, grid in zip(labels, scns, exact, grid):
+        exact, grid = level(scn, exact), level(scn, grid)
         assert exact >= grid, label
         gap = (exact - grid) / exact
         worst_gap = max(worst_gap, gap)
@@ -82,10 +83,11 @@ def test_criterion_2_exact_solver_vs_grid():
 def test_criterion_3_pso_reaches_exact_optimum():
     seeds = range(20)
     worst_gap = 0.0
-    for label, scn in reference_scenarios():
-        exact = level(scn, solve_orthogonal(scn))
+    labels, scns = zip(*reference_scenarios())
+    for label, scn, exact in zip(labels, scns, solved_rows(solve_orthogonal_many, scns)):
+        exact = level(scn, exact)
         good = 0
-        # one batch of 20 swarms; each row equals pso_solve with its seed
+        # one batch of 20 swarms; each row equals its seed's swarm solved alone
         batch = stack([scn] * len(seeds))
         alloc, _, _ = pso_solve_many(batch, PsoConfig(), seeds)
         for swarm in evaluate_many(batch, alloc)[:, 0].tolist():
@@ -159,9 +161,10 @@ def test_criterion_5_overlap_sweep_trends():
 def test_criterion_6_optimum_tightness():
     worst_rate = 0.0
     worst_power = 0.0
-    for label, scn in reference_scenarios():
-        (p_ue, p_bs, w_a, w_b), _, _ = solve_orthogonal(scn)
-        zeta, rate_access, rate_backhaul, _ = evaluate(scn, (p_ue, p_bs, w_a, w_b))
+    labels, scns = zip(*reference_scenarios())
+    alloc, _, _ = solve_orthogonal_many(stack(scns))
+    rows = zip(labels, scns, alloc.tolist(), evaluate_many(stack(scns), alloc).tolist())
+    for label, scn, (p_ue, p_bs, _, _), (zeta, rate_access, rate_backhaul, _) in rows:
         access_ratio = rate_access / (scn.access_weight.item() * zeta)
         backhaul_ratio = rate_backhaul / zeta
         assert abs(access_ratio - 1.0) <= 1e-4, label
@@ -195,43 +198,47 @@ def test_criterion_8_randomized_invariant_suites():
 
     # solver outputs stay feasible and self-consistent
     small = PsoConfig(population_size=10, max_iterations=30)
-    for _ in range(100):
-        scn = random_scenario(rng)
-        results = [grid_oracle(scn, 25), pso_solve(scn, small, 7)]
-        if scn.overlap_bandwidth == 0.0:
-            results.append(solve_orthogonal(scn))
-        for alloc, _, _ in results:
-            assert validate(scn, alloc) == []
+    scns = [random_scenario(rng) for _ in range(100)]
+    orthogonal = stack([scn for scn in scns if scn.overlap_bandwidth == 0.0])
+    for batch, (alloc, _, _) in ((stack(scns), grid_oracle_many(stack(scns), 25)),
+                                 (stack(scns), pso_solve_many(stack(scns), small, [7] * 100)),
+                                 (orthogonal, solve_orthogonal_many(orthogonal))):
+        assert not validate_many(batch, alloc).any()
 
     # fitness identity and nonnegativity over ten thousand random points
+    scns, alloc = [], []
     for _ in range(10_000):
-        scn = random_scenario(rng)
-        zeta, rate_access, rate_backhaul, _ = evaluate(scn, random_feasible_allocation(rng, scn))
+        scns.append(random_scenario(rng))
+        alloc.append(random_feasible_allocation(rng, scns[-1]))
+    batch = stack(scns)
+    rates = evaluate_many(batch, np.array(alloc)).tolist()
+    for eps, (zeta, rate_access, rate_backhaul, _) in zip(batch.access_weight.ravel().tolist(), rates):
         assert rate_access >= 0.0 and rate_backhaul >= 0.0
-        fitness = min(rate_access, scn.access_weight.item() * rate_backhaul)
+        fitness = min(rate_access, eps * rate_backhaul)
         scale = max(abs(fitness), 1e-9)
-        assert abs(fitness - scn.access_weight * zeta) <= 1e-9 * scale
+        assert abs(fitness - eps * zeta) <= 1e-9 * scale
 
     # monotonicity and midpoint concavity of the access rate without overlap
     scn = random_scenario(rng, orthogonal=True)
+    alloc = []
     for _ in range(1000):
         p = rng.uniform(0.1, 0.9) * scn.total_power.item()
         w = rng.uniform(0.01, 0.95) * 0.5 * scn.total_bandwidth.item()
-        base = evaluate(scn, (p, 0.0, w, 0.0))[1]
-        assert evaluate(scn, (p * 1.1, 0.0, w, 0.0))[1] > base
-        assert evaluate(scn, (p, 0.0, w * 1.02, 0.0))[1] > base
         p2 = rng.uniform(0.1, 0.9) * scn.total_power.item()
         w2 = rng.uniform(0.01, 0.95) * 0.5 * scn.total_bandwidth.item()
-        other = evaluate(scn, (p2, 0.0, w2, 0.0))[1]
-        mid = evaluate(scn, ((p + p2) / 2, 0.0, (w + w2) / 2, 0.0))[1]
+        alloc += [(p, 0.0, w, 0.0), (p * 1.1, 0.0, w, 0.0), (p, 0.0, w * 1.02, 0.0),
+                  (p2, 0.0, w2, 0.0), ((p + p2) / 2, 0.0, (w + w2) / 2, 0.0)]
+    rates = evaluate_many(scn.take([0] * len(alloc)), np.array(alloc))[:, 1].reshape(-1, 5)
+    for base, more_power, more_bandwidth, other, mid in rates.tolist():
+        assert more_power > base
+        assert more_bandwidth > base
         assert mid >= (base + other) / 2 - 1e-9 * max(base, other, 1.0)
 
     # nested grid refinement never loses ground
-    for _ in range(5):
-        scn = random_scenario(rng)
-        coarse = level(scn, grid_oracle(scn, 10))
-        fine = level(scn, grid_oracle(scn, 100))
-        assert fine >= coarse - 1e-12
+    scns = [random_scenario(rng) for _ in range(5)]
+    coarse, fine = (solved_rows(grid_oracle_many, scns, resolution) for resolution in (10, 100))
+    for scn, coarse, fine in zip(scns, coarse, fine):
+        assert level(scn, fine) >= level(scn, coarse) - 1e-12
 
     print(
         "[criterion 8] PASS — feasibility, fitness identity, monotonicity/concavity and "

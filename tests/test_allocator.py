@@ -22,8 +22,7 @@ from satiab import (
     validate_many,
 )
 from satiab import allocator, expcli
-from satiab.allocator import grid_oracle, pso_solve, solve_orthogonal
-from satiab.ratemodel import _SLACK, evaluate, validate
+from satiab.ratemodel import _SLACK
 
 from oracles import (
     corner_scenario,
@@ -67,7 +66,7 @@ def brute_force_maxmin(batch: ScenarioBatch, res: int = 100) -> float:
 
 def swarm_fitness(scn: ScenarioBatch, alloc) -> float:
     """The swarm's score min(rate_a, eps rate_b) of the four numbers alloc under scn."""
-    _, rate_a, rate_b, _ = evaluate(scn, alloc)
+    _, rate_a, rate_b, _ = evaluate_many(scn, np.array([alloc]))[0].tolist()
     return min(rate_a, scn.access_weight.item() * rate_b)
 
 
@@ -92,7 +91,7 @@ def test_min_power_round_trip():
     target = 5e6
     bandwidth = 8e6
     power = allocator._inversion_power(target, bandwidth, scn.gain_ue)
-    rate = evaluate(batch, (power, 0.0, bandwidth, 1e6))[1]
+    rate = evaluate_many(batch, np.array([[power, 0.0, bandwidth, 1e6]]))[0, 1]
     assert rate == pytest.approx(target, rel=1e-9)
 
 
@@ -108,7 +107,7 @@ def test_min_power_overflow_is_infeasible():
 
 def test_solve_orthogonal_rejects_overlap():
     with pytest.raises(ValueError):
-        solve_orthogonal(make_scenario(overlap_bandwidth=5e6))
+        solve_orthogonal_many(make_scenario(overlap_bandwidth=5e6))
     # one overlapped row fails the whole batch
     with pytest.raises(ValueError):
         solve_orthogonal_many(stack([make_scenario(), make_scenario(overlap_bandwidth=5e6)]))
@@ -117,7 +116,7 @@ def test_solve_orthogonal_rejects_overlap():
 def test_solve_orthogonal_symmetric_links():
     beta = 1e-10
     scn = make_scenario(beta_ue=beta, beta_bs=beta, access_weight=1.0)
-    (p_ue, p_bs, w_a, w_b), _, converged = solve_orthogonal(scn)
+    ((p_ue, p_bs, w_a, w_b), _, converged), = solved_rows(solve_orthogonal_many, [scn])
     assert converged
     assert p_ue == pytest.approx(p_bs, rel=1e-4)
     assert w_a == pytest.approx(w_b, rel=1e-4)
@@ -132,45 +131,45 @@ def test_solve_orthogonal_vanishing_access_weight():
     single_link_best = w_total * math.log2(
         1.0 + scn.total_power * scn.gain_bs / w_total
     )
-    result = solve_orthogonal(batch)
+    result, = solved_rows(solve_orthogonal_many, [batch])
     assert level(batch, result) == pytest.approx(single_link_best, rel=1e-3)
     assert result[0][1] > 0.99 * scn.total_power  # p_bs
 
 
 def test_solve_orthogonal_matches_grid():
     scn = make_scenario()
-    exact = level(scn, solve_orthogonal(scn))
-    grid = level(scn, grid_oracle(scn, 200))
+    exact = level(scn, *solved_rows(solve_orthogonal_many, [scn]))
+    grid = level(scn, *solved_rows(grid_oracle_many, [scn], 200))
     assert exact >= grid
     assert (exact - grid) / exact <= 0.01
 
 
 def test_solve_orthogonal_targets_are_tight():
-    for _, batch in reference_scenarios():
-        alloc, _, _ = solve_orthogonal(batch)
-        scn = scalars(batch)
-        zeta, rate_a, rate_b, _ = evaluate(batch, alloc)
+    batch = stack([scn for _, scn in reference_scenarios()])
+    alloc, _, _ = solve_orthogonal_many(batch)
+    for k, (zeta, rate_a, rate_b, _) in enumerate(evaluate_many(batch, alloc).tolist()):
+        scn = scalars(batch.take(k))
         assert rate_a / (scn.access_weight * zeta) == pytest.approx(1.0, abs=1e-4)
         assert rate_b / zeta == pytest.approx(1.0, abs=1e-4)
-        spent = alloc[0] + alloc[1]
+        spent = alloc[k, 0] + alloc[k, 1]
         assert spent == pytest.approx(scn.total_power, rel=1e-6)
 
 
 def test_solve_orthogonal_monotone_in_power_and_bandwidth():
     scns = [make_scenario(total_power=p) for p in np.linspace(5.0, 100.0, 8)]
-    levels = [level(scn, solve_orthogonal(scn)) for scn in scns]
+    levels = [level(scn, result) for scn, result in zip(scns, solved_rows(solve_orthogonal_many, scns))]
     assert all(a <= b + 1e-9 * abs(b) for a, b in zip(levels, levels[1:]))
     scns = [make_scenario(total_bandwidth=w) for w in np.linspace(10e6, 80e6, 8)]
-    levels = [level(scn, solve_orthogonal(scn)) for scn in scns]
+    levels = [level(scn, result) for scn, result in zip(scns, solved_rows(solve_orthogonal_many, scns))]
     assert all(a <= b + 1e-9 * abs(b) for a, b in zip(levels, levels[1:]))
 
 
 def test_solve_orthogonal_report_is_consistent():
-    # the view's allocation is the batch row's, and evaluate reports its level
+    # the row's allocation is the batch's, and evaluate_many reports its level
     scn = make_scenario()
-    result = solve_orthogonal(scn)
+    result, = solved_rows(solve_orthogonal_many, [scn])
     assert result[0] == tuple(solve_orthogonal_many(scn)[0][0].tolist())
-    assert evaluate(scn, result[0])[0] == pytest.approx(level(scn, result), rel=1e-6)
+    assert evaluate_many(scn, np.array([result[0]]))[0, 0] == pytest.approx(level(scn, result), rel=1e-6)
 
 
 def orthogonal_batch():
@@ -181,17 +180,18 @@ def orthogonal_batch():
 
 def test_solve_orthogonal_many_matches_golden_section():
     scns = orthogonal_batch()
-    for scn, result in zip(scns, solved_rows(solve_orthogonal_many, scns)):
+    solved = solved_rows(solve_orthogonal_many, scns)
+    assert not validate_many(stack(scns), np.array([alloc for alloc, _, _ in solved])).any()
+    for scn, result in zip(scns, solved):
         reference = golden_section_solve(scn)
         assert result[2] and reference[2]  # converged
         assert level(scn, result) == pytest.approx(level(scn, reference), rel=1e-9)
-        assert validate(scn, result[0]) == []
 
 
 def test_solve_orthogonal_batch_rows_equal_rows_solved_alone():
     scns = orthogonal_batch()[:40]
     batch = solved_rows(solve_orthogonal_many, scns)
-    assert batch == [solve_orthogonal(scn) for scn in scns]
+    assert batch == [row for scn in scns for row in solved_rows(solve_orthogonal_many, [scn])]
     assert solved_rows(solve_orthogonal_many, scns[::-1]) == batch[::-1]
     assert solved_rows(solve_orthogonal_many, scns[5:17:3]) == batch[5:17:3]
     assert solved_rows(solve_orthogonal_many, []) == []
@@ -205,10 +205,11 @@ def test_solve_orthogonal_batch_rows_equal_rows_solved_alone():
 )
 def test_solve_orthogonal_extreme_rows_are_finite_and_feasible(overrides):
     scn = make_scenario(**overrides)
-    result = alloc, _, converged = solve_orthogonal(scn)
+    result, = solved_rows(solve_orthogonal_many, [scn])
+    alloc, _, converged = result
     assert converged
-    assert all(math.isfinite(v) for v in (*alloc, *evaluate(scn, alloc)))
-    assert validate(scn, alloc) == []
+    assert np.isfinite(alloc).all() and np.isfinite(evaluate_many(scn, np.array([alloc]))).all()
+    assert not validate_many(scn, np.array([alloc])).any()
     # P=1e250W: near the optimum 2**x overflows, so the golden section
     # compares log powers; the 40-digit level starts from its solution
     reference = level(scn, golden_section_solve(scn))
@@ -225,10 +226,10 @@ def test_solve_orthogonal_far_outside_the_config_ranges(overrides):
     # the first: the cheapest power at the first levels overflows to inf;
     # the second: the best access share rounds to 1, leaving the backhaul none
     scn = make_scenario(**overrides)
-    alloc, iterations, converged = solve_orthogonal(scn)
+    (alloc,), (iterations,), (converged,) = solve_orthogonal_many(scn)
     assert converged and iterations <= 12
-    assert all(math.isfinite(v) for v in (*alloc, *evaluate(scn, alloc)))
-    assert validate(scn, alloc) == []
+    assert np.isfinite(alloc).all() and np.isfinite(evaluate_many(scn, np.array([alloc]))).all()
+    assert not validate_many(scn, np.array([alloc])).any()
     assert alloc[0] + alloc[1] <= scn.total_power
 
 
@@ -355,9 +356,7 @@ def test_solve_orthogonal_many_equals_the_column_reference(monkeypatch):
 
 
 def test_grid_oracle_rejects_tiny_resolution():
-    with pytest.raises(ValueError):
-        grid_oracle(make_scenario(), 9)
-    for scns in ([], [make_scenario()] * 3):
+    for scns in ([make_scenario()], [], [make_scenario()] * 3):
         with pytest.raises(ValueError):
             grid_oracle_many(stack(scns), 9)
 
@@ -374,23 +373,18 @@ def test_grid_oracle_takes_an_integer_resolution():
 
 def test_grid_oracle_refinement_is_monotone():
     # 10-point and 100-point inclusive grids nest (99 intervals = 11 * 9)
-    scn = make_scenario()
-    coarse = level(scn, grid_oracle(scn, 10))
-    fine = level(scn, grid_oracle(scn, 100))
-    assert fine >= coarse - 1e-12
     rng = np.random.default_rng(23)
-    for _ in range(5):
-        scn = random_scenario(rng)
-        coarse = level(scn, grid_oracle(scn, 10))
-        fine = level(scn, grid_oracle(scn, 100))
-        assert fine >= coarse - 1e-12
+    scns = [make_scenario()] + [random_scenario(rng) for _ in range(5)]
+    coarse, fine = (solved_rows(grid_oracle_many, scns, resolution) for resolution in (10, 100))
+    for scn, coarse, fine in zip(scns, coarse, fine):
+        assert level(scn, fine) >= level(scn, coarse) - 1e-12
 
 
 def test_grid_oracle_symmetric_midpoint():
     beta = 1e-10
     scn = make_scenario(beta_ue=beta, beta_bs=beta, access_weight=1.0)
     res = 101  # odd keeps the exact midpoint on the grid
-    (p_ue, _, w_a, _), _, _ = grid_oracle(scn, res)
+    ((p_ue, _, w_a, _), _, _), = solved_rows(grid_oracle_many, [scn], res)
     scn = scalars(scn)
     p_cell = scn.total_power / (res - 1)
     w_cell = scn.total_bandwidth / (res - 1)
@@ -401,10 +395,10 @@ def test_grid_oracle_symmetric_midpoint():
 
 def test_grid_oracle_never_beats_exact():
     rng = np.random.default_rng(29)
-    for _ in range(50):
-        scn = random_scenario(rng, orthogonal=True)
-        exact = level(scn, solve_orthogonal(scn))
-        grid = level(scn, grid_oracle(scn, 40))
+    scns = [random_scenario(rng, orthogonal=True) for _ in range(50)]
+    exact, grid = solved_rows(solve_orthogonal_many, scns), solved_rows(grid_oracle_many, scns, 40)
+    for scn, exact, grid in zip(scns, exact, grid):
+        exact, grid = level(scn, exact), level(scn, grid)
         assert grid <= exact + 1e-9 * max(exact, 1.0)
 
 
@@ -421,7 +415,7 @@ def test_grid_oracle_equals_the_full_grid():
                 scns.append(scn)
         reference = [full_grid_oracle(scn, resolution) for scn in scns]
         # allocation, iterations and flag, with every float exactly equal
-        assert grid_oracle(scns[0], resolution) == reference[0]
+        assert solved_rows(grid_oracle_many, scns[:1], resolution) == reference[:1]
         assert solved_rows(grid_oracle_many, scns, resolution) == reference
 
 
@@ -436,9 +430,10 @@ def test_grid_oracle_equals_the_full_grid_at_config_corners():
     # them to 0, which log1p keeps positive, and levels of ordinary links
     levels = [level(scn, result) for scn, result in zip(scns, reference)]
     assert 0.0 < min(levels) < 1e-30 and max(levels) > 1e6
-    # the library's evaluate gives the reference's report bit for bit there
-    for scn, (alloc, _, _) in zip(scns, reference):
-        assert evaluate(scn, alloc) == reference_evaluate(scn, *alloc)
+    # the library's evaluate_many gives the reference's report bit for bit there
+    columns = evaluate_many(stack(scns), np.array([alloc for alloc, _, _ in reference]))
+    for scn, (alloc, _, _), cells in zip(scns, reference, columns.tolist()):
+        assert tuple(cells) == reference_evaluate(scn, *alloc)
 
 
 def test_grid_oracle_zero_columns_of_orthogonal_grids():
@@ -448,7 +443,7 @@ def test_grid_oracle_zero_columns_of_orthogonal_grids():
         for resolution in (10, 37):
             *_, grid = full_grid(scn, resolution)
             assert not grid[:, 0].any() and not grid[:, -1].any() and grid.max() > 0.0
-            assert grid_oracle(scn, resolution) == full_grid_oracle(scn, resolution)
+            assert solved_rows(grid_oracle_many, [scn], resolution) == [full_grid_oracle(scn, resolution)]
 
 
 def test_grid_oracle_grid_maximum_zero():
@@ -460,18 +455,19 @@ def test_grid_oracle_grid_maximum_zero():
                             overlap_bandwidth=overlap)
         *_, grid = full_grid(scn, 20)
         assert not grid.any()
-        result = grid_oracle(scn, 20)
+        result, = solved_rows(grid_oracle_many, [scn], 20)
         assert result == full_grid_oracle(scn, 20)
-        assert (result[0][0], level(scn, result)) == (0.0, 0.0)
-        assert evaluate(scn, result[0]) == reference_evaluate(scn, *result[0])
+        alloc = result[0]
+        assert (alloc[0], level(scn, result)) == (0.0, 0.0)
+        assert tuple(evaluate_many(scn, np.array([alloc]))[0].tolist()) == reference_evaluate(scn, *alloc)
     # the exact solver's upper bound is then 0: it takes no level step and
     # returns both budgets halved
     scn = make_scenario(total_power=1e-300, density=1.0, beta_ue=1e-30, beta_bs=1e-30)
-    result = solve_orthogonal(scn)
+    result, = solved_rows(solve_orthogonal_many, [scn])
     assert (level(scn, result), *result[1:]) == (0.0, 0, True)
     hertz = hertz_per_unit("FDD")
     assert result[0] == (5e-301, 5e-301, 20e6 / hertz, 20e6 / hertz)
-    assert evaluate(scn, result[0]) == reference_evaluate(scn, *result[0])
+    assert tuple(evaluate_many(scn, np.array([result[0]]))[0].tolist()) == reference_evaluate(scn, *result[0])
 
 
 def plateau_scenario() -> ScenarioBatch:
@@ -504,7 +500,7 @@ def test_grid_oracle_plateau_below_the_crossing():
     *_, grid = full_grid(scn, 20)
     i, j = divmod(int(np.argmax(grid)), 20)
     assert grid[i, j] > 0.0 and grid[i + 1, j] == grid[i, j] and grid[i + 2, j] == grid[i, j]
-    result = grid_oracle(scn, 20)
+    result, = solved_rows(grid_oracle_many, [scn], 20)
     assert_plateau_last_row(scn, 20, result)
     assert result[0][0] > full_grid_oracle(scn, 20)[0][0]  # p_ue
 
@@ -539,7 +535,7 @@ def test_grid_oracle_chunk_of_tied_plateau_and_ordinary_rows(monkeypatch, resolu
     monkeypatch.setattr(allocator, "_GRID_BLOCK", resolution * len(scns))
     reference = [full_grid_oracle(scn, resolution) for scn in scns]
     batch = solved_rows(grid_oracle_many, scns, resolution)
-    assert [grid_oracle(scn, resolution) for scn in scns] == batch
+    assert [row for scn in scns for row in solved_rows(grid_oracle_many, [scn], resolution)] == batch
     assert batch[:1] + batch[2:] == reference[:1] + reference[2:]
     assert_plateau_last_row(scns[1], resolution, batch[1])
 
@@ -563,7 +559,7 @@ def test_grid_oracle_probes_grid_points_below_the_last_row(monkeypatch):
     for resolution in (10, 11, 37, 1000):
         for p_total in (1.22, 1.7, 1.99, 10.0):
             probes.clear()
-            assert grid_oracle(make_scenario(total_power=p_total), resolution)
+            assert solved_rows(grid_oracle_many, [make_scenario(total_power=p_total)], resolution)
             rows = np.linspace(0.0, p_total, resolution)[:-1]
             assert probes and all(np.isin(p_ue, rows).all() and (p_bs == p_total - p_ue).all()
                                   for p_ue, p_bs in probes)
@@ -579,7 +575,7 @@ def test_grid_oracle_tie_at_the_crossing():
                         access_weight=1.0)
     *_, grid = full_grid(scn, 10)
     assert grid[4, 0] == grid[5, 0] == grid.max()
-    result = grid_oracle(scn, 10)
+    result, = solved_rows(grid_oracle_many, [scn], 10)
     assert result == full_grid_oracle(scn, 10)
     (p_ue, _, w_a, _), _, _ = result
     assert (p_ue, w_a * hertz_per_unit("FDD")) == (4.0, 40e6)
@@ -589,7 +585,7 @@ def test_grid_oracle_batch_rows_equal_rows_solved_alone():
     rng = np.random.default_rng(73)
     scns = [random_scenario(rng) for _ in range(8)] + [corner_scenario(rng) for _ in range(8)]
     batch = solved_rows(grid_oracle_many, scns, 37)
-    assert batch == [grid_oracle(scn, 37) for scn in scns]
+    assert batch == [row for scn in scns for row in solved_rows(grid_oracle_many, [scn], 37)]
     assert solved_rows(grid_oracle_many, scns[::-1], 37) == batch[::-1]
     assert solved_rows(grid_oracle_many, scns[3:14:2], 37) == batch[3:14:2]
     assert solved_rows(grid_oracle_many, [], 37) == []
@@ -687,7 +683,7 @@ def test_grid_oracle_memory_is_bounded():
     scn = make_scenario(overlap_bandwidth=10e6)
     tracemalloc.start()
     try:
-        grid_oracle(scn, 2000)
+        grid_oracle_many(scn, 2000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -714,25 +710,25 @@ def test_grid_oracle_batch_memory_is_bounded():
 
 def test_pso_matches_exact_without_overlap():
     scn = make_scenario()
-    exact = level(scn, solve_orthogonal(scn))
-    swarm = level(scn, pso_solve(scn, PsoConfig(), 42))
+    exact = level(scn, *solved_rows(solve_orthogonal_many, [scn]))
+    swarm = level(scn, *solved_rows(pso_solve_many, [scn], PsoConfig(), [42]))
     assert abs(exact - swarm) / exact <= 0.02
 
 
 def test_pso_matches_brute_force_under_full_overlap():
     scn = make_scenario(overlap_bandwidth=40e6)
     reference = brute_force_maxmin(scn, 100)
-    swarm = level(scn, pso_solve(scn, PsoConfig(), 3))
+    swarm = level(scn, *solved_rows(pso_solve_many, [scn], PsoConfig(), [3]))
     assert abs(swarm - reference) / reference <= 0.02
     # the finer two-axis grid should agree more closely
-    fine = level(scn, grid_oracle(scn, 200))
+    fine = level(scn, *solved_rows(grid_oracle_many, [scn], 200))
     assert abs(swarm - fine) / fine <= 0.02
 
 
 def test_pso_matches_brute_force_under_half_overlap():
     scn = make_scenario(overlap_bandwidth=20e6)
     reference = brute_force_maxmin(scn, 100)
-    swarm = level(scn, pso_solve(scn, PsoConfig(), 3))
+    swarm = level(scn, *solved_rows(pso_solve_many, [scn], PsoConfig(), [3]))
     assert abs(swarm - reference) / reference <= 0.02
 
 
@@ -750,17 +746,15 @@ def test_pso_single_point_population_is_stationary():
 
 def test_pso_is_deterministic_per_seed():
     scn = make_scenario()
-    first = pso_solve(scn, PsoConfig(), 11)
-    second = pso_solve(scn, PsoConfig(), 11)
+    first, second, third = solved_rows(pso_solve_many, [scn] * 3, PsoConfig(), [11, 11, 12])
     assert first == second
-    assert evaluate(scn, first[0]) == evaluate(scn, second[0])
-    third = pso_solve(scn, PsoConfig(), 12)
+    assert np.array_equal(*evaluate_many(scn.take([0, 0]), np.array([first[0], second[0]])))
     assert third[0] != first[0]
 
 
 def test_pso_seed_spread_is_small():
     scn = make_scenario()
-    levels = [level(scn, pso_solve(scn, PsoConfig(), seed)) for seed in range(20)]
+    levels = [level(scn, result) for result in solved_rows(pso_solve_many, [scn] * 20, PsoConfig(), range(20))]
     assert (max(levels) - min(levels)) / max(levels) <= 0.05
 
 
@@ -769,7 +763,7 @@ def test_pso_more_iterations_never_score_lower():
     # run's draws, and the best particle is the best seen so far
     scn = make_scenario(overlap_bandwidth=8e6)
     levels = [
-        swarm_fitness(scn, pso_solve(scn, PsoConfig(population_size=20, max_iterations=t), 5)[0])
+        swarm_fitness(scn, pso_solve_many(scn, PsoConfig(population_size=20, max_iterations=t), [5])[0][0])
         for t in (1, 10, 30, 60)
     ]
     assert levels == sorted(levels)
@@ -788,9 +782,8 @@ def test_normalize_population_is_feasible():
     population[6, 0, 2:4] = 0.0
     allocator._normalize_population(population.transpose(2, 0, 1), np.stack((p_total, band_total))[..., 0],
                                     w_lo[..., 0], w_hi[..., 0])
-    for scn, rows in zip(scns, population.tolist()):
-        for row in rows:
-            assert validate(scn, row) == []
+    rows = stack(scns).take(np.repeat(np.arange(len(scns)), 16))  # one scenario row per particle
+    assert not validate_many(rows, population.reshape(-1, 4)).any()
     # each zero pair goes to the middle of its budget, inside the bandwidth clamps
     assert population[2, 5, 0:2].tolist() == [p_total[2, 0, 0] / 2] * 2
     assert population[6, 0, 2:4].tolist() == [band_total[6, 0, 0] / 2] * 2
@@ -806,7 +799,8 @@ def test_pso_config_validation():
         with pytest.raises(TypeError):
             PsoConfig(*sizes)
     scn = make_scenario(overlap_bandwidth=8e6)
-    assert pso_solve(scn, PsoConfig(np.int64(8), np.int64(20)), 3) == pso_solve(scn, PsoConfig(8, 20), 3)
+    assert solved_rows(pso_solve_many, [scn], PsoConfig(np.int64(8), np.int64(20)), [3]) == solved_rows(
+        pso_solve_many, [scn], PsoConfig(8, 20), [3])
 
 
 def mixed_batch() -> list[ScenarioBatch]:
@@ -847,7 +841,7 @@ def test_pso_batch_rows_equal_swarms_run_alone():
     assert np.array_equal(tail, batch[:2:-1])
     solved = solved_rows(pso_solve_many, scns, cfg, seeds)
     for scn, seed, result in zip(scns, seeds, solved):
-        assert result == pso_solve(scn, cfg, seed)
+        assert [result] == solved_rows(pso_solve_many, [scn], cfg, [seed])
     assert solved_rows(pso_solve_many, [], cfg, []) == []
 
 
@@ -972,10 +966,10 @@ def test_batch_reports_equal_evaluate():
     orthogonal = [scn for scn in scns if scn.overlap_bandwidth == 0.0]
     results += solved_rows(solve_orthogonal_many, orthogonal)
     results += solved_rows(grid_oracle_many, scns, 12)
-    for scn, result in zip(scns + orthogonal + scns, results):
-        assert evaluate(scn, result[0]) == reference_evaluate(scn, *result[0])
-    # every row of evaluate_many equals evaluate, a zero bandwidth under
-    # overlap included: both give it the zero rates of link_rates
+    for scn, (alloc, _, _) in zip(scns + orthogonal + scns, results):
+        assert tuple(evaluate_many(scn, np.array([alloc]))[0].tolist()) == reference_evaluate(scn, *alloc)
+    # every row of evaluate_many equals the row evaluated alone, a zero bandwidth
+    # under overlap included: both give it the zero rates of link_rates
     rng = np.random.default_rng(71)
     scns = [random_scenario(rng) for _ in range(300)] + mixed_batch()
     alloc = np.array([random_feasible_allocation(rng, scn) for scn in scns])
@@ -983,7 +977,7 @@ def test_batch_reports_equal_evaluate():
     columns = evaluate_many(stack(scns), alloc)
     assert columns.shape == (len(scns), 4)
     for scn, row, cells in zip(scns, alloc.tolist(), columns.tolist()):
-        assert tuple(cells) == evaluate(scn, row)
+        assert [cells] == evaluate_many(scn, np.array([row])).tolist()
     assert columns[-1].tolist() == [0.0, 0.0, 0.0, 0.0]
     assert evaluate_many(stack([]), np.empty((0, 4))).shape == (0, 4)
 
@@ -996,15 +990,14 @@ def test_validate_many_rows_equal_validate():
     alloc[1::5, 0] *= 3.0
     alloc[2::5, 2:4] *= 1.7
     alloc[3::5, 3] = 0.0
-    alloc[4::10, 1] = [-1e-3 * scn.total_power.item() for scn in scns[4::10]]  # which validate rejects
+    alloc[4::10, 1] = [-1e-3 * scn.total_power.item() for scn in scns[4::10]]  # which 1a rejects
     flags = validate_many(stack(scns), alloc)
     assert flags.shape == (len(scns), 4) and flags.dtype == bool
     assert flags.any(axis=0).all() and not flags[::5].any() and flags[4::10, 0].all()
     for scn, row, violated in zip(scns, alloc.tolist(), flags.tolist()):
         names = [name for name, bad in zip(CONSTRAINTS, violated) if bad]
         assert names == reference_validate(scn, *row)
-        if min(row) >= 0.0:
-            assert validate(scn, row) == names
+        assert [violated] == validate_many(scn, np.array([row])).tolist()
     assert validate_many(stack([]), np.empty((0, 4))).shape == (0, 4)
 
 
@@ -1085,10 +1078,10 @@ def test_pso_long_swarm_stays_finite_and_feasible():
     # accumulated bandwidth velocities reach 1e7 to 1e8 Hz, beyond the budget
     scns = [make_scenario(), make_scenario(overlap_bandwidth=20e6)]
     cfg = PsoConfig(population_size=3, max_iterations=10_000)
-    for scn, (alloc, _, converged) in zip(scns, solved_rows(pso_solve_many, scns, cfg, [1, 2])):
-        assert all(map(math.isfinite, (*alloc, *evaluate(scn, alloc))))
-        assert validate(scn, alloc) == []
-        assert converged
+    alloc, _, converged = pso_solve_many(stack(scns), cfg, [1, 2])
+    assert np.isfinite(alloc).all() and np.isfinite(evaluate_many(stack(scns), alloc)).all()
+    assert not validate_many(stack(scns), alloc).any()
+    assert converged.all()
 
 
 # --------------------------------------------------- cross-solver invariants
@@ -1097,14 +1090,14 @@ def test_pso_long_swarm_stays_finite_and_feasible():
 def test_all_solvers_return_feasible_allocations():
     rng = np.random.default_rng(31)
     small = PsoConfig(population_size=8, max_iterations=25)
-    for _ in range(50):
-        scn = random_scenario(rng)
-        results = [grid_oracle(scn, 20), pso_solve(scn, small, 1)]
-        if scn.overlap_bandwidth == 0.0:
-            results.append(solve_orthogonal(scn))
-        for result in results:
-            assert validate(scn, result[0]) == []
-            assert evaluate(scn, result[0])[0] == pytest.approx(level(scn, result), rel=1e-9, abs=1e-9)
+    scns = [random_scenario(rng) for _ in range(50)]
+    orthogonal = [scn for scn in scns if scn.overlap_bandwidth == 0.0]
+    results = solved_rows(grid_oracle_many, scns, 20) + solved_rows(pso_solve_many, scns, small, [1] * 50)
+    results += solved_rows(solve_orthogonal_many, orthogonal)
+    batch, alloc = stack(scns + scns + orthogonal), np.array([result[0] for result in results])
+    assert not validate_many(batch, alloc).any()
+    for scn, result, zeta in zip(scns + scns + orthogonal, results, evaluate_many(batch, alloc)[:, 0].tolist()):
+        assert zeta == pytest.approx(level(scn, result), rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("overlap_mhz", [0.0, 10.0])

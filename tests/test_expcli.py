@@ -28,18 +28,19 @@ from satiab import (
     dbm_to_watts,
     evaluate_many,
     expcli,
+    grid_oracle_many,
+    pso_solve_many,
     ratemodel,
+    solve_orthogonal_many,
 )
-from satiab.allocator import grid_oracle, pso_solve, solve_orthogonal
-from satiab.ratemodel import evaluate
 from satiab.expcli import (
     _RANGES,
     CSV_COLUMNS,
     ExperimentConfig,
     SweepRow,
     ValidationError,
+    _config_point,
     audit_rows,
-    build_scenario,
     build_scenarios,
     emit_plot,
     load_config,
@@ -52,7 +53,7 @@ from satiab.expcli import (
 )
 
 from oracles import PAPER_DUPLEX_FACTORS, hertz_per_unit, per_point_build_scenarios, per_row_audit
-from oracles import channel_gains, reference_cli_parser, row_scenario, stack
+from oracles import channel_gains, reference_cli_parser, row_scenario, solved_rows, stack
 
 
 def in_hertz(alloc, duplex: str) -> tuple:
@@ -86,7 +87,7 @@ def small_config(**overrides) -> ExperimentConfig:
 def test_load_config_empty_object_gives_defaults(tmp_path):
     cfg = load_config(write_json(tmp_path / "cfg.json", {}))
     assert cfg == ExperimentConfig()
-    scn = build_scenario(cfg)
+    scn = build_scenarios(cfg, [_config_point(cfg)])
     assert scn.total_bandwidth == 20e6  # airtime hertz: half the 40 MHz band's, in either mode
     assert scn.total_power == pytest.approx(10.0, rel=1e-12)
     assert scn.overlap_bandwidth == 0.0
@@ -101,7 +102,7 @@ def test_load_config_empty_object_gives_defaults(tmp_path):
 
 def test_load_config_power_conversion(tmp_path):
     cfg = load_config(write_json(tmp_path / "cfg.json", {"total_power_dbm": 40}))
-    assert build_scenario(cfg).total_power == pytest.approx(10.0, rel=1e-12)
+    assert build_scenarios(cfg, [_config_point(cfg)]).total_power == pytest.approx(10.0, rel=1e-12)
 
 
 def test_load_config_rejects_oversized_overlap(tmp_path):
@@ -291,9 +292,9 @@ def test_power_sweep_exact_rows_equal_rows_solved_alone():
     assert len(exact_rows) == 12
     for row in exact_rows:
         scn = row_scenario(cfg, row)
-        alloc, _, _ = solve_orthogonal(scn)
+        (alloc, _, _), = solved_rows(solve_orthogonal_many, [scn])
         assert (row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz) == in_hertz(alloc, row.duplex)
-        assert row.zeta_mbps == evaluate(scn, alloc)[0] / 1e6
+        assert row.zeta_mbps == evaluate_many(scn, np.array([alloc]))[0, 0] / 1e6
         assert row.converged
 
 
@@ -441,18 +442,16 @@ def test_build_scenarios_equals_scenarios_built_alone():
         (40.0, 20.0, "FDD", 1200.0, 0.1),
         (40.0, 0.0, "FDD", 600.0, 0.1),
     ]
-    alone = [
-        build_scenario(dataclasses.replace(cfg, total_power_dbm=power_dbm, overlap_mhz=overlap_mhz,
-                                           duplex=duplex, altitude_km=altitude_km,
-                                           access_weight=access_weight))
-        for power_dbm, overlap_mhz, duplex, altitude_km, access_weight in points
-    ]
+    alone = [dataclasses.replace(cfg, total_power_dbm=power_dbm, overlap_mhz=overlap_mhz, duplex=duplex,
+                                 altitude_km=altitude_km, access_weight=access_weight)
+             for power_dbm, overlap_mhz, duplex, altitude_km, access_weight in points]
+    alone = [build_scenarios(point_cfg, [_config_point(point_cfg)]) for point_cfg in alone]
     batch, stacked = build_scenarios(cfg, points), stack(alone)
     for field in dataclasses.fields(ScenarioBatch):
         column = getattr(batch, field.name)
         assert column.shape == (len(points), 1)
         assert np.array_equal(column, getattr(stacked, field.name))
-    assert alone[0] == alone[-1] == build_scenario(cfg)
+    assert alone[0] == alone[-1] == build_scenarios(cfg, [_config_point(cfg)])
     assert len(build_scenarios(cfg, [])) == 0
 
 
@@ -551,7 +550,8 @@ def test_one_list_of_duplex_names(tmp_path):
     beta_ue, beta_bs = channel_gains(cfg, cfg.altitude_km)
     for name, (alpha_o, alpha_1) in PAPER_DUPLEX_FACTORS.items():
         assert alpha_o * alpha_1 == 0.5
-        scn = build_scenario(dataclasses.replace(cfg, duplex=name))
+        mode = dataclasses.replace(cfg, duplex=name)
+        scn = build_scenarios(mode, [_config_point(mode)])
         assert (expcli.DUPLEX_FACTORS[name], scn.gain_ue.item(), scn.gain_bs.item()) == (
             1 / alpha_o, beta_ue / (density / alpha_o), beta_bs / (density / alpha_o))
 
@@ -600,7 +600,7 @@ def test_each_solver_entry_looks_its_solver_up_in_expcli(monkeypatch, solver, at
     rows = run_single(cfg)
     assert rows == want and {row.solver for row in rows} == set(expcli._SOLVERS)
     (batch, (alloc, _, _)), = calls
-    scn = build_scenario(cfg)
+    scn = build_scenarios(cfg, [_config_point(cfg)])
     for field in dataclasses.fields(scn):
         assert np.array_equal(getattr(batch, field.name), getattr(scn, field.name))
     row, = (row for row in rows if row.solver == solver)
@@ -632,13 +632,14 @@ def test_run_single_produces_one_row_per_solver():
     assert [r.solver for r in rows] == ["exact", "oracle", "pso"]
     assert all(r.sweep == "single" for r in rows)
     # each row is the solver called alone; the swarm is keyed by cfg.seed
-    scn = build_scenario(cfg)
+    scn = build_scenarios(cfg, [_config_point(cfg)])
     swarm = PsoConfig(population_size=cfg.pso_population, max_iterations=cfg.pso_iterations)
-    direct = [solve_orthogonal(scn), grid_oracle(scn, cfg.oracle_resolution),
-              pso_solve(scn, swarm, cfg.seed)]
+    direct = (solved_rows(solve_orthogonal_many, [scn])
+              + solved_rows(grid_oracle_many, [scn], cfg.oracle_resolution)
+              + solved_rows(pso_solve_many, [scn], swarm, [cfg.seed]))
     for row, (alloc, _, converged) in zip(rows, direct):
         assert (row.p_ue_w, row.p_bs_w, row.w_a_hz, row.w_b_hz) == in_hertz(alloc, row.duplex)
-        zeta, _, _, throughput = evaluate(scn, alloc)
+        zeta, _, _, throughput = evaluate_many(scn, np.array([alloc]))[0]
         assert row.zeta_mbps == zeta / 1e6
         assert row.throughput_mbps == throughput / 1e6
         assert row.converged == converged
@@ -765,7 +766,9 @@ def test_cli_solve_oracle_solver(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out), "--solvers", "oracle"]) == 0
     rows = read_csv(str(out / "solve.csv"))
     assert [r.solver for r in rows] == ["oracle"]
-    (p_ue, _, _, _), _, _ = grid_oracle(build_scenario(load_config(cfg)), 25)
+    config = load_config(cfg)
+    scn = build_scenarios(config, [_config_point(config)])
+    ((p_ue, _, _, _), _, _), = solved_rows(grid_oracle_many, [scn], 25)
     assert rows[0].p_ue_w == pytest.approx(p_ue, rel=1e-8)
 
 
@@ -1542,8 +1545,8 @@ def test_load_config_power_limits_are_inclusive(tmp_path):
     cfg = load_config(write_json(tmp_path / "cfg.json", payload))
     highest = dataclasses.replace(cfg, total_power_dbm=cfg.power_sweep_max_dbm)
     lowest = dataclasses.replace(cfg, total_power_dbm=cfg.power_sweep_min_dbm)
-    assert math.isfinite(build_scenario(highest).total_power.item())
-    assert build_scenario(lowest).total_power.item() > 0.0
+    assert math.isfinite(build_scenarios(highest, [_config_point(highest)]).total_power.item())
+    assert build_scenarios(lowest, [_config_point(lowest)]).total_power.item() > 0.0
     # the longest power sweep accepted, and one step finer
     payload["power_sweep_step_db"] = 0.1
     cfg = load_config(write_json(tmp_path / "cfg.json", payload))
@@ -1559,11 +1562,12 @@ def test_load_config_link_budget_limits_are_inclusive(tmp_path):
         cfg = load_config(write_json(tmp_path / "cfg.json", payload))
         density = dbm_to_watts(cfg.noise_density_dbm_hz) + dbm_to_watts(cfg.interference_density_dbm_hz)
         for duplex in ("FDD", "TDD"):
-            scn = build_scenario(dataclasses.replace(cfg, duplex=duplex))
+            mode = dataclasses.replace(cfg, duplex=duplex)
+            scn = build_scenarios(mode, [_config_point(mode)])
             gains = (scn.gain_ue, scn.gain_bs, *channel_gains(cfg, cfg.altitude_km), density)
             assert all(0.0 < g < math.inf for g in gains)
-            alloc, _, converged = solve_orthogonal(scn)
-            assert converged and math.isfinite(evaluate(scn, alloc)[3])
+            alloc, _, (converged,) = solve_orthogonal_many(scn)
+            assert converged and math.isfinite(evaluate_many(scn, alloc)[0, 3])
 
 
 def test_cli_arithmetic_error_exits_1(tmp_path, capsys, monkeypatch):
@@ -1629,6 +1633,27 @@ def test_outputs_are_byte_identical_with_the_cpu_dispatch_targets_disabled(tmp_p
 
 
 # ----------------------------------------------------------------- tooling
+
+
+def test_names_the_tracer_wraps_are_unexported_aliases_of_the_batch_calls():
+    # nothing calls these names: each is its layer's batch call itself, kept only while
+    # bench/spans.py wraps it by name, and no __all__ lists it; the one-scenario calls are gone
+    aliases = {
+        expcli: {"build_scenario": build_scenarios, "evaluate": evaluate_many, "validate": ratemodel.validate_many,
+                 "solve_orthogonal": solve_orthogonal_many, "pso_solve": pso_solve_many,
+                 "grid_oracle": grid_oracle_many},
+        allocator: {"evaluate": evaluate_many},
+    }
+    modules = (satiab, satiab.linkbudget, ratemodel, allocator, expcli)
+    exported = {name for module in modules for name in module.__all__}
+    for module, names in aliases.items():
+        for name, batch_call in names.items():
+            assert getattr(module, name) is batch_call, f"{module.__name__}.{name}"
+            assert name not in exported
+    gone = ("evaluate", "validate", "_one_row", "solve_orthogonal", "pso_solve", "grid_oracle", "_solved_alone",
+            "_SolvedRow")
+    assert [name for name in gone if hasattr(ratemodel, name)] == []
+    assert [name for name in gone if hasattr(allocator, name) and name != "evaluate"] == []
 
 
 def test_benchmark_tracer_wraps_names_that_exist(monkeypatch):

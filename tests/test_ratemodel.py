@@ -1,4 +1,4 @@
-"""Rate equations, duplex factors, the one-scenario views, and feasibility checks."""
+"""Rate equations, duplex factors, and feasibility checks."""
 
 import dataclasses
 import math
@@ -18,14 +18,12 @@ from satiab import (
     solve_orthogonal_many,
     validate_many,
 )
-from satiab.allocator import solve_orthogonal
 from satiab.expcli import _AIRTIME_PER_BAND_HERTZ, DUPLEX_FACTORS, ExperimentConfig, build_scenarios
 from satiab.linkbudget import dbm_to_watts
-from satiab.ratemodel import evaluate, validate
 
 from oracles import hertz_per_unit, make_scenario, random_feasible_allocation, random_scenario
 from oracles import reference_link_rates, reference_rate, reference_scenarios, reference_validate, scalars
-from oracles import PAPER_DUPLEX_FACTORS, channel_gains, scenario, stack
+from oracles import PAPER_DUPLEX_FACTORS, channel_gains, scenario, solved_rows, stack
 
 
 def test_duplex_factors_values():
@@ -41,8 +39,8 @@ def test_duplex_factors_values():
 
 def test_access_rate_zero_power():
     scn = make_scenario()
-    alloc = (0.0, 5.0, 10e6, 10e6)  # p_ue, p_bs, w_a, w_b
-    assert evaluate(scn, alloc)[1] == 0.0
+    alloc = np.array([[0.0, 5.0, 10e6, 10e6]])  # p_ue, p_bs, w_a, w_b
+    assert evaluate_many(scn, alloc)[0, 1] == 0.0
 
 
 def test_access_rate_reference_value():
@@ -52,22 +50,22 @@ def test_access_rate_reference_value():
         beta_ue=1.575e-12,
         density=3.981e-18 + 3.981e-18,
     )
-    alloc = (10.0, 0.0, 20e6 / hertz_per_unit("FDD"), 0.0)
-    rate = evaluate(scn, alloc)[1]
+    alloc = np.array([[10.0, 0.0, 20e6 / hertz_per_unit("FDD"), 0.0]])
+    rate = evaluate_many(scn, alloc)[0, 1]
     assert rate == pytest.approx(2721394.0688714305, rel=1e-9)
     assert rate == pytest.approx(2.73e6, rel=0.02)
 
 
 def test_access_rate_monotone_in_power():
     scn = make_scenario()
-    lo = evaluate(scn, (2.0, 0.0, 15e6, 5e6))[1]
-    hi = evaluate(scn, (4.0, 0.0, 15e6, 5e6))[1]
+    alloc = np.array([[2.0, 0.0, 15e6, 5e6], [4.0, 0.0, 15e6, 5e6]])
+    lo, hi = evaluate_many(scn.take([0, 0]), alloc)[:, 1]
     assert hi > lo
 
 
 def test_backhaul_rate_zero_power():
     scn = make_scenario()
-    assert evaluate(scn, (5.0, 0.0, 10e6, 10e6))[2] == 0.0
+    assert evaluate_many(scn, np.array([[5.0, 0.0, 10e6, 10e6]]))[0, 2] == 0.0
 
 
 def test_backhaul_mirrors_access():
@@ -75,14 +73,14 @@ def test_backhaul_mirrors_access():
     scn = make_scenario(beta_ue=beta, beta_bs=beta, overlap_bandwidth=10e6)
     alloc = (2.0, 7.0, 12e6, 8e6)
     mirrored = (7.0, 2.0, 8e6, 12e6)
-    mirror = evaluate(scn, mirrored)[1]
-    assert evaluate(scn, alloc)[2] == pytest.approx(mirror, rel=1e-12)
+    (_, _, rate_b, _), (_, mirror, _, _) = evaluate_many(scn.take([0, 0]), np.array([alloc, mirrored]))
+    assert rate_b == pytest.approx(mirror, rel=1e-12)
 
 
 def test_full_overlap_interference_hurts_backhaul():
     scn = make_scenario(overlap_bandwidth=40e6)
-    quiet = evaluate(scn, (1.0, 5.0, 20e6, 20e6))[2]
-    loud = evaluate(scn, (4.0, 5.0, 20e6, 20e6))[2]
+    alloc = np.array([[1.0, 5.0, 20e6, 20e6], [4.0, 5.0, 20e6, 20e6]])
+    quiet, loud = evaluate_many(scn.take([0, 0]), alloc)[:, 2]
     assert loud < quiet
 
 
@@ -92,21 +90,23 @@ def test_invalid_allocation_under_overlap():
     for alloc in ((5.0, 5.0, 15e6, 0.0), (5.0, 5.0, 0.0, 15e6)):
         row = evaluate_many(scn, np.array([alloc]))
         assert row.tolist() == [[0.0, 0.0, 0.0, 0.0]]
-        assert evaluate(scn, alloc) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_evaluate_zero_power():
     scn = make_scenario()
-    assert evaluate(scn, (0.0, 0.0, 10e6, 10e6)) == (0.0, 0.0, 0.0, 0.0)
+    assert evaluate_many(scn, np.array([[0.0, 0.0, 10e6, 10e6]])).tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
 
 def test_evaluate_fitness_identity():
     # the swarm's fitness min(rate_a, eps rate_b) is eps zeta
     rng = np.random.default_rng(3)
+    scns, alloc = [], []
     for _ in range(10_000):
-        scn = random_scenario(rng)
-        eps = scn.access_weight.item()
-        zeta, rate_a, rate_b, throughput = evaluate(scn, random_feasible_allocation(rng, scn))
+        scns.append(random_scenario(rng))
+        alloc.append(random_feasible_allocation(rng, scns[-1]))
+    batch = stack(scns)
+    for eps, (zeta, rate_a, rate_b, throughput) in zip(batch.access_weight.ravel().tolist(),
+                                                       evaluate_many(batch, np.array(alloc)).tolist()):
         assert throughput == pytest.approx(rate_a + rate_b, rel=1e-12)
         fitness = min(rate_a, eps * rate_b)
         scale = max(abs(fitness), 1e-9)
@@ -115,35 +115,40 @@ def test_evaluate_fitness_identity():
 
 def test_rates_nonnegative_on_feasible_points():
     rng = np.random.default_rng(5)
+    scns, alloc = [], []
     for _ in range(10_000):
-        scn = random_scenario(rng)
-        alloc = random_feasible_allocation(rng, scn)
-        assert validate(scn, alloc) == []
-        _, rate_a, rate_b, _ = evaluate(scn, alloc)
-        assert rate_a >= 0.0
-        assert rate_b >= 0.0
+        scns.append(random_scenario(rng))
+        alloc.append(random_feasible_allocation(rng, scns[-1]))
+    batch, alloc = stack(scns), np.array(alloc)
+    assert not validate_many(batch, alloc).any()
+    _, rate_a, rate_b, _ = evaluate_many(batch, alloc).T
+    assert (rate_a >= 0.0).all()
+    assert (rate_b >= 0.0).all()
 
 
 def test_access_rate_strictly_increasing_without_overlap():
-    scn = make_scenario()
     rng = np.random.default_rng(9)
+    alloc = []
     for _ in range(1000):
         p = rng.uniform(0.1, 9.0)
         w = rng.uniform(1e5, 19e6)
-        base = evaluate(scn, (p, 0.0, w, 1e6))[1]
-        assert evaluate(scn, (p * rng.uniform(1.01, 2.0), 0.0, w, 1e6))[1] > base
-        assert evaluate(scn, (p, 0.0, w * rng.uniform(1.01, 1.05), 1e6))[1] > base
+        alloc += [(p, 0.0, w, 1e6), (p * rng.uniform(1.01, 2.0), 0.0, w, 1e6),
+                  (p, 0.0, w * rng.uniform(1.01, 1.05), 1e6)]
+    rates = evaluate_many(make_scenario().take([0] * 3000), np.array(alloc))[:, 1]
+    base, more_power, more_bandwidth = rates.reshape(-1, 3).T
+    assert (more_power > base).all()
+    assert (more_bandwidth > base).all()
 
 
 def test_access_rate_midpoint_concavity():
-    scn = make_scenario()
     rng = np.random.default_rng(13)
+    alloc = []
     for _ in range(1000):
         p1, p2 = rng.uniform(0.0, 10.0, 2)
         w1, w2 = rng.uniform(1e4, 20e6, 2)
-        f1 = evaluate(scn, (p1, 0.0, w1, 0.0))[1]
-        f2 = evaluate(scn, (p2, 0.0, w2, 0.0))[1]
-        mid = evaluate(scn, ((p1 + p2) / 2, 0.0, (w1 + w2) / 2, 0.0))[1]
+        alloc += [(p1, 0.0, w1, 0.0), (p2, 0.0, w2, 0.0), ((p1 + p2) / 2, 0.0, (w1 + w2) / 2, 0.0)]
+    rates = evaluate_many(make_scenario().take([0] * 3000), np.array(alloc))[:, 1].reshape(-1, 3)
+    for f1, f2, mid in rates.tolist():
         scale = max(abs(f1), abs(f2), 1.0)
         assert mid >= (f1 + f2) / 2 - 1e-9 * scale
 
@@ -376,34 +381,32 @@ def test_scenario_validation():
     for density in (-1e-20, math.nan):
         with pytest.raises(ValueError, match="^channel gains must be positive$"):
             make_scenario(density=density)
-
-
-def test_allocation_rejects_negative_fields():
-    # evaluate and validate share one check of the four numbers: a negative or NaN entry raises
-    scn = make_scenario()
-    for view in (evaluate, validate):
-        for k, name in enumerate(("p_ue", "p_bs", "w_a", "w_b")):
-            for bad in (-1.0, -0.5e-300, math.nan, -math.inf):
-                alloc = [1.0, 1.0, 10e6, 10e6]
-                alloc[k] = bad
-                with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):
-                    view(scn, alloc)
-        assert view(scn, (0.0, -0.0, 0.0, 0.0)) is not None  # zeros of both signs are allowed
+    # an infinite budget or gain, a zero density's included, is checked last, after every other
+    # condition: a swarm would mark its infinite rates converged, and the exact solver overflow
+    finite = "^total_power, total_bandwidth and channel gains must be finite$"
+    for name in ("total_power", "total_bandwidth", "beta_ue", "beta_bs"):
+        with pytest.raises(ValueError, match=finite):
+            make_scenario(**{name: math.inf})
+    with pytest.raises(ValueError, match=finite), np.errstate(divide="ignore"):
+        make_scenario(density=0.0)
+    with pytest.raises(ValueError, match=finite):
+        stack([make_scenario(), make_scenario(beta_ue=math.inf, duplex="TDD")])
+    with pytest.raises(ValueError, match="^access_weight must lie"):
+        make_scenario(total_power=math.inf, access_weight=0.0)
 
 
 def test_validate_power_budget_violation():
     scn = make_scenario()
-    alloc = (5.005, 5.005, 10e6, 10e6)  # 1.001 * budget
-    assert validate(scn, alloc) == ["1a"]
+    alloc = np.array([[5.005, 5.005, 10e6, 10e6]])  # 1.001 * budget
+    assert validate_many(scn, alloc).tolist() == [[True, False, False, False]]
 
 
 def test_validate_feasible_boundaries():
     batch = make_scenario(overlap_bandwidth=10e6)
     scn = scalars(batch)
     tight = (5.0, 5.0, scn.total_bandwidth, scn.overlap_bandwidth)
-    assert validate(batch, tight) == []
     half = (scn.total_bandwidth + scn.overlap_bandwidth) / 2.0
-    assert validate(batch, (5.0, 5.0, half, half)) == []
+    assert not validate_many(batch.take([0, 0]), np.array([tight, (5.0, 5.0, half, half)])).any()
 
 
 def test_validate_flags_each_constraint():
@@ -411,32 +414,9 @@ def test_validate_flags_each_constraint():
     scn = scalars(batch)
     w_hi = scn.total_bandwidth
     w_lo = scn.overlap_bandwidth
-    assert "1b" in validate(batch, (1.0, 1.0, w_hi, w_hi))
-    assert "1c" in validate(batch, (1.0, 1.0, 1.2 * w_hi, w_lo))
-    assert "1d" in validate(batch, (1.0, 1.0, w_hi, 0.5 * w_lo))
-
-
-def test_one_scenario_views_take_one_row():
-    # each view is the row of its _many call at a one-row batch, as Python values;
-    # a batch of more rows is not one scenario, and a negative or NaN entry raises
-    rng = np.random.default_rng(23)
-    for _, scn in reference_scenarios():
-        alloc = random_feasible_allocation(rng, scn)
-        many = np.array([alloc])
-        got = evaluate(scn, alloc)
-        assert type(got) is tuple and all(type(v) is float for v in got)
-        assert got == tuple(evaluate_many(scn, many)[0].tolist())
-        flags = validate_many(scn, many)[0].tolist()
-        assert validate(scn, alloc) == [name for name, bad in zip(CONSTRAINTS, flags) if bad]
-    two = stack([make_scenario(), make_scenario(duplex="TDD")])
-    alloc = (1.0, 1.0, 10e6, 10e6)
-    for view in (evaluate, validate):
-        with pytest.raises(ValueError):
-            view(two, alloc)
-        assert view(two.take(1), alloc) == view(make_scenario(duplex="TDD"), alloc)
-        for bad in ((-1.0, 1.0, 10e6, 10e6), (1.0, 1.0, math.nan, 10e6)):
-            with pytest.raises(ValueError, match="must be nonnegative"):
-                view(make_scenario(), bad)
+    alloc = np.array([(1.0, 1.0, w_hi, w_hi), (1.0, 1.0, 1.2 * w_hi, w_lo), (1.0, 1.0, w_hi, 0.5 * w_lo)])
+    flags = validate_many(batch.take([0, 0, 0]), alloc)
+    assert [flags[k, CONSTRAINTS.index(name)] for k, name in enumerate(("1b", "1c", "1d"))] == [True] * 3
 
 
 def test_many_calls_take_one_allocation_per_scenario():
@@ -450,6 +430,12 @@ def test_many_calls_take_one_allocation_per_scenario():
         for bad in (alloc[:1], alloc[:2], np.vstack((alloc, alloc[:1])), alloc[:, :3], alloc[0]):
             with pytest.raises(ValueError, match=re.escape(f"must have shape (3, 4), got {bad.shape}")):
                 many(batch, bad)
+    # of two rows, the one that take picks is a batch of one row, which takes one allocation
+    two, one = stack([make_scenario(), make_scenario(duplex="TDD")]), np.array([[1.0, 1.0, 10e6, 10e6]])
+    for many in (evaluate_many, validate_many):
+        with pytest.raises(ValueError, match=re.escape("must have shape (2, 4), got (1, 4)")):
+            many(two, one)
+        assert np.array_equal(many(two.take(1), one), many(make_scenario(duplex="TDD"), one))
 
 
 def test_validate_many_flags_nan_entries():
@@ -513,7 +499,8 @@ def test_take_with_an_index_gives_its_one_row_batch():
     orthogonal = stack([random_scenario(rng, orthogonal=True) for _ in range(3)])
     alloc, iterations, converged = solve_orthogonal_many(orthogonal.take(1))
     assert alloc.shape == (1, 4) and iterations.shape == converged.shape == (1,)
-    assert solve_orthogonal(orthogonal.take(1)) == solve_orthogonal(orthogonal.take([1]))
+    assert solved_rows(solve_orthogonal_many, [orthogonal.take(1)]) == solved_rows(solve_orthogonal_many,
+                                                                                   [orthogonal.take([1])])
 
 
 def test_take_gives_the_columns_of_the_batch_built_with_checks():
