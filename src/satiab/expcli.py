@@ -81,6 +81,7 @@ class ExperimentConfig:
     Field names double as the JSON keys; unit suffixes carry the units.
     Any key missing from the file falls back to the default below. The
     swarm's step weights are not settable: it runs the reference's (PsoConfig).
+    Building one checks it, from Python too: ValidationError names every problem on one line.
     """
 
     total_bandwidth_mhz: float = 40.0
@@ -107,6 +108,10 @@ class ExperimentConfig:
     power_sweep_step_db: float = 1.0
     overlap_sweep_points: int = 11
     oracle_resolution: int = 200
+
+    def __post_init__(self) -> None:
+        if problems := _config_problems(self):
+            raise ValidationError("; ".join(problems))
 
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
@@ -221,9 +226,9 @@ def load_config(path: str) -> ExperimentConfig:
 
     Missing keys take the defaults, and each key's value must have the JSON
     type of its ExperimentConfig annotation. Unknown keys, keys given twice,
-    values of the wrong type and invariant violations raise ValidationError,
-    and so does JSON that does not parse, naming the file and the problem's
-    location where the parser gives one.
+    values of the wrong type and JSON that does not parse raise ValidationError,
+    naming the file and the problem's location where the parser gives one; so
+    does the config's own check, ExperimentConfig's message with the file in front.
     """
     def unique_keys(pairs):
         if len(values := dict(pairs)) < len(pairs):  # then count each distinct key once: linear time
@@ -258,11 +263,10 @@ def load_config(path: str) -> ExperimentConfig:
     if problems:
         raise ValidationError(f"{path}: " + "; ".join(problems))
 
-    cfg = ExperimentConfig(**values)
-    problems = _config_problems(cfg)
-    if problems:
-        raise ValidationError(f"{path}: " + "; ".join(problems))
-    return cfg
+    try:
+        return ExperimentConfig(**values)
+    except ValidationError as err:
+        raise ValidationError(f"{path}: {err}") from None
 
 
 def build_scenarios(cfg: ExperimentConfig, points) -> ScenarioBatch:
@@ -717,11 +721,7 @@ def _effective_config(args) -> ExperimentConfig:
     updates = {"seed": cfg.seed if args.seed is None else args.seed}
     if args.solvers is not None:
         updates["solvers"] = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
-    cfg = dataclasses.replace(cfg, **updates)
-    problems = _config_problems(cfg)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return cfg
+    return dataclasses.replace(cfg, **updates)
 
 
 def _cmd_solve(args) -> int:

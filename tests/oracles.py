@@ -207,14 +207,15 @@ _CORNER_KEYS = (
 def corner_config(rng) -> ExperimentConfig:
     """A config whose scenario keys each sit at one end of the range the
     config accepts, or uniformly between, with no, half or full overlap and
-    either duplex mode. Near these corners an SINR can be so small that 1 + SINR rounds to 1."""
+    either duplex mode, and the swarm as its solver, which every overlap takes. Near these
+    corners an SINR can be so small that 1 + SINR rounds to 1."""
     values = {}
     for name in _CORNER_KEYS:
         lo, hi = _RANGES[name]
         values[name] = float(rng.choice([lo, hi, rng.uniform(lo, hi)]))
     values["overlap_mhz"] = values["total_bandwidth_mhz"] * float(rng.choice([0.0, 0.5, 1.0]))
     values["duplex"] = str(rng.choice(["FDD", "TDD"]))
-    return dataclasses.replace(ExperimentConfig(), **values)
+    return ExperimentConfig(solvers=("pso",), **values)
 
 
 def corner_scenario(rng) -> ScenarioBatch:

@@ -433,7 +433,7 @@ def test_audit_equals_the_per_row_audit(run, solvers):
 
 
 def test_build_scenarios_equals_scenarios_built_alone():
-    cfg = ExperimentConfig()
+    cfg = ExperimentConfig(solvers=("pso",))  # the exact solver would refuse the overlapped points
     points = [
         (40.0, 0.0, "FDD", 600.0, 0.1),
         (45.5, 10.0, "TDD", 1200.0, 0.2),
@@ -569,11 +569,15 @@ def test_one_list_of_solver_names(tmp_path, capsys, monkeypatch):
         assert main(["solve", "--solvers", name, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: unknown solvers: {name!r}\n"
     assert not hasattr(satiab, "SolverKind") and "SolverKind" not in satiab.__all__
-    # the names of expcli's rules are keys: "exact" in _config_problems and
+    # the names of expcli's rules are keys: "exact" in ExperimentConfig's check and
     # run_overlap_sweep, "pso" in _run_sweep's particle-step cap
-    overlapped = dataclasses.replace(ExperimentConfig(), overlap_mhz=10.0)
-    assert [name for name in names if any("exact solver" in problem for problem in expcli._config_problems(
-        dataclasses.replace(overlapped, solvers=(name,))))] == ["exact"]
+    refused = []
+    for name in names:
+        try:
+            ExperimentConfig(overlap_mhz=10.0, solvers=(name,))
+        except ValidationError as err:
+            refused.append((name, str(err)))
+    assert refused == [("exact", "the exact solver is only selectable when overlap_mhz = 0")]
     rows = run_overlap_sweep(small_config(solvers=("pso",), overlap_sweep_points=2))
     assert {(row.solver, row.sweep_value) for row in rows} == {("pso", 0.0), ("pso", 1.0), ("exact", 0.0)}
     huge = small_config(solvers=("pso",), pso_population=1000, pso_iterations=10_000,
@@ -1467,16 +1471,26 @@ def test_cli_rejects_non_finite_and_out_of_range_numbers(tmp_path, capsys, text,
          "power_sweep_max_dbm=44 must be at least power_sweep_min_dbm=45"),
         ("solve", {"power_sweep_min_dbm": 45, "power_sweep_max_dbm": 44}, [],
          "power_sweep_max_dbm=44 must be at least power_sweep_min_dbm=45"),
+        ("sweep-power", {"power_sweep_step_db": 0}, [], "power_sweep_step_db must be positive"),
+        ("sweep-overlap", {"overlap_sweep_points": 1}, [], "overlap_sweep_points=1 must lie in [2, 1001]"),
+        ("solve", {"solvers": ("grid",)}, [], "unknown solvers: 'grid'"),
+        ("solve", {"solvers": ()}, [], "at least one solver must be selected"),
+        ("sweep-power", {"solvers": ("pso", "exact", "pso")}, [], "repeated solvers: pso"),
+        ("solve", {"total_power_dbm": 1000}, [], "total_power_dbm=1000 must lie in [-100, 100]"),
         ("solve", [], [], "top-level JSON value must be an object"),
         ("solve", "cfg", [], "top-level JSON value must be an object"),
         ("solve", 40, [], "top-level JSON value must be an object"),
     ],
     ids=["ue-90", "ue-minus-95", "bs-90", "bs-minus-95", "config-seed", "flag-seed", "empty-power-range",
-         "empty-power-range-solve", "list", "string", "number"],
+         "empty-power-range-solve", "zero-step", "one-overlap-point", "unknown-solver", "no-solver",
+         "repeated-solver", "power-1000-dbm", "list", "string", "number"],
 )
 def test_cli_rejects_a_config_outside_its_invariants(tmp_path, capsys, command, payload, flags, message):
     # one line, naming the key where there is one, before anything is solved or written; without
-    # these checks a seed of -1 folds into a row seed mod 2**63, and a list ends in a traceback
+    # these checks a seed of -1 folds into a row seed mod 2**63, and a list ends in a traceback.
+    # A config built in Python raises the same message: without the check, a 0 dB step or one
+    # overlap point divides by zero, an unknown solver is a KeyError, no solver or an empty power
+    # range gives no rows, a repeated solver every row twice, and 1000 dBm is solved.
     cfg, out = write_json(tmp_path / "cfg.json", payload), tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out), *flags]) == 1
     where = "" if flags else f"{cfg}: "
@@ -1485,6 +1499,10 @@ def test_cli_rejects_a_config_outside_its_invariants(tmp_path, capsys, command, 
     if not flags:
         with pytest.raises(ValidationError, match=re.escape(message)):
             load_config(cfg)
+    if not flags and isinstance(payload, dict):
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig(**payload)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
