@@ -144,6 +144,17 @@ def test_solve_orthogonal_matches_grid():
     assert (exact - grid) / exact <= 0.01
 
 
+def test_solve_orthogonal_targets_are_tight():
+    batch = stack([scn for _, scn in reference_scenarios()])
+    alloc, _, _ = solve_orthogonal_many(batch)
+    for k, (zeta, rate_a, rate_b, _) in enumerate(evaluate_many(batch, alloc).tolist()):
+        scn = scalars(batch.take(k))
+        assert rate_a / (scn.access_weight * zeta) == pytest.approx(1.0, abs=1e-4)
+        assert rate_b / zeta == pytest.approx(1.0, abs=1e-4)
+        spent = alloc[k, 0] + alloc[k, 1]
+        assert spent == pytest.approx(scn.total_power, rel=1e-6)
+
+
 def test_solve_orthogonal_monotone_in_power_and_bandwidth():
     scns = [make_scenario(total_power=p) for p in np.linspace(5.0, 100.0, 8)]
     levels = [level(scn, result) for scn, result in zip(scns, solved_rows(solve_orthogonal_many, scns))]

@@ -17,7 +17,7 @@ from satiab import (
 )
 from satiab.linkbudget import SPEED_OF_LIGHT
 
-from oracles import J1_FIRST_ZERO
+from oracles import J1_FIRST_ZERO, j1_power_series
 
 
 def test_db_identity_cases():
@@ -48,9 +48,18 @@ def test_bessel_j1_reference_points():
     assert bessel_j1(2.0) == pytest.approx(0.5767248077568734, abs=1e-9)
 
 
+def test_bessel_j1_matches_series_oracle():
+    for x in np.linspace(0.0, 20.0, 1000):
+        assert abs(bessel_j1(float(x)) - j1_power_series(float(x))) < 1e-10
+
+
 def test_bessel_j1_is_odd():
     for x in np.linspace(0.1, 25.0, 200):
         assert bessel_j1(-float(x)) == -bessel_j1(float(x))
+
+
+def test_antenna_pattern_boresight_is_exactly_one():
+    assert antenna_pattern(0.0, 1.5, 2e9) == 1.0
 
 
 @pytest.mark.parametrize("theta", [1e-12, -1e-12, 1e-310])
@@ -89,6 +98,13 @@ def test_antenna_pattern_rejects_right_angle():
 def test_free_space_path_loss_unit_case():
     f = SPEED_OF_LIGHT / (4.0 * math.pi)
     assert free_space_path_loss(f, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_free_space_path_loss_reference_value():
+    pl_db = linear_to_db(free_space_path_loss(2e9, 600e3))
+    assert pl_db == pytest.approx(154.03, abs=0.01)
+    closed_form = 32.45 + 20.0 * math.log10(2000.0) + 20.0 * math.log10(600.0)
+    assert pl_db == pytest.approx(closed_form, abs=0.01)
 
 
 def test_free_space_path_loss_square_law():

@@ -247,10 +247,11 @@ _FALLBACK_VALUES = (0.0, -0.0, -3.0, math.nan, math.inf, -math.inf, *_SUBNORMALS
 
 
 @st.composite
-def rate_kernel_inputs(draw):
-    """A batch of 0 to 4 rows, orthogonal, overlapped or a mix, two bandwidth
-    pairs and three power pairs, each of one shape drawn for the pair, whose
-    links broadcast against its (S, 1) columns. Each pair is all positive, or mixes in subnormals or any of
+def rate_kernel_inputs(draw, pairs: int = 2):
+    """A batch of 0 to 4 rows, orthogonal, overlapped or a mix, and pairs
+    link pairs (by default a power pair and a bandwidth pair), each of one
+    shape drawn for the pair, whose links broadcast against its (S, 1)
+    columns. Each pair is all positive, or mixes in subnormals or any of
     _FALLBACK_VALUES, so that calls take the plain path and the masked one."""
     rows = st.tuples(st.sampled_from((0.0, 0.0, 5e-324, 4e6, 40e6)), st.sampled_from(tuple(DUPLEX_FACTORS)))
     size, columns = draw(st.sampled_from((1, 2, 3, 4, 0))), draw(st.sampled_from((1, 2, 3, 1, 2, 3, 0)))
@@ -260,36 +261,8 @@ def rate_kernel_inputs(draw):
     positive = st.floats(1e-3, 1e9)
     kinds = st.sampled_from((positive, positive, positive | st.sampled_from(_SUBNORMALS),
                              positive | st.sampled_from(_FALLBACK_VALUES)))
-    pairs = [draw(arrays(np.float64, (2, *draw(st.sampled_from(shapes))), elements=draw(kinds)))
-             for _ in range(5)]
-    return batch, pairs[:2], pairs[2:]
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=400)
-@given(rate_kernel_inputs())
-def test_link_rates_equal_the_masked_kernel_bit_for_bit(case):
-    # one kernel's two bandwidth stages, both built before either is called, each called at
-    # p1, p2, p3 and p1 again: each call returns link_rates' result and the masked kernel's,
-    # in a new array that no later call writes
-    batch, bandwidths, powers = case
-    kept = []
-    with np.errstate(all="ignore"):
-        wants = [[(reference_link_rates(batch, *p, *w), link_rates(batch, p, w)) for w in bandwidths]
-                 for p in powers]
-        kernel = rate_kernel(batch)
-        stages = [kernel(w) for w in bandwidths]
-        for i in (0, 1, 2, 0):
-            for j, (rates, w) in enumerate(zip(stages, bandwidths)):
-                got, (want, alone) = rates(powers[i]), wants[i][j]
-                shape = (2, *np.broadcast_shapes(batch.total_power.shape, powers[i].shape[1:], w.shape[1:]))
-                assert got.shape == alone.shape == shape
-                assert_bits_equal(got, want)
-                assert_bits_equal(alone, want)
-                kept.append((got, want))
-    for k, (got, want) in enumerate(kept):
-        assert_bits_equal(got, want)
-        others = [*bandwidths, *powers] + [earlier for earlier, _ in kept[:k]]
-        assert not any(np.shares_memory(got, other) for other in others)
+    return batch, [draw(arrays(np.float64, (2, *draw(st.sampled_from(shapes))), elements=draw(kinds)))
+                   for _ in range(pairs)]
 
 
 def assert_bits_equal(got, want):
@@ -298,6 +271,52 @@ def assert_bits_equal(got, want):
         assert rate.shape == reference.shape and rate.dtype == reference.dtype
         assert np.array_equal(rate, reference, equal_nan=True)
         assert np.array_equal(np.signbit(rate), np.signbit(reference))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(rate_kernel_inputs())
+def test_link_rates_equal_the_masked_kernel_bit_for_bit(case):
+    batch, (p, w) = case
+    with np.errstate(all="ignore"):
+        got, want = link_rates(batch, p, w), reference_link_rates(batch, *p, *w)
+    assert got.shape == (2, *np.broadcast_shapes(batch.total_power.shape, p.shape[1:], w.shape[1:]))
+    assert_bits_equal(got, want)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(rate_kernel_inputs(pairs=4))
+def test_a_bandwidth_stage_equals_the_masked_kernel_at_every_power_pair(case):
+    # one function of the powers serves every call: p1, p2, p3, then p1 again; each
+    # call returns a new array, which no later call writes
+    batch, (w, *powers) = case
+    kept = []
+    with np.errstate(all="ignore"):
+        rates = rate_kernel(batch)(w)
+        for p in (*powers, powers[0]):
+            got, want = rates(p), reference_link_rates(batch, *p, *w)
+            assert got.shape == (2, *np.broadcast_shapes(batch.total_power.shape, p.shape[1:], w.shape[1:]))
+            assert_bits_equal(got, want)
+            kept.append((got, want))
+    for k, (got, want) in enumerate(kept):
+        assert_bits_equal(got, want)
+        others = [w, *powers] + [earlier for earlier, _ in kept[:k]]
+        assert not any(np.shares_memory(got, other) for other in others)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(rate_kernel_inputs(pairs=5))
+def test_one_rate_kernel_serves_every_bandwidth_pair_and_each_of_those_every_power_pair(case):
+    # one kernel's two bandwidth stages, both built before either is called, each
+    # called at three power pairs in turn: no stage changes what another returns
+    batch, (*bandwidths, p1, p2, p3) = case
+    with np.errstate(all="ignore"):
+        kernel = rate_kernel(batch)
+        stages = [kernel(w) for w in bandwidths]
+        for p in (p1, p2, p3):
+            for rates, w in zip(stages, bandwidths):
+                got, want = rates(p), reference_link_rates(batch, *p, *w)
+                assert got.shape == (2, *np.broadcast_shapes(batch.total_power.shape, p.shape[1:], w.shape[1:]))
+                assert_bits_equal(got, want)
 
 
 @st.composite
